@@ -20,8 +20,8 @@ from .errors import (ConfigError, DepthTooSmall, DimMismatch, GridMismatch,
                      LevySigKernelError, NumericalInconsistency, OutOfRange,
                      ScalarPartError, Unsupported)
 from .kernel_solver import (KernelSurface, apriori_psi, bessel_i0, make_grid,
-                            solve_goursat_scalar, solve_level2_system,
-                            solve_truncated_system, truncation_certificate)
+                            solve_goursat_scalar, solve_truncated_system,
+                            truncation_certificate)
 from .mc_oracle import (SignatureEstimate, SimulatedPaths,
                         estimate_expected_signature, estimate_kernel,
                         estimate_to_csv, path_signature, simulate_paths)

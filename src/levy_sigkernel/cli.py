@@ -9,8 +9,7 @@ Config schema (all experiments):
       "ensemble": {...}, "wiener": {...},   # mmd
       "grid":   {"s_points": 129, "t_points": 129, "T": 1.0},
       "levels": {"M": 2, "N": 2},
-      "mc":     {"n_paths": 20000, "steps": 16, "seed": 42},
-      "threads": 1                          # optional, overridden by --threads
+      "mc":     {"n_paths": 20000, "steps": 16, "seed": 42}   # --seed overrides
     }
 
 A triplet is
@@ -54,6 +53,8 @@ _MAX_VELOCITY_COEFFS = 2_000_000
 
 
 def _require(cfg: dict, key: str, path: str):
+    if not isinstance(cfg, dict):
+        raise ConfigError(path or "config", "expected an object")
     if key not in cfg:
         raise ConfigError(f"{path}.{key}" if path else key, "missing required field")
     return cfg[key]
@@ -71,24 +72,47 @@ def _as_int(value, path: str) -> int:
     return value
 
 
-def _parse_matrix(value, d: int, path: str) -> np.ndarray:
+def _parse_array(value, path: str, what: str) -> np.ndarray:
     try:
-        arr = np.asarray(value, dtype=float)
+        return np.asarray(value, dtype=float)
     except (TypeError, ValueError):
-        raise ConfigError(path, "expected a matrix of numbers") from None
+        raise ConfigError(path, f"expected {what}") from None
+
+
+def _parse_matrix(value, d: int, path: str) -> np.ndarray:
+    arr = _parse_array(value, path, "a matrix of numbers")
     if arr.shape != (d, d):
         raise ConfigError(path, f"expected shape ({d}, {d}), got {arr.shape}")
     return arr
 
 
 def _parse_vector(value, d: int, path: str) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(path, "expected a vector of numbers") from None
+    arr = _parse_array(value, path, "a vector of numbers")
     if arr.shape != (d,):
         raise ConfigError(path, f"expected {d} entries, got shape {arr.shape}")
     return arr
+
+
+def _parse_list(value, path: str, what: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(path, f"expected a list of {what}")
+    return value
+
+
+def _parse_factors(value, d: int, path: str) -> np.ndarray:
+    """Covariance sum_k sig_k sig_k^T of a list of volatility factor vectors."""
+    cov = np.zeros((d, d))
+    for k, sig in enumerate(_parse_list(value, path, "factor vectors")):
+        vec = _parse_vector(sig, d, f"{path}[{k}]")
+        cov += np.outer(vec, vec)
+    return cov
+
+
+def _parse_time_grid(value, path: str) -> np.ndarray:
+    grid = _parse_array(value, path, "a list of times")
+    if grid.ndim != 1 or len(grid) < 2:
+        raise ConfigError(path, "expected a list of at least two times")
+    return grid
 
 
 def _parse_atom(value, d: int, state_depth: int, path: str) -> TruncatedTensor:
@@ -103,11 +127,9 @@ def _parse_atom(value, d: int, state_depth: int, path: str) -> TruncatedTensor:
 
 
 def parse_triplet(cfg: dict, path: str) -> LevyTriplet:
-    if not isinstance(cfg, dict):
-        raise ConfigError(path, "expected an object")
     d = _as_int(_require(cfg, "dim", path), f"{path}.dim")
     state_depth = _as_int(cfg.get("state_depth", 1), f"{path}.state_depth")
-    grid = np.asarray(_require(cfg, "time_grid", path), dtype=float)
+    grid = _parse_time_grid(_require(cfg, "time_grid", path), f"{path}.time_grid")
     intervals = _require(cfg, "intervals", path)
     if not isinstance(intervals, list) or len(intervals) != len(grid) - 1:
         raise ConfigError(f"{path}.intervals", "need one interval object per grid step")
@@ -118,11 +140,7 @@ def parse_triplet(cfg: dict, path: str) -> LevyTriplet:
             raise ConfigError(ipath, "expected an object")
         drifts.append(_parse_vector(iv.get("drift", [0.0] * d), d, f"{ipath}.drift"))
         if "factors" in iv:
-            a = np.zeros((d, d))
-            for k, sig in enumerate(iv["factors"]):
-                s = _parse_vector(sig, d, f"{ipath}.factors[{k}]")
-                a += np.outer(s, s)
-            covs.append(a)
+            covs.append(_parse_factors(iv["factors"], d, f"{ipath}.factors"))
         else:
             covs.append(_parse_matrix(iv.get("cov", np.zeros((d, d))), d, f"{ipath}.cov"))
         areas.append(None if iv.get("area") is None
@@ -133,9 +151,12 @@ def parse_triplet(cfg: dict, path: str) -> LevyTriplet:
         elif not isinstance(jspec, dict):
             raise ConfigError(f"{ipath}.jumps", "expected null or an object")
         elif jspec.get("type") == "atomic":
-            weights = np.asarray(_require(jspec, "weights", f"{ipath}.jumps"), dtype=float)
+            raw_atoms = _parse_list(_require(jspec, "atoms", f"{ipath}.jumps"),
+                                    f"{ipath}.jumps.atoms", "atom objects")
             atoms = tuple(_parse_atom(a, d, state_depth, f"{ipath}.jumps.atoms[{k}]")
-                          for k, a in enumerate(_require(jspec, "atoms", f"{ipath}.jumps")))
+                          for k, a in enumerate(raw_atoms))
+            weights = _parse_vector(_require(jspec, "weights", f"{ipath}.jumps"),
+                                    len(atoms), f"{ipath}.jumps.weights")
             jumps.append(AtomicJumps(weights, atoms))
         elif jspec.get("type") == "gaussian_cp":
             jumps.append(GaussianJumps(
@@ -154,8 +175,6 @@ def parse_triplet(cfg: dict, path: str) -> LevyTriplet:
 
 def _parse_grid(cfg: dict) -> tuple[int, int, float]:
     grid = _require(cfg, "grid", "")
-    if not isinstance(grid, dict):
-        raise ConfigError("grid", "expected an object")
     sp = _as_int(_require(grid, "s_points", "grid"), "grid.s_points")
     tp = _as_int(grid.get("t_points", sp), "grid.t_points")
     horizon = _as_number(_require(grid, "T", "grid"), "grid.T")
@@ -166,8 +185,6 @@ def _parse_grid(cfg: dict) -> tuple[int, int, float]:
 
 def _parse_levels(cfg: dict) -> tuple[int, int]:
     levels = _require(cfg, "levels", "")
-    if not isinstance(levels, dict):
-        raise ConfigError("levels", "expected an object")
     m = _as_int(_require(levels, "M", "levels"), "levels.M")
     n = _as_int(levels.get("N", m), "levels.N")
     if m < 1 or n < 1:
@@ -210,10 +227,9 @@ def cmd_kernel(cfg: dict, out_dir: str) -> int:
 
 def _parse_ensemble(cfg: dict) -> AugmentedPathEnsemble:
     ens = _require(cfg, "ensemble", "")
-    if not isinstance(ens, dict):
-        raise ConfigError("ensemble", "expected an object")
     d = _as_int(_require(ens, "dim", "ensemble"), "ensemble.dim")
-    grid = np.asarray(_require(ens, "time_grid", "ensemble"), dtype=float)
+    grid = _parse_time_grid(_require(ens, "time_grid", "ensemble"),
+                            "ensemble.time_grid")
     paths = _require(ens, "paths", "ensemble")
     if not isinstance(paths, list) or not paths:
         raise ConfigError("ensemble.paths", "expected a non-empty list")
@@ -223,7 +239,8 @@ def _parse_ensemble(cfg: dict) -> AugmentedPathEnsemble:
         ppath = f"ensemble.paths[{k}]"
         if not isinstance(p, dict):
             raise ConfigError(ppath, "expected an object")
-        dv = np.asarray(_require(p, "derivative", ppath), dtype=float)
+        dv = _parse_array(_require(p, "derivative", ppath), f"{ppath}.derivative",
+                          "an array of numbers")
         if dv.shape != (n_int, d):
             raise ConfigError(f"{ppath}.derivative",
                               f"expected shape ({n_int}, {d}), got {dv.shape}")
@@ -231,7 +248,7 @@ def _parse_ensemble(cfg: dict) -> AugmentedPathEnsemble:
         if p.get("area") is None:
             area_derivs.append(None)
         else:
-            ar = np.asarray(p["area"], dtype=float)
+            ar = _parse_array(p["area"], f"{ppath}.area", "an array of numbers")
             if ar.shape != (n_int, d, d):
                 raise ConfigError(f"{ppath}.area",
                                   f"expected shape ({n_int}, {d}, {d}), got {ar.shape}")
@@ -245,33 +262,31 @@ def _parse_ensemble(cfg: dict) -> AugmentedPathEnsemble:
 
 def _parse_wiener(cfg: dict, dim: int) -> WienerSpec:
     wn = _require(cfg, "wiener", "")
-    if not isinstance(wn, dict):
-        raise ConfigError("wiener", "expected an object")
-    grid = np.asarray(_require(wn, "time_grid", "wiener"), dtype=float)
-    n_int = len(grid) - 1
-    try:
-        if "factors" in wn:
-            if len(wn["factors"]) != n_int:
-                raise ConfigError("wiener.factors", "need one factor list per interval")
-            return WienerSpec.from_factors(dim, grid, wn["factors"])
-        covs = [_parse_matrix(a, dim, f"wiener.covs[{i}]")
-                for i, a in enumerate(_require(wn, "covs", "wiener"))]
-        if len(covs) != n_int:
+    grid = _parse_time_grid(_require(wn, "time_grid", "wiener"), "wiener.time_grid")
+    if "factors" in wn:
+        factors = _parse_list(wn["factors"], "wiener.factors", "factor lists")
+        if len(factors) != len(grid) - 1:
+            raise ConfigError("wiener.factors", "need one factor list per interval")
+        covs = [_parse_factors(f, dim, f"wiener.factors[{i}]")
+                for i, f in enumerate(factors)]
+    else:
+        raw = _parse_list(_require(wn, "covs", "wiener"), "wiener.covs", "matrices")
+        if len(raw) != len(grid) - 1:
             raise ConfigError("wiener.covs", "need one covariance per interval")
+        covs = [_parse_matrix(a, dim, f"wiener.covs[{i}]") for i, a in enumerate(raw)]
+    try:
         return WienerSpec(dim, grid, covs)
     except LevySigKernelError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError("wiener", str(exc)) from exc
 
 
-def cmd_mmd(cfg: dict, out_dir: str, threads: int) -> int:
+def cmd_mmd(cfg: dict, out_dir: str) -> int:
     ensemble = _parse_ensemble(cfg)
     wiener = _parse_wiener(cfg, ensemble.dim)
     sp, _, horizon = _parse_grid(cfg)
     if abs(horizon - ensemble.horizon) > 1e-12:
         raise ConfigError("grid.T", "must equal the ensemble horizon")
-    mmd, report = mmd_to_wiener(ensemble, wiener, sp, threads=threads)
+    mmd, report = mmd_to_wiener(ensemble, wiener, sp)
     report.to_csv(os.path.join(out_dir, "mmd.csv"))
     print(f"mmd = {mmd!r} (mmd^2 = {report.mmd_squared!r}, "
           f"{ensemble.n_paths} paths{', radicand clipped' if report.clipped else ''})")
@@ -402,7 +417,6 @@ def examples_config() -> dict:
         "grid": {"s_points": 129, "t_points": 129, "T": 1.0},
         "levels": {"M": 4, "N": 4},
         "mc": {"n_paths": 20000, "steps": 16, "seed": 42},
-        "threads": 1,
     }
 
 
@@ -414,9 +428,6 @@ def main(argv=None) -> int:
                     "and bound tables driven by a JSON config.")
     parser.add_argument("--config", help="path to the JSON experiment config")
     parser.add_argument("--output", help="output directory (overrides config)")
-    parser.add_argument("--threads", type=int,
-                        help="worker threads for independent solves "
-                             "(overrides config; fallback env LEVY_SIGKERNEL_THREADS)")
     parser.add_argument("--seed", type=int, help="RNG seed override for mc blocks")
     parser.add_argument("--write-example", metavar="PATH",
                         help="write an annotated example config and exit")
@@ -446,17 +457,16 @@ def main(argv=None) -> int:
             raise ConfigError("experiment",
                               "expected kernel, mmd, validate or bounds")
         if args.seed is not None:
-            cfg.setdefault("mc", {})["seed"] = args.seed
-        threads = args.threads
-        if threads is None:
-            env = os.environ.get("LEVY_SIGKERNEL_THREADS")
-            threads = int(env) if env else cfg.get("threads", 1)
+            mc = cfg.setdefault("mc", {})
+            if not isinstance(mc, dict):
+                raise ConfigError("mc", "expected an object")
+            mc["seed"] = args.seed
         out_dir = args.output or cfg.get("output_dir", ".")
         os.makedirs(out_dir, exist_ok=True)
         if experiment == "kernel":
             return cmd_kernel(cfg, out_dir)
         if experiment == "mmd":
-            return cmd_mmd(cfg, out_dir, threads)
+            return cmd_mmd(cfg, out_dir)
         if experiment == "validate":
             return cmd_validate(cfg, out_dir)
         return cmd_bounds(cfg, out_dir)

@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import tensor_algebra as ta
-from .characteristics import LevyTriplet, PiecewiseVelocity, characteristic_velocity
+from .characteristics import PiecewiseVelocity
 from .errors import GridMismatch, InvalidParameter, Unsupported
 from .tensor_algebra import TruncatedTensor
 
@@ -39,7 +39,6 @@ __all__ = [
     "apriori_psi",
     "make_grid",
     "solve_goursat_scalar",
-    "solve_level2_system",
     "solve_truncated_system",
     "truncation_certificate",
 ]
@@ -50,8 +49,9 @@ def bessel_i0(z: float) -> float:
 
     Terms are accumulated until the next one drops below 1e-17 of the
     partial sum, so the truncation error is below the last retained term.
+    Returns ``inf`` once the partial sum overflows (z above about 714).
     """
-    if z < 0:
+    if not z >= 0:
         raise InvalidParameter("bessel_i0 requires z >= 0")
     q = 0.25 * z * z
     total, term, k = 1.0, 1.0, 0
@@ -59,15 +59,20 @@ def bessel_i0(z: float) -> float:
         k += 1
         term *= q / (k * k)
         total += term
-        if term < 1e-17 * total:
+        if term < 1e-17 * total or math.isinf(total):
             return total
 
 
 def apriori_psi(x: float, y: float) -> float:
-    """A priori kernel bound psi(x, y) = e^{x+y} I_0(2 sqrt(xy))."""
-    if x < 0 or y < 0:
+    """A priori kernel bound psi(x, y) = e^{x+y} I_0(2 sqrt(xy)), ``inf``
+    where it overflows."""
+    if not (x >= 0 and y >= 0):
         raise InvalidParameter("apriori_psi requires non-negative arguments")
-    return math.exp(x + y) * bessel_i0(2.0 * math.sqrt(x * y))
+    try:
+        growth = math.exp(x + y)
+    except OverflowError:
+        return math.inf
+    return growth * bessel_i0(2.0 * math.sqrt(x * y))
 
 
 def make_grid(horizon: float, n_points: int, breakpoints: Sequence[float] = ()) -> np.ndarray:
@@ -322,69 +327,6 @@ def solve_goursat_scalar(alpha, s_grid, t_grid,
         meta={"system": "goursat-scalar", "scheme_order": 2})
 
 
-def _level2_components(triplet: LevyTriplet):
-    if triplet.has_jumps():
-        raise Unsupported("second-level solver requires continuous triplets")
-    if triplet.state_depth > 2:
-        raise Unsupported("second-level solver supports state depth <= 2")
-    d = triplet.dim
-    bs = [b.copy() for b in triplet.drifts]
-    ars = [np.zeros((d, d)) if ar is None else ar for ar in triplet.areas]
-    cvs = [a.copy() for a in triplet.covs]
-    cs = [0.5 * a - ar for a, ar in zip(cvs, ars)]
-    return bs, ars, cvs, cs
-
-
-def solve_level2_system(triplet: LevyTriplet, triplet2: LevyTriplet,
-                        s_grid, t_grid) -> KernelSurface:
-    """Kernel system for continuous triplets with at most second-level
-    characteristics, in reduced matrix-vector form.
-
-    The state is (u, f, g) in R x V x V with coupling matrices
-    c = cov/2 - area on each side.
-    """
-    if triplet.dim != triplet2.dim:
-        raise InvalidParameter("triplet dims differ")
-    d = triplet.dim
-    b1, ar1, cv1, c1 = _level2_components(triplet)
-    b2, ar2, cv2, c2 = _level2_components(triplet2)
-    s_grid = _validate_grid(np.asarray(s_grid, float), triplet.time_grid, "s")
-    t_grid = _validate_grid(np.asarray(t_grid, float), triplet2.time_grid, "t")
-    sidx = _cell_intervals(s_grid, triplet.time_grid)
-    tidx = _cell_intervals(t_grid, triplet2.time_grid)
-    na, nb = len(b1), len(b2)
-
-    A = np.empty((na, nb))
-    B = np.empty((na, nb, d))
-    C = np.empty((na, nb, d))
-    for a in range(na):
-        for b in range(nb):
-            A[a, b] = b1[a] @ b2[b] + np.sum(ar1[a] * ar2[b]) \
-                + 0.25 * np.sum(cv1[a] * cv2[b])
-            B[a, b] = c2[b].T @ b1[a]
-            C[a, b] = c1[a].T @ b2[b]
-    qx = np.stack(b1)
-    qy = np.stack(b2)
-    RX = np.zeros((na, d, d))
-    RY = np.zeros((nb, d, d))
-    AX = np.stack(c1)
-    AY = np.stack(c2)
-
-    ds, dtl = np.diff(s_grid), np.diff(t_grid)
-    w, F, G = _sweep(ds, dtl, sidx, tidx, A, B, C, qx, RX, AX, qy, RY, AY)
-    # embed the V-valued fields into the flat depth-1 layout (scalar slot 0)
-    Ff = np.concatenate([np.zeros(F.shape[:2] + (1,)), F], axis=2)
-    Gf = np.concatenate([np.zeros(G.shape[:2] + (1,)), G], axis=2)
-    vel1 = characteristic_velocity(triplet, 2)
-    vel2 = characteristic_velocity(triplet2, 2)
-    return KernelSurface(
-        s_grid=s_grid, t_grid=t_grid, w=w, dim=d,
-        f=Ff, ftilde=Gf, f_depth=1, ftilde_depth=1,
-        s_mass=_cumulative_mass(s_grid, vel1),
-        t_mass=_cumulative_mass(t_grid, vel2),
-        meta={"system": "level2", "M": 2, "N": 2, "scheme_order": 2})
-
-
 def solve_truncated_system(v: PiecewiseVelocity, vt: PiecewiseVelocity,
                            M: int, N: int, s_grid, t_grid,
                            richardson: bool = False) -> KernelSurface:
@@ -487,8 +429,16 @@ def truncation_certificate(v: PiecewiseVelocity, vt: PiecewiseVelocity,
 
     Uses the stored velocity levels as "full depth": the bound is
     exp(mass_v) * exp(mass_vt) * (tail of v above M + tail of vt above N)
-    with all integrals exact for piecewise-constant velocities.
+    with all integrals exact for piecewise-constant velocities.  A zero
+    tail gives 0.0 whatever the masses; a positive tail whose exponential
+    factor overflows gives ``inf``.
     """
-    cs = math.exp(v.mass(0.0, s))
-    ct = math.exp(vt.mass(0.0, t))
-    return float(cs * ct * (v.tail_mass(0.0, s, M) + vt.tail_mass(0.0, t, N)))
+    tail = v.tail_mass(0.0, s, M) + vt.tail_mass(0.0, t, N)
+    if tail == 0.0:
+        return 0.0
+    try:
+        cs = math.exp(v.mass(0.0, s))
+        ct = math.exp(vt.mass(0.0, t))
+    except OverflowError:
+        return math.inf
+    return float(cs * ct * tail)

@@ -8,22 +8,22 @@ The squared MMD decomposes into three families of kernel surfaces:
 where u is the Wiener self-kernel (a scalar Goursat problem), v_k the
 cross kernel of path k against the Wiener expected signature, and w_jk
 the deterministic signature kernel of the area-augmented paths j and k.
-All solves are independent and may run on a thread pool; aggregation is
-in sorted (j, k) order so results do not depend on scheduling.
+The cross and pair kernels are truncated kernel systems at M = N = 2 on
+the level-2 characteristic velocities.  The 1 + m + m(m+1)/2 solves run
+one after another in sorted order, so the result is reproducible bitwise.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .characteristics import LevyTriplet, _check_grid
+from .characteristics import LevyTriplet, _check_grid, characteristic_velocity
 from .errors import InvalidParameter, InvalidTriplet, NumericalInconsistency
 from .kernel_solver import (KernelSurface, _validate_grid, make_grid,
-                            solve_goursat_scalar, solve_level2_system)
+                            solve_goursat_scalar, solve_truncated_system)
 
 __all__ = [
     "AugmentedPathEnsemble",
@@ -164,8 +164,9 @@ def cross_kernel(ensemble: AugmentedPathEnsemble, k: int, wiener: WienerSpec,
                  grid) -> KernelSurface:
     """Kernel surface of path k against the Wiener expected signature."""
     grid = _merged_grid(ensemble, wiener, grid)
-    return solve_level2_system(ensemble.path_triplet(k), wiener.as_triplet(),
-                               grid, grid)
+    left = characteristic_velocity(ensemble.path_triplet(k), 2)
+    right = characteristic_velocity(wiener.as_triplet(), 2)
+    return solve_truncated_system(left, right, 2, 2, grid, grid)
 
 
 def pair_kernel(ensemble: AugmentedPathEnsemble, j: int, k: int,
@@ -175,8 +176,9 @@ def pair_kernel(ensemble: AugmentedPathEnsemble, j: int, k: int,
         grid = make_grid(ensemble.horizon, int(grid), ensemble.time_grid)
     else:
         grid = np.asarray(grid, dtype=float)
-    return solve_level2_system(ensemble.path_triplet(j), ensemble.path_triplet(k),
-                               grid, grid)
+    left = characteristic_velocity(ensemble.path_triplet(j), 2)
+    right = characteristic_velocity(ensemble.path_triplet(k), 2)
+    return solve_truncated_system(left, right, 2, 2, grid, grid)
 
 
 def _wiener_self_kernel(wiener: WienerSpec, grid: np.ndarray) -> KernelSurface:
@@ -193,12 +195,12 @@ def _wiener_self_kernel(wiener: WienerSpec, grid: np.ndarray) -> KernelSurface:
 
 
 def mmd_to_wiener(ensemble: AugmentedPathEnsemble, wiener: WienerSpec,
-                  grid, threads: int = 1) -> tuple[float, MMDReport]:
+                  grid) -> tuple[float, MMDReport]:
     """Signature MMD between the path ensemble's empirical law and the
     Wiener measure, assembled from kernel surface corner values.
 
-    The independent solves run on up to ``threads`` workers; values are
-    combined in sorted order so the result is reproducible bitwise.
+    ``report.surfaces`` maps ``"wiener"``, ``("cross", k)`` and
+    ``("pair", j, k)`` for j <= k to the solved surfaces.
     """
     if ensemble.dim != wiener.dim:
         raise InvalidParameter("ensemble and Wiener dims differ")
@@ -208,19 +210,12 @@ def mmd_to_wiener(ensemble: AugmentedPathEnsemble, wiener: WienerSpec,
     _validate_grid(grid, np.union1d(ensemble.time_grid, wiener.time_grid), "mmd")
     m = ensemble.n_paths
 
-    jobs: dict[tuple, object] = {"wiener": lambda: _wiener_self_kernel(wiener, grid)}
+    surfaces: dict = {"wiener": _wiener_self_kernel(wiener, grid)}
     for k in range(m):
-        jobs[("cross", k)] = (lambda k=k: cross_kernel(ensemble, k, wiener, grid))
+        surfaces[("cross", k)] = cross_kernel(ensemble, k, wiener, grid)
     for j in range(m):
         for k in range(j, m):
-            jobs[("pair", j, k)] = (lambda j=j, k=k: pair_kernel(ensemble, j, k, grid))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {key: pool.submit(fn) for key, fn in jobs.items()}
-            surfaces = {key: fut.result() for key, fut in futures.items()}
-    else:
-        surfaces = {key: fn() for key, fn in jobs.items()}
+            surfaces[("pair", j, k)] = pair_kernel(ensemble, j, k, grid)
 
     wiener_term = surfaces["wiener"].value()
     cross = np.array([surfaces[("cross", k)].value() for k in range(m)])

@@ -22,7 +22,6 @@ from levy_sigkernel.development import (bound_gronwall,
                                         gaussian_mgf_moment)
 from levy_sigkernel.kernel_solver import (_refine, apriori_psi, bessel_i0,
                                           make_grid, solve_goursat_scalar,
-                                          solve_level2_system,
                                           solve_truncated_system,
                                           truncation_certificate)
 from levy_sigkernel.mc_oracle import estimate_expected_signature, estimate_kernel
@@ -97,7 +96,8 @@ def test_criterion_1_bessel_closed_form(crit1_data):
 def crit2_data():
     bm = LevyTriplet.brownian(1, 1.0)
     grid = np.linspace(0.0, 1.0, 513)
-    surf = solve_level2_system(bm, bm, grid, grid)
+    vel = characteristic_velocity(bm, 2)
+    surf = solve_truncated_system(vel, vel, 2, 2, grid, grid)
     register_surface("crit2-bm", surf)
     return {"surface": surf}
 

@@ -59,12 +59,53 @@ class TestKernelCommand:
         assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == 2
         assert "levels" in capsys.readouterr().err
 
+    def test_huge_drift_finishes_with_finite_certificate(self, tmp_path):
+        # e^{mass} overflows; with no tail above M the certificate is 0.0
+        cfg_data = base_config(points=9)
+        for trip in cfg_data["triplets"]:
+            trip["intervals"][0]["drift"] = [800.0]
+        cfg = write_config(tmp_path / "cfg.json", cfg_data)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--output", str(out)]) == 0
+        assert "truncation_certificate = 0.0" in (out / "certificate.txt").read_text()
+
     def test_bad_field_path_reported(self, tmp_path, capsys):
         cfg_data = base_config()
         cfg_data["triplets"][1]["intervals"][0]["cov"] = [[1.0, 0.0]]
         cfg = write_config(tmp_path / "cfg.json", cfg_data)
         assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == 2
         assert "triplets[1].intervals[0].cov" in capsys.readouterr().err
+
+
+class TestMalformedConfigs:
+    @pytest.mark.parametrize("edit, flags, field", [
+        (lambda c: c.update(mc=5), [], "mc"),
+        (lambda c: c.update(mc=5), ["--seed", "3"], "mc"),
+        (lambda c: c.update(grid=[129]), [], "grid"),
+        (lambda c: c["triplets"][0].update(time_grid="abc"), [], "triplets[0].time_grid"),
+        (lambda c: c["triplets"][1].update(time_grid=1.0), [], "triplets[1].time_grid"),
+        (lambda c: c["triplets"][0]["intervals"][0].update(factors=5), [],
+         "triplets[0].intervals[0].factors"),
+    ])
+    def test_config_error_names_field(self, tmp_path, capsys, edit, flags, field):
+        cfg_data = base_config("validate", points=9)
+        edit(cfg_data)
+        cfg = write_config(tmp_path / "cfg.json", cfg_data)
+        assert main(["--config", cfg, "--output", str(tmp_path / "o"), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}:"), err
+
+    def test_non_numeric_ensemble_time_grid(self, tmp_path, capsys):
+        cfg_data = {
+            "experiment": "mmd",
+            "ensemble": {"dim": 1, "time_grid": ["a", "b"],
+                         "paths": [{"derivative": [[0.0]]}]},
+            "wiener": {"time_grid": [0.0, 1.0], "covs": [[[1.0]]]},
+            "grid": {"s_points": 9, "T": 1.0},
+        }
+        cfg = write_config(tmp_path / "cfg.json", cfg_data)
+        assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        assert "ensemble.time_grid" in capsys.readouterr().err
 
 
 class TestValidateCommand:
@@ -93,7 +134,7 @@ class TestMMDCommand:
         cfg = write_config(tmp_path / "cfg.json", cfg_data)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         assert main(["--config", cfg, "--output", str(out1)]) == 0
-        assert main(["--config", cfg, "--output", str(out2), "--threads", "3"]) == 0
+        assert main(["--config", cfg, "--output", str(out2)]) == 0
         text1 = (out1 / "mmd.csv").read_bytes()
         assert text1 == (out2 / "mmd.csv").read_bytes()
         rows = {tuple(r.split(",")[:3]): r.split(",")[3]
@@ -132,15 +173,3 @@ class TestEntryPoints:
         cfg = write_config(tmp_path / "c.json", {"experiment": "nope"})
         assert main(["--config", cfg]) == 2
         assert "experiment" in capsys.readouterr().err
-
-    def test_env_thread_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LEVY_SIGKERNEL_THREADS", "2")
-        cfg_data = {
-            "experiment": "mmd",
-            "ensemble": {"dim": 1, "time_grid": [0.0, 1.0],
-                         "paths": [{"derivative": [[0.5]]}]},
-            "wiener": {"time_grid": [0.0, 1.0], "covs": [[[1.0]]]},
-            "grid": {"s_points": 33, "t_points": 33, "T": 1.0},
-        }
-        cfg = write_config(tmp_path / "cfg.json", cfg_data)
-        assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == 0

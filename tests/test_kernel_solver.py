@@ -2,16 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levy_sigkernel import tensor_algebra as ta
 from levy_sigkernel.characteristics import (LevyTriplet, PiecewiseVelocity,
                                             characteristic_velocity)
 from levy_sigkernel.development import bound_outer_truncation, develop
-from levy_sigkernel.errors import (GridMismatch, InvalidParameter,
-                                   Unsupported)
+from levy_sigkernel.errors import GridMismatch, InvalidParameter
 from levy_sigkernel.kernel_solver import (apriori_psi, bessel_i0, make_grid,
                                           solve_goursat_scalar,
-                                          solve_level2_system,
                                           solve_truncated_system,
                                           truncation_certificate)
 from levy_sigkernel.tensor_algebra import TruncatedTensor as TT
@@ -61,6 +61,27 @@ class TestBessel:
         with pytest.raises(InvalidParameter):
             bessel_i0(-0.1)
 
+    def test_overflow_returns_inf(self):
+        assert bessel_i0(1500.0) == math.inf
+        assert bessel_i0(1e200) == math.inf
+        assert apriori_psi(400.0, 400.0) == math.inf
+        assert apriori_psi(0.0, 709.0) == pytest.approx(math.exp(709.0), rel=1e-15)
+        with pytest.raises(InvalidParameter):
+            bessel_i0(math.nan)
+
+    @settings(max_examples=60, deadline=500)
+    @given(z=st.floats(min_value=0.0, max_value=1e300))
+    def test_i0_total_on_extreme_input(self, z):
+        val = bessel_i0(z)
+        assert isinstance(val, float) and val >= 1.0
+
+    @settings(max_examples=60, deadline=500)
+    @given(x=st.floats(min_value=0.0, max_value=1e300),
+           y=st.floats(min_value=0.0, max_value=1e300))
+    def test_psi_total_on_extreme_input(self, x, y):
+        val = apriori_psi(x, y)
+        assert isinstance(val, float) and val >= 1.0
+
 
 class TestScalarGoursat:
     def test_zero_alpha(self):
@@ -98,10 +119,18 @@ class TestScalarGoursat:
 
 
 class TestLevel2System:
+    """Continuous triplets with second-level characteristics, solved as the
+    truncated system at M = N = 2 on their level-2 velocities."""
+
+    @staticmethod
+    def solve(t1, t2, g):
+        return solve_truncated_system(characteristic_velocity(t1, 2),
+                                      characteristic_velocity(t2, 2), 2, 2, g, g)
+
     def test_two_standard_bms_bessel(self):
         bm = LevyTriplet.brownian(1, 1.0)
         g = unigrid(257)
-        surf = solve_level2_system(bm, bm, g, g)
+        surf = self.solve(bm, bm, g)
         assert abs(surf.value() - I0_1) < 1e-4
 
     def test_reduces_to_scalar_goursat(self, rng):
@@ -109,30 +138,11 @@ class TestLevel2System:
         cov = np.array([[0.9, 0.2], [0.2, 0.4]])
         trip = LevyTriplet.homogeneous(2, 1.0, cov=cov)
         g = unigrid(65)
-        surf = solve_level2_system(trip, trip, g, g)
+        surf = self.solve(trip, trip, g)
         alpha = 0.25 * np.sum(cov * cov)
         ref = solve_goursat_scalar((lambda s: alpha, lambda t: 1.0), g, g)
         assert np.abs(surf.w - ref.w).max() < 1e-12
         assert np.abs(surf.f).max() == 0.0
-
-    def test_matches_truncated_system(self, rng):
-        grid = np.array([0.0, 0.35, 1.0])
-        def rand_trip():
-            ar = rng.normal(size=(2, 2))
-            m = rng.normal(size=(2, 2))
-            return LevyTriplet(
-                dim=2, time_grid=grid,
-                drifts=[rng.normal(size=2) * 0.5 for _ in range(2)],
-                covs=[m @ m.T * 0.3, np.diag(rng.uniform(0.1, 0.5, 2))],
-                areas=[(ar - ar.T) * 0.2, None], state_depth=2)
-        t1, t2 = rand_trip(), rand_trip()
-        g = make_grid(1.0, 33, grid)
-        s2 = solve_level2_system(t1, t2, g, g)
-        st = solve_truncated_system(characteristic_velocity(t1, 2),
-                                    characteristic_velocity(t2, 2), 2, 2, g, g)
-        assert np.abs(s2.w - st.w).max() < 1e-10
-        assert np.abs(s2.f - st.f).max() < 1e-10
-        assert np.abs(s2.ftilde - st.ftilde).max() < 1e-10
 
     def test_deterministic_paths_match_development(self, rng):
         grid = np.array([0.0, 0.5, 1.0])
@@ -145,17 +155,11 @@ class TestLevel2System:
                 covs=[np.zeros((2, 2))] * 2,
                 areas=[(ar - ar.T) * 0.5, (ar.T - ar) * 0.25], state_depth=2))
         g = make_grid(1.0, 257, grid)
-        surf = solve_level2_system(trips[0], trips[1], g, g)
+        surf = self.solve(trips[0], trips[1], g)
         v1 = characteristic_velocity(trips[0], 2)
         v2 = characteristic_velocity(trips[1], 2)
         ref = ta.inner_product(develop(v1, 0, 1, 12), develop(v2, 0, 1, 12))
         assert abs(surf.value() - ref) / abs(ref) < 1e-3
-
-    def test_jumps_rejected(self):
-        from levy_sigkernel.characteristics import GaussianJumps
-        trip = LevyTriplet.homogeneous(1, 1.0, jumps=GaussianJumps(1.0, np.eye(1)))
-        with pytest.raises(Unsupported):
-            solve_level2_system(trip, trip, unigrid(9), unigrid(9))
 
 
 def random_velocity(rng, dim, depth, grid, scale):
@@ -255,6 +259,24 @@ class TestCertificate:
     def test_zero_velocity(self):
         v = PiecewiseVelocity(1, [0.0, 1.0], [TT.zero(1, 4)])
         assert truncation_certificate(v, v, 2, 2, 1.0, 1.0) == 0.0
+
+    def test_overflowing_mass(self):
+        # zero tail: 0.0 rather than inf * 0 = nan; positive tail: inf
+        x = TT.from_levels(1, [[0.0], [900.0], [900.0]])
+        v = PiecewiseVelocity(1, [0.0, 1.0], [x])
+        assert truncation_certificate(v, v, 2, 2, 1.0, 1.0) == 0.0
+        assert truncation_certificate(v, v, 1, 1, 1.0, 1.0) == math.inf
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=60, deadline=500)
+    @given(scale=st.floats(min_value=0.0, max_value=1e300),
+           level=st.integers(min_value=1, max_value=3),
+           s=st.floats(min_value=0.0, max_value=1.0))
+    def test_total_on_extreme_input(self, scale, level, s):
+        x = TT.from_levels(1, [[0.0], [scale], [-scale], [0.5 * scale]])
+        v = PiecewiseVelocity(1, [0.0, 1.0], [x])
+        cert = truncation_certificate(v, v, level, level, s, 1.0)
+        assert isinstance(cert, float) and cert >= 0.0
 
     def test_certificate_bounds_true_gap(self):
         from levy_sigkernel.characteristics import GaussianJumps

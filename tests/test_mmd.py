@@ -200,15 +200,6 @@ class TestMMD:
             val, _ = mmd_to_wiener(shuffled, wn, 33)
             assert val == pytest.approx(base, abs=1e-13)
 
-    def test_thread_pool_bitwise_reproducible(self, rng):
-        ens = make_ensemble(rng, 2, 3, [0.0, 1.0])
-        wn = WienerSpec(2, np.array([0.0, 1.0]), [np.eye(2)])
-        serial, rep1 = mmd_to_wiener(ens, wn, 33, threads=1)
-        pooled, rep2 = mmd_to_wiener(ens, wn, 33, threads=4)
-        assert serial == pooled
-        assert np.array_equal(rep1.pair_values, rep2.pair_values)
-        assert np.array_equal(rep1.cross_values, rep2.cross_values)
-
     def test_cross_surfaces_satisfy_apriori_bound(self, rng):
         ens = make_ensemble(rng, 2, 2, [0.0, 1.0])
         wn = WienerSpec(2, np.array([0.0, 1.0]), [np.eye(2)])
