@@ -137,9 +137,13 @@ class AtomicJumps:
     atoms: tuple[TruncatedTensor, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        if len(self.weights) != len(self.atoms):
-            raise InvalidTriplet("one weight per atom required")
+        try:
+            weights = np.asarray(self.weights, dtype=float)
+        except (TypeError, ValueError):
+            raise InvalidTriplet("atom weights must be numbers") from None
+        if weights.shape != (len(self.atoms),):
+            raise InvalidTriplet("weights must be a 1-D array with one weight per atom")
+        object.__setattr__(self, "weights", weights)
         if np.any(self.weights < 0):
             raise InvalidTriplet("atom intensities must be >= 0")
         for x in self.atoms:

@@ -6,12 +6,15 @@ The solver marches the coupled integral system
     f(s,t)  = int_0^s { w y^Q + f (x) y^Q + proj(g adj-left y^M) }
     g(s,t)  = int_0^t { w z^Q' + g (x) z^Q' + proj(f adj-left z^N) }
 
-over a 2D grid, cell by cell in lexicographic order: an explicit
-rectangle-rule predictor followed by trapezoidal corrector sweeps
-(second order).  Two corrector passes are used: the second re-evaluates
-the far-corner integrand at corrected values, which keeps the scheme's
-second-order error constant clean (a single pass leaves an O(h^3) defect
-from the first-order predictor that can dominate on coarse grids).
+over a 2D grid.  Each cell takes an explicit rectangle-rule predictor
+followed by trapezoidal corrector passes (second order).  Two corrector
+passes are used: the second re-evaluates the far-corner integrand at
+corrected values, which keeps the scheme's second-order error constant
+clean (a single pass leaves an O(h^3) defect from the first-order
+predictor that can dominate on coarse grids).  A cell needs only its
+three nodes nearer the origin, so the sweep advances one anti-diagonal
+i + j = const at a time and updates all of its cells, for a batch of
+surfaces on the same grid, with stacked numpy operations.
 Boundary rows are one-dimensional ODEs with w = 1 and the opposite
 coupling term zero.  Grids must contain every velocity breakpoint so
 that all interval integrals are exact.
@@ -135,17 +138,23 @@ class KernelSurface:
 
     def to_csv(self, path, include_fields: bool = False) -> None:
         """Serialize as ``s,t,w`` rows (plus field magnitudes on request)."""
+        fields = include_fields and self.f is not None
+        if fields:
+            # the same bits as np.linalg.norm of each node's vector (a BLAS
+            # dot); norm(axis=-1) and einsum sum in another order
+            f_norm, ftilde_norm = (
+                np.sqrt(np.matmul(X[..., None, :], X[..., :, None])[..., 0, 0])
+                for X in (self.f, self.ftilde))
         with open(path, "w") as fh:
             cols = "s,t,w"
-            if include_fields and self.f is not None:
+            if fields:
                 cols += ",f_norm,ftilde_norm"
             fh.write(cols + "\n")
             for i, s in enumerate(self.s_grid):
                 for j, t in enumerate(self.t_grid):
                     row = f"{float(s)!r},{float(t)!r},{float(self.w[i, j])!r}"
-                    if include_fields and self.f is not None:
-                        row += f",{float(np.linalg.norm(self.f[i, j]))!r}"
-                        row += f",{float(np.linalg.norm(self.ftilde[i, j]))!r}"
+                    if fields:
+                        row += f",{float(f_norm[i, j])!r},{float(ftilde_norm[i, j])!r}"
                     fh.write(row + "\n")
 
 
@@ -182,80 +191,98 @@ _CORRECTOR_PASSES = 2
 
 
 def _sweep(ds, dt, sidx, tidx, A, B, C, qx, RX, AX, qy, RY, AY):
-    """Generic lexicographic predictor-corrector sweep.
+    """Anti-diagonal predictor-corrector sweep over a batch of surfaces.
 
-    ``A[a, b]`` is the scalar coefficient for velocity-interval pair
-    (a, b); ``B[a, b]``/``C[a, b]`` the vectors paired with the coupled
-    fields in the w-update; ``qx/RX/AX`` (per s-interval) and
+    Every argument after ``dt`` has a leading surface axis ``p``.
+    ``sidx[p]``/``tidx[p]`` map grid cells to velocity intervals;
+    ``A[p, a, b]`` is the scalar coefficient for velocity-interval pair
+    (a, b); ``B[p, a, b]``/``C[p, a, b]`` the vectors paired with the
+    coupled fields in the w-update; ``qx/RX/AX`` (per s-interval) and
     ``qy/RY/AY`` (per t-interval) define the two field ODE integrands.
-    Returns (w, f, g) node arrays.
-    """
-    n_i, n_j = len(ds), len(dt)
-    df, dg = qx.shape[1], qy.shape[1]
-    w = np.ones((n_i + 1, n_j + 1))
-    F = np.zeros((n_i + 1, n_j + 1, df))
-    G = np.zeros((n_i + 1, n_j + 1, dg))
 
+    Cell (i+1, j+1) needs only nodes (i, j), (i+1, j) and (i, j+1), so the
+    cells of one anti-diagonal i + j = const are independent and are
+    updated together, for all surfaces at once.  Every cell runs the
+    predictor and the corrector passes as one fixed sequence of
+    operations: mat-vecs and the dots at nodes (i+1, j) and (i+1, j+1) are
+    one BLAS call per cell through ``np.matmul``, and the dots at nodes
+    (i, j) and (i, j+1) one ``einsum`` row each.  A cell's bits therefore do
+    not depend on which other cells or surfaces share its diagonal.
+    Returns (w, f, g) node arrays with the surface axis first.
+    """
+    n_s = len(sidx)
+    n_i, n_j = len(ds), len(dt)
+    df, dg = qx.shape[-1], qy.shape[-1]
+    w = np.ones((n_s, n_i + 1, n_j + 1))
+    F = np.zeros((n_s, n_i + 1, n_j + 1, df))
+    G = np.zeros((n_s, n_i + 1, n_j + 1, dg))
+
+    def mv(mat, vec):
+        return np.matmul(mat, vec[..., None])[..., 0]
+
+    def dot(x, y):
+        return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+    p = np.arange(n_s)
     # t = 0 boundary: f solves its ODE with w = 1 and g = 0
     for i in range(n_i):
-        a, h = sidx[i], ds[i]
-        f0 = F[i, 0]
-        d0 = qx[a] + RX[a] @ f0
+        a, h = sidx[:, i], ds[i]
+        qxa, RXa = qx[p, a], RX[p, a]
+        f0 = F[:, i, 0]
+        d0 = qxa + mv(RXa, f0)
         f1 = f0 + h * d0
         for _ in range(_CORRECTOR_PASSES):
-            f1 = f0 + 0.5 * h * (d0 + qx[a] + RX[a] @ f1)
-        F[i + 1, 0] = f1
+            f1 = f0 + 0.5 * h * (d0 + qxa + mv(RXa, f1))
+        F[:, i + 1, 0] = f1
     # s = 0 boundary: g solves its ODE with w = 1 and f = 0
     for j in range(n_j):
-        b, k = tidx[j], dt[j]
-        g0 = G[0, j]
-        d0 = qy[b] + RY[b] @ g0
+        b, k = tidx[:, j], dt[j]
+        qyb, RYb = qy[p, b], RY[p, b]
+        g0 = G[:, 0, j]
+        d0 = qyb + mv(RYb, g0)
         g1 = g0 + k * d0
         for _ in range(_CORRECTOR_PASSES):
-            g1 = g0 + 0.5 * k * (d0 + qy[b] + RY[b] @ g1)
-        G[0, j + 1] = g1
+            g1 = g0 + 0.5 * k * (d0 + qyb + mv(RYb, g1))
+        G[:, 0, j + 1] = g1
 
-    for i in range(n_i):
-        a, h = sidx[i], ds[i]
-        qxa, RXa, AXa = qx[a], RX[a], AX[a]
-        wp, wn = w[i], w[i + 1]
-        Fp, Fn = F[i], F[i + 1]
-        Gp, Gn = G[i], G[i + 1]
-        Arow = A[a, tidx]                       # (n_j,)
-        Brow = B[a, tidx]                       # (n_j, df)
-        Crow = C[a, tidx]                       # (n_j, dg)
-        # w-integrand at the two row-i corners of each cell
-        fb0 = np.einsum("jd,jd->j", Fp[:-1], Brow)
-        gc0 = np.einsum("jd,jd->j", Gp[:-1], Crow)
-        fb1 = np.einsum("jd,jd->j", Fp[1:], Brow)
-        gc1 = np.einsum("jd,jd->j", Gp[1:], Crow)
-        phi00 = wp[:-1] * Arow + fb0 + gc0
-        phi01 = wp[1:] * Arow + fb1 + gc1
-        # f-integrand along row i at t_{j+1} (left end of each s-step)
-        Fd01 = wp[1:, None] * qxa + Fp[1:] @ RXa.T + Gp[1:] @ AXa.T
-        for j in range(n_j):
-            b, k = tidx[j], dt[j]
-            hk = h * k
-            Aab, Bab, Cab = Arow[j], Brow[j], Crow[j]
-            qyb, RYb, AYb = qy[b], RY[b], AY[b]
-            wn_j, Fn_j, Gn_j = wn[j], Fn[j], Gn[j]
-            phi10 = wn_j * Aab + Fn_j @ Bab + Gn_j @ Cab
-            cross = wp[j + 1] - wp[j]
-            Gd10 = wn_j * qyb + RYb @ Gn_j + AYb @ Fn_j
-            # rectangle-rule predictor at the far corner
-            w11 = wn_j + cross + hk * phi00[j]
-            F11 = Fp[j + 1] + h * Fd01[j]
-            G11 = Gn_j + k * Gd10
-            for _ in range(_CORRECTOR_PASSES):
-                phi11 = w11 * Aab + F11 @ Bab + G11 @ Cab
-                Fd11 = w11 * qxa + RXa @ F11 + AXa @ G11
-                Gd11 = w11 * qyb + RYb @ G11 + AYb @ F11
-                w11 = wn_j + cross + 0.25 * hk * (phi00[j] + phi10 + phi01[j] + phi11)
-                F11 = Fp[j + 1] + 0.5 * h * (Fd01[j] + Fd11)
-                G11 = Gn_j + 0.5 * k * (Gd10 + Gd11)
-            wn[j + 1] = w11
-            Fn[j + 1] = F11
-            Gn[j + 1] = G11
+    p = p[:, None]  # broadcasts against the (surface, cell) index arrays
+    for diag in range(n_i + n_j - 1):
+        i = np.arange(max(0, diag - n_j + 1), min(diag, n_i - 1) + 1)
+        j = diag - i
+        h, k = ds[i], dt[j]
+        hk = h * k
+        a, b = sidx[:, i], tidx[:, j]
+        Aab, Bab, Cab = A[p, a, b], B[p, a, b], C[p, a, b]
+        qxa, RXa, AXa = qx[p, a], RX[p, a], AX[p, a]
+        qyb, RYb, AYb = qy[p, b], RY[p, b], AY[p, b]
+        w00, w01, w10 = w[:, i, j], w[:, i, j + 1], w[:, i + 1, j]
+        F00, F01, F10 = F[:, i, j], F[:, i, j + 1], F[:, i + 1, j]
+        G00, G01, G10 = G[:, i, j], G[:, i, j + 1], G[:, i + 1, j]
+        # w-integrand at the three known corners of each cell
+        phi00 = (w00 * Aab + np.einsum("...d,...d->...", F00, Bab)
+                 + np.einsum("...d,...d->...", G00, Cab))
+        phi01 = (w01 * Aab + np.einsum("...d,...d->...", F01, Bab)
+                 + np.einsum("...d,...d->...", G01, Cab))
+        phi10 = w10 * Aab + dot(F10, Bab) + dot(G10, Cab)
+        cross = w01 - w00
+        # field integrands at the left end of each cell's s- and t-step
+        Fd01 = w01[..., None] * qxa + mv(RXa, F01) + mv(AXa, G01)
+        Gd10 = w10[..., None] * qyb + mv(RYb, G10) + mv(AYb, F10)
+        h, k = h[:, None], k[:, None]
+        # rectangle-rule predictor at the far corner
+        w11 = w10 + cross + hk * phi00
+        F11 = F01 + h * Fd01
+        G11 = G10 + k * Gd10
+        for _ in range(_CORRECTOR_PASSES):
+            phi11 = w11 * Aab + dot(F11, Bab) + dot(G11, Cab)
+            Fd11 = w11[..., None] * qxa + mv(RXa, F11) + mv(AXa, G11)
+            Gd11 = w11[..., None] * qyb + mv(RYb, G11) + mv(AYb, F11)
+            w11 = w10 + cross + 0.25 * hk * (phi00 + phi10 + phi01 + phi11)
+            F11 = F01 + 0.5 * h * (Fd01 + Fd11)
+            G11 = G10 + 0.5 * k * (Gd10 + Gd11)
+        w[:, i + 1, j + 1] = w11
+        F[:, i + 1, j + 1] = F11
+        G[:, i + 1, j + 1] = G11
     return w, F, G
 
 
@@ -337,26 +364,69 @@ def solve_truncated_system(v: PiecewiseVelocity, vt: PiecewiseVelocity,
     With ``richardson=True`` the system is re-solved on the midpoint-refined
     grid and the two w-surfaces are Richardson-extrapolated.
     """
+    if not richardson:
+        return _solve_truncated_batch([(v, vt)], M, N, s_grid, t_grid)[0]
+    coarse = solve_truncated_system(v, vt, M, N, s_grid, t_grid)
+    fine = solve_truncated_system(v, vt, M, N,
+                                  _refine(coarse.s_grid), _refine(coarse.t_grid))
+    w = (4.0 * fine.w[::2, ::2] - coarse.w) / 3.0
+    return KernelSurface(
+        s_grid=coarse.s_grid, t_grid=coarse.t_grid, w=w, dim=coarse.dim,
+        f=fine.f[::2, ::2], ftilde=fine.ftilde[::2, ::2],
+        f_depth=fine.f_depth, ftilde_depth=fine.ftilde_depth,
+        s_mass=coarse.s_mass, t_mass=coarse.t_mass,
+        meta=dict(coarse.meta, richardson=True))
+
+
+def _solve_truncated_batch(pairs, M: int, N: int, s_grid, t_grid) -> list[KernelSurface]:
+    """``solve_truncated_system`` for each velocity pair ``(v, vt)`` in
+    ``pairs``, all on the same grids and levels, swept together."""
     if M < 1 or N < 1:
         raise InvalidParameter("levels M, N must be >= 1")
-    if v.dim != vt.dim:
+    if not pairs:
+        raise InvalidParameter("need at least one velocity pair")
+    d = pairs[0][0].dim
+    if any(v.dim != d or vt.dim != d for v, vt in pairs):
         raise InvalidParameter("velocity dims differ")
-    d = v.dim
-    s_grid = _validate_grid(np.asarray(s_grid, float), v.time_grid, "s")
-    t_grid = _validate_grid(np.asarray(t_grid, float), vt.time_grid, "t")
-    if richardson:
-        coarse = solve_truncated_system(v, vt, M, N, s_grid, t_grid)
-        fine = solve_truncated_system(v, vt, M, N,
-                                      _refine(s_grid), _refine(t_grid))
-        w = (4.0 * fine.w[::2, ::2] - coarse.w) / 3.0
-        out = KernelSurface(
-            s_grid=s_grid, t_grid=t_grid, w=w, dim=d,
-            f=fine.f[::2, ::2], ftilde=fine.ftilde[::2, ::2],
-            f_depth=fine.f_depth, ftilde_depth=fine.ftilde_depth,
-            s_mass=coarse.s_mass, t_mass=coarse.t_mass,
-            meta=dict(coarse.meta, richardson=True))
-        return out
+    for v, vt in pairs:
+        s_grid = _validate_grid(s_grid, v.time_grid, "s")
+        t_grid = _validate_grid(t_grid, vt.time_grid, "t")
+    tables = zip(*(_coefficients(v, vt, M, N) for v, vt in pairs))
+    sidx = np.stack([_cell_intervals(s_grid, v.time_grid) for v, _ in pairs])
+    tidx = np.stack([_cell_intervals(t_grid, vt.time_grid) for _, vt in pairs])
+    w, F, G = _sweep(np.diff(s_grid), np.diff(t_grid), sidx, tidx,
+                     *map(_stack_padded, tables))
+    masses = {}
 
+    def mass(grid, v, level):
+        # a velocity may sit in many pairs of a batch: integrate it once
+        key = (id(grid), id(v), level)
+        if key not in masses:
+            masses[key] = _cumulative_mass(grid, v.truncated(level))
+        return masses[key]
+
+    return [KernelSurface(
+        s_grid=s_grid, t_grid=t_grid, w=w[p], dim=d,
+        f=F[p], ftilde=G[p], f_depth=N - 1, ftilde_depth=M - 1,
+        s_mass=mass(s_grid, v, M), t_mass=mass(t_grid, vt, N),
+        meta={"system": "truncated", "M": M, "N": N, "scheme_order": 2})
+        for p, (v, vt) in enumerate(pairs)]
+
+
+def _stack_padded(arrays) -> np.ndarray:
+    """Stack per-surface tables along a new leading axis, zero-padding
+    each axis to its largest length (padding is never indexed)."""
+    shape = np.max([a.shape for a in arrays], axis=0)
+    out = np.zeros((len(arrays), *shape))
+    for p, a in enumerate(arrays):
+        out[(p, *map(slice, a.shape))] = a
+    return out
+
+
+def _coefficients(v: PiecewiseVelocity, vt: PiecewiseVelocity, M: int, N: int):
+    """Per-interval coefficient tables (A, B, C, qx, RX, AX, qy, RY, AY) of
+    one truncated system, in the layout ``_sweep`` takes per surface."""
+    d = v.dim
     P = min(M, N)
     Q = min(M, N - 1)
     Qt = min(N, M - 1)
@@ -402,17 +472,7 @@ def solve_truncated_system(v: PiecewiseVelocity, vt: PiecewiseVelocity,
             A[a, b] = ta.inner_product(xP, ta.truncate(y, P))
             B[a, b] = ta.flatten(ta.adjoint_right_zero(xQ, y), depth_f)
             C[a, b] = ta.flatten(ta.adjoint_right_zero(ta.truncate(y, Qt), x), depth_g)
-
-    sidx = _cell_intervals(s_grid, v.time_grid)
-    tidx = _cell_intervals(t_grid, vt.time_grid)
-    w, F, G = _sweep(np.diff(s_grid), np.diff(t_grid), sidx, tidx,
-                     A, B, C, qx, RX, AX, qy, RY, AY)
-    return KernelSurface(
-        s_grid=s_grid, t_grid=t_grid, w=w, dim=d,
-        f=F, ftilde=G, f_depth=depth_f, ftilde_depth=depth_g,
-        s_mass=_cumulative_mass(s_grid, v.truncated(M)),
-        t_mass=_cumulative_mass(t_grid, vt.truncated(N)),
-        meta={"system": "truncated", "M": M, "N": N, "scheme_order": 2})
+    return A, B, C, qx, RX, AX, qy, RY, AY
 
 
 def _refine(grid: np.ndarray) -> np.ndarray:

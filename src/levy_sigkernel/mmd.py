@@ -9,8 +9,11 @@ where u is the Wiener self-kernel (a scalar Goursat problem), v_k the
 cross kernel of path k against the Wiener expected signature, and w_jk
 the deterministic signature kernel of the area-augmented paths j and k.
 The cross and pair kernels are truncated kernel systems at M = N = 2 on
-the level-2 characteristic velocities.  The 1 + m + m(m+1)/2 solves run
-one after another in sorted order, so the result is reproducible bitwise.
+the level-2 characteristic velocities.  ``mmd_to_wiener`` solves all m
+cross and m(m+1)/2 pair surfaces in one batched sweep on their shared
+grid (each surface bitwise equal to its own ``solve_truncated_system``
+call), after the scalar Goursat solve for u, so the result is
+reproducible bitwise.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ import numpy as np
 
 from .characteristics import LevyTriplet, _check_grid, characteristic_velocity
 from .errors import InvalidParameter, InvalidTriplet, NumericalInconsistency
-from .kernel_solver import (KernelSurface, _validate_grid, make_grid,
-                            solve_goursat_scalar, solve_truncated_system)
+from .kernel_solver import (KernelSurface, _solve_truncated_batch,
+                            _validate_grid, make_grid, solve_goursat_scalar,
+                            solve_truncated_system)
 
 __all__ = [
     "AugmentedPathEnsemble",
@@ -108,12 +112,20 @@ class WienerSpec:
 
     @classmethod
     def from_factors(cls, dim: int, time_grid, factor_lists) -> "WienerSpec":
-        """Build covariances from per-interval volatility factor vectors."""
+        """Build covariances from per-interval volatility factor vectors,
+        each a finite 1-D vector of length ``dim``."""
         covs = []
-        for factors in factor_lists:
+        for i, factors in enumerate(factor_lists):
             a = np.zeros((dim, dim))
             for sig in factors:
-                sig = np.asarray(sig, dtype=float)
+                try:
+                    sig = np.asarray(sig, dtype=float)
+                except (TypeError, ValueError):
+                    raise InvalidParameter(
+                        f"interval {i}: factors must be numeric vectors") from None
+                if sig.shape != (dim,) or not np.all(np.isfinite(sig)):
+                    raise InvalidParameter(
+                        f"interval {i}: each factor must be a finite vector of length {dim}")
                 a += np.outer(sig, sig)
             covs.append(a)
         return cls(dim, np.asarray(time_grid, dtype=float), covs)
@@ -211,11 +223,15 @@ def mmd_to_wiener(ensemble: AugmentedPathEnsemble, wiener: WienerSpec,
     m = ensemble.n_paths
 
     surfaces: dict = {"wiener": _wiener_self_kernel(wiener, grid)}
-    for k in range(m):
-        surfaces[("cross", k)] = cross_kernel(ensemble, k, wiener, grid)
+    paths = [characteristic_velocity(ensemble.path_triplet(k), 2) for k in range(m)]
+    right = characteristic_velocity(wiener.as_triplet(), 2)
+    keys = [("cross", k) for k in range(m)]
+    pairs = [(paths[k], right) for k in range(m)]
     for j in range(m):
         for k in range(j, m):
-            surfaces[("pair", j, k)] = pair_kernel(ensemble, j, k, grid)
+            keys.append(("pair", j, k))
+            pairs.append((paths[j], paths[k]))
+    surfaces.update(zip(keys, _solve_truncated_batch(pairs, 2, 2, grid, grid)))
 
     wiener_term = surfaces["wiener"].value()
     cross = np.array([surfaces[("cross", k)].value() for k in range(m)])

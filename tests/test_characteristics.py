@@ -39,6 +39,12 @@ class TestValidation:
         with pytest.raises(InvalidTriplet):
             AtomicJumps(np.array([-1.0]), (atom(1, [1.0]),))
 
+    @pytest.mark.parametrize("weights", [1.0, [[1.0]], [1.0, 2.0], "abc"],
+                             ids=["0-d", "nested", "too-many", "non-numeric"])
+    def test_atomic_weights_one_per_atom(self, weights):
+        with pytest.raises(InvalidTriplet):
+            AtomicJumps(weights, (atom(1, [1.0]),))
+
     def test_gaussian_cov_psd(self):
         with pytest.raises(InvalidTriplet):
             GaussianJumps(1.0, np.array([[-1.0]]))

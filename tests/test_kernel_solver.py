@@ -10,7 +10,9 @@ from levy_sigkernel.characteristics import (LevyTriplet, PiecewiseVelocity,
                                             characteristic_velocity)
 from levy_sigkernel.development import bound_outer_truncation, develop
 from levy_sigkernel.errors import GridMismatch, InvalidParameter
-from levy_sigkernel.kernel_solver import (apriori_psi, bessel_i0, make_grid,
+from levy_sigkernel.kernel_solver import (_CORRECTOR_PASSES, _cell_intervals,
+                                          _coefficients, _solve_truncated_batch,
+                                          apriori_psi, bessel_i0, make_grid,
                                           solve_goursat_scalar,
                                           solve_truncated_system,
                                           truncation_certificate)
@@ -250,6 +252,129 @@ class TestTruncatedSystem:
         assert surf.apriori_margin() <= 1e-12
 
 
+def lexicographic_sweep(ds, dt, sidx, tidx, A, B, C, qx, RX, AX, qy, RY, AY):
+    """Reference: the cell-by-cell sweep in lexicographic order that the
+    anti-diagonal sweep replaced, on one surface's coefficient tables."""
+    n_i, n_j = len(ds), len(dt)
+    df, dg = qx.shape[1], qy.shape[1]
+    w = np.ones((n_i + 1, n_j + 1))
+    F = np.zeros((n_i + 1, n_j + 1, df))
+    G = np.zeros((n_i + 1, n_j + 1, dg))
+    for i in range(n_i):
+        a, h = sidx[i], ds[i]
+        f0 = F[i, 0]
+        d0 = qx[a] + RX[a] @ f0
+        f1 = f0 + h * d0
+        for _ in range(_CORRECTOR_PASSES):
+            f1 = f0 + 0.5 * h * (d0 + qx[a] + RX[a] @ f1)
+        F[i + 1, 0] = f1
+    for j in range(n_j):
+        b, k = tidx[j], dt[j]
+        g0 = G[0, j]
+        d0 = qy[b] + RY[b] @ g0
+        g1 = g0 + k * d0
+        for _ in range(_CORRECTOR_PASSES):
+            g1 = g0 + 0.5 * k * (d0 + qy[b] + RY[b] @ g1)
+        G[0, j + 1] = g1
+    for i in range(n_i):
+        a, h = sidx[i], ds[i]
+        qxa, RXa, AXa = qx[a], RX[a], AX[a]
+        wp, wn = w[i], w[i + 1]
+        Fp, Fn = F[i], F[i + 1]
+        Gp, Gn = G[i], G[i + 1]
+        Arow, Brow, Crow = A[a, tidx], B[a, tidx], C[a, tidx]
+        fb0 = np.einsum("jd,jd->j", Fp[:-1], Brow)
+        gc0 = np.einsum("jd,jd->j", Gp[:-1], Crow)
+        fb1 = np.einsum("jd,jd->j", Fp[1:], Brow)
+        gc1 = np.einsum("jd,jd->j", Gp[1:], Crow)
+        phi00 = wp[:-1] * Arow + fb0 + gc0
+        phi01 = wp[1:] * Arow + fb1 + gc1
+        Fd01 = wp[1:, None] * qxa + Fp[1:] @ RXa.T + Gp[1:] @ AXa.T
+        for j in range(n_j):
+            b, k = tidx[j], dt[j]
+            hk = h * k
+            Aab, Bab, Cab = Arow[j], Brow[j], Crow[j]
+            qyb, RYb, AYb = qy[b], RY[b], AY[b]
+            wn_j, Fn_j, Gn_j = wn[j], Fn[j], Gn[j]
+            phi10 = wn_j * Aab + Fn_j @ Bab + Gn_j @ Cab
+            cross = wp[j + 1] - wp[j]
+            Gd10 = wn_j * qyb + RYb @ Gn_j + AYb @ Fn_j
+            w11 = wn_j + cross + hk * phi00[j]
+            F11 = Fp[j + 1] + h * Fd01[j]
+            G11 = Gn_j + k * Gd10
+            for _ in range(_CORRECTOR_PASSES):
+                phi11 = w11 * Aab + F11 @ Bab + G11 @ Cab
+                Fd11 = w11 * qxa + RXa @ F11 + AXa @ G11
+                Gd11 = w11 * qyb + RYb @ G11 + AYb @ F11
+                w11 = wn_j + cross + 0.25 * hk * (phi00[j] + phi10 + phi01[j] + phi11)
+                F11 = Fp[j + 1] + 0.5 * h * (Fd01[j] + Fd11)
+                G11 = Gn_j + 0.5 * k * (Gd10 + Gd11)
+            wn[j + 1] = w11
+            Fn[j + 1] = F11
+            Gn[j + 1] = G11
+    return w, F, G
+
+
+def assert_fields_close(F, G, F_ref, G_ref):
+    # the sweep's mat-vecs sum in another order than the reference's
+    # row-wise products, so the fields may differ in the last bits
+    tol = 1e-14 * max(1.0, np.abs(F_ref).max(), np.abs(G_ref).max())
+    assert np.abs(F - F_ref).max() <= tol
+    assert np.abs(G - G_ref).max() <= tol
+
+
+class TestAntiDiagonalSweep:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("M,N", [(2, 3), (3, 2)])
+    @pytest.mark.parametrize("n_s,n_t", [(2, 2), (2, 9), (9, 2), (17, 25)])
+    def test_matches_lexicographic_sweep(self, rng, d, M, N, n_s, n_t):
+        grid = np.array([0.0, 0.375, 1.0]) if min(n_s, n_t) > 2 else np.array([0.0, 1.0])
+        v = random_velocity(rng, d, 3, grid, scale=0.8)
+        vt = random_velocity(rng, d, 3, grid, scale=0.8)
+        s_grid, t_grid = make_grid(1.0, n_s, grid), make_grid(1.0, n_t, grid)
+        surf = solve_truncated_system(v, vt, M, N, s_grid, t_grid)
+        w, F, G = lexicographic_sweep(
+            np.diff(s_grid), np.diff(t_grid), _cell_intervals(s_grid, grid),
+            _cell_intervals(t_grid, grid), *_coefficients(v, vt, M, N))
+        assert surf.w.shape == (len(s_grid), len(t_grid))
+        assert np.array_equal(surf.w, w)
+        assert_fields_close(surf.f, surf.ftilde, F, G)
+
+    def test_batch_matches_single_solves(self, rng):
+        # surfaces with different interval counts share one padded sweep
+        grids = [np.array([0.0, 0.25, 1.0]), np.array([0.0, 0.5, 0.75, 1.0]),
+                 np.array([0.0, 1.0])]
+        vels = [random_velocity(rng, 2, 3, g, scale=0.8) for g in grids]
+        pairs = [(vels[0], vels[1]), (vels[2], vels[0]), (vels[1], vels[1])]
+        grid = make_grid(1.0, 21, np.concatenate(grids))
+        batch = _solve_truncated_batch(pairs, 2, 3, grid, grid)
+        assert len(batch) == len(pairs)
+        for (v, vt), surf in zip(pairs, batch):
+            ref = solve_truncated_system(v, vt, 2, 3, grid, grid)
+            assert np.array_equal(surf.w, ref.w)
+            assert_fields_close(surf.f, surf.ftilde, ref.f, ref.ftilde)
+            assert np.array_equal(surf.s_mass, ref.s_mass)
+            assert np.array_equal(surf.t_mass, ref.t_mass)
+            assert surf.meta == ref.meta
+
+    def test_batch_checks_every_pair(self, rng):
+        fine = np.array([0.0, 0.5, 1.0])
+        v = random_velocity(rng, 2, 2, fine, scale=0.5)
+        odd = random_velocity(rng, 2, 2, np.array([0.0, 0.37, 1.0]), scale=0.5)
+        other_dim = random_velocity(rng, 1, 2, fine, scale=0.5)
+        g = make_grid(1.0, 9, fine)
+        with pytest.raises(GridMismatch):
+            _solve_truncated_batch([(v, v), (v, odd)], 2, 2, g, g)
+        with pytest.raises(GridMismatch):
+            _solve_truncated_batch([(v, v), (odd, v)], 2, 2, g, g)
+        with pytest.raises(InvalidParameter):
+            _solve_truncated_batch([(v, v), (other_dim, other_dim)], 2, 2, g, g)
+        with pytest.raises(InvalidParameter):
+            _solve_truncated_batch([(v, v)], 2, 0, g, g)
+        with pytest.raises(InvalidParameter):
+            _solve_truncated_batch([], 2, 2, g, g)
+
+
 class TestCertificate:
     def test_continuous_triplet_certificate_zero(self):
         trip = LevyTriplet.brownian(2, 1.0)
@@ -322,6 +447,22 @@ class TestSurfaces:
                 cells = rows[1 + i * len(surf.t_grid) + j].split(",")
                 assert float(cells[0]) == s and float(cells[1]) == t
                 assert float(cells[2]) == surf.w[i, j]
+
+    def test_csv_field_norms_match_per_node_norm(self, rng, tmp_path):
+        grid = np.array([0.0, 0.5, 1.0])
+        v = random_velocity(rng, 2, 3, grid, scale=0.7)
+        vt = random_velocity(rng, 2, 3, grid, scale=0.7)
+        surf = solve_truncated_system(v, vt, 3, 3, make_grid(1.0, 9, grid),
+                                      make_grid(1.0, 7, grid))
+        path = tmp_path / "surface.csv"
+        surf.to_csv(path, include_fields=True)
+        lines = ["s,t,w,f_norm,ftilde_norm"]
+        for i, s in enumerate(surf.s_grid):
+            for j, t in enumerate(surf.t_grid):
+                lines.append(f"{float(s)!r},{float(t)!r},{float(surf.w[i, j])!r},"
+                             f"{float(np.linalg.norm(surf.f[i, j]))!r},"
+                             f"{float(np.linalg.norm(surf.ftilde[i, j]))!r}")
+        assert path.read_text() == "\n".join(lines) + "\n"
 
     def test_field_accessors(self, rng):
         grid = np.array([0.0, 1.0])

@@ -66,6 +66,12 @@ class TestValidation:
         with pytest.raises(InvalidParameter):
             mmd_to_wiener(ens, wn, 9)
 
+    @pytest.mark.parametrize("factor", [[5.0], ["abc"], [], [1.0, np.nan]],
+                             ids=["short", "non-numeric", "empty", "nan"])
+    def test_factor_must_be_finite_dim_vector(self, factor):
+        with pytest.raises(InvalidParameter):
+            WienerSpec.from_factors(2, [0.0, 1.0], [[factor]])
+
     def test_factor_construction(self):
         wn = WienerSpec.from_factors(2, [0.0, 1.0], [[[1.0, 0.0], [0.0, 2.0]]])
         assert np.allclose(wn.covs[0], np.diag([1.0, 4.0]))
