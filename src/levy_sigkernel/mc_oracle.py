@@ -11,6 +11,11 @@ Jumps enter signatures through tensor exponentials (Marcus/geometric
 convention), placed after the continuous factor of the sub-step that
 contains them; the residual weak bias from not splitting that sub-step's
 Gaussian increment is O(dt) and vanishes for commuting (d = 1) data.
+
+The signatures of all paths are computed at once with the batched form of
+:func:`tensor_algebra.tensor_mul` and :func:`tensor_algebra.exp_tensor`, the
+same code that serves single tensors, so row p equals
+``path_signature(paths.increments_of(p), depth)`` bit for bit.
 """
 
 from __future__ import annotations
@@ -86,68 +91,40 @@ def simulate_paths(triplet: LevyTriplet, n_paths: int, steps_per_interval: int,
     if horizon > triplet.horizon + 1e-12:
         raise OutOfRange("horizon exceeds the triplet's grid")
     d = triplet.dim
-    rngs = [np.random.Generator(np.random.Philox(key=[seed, stream_offset + p]))
-            for p in range(n_paths)]
 
-    segments: list[tuple[np.ndarray, np.ndarray | None]] = []
+    plan = []
     for i in range(triplet.n_intervals):
         lo = triplet.time_grid[i]
         hi = min(triplet.time_grid[i + 1], horizon)
         if hi <= lo:
             break
-        dt = (hi - lo) / steps_per_interval
+        plan.append(_IntervalDraws(triplet, i, hi - lo, steps_per_interval, n_paths))
+        if hi >= horizon:
+            break
+
+    # Re-keying one Philox bit generator gives each path the stream of its
+    # own Generator(Philox(key=[seed, stream_offset + p])) without building
+    # one, which costs more than the path's draws.  Paths run one at a time,
+    # so each path's stream continues across intervals.
+    bitgen = np.random.Philox(key=[seed, stream_offset])
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state
+    key = state["state"]["key"]
+    for p in range(n_paths):
+        key[1] = stream_offset + p
+        bitgen.state = state
+        for iv in plan:
+            iv.draw(rng, p)
+
+    segments: list[tuple[np.ndarray, np.ndarray | None]] = []
+    for i, iv in enumerate(plan):
         b, ar = triplet.drifts[i], triplet.areas[i]
-        factor = _cov_factor(triplet.covs[i])
-        has_noise = bool(np.any(factor))
-        spec = triplet.jumps[i]
-
-        noise = np.zeros((n_paths, steps_per_interval, d))
-        # step -> slot -> list of (path, level1, level2); a path with several
-        # jumps in one sub-step occupies successive slots in time order
-        step_slots: dict[int, list[list]] = {}
-        seen: dict[tuple[int, int], int] = {}
-
-        def place(p, step, v1, v2):
-            slot = seen.get((p, step), 0)
-            seen[(p, step)] = slot + 1
-            slots = step_slots.setdefault(step, [])
-            while len(slots) <= slot:
-                slots.append([])
-            slots[slot].append((p, v1, v2))
-
-        sqdt = math.sqrt(dt)
-        for p, rng in enumerate(rngs):
-            if has_noise:
-                noise[p] = sqdt * rng.standard_normal((steps_per_interval, d)) @ factor.T
-            if spec is None:
-                continue
-            rate = float(np.sum(spec.weights)) if isinstance(spec, AtomicJumps) \
-                else spec.intensity
-            n_jumps = int(rng.poisson(rate * (hi - lo))) if rate > 0 else 0
-            if n_jumps == 0:
-                continue
-            pos = np.sort(rng.uniform(0.0, hi - lo, size=n_jumps))
-            if isinstance(spec, AtomicJumps):
-                picks = rng.choice(len(spec.atoms), size=n_jumps, p=spec.weights / rate)
-                for u, pick in zip(pos, picks):
-                    atom = spec.atoms[pick]
-                    v1 = np.asarray(atom.levels[1], dtype=float) if atom.depth >= 1 \
-                        else np.zeros(d)
-                    v2 = np.asarray(atom.levels[2], dtype=float) if atom.depth >= 2 \
-                        else None
-                    place(p, min(int(u / dt), steps_per_interval - 1), v1, v2)
-            elif isinstance(spec, GaussianJumps):
-                draws = rng.standard_normal((n_jumps, d)) @ _cov_factor(spec.cov).T
-                for u, val in zip(pos, draws):
-                    place(p, min(int(u / dt), steps_per_interval - 1), val, None)
-            else:
-                raise Unsupported(f"jump spec {type(spec).__name__}")
-
-        lvl2_base = None if ar is None else np.tile(ar.ravel() * dt, (n_paths, 1))
+        lvl2_base = None if ar is None else np.tile(ar.ravel() * iv.dt, (n_paths, 1))
         for step in range(steps_per_interval):
-            lvl1 = noise[:, step, :] + b * dt
+            lvl1 = iv.noise[step]
+            lvl1 += b * iv.dt
             segments.append((lvl1, None if lvl2_base is None else lvl2_base.copy()))
-            for slot_entries in step_slots.get(step, []):
+            for slot_entries in iv.step_slots.get(step, []):
                 j1 = np.zeros((n_paths, d))
                 j2 = None
                 for p, v1, v2 in slot_entries:
@@ -157,9 +134,70 @@ def simulate_paths(triplet: LevyTriplet, n_paths: int, steps_per_interval: int,
                             j2 = np.zeros((n_paths, d * d))
                         j2[p] = v2
                 segments.append((j1, j2))
-        if hi >= horizon:
-            break
     return SimulatedPaths(dim=d, n_paths=n_paths, segments=segments)
+
+
+class _IntervalDraws:
+    """One interval's draw parameters and the draws of all paths on it."""
+
+    def __init__(self, triplet: LevyTriplet, i: int, span: float, steps: int,
+                 n_paths: int):
+        self.span = span
+        self.steps = steps
+        self.dt = span / steps
+        self.sqdt = math.sqrt(self.dt)
+        self.factor = _cov_factor(triplet.covs[i])
+        self.has_noise = bool(np.any(self.factor))
+        spec = self.spec = triplet.jumps[i]
+        if spec is not None:
+            self.rate = float(np.sum(spec.weights)) if isinstance(spec, AtomicJumps) \
+                else spec.intensity
+        if isinstance(spec, GaussianJumps):
+            self.jump_factor = _cov_factor(spec.cov)
+        # sub-step noise by (step, path): noise[step] becomes a segment
+        self.noise = np.zeros((steps, n_paths, triplet.dim))
+        # step -> slot -> list of (path, level1, level2); a path with several
+        # jumps in one sub-step occupies successive slots in time order
+        self.step_slots: dict[int, list[list]] = {}
+        self._seen: dict[tuple[int, int], int] = {}
+
+    def _place(self, p, u, v1, v2):
+        step = min(int(u / self.dt), self.steps - 1)
+        slot = self._seen.get((p, step), 0)
+        self._seen[(p, step)] = slot + 1
+        slots = self.step_slots.setdefault(step, [])
+        while len(slots) <= slot:
+            slots.append([])
+        slots[slot].append((p, v1, v2))
+
+    def draw(self, rng: np.random.Generator, p: int) -> None:
+        """Path p's draws on this interval, in the order the module fixes."""
+        d = self.noise.shape[2]
+        if self.has_noise:
+            self.noise[:, p] = self.sqdt * rng.standard_normal((self.steps, d)) \
+                @ self.factor.T
+        spec = self.spec
+        if spec is None:
+            return
+        n_jumps = int(rng.poisson(self.rate * self.span)) if self.rate > 0 else 0
+        if n_jumps == 0:
+            return
+        pos = np.sort(rng.uniform(0.0, self.span, size=n_jumps))
+        if isinstance(spec, AtomicJumps):
+            picks = rng.choice(len(spec.atoms), size=n_jumps, p=spec.weights / self.rate)
+            for u, pick in zip(pos, picks):
+                atom = spec.atoms[pick]
+                v1 = np.asarray(atom.levels[1], dtype=float) if atom.depth >= 1 \
+                    else np.zeros(d)
+                v2 = np.asarray(atom.levels[2], dtype=float) if atom.depth >= 2 \
+                    else None
+                self._place(p, u, v1, v2)
+        elif isinstance(spec, GaussianJumps):
+            draws = rng.standard_normal((n_jumps, d)) @ self.jump_factor.T
+            for u, val in zip(pos, draws):
+                self._place(p, u, val, None)
+        else:
+            raise Unsupported(f"jump spec {type(spec).__name__}")
 
 
 def path_signature(increments, depth: int) -> TruncatedTensor:
@@ -175,46 +213,22 @@ def path_signature(increments, depth: int) -> TruncatedTensor:
     return out
 
 
-# -- batched signatures over all paths at once --------------------------
+def _batch_signatures(paths: SimulatedPaths, depth: int) -> list[np.ndarray]:
+    """Signature levels of all paths at once, each of shape (n_paths, d**n).
 
-
-def _batch_mul(x: list[np.ndarray], y: list[np.ndarray], depth: int, d: int):
-    n_paths = x[0].shape[0]
-    out = [np.zeros((n_paths, d**n)) for n in range(depth + 1)]
-    for n in range(depth + 1):
-        acc = out[n]
-        for k in range(max(0, n - len(y) + 1), min(n, len(x) - 1) + 1):
-            xk, ym = x[k], y[n - k]
-            if k == 0:
-                acc += xk * ym
-            elif k == n:
-                acc += xk * ym
-            else:
-                acc += np.einsum("pi,pj->pij", xk, ym).reshape(n_paths, -1)
-    return out
-
-
-def _batch_exp(x: list[np.ndarray], depth: int, d: int):
-    n_paths = x[0].shape[0]
-    unit0 = np.ones((n_paths, 1))
-    acc = [unit0.copy()] + [np.zeros((n_paths, d**n)) for n in range(1, depth + 1)]
-    for k in range(depth, 0, -1):
-        xk = [lvl / k for lvl in x]
-        acc = _batch_mul(xk, acc, depth, d)
-        acc[0] += 1.0
-    return acc
-
-
-def _batch_signatures(paths: SimulatedPaths, depth: int):
+    One batched ``tensor_mul``/``exp_tensor`` per segment; a segment without
+    area has a shared all-zero level 2, which the product skips.
+    """
     d = paths.dim
     n_paths = paths.n_paths
-    sig = [np.ones((n_paths, 1))] + [np.zeros((n_paths, d**n)) for n in range(1, depth + 1)]
+    sig = TruncatedTensor(d, [np.ones((n_paths, 1))]
+                          + [np.zeros((n_paths, d**n)) for n in range(1, depth + 1)])
     for lvl1, lvl2 in paths.segments:
-        inc = [np.zeros((n_paths, 1)), lvl1]
-        if depth >= 2:
-            inc.append(lvl2 if lvl2 is not None else np.zeros((n_paths, d * d)))
-        sig = _batch_mul(sig, _batch_exp(inc, depth, d), depth, d)
-    return sig
+        levels = [np.zeros(1), lvl1, np.zeros(d * d) if lvl2 is None else lvl2]
+        levels += [np.zeros(d**n) for n in range(3, depth + 1)]
+        inc = TruncatedTensor(d, levels[:depth + 1])
+        sig = ta.tensor_mul(sig, ta.exp_tensor(inc), depth)
+    return sig.levels
 
 
 @dataclass

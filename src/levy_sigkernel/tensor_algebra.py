@@ -5,6 +5,14 @@ holds the d^n coefficients of all words of length ``n``, flattened with the
 base-d positional encoding (see :func:`word_index`).  All operations are
 pure functions of immutable inputs and return fresh objects; values may be
 shared freely between threads.
+
+:func:`tensor_mul` and :func:`exp_tensor` also accept batches: a level may
+carry one leading batch axis, shape ``(P, d**n)``, and a level without it
+is shared by every batch element (broadcast), so an all-zero level need not
+be materialised per element.  Row p of a batched result is bitwise equal to
+the single-tensor call on row p.  Both skip a level pair when either level
+is all zeros, which leaves the result unchanged on finite inputs: the
+surviving terms are added in the same order as in the dense sum.
 """
 
 from __future__ import annotations
@@ -72,8 +80,10 @@ def word_from_index(index: int, length: int, dim: int) -> tuple[int, ...]:
 class TruncatedTensor:
     """Element of the level-``depth`` truncated tensor algebra over R^dim.
 
-    ``levels[n]`` is a float64 array of length ``dim**n``.  Instances are
-    treated as immutable; operations never mutate their arguments.
+    ``levels[n]`` is a float64 array of length ``dim**n``, or of shape
+    ``(P, dim**n)`` in a batch of P elements (see the module docstring).
+    Instances are treated as immutable; operations never mutate their
+    arguments.
     """
 
     __slots__ = ("dim", "depth", "levels")
@@ -188,26 +198,26 @@ def tensor_mul(x: TruncatedTensor, y: TruncatedTensor,
                out_depth: int | None = None) -> TruncatedTensor:
     """Truncated tensor (concatenation) product of ``x`` and ``y``.
 
-    Output level n sums ``x^(k) (x) y^(n-k)`` over all stored level pairs;
-    levels above ``out_depth`` are dropped.
+    Output level n sums ``x^(k) (x) y^(n-k)`` over all stored level pairs,
+    in increasing k, skipping pairs with an all-zero level; levels above
+    ``out_depth`` are dropped.  Batched levels broadcast (module docstring).
     """
     _check_dims(x, y)
     if out_depth is None:
         out_depth = max(x.depth, y.depth)
     d = x.dim
-    out = TruncatedTensor.zero(d, out_depth)
+    batch = np.broadcast_shapes(*(lev.shape[:-1] for lev in (*x.levels, *y.levels)))
+    x_live = [lev.any() for lev in x.levels[:out_depth + 1]]
+    y_live = [lev.any() for lev in y.levels[:out_depth + 1]]
+    levels = []
     for n in range(out_depth + 1):
-        acc = out.levels[n]
+        acc = np.zeros(batch + (d**n,))
         for k in range(max(0, n - y.depth), min(n, x.depth) + 1):
-            xk = x.levels[k]
-            ym = y.levels[n - k]
-            if k == 0:
-                acc += xk[0] * ym
-            elif k == n:
-                acc += xk * ym[0]
-            else:
-                acc += np.multiply.outer(xk, ym).ravel()
-    return out
+            if x_live[k] and y_live[n - k]:
+                block = acc.reshape(batch + (d**k, d**(n - k)))
+                block += x.levels[k][..., :, None] * y.levels[n - k][..., None, :]
+        levels.append(acc)
+    return TruncatedTensor(d, levels)
 
 
 def inner_product(x: TruncatedTensor, y: TruncatedTensor) -> float:
@@ -251,15 +261,25 @@ def dilate(x: TruncatedTensor, lam: float) -> TruncatedTensor:
 
 
 def exp_tensor(x: TruncatedTensor) -> TruncatedTensor:
-    """Tensor exponential of a zero-scalar element (finite sum at fixed depth)."""
-    if x.scalar() != 0.0:
+    """Tensor exponential of a zero-scalar element (finite sum at fixed depth).
+
+    Horner form ``1 + x(1 + x/2 (1 + x/3 (...)))``, evaluated from k = depth
+    down to 1.  As x has no scalar part, level n of ``x (x) acc`` reads acc
+    only up to level n - 1, so step k keeps levels <= depth - k + 1 of acc
+    and scales only the levels of x that the step reads.  The dropped levels
+    never reach the result, which is exact and equal bit for bit to the
+    untruncated Horner scheme.  Batched x gives a batched result.
+    """
+    if x.levels[0].any():
         raise ScalarPartError("exp_tensor requires a zero scalar part")
     depth = x.depth
-    # Horner form: 1 + x(1 + x/2 (1 + x/3 (...))).
-    acc = TruncatedTensor.unit(x.dim, depth)
+    acc = TruncatedTensor(x.dim, [np.ones(x.levels[0].shape)])
     for k in range(depth, 0, -1):
-        acc = tensor_mul(x * (1.0 / k), acc, depth)
-        acc.levels[0][0] += 1.0
+        top = depth - k + 1
+        step = TruncatedTensor(x.dim, [x.levels[0]]
+                               + [lev * (1.0 / k) for lev in x.levels[1:top + 1]])
+        acc = tensor_mul(step, acc, top)
+        acc.levels[0][..., 0] += 1.0
     return acc
 
 

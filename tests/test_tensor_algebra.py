@@ -193,6 +193,113 @@ class TestExpLog:
             ta.group_inverse(TT.zero(2, 2))
 
 
+def dense_tensor_mul(x, y, out_depth=None):
+    """Reference: the dense product that the level-sparse one replaced; it
+    multiplies every stored level pair, zero or not."""
+    if out_depth is None:
+        out_depth = max(x.depth, y.depth)
+    d = x.dim
+    out = TT.zero(d, out_depth)
+    for n in range(out_depth + 1):
+        acc = out.levels[n]
+        for k in range(max(0, n - y.depth), min(n, x.depth) + 1):
+            xk = x.levels[k]
+            ym = y.levels[n - k]
+            if k == 0:
+                acc += xk[0] * ym
+            elif k == n:
+                acc += xk * ym[0]
+            else:
+                acc += np.multiply.outer(xk, ym).ravel()
+    return out
+
+
+def dense_exp_tensor(x):
+    """Reference: the Horner scheme with every step kept at full depth."""
+    depth = x.depth
+    acc = TT.unit(x.dim, depth)
+    for k in range(depth, 0, -1):
+        acc = dense_tensor_mul(x * (1.0 / k), acc, depth)
+        acc.levels[0][0] += 1.0
+    return acc
+
+
+def assert_bitwise(a, b):
+    assert a.dim == b.dim and a.depth == b.depth
+    for la, lb in zip(a.levels, b.levels):
+        assert la.shape == lb.shape and la.tobytes() == lb.tobytes()
+
+
+def sparse_tensor(rng, dim, depth, zero_levels=(), rows=None):
+    """Random tensor with the given levels all zero, optionally batched."""
+    lead = () if rows is None else (rows,)
+    return TT(dim, [np.zeros(lead + (dim**n,)) if n in zero_levels
+                    else rng.normal(size=lead + (dim**n,)) / (n + 1)
+                    for n in range(depth + 1)])
+
+
+class TestLevelSparseProducts:
+    """The level-sparse, truncated products against the dense references:
+    bitwise equal on finite inputs, and batched rows equal to single calls."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("x_depth,y_depth", [(3, 3), (1, 4), (4, 2), (0, 3)])
+    def test_mul_matches_dense(self, rng, d, x_depth, y_depth):
+        for zx, zy in [((), ()), ((0,), (2,)), ((1, 3), (0,)), ((2,), (1, 2))]:
+            x = sparse_tensor(rng, d, x_depth, zx)
+            y = sparse_tensor(rng, d, y_depth, zy)
+            before = [lev.copy() for lev in (*x.levels, *y.levels)]
+            top = max(x_depth, y_depth)
+            for out_depth in (None, max(top - 1, 0), top, top + 2):
+                assert_bitwise(ta.tensor_mul(x, y, out_depth),
+                               dense_tensor_mul(x, y, out_depth))
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(before, (*x.levels, *y.levels)))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_exp_matches_dense(self, rng, d):
+        for depth, zero_levels in [(0, ()), (1, ()), (4, ()), (6, (3, 4, 5, 6)),
+                                   (7, (1, 5, 6, 7)), (5, (2,))]:
+            x = sparse_tensor(rng, d, depth, (0, *zero_levels))
+            assert_bitwise(ta.exp_tensor(x), dense_exp_tensor(x))
+
+    def test_velocity_like_exp_at_depth(self, rng):
+        # a truncated velocity: levels 1..4 of a depth-12 tensor
+        x = sparse_tensor(rng, 2, 12, (0, *range(5, 13)))
+        assert_bitwise(ta.exp_tensor(x), dense_exp_tensor(x))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_batched_rows_match_single(self, rng, d):
+        rows = 5
+        x = sparse_tensor(rng, d, 3, (0,), rows)
+        x.levels[2][1] = 0.0                       # one zero row in a live level
+        x.levels[3] = rng.normal(size=d**3)        # a level shared by all rows
+        y = sparse_tensor(rng, d, 4, (2,), rows)
+        y.levels[3] = np.zeros(d**3)               # a shared all-zero level
+
+        def row(t, p):
+            return TT(d, [lev[p] if lev.ndim == 2 else lev for lev in t.levels])
+
+        for out_depth in (2, 4, 6):
+            prod = ta.tensor_mul(x, y, out_depth)
+            mixed = ta.tensor_mul(row(x, 0), y, out_depth)
+            for p in range(rows):
+                assert_bitwise(row(prod, p), ta.tensor_mul(row(x, p), row(y, p), out_depth))
+                assert_bitwise(row(prod, p), dense_tensor_mul(row(x, p), row(y, p),
+                                                              out_depth))
+                assert_bitwise(row(mixed, p), ta.tensor_mul(row(x, 0), row(y, p), out_depth))
+        ex = ta.exp_tensor(x)
+        for p in range(rows):
+            assert ex.levels[0].shape == (rows, 1)
+            assert_bitwise(row(ex, p), ta.exp_tensor(row(x, p)))
+
+    def test_batched_scalar_part_rejected(self):
+        x = TT(2, [np.zeros((3, 1)), np.ones((3, 2))])
+        x.levels[0][2, 0] = 1e-300
+        with pytest.raises(ScalarPartError):
+            ta.exp_tensor(x)
+
+
 class TestAdjoints:
     def test_left_strips_prefix(self):
         # brute force: <e_12, e_1 (x) e_w> is nonzero only at w = (2)
