@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
 
 from . import tensor_algebra as ta
 from .errors import (DepthTooSmall, DimMismatch, InvalidParameter,
@@ -372,6 +371,10 @@ def exponential_moment_value(triplet: LevyTriplet, lam: float,
             sigma = math.sqrt(max(np.linalg.eigvalsh(spec.cov).max(), 0.0))
             if sigma == 0.0 or spec.intensity == 0.0:
                 continue
+            # scipy is imported here only: at module level it dominated the
+            # package's import time and memory, and nothing else uses it
+            from scipy import integrate
+
             d = triplet.dim
             val, _ = integrate.quad(
                 _large_jump_radial_integrand, 1.0 / sigma, np.inf,

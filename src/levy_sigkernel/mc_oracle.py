@@ -12,9 +12,15 @@ convention), placed after the continuous factor of the sub-step that
 contains them; the residual weak bias from not splitting that sub-step's
 Gaussian increment is O(dt) and vanishes for commuting (d = 1) data.
 
-The signatures of all paths are computed at once with the batched form of
-:func:`tensor_algebra.tensor_mul` and :func:`tensor_algebra.exp_tensor`, the
-same code that serves single tensors, so row p equals
+The signatures of all paths are computed at once, segment by segment.  A
+segment without area (level 1 only) is applied with the fused step
+``S (x) exp(x)`` of ``tensor_algebra._mul_exp_level1``, evaluated level by
+level in Horner form; a segment with area uses the batched
+:func:`tensor_algebra.tensor_mul` and :func:`tensor_algebra.exp_tensor`.
+Each segment updates only its live rows, those with a nonzero increment:
+jump slots are gathered, updated and scattered back, and a segment with no
+live row is skipped.  ``path_signature`` makes the same choices for one path
+with the same code, so row p equals
 ``path_signature(paths.increments_of(p), depth)`` bit for bit.
 """
 
@@ -115,6 +121,8 @@ def simulate_paths(triplet: LevyTriplet, n_paths: int, steps_per_interval: int,
         bitgen.state = state
         for iv in plan:
             iv.draw(rng, p)
+    for iv in plan:
+        iv.transform_noise()
 
     segments: list[tuple[np.ndarray, np.ndarray | None]] = []
     for i, iv in enumerate(plan):
@@ -154,7 +162,8 @@ class _IntervalDraws:
                 else spec.intensity
         if isinstance(spec, GaussianJumps):
             self.jump_factor = _cov_factor(spec.cov)
-        # sub-step noise by (step, path): noise[step] becomes a segment
+        # sub-step noise by (step, path): standard normals until
+        # transform_noise(), then noise[step] becomes a segment
         self.noise = np.zeros((steps, n_paths, triplet.dim))
         # step -> slot -> list of (path, level1, level2); a path with several
         # jumps in one sub-step occupies successive slots in time order
@@ -170,12 +179,22 @@ class _IntervalDraws:
             slots.append([])
         slots[slot].append((p, v1, v2))
 
+    def transform_noise(self) -> None:
+        """Scale all paths' standard normals to the interval's covariance.
+
+        One product over the whole block; each row is computed as
+        ``sqdt * z @ factor.T`` on the row alone would be.
+        """
+        if self.has_noise:
+            d = self.noise.shape[2]
+            flat = (self.sqdt * self.noise).reshape(-1, d) @ self.factor.T
+            self.noise = flat.reshape(self.noise.shape)
+
     def draw(self, rng: np.random.Generator, p: int) -> None:
         """Path p's draws on this interval, in the order the module fixes."""
         d = self.noise.shape[2]
         if self.has_noise:
-            self.noise[:, p] = self.sqdt * rng.standard_normal((self.steps, d)) \
-                @ self.factor.T
+            self.noise[:, p] = rng.standard_normal((self.steps, d))
         spec = self.spec
         if spec is None:
             return
@@ -201,7 +220,13 @@ class _IntervalDraws:
 
 
 def path_signature(increments, depth: int) -> TruncatedTensor:
-    """Ordered product of tensor exponentials of zero-scalar increments."""
+    """Ordered product of tensor exponentials of zero-scalar increments.
+
+    An increment that stores only level 1 is applied with the fused
+    ``tensor_algebra._mul_exp_level1``, any other with ``tensor_mul`` and
+    ``exp_tensor``; an all-zero increment is skipped, as it leaves the
+    product unchanged.
+    """
     if not increments:
         raise InvalidParameter("need at least one increment")
     dim = increments[0].dim
@@ -209,26 +234,51 @@ def path_signature(increments, depth: int) -> TruncatedTensor:
     for x in increments:
         if x.scalar() != 0.0:
             raise InvalidParameter("increments must have zero scalar part")
-        out = ta.tensor_mul(out, ta.exp_tensor(x.with_depth(depth)), depth)
+        if not any(lev.any() for lev in x.levels[1:]):
+            continue
+        if x.depth == 1:
+            out = ta._mul_exp_level1(out, x.levels[1])
+        else:
+            out = ta.tensor_mul(out, ta.exp_tensor(x.with_depth(depth)), depth)
     return out
 
 
 def _batch_signatures(paths: SimulatedPaths, depth: int) -> list[np.ndarray]:
     """Signature levels of all paths at once, each of shape (n_paths, d**n).
 
-    One batched ``tensor_mul``/``exp_tensor`` per segment; a segment without
-    area has a shared all-zero level 2, which the product skips.
+    Each segment updates only its live rows, those whose level 1 or level 2
+    is nonzero: all rows without a gather, none by skipping the segment, and
+    otherwise a gathered subset that is scattered back.  A segment without
+    level 2 uses the fused ``_mul_exp_level1``, one with level 2 the batched
+    ``tensor_mul``/``exp_tensor``, as ``path_signature`` does for one path.
     """
     d = paths.dim
     n_paths = paths.n_paths
-    sig = TruncatedTensor(d, [np.ones((n_paths, 1))]
-                          + [np.zeros((n_paths, d**n)) for n in range(1, depth + 1)])
+    sig = [np.ones((n_paths, 1))] + [np.zeros((n_paths, d**n)) for n in range(1, depth + 1)]
     for lvl1, lvl2 in paths.segments:
-        levels = [np.zeros(1), lvl1, np.zeros(d * d) if lvl2 is None else lvl2]
-        levels += [np.zeros(d**n) for n in range(3, depth + 1)]
-        inc = TruncatedTensor(d, levels[:depth + 1])
-        sig = ta.tensor_mul(sig, ta.exp_tensor(inc), depth)
-    return sig.levels
+        live = lvl1.any(axis=1)
+        if lvl2 is not None:
+            live |= lvl2.any(axis=1)
+        rows = np.flatnonzero(live)
+        if len(rows) == 0:
+            continue
+        every = len(rows) == n_paths
+        if every:
+            rows = slice(None)
+        cur = TruncatedTensor(d, [lev[rows] for lev in sig])
+        if lvl2 is None:
+            new = ta._mul_exp_level1(cur, lvl1[rows])
+        else:
+            levels = [np.zeros(1), lvl1[rows], lvl2[rows]]
+            levels += [np.zeros(d**n) for n in range(3, depth + 1)]
+            new = ta.tensor_mul(cur, ta.exp_tensor(TruncatedTensor(d, levels[:depth + 1])),
+                                depth)
+        if every:
+            sig = new.levels
+        else:
+            for lev, upd in zip(sig, new.levels):
+                lev[rows] = upd
+    return [np.ascontiguousarray(lev) for lev in sig]
 
 
 @dataclass

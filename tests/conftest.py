@@ -26,3 +26,10 @@ def random_velocity_tensor(rng, dim, depth, scale=0.4):
             arr *= scale / (norm * 2**n)
         levels.append(arr)
     return TruncatedTensor(dim, levels)
+
+
+def gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff: a product of
+    k factors (1 + delta_i), |delta_i| <= u, lies within gamma_k of 1."""
+    u = np.finfo(float).eps / 2
+    return k * u / (1 - k * u)

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import levy_sigkernel
 from levy_sigkernel.cli import main
 from levy_sigkernel.kernel_solver import bessel_i0
 
@@ -163,6 +167,18 @@ class TestBoundsCommand:
 
 
 class TestEntryPoints:
+    def test_import_does_not_load_scipy(self):
+        # scipy is imported lazily by exponential_moment_value alone; loaded
+        # at import time it took most of the CLI's start-up time and memory
+        src = os.path.dirname(os.path.dirname(os.path.abspath(levy_sigkernel.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys, levy_sigkernel.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
+
     def test_write_example(self, tmp_path):
         target = tmp_path / "example.json"
         assert main(["--write-example", str(target)]) == 0

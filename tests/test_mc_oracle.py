@@ -16,6 +16,8 @@ from levy_sigkernel.mc_oracle import (SimulatedPaths, _batch_signatures,
                                       path_signature, simulate_paths)
 from levy_sigkernel.tensor_algebra import TruncatedTensor as TT
 
+from conftest import gamma
+
 
 def atom(dim, vec):
     return TT.from_levels(dim, [np.zeros(1), np.asarray(vec, dtype=float)])
@@ -221,6 +223,90 @@ class TestSharedGenerator:
                 assert a2.tobytes() == b2.tobytes()
 
 
+def abs_paths(paths):
+    return SimulatedPaths(paths.dim, paths.n_paths,
+                          [(np.abs(l1), None if l2 is None else np.abs(l2))
+                           for l1, l2 in paths.segments])
+
+
+def path_roundings(paths, depth):
+    """Roundings along one term of a batched signature: K = 5 depth + 2 N.
+
+    A term of output level n takes m_i letters from segment i, sum m_i = n.
+    Through one segment it carries at most 5 m_i + 2 roundings, whichever
+    scheme computes that segment:
+    - fused level-1 step: m_i scalings ``x/k``, m_i products and at most
+      m_i + 1 Horner additions (3 m_i + 1);
+    - exponential and product (segments with area, and every segment of
+      the dense reference): each of the at most m_i Horner factors of the
+      exponential costs a scaling by 1/k (two roundings with ``x * (1/k)``,
+      one with ``x / k``), a product and the addition of the level-1 and
+      level-2 terms (4 m_i); the product with the signature adds one
+      multiplication, and summing its terms into zeros in increasing order
+      puts the term through at most m_i + 1 additions (5 m_i + 2).
+    Summed over N segments: at most 5 n + 2 N <= 5 depth + 2 N.
+    """
+    return 5 * depth + 2 * len(paths.segments)
+
+
+def signature_bound(paths, depth):
+    """Per coefficient, ``gamma_K`` times the signature of the absolute
+    increments: each computed signature lies this close to the exact one
+    (K from ``path_roundings``).  The majorant is itself a floating-point
+    value on nonnegative data, low by at most a factor 1 - gamma_K, which is
+    divided out."""
+    g = gamma(path_roundings(paths, depth))
+    return [g / (1 - g) * lvl for lvl in dense_batch_signatures(abs_paths(paths), depth)]
+
+
+def kernel_estimate_bounds(trip, depth, n_paths, steps, seed):
+    """Bounds on the difference of two evaluations of ``estimate_kernel`` whose
+    signatures each satisfy ``signature_bound``; returns (value, se) bounds.
+
+    Value ``V = sum_n <mean_a^n, mean_b^n>``: a term carries the roundings
+    of its two signature terms (K_a + K_b), of the two means (P - 1
+    additions and one division each, P paths), of its product (1) and of the
+    sums over words and levels (at most d**depth - 1 + depth), so
+    ``K_V = K_a + K_b + 2 P + d**depth + depth``; both evaluations lie within
+    gamma_{K_V} of the exact V, measured on absolute values.
+
+    Standard error ``se = sqrt((var proj_a + var proj_b) / P)`` with
+    ``proj_a[p] = sum_n <sig_a[p]^n, mean_b^n>``:
+    - each proj lies within gamma_{K_p} of the exact one, with
+      ``K_p = K_a + K_b + P + d**depth + depth``; as se is a norm of the
+      centred projections over sqrt(P (P - 1)), the exact se of the two
+      evaluations' projections differ by at most the norm of their
+      difference over that factor;
+    - given its projections, each evaluation rounds the centred squares,
+      their sum, the scalings, the sum of the two variances and the square
+      root (gamma_{P+6} relative), and centres on a mean that is off by at
+      most gamma_P times the mean absolute projection, which raises se by
+      at most that shift over sqrt(P - 1) per side.
+    """
+    pa = simulate_paths(trip, n_paths, steps, seed, horizon=1.0)
+    pb = simulate_paths(trip, n_paths, steps, seed, horizon=1.0, stream_offset=n_paths)
+    ka, kb = path_roundings(pa, depth), path_roundings(pb, depth)
+    big = trip.dim**depth + depth
+    abs_a = dense_batch_signatures(abs_paths(pa), depth)
+    abs_b = dense_batch_signatures(abs_paths(pb), depth)
+    ma = [lvl.mean(axis=0) for lvl in abs_a]
+    mb = [lvl.mean(axis=0) for lvl in abs_b]
+    gv = gamma(ka + kb + 2 * n_paths + big)
+    value_tol = 2 * gv / (1 - gv) * sum(a @ b for a, b in zip(ma, mb))
+
+    gp = gamma(ka + kb + n_paths + big)
+    proj_abs = [sum(lvl @ m for lvl, m in zip(sig, means)) / (1 - gp)
+                for sig, means in ((abs_a, mb), (abs_b, ma))]
+    spread = math.sqrt(sum(float(((2 * gp * pr) ** 2).sum()) for pr in proj_abs)
+                       / (n_paths * (n_paths - 1)))
+    shift = math.sqrt(sum((gamma(n_paths) * (1 + gp) * float(pr.mean())) ** 2
+                          for pr in proj_abs) / (n_paths - 1))
+    _, se = estimate_kernel(trip, trip, 1.0, depth, n_paths, steps, seed)
+    gs = gamma(n_paths + 6)
+    se_tol = spread + 2 * shift + 2 * gs / (1 - gs) * (se + spread + shift)
+    return value_tol, se_tol
+
+
 class TestBatchedSignatures:
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     def test_rows_match_single_path_signatures(self, depth):
@@ -236,33 +322,94 @@ class TestBatchedSignatures:
         paths = simulate_paths(jump_triplet(), 40, 3, seed=8)
         sig = _batch_signatures(paths, depth)
         ref = dense_batch_signatures(paths, depth)
+        tol = signature_bound(paths, depth)
         assert len(sig) == len(ref) == depth + 1
-        for lvl, r in zip(sig, ref):
+        for lvl, r, t in zip(sig, ref, tol):
             assert lvl.shape == r.shape
-            if depth <= 2:
-                assert lvl.tobytes() == r.tobytes()
-            else:
-                # only the rounding of x/3 against x * (1/3) differs
-                tol = 8 * np.finfo(float).eps * max(1.0, float(np.abs(r).max()))
-                assert np.abs(lvl - r).max() <= tol
+            assert np.all(np.abs(lvl - r) <= 2 * t)
 
     @pytest.mark.parametrize("depth,value,se", [
         (2, "0x1.4039e406f127cp+0", "0x1.8a1a91c53c135p-6"),
         (4, "0x1.4544851540b5fp+0", "0x1.b93b0032885fap-6")])
     def test_estimate_kernel_unchanged(self, depth, value, se):
-        # frozen from the dense batched products and per-path generators
-        # that the shared products and the re-keyed generator replaced
+        # value and se are frozen from the dense batched products and
+        # per-path generators that the shared products, the re-keyed
+        # generator and then the fused level-1 step replaced; the fused step
+        # reassociates sums, so today's bits (frozen below) lie within the
+        # rounding bound of kernel_estimate_bounds from them
         trip = jump_triplet()
         got = estimate_kernel(trip, trip, 1.0, depth, 300, 3, seed=5)
-        assert got == (float.fromhex(value), float.fromhex(se))
+        fused_bits = {2: ("0x1.4039e406f127bp+0", "0x1.8a1a91c53c134p-6"),
+                      4: ("0x1.4544851540b5ep+0", "0x1.b93b0032885fap-6")}
+        assert got == tuple(float.fromhex(h) for h in fused_bits[depth])
+        value_tol, se_tol = kernel_estimate_bounds(trip, depth, 300, 3, seed=5)
+        assert abs(got[0] - float.fromhex(value)) <= value_tol
+        assert abs(got[1] - float.fromhex(se)) <= se_tol
+
+
+def all_rows_signatures(paths, depth):
+    """Reference: every segment updates every row, live or not."""
+    d, n_paths = paths.dim, paths.n_paths
+    sig = TT(d, [np.ones((n_paths, 1))] + [np.zeros((n_paths, d**n))
+                                           for n in range(1, depth + 1)])
+    for lvl1, lvl2 in paths.segments:
+        if lvl2 is None:
+            sig = ta._mul_exp_level1(sig, lvl1)
+        else:
+            levels = [np.zeros(1), lvl1, lvl2] + [np.zeros(d**n) for n in range(3, depth + 1)]
+            sig = ta.tensor_mul(sig, ta.exp_tensor(TT(d, levels[:depth + 1])), depth)
+    return sig.levels
+
+
+class TestLiveRows:
+    def test_zero_triplet_skips_every_segment(self):
+        paths = simulate_paths(LevyTriplet.homogeneous(2, 1.0), 5, 4, seed=1)
+        sig = _batch_signatures(paths, 3)
+        unit = path_signature(paths.increments_of(0), 3)
+        assert [lvl.shape for lvl in sig] == [(5, 2**n) for n in range(4)]
+        for lvl, ref in zip(sig, unit.levels):
+            assert lvl.flags.c_contiguous
+            assert np.array_equal(lvl, np.broadcast_to(ref, lvl.shape))
+        assert unit.levels[0][0] == 1.0 and not any(lev.any() for lev in unit.levels[1:])
+
+    @pytest.mark.parametrize("with_level2", [False, True])
+    def test_segment_without_live_rows_is_skipped(self, with_level2):
+        paths = simulate_paths(jump_triplet(), 30, 2, seed=3)
+        n, d = paths.n_paths, paths.dim
+        dead = (np.zeros((n, d)), np.zeros((n, d * d)) if with_level2 else None)
+        padded = SimulatedPaths(d, n, paths.segments[:3] + [dead] + paths.segments[3:])
+        for lvl, ref in zip(_batch_signatures(padded, 4), _batch_signatures(paths, 4)):
+            assert lvl.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("depth", [2, 4])
+    def test_partly_live_segments_match_updating_all_rows(self, depth):
+        paths = simulate_paths(jump_triplet(), 40, 3, seed=8)
+        # an area-only segment: live rows whose level 1 is zero
+        area = np.zeros((paths.n_paths, 4))
+        area[::2] = [0.0, 0.3, -0.3, 0.0]
+        paths.segments.insert(2, (np.zeros((paths.n_paths, 2)), area))
+        live = [int((l1.any(axis=1) | (l2 is not None and l2.any(axis=1))).sum())
+                for l1, l2 in paths.segments]
+        partly = [0 < k < paths.n_paths for k in live]
+        assert any(p and l2 is None for p, (_, l2) in zip(partly, paths.segments))
+        assert any(p and l2 is not None for p, (_, l2) in zip(partly, paths.segments))
+        for lvl, ref in zip(_batch_signatures(paths, depth),
+                            all_rows_signatures(paths, depth)):
+            assert lvl.tobytes() == np.ascontiguousarray(ref).tobytes()
 
 
 class TestPathSignature:
     def test_single_increment(self):
+        # the fused step and exp_tensor associate the same products
+        # differently: level n carries at most 3n roundings in either
         x = atom(2, [0.3, -0.4])
         sig = path_signature([x], 3)
         ref = ta.exp_tensor(x.with_depth(3))
-        assert ta.norm_p(sig - ref, "max") == 0.0
+        majorant = ta.exp_tensor(TT.from_levels(2, [np.zeros(1), np.abs(x.levels[1])])
+                                 .with_depth(3))
+        for n in range(4):
+            tol = 2 * gamma(3 * n) / (1 - gamma(3 * n)) * majorant.levels[n]
+            assert np.all(np.abs(sig.levels[n] - ref.levels[n]) <= tol)
 
     def test_matches_develop_for_deterministic_path(self, rng):
         grid = np.array([0.0, 0.3, 1.0])

@@ -6,10 +6,10 @@ import pytest
 
 from levy_sigkernel import tensor_algebra as ta
 from levy_sigkernel.errors import (DimMismatch, InvalidParameter, InvalidWord,
-                                   ScalarPartError)
+                                   LevySigKernelError, ScalarPartError)
 from levy_sigkernel.tensor_algebra import TruncatedTensor as TT
 
-from conftest import random_tensor
+from conftest import gamma, random_tensor
 
 
 def enumerate_words(dim, length):
@@ -192,6 +192,12 @@ class TestExpLog:
         with pytest.raises(ScalarPartError):
             ta.group_inverse(TT.zero(2, 2))
 
+    def test_batched_scalar_part_is_typed_error(self):
+        x = TT(2, [np.ones((2, 1)), np.zeros((2, 2))])
+        for op in (lambda t: t.scalar(), ta.log_tensor, ta.group_inverse):
+            with pytest.raises(LevySigKernelError):
+                op(x)
+
 
 def dense_tensor_mul(x, y, out_depth=None):
     """Reference: the dense product that the level-sparse one replaced; it
@@ -298,6 +304,73 @@ class TestLevelSparseProducts:
         x.levels[0][2, 0] = 1e-300
         with pytest.raises(ScalarPartError):
             ta.exp_tensor(x)
+
+
+def unfused_mul_exp(s, x1):
+    """``tensor_mul(s, exp_tensor(x))`` for the increment x with level 1 ``x1``."""
+    levels = [np.zeros(1), x1] + [np.zeros(s.dim**n) for n in range(2, s.depth + 1)]
+    return ta.tensor_mul(s, ta.exp_tensor(TT(s.dim, levels[:s.depth + 1])), s.depth)
+
+
+def mul_exp_bound(s, x1):
+    """Forward bound on |fused - unfused| per coefficient of ``s (x) exp(x)``.
+
+    Both evaluations sum the exact terms ``s^j (x) x^(n-j) / (n-j)!`` of
+    output level n, each computed term carrying at most K = 4n + 1 roundings:
+    - fused Horner: the s^0 term takes n scalings ``x/k``, n products and n
+      additions (3n); a term s^j, j >= 1, takes 3(n - j) + 1;
+    - unfused: level m of ``exp_tensor`` multiplies m factors ``x * (1/k)``
+      (two roundings each: ``1/k`` and the product) through m products (3m);
+      ``tensor_mul`` adds one product and, adding its n + 1 terms into zeros
+      in increasing j, at most n additions (4n + 1 for j = 0, fewer above).
+    So each result lies within gamma_K * T of the exact value, T being
+    ``|s| (x) exp(|x|)``, and the two within 2 gamma_K T.  T is evaluated in
+    floating point on nonnegative data, below the exact T by at most a factor
+    1 - gamma_K, which the bound divides out.
+    """
+    t = unfused_mul_exp(TT(s.dim, [np.abs(lev) for lev in s.levels]), np.abs(x1))
+    return [2 * gamma(4 * n + 1) / (1 - gamma(4 * n + 1)) * lev
+            for n, lev in enumerate(t.levels)]
+
+
+class TestFusedMulExp:
+    """``_mul_exp_level1`` against ``tensor_mul(s, exp_tensor(x))``."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4, 5])
+    def test_matches_unfused_within_rounding(self, rng, d, depth):
+        rows = 6
+        s = TT(d, [rng.normal(size=(rows, d**n)) * 2.0 / (n + 1) for n in range(depth + 1)])
+        x1 = rng.normal(size=(rows, d))
+        fused = ta._mul_exp_level1(s, x1)
+        ref = unfused_mul_exp(s, x1)
+        assert fused.depth == depth
+        for n, (got, want, tol) in enumerate(zip(fused.levels, ref.levels,
+                                                 mul_exp_bound(s, x1))):
+            assert got.shape == want.shape == (rows, d**n)
+            assert np.all(np.abs(got - want) <= tol)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_batched_rows_match_single(self, rng, d):
+        depth, rows = 4, 5
+        s = sparse_tensor(rng, d, depth, rows=rows)
+        s.levels[2] = s.levels[2][0]          # a level shared by every row
+        x1 = rng.normal(size=(rows, d))
+        x1[1] = 0.0
+        fused = ta._mul_exp_level1(s, x1)
+        shared_x = ta._mul_exp_level1(s, x1[3])
+        for p in range(rows):
+            single = TT(d, [lev[p] if lev.ndim == 2 else lev for lev in s.levels])
+            assert_bitwise(TT(d, [lev[p] for lev in fused.levels]),
+                           ta._mul_exp_level1(single, x1[p]))
+            assert_bitwise(TT(d, [lev[p] for lev in shared_x.levels]),
+                           ta._mul_exp_level1(single, x1[3]))
+
+    def test_does_not_alias_its_argument(self, rng):
+        s = sparse_tensor(rng, 2, 2)
+        out = ta._mul_exp_level1(s, np.zeros(2))
+        out.levels[0][0] = 7.0
+        assert s.levels[0][0] != 7.0
 
 
 class TestAdjoints:
