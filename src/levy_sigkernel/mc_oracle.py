@@ -33,7 +33,7 @@ import numpy as np
 
 from . import tensor_algebra as ta
 from .characteristics import AtomicJumps, GaussianJumps, LevyTriplet
-from .errors import InvalidParameter, OutOfRange, Unsupported
+from .errors import DimMismatch, InvalidParameter, OutOfRange, Unsupported
 from .tensor_algebra import LevelNorms, TruncatedTensor
 
 __all__ = [
@@ -234,6 +234,8 @@ def path_signature(increments, depth: int) -> TruncatedTensor:
     for x in increments:
         if x.scalar() != 0.0:
             raise InvalidParameter("increments must have zero scalar part")
+        if x.dim != dim:
+            raise DimMismatch(f"increment dim {x.dim} vs path dim {dim}")
         if not any(lev.any() for lev in x.levels[1:]):
             continue
         if x.depth == 1:

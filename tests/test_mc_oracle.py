@@ -8,7 +8,7 @@ from levy_sigkernel.characteristics import (AtomicJumps, GaussianJumps,
                                             LevyTriplet, PiecewiseVelocity,
                                             characteristic_velocity)
 from levy_sigkernel.development import develop, expected_signature
-from levy_sigkernel.errors import InvalidParameter
+from levy_sigkernel.errors import DimMismatch, InvalidParameter
 from levy_sigkernel.kernel_solver import bessel_i0
 from levy_sigkernel.mc_oracle import (SimulatedPaths, _batch_signatures,
                                       _cov_factor, estimate_expected_signature,
@@ -400,6 +400,13 @@ class TestLiveRows:
 
 class TestPathSignature:
     def test_single_increment(self):
+        # an increment that stores level 2 takes the exponential-and-product path
+        x = atom(2, [0.3, -0.4]).with_depth(2)
+        sig = path_signature([x], 3)
+        ref = ta.exp_tensor(x.with_depth(3))
+        assert ta.norm_p(sig - ref, "max") == 0.0
+
+    def test_single_level1_increment(self):
         # the fused step and exp_tensor associate the same products
         # differently: level n carries at most 3n roundings in either
         x = atom(2, [0.3, -0.4])
@@ -410,6 +417,11 @@ class TestPathSignature:
         for n in range(4):
             tol = 2 * gamma(3 * n) / (1 - gamma(3 * n)) * majorant.levels[n]
             assert np.all(np.abs(sig.levels[n] - ref.levels[n]) <= tol)
+
+    @pytest.mark.parametrize("vec", [[0.3], [0.0], [0.3, -0.4, 0.1]])
+    def test_increment_dim_mismatch(self, vec):
+        with pytest.raises(DimMismatch):
+            path_signature([atom(2, [0.1, 0.2]), atom(len(vec), vec)], 3)
 
     def test_matches_develop_for_deterministic_path(self, rng):
         grid = np.array([0.0, 0.3, 1.0])
