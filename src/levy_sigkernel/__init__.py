@@ -26,7 +26,7 @@ from .mc_oracle import (SignatureEstimate, SimulatedPaths,
                         estimate_expected_signature, estimate_kernel,
                         estimate_to_csv, path_signature, simulate_paths)
 from .mmd import (AugmentedPathEnsemble, MMDReport, WienerSpec, cross_kernel,
-                  mmd_to_wiener, pair_kernel)
+                  factor_covariance, mmd_to_wiener, pair_kernel)
 from .tensor_algebra import (LevelNorms, TruncatedTensor, adjoint_left,
                              adjoint_left_zero, adjoint_right,
                              adjoint_right_zero, dilate, exp_tensor,

@@ -42,11 +42,12 @@ from .characteristics import (AtomicJumps, GaussianJumps, LevyTriplet,
 from .development import (bound_gronwall, bound_inner_truncation, bound_level,
                           bound_outer_truncation, develop,
                           remainder_diagnostics)
-from .errors import ConfigError, LevySigKernelError
+from .errors import ConfigError, InvalidParameter, LevySigKernelError
 from .kernel_solver import (make_grid, solve_truncated_system,
                             truncation_certificate)
 from .mc_oracle import estimate_kernel
-from .mmd import AugmentedPathEnsemble, WienerSpec, mmd_to_wiener
+from .mmd import (AugmentedPathEnsemble, WienerSpec, factor_covariance,
+                  mmd_to_wiener)
 from .tensor_algebra import TruncatedTensor
 
 _MAX_VELOCITY_COEFFS = 2_000_000
@@ -100,12 +101,10 @@ def _parse_list(value, path: str, what: str) -> list:
 
 
 def _parse_factors(value, d: int, path: str) -> np.ndarray:
-    """Covariance sum_k sig_k sig_k^T of a list of volatility factor vectors."""
-    cov = np.zeros((d, d))
-    for k, sig in enumerate(_parse_list(value, path, "factor vectors")):
-        vec = _parse_vector(sig, d, f"{path}[{k}]")
-        cov += np.outer(vec, vec)
-    return cov
+    try:
+        return factor_covariance(d, value)
+    except InvalidParameter as exc:
+        raise ConfigError(path, str(exc)) from None
 
 
 def _parse_time_grid(value, path: str) -> np.ndarray:

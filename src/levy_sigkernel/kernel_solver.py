@@ -14,7 +14,8 @@ clean (a single pass leaves an O(h^3) defect from the first-order
 predictor that can dominate on coarse grids).  A cell needs only its
 three nodes nearer the origin, so the sweep advances one anti-diagonal
 i + j = const at a time and updates all of its cells, for a batch of
-surfaces on the same grid, with stacked numpy operations.
+surfaces on the same grid, with stacked numpy operations.  The scalar
+Goursat problem d^2 u/ds dt = alpha u is the same sweep with no fields.
 Boundary rows are one-dimensional ODEs with w = 1 and the opposite
 coupling term zero.  Grids must contain every velocity breakpoint so
 that all interval integrals are exact.
@@ -85,8 +86,8 @@ def make_grid(horizon: float, n_points: int, breakpoints: Sequence[float] = ()) 
     base = np.linspace(0.0, horizon, n_points)
     cuts = np.asarray([b for b in np.atleast_1d(breakpoints)
                        if 0.0 < b < horizon], dtype=float)
-    grid = np.union1d(base, cuts)
-    # drop near-duplicates introduced by the merge
+    grid = np.sort(np.concatenate([base, cuts]))
+    # drop duplicates and near-duplicates introduced by the merge
     keep = np.concatenate([[True], np.diff(grid) > 1e-12 * max(horizon, 1.0)])
     return grid[keep]
 
@@ -193,12 +194,17 @@ _CORRECTOR_PASSES = 2
 def _sweep(ds, dt, sidx, tidx, A, B, C, qx, RX, AX, qy, RY, AY):
     """Anti-diagonal predictor-corrector sweep over a batch of surfaces.
 
-    Every argument after ``dt`` has a leading surface axis ``p``.
-    ``sidx[p]``/``tidx[p]`` map grid cells to velocity intervals;
-    ``A[p, a, b]`` is the scalar coefficient for velocity-interval pair
-    (a, b); ``B[p, a, b]``/``C[p, a, b]`` the vectors paired with the
-    coupled fields in the w-update; ``qx/RX/AX`` (per s-interval) and
-    ``qy/RY/AY`` (per t-interval) define the two field ODE integrands.
+    Every table has a leading surface axis ``p``.  ``sidx[p]``/``tidx[p]``
+    map grid cells to velocity intervals.  ``A = (A00, A01, A10, A11)``
+    holds the scalar coefficient of w at the four corners of a cell:
+    ``A00[p, a, b]`` at node (i, j) of a cell in velocity-interval pair
+    (a, b), ``A01`` at (i, j+1), ``A10`` at (i+1, j) and ``A11`` at
+    (i+1, j+1).  Truncated systems pass one table four times; the scalar
+    Goursat problem passes node values of alpha.  ``B[p, a, b]`` and
+    ``C[p, a, b]`` are the vectors paired with the coupled fields in the
+    w-update; ``qx/RX/AX`` (per s-interval) and ``qy/RY/AY`` (per
+    t-interval) define the two field ODE integrands.  Fields may have
+    width zero.
 
     Cell (i+1, j+1) needs only nodes (i, j), (i+1, j) and (i, j+1), so the
     cells of one anti-diagonal i + j = const are independent and are
@@ -252,18 +258,19 @@ def _sweep(ds, dt, sidx, tidx, A, B, C, qx, RX, AX, qy, RY, AY):
         h, k = ds[i], dt[j]
         hk = h * k
         a, b = sidx[:, i], tidx[:, j]
-        Aab, Bab, Cab = A[p, a, b], B[p, a, b], C[p, a, b]
+        A00, A01, A10, A11 = (corner[p, a, b] for corner in A)
+        Bab, Cab = B[p, a, b], C[p, a, b]
         qxa, RXa, AXa = qx[p, a], RX[p, a], AX[p, a]
         qyb, RYb, AYb = qy[p, b], RY[p, b], AY[p, b]
         w00, w01, w10 = w[:, i, j], w[:, i, j + 1], w[:, i + 1, j]
         F00, F01, F10 = F[:, i, j], F[:, i, j + 1], F[:, i + 1, j]
         G00, G01, G10 = G[:, i, j], G[:, i, j + 1], G[:, i + 1, j]
         # w-integrand at the three known corners of each cell
-        phi00 = (w00 * Aab + np.einsum("...d,...d->...", F00, Bab)
+        phi00 = (w00 * A00 + np.einsum("...d,...d->...", F00, Bab)
                  + np.einsum("...d,...d->...", G00, Cab))
-        phi01 = (w01 * Aab + np.einsum("...d,...d->...", F01, Bab)
+        phi01 = (w01 * A01 + np.einsum("...d,...d->...", F01, Bab)
                  + np.einsum("...d,...d->...", G01, Cab))
-        phi10 = w10 * Aab + dot(F10, Bab) + dot(G10, Cab)
+        phi10 = w10 * A10 + dot(F10, Bab) + dot(G10, Cab)
         cross = w01 - w00
         # field integrands at the left end of each cell's s- and t-step
         Fd01 = w01[..., None] * qxa + mv(RXa, F01) + mv(AXa, G01)
@@ -274,7 +281,7 @@ def _sweep(ds, dt, sidx, tidx, A, B, C, qx, RX, AX, qy, RY, AY):
         F11 = F01 + h * Fd01
         G11 = G10 + k * Gd10
         for _ in range(_CORRECTOR_PASSES):
-            phi11 = w11 * Aab + dot(F11, Bab) + dot(G11, Cab)
+            phi11 = w11 * A11 + dot(F11, Bab) + dot(G11, Cab)
             Fd11 = w11[..., None] * qxa + mv(RXa, F11) + mv(AXa, G11)
             Gd11 = w11[..., None] * qyb + mv(RYb, G11) + mv(AYb, F11)
             w11 = w10 + cross + 0.25 * hk * (phi00 + phi10 + phi01 + phi11)
@@ -300,7 +307,6 @@ def solve_goursat_scalar(alpha, s_grid, t_grid,
     s_grid = np.asarray(s_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
     n_i, n_j = len(s_grid) - 1, len(t_grid) - 1
-    cellwise = False
     if isinstance(alpha, tuple):
         fvals = np.array([float(alpha[0](s)) for s in s_grid])
         gvals = np.array([float(alpha[1](t)) for t in t_grid])
@@ -317,38 +323,19 @@ def solve_goursat_scalar(alpha, s_grid, t_grid,
         cells = np.asarray(alpha, dtype=float)
         if cells.shape != (n_i, n_j):
             raise InvalidParameter("cell-wise alpha must have one value per grid cell")
-        cellwise = True
-
-    w = np.ones((n_i + 1, n_j + 1))
-    ds = np.diff(s_grid)
-    dtl = np.diff(t_grid).tolist()
-    row_prev = w[0].tolist()
-    for i in range(n_i):
-        h = ds[i]
-        if cellwise:
-            arow = cells[i].tolist()
-        else:
-            a0 = nodes[i].tolist()
-            a1 = nodes[i + 1].tolist()
-        row_new = [1.0] * (n_j + 1)
-        for j in range(n_j):
-            hk = h * dtl[j]
-            if cellwise:
-                v00 = v10 = v01 = v11 = arow[j]
-            else:
-                v00, v01 = a0[j], a0[j + 1]
-                v10, v11 = a1[j], a1[j + 1]
-            p00, p01, q10 = row_prev[j], row_prev[j + 1], row_new[j]
-            cross = p01 - p00
-            phi_known = p00 * v00 + q10 * v10 + p01 * v01
-            w11 = q10 + cross + hk * p00 * v00
-            for _ in range(_CORRECTOR_PASSES):
-                w11 = q10 + cross + 0.25 * hk * (phi_known + w11 * v11)
-            row_new[j + 1] = w11
-        w[i + 1] = row_new
-        row_prev = row_new
+        nodes = None
+    corners = ((cells,) * 4 if nodes is None else
+               (nodes[:-1, :-1], nodes[:-1, 1:], nodes[1:, :-1], nodes[1:, 1:]))
+    # one surface whose cell (i, j) is interval pair (i, j), with alpha at
+    # the cell's corners and coupled fields of width zero
+    B = np.zeros((1, n_i, n_j, 0))
+    qx, RX = np.zeros((1, n_i, 0)), np.zeros((1, n_i, 0, 0))
+    qy, RY = np.zeros((1, n_j, 0)), np.zeros((1, n_j, 0, 0))
+    w, _, _ = _sweep(np.diff(s_grid), np.diff(t_grid),
+                     np.arange(n_i)[None], np.arange(n_j)[None],
+                     tuple(c[None] for c in corners), B, B, qx, RX, RX, qy, RY, RY)
     return KernelSurface(
-        s_grid=s_grid, t_grid=t_grid, w=w,
+        s_grid=s_grid, t_grid=t_grid, w=w[0],
         s_mass=None if s_mass is None else np.asarray(s_mass, dtype=float),
         t_mass=None if t_mass is None else np.asarray(t_mass, dtype=float),
         meta={"system": "goursat-scalar", "scheme_order": 2})
@@ -391,20 +378,27 @@ def _solve_truncated_batch(pairs, M: int, N: int, s_grid, t_grid) -> list[Kernel
     for v, vt in pairs:
         s_grid = _validate_grid(s_grid, v.time_grid, "s")
         t_grid = _validate_grid(t_grid, vt.time_grid, "t")
-    tables = zip(*(_coefficients(v, vt, M, N) for v, vt in pairs))
-    sidx = np.stack([_cell_intervals(s_grid, v.time_grid) for v, _ in pairs])
-    tidx = np.stack([_cell_intervals(t_grid, vt.time_grid) for _, vt in pairs])
-    w, F, G = _sweep(np.diff(s_grid), np.diff(t_grid), sidx, tidx,
-                     *map(_stack_padded, tables))
-    masses = {}
+    memo = {}
+
+    def once(key, make):
+        # a velocity may sit in many pairs of a batch: work on it once
+        if key not in memo:
+            memo[key] = make()
+        return memo[key]
+
+    def side(v, M, N):
+        return once(("side", id(v), M, N), lambda: _side_tables(v, M, N))
 
     def mass(grid, v, level):
-        # a velocity may sit in many pairs of a batch: integrate it once
-        key = (id(grid), id(v), level)
-        if key not in masses:
-            masses[key] = _cumulative_mass(grid, v.truncated(level))
-        return masses[key]
+        return once(("mass", id(grid), id(v), level),
+                    lambda: _cumulative_mass(grid, v.truncated(level)))
 
+    tables = zip(*((*_cross_tables(v, vt, M, N), *side(v, M, N), *side(vt, N, M))
+                   for v, vt in pairs))
+    sidx = np.stack([_cell_intervals(s_grid, v.time_grid) for v, _ in pairs])
+    tidx = np.stack([_cell_intervals(t_grid, vt.time_grid) for _, vt in pairs])
+    A, *fields = map(_stack_padded, tables)
+    w, F, G = _sweep(np.diff(s_grid), np.diff(t_grid), sidx, tidx, (A,) * 4, *fields)
     return [KernelSurface(
         s_grid=s_grid, t_grid=t_grid, w=w[p], dim=d,
         f=F[p], ftilde=G[p], f_depth=N - 1, ftilde_depth=M - 1,
@@ -426,53 +420,45 @@ def _stack_padded(arrays) -> np.ndarray:
 def _coefficients(v: PiecewiseVelocity, vt: PiecewiseVelocity, M: int, N: int):
     """Per-interval coefficient tables (A, B, C, qx, RX, AX, qy, RY, AY) of
     one truncated system, in the layout ``_sweep`` takes per surface."""
-    d = v.dim
-    P = min(M, N)
-    Q = min(M, N - 1)
-    Qt = min(N, M - 1)
-    depth_f, depth_g = N - 1, M - 1
-    df, dg = ta.flat_size(d, depth_f), ta.flat_size(d, depth_g)
+    return (*_cross_tables(v, vt, M, N), *_side_tables(v, M, N),
+            *_side_tables(vt, N, M))
+
+
+def _cross_tables(v: PiecewiseVelocity, vt: PiecewiseVelocity, M: int, N: int):
+    """Tables (A, B, C) of the w-integrand per velocity-interval pair."""
+    P, Q, Qt = min(M, N), min(M, N - 1), min(N, M - 1)
     xs = [ta.truncate(x, M) for x in v.tensors]
     ys = [ta.truncate(y, N) for y in vt.tensors]
-    na, nb = len(xs), len(ys)
-
-    def basis_vectors(depth):
-        size = ta.flat_size(d, depth)
-        for col in range(size):
-            e = np.zeros(size)
-            e[col] = 1.0
-            yield col, ta.unflatten(e, d, depth)
-
-    A = np.empty((na, nb))
-    B = np.empty((na, nb, df))
-    C = np.empty((na, nb, dg))
-    qx = np.empty((na, df))
-    RX = np.empty((na, df, df))
-    AX = np.empty((na, df, dg))
-    for a, x in enumerate(xs):
-        xQ = ta.truncate(x, Q)
-        qx[a] = ta.flatten(xQ, depth_f)
-        for col, e in basis_vectors(depth_f):
-            RX[a][:, col] = ta.flatten(ta.tensor_mul(e, xQ, depth_f), depth_f)
-        for col, e in basis_vectors(depth_g):
-            AX[a][:, col] = ta.flatten(ta.adjoint_left_zero(e, x), depth_f)
-    qy = np.empty((nb, dg))
-    RY = np.empty((nb, dg, dg))
-    AY = np.empty((nb, dg, df))
-    for b, y in enumerate(ys):
-        yQt = ta.truncate(y, Qt)
-        qy[b] = ta.flatten(yQt, depth_g)
-        for col, e in basis_vectors(depth_g):
-            RY[b][:, col] = ta.flatten(ta.tensor_mul(e, yQt, depth_g), depth_g)
-        for col, e in basis_vectors(depth_f):
-            AY[b][:, col] = ta.flatten(ta.adjoint_left_zero(e, y), depth_g)
+    A = np.empty((len(xs), len(ys)))
+    B = np.empty((len(xs), len(ys), ta.flat_size(v.dim, N - 1)))
+    C = np.empty((len(xs), len(ys), ta.flat_size(v.dim, M - 1)))
     for a, x in enumerate(xs):
         xP, xQ = ta.truncate(x, P), ta.truncate(x, Q)
         for b, y in enumerate(ys):
             A[a, b] = ta.inner_product(xP, ta.truncate(y, P))
-            B[a, b] = ta.flatten(ta.adjoint_right_zero(xQ, y), depth_f)
-            C[a, b] = ta.flatten(ta.adjoint_right_zero(ta.truncate(y, Qt), x), depth_g)
-    return A, B, C, qx, RX, AX, qy, RY, AY
+            B[a, b] = ta.flatten(ta.adjoint_right_zero(xQ, y), N - 1)
+            C[a, b] = ta.flatten(ta.adjoint_right_zero(ta.truncate(y, Qt), x), M - 1)
+    return A, B, C
+
+
+def _side_tables(v: PiecewiseVelocity, M: int, N: int):
+    """Tables (q, R, Adj) per interval of v for the field ODE
+    f' = w q + R f + Adj g of the side cut at M against one cut at N:
+    q = x^Q, R f = f (x) x^Q, Adj g = adjoint_left_zero(g, x), with x = v
+    cut at M and Q = min(M, N - 1).  Sides are ``(v, M, N)`` and
+    ``(vt, N, M)``.  R and Adj map a batched identity, one basis vector
+    per row."""
+    Q = min(M, N - 1)
+    ef, eg = (ta.unflatten(np.eye(ta.flat_size(v.dim, n)), v.dim, n)
+              for n in (N - 1, M - 1))
+    q, R, adj = [], [], []
+    for x in v.tensors:
+        x = ta.truncate(x, M)
+        xQ = ta.truncate(x, Q)
+        q.append(ta.flatten(xQ, N - 1))
+        R.append(ta.flatten(ta.tensor_mul(ef, xQ, N - 1), N - 1).T)
+        adj.append(ta.flatten(ta.adjoint_left_zero(eg, x), N - 1).T)
+    return np.array(q), np.array(R), np.array(adj)
 
 
 def _refine(grid: np.ndarray) -> np.ndarray:

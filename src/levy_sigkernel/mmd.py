@@ -5,15 +5,15 @@ The squared MMD decomposes into three families of kernel surfaces:
 
     mmd^2 = u(T,T) - (2/M) sum_k v_k(T,T) + (1/M^2) sum_{j,k} w_jk(T,T)
 
-where u is the Wiener self-kernel (a scalar Goursat problem), v_k the
-cross kernel of path k against the Wiener expected signature, and w_jk
-the deterministic signature kernel of the area-augmented paths j and k.
-The cross and pair kernels are truncated kernel systems at M = N = 2 on
-the level-2 characteristic velocities.  ``mmd_to_wiener`` solves all m
-cross and m(m+1)/2 pair surfaces in one batched sweep on their shared
-grid (each surface bitwise equal to its own ``solve_truncated_system``
-call), after the scalar Goursat solve for u, so the result is
-reproducible bitwise.
+where u is the Wiener self-kernel, v_k the cross kernel of path k against
+the Wiener expected signature, and w_jk the deterministic signature kernel
+of the area-augmented paths j and k.  All three are truncated kernel
+systems at M = N = 2 on the level-2 characteristic velocities; u is the
+surface of the Wiener velocity with itself, whose coupled fields stay zero
+(a scalar Goursat problem).  ``mmd_to_wiener`` solves u, the m cross and
+the m(m+1)/2 pair surfaces in one batched sweep on their shared grid (each
+surface bitwise equal to its own ``solve_truncated_system`` call), so the
+result is reproducible bitwise.
 """
 
 from __future__ import annotations
@@ -25,13 +25,13 @@ import numpy as np
 
 from .characteristics import LevyTriplet, _check_grid, characteristic_velocity
 from .errors import InvalidParameter, InvalidTriplet, NumericalInconsistency
-from .kernel_solver import (KernelSurface, _solve_truncated_batch,
-                            _validate_grid, make_grid, solve_goursat_scalar,
+from .kernel_solver import (KernelSurface, _solve_truncated_batch, make_grid,
                             solve_truncated_system)
 
 __all__ = [
     "AugmentedPathEnsemble",
     "WienerSpec",
+    "factor_covariance",
     "MMDReport",
     "mmd_to_wiener",
     "cross_kernel",
@@ -96,6 +96,23 @@ class AugmentedPathEnsemble:
             state_depth=2 if ar is not None else 1)
 
 
+def factor_covariance(dim: int, factors) -> np.ndarray:
+    """Covariance ``sum_k sig_k sig_k^T`` of a list of volatility factor
+    vectors ``sig_k``, each a finite 1-D vector of length ``dim``."""
+    if not isinstance(factors, (list, tuple, np.ndarray)):
+        raise InvalidParameter("expected a list of factor vectors")
+    a = np.zeros((dim, dim))
+    for k, sig in enumerate(factors):
+        try:
+            sig = np.asarray(sig, dtype=float)
+        except (TypeError, ValueError):
+            raise InvalidParameter(f"factor {k} must be a vector of numbers") from None
+        if sig.shape != (dim,) or not np.all(np.isfinite(sig)):
+            raise InvalidParameter(f"factor {k} must be a finite vector of length {dim}")
+        a += np.outer(sig, sig)
+    return a
+
+
 @dataclass
 class WienerSpec:
     """Per-interval covariance of the inhomogeneous Wiener measure."""
@@ -112,22 +129,14 @@ class WienerSpec:
 
     @classmethod
     def from_factors(cls, dim: int, time_grid, factor_lists) -> "WienerSpec":
-        """Build covariances from per-interval volatility factor vectors,
-        each a finite 1-D vector of length ``dim``."""
+        """Build covariances from per-interval lists of volatility factor
+        vectors (see :func:`factor_covariance`)."""
         covs = []
         for i, factors in enumerate(factor_lists):
-            a = np.zeros((dim, dim))
-            for sig in factors:
-                try:
-                    sig = np.asarray(sig, dtype=float)
-                except (TypeError, ValueError):
-                    raise InvalidParameter(
-                        f"interval {i}: factors must be numeric vectors") from None
-                if sig.shape != (dim,) or not np.all(np.isfinite(sig)):
-                    raise InvalidParameter(
-                        f"interval {i}: each factor must be a finite vector of length {dim}")
-                a += np.outer(sig, sig)
-            covs.append(a)
+            try:
+                covs.append(factor_covariance(dim, factors))
+            except InvalidParameter as exc:
+                raise InvalidParameter(f"interval {i}: {exc}") from None
         return cls(dim, np.asarray(time_grid, dtype=float), covs)
 
     def as_triplet(self) -> LevyTriplet:
@@ -166,8 +175,8 @@ class MMDReport:
 
 
 def _merged_grid(ensemble: AugmentedPathEnsemble, wiener: WienerSpec, grid) -> np.ndarray:
-    breaks = np.union1d(ensemble.time_grid, wiener.time_grid)
     if np.isscalar(grid):
+        breaks = np.concatenate([ensemble.time_grid, wiener.time_grid])
         return make_grid(ensemble.horizon, int(grid), breaks)
     return np.asarray(grid, dtype=float)
 
@@ -193,19 +202,6 @@ def pair_kernel(ensemble: AugmentedPathEnsemble, j: int, k: int,
     return solve_truncated_system(left, right, 2, 2, grid, grid)
 
 
-def _wiener_self_kernel(wiener: WienerSpec, grid: np.ndarray) -> KernelSurface:
-    # scalar Goursat with alpha(s,t) = <a(s), a(t)>/4, constant per cell pair
-    idx = np.searchsorted(wiener.time_grid, 0.5 * (grid[:-1] + grid[1:]),
-                          side="right") - 1
-    idx = np.clip(idx, 0, len(wiener.covs) - 1)
-    gram = np.array([[0.25 * np.sum(ai * aj) for aj in wiener.covs]
-                     for ai in wiener.covs])
-    cells = gram[np.ix_(idx, idx)]
-    halfnorm = np.array([0.5 * np.linalg.norm(a) for a in wiener.covs])
-    mass = np.concatenate([[0.0], np.cumsum(halfnorm[idx] * np.diff(grid))])
-    return solve_goursat_scalar(cells, grid, grid, s_mass=mass, t_mass=mass)
-
-
 def mmd_to_wiener(ensemble: AugmentedPathEnsemble, wiener: WienerSpec,
                   grid) -> tuple[float, MMDReport]:
     """Signature MMD between the path ensemble's empirical law and the
@@ -218,20 +214,19 @@ def mmd_to_wiener(ensemble: AugmentedPathEnsemble, wiener: WienerSpec,
         raise InvalidParameter("ensemble and Wiener dims differ")
     if ensemble.n_paths == 0:
         raise InvalidParameter("ensemble is empty")
+    # the batch checks the grid against the ensemble's and the Wiener breakpoints
     grid = _merged_grid(ensemble, wiener, grid)
-    _validate_grid(grid, np.union1d(ensemble.time_grid, wiener.time_grid), "mmd")
     m = ensemble.n_paths
 
-    surfaces: dict = {"wiener": _wiener_self_kernel(wiener, grid)}
     paths = [characteristic_velocity(ensemble.path_triplet(k), 2) for k in range(m)]
     right = characteristic_velocity(wiener.as_triplet(), 2)
-    keys = [("cross", k) for k in range(m)]
-    pairs = [(paths[k], right) for k in range(m)]
+    keys = ["wiener"] + [("cross", k) for k in range(m)]
+    pairs = [(right, right)] + [(paths[k], right) for k in range(m)]
     for j in range(m):
         for k in range(j, m):
             keys.append(("pair", j, k))
             pairs.append((paths[j], paths[k]))
-    surfaces.update(zip(keys, _solve_truncated_batch(pairs, 2, 2, grid, grid)))
+    surfaces = dict(zip(keys, _solve_truncated_batch(pairs, 2, 2, grid, grid)))
 
     wiener_term = surfaces["wiener"].value()
     cross = np.array([surfaces[("cross", k)].value() for k in range(m)])

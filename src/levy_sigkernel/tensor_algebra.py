@@ -13,6 +13,9 @@ be materialised per element.  Row p of a batched result is bitwise equal to
 the single-tensor call on row p.  Both skip a level pair when either level
 is all zeros, which leaves the result unchanged on finite inputs: the
 surviving terms are added in the same order as in the dense sum.
+:func:`adjoint_left`, :func:`adjoint_left_zero`, :func:`flatten` and
+:func:`unflatten` take the same batch axis.  ``scalar()``, ``+``, ``-``, :func:`inner_product` and
+:func:`level_norms` (so :func:`norm_p`) raise ``Unsupported`` on a batch.
 
 The private :func:`_mul_exp_level1` fuses ``s (x) exp(x)`` for an increment
 x that stores only level 1, in Horner form per output level, with the same
@@ -147,10 +150,8 @@ class TruncatedTensor:
 
     def scalar(self) -> float:
         """Scalar part of a single tensor; a batch has one per element."""
-        lev = self.levels[0]
-        if lev.ndim != 1:
-            raise Unsupported(f"scalar() of a batch of {lev.shape[0]} tensors")
-        return float(lev[0])
+        _check_single("scalar()", self)
+        return float(self.levels[0][0])
 
     def copy(self) -> "TruncatedTensor":
         return TruncatedTensor(self.dim, [lev.copy() for lev in self.levels])
@@ -165,6 +166,7 @@ class TruncatedTensor:
 
     def __add__(self, other: "TruncatedTensor") -> "TruncatedTensor":
         _check_dims(self, other)
+        _check_single("+", self, other)
         depth = max(self.depth, other.depth)
         out = self.with_depth(depth)
         for n in range(other.depth + 1):
@@ -203,6 +205,16 @@ def _check_dims(x: TruncatedTensor, y: TruncatedTensor) -> None:
         raise DimMismatch(f"dim {x.dim} vs {y.dim}")
 
 
+def _check_single(op: str, *tensors: TruncatedTensor) -> None:
+    batched = [lev.shape[0] for x in tensors for lev in x.levels if lev.ndim != 1]
+    if batched:
+        raise Unsupported(f"{op} of a batch of {batched[0]} tensors")
+
+
+def _batch_shape(*tensors: TruncatedTensor) -> tuple[int, ...]:
+    return np.broadcast_shapes(*(lev.shape[:-1] for x in tensors for lev in x.levels))
+
+
 def tensor_mul(x: TruncatedTensor, y: TruncatedTensor,
                out_depth: int | None = None) -> TruncatedTensor:
     """Truncated tensor (concatenation) product of ``x`` and ``y``.
@@ -215,7 +227,7 @@ def tensor_mul(x: TruncatedTensor, y: TruncatedTensor,
     if out_depth is None:
         out_depth = max(x.depth, y.depth)
     d = x.dim
-    batch = np.broadcast_shapes(*(lev.shape[:-1] for lev in (*x.levels, *y.levels)))
+    batch = _batch_shape(x, y)
     x_live = [lev.any() for lev in x.levels[:out_depth + 1]]
     y_live = [lev.any() for lev in y.levels[:out_depth + 1]]
     levels = []
@@ -268,11 +280,13 @@ def _mul_exp_level1(s: TruncatedTensor, x1: np.ndarray) -> TruncatedTensor:
 def inner_product(x: TruncatedTensor, y: TruncatedTensor) -> float:
     """Dual pairing: sum of coefficient products over common words."""
     _check_dims(x, y)
+    _check_single("inner_product", x, y)
     depth = min(x.depth, y.depth)
     return float(sum(np.dot(x.levels[n], y.levels[n]) for n in range(depth + 1)))
 
 
 def level_norms(x: TruncatedTensor) -> LevelNorms:
+    _check_single("level_norms", x)
     return LevelNorms(np.array([np.linalg.norm(lev) for lev in x.levels]))
 
 
@@ -364,21 +378,22 @@ def adjoint_left(x: TruncatedTensor, z: TruncatedTensor) -> TruncatedTensor:
 
     Only stored levels contribute; callers needing the exact duality
     ``<z, x (x) y> = <adjoint_left(x, z), y>`` must allocate
-    ``z.depth >= x.depth + y.depth``.
+    ``z.depth >= x.depth + y.depth``.  Either factor may carry a batch axis
+    (module docstring); each row is its own vector-matrix product, so row p
+    of the result is bitwise equal to the call on row p.
     """
     _check_dims(x, z)
     d = x.dim
-    out = TruncatedTensor.zero(d, z.depth)
+    batch = _batch_shape(x, z)
+    out = TruncatedTensor(d, [np.zeros(batch + (d**n,)) for n in range(z.depth + 1)])
     for k in range(min(x.depth, z.depth) + 1):
         xk = x.levels[k]
         if not xk.any():
             continue
         for n in range(k, z.depth + 1):
-            m = n - k
-            if k == 0:
-                out.levels[m] += xk[0] * z.levels[n]
-            else:
-                out.levels[m] += xk @ z.levels[n].reshape(d**k, d**m)
+            zn = z.levels[n]
+            zn = zn.reshape(zn.shape[:-1] + (d**k, d**(n - k)))
+            out.levels[n - k] += np.matmul(xk[..., None, :], zn)[..., 0, :]
     return out
 
 
@@ -403,7 +418,7 @@ def adjoint_right(y: TruncatedTensor, z: TruncatedTensor) -> TruncatedTensor:
 def adjoint_left_zero(x: TruncatedTensor, z: TruncatedTensor) -> TruncatedTensor:
     """Adjoint left multiplication with the scalar component removed."""
     out = adjoint_left(x, z)
-    out.levels[0][0] = 0.0
+    out.levels[0][..., 0] = 0.0
     return out
 
 
@@ -446,19 +461,21 @@ def flat_size(dim: int, depth: int) -> int:
 
 
 def flatten(x: TruncatedTensor, depth: int) -> np.ndarray:
-    """Concatenate levels 0..depth into one vector (zero-padded)."""
-    parts = [x.levels[n] if n <= x.depth else np.zeros(x.dim**n)
-             for n in range(depth + 1)]
-    return np.concatenate(parts)
+    """Concatenate levels 0..depth into one vector (zero-padded), or into
+    one row per element of a batch (module docstring)."""
+    batch = _batch_shape(x)
+    parts = [np.broadcast_to(x.levels[n], batch + (x.dim**n,)) if n <= x.depth
+             else np.zeros(batch + (x.dim**n,)) for n in range(depth + 1)]
+    return np.concatenate(parts, axis=-1)
 
 
 def unflatten(vec: np.ndarray, dim: int, depth: int) -> TruncatedTensor:
-    """Inverse of :func:`flatten`."""
+    """Inverse of :func:`flatten`, for one vector or a batch of rows."""
+    vec = np.asarray(vec, dtype=float)
+    if vec.ndim == 0 or vec.shape[-1] != flat_size(dim, depth):
+        raise InvalidParameter("vector length does not match dim/depth")
     levels, pos = [], 0
     for n in range(depth + 1):
-        size = dim**n
-        levels.append(np.array(vec[pos:pos + size], dtype=float))
-        pos += size
-    if pos != len(vec):
-        raise InvalidParameter("vector length does not match dim/depth")
+        levels.append(vec[..., pos:pos + dim**n].copy())
+        pos += dim**n
     return TruncatedTensor(dim, levels)

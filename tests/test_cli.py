@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import levy_sigkernel
-from levy_sigkernel.cli import main
+from levy_sigkernel.cli import main, parse_triplet
 from levy_sigkernel.kernel_solver import bessel_i0
+from levy_sigkernel.mmd import WienerSpec
 
 
 def write_config(path, cfg):
@@ -99,6 +100,37 @@ class TestMalformedConfigs:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {field}:"), err
 
+    @pytest.mark.parametrize("factors, field", [
+        (5, "wiener.factors[0]"), ([[1.0, 2.0]], "wiener.factors[1]"),
+        ([["a"]], "wiener.factors[0]"), ([[float("nan")]], "wiener.factors[1]"),
+    ])
+    def test_wiener_factor_error_names_field(self, tmp_path, capsys, factors, field):
+        wiener_factors = [[[1.0]], [[0.5]]]
+        wiener_factors[int(field[-2])] = factors
+        cfg_data = {
+            "experiment": "mmd",
+            "ensemble": {"dim": 1, "time_grid": [0.0, 1.0],
+                         "paths": [{"derivative": [[0.0]]}]},
+            "wiener": {"time_grid": [0.0, 0.5, 1.0], "factors": wiener_factors},
+            "grid": {"s_points": 9, "T": 1.0},
+        }
+        cfg = write_config(tmp_path / "cfg.json", cfg_data)
+        assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}:"), err
+
+    def test_factor_covariances_are_one_computation(self):
+        factors = [[0.3, -1.1], [0.7, 0.2], [-0.4, 0.9]]
+        cfg = bm_triplet_json(dim=2)
+        cfg["intervals"][0] = {"factors": factors}
+        expected = np.zeros((2, 2))
+        for sig in factors:
+            expected += np.outer(sig, sig)
+        trip = parse_triplet(cfg, "triplets[0]")
+        wiener = WienerSpec.from_factors(2, [0.0, 1.0], [factors])
+        assert np.array_equal(trip.covs[0], expected)
+        assert np.array_equal(wiener.covs[0], expected)
+
     def test_non_numeric_ensemble_time_grid(self, tmp_path, capsys):
         cfg_data = {
             "experiment": "mmd",
@@ -178,6 +210,31 @@ class TestEntryPoints:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"
+
+    @pytest.mark.parametrize("experiment", ["kernel", "mmd"])
+    def test_run_does_not_load_numpy_ma(self, tmp_path, experiment):
+        # np.unique (behind np.union1d) imports numpy.ma on first use, which
+        # costs 11-13 ms in a fresh interpreter
+        if experiment == "kernel":
+            cfg_data = base_config(points=9)
+        else:
+            cfg_data = {
+                "experiment": "mmd",
+                "ensemble": {"dim": 1, "time_grid": [0.0, 0.5, 1.0],
+                             "paths": [{"derivative": [[0.3], [-0.2]]}]},
+                "wiener": {"time_grid": [0.0, 0.25, 1.0], "covs": [[[1.0]], [[0.5]]]},
+                "grid": {"s_points": 9, "T": 1.0},
+            }
+        cfg = write_config(tmp_path / "cfg.json", cfg_data)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(levy_sigkernel.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys; from levy_sigkernel.cli import main; "
+                f"code = main(['--config', {cfg!r}, '--output', {str(tmp_path / 'o')!r}]); "
+                "print(code, 'numpy.ma' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip().splitlines()[-1] == "0 False"
 
     def test_write_example(self, tmp_path):
         target = tmp_path / "example.json"

@@ -10,15 +10,18 @@ from levy_sigkernel.characteristics import (LevyTriplet, PiecewiseVelocity,
                                             characteristic_velocity)
 from levy_sigkernel.development import bound_outer_truncation, develop
 from levy_sigkernel.errors import GridMismatch, InvalidParameter
+from levy_sigkernel import mmd
 from levy_sigkernel.kernel_solver import (_CORRECTOR_PASSES, _cell_intervals,
-                                          _coefficients, _solve_truncated_batch,
+                                          _coefficients, _side_tables,
+                                          _solve_truncated_batch,
                                           apriori_psi, bessel_i0, make_grid,
                                           solve_goursat_scalar,
                                           solve_truncated_system,
                                           truncation_certificate)
+from levy_sigkernel.mmd import AugmentedPathEnsemble, WienerSpec, mmd_to_wiener
 from levy_sigkernel.tensor_algebra import TruncatedTensor as TT
 
-from conftest import random_velocity_tensor
+from conftest import gamma, random_velocity_tensor
 
 I0_1 = 1.2660658777520084
 I0_2 = 2.2795853023360673
@@ -373,6 +376,226 @@ class TestAntiDiagonalSweep:
             _solve_truncated_batch([(v, v)], 2, 0, g, g)
         with pytest.raises(InvalidParameter):
             _solve_truncated_batch([], 2, 2, g, g)
+
+
+def reference_goursat_scalar(alpha, s_grid, t_grid):
+    """Reference: the cell-by-cell loop of the scalar Goursat solver that
+    the anti-diagonal sweep replaced; returns w."""
+    n_i, n_j = len(s_grid) - 1, len(t_grid) - 1
+    cellwise = False
+    if isinstance(alpha, tuple):
+        fvals = np.array([float(alpha[0](s)) for s in s_grid])
+        gvals = np.array([float(alpha[1](t)) for t in t_grid])
+        nodes = np.outer(fvals, gvals)
+    elif callable(alpha):
+        nodes = np.array([[float(alpha(s, t)) for t in t_grid] for s in s_grid])
+    else:
+        cells = np.asarray(alpha, dtype=float)
+        cellwise = True
+    w = np.ones((n_i + 1, n_j + 1))
+    ds = np.diff(s_grid)
+    dtl = np.diff(t_grid).tolist()
+    row_prev = w[0].tolist()
+    for i in range(n_i):
+        h = ds[i]
+        if cellwise:
+            arow = cells[i].tolist()
+        else:
+            a0 = nodes[i].tolist()
+            a1 = nodes[i + 1].tolist()
+        row_new = [1.0] * (n_j + 1)
+        for j in range(n_j):
+            hk = h * dtl[j]
+            if cellwise:
+                v00 = v10 = v01 = v11 = arow[j]
+            else:
+                v00, v01 = a0[j], a0[j + 1]
+                v10, v11 = a1[j], a1[j + 1]
+            p00, p01, q10 = row_prev[j], row_prev[j + 1], row_new[j]
+            cross = p01 - p00
+            phi_known = p00 * v00 + q10 * v10 + p01 * v01
+            w11 = q10 + cross + hk * p00 * v00
+            for _ in range(_CORRECTOR_PASSES):
+                w11 = q10 + cross + 0.25 * hk * (phi_known + w11 * v11)
+            row_new[j + 1] = w11
+        w[i + 1] = row_new
+        row_prev = row_new
+    return w
+
+
+def reference_coefficients(v, vt, M, N):
+    """Reference: the coefficient assembly that the batched identities
+    replaced, with one tensor_mul / adjoint_left_zero per basis vector."""
+    d = v.dim
+    P = min(M, N)
+    Q = min(M, N - 1)
+    Qt = min(N, M - 1)
+    depth_f, depth_g = N - 1, M - 1
+    df, dg = ta.flat_size(d, depth_f), ta.flat_size(d, depth_g)
+    xs = [ta.truncate(x, M) for x in v.tensors]
+    ys = [ta.truncate(y, N) for y in vt.tensors]
+    na, nb = len(xs), len(ys)
+
+    def basis_vectors(depth):
+        size = ta.flat_size(d, depth)
+        for col in range(size):
+            e = np.zeros(size)
+            e[col] = 1.0
+            yield col, ta.unflatten(e, d, depth)
+
+    A = np.empty((na, nb))
+    B = np.empty((na, nb, df))
+    C = np.empty((na, nb, dg))
+    qx = np.empty((na, df))
+    RX = np.empty((na, df, df))
+    AX = np.empty((na, df, dg))
+    for a, x in enumerate(xs):
+        xQ = ta.truncate(x, Q)
+        qx[a] = ta.flatten(xQ, depth_f)
+        for col, e in basis_vectors(depth_f):
+            RX[a][:, col] = ta.flatten(ta.tensor_mul(e, xQ, depth_f), depth_f)
+        for col, e in basis_vectors(depth_g):
+            AX[a][:, col] = ta.flatten(ta.adjoint_left_zero(e, x), depth_f)
+    qy = np.empty((nb, dg))
+    RY = np.empty((nb, dg, dg))
+    AY = np.empty((nb, dg, df))
+    for b, y in enumerate(ys):
+        yQt = ta.truncate(y, Qt)
+        qy[b] = ta.flatten(yQt, depth_g)
+        for col, e in basis_vectors(depth_g):
+            RY[b][:, col] = ta.flatten(ta.tensor_mul(e, yQt, depth_g), depth_g)
+        for col, e in basis_vectors(depth_f):
+            AY[b][:, col] = ta.flatten(ta.adjoint_left_zero(e, y), depth_g)
+    for a, x in enumerate(xs):
+        xP, xQ = ta.truncate(x, P), ta.truncate(x, Q)
+        for b, y in enumerate(ys):
+            A[a, b] = ta.inner_product(xP, ta.truncate(y, P))
+            B[a, b] = ta.flatten(ta.adjoint_right_zero(xQ, y), depth_f)
+            C[a, b] = ta.flatten(ta.adjoint_right_zero(ta.truncate(y, Qt), x), depth_g)
+    return A, B, C, qx, RX, AX, qy, RY, AY
+
+
+def reference_wiener_self_kernel(wiener, grid):
+    """Reference: the MMD's former Wiener self-kernel, the scalar Goursat
+    problem with alpha(s, t) = <a(s), a(t)>/4 per cell, by the cell loop."""
+    idx = np.searchsorted(wiener.time_grid, 0.5 * (grid[:-1] + grid[1:]),
+                          side="right") - 1
+    idx = np.clip(idx, 0, len(wiener.covs) - 1)
+    gram = np.array([[0.25 * np.sum(ai * aj) for aj in wiener.covs]
+                     for ai in wiener.covs])
+    return reference_goursat_scalar(gram[np.ix_(idx, idx)], grid, grid), gram
+
+
+class TestSweepReferences:
+    """Every Goursat solve runs through ``_sweep``; each case is checked
+    against the code it replaced.  The scalar cases are bitwise: the sweep
+    evaluates the loop's sums in the loop's order, except that its
+    predictor forms hk * (w a) where the loop formed (hk * w) * a.  Each
+    corrector pass scales that last-bit difference by hk |a| / 4, so it can
+    reach w only at a rounding boundary; in these cases it never does."""
+
+    @pytest.mark.parametrize("alpha, n_s, n_t", [
+        ((lambda s: 1.0, lambda t: 1.0), 513, 513),
+        ((lambda s: 2.0 * s, lambda t: 1.0), 513, 513),
+        ((lambda s: -1.0, lambda t: 1.0), 129, 129),
+        (lambda s, t: math.sin(3.0 * s) * math.cos(2.0 * t) + s * t, 65, 65),
+        (lambda s, t: math.exp(s - 2.0 * t) - 0.5, 33, 57),
+        ((lambda s: math.cos(5.0 * s), lambda t: 1.0 + t * t), 41, 17),
+        ("cells", 65, 65),
+        ("cells", 57, 33),
+    ], ids=["one-513", "2s-513", "minus-one-129", "callable-65", "callable-33x57",
+            "separable-41x17", "cells-65", "cells-57x33"])
+    def test_scalar_goursat_matches_cell_loop(self, rng, alpha, n_s, n_t):
+        if isinstance(alpha, tuple) and n_s >= 129:
+            # the uniform grids of the Bessel tests
+            s_grid = t_grid = unigrid(n_s)
+        else:
+            s_grid = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0, 1, n_s - 2)]))
+            t_grid = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0, 1, n_t - 2)]))
+        if alpha == "cells":
+            alpha = rng.normal(size=(n_s - 1, n_t - 1))
+        surf = solve_goursat_scalar(alpha, s_grid, t_grid)
+        assert np.array_equal(surf.w, reference_goursat_scalar(alpha, s_grid, t_grid))
+
+    @pytest.mark.parametrize("d, M, N", [
+        (1, 3, 5), (1, 1, 2), (2, 5, 3), (2, 2, 2), (2, 1, 3), (3, 4, 4), (3, 2, 3)])
+    def test_side_tables_match_per_basis_vector_assembly(self, rng, d, M, N):
+        grid = np.array([0.0, 0.3, 1.0])
+        v = random_velocity(rng, d, max(M, N) + 1, grid, scale=0.8)
+        vt = random_velocity(rng, d, max(M, N), np.array([0.0, 0.6, 0.8, 1.0]), scale=0.8)
+        tables = _coefficients(v, vt, M, N)
+        reference = reference_coefficients(v, vt, M, N)
+        assert len(tables) == len(reference) == 9
+        for got, want in zip(tables, reference):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+        # one helper serves both sides, with the levels swapped
+        for got, want in zip(_side_tables(vt, N, M), reference[6:]):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_batched_adjoint_left_zero_rows_match_single_calls(self, rng, d):
+        rows = 5
+        for depth_x, depth_z in [(0, 3), (2, 3), (3, 2), (2, 4)]:
+            x = TT(d, [rng.normal(size=(rows, d**n)) for n in range(depth_x + 1)])
+            x.levels[-1][1] = 0.0    # a zero row within a live level
+            z = TT(d, [rng.normal(size=d**n) for n in range(depth_z + 1)])
+            zb = TT(d, [rng.normal(size=(rows, d**n)) for n in range(depth_z + 1)])
+            out, outb = ta.adjoint_left_zero(x, z), ta.adjoint_left_zero(x, zb)
+            flat, flatb = ta.flatten(out, depth_z), ta.flatten(outb, depth_z)
+            for p in range(rows):
+                xp = TT(d, [lev[p] for lev in x.levels])
+                zp = TT(d, [lev[p] for lev in zb.levels])
+                single = ta.adjoint_left_zero(xp, z)
+                for lev, ref in zip(out.levels, single.levels):
+                    assert np.array_equal(lev[p], ref)
+                assert np.array_equal(flat[p], ta.flatten(single, depth_z))
+                single = ta.adjoint_left_zero(xp, zp)
+                assert np.array_equal(flatb[p], ta.flatten(single, depth_z))
+                back = ta.unflatten(flatb, d, depth_z)
+                for lev, ref in zip(back.levels, single.levels):
+                    assert np.array_equal(lev[p], ref)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_mmd_wiener_surface_is_the_old_scalar_goursat(self, rng, monkeypatch, d):
+        m = 3
+        ens = AugmentedPathEnsemble(
+            dim=d, time_grid=np.array([0.0, 0.5, 1.0]),
+            derivs=[rng.uniform(-1, 1, size=(2, d)) for _ in range(m)],
+            area_derivs=[None] * m)
+        covs = []
+        for _ in range(3):
+            f = rng.uniform(-1, 1, size=(d, d))
+            covs.append(f @ f.T + 0.3 * np.eye(d))
+        wiener = WienerSpec(d, np.array([0.0, 0.25, 0.7, 1.0]), covs)
+        calls = []
+
+        def counted(pairs, *args):
+            calls.append(len(pairs))
+            return _solve_truncated_batch(pairs, *args)
+
+        monkeypatch.setattr(mmd, "_solve_truncated_batch", counted)
+        _, report = mmd_to_wiener(ens, wiener, 65)
+        assert calls == [1 + m + m * (m + 1) // 2]
+        surf = report.surfaces["wiener"]
+        assert np.all(surf.f == 0.0) and np.all(surf.ftilde == 0.0)
+        w_ref, gram = reference_wiener_self_kernel(wiener, surf.s_grid)
+        if d == 1:
+            # alpha is one product either way: the same bits
+            assert np.array_equal(surf.w, w_ref)
+        else:
+            # the solver rounds alpha as the dot <a_i/2, a_j/2>, the old
+            # code as 0.25 * sum(a_i * a_j): both lie within gamma_{d^2} of
+            # sum |a_i a_j|/4 <= abar.  A coefficient change delta moves w by
+            # at most delta * s * t * max|w|^2 (alpha >= 0), and the two
+            # runs' own roundings, a few eps per cell at most, add up over
+            # the n_i * n_j cells of the rectangle below each node
+            abar = max(0.25 * np.sum(np.abs(ai * aj)) for ai in covs for aj in covs)
+            wmax = np.abs(w_ref).max()
+            n_cells = (len(surf.s_grid) - 1) ** 2
+            tol = (2 * gamma(d * d) * abar * wmax + 4 * n_cells * np.finfo(float).eps) * wmax
+            assert np.abs(surf.w - w_ref).max() <= tol
+            assert np.all(gram >= 0.0)
 
 
 class TestCertificate:

@@ -6,7 +6,8 @@ import pytest
 
 from levy_sigkernel import tensor_algebra as ta
 from levy_sigkernel.errors import (DimMismatch, InvalidParameter, InvalidWord,
-                                   LevySigKernelError, ScalarPartError)
+                                   LevySigKernelError, ScalarPartError,
+                                   Unsupported)
 from levy_sigkernel.tensor_algebra import TruncatedTensor as TT
 
 from conftest import gamma, random_tensor
@@ -197,6 +198,30 @@ class TestExpLog:
         for op in (lambda t: t.scalar(), ta.log_tensor, ta.group_inverse):
             with pytest.raises(LevySigKernelError):
                 op(x)
+
+
+class TestBatchRejected:
+    """Operations that reduce a tensor to numbers take single tensors."""
+
+    @pytest.mark.parametrize("op", [
+        lambda x, y: x + y, lambda x, y: y + x, lambda x, y: x - y,
+        lambda x, y: y - x, lambda x, y: ta.inner_product(x, y),
+        lambda x, y: ta.inner_product(y, x), lambda x, y: ta.level_norms(x),
+        lambda x, y: ta.norm_p(x, 1), lambda x, y: ta.norm_p(x, 2),
+        lambda x, y: ta.max_level_norm(x), lambda x, y: x.scalar(),
+    ], ids=["add", "radd", "sub", "rsub", "inner", "rinner", "level_norms",
+            "norm_1", "norm_2", "norm_max", "scalar"])
+    @pytest.mark.parametrize("batched_level", [0, 1])
+    def test_batch_is_unsupported(self, op, batched_level):
+        x = TT(2, [np.ones(1), np.ones(2)])
+        x.levels[batched_level] = np.ones((3, 2**batched_level))
+        with pytest.raises(Unsupported):
+            op(x, TT(2, [np.ones(1), np.ones(2)]))
+
+    def test_single_results_unchanged(self):
+        x = TT(2, [np.ones(1), np.array([3.0, 4.0])])
+        assert ta.norm_p(x, 1) == 6.0 and ta.inner_product(x, x) == 26.0
+        assert ta.norm_p(x + x - x, "max") == 5.0
 
 
 def dense_tensor_mul(x, y, out_depth=None):
@@ -500,6 +525,11 @@ class TestFlatLayout:
         assert vec.shape == (ta.flat_size(3, 2),)
         back = ta.unflatten(vec, 3, 2)
         assert ta.norm_p(back - x, 1) == 0.0
+
+    def test_unflatten_checks_length(self):
+        for vec in (np.zeros(5), np.zeros(8), np.zeros((3, 5)), np.float64(1.0)):
+            with pytest.raises(InvalidParameter):
+                ta.unflatten(vec, 2, 2)
 
     def test_from_levels_validation(self):
         with pytest.raises(InvalidParameter):
