@@ -100,10 +100,12 @@ def velocity_difference_mass(v: PiecewiseVelocity, w: PiecewiseVelocity,
     piecewise-constant velocities on possibly different grids."""
     if v.dim != w.dim:
         raise InvalidParameter("velocity dims differ")
-    cuts = np.unique(np.concatenate([
+    # sort and drop exact duplicates: np.unique would import numpy.ma
+    cuts = np.sort(np.concatenate([
         v.time_grid[(v.time_grid > s) & (v.time_grid < t)],
         w.time_grid[(w.time_grid > s) & (w.time_grid < t)],
         [s, t]]))
+    cuts = cuts[np.concatenate([[True], cuts[1:] != cuts[:-1]])]
     depth = max(v.depth, w.depth)
     total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):

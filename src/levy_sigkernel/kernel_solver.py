@@ -11,14 +11,24 @@ followed by trapezoidal corrector passes (second order).  Two corrector
 passes are used: the second re-evaluates the far-corner integrand at
 corrected values, which keeps the scheme's second-order error constant
 clean (a single pass leaves an O(h^3) defect from the first-order
-predictor that can dominate on coarse grids).  A cell needs only its
-three nodes nearer the origin, so the sweep advances one anti-diagonal
-i + j = const at a time and updates all of its cells, for a batch of
-surfaces on the same grid, with stacked numpy operations.  The scalar
-Goursat problem d^2 u/ds dt = alpha u is the same sweep with no fields.
-Boundary rows are one-dimensional ODEs with w = 1 and the opposite
-coupling term zero.  Grids must contain every velocity breakpoint so
-that all interval integrals are exact.
+predictor that can dominate on coarse grids).
+
+The scheme is linear, so a cell's predictor and corrector passes are a
+transfer map: a (3D, D) matrix taking the states X = (w, f, g) (width
+D = 1 + df + dg) at its three nodes nearer the origin to the increments
+of the far corner over its structural part, w11 - (w10 + (w01 - w00)),
+f11 - f01 and g11 - g10.  A map depends only on the surface, the cell's
+velocity-interval pair and its exact step sizes, so each distinct one is
+built once, by running the cell update on unit inputs.  The sweep then
+advances one anti-diagonal i + j = const at a time, for a batch of
+surfaces on the same grid: one contraction gives the increments of all
+its cells, and the structural part is added as in the cell update, so
+the maps' rounding scales with the small increments, not with w.  The
+scalar Goursat problem d^2 u/ds dt = alpha u is the same sweep with no
+fields (D = 1, one map per cell when alpha is given at nodes).  Boundary
+rows are one-dimensional ODEs with w = 1 and the opposite coupling term
+zero.  Grids must contain every velocity breakpoint so that all interval
+integrals are exact.
 
 Cross-term truncation levels are Q = min(M, N-1) on the first slot and
 Q' = min(N, M-1) on the second; for M = N both equal min(M, N) - 1.
@@ -189,10 +199,140 @@ def _cumulative_mass(grid: np.ndarray, v: PiecewiseVelocity) -> np.ndarray:
 
 
 _CORRECTOR_PASSES = 2
+# states up to this width contract each diagonal as one gathered product;
+# wider ones as one GEMM per run of cells that share a map.  The two take
+# the same time at width 7, where the gather's per-cell copy of the maps
+# already costs the MMD 3 MiB of peak memory
+_GATHER_MAX_WIDTH = 5
+# cap, in floats, on one chunk's unit-input block when building maps
+_MAP_CHUNK_FLOATS = 1 << 13
+
+
+def _cell_increments(X00, X01, X10, h, k, A, B, C, qx, RX, AX, qy, RY, AY):
+    """One cell's predictor and corrector passes, in increment form.
+
+    ``X00``, ``X01``, ``X10`` (shape ``(m, n, D)``, or ``(1, n, D)`` for
+    inputs shared by all cells) are ``n`` states ``(w, F, G)`` at the known
+    corners (i, j), (i, j+1), (i+1, j) of each of ``m`` cells; ``h``, ``k``
+    and the four corner scalars ``A`` have shape ``(m,)``, the vectors
+    ``(m, width)`` and the matrices ``(m, rows, cols)``.
+    Returns ``(m, n, D)`` increments over the structural part of the far
+    corner: ``dw = w11 - (w10 + (w01 - w00))``, ``dF = F11 - F01`` and
+    ``dG = G11 - G10``.
+    """
+    df = qx.shape[-1]
+    (w00, F00, G00), (w01, F01, G01), (w10, F10, G10) = (
+        (X[..., 0], X[..., 1:1 + df], X[..., 1 + df:]) for X in (X00, X01, X10))
+    A00, A01, A10, A11 = (a[:, None] for a in A)
+    hk = (h * k)[:, None]
+    h, k = h[:, None, None], k[:, None, None]
+    qx, qy = qx[:, None], qy[:, None]
+
+    # products over a width-zero field are zero; skipping them saves the
+    # scalar problem a per-cell loop inside matmul
+    def dot(x, y):
+        return np.matmul(x, y[..., None])[..., 0] if x.shape[-1] else 0.0
+
+    def mv(mat, x):
+        return np.matmul(x, np.swapaxes(mat, -1, -2)) if x.shape[-1] else 0.0
+
+    # w-integrand at the three known corners of each cell
+    phi00 = w00 * A00 + dot(F00, B) + dot(G00, C)
+    phi01 = w01 * A01 + dot(F01, B) + dot(G01, C)
+    phi10 = w10 * A10 + dot(F10, B) + dot(G10, C)
+    cross = w01 - w00
+    # field integrands at the left end of each cell's s- and t-step
+    Fd01 = w01[..., None] * qx + mv(RX, F01) + mv(AX, G01)
+    Gd10 = w10[..., None] * qy + mv(RY, G10) + mv(AY, F10)
+    # rectangle-rule predictor, then trapezoidal corrector passes
+    dw, dF, dG = hk * phi00, h * Fd01, k * Gd10
+    for _ in range(_CORRECTOR_PASSES):
+        w11, F11, G11 = w10 + cross + dw, F01 + dF, G10 + dG
+        phi11 = w11 * A11 + dot(F11, B) + dot(G11, C)
+        Fd11 = w11[..., None] * qx + mv(RX, F11) + mv(AX, G11)
+        Gd11 = w11[..., None] * qy + mv(RY, G11) + mv(AY, F11)
+        dw = 0.25 * hk * (phi00 + phi10 + phi01 + phi11)
+        dF = 0.5 * h * (Fd01 + Fd11)
+        dG = 0.5 * k * (Gd10 + Gd11)
+    return np.concatenate([dw[..., None], dF, dG], axis=-1)
+
+
+def _step_classes(steps, idx):
+    """Distinct ``(interval, exact step)`` pairs of each surface along one
+    grid axis, found by sort and mask.  Classes are numbered surface by
+    surface; returns each cell's class and the surface and cell of each
+    class's first member."""
+    n_s, n = idx.shape
+    keys = np.stack([np.repeat(np.arange(n_s), n), idx.ravel(),
+                     np.tile(steps.view(np.int64), n_s)])
+    order = np.lexsort(keys[::-1])
+    keys = keys[:, order]
+    new = np.ones(n_s * n, dtype=bool)
+    new[1:] = np.any(keys[:, 1:] != keys[:, :-1], axis=0)
+    cls = np.empty(n_s * n, dtype=np.intp)
+    cls[order] = np.cumsum(new) - 1
+    first = order[new]
+    return cls.reshape(n_s, n), first // n, first % n
+
+
+def _transfer_maps(ds, dt, sidx, tidx, A, B, C, qx, RX, AX, qy, RY, AY):
+    """The distinct increment maps of a batch of surfaces.
+
+    A cell's increments are linear in its three known corner states, with
+    a ``(3D, D)`` map ``L`` (``delta = [X00, X01, X10] @ L``) that depends
+    only on the surface, its interval pair and its exact step sizes.  Each
+    distinct map is built once by running ``_cell_increments`` on the
+    ``3D`` unit inputs, in chunks of bounded size.  Returns the maps,
+    ``(S, T)`` such that cell (i, j) of surface p uses map
+    ``S[p, i] + T[p, j]``, and the number of maps of each surface.
+    """
+    n_surf = len(sidx)
+    s_cls, s_surf, s_cell = _step_classes(ds, sidx)
+    t_cls, t_surf, t_cell = _step_classes(dt, tidx)
+    n_t = np.bincount(t_surf, minlength=n_surf)
+    t_first = np.cumsum(n_t) - n_t
+    # maps are numbered by s-class, then by t-class of the same surface
+    per_s = n_t[s_surf]
+    s_first = np.cumsum(per_s) - per_s
+    map_s = np.repeat(np.arange(len(per_s)), per_s)
+    map_t = t_first[s_surf[map_s]] + np.arange(len(map_s)) - s_first[map_s]
+    p, i, j = s_surf[map_s], s_cell[map_s], t_cell[map_t]
+    a, b = sidx[p, i], tidx[p, j]
+    D = 1 + qx.shape[-1] + qy.shape[-1]
+    unit = np.eye(3 * D)[None]
+    corners = unit[..., :D], unit[..., D:2 * D], unit[..., 2 * D:]
+    maps = np.empty((len(map_s), 3 * D, D))
+    chunk = max(1, _MAP_CHUNK_FLOATS // (3 * D * D))
+    for lo in range(0, len(maps), chunk):
+        c = slice(lo, lo + chunk)
+        pa, pb, pab = (p[c], a[c]), (p[c], b[c]), (p[c], a[c], b[c])
+        maps[c] = _cell_increments(
+            *corners, ds[i[c]], dt[j[c]], tuple(x[pab] for x in A), B[pab], C[pab],
+            qx[pa], RX[pa], AX[pa], qy[pb], RY[pb], AY[pb])
+    return maps, s_first[s_cls], t_cls - t_first[:, None], np.bincount(p, minlength=n_surf)
+
+
+def _apply_maps(maps, idx, xc):
+    """Increments ``xc[p, c] @ maps[idx[p, c]]`` of a diagonal's cells.
+
+    States of width up to ``_GATHER_MAX_WIDTH`` take one gathered
+    ``einsum``, whose sums do not depend on the BLAS build; wider ones one
+    GEMM (``np.matmul``, whose sums do) per run of consecutive cells with
+    the same map.  Maps are keyed by surface, so runs never cross surfaces.
+    """
+    D = maps.shape[-1]
+    if D <= _GATHER_MAX_WIDTH:
+        return np.einsum("pcm,pcmd->pcd", xc, maps[idx])
+    flat, rows = idx.ravel(), xc.reshape(-1, 3 * D)
+    delta = np.empty((len(flat), D))
+    cuts = [0, *(np.flatnonzero(flat[1:] != flat[:-1]) + 1), len(flat)]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        np.matmul(rows[lo:hi], maps[flat[lo]], out=delta[lo:hi])
+    return delta.reshape(*idx.shape, D)
 
 
 def _sweep(ds, dt, sidx, tidx, A, B, C, qx, RX, AX, qy, RY, AY):
-    """Anti-diagonal predictor-corrector sweep over a batch of surfaces.
+    """Anti-diagonal sweep over a batch of surfaces, by transfer maps.
 
     Every table has a leading surface axis ``p``.  ``sidx[p]``/``tidx[p]``
     map grid cells to velocity intervals.  ``A = (A00, A01, A10, A11)``
@@ -206,32 +346,39 @@ def _sweep(ds, dt, sidx, tidx, A, B, C, qx, RX, AX, qy, RY, AY):
     t-interval) define the two field ODE integrands.  Fields may have
     width zero.
 
-    Cell (i+1, j+1) needs only nodes (i, j), (i+1, j) and (i, j+1), so the
-    cells of one anti-diagonal i + j = const are independent and are
-    updated together, for all surfaces at once.  Every cell runs the
-    predictor and the corrector passes as one fixed sequence of
-    operations: mat-vecs and the dots at nodes (i+1, j) and (i+1, j+1) are
-    one BLAS call per cell through ``np.matmul``, and the dots at nodes
-    (i, j) and (i, j+1) one ``einsum`` row each.  A cell's bits therefore do
-    not depend on which other cells or surfaces share its diagonal.
-    Returns (w, f, g) node arrays with the surface axis first.
+    Each cell's predictor and corrector passes are a linear map from its
+    three known corner states ``X = (w, F, G)`` (width ``D = 1 + df + dg``)
+    to its increments (``_cell_increments``).  One map serves every cell
+    with the same key (surface, s-class, t-class), where an s-class is a
+    distinct pair (interval, exact bits of the step h) along s and a
+    t-class the same along t; ``_transfer_maps`` builds each distinct map
+    once.  Cell (i+1, j+1) needs only nodes (i, j), (i+1, j) and (i, j+1),
+    so each anti-diagonal takes one contraction for all surfaces
+    (``_apply_maps``: a gathered product for ``D`` up to
+    ``_GATHER_MAX_WIDTH``, the scalar problem included, one GEMM per run
+    of cells sharing a map above it).  The far corner is the structural
+    part plus the increment, ``w11 = w10 + (w01 - w00) + dw``,
+    ``F11 = F01 + dF``, ``G11 = G10 + dG``.  The contraction is chosen by
+    ``D`` alone and runs never cross surfaces, so a surface's bits do not
+    depend on which surfaces share its batch.  Boundary rows are
+    one-dimensional ODEs stepped in place.  Returns (w, f, g) node arrays
+    with the surface axis first, views of one state array, and the number
+    of maps of each surface.
     """
     n_s = len(sidx)
     n_i, n_j = len(ds), len(dt)
     df, dg = qx.shape[-1], qy.shape[-1]
-    w = np.ones((n_s, n_i + 1, n_j + 1))
-    F = np.zeros((n_s, n_i + 1, n_j + 1, df))
-    G = np.zeros((n_s, n_i + 1, n_j + 1, dg))
+    D = 1 + df + dg
+    X = np.zeros((n_s, n_i + 1, n_j + 1, D))
+    X[..., 0] = 1.0
+    w, F, G = X[..., 0], X[..., 1:1 + df], X[..., 1 + df:]
 
     def mv(mat, vec):
         return np.matmul(mat, vec[..., None])[..., 0]
 
-    def dot(x, y):
-        return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
-
     p = np.arange(n_s)
     # t = 0 boundary: f solves its ODE with w = 1 and g = 0
-    for i in range(n_i):
+    for i in range(n_i if df else 0):
         a, h = sidx[:, i], ds[i]
         qxa, RXa = qx[p, a], RX[p, a]
         f0 = F[:, i, 0]
@@ -241,7 +388,7 @@ def _sweep(ds, dt, sidx, tidx, A, B, C, qx, RX, AX, qy, RY, AY):
             f1 = f0 + 0.5 * h * (d0 + qxa + mv(RXa, f1))
         F[:, i + 1, 0] = f1
     # s = 0 boundary: g solves its ODE with w = 1 and f = 0
-    for j in range(n_j):
+    for j in range(n_j if dg else 0):
         b, k = tidx[:, j], dt[j]
         qyb, RYb = qy[p, b], RY[p, b]
         g0 = G[:, 0, j]
@@ -251,46 +398,24 @@ def _sweep(ds, dt, sidx, tidx, A, B, C, qx, RX, AX, qy, RY, AY):
             g1 = g0 + 0.5 * k * (d0 + qyb + mv(RYb, g1))
         G[:, 0, j + 1] = g1
 
-    p = p[:, None]  # broadcasts against the (surface, cell) index arrays
+    maps, S, T, n_maps = _transfer_maps(ds, dt, sidx, tidx, A, B, C,
+                                        qx, RX, AX, qy, RY, AY)
+    nodes = X.reshape(n_s, -1, D)
+    # node offsets of corners (i, j), (i, j+1), (i+1, j) from node (i, j)
+    known = np.array([0, 1, n_j + 1])
     for diag in range(n_i + n_j - 1):
         i = np.arange(max(0, diag - n_j + 1), min(diag, n_i - 1) + 1)
         j = diag - i
-        h, k = ds[i], dt[j]
-        hk = h * k
-        a, b = sidx[:, i], tidx[:, j]
-        A00, A01, A10, A11 = (corner[p, a, b] for corner in A)
-        Bab, Cab = B[p, a, b], C[p, a, b]
-        qxa, RXa, AXa = qx[p, a], RX[p, a], AX[p, a]
-        qyb, RYb, AYb = qy[p, b], RY[p, b], AY[p, b]
-        w00, w01, w10 = w[:, i, j], w[:, i, j + 1], w[:, i + 1, j]
-        F00, F01, F10 = F[:, i, j], F[:, i, j + 1], F[:, i + 1, j]
-        G00, G01, G10 = G[:, i, j], G[:, i, j + 1], G[:, i + 1, j]
-        # w-integrand at the three known corners of each cell
-        phi00 = (w00 * A00 + np.einsum("...d,...d->...", F00, Bab)
-                 + np.einsum("...d,...d->...", G00, Cab))
-        phi01 = (w01 * A01 + np.einsum("...d,...d->...", F01, Bab)
-                 + np.einsum("...d,...d->...", G01, Cab))
-        phi10 = w10 * A10 + dot(F10, Bab) + dot(G10, Cab)
-        cross = w01 - w00
-        # field integrands at the left end of each cell's s- and t-step
-        Fd01 = w01[..., None] * qxa + mv(RXa, F01) + mv(AXa, G01)
-        Gd10 = w10[..., None] * qyb + mv(RYb, G10) + mv(AYb, F10)
-        h, k = h[:, None], k[:, None]
-        # rectangle-rule predictor at the far corner
-        w11 = w10 + cross + hk * phi00
-        F11 = F01 + h * Fd01
-        G11 = G10 + k * Gd10
-        for _ in range(_CORRECTOR_PASSES):
-            phi11 = w11 * A11 + dot(F11, Bab) + dot(G11, Cab)
-            Fd11 = w11[..., None] * qxa + mv(RXa, F11) + mv(AXa, G11)
-            Gd11 = w11[..., None] * qyb + mv(RYb, G11) + mv(AYb, F11)
-            w11 = w10 + cross + 0.25 * hk * (phi00 + phi10 + phi01 + phi11)
-            F11 = F01 + 0.5 * h * (Fd01 + Fd11)
-            G11 = G10 + 0.5 * k * (Gd10 + Gd11)
-        w[:, i + 1, j + 1] = w11
-        F[:, i + 1, j + 1] = F11
-        G[:, i + 1, j + 1] = G11
-    return w, F, G
+        idx = S[:, i] + T[:, j]
+        node = i * (n_j + 1) + j
+        x = nodes.take(node[:, None] + known, axis=1)
+        delta = _apply_maps(maps, idx, x.reshape(n_s, len(i), 3 * D))
+        x00, far, x10 = x[:, :, 0], x[:, :, 1], x[:, :, 2]
+        # structural part of the far corner: w10 + (w01 - w00), F01, G10
+        far[..., 0] = x10[..., 0] + (far[..., 0] - x00[..., 0])
+        far[..., 1 + df:] = x10[..., 1 + df:]
+        nodes[:, node + n_j + 2] = far + delta
+    return w, F, G, n_maps
 
 
 def solve_goursat_scalar(alpha, s_grid, t_grid,
@@ -331,14 +456,15 @@ def solve_goursat_scalar(alpha, s_grid, t_grid,
     B = np.zeros((1, n_i, n_j, 0))
     qx, RX = np.zeros((1, n_i, 0)), np.zeros((1, n_i, 0, 0))
     qy, RY = np.zeros((1, n_j, 0)), np.zeros((1, n_j, 0, 0))
-    w, _, _ = _sweep(np.diff(s_grid), np.diff(t_grid),
-                     np.arange(n_i)[None], np.arange(n_j)[None],
-                     tuple(c[None] for c in corners), B, B, qx, RX, RX, qy, RY, RY)
+    w, _, _, n_maps = _sweep(np.diff(s_grid), np.diff(t_grid),
+                             np.arange(n_i)[None], np.arange(n_j)[None],
+                             tuple(c[None] for c in corners), B, B, qx, RX, RX, qy, RY, RY)
     return KernelSurface(
         s_grid=s_grid, t_grid=t_grid, w=w[0],
         s_mass=None if s_mass is None else np.asarray(s_mass, dtype=float),
         t_mass=None if t_mass is None else np.asarray(t_mass, dtype=float),
-        meta={"system": "goursat-scalar", "scheme_order": 2})
+        meta={"system": "goursat-scalar", "scheme_order": 2, "cells": n_i * n_j,
+              "state_width": 1, "maps": int(n_maps[0])})
 
 
 def solve_truncated_system(v: PiecewiseVelocity, vt: PiecewiseVelocity,
@@ -398,12 +524,15 @@ def _solve_truncated_batch(pairs, M: int, N: int, s_grid, t_grid) -> list[Kernel
     sidx = np.stack([_cell_intervals(s_grid, v.time_grid) for v, _ in pairs])
     tidx = np.stack([_cell_intervals(t_grid, vt.time_grid) for _, vt in pairs])
     A, *fields = map(_stack_padded, tables)
-    w, F, G = _sweep(np.diff(s_grid), np.diff(t_grid), sidx, tidx, (A,) * 4, *fields)
+    w, F, G, n_maps = _sweep(np.diff(s_grid), np.diff(t_grid), sidx, tidx, (A,) * 4, *fields)
+    cells = (len(s_grid) - 1) * (len(t_grid) - 1)
+    width = 1 + F.shape[-1] + G.shape[-1]
     return [KernelSurface(
         s_grid=s_grid, t_grid=t_grid, w=w[p], dim=d,
         f=F[p], ftilde=G[p], f_depth=N - 1, ftilde_depth=M - 1,
         s_mass=mass(s_grid, v, M), t_mass=mass(t_grid, vt, N),
-        meta={"system": "truncated", "M": M, "N": N, "scheme_order": 2})
+        meta={"system": "truncated", "M": M, "N": N, "scheme_order": 2,
+              "cells": cells, "state_width": width, "maps": int(n_maps[p])})
         for p, (v, vt) in enumerate(pairs)]
 
 

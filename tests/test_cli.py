@@ -236,6 +236,22 @@ class TestEntryPoints:
                              capture_output=True, text=True).stdout
         assert out.strip().splitlines()[-1] == "0 False"
 
+    def test_bound_lipschitz_does_not_load_numpy_ma(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(levy_sigkernel.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        # the two velocity grids share the cut 0.5, which must be merged
+        code = ("import sys; from levy_sigkernel.characteristics import PiecewiseVelocity; "
+                "from levy_sigkernel.development import bound_lipschitz; "
+                "from levy_sigkernel.tensor_algebra import TruncatedTensor as TT; "
+                "x = [TT.from_levels(1, [[0.0], [c]]) for c in (1.0, -2.0, 0.5)]; "
+                "v = PiecewiseVelocity(1, [0.0, 0.5, 1.0], x[:2]); "
+                "u = PiecewiseVelocity(1, [0.0, 0.25, 0.5, 1.0], x); "
+                "print(bound_lipschitz(v, u, 0.0, 1.0) > 0, 'numpy.ma' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip().splitlines()[-1] == "True False"
+
     def test_write_example(self, tmp_path):
         target = tmp_path / "example.json"
         assert main(["--write-example", str(target)]) == 0

@@ -11,9 +11,11 @@ from levy_sigkernel.characteristics import (LevyTriplet, PiecewiseVelocity,
 from levy_sigkernel.development import bound_outer_truncation, develop
 from levy_sigkernel.errors import GridMismatch, InvalidParameter
 from levy_sigkernel import mmd
-from levy_sigkernel.kernel_solver import (_CORRECTOR_PASSES, _cell_intervals,
-                                          _coefficients, _side_tables,
-                                          _solve_truncated_batch,
+from levy_sigkernel import kernel_solver
+from levy_sigkernel.kernel_solver import (_CORRECTOR_PASSES, _apply_maps,
+                                          _cell_intervals, _coefficients,
+                                          _side_tables, _solve_truncated_batch,
+                                          _transfer_maps,
                                           apriori_psi, bessel_i0, make_grid,
                                           solve_goursat_scalar,
                                           solve_truncated_system,
@@ -92,6 +94,12 @@ class TestScalarGoursat:
     def test_zero_alpha(self):
         surf = solve_goursat_scalar(lambda s, t: 0.0, unigrid(17), unigrid(17))
         assert np.all(surf.w == 1.0)
+
+    @pytest.mark.parametrize("n_s, n_t", [(1, 2), (2, 1), (1, 1)])
+    def test_single_node_grid_has_no_cells(self, n_s, n_t):
+        surf = solve_goursat_scalar((lambda s: 1.0, lambda t: 1.0), unigrid(n_s), unigrid(n_t))
+        assert surf.w.shape == (n_s, n_t) and np.all(surf.w == 1.0)
+        assert surf.meta["cells"] == surf.meta["maps"] == 0
 
     def test_constant_alpha_bessel(self):
         g = unigrid(513)
@@ -318,6 +326,129 @@ def lexicographic_sweep(ds, dt, sidx, tidx, A, B, C, qx, RX, AX, qy, RY, AY):
     return w, F, G
 
 
+U = np.finfo(float).eps / 2
+
+
+def reference_cells(x00, x01, x10, h, k, A, B, C, qx, RX, AX, qy, RY, AY, sign=-1.0):
+    """Reference: the cell update of ``lexicographic_sweep`` for a stack of
+    cells (leading axis) with corner states x = (w, F, G).  Returns the
+    structural part of the far corner, (w10 + (w01 - w00), F01, G10), and
+    the increment over it; the far corner is their sum.  Called on
+    magnitudes with ``sign=+1`` every subtraction becomes an addition, so
+    the increment is then the sum of the magnitudes of all its terms, which
+    bounds the rounding of any evaluation order (Higham, Accuracy and
+    Stability of Numerical Algorithms, Ch. 3)."""
+    df = qx.shape[-1]
+    (w00, F00, G00), (w01, F01, G01), (w10, F10, G10) = (
+        (x[:, 0], x[:, 1:1 + df], x[:, 1 + df:]) for x in (x00, x01, x10))
+    A00, A01, A10, A11 = A
+    hk, hc, kc = h * k, h[:, None], k[:, None]
+
+    def dot(x, y):
+        return np.einsum("cd,cd->c", x, y)
+
+    def mv(mat, x):
+        return np.einsum("cij,cj->ci", mat, x)
+
+    phi00 = w00 * A00 + dot(F00, B) + dot(G00, C)
+    phi01 = w01 * A01 + dot(F01, B) + dot(G01, C)
+    phi10 = w10 * A10 + dot(F10, B) + dot(G10, C)
+    base_w = w10 + (w01 + sign * w00)
+    Fd01 = w01[:, None] * qx + mv(RX, F01) + mv(AX, G01)
+    Gd10 = w10[:, None] * qy + mv(RY, G10) + mv(AY, F10)
+    dw, dF, dG = hk * phi00, hc * Fd01, kc * Gd10
+    for _ in range(_CORRECTOR_PASSES):
+        w11, F11, G11 = base_w + dw, F01 + dF, G10 + dG
+        phi11 = w11 * A11 + dot(F11, B) + dot(G11, C)
+        Fd11 = w11[:, None] * qx + mv(RX, F11) + mv(AX, G11)
+        Gd11 = w11[:, None] * qy + mv(RY, G11) + mv(AY, F11)
+        dw = 0.25 * hk * (phi00 + phi10 + phi01 + phi11)
+        dF = 0.5 * hc * (Fd01 + Fd11)
+        dG = 0.5 * kc * (Gd10 + Gd11)
+    return np.column_stack([base_w, F01, G10]), np.column_stack([dw, dF, dG])
+
+
+def cell_coefficients(tables, ds, dt, sidx, tidx, i, j, magnitudes=False):
+    """Per-cell coefficient arguments of ``reference_cells`` for cells
+    (i, j) of one surface with tables (A00, A01, A10, A11), B, ..., AY."""
+    A4, B, C, qx, RX, AX, qy, RY, AY = tables
+    a, b = sidx[i], tidx[j]
+    out = (ds[i], dt[j], tuple(x[a, b] for x in A4), B[a, b], C[a, b],
+           qx[a], RX[a], AX[a], qy[b], RY[b], AY[b])
+    if magnitudes:
+        out = tuple(tuple(map(np.abs, c)) if isinstance(c, tuple) else np.abs(c)
+                    for c in out)
+    return out
+
+
+def update_roundings(D):
+    """Roundings along any path of one cell update: the predictor and each
+    corrector pass are dot products of length at most D followed by at
+    most 8 further operations."""
+    return (1 + _CORRECTOR_PASSES) * (D + 8)
+
+
+def local_bound(D, far, ref_far, delta_abs):
+    """Largest difference between the solver's far corner and the reference
+    update, both from the same corner states.  Both add the same structural
+    part a to an increment, so they differ by the two increments' errors
+    plus one rounding of each sum, u (|far| + |ref_far|).  The reference
+    increment is within gamma_K of the increment on magnitudes, K =
+    ``update_roundings(D)``.  The solver's map entries are the same update
+    on unit inputs (gamma_K each), applied by a dot product of length 3D
+    (gamma_3D more).  Together: gamma_{2K + 3D}.  The full map of
+    [X00, X01, X10] to X11 has no such bound: its entries near +-1 round
+    by u, which is not small against the increment."""
+    K = update_roundings(D)
+    return U * (np.abs(far) + np.abs(ref_far)) + gamma(2 * K + 3 * D) * delta_abs
+
+
+def assert_sweep_within_rounding(X, X_ref, tables, ds, dt, sidx, tidx):
+    """Check the solver's node states X = (w, F, G) against the reference
+    sweep's X_ref, from rounding bounds of the increment form.
+
+    Locally, every cell of X must match the reference update of its own
+    corner states within ``local_bound``.  Globally, X - X_ref obeys the
+    scheme's linear recursion with a source per cell: the local difference,
+    plus the reference update's own rounding at the two sets of corner
+    states (u for each of fl(w01 - w00), the structural sum and the far
+    corner, and gamma_K on the increment).  The w-error at a node is the sum
+    over the cells below it of the increment errors, F and G errors add up
+    along s and t; bounding each increment error by the magnitudes of the
+    increment map applied to the error majorant E gives |X - X_ref| <= E.
+    The boundary rows of E start from the measured boundary differences."""
+    n_i, n_j, D = len(ds), len(dt), X.shape[-1]
+    df = tables[3].shape[-1]
+    K = update_roundings(D)
+    i, j = (a.ravel() for a in np.meshgrid(np.arange(n_i), np.arange(n_j), indexing="ij"))
+    corners = X[i, j], X[i, j + 1], X[i + 1, j]
+    base, delta = reference_cells(
+        *corners, *cell_coefficients(tables, ds, dt, sidx, tidx, i, j))
+    ref_far, far = base + delta, X[i + 1, j + 1]
+    base_abs, delta_abs = reference_cells(
+        *map(np.abs, corners), *cell_coefficients(tables, ds, dt, sidx, tidx, i, j, True),
+        sign=1.0)
+    assert np.all(np.abs(far - ref_far) <= local_bound(D, far, ref_far, delta_abs))
+    source = np.zeros_like(X)
+    source[i + 1, j + 1] = (U * (4 * np.abs(far) + 4 * base_abs)
+                            + gamma(4 * K + 3 * D) * delta_abs)
+    err = np.abs(X - X_ref)
+    E = np.zeros_like(X)
+    E[:, 0, 1:1 + df] = err[:, 0, 1:1 + df]
+    E[0, :, 1 + df:] = err[0, :, 1 + df:]
+    for diag in range(n_i + n_j - 1):
+        i = np.arange(max(0, diag - n_j + 1), min(diag, n_i - 1) + 1)
+        j = diag - i
+        E00, E01, E10 = E[i, j], E[i, j + 1], E[i + 1, j]
+        _, grow = reference_cells(
+            E00, E01, E10, *cell_coefficients(tables, ds, dt, sidx, tidx, i, j, True),
+            sign=1.0)
+        E[i + 1, j + 1] = (np.column_stack([E10[:, 0] + E01[:, 0] - E00[:, 0],
+                                            E01[:, 1:1 + df], E10[:, 1 + df:]])
+                           + grow + source[i + 1, j + 1])
+    assert np.all(err <= E)
+
+
 def assert_fields_close(F, G, F_ref, G_ref):
     # the sweep's mat-vecs sum in another order than the reference's
     # row-wise products, so the fields may differ in the last bits
@@ -336,26 +467,40 @@ class TestAntiDiagonalSweep:
         vt = random_velocity(rng, d, 3, grid, scale=0.8)
         s_grid, t_grid = make_grid(1.0, n_s, grid), make_grid(1.0, n_t, grid)
         surf = solve_truncated_system(v, vt, M, N, s_grid, t_grid)
-        w, F, G = lexicographic_sweep(
-            np.diff(s_grid), np.diff(t_grid), _cell_intervals(s_grid, grid),
-            _cell_intervals(t_grid, grid), *_coefficients(v, vt, M, N))
+        ds, dt = np.diff(s_grid), np.diff(t_grid)
+        sidx, tidx = _cell_intervals(s_grid, grid), _cell_intervals(t_grid, grid)
+        A, *tables = _coefficients(v, vt, M, N)
+        w, F, G = lexicographic_sweep(ds, dt, sidx, tidx, A, *tables)
         assert surf.w.shape == (len(s_grid), len(t_grid))
-        assert np.array_equal(surf.w, w)
+        assert_sweep_within_rounding(
+            np.concatenate([surf.w[..., None], surf.f, surf.ftilde], axis=-1),
+            np.concatenate([w[..., None], F, G], axis=-1),
+            ((A,) * 4, *tables), ds, dt, sidx, tidx)
         assert_fields_close(surf.f, surf.ftilde, F, G)
 
     def test_batch_matches_single_solves(self, rng):
+        # state width 11: one GEMM per run of cells sharing a map
+        self.check_batch_matches_single_solves(rng, 2, 3)
+
+    def test_gathered_batch_matches_single_solves(self, rng):
+        # state width 5: one gathered product per diagonal
+        self.check_batch_matches_single_solves(rng, 2, 1)
+
+    @staticmethod
+    def check_batch_matches_single_solves(rng, M, N):
         # surfaces with different interval counts share one padded sweep
         grids = [np.array([0.0, 0.25, 1.0]), np.array([0.0, 0.5, 0.75, 1.0]),
                  np.array([0.0, 1.0])]
         vels = [random_velocity(rng, 2, 3, g, scale=0.8) for g in grids]
         pairs = [(vels[0], vels[1]), (vels[2], vels[0]), (vels[1], vels[1])]
         grid = make_grid(1.0, 21, np.concatenate(grids))
-        batch = _solve_truncated_batch(pairs, 2, 3, grid, grid)
+        batch = _solve_truncated_batch(pairs, M, N, grid, grid)
         assert len(batch) == len(pairs)
         for (v, vt), surf in zip(pairs, batch):
-            ref = solve_truncated_system(v, vt, 2, 3, grid, grid)
+            ref = solve_truncated_system(v, vt, M, N, grid, grid)
             assert np.array_equal(surf.w, ref.w)
-            assert_fields_close(surf.f, surf.ftilde, ref.f, ref.ftilde)
+            assert np.array_equal(surf.f, ref.f)
+            assert np.array_equal(surf.ftilde, ref.ftilde)
             assert np.array_equal(surf.s_mass, ref.s_mass)
             assert np.array_equal(surf.t_mass, ref.t_mass)
             assert surf.meta == ref.meta
@@ -376,6 +521,90 @@ class TestAntiDiagonalSweep:
             _solve_truncated_batch([(v, v)], 2, 0, g, g)
         with pytest.raises(InvalidParameter):
             _solve_truncated_batch([], 2, 2, g, g)
+
+
+def map_problem(rng, kind):
+    """Tables of a two-surface batch for ``_transfer_maps`` and the
+    per-surface tables and steps of ``reference_cells``.  ``kind`` is a
+    pair of truncation levels (d = 2) or ``"scalar"`` (random alpha per
+    cell corner).  The s-grid repeats a few step sizes; the t-grid is
+    random, so each of its steps is a class of its own."""
+    grid = np.array([0.0, 0.375, 1.0])
+    s_grid = make_grid(1.0, 9, grid)
+    t_grid = np.sort(np.concatenate([[0.0, 0.375, 1.0], rng.uniform(0, 1, 6)]))
+    ds, dt = np.diff(s_grid), np.diff(t_grid)
+    if kind == "scalar":
+        n_i, n_j = len(ds), len(dt)
+        sidx, tidx = np.arange(n_i), np.arange(n_j)
+        fields = scalar_tables(np.zeros((n_i, n_j)), s_grid, t_grid)[1:]
+        per_surface = [(tuple(rng.normal(size=(n_i, n_j)) for _ in range(4)), *fields)
+                       for _ in range(2)]
+    else:
+        M, N = kind
+        sidx, tidx = _cell_intervals(s_grid, grid), _cell_intervals(t_grid, grid)
+        per_surface = []
+        for _ in range(2):
+            v = random_velocity(rng, 2, 3, grid, scale=0.8)
+            vt = random_velocity(rng, 2, 3, grid, scale=0.8)
+            A, *rest = _coefficients(v, vt, M, N)
+            per_surface.append(((A,) * 4, *rest))
+    stacked = [tuple(np.stack(c) for c in zip(*parts)) if isinstance(parts[0], tuple)
+               else np.stack(parts) for parts in zip(*per_surface)]
+    args = (ds, dt, np.stack([sidx] * 2), np.stack([tidx] * 2), *stacked)
+    return args, per_surface, sidx, tidx
+
+
+class TestTransferMaps:
+    # D = 5 and 15 with their own contraction and the other one forced;
+    # D = 1 for the scalar problem
+    @pytest.mark.parametrize("kind, gather_max", [
+        ((2, 1), None), ((2, 1), 0), ((3, 3), None), ((3, 3), 100), ("scalar", None)],
+        ids=["D5-gather", "D5-gemm", "D15-gemm", "D15-gather", "D1-gather"])
+    def test_maps_match_reference_cell_update(self, rng, monkeypatch, kind, gather_max):
+        if gather_max is not None:
+            monkeypatch.setattr(kernel_solver, "_GATHER_MAX_WIDTH", gather_max)
+        args, per_surface, sidx, tidx = map_problem(rng, kind)
+        ds, dt = args[:2]
+        maps, S, T, n_maps = _transfer_maps(*args)
+        D = maps.shape[-1]
+        i, j = (a.ravel() for a in np.meshgrid(np.arange(len(ds)), np.arange(len(dt)),
+                                                indexing="ij"))
+        x = rng.normal(size=(2, len(i), 3, D))
+        delta = _apply_maps(maps, S[:, i] + T[:, j], x.reshape(2, len(i), 3 * D))
+        for p, tables in enumerate(per_surface):
+            x00, x01, x10 = x[p, :, 0], x[p, :, 1], x[p, :, 2]
+            structural = np.column_stack([x10[:, 0] + (x01[:, 0] - x00[:, 0]),
+                                          x01[:, 1:1 + tables[3].shape[-1]],
+                                          x10[:, 1 + tables[3].shape[-1]:]])
+            far = structural + delta[p]
+            base, ref_delta = reference_cells(
+                x00, x01, x10, *cell_coefficients(tables, ds, dt, sidx, tidx, i, j))
+            ref_far = base + ref_delta
+            _, delta_abs = reference_cells(
+                *map(np.abs, (x00, x01, x10)),
+                *cell_coefficients(tables, ds, dt, sidx, tidx, i, j, True), sign=1.0)
+            assert np.all(np.abs(far - ref_far) <= local_bound(D, far, ref_far, delta_abs))
+            # one map per distinct (interval, step bits) pair on each axis
+            s_keys = {(a, h) for a, h in zip(sidx.tolist(), ds.tolist())}
+            t_keys = {(b, k) for b, k in zip(tidx.tolist(), dt.tolist())}
+            assert n_maps[p] == len(s_keys) * len(t_keys)
+
+    @pytest.mark.parametrize("kind", [(3, 3), "scalar"])
+    def test_memory_cap_does_not_change_maps(self, rng, monkeypatch, kind):
+        args, _, _, _ = map_problem(rng, kind)
+        whole = _transfer_maps(*args)
+        monkeypatch.setattr(kernel_solver, "_MAP_CHUNK_FLOATS", 1)
+        for a, b in zip(whole, _transfer_maps(*args)):
+            assert np.array_equal(a, b)
+
+    def test_solve_metadata(self, rng):
+        grid = np.array([0.0, 0.5, 1.0])
+        v = random_velocity(rng, 2, 3, grid, scale=0.8)
+        surf = solve_truncated_system(v, v, 3, 2, make_grid(1.0, 9, grid),
+                                      make_grid(1.0, 5, grid))
+        # df = flat_size(2, 1) = 3, dg = flat_size(2, 2) = 7; uniform steps
+        assert surf.meta == {"system": "truncated", "M": 3, "N": 2, "scheme_order": 2,
+                             "cells": 32, "state_width": 11, "maps": 4}
 
 
 def reference_goursat_scalar(alpha, s_grid, t_grid):
@@ -421,6 +650,24 @@ def reference_goursat_scalar(alpha, s_grid, t_grid):
         w[i + 1] = row_new
         row_prev = row_new
     return w
+
+
+def scalar_tables(alpha, s_grid, t_grid):
+    """The scalar problem as one system of ``reference_cells``: cell (i, j)
+    is interval pair (i, j) with alpha at its four corners and coupled
+    fields of width zero."""
+    n_i, n_j = len(s_grid) - 1, len(t_grid) - 1
+    if isinstance(alpha, tuple):
+        nodes = np.outer([alpha[0](s) for s in s_grid], [alpha[1](t) for t in t_grid])
+    elif callable(alpha):
+        nodes = np.array([[alpha(s, t) for t in t_grid] for s in s_grid])
+    else:
+        nodes = None
+    A4 = ((np.asarray(alpha, dtype=float),) * 4 if nodes is None else
+          (nodes[:-1, :-1], nodes[:-1, 1:], nodes[1:, :-1], nodes[1:, 1:]))
+    B = np.zeros((n_i, n_j, 0))
+    q, R = np.zeros((max(n_i, n_j), 0)), np.zeros((max(n_i, n_j), 0, 0))
+    return A4, B, B, q, R, R, q, R, R
 
 
 def reference_coefficients(v, vt, M, N):
@@ -488,11 +735,10 @@ def reference_wiener_self_kernel(wiener, grid):
 
 class TestSweepReferences:
     """Every Goursat solve runs through ``_sweep``; each case is checked
-    against the code it replaced.  The scalar cases are bitwise: the sweep
-    evaluates the loop's sums in the loop's order, except that its
-    predictor forms hk * (w a) where the loop formed (hk * w) * a.  Each
-    corrector pass scales that last-bit difference by hk |a| / 4, so it can
-    reach w only at a rounding boundary; in these cases it never does."""
+    against the code it replaced.  The scalar cases are held to the
+    rounding bounds of ``assert_sweep_within_rounding``: the sweep applies
+    each cell's increment as a precomputed map, which rounds in another
+    order than the loop."""
 
     @pytest.mark.parametrize("alpha, n_s, n_t", [
         ((lambda s: 1.0, lambda t: 1.0), 513, 513),
@@ -515,7 +761,13 @@ class TestSweepReferences:
         if alpha == "cells":
             alpha = rng.normal(size=(n_s - 1, n_t - 1))
         surf = solve_goursat_scalar(alpha, s_grid, t_grid)
-        assert np.array_equal(surf.w, reference_goursat_scalar(alpha, s_grid, t_grid))
+        w_ref = reference_goursat_scalar(alpha, s_grid, t_grid)
+        n_i, n_j = len(s_grid) - 1, len(t_grid) - 1
+        assert surf.meta["cells"] == surf.meta["maps"] == n_i * n_j
+        assert surf.meta["state_width"] == 1
+        assert_sweep_within_rounding(
+            surf.w[..., None], w_ref[..., None], scalar_tables(alpha, s_grid, t_grid),
+            np.diff(s_grid), np.diff(t_grid), np.arange(n_i), np.arange(n_j))
 
     @pytest.mark.parametrize("d, M, N", [
         (1, 3, 5), (1, 1, 2), (2, 5, 3), (2, 2, 2), (2, 1, 3), (3, 4, 4), (3, 2, 3)])
