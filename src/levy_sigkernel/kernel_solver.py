@@ -23,7 +23,9 @@ built once, by running the cell update on unit inputs.  The sweep then
 advances one anti-diagonal i + j = const at a time, for a batch of
 surfaces on the same grid: one contraction gives the increments of all
 its cells, and the structural part is added as in the cell update, so
-the maps' rounding scales with the small increments, not with w.  The
+the maps' rounding scales with the small increments, not with w.  A
+surface whose cells share too few maps (a random grid, say) has each
+diagonal's cell updates evaluated directly instead.  The
 scalar Goursat problem d^2 u/ds dt = alpha u is the same sweep with no
 fields (D = 1, one map per cell when alpha is given at nodes).  Boundary
 rows are one-dimensional ODEs with w = 1 and the opposite coupling term
@@ -90,10 +92,25 @@ def apriori_psi(x: float, y: float) -> float:
 
 
 def make_grid(horizon: float, n_points: int, breakpoints: Sequence[float] = ()) -> np.ndarray:
-    """Uniform grid on [0, horizon] merged with the given breakpoints."""
+    """Uniform grid on [0, horizon] merged with the given breakpoints.
+
+    The step ``horizon / (n_points - 1)`` is rounded to
+    ``53 - bit_length(n_points - 1)`` significant bits, so every node
+    ``i * h`` is exact and the steps between breakpoints are bitwise equal
+    (the sweep shares one transfer map among cells with equal steps); the
+    last node is ``horizon``.  Where the step is a power of two this is
+    ``np.linspace``; elsewhere a node moves from it by at most
+    ``horizon * 2**(bit_length(n_points - 1) - 53)``.
+    """
     if n_points < 2:
         raise InvalidParameter("need at least two grid points")
-    base = np.linspace(0.0, horizon, n_points)
+    h = horizon / (n_points - 1)
+    if math.isfinite(h) and h != 0.0:
+        mant, exp = math.frexp(h)
+        bits = 53 - (n_points - 1).bit_length()
+        h = math.ldexp(round(math.ldexp(mant, bits)), exp - bits)
+    base = np.arange(n_points) * h
+    base[-1] = horizon
     cuts = np.asarray([b for b in np.atleast_1d(breakpoints)
                        if 0.0 < b < horizon], dtype=float)
     grid = np.sort(np.concatenate([base, cuts]))
@@ -206,6 +223,12 @@ _CORRECTOR_PASSES = 2
 _GATHER_MAX_WIDTH = 5
 # cap, in floats, on one chunk's unit-input block when building maps
 _MAP_CHUNK_FLOATS = 1 << 13
+# on the GEMM contraction, a surface takes maps only while runs x this
+# <= cells x D^2: a GEMM call per run costs about as much as a direct cell
+# update of width 10.  On linspace grids of 100 and 250 points (mean run
+# 1.1 cells) GEMM per run lost at D = 7 in a 45-surface batch (1.9 s
+# against 1.1 s direct) and won at D = 15 (0.25 s against 0.36 s)
+_GEMM_RUN_COST = 100
 
 
 def _cell_increments(X00, X01, X10, h, k, A, B, C, qx, RX, AX, qy, RY, AY):
@@ -275,6 +298,22 @@ def _step_classes(steps, idx):
     return cls.reshape(n_s, n), first // n, first % n
 
 
+def _map_counts(ds, dt, sidx, tidx):
+    """Per surface, the number of distinct maps and the number of runs of
+    cells that share a map along the anti-diagonals.  Cell (i, j) continues
+    the run of (i-1, j+1) when both have the same s- and t-class, so the
+    cells that continue a run number (equal s-neighbours) x (equal
+    t-neighbours)."""
+    n_surf = len(sidx)
+    (s_cls, s_surf, _), (t_cls, t_surf, _) = (
+        _step_classes(ds, sidx), _step_classes(dt, tidx))
+    count = (np.bincount(s_surf, minlength=n_surf)
+             * np.bincount(t_surf, minlength=n_surf))
+    same_s = np.count_nonzero(s_cls[:, 1:] == s_cls[:, :-1], axis=1)
+    same_t = np.count_nonzero(t_cls[:, 1:] == t_cls[:, :-1], axis=1)
+    return count, len(ds) * len(dt) - same_s * same_t
+
+
 def _transfer_maps(ds, dt, sidx, tidx, A, B, C, qx, RX, AX, qy, RY, AY):
     """The distinct increment maps of a batch of surfaces.
 
@@ -282,14 +321,13 @@ def _transfer_maps(ds, dt, sidx, tidx, A, B, C, qx, RX, AX, qy, RY, AY):
     a ``(3D, D)`` map ``L`` (``delta = [X00, X01, X10] @ L``) that depends
     only on the surface, its interval pair and its exact step sizes.  Each
     distinct map is built once by running ``_cell_increments`` on the
-    ``3D`` unit inputs, in chunks of bounded size.  Returns the maps,
+    ``3D`` unit inputs, in chunks of bounded size.  Returns the maps and
     ``(S, T)`` such that cell (i, j) of surface p uses map
-    ``S[p, i] + T[p, j]``, and the number of maps of each surface.
+    ``S[p, i] + T[p, j]``.
     """
-    n_surf = len(sidx)
     s_cls, s_surf, s_cell = _step_classes(ds, sidx)
     t_cls, t_surf, t_cell = _step_classes(dt, tidx)
-    n_t = np.bincount(t_surf, minlength=n_surf)
+    n_t = np.bincount(t_surf, minlength=len(sidx))
     t_first = np.cumsum(n_t) - n_t
     # maps are numbered by s-class, then by t-class of the same surface
     per_s = n_t[s_surf]
@@ -309,7 +347,7 @@ def _transfer_maps(ds, dt, sidx, tidx, A, B, C, qx, RX, AX, qy, RY, AY):
         maps[c] = _cell_increments(
             *corners, ds[i[c]], dt[j[c]], tuple(x[pab] for x in A), B[pab], C[pab],
             qx[pa], RX[pa], AX[pa], qy[pb], RY[pb], AY[pb])
-    return maps, s_first[s_cls], t_cls - t_first[:, None], np.bincount(p, minlength=n_surf)
+    return maps, s_first[s_cls], t_cls - t_first[:, None]
 
 
 def _apply_maps(maps, idx, xc):
@@ -329,6 +367,29 @@ def _apply_maps(maps, idx, xc):
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         np.matmul(rows[lo:hi], maps[flat[lo]], out=delta[lo:hi])
     return delta.reshape(*idx.shape, D)
+
+
+def _direct_increments(x, h, k, a, b, A, B, C, qx, RX, AX, qy, RY, AY):
+    """Increments of a diagonal's cells by ``_cell_increments`` on their
+    own corner states, for surfaces whose maps would not pay.  ``x`` holds
+    the ``(n, c, 3, D)`` known corner states of ``c`` cells of ``n``
+    surfaces, ``h``/``k`` their ``(c,)`` steps and ``a``/``b`` their
+    ``(n, c)`` interval indices; the tables are those of the ``n``
+    surfaces."""
+    n, c, _, D = x.shape
+    p = np.arange(n)[:, None]
+    pa, pb, pab = (p, a), (p, b), (p, a, b)
+
+    def cells(t):
+        return t.reshape(n * c, *t.shape[2:])
+
+    X = x.reshape(n * c, 3, 1, D)
+    delta = _cell_increments(
+        X[:, 0], X[:, 1], X[:, 2], np.tile(h, n), np.tile(k, n),
+        tuple(cells(t[pab]) for t in A), cells(B[pab]), cells(C[pab]),
+        cells(qx[pa]), cells(RX[pa]), cells(AX[pa]),
+        cells(qy[pb]), cells(RY[pb]), cells(AY[pb]))
+    return delta.reshape(n, c, D)
 
 
 def _sweep(ds, dt, sidx, tidx, A, B, C, qx, RX, AX, qy, RY, AY):
@@ -358,12 +419,23 @@ def _sweep(ds, dt, sidx, tidx, A, B, C, qx, RX, AX, qy, RY, AY):
     ``_GATHER_MAX_WIDTH``, the scalar problem included, one GEMM per run
     of cells sharing a map above it).  The far corner is the structural
     part plus the increment, ``w11 = w10 + (w01 - w00) + dw``,
-    ``F11 = F01 + dF``, ``G11 = G10 + dG``.  The contraction is chosen by
-    ``D`` alone and runs never cross surfaces, so a surface's bits do not
-    depend on which surfaces share its batch.  Boundary rows are
+    ``F11 = F01 + dF``, ``G11 = G10 + dG``.
+
+    Maps pay only when cells share them.  A surface takes maps when they
+    hold at most ``D x cells`` floats (three times its own state: building
+    them costs at most three cell updates per cell) and, for the GEMM
+    contraction, when its cells form at most ``cells x D^2 / _GEMM_RUN_COST``
+    runs of equal maps along the diagonals (``_map_counts``).
+    Uniform grids from ``make_grid`` have few classes per axis (one per
+    interval, plus the cells split by breakpoints) and long runs.  Other
+    surfaces, e.g. on random grids, evaluate ``_cell_increments`` directly
+    on each diagonal's states (``_direct_increments``), so the maps never
+    outgrow the state.  The choice, like the contraction, depends on the
+    surface alone and runs never cross surfaces, so a surface's bits do
+    not depend on which surfaces share its batch.  Boundary rows are
     one-dimensional ODEs stepped in place.  Returns (w, f, g) node arrays
     with the surface axis first, views of one state array, and the number
-    of maps of each surface.
+    of maps of each surface (0 where cells were evaluated directly).
     """
     n_s = len(sidx)
     n_i, n_j = len(ds), len(dt)
@@ -398,18 +470,38 @@ def _sweep(ds, dt, sidx, tidx, A, B, C, qx, RX, AX, qy, RY, AY):
             g1 = g0 + 0.5 * k * (d0 + qyb + mv(RYb, g1))
         G[:, 0, j + 1] = g1
 
-    maps, S, T, n_maps = _transfer_maps(ds, dt, sidx, tidx, A, B, C,
-                                        qx, RX, AX, qy, RY, AY)
+    cells = n_i * n_j
+    n_maps, runs = _map_counts(ds, dt, sidx, tidx)
+    use = (n_maps * D <= cells) & ((D <= _GATHER_MAX_WIDTH)
+                                   | (runs * _GEMM_RUN_COST <= cells * D * D))
+    n_maps[~use] = 0
+    mapped, direct = np.flatnonzero(use), np.flatnonzero(~use)
+
+    def of(group):
+        # a whole batch is passed as it is, not copied
+        group = slice(None) if len(group) == n_s else group
+        return (sidx[group], tidx[group], tuple(t[group] for t in A),
+                *(t[group] for t in (B, C, qx, RX, AX, qy, RY, AY)))
+
+    maps, S, T = _transfer_maps(ds, dt, *of(mapped))
+    d_sidx, d_tidx, *d_tables = of(direct)
     nodes = X.reshape(n_s, -1, D)
     # node offsets of corners (i, j), (i, j+1), (i+1, j) from node (i, j)
     known = np.array([0, 1, n_j + 1])
     for diag in range(n_i + n_j - 1):
         i = np.arange(max(0, diag - n_j + 1), min(diag, n_i - 1) + 1)
         j = diag - i
-        idx = S[:, i] + T[:, j]
         node = i * (n_j + 1) + j
         x = nodes.take(node[:, None] + known, axis=1)
-        delta = _apply_maps(maps, idx, x.reshape(n_s, len(i), 3 * D))
+        if not len(direct):
+            delta = _apply_maps(maps, S[:, i] + T[:, j], x.reshape(n_s, len(i), 3 * D))
+        else:
+            delta = np.empty((n_s, len(i), D))
+            delta[direct] = _direct_increments(
+                x[direct], ds[i], dt[j], d_sidx[:, i], d_tidx[:, j], *d_tables)
+            if len(mapped):
+                delta[mapped] = _apply_maps(maps, S[:, i] + T[:, j],
+                                            x[mapped].reshape(len(mapped), len(i), 3 * D))
         x00, far, x10 = x[:, :, 0], x[:, :, 1], x[:, :, 2]
         # structural part of the far corner: w10 + (w01 - w00), F01, G10
         far[..., 0] = x10[..., 0] + (far[..., 0] - x00[..., 0])
@@ -488,7 +580,10 @@ def solve_truncated_system(v: PiecewiseVelocity, vt: PiecewiseVelocity,
         f=fine.f[::2, ::2], ftilde=fine.ftilde[::2, ::2],
         f_depth=fine.f_depth, ftilde_depth=fine.ftilde_depth,
         s_mass=coarse.s_mass, t_mass=coarse.t_mass,
-        meta=dict(coarse.meta, richardson=True))
+        # the counts cover both solves
+        meta=dict(coarse.meta, richardson=True,
+                  cells=coarse.meta["cells"] + fine.meta["cells"],
+                  maps=coarse.meta["maps"] + fine.meta["maps"]))
 
 
 def _solve_truncated_batch(pairs, M: int, N: int, s_grid, t_grid) -> list[KernelSurface]:

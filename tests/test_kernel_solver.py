@@ -13,6 +13,7 @@ from levy_sigkernel.errors import GridMismatch, InvalidParameter
 from levy_sigkernel import mmd
 from levy_sigkernel import kernel_solver
 from levy_sigkernel.kernel_solver import (_CORRECTOR_PASSES, _apply_maps,
+                                          _map_counts,
                                           _cell_intervals, _coefficients,
                                           _side_tables, _solve_truncated_batch,
                                           _transfer_maps,
@@ -253,6 +254,10 @@ class TestTruncatedSystem:
         plain = solve_truncated_system(v, vt, 2, 2, g, g)
         extrap = solve_truncated_system(v, vt, 2, 2, g, g, richardson=True)
         assert abs(extrap.value() - oracle) < abs(plain.value() - oracle) / 4
+        # the counts cover the coarse and the midpoint-refined solve
+        assert extrap.meta["cells"] == 32 * 32 + 64 * 64
+        assert extrap.meta["maps"] == plain.meta["maps"] + solve_truncated_system(
+            v, vt, 2, 2, unigrid(65), unigrid(65)).meta["maps"]
 
     def test_apriori_bound_holds(self, rng):
         grid = np.array([0.0, 0.5, 1.0])
@@ -478,6 +483,27 @@ class TestAntiDiagonalSweep:
             ((A,) * 4, *tables), ds, dt, sidx, tidx)
         assert_fields_close(surf.f, surf.ftilde, F, G)
 
+    @pytest.mark.parametrize("d, M, N", [(1, 3, 3), (2, 3, 3), (2, 2, 2)])
+    def test_direct_cells_match_lexicographic_sweep(self, rng, d, M, N):
+        # random grids: a class per step, so maps would outgrow the state
+        # and every cell is evaluated directly
+        grid = np.array([0.0, 0.375, 1.0])
+        v = random_velocity(rng, d, 3, grid, scale=0.8)
+        vt = random_velocity(rng, d, 3, grid, scale=0.8)
+        s_grid, t_grid = (np.sort(np.concatenate([grid, rng.uniform(0.0, 1.0, n)]))
+                          for n in (15, 22))
+        surf = solve_truncated_system(v, vt, M, N, s_grid, t_grid)
+        assert surf.meta["maps"] == 0
+        ds, dt = np.diff(s_grid), np.diff(t_grid)
+        sidx, tidx = _cell_intervals(s_grid, grid), _cell_intervals(t_grid, grid)
+        A, *tables = _coefficients(v, vt, M, N)
+        w, F, G = lexicographic_sweep(ds, dt, sidx, tidx, A, *tables)
+        assert_sweep_within_rounding(
+            np.concatenate([surf.w[..., None], surf.f, surf.ftilde], axis=-1),
+            np.concatenate([w[..., None], F, G], axis=-1),
+            ((A,) * 4, *tables), ds, dt, sidx, tidx)
+        assert_fields_close(surf.f, surf.ftilde, F, G)
+
     def test_batch_matches_single_solves(self, rng):
         # state width 11: one GEMM per run of cells sharing a map
         self.check_batch_matches_single_solves(rng, 2, 3)
@@ -486,14 +512,23 @@ class TestAntiDiagonalSweep:
         # state width 5: one gathered product per diagonal
         self.check_batch_matches_single_solves(rng, 2, 1)
 
+    def test_mixed_batch_matches_single_solves(self, rng):
+        # a velocity with a breakpoint at every grid node gives a class per
+        # step, so its surfaces are evaluated directly; the others take maps
+        grid = make_grid(1.0, 41, np.array([0.25, 0.5, 0.75]))
+        batch = self.check_batch_matches_single_solves(
+            rng, 3, 2, [np.array([0.0, 0.25, 1.0]), grid, np.array([0.0, 1.0])], 41)
+        assert sorted(surf.meta["maps"] > 0 for surf in batch) == [False, True, True]
+
     @staticmethod
-    def check_batch_matches_single_solves(rng, M, N):
+    def check_batch_matches_single_solves(rng, M, N, grids=None, n_points=21):
         # surfaces with different interval counts share one padded sweep
-        grids = [np.array([0.0, 0.25, 1.0]), np.array([0.0, 0.5, 0.75, 1.0]),
-                 np.array([0.0, 1.0])]
+        if grids is None:
+            grids = [np.array([0.0, 0.25, 1.0]), np.array([0.0, 0.5, 0.75, 1.0]),
+                     np.array([0.0, 1.0])]
         vels = [random_velocity(rng, 2, 3, g, scale=0.8) for g in grids]
         pairs = [(vels[0], vels[1]), (vels[2], vels[0]), (vels[1], vels[1])]
-        grid = make_grid(1.0, 21, np.concatenate(grids))
+        grid = make_grid(1.0, n_points, np.concatenate(grids))
         batch = _solve_truncated_batch(pairs, M, N, grid, grid)
         assert len(batch) == len(pairs)
         for (v, vt), surf in zip(pairs, batch):
@@ -504,6 +539,7 @@ class TestAntiDiagonalSweep:
             assert np.array_equal(surf.s_mass, ref.s_mass)
             assert np.array_equal(surf.t_mass, ref.t_mass)
             assert surf.meta == ref.meta
+        return batch
 
     def test_batch_checks_every_pair(self, rng):
         fine = np.array([0.0, 0.5, 1.0])
@@ -565,7 +601,8 @@ class TestTransferMaps:
             monkeypatch.setattr(kernel_solver, "_GATHER_MAX_WIDTH", gather_max)
         args, per_surface, sidx, tidx = map_problem(rng, kind)
         ds, dt = args[:2]
-        maps, S, T, n_maps = _transfer_maps(*args)
+        maps, S, T = _transfer_maps(*args)
+        n_maps, _ = _map_counts(*args[:4])
         D = maps.shape[-1]
         i, j = (a.ravel() for a in np.meshgrid(np.arange(len(ds)), np.arange(len(dt)),
                                                 indexing="ij"))
@@ -600,11 +637,34 @@ class TestTransferMaps:
     def test_solve_metadata(self, rng):
         grid = np.array([0.0, 0.5, 1.0])
         v = random_velocity(rng, 2, 3, grid, scale=0.8)
-        surf = solve_truncated_system(v, v, 3, 2, make_grid(1.0, 9, grid),
-                                      make_grid(1.0, 5, grid))
-        # df = flat_size(2, 1) = 3, dg = flat_size(2, 2) = 7; uniform steps
+        s_grid = make_grid(1.0, 17, grid)
+        surf = solve_truncated_system(v, v, 3, 2, s_grid, make_grid(1.0, 9, grid))
+        # df = flat_size(2, 1) = 3, dg = flat_size(2, 2) = 7; uniform steps,
+        # so one class per interval on each axis
         assert surf.meta == {"system": "truncated", "M": 3, "N": 2, "scheme_order": 2,
-                             "cells": 32, "state_width": 11, "maps": 4}
+                             "cells": 128, "state_width": 11, "maps": 4}
+        # a random t-grid has a class per step: 2 x 8 maps of width 11 would
+        # hold more floats than the state, so the cells are evaluated directly
+        t_grid = np.sort(np.concatenate([grid, rng.uniform(0.0, 1.0, 6)]))
+        surf = solve_truncated_system(v, v, 3, 2, s_grid, t_grid)
+        assert surf.meta["maps"] == 0 and surf.meta["cells"] == 128
+
+    def test_make_grid_steps_are_bitwise_equal_between_breakpoints(self):
+        # dyadic steps: np.linspace exactly
+        assert np.array_equal(make_grid(1.0, 257, ()), np.linspace(0.0, 1.0, 257))
+        for horizon, n, cuts in [(1.0, 100, [0.25, 0.5, 0.75]), (0.3, 65, []),
+                                 (3.0, 1000, [1.7])]:
+            g = make_grid(horizon, n, cuts)
+            assert g[0] == 0.0 and g[-1] == horizon
+            assert np.all(np.isin(cuts, g))
+            steps = np.diff(g)
+            # every step but the last and those beside a cut equals the first
+            split = np.flatnonzero(np.isin(g[1:], cuts) | np.isin(g[:-1], cuts))
+            odd = np.setdiff1d(np.flatnonzero(steps != steps[0]), split)
+            assert odd.tolist() in ([], [len(steps) - 1])
+            base = np.linspace(0.0, horizon, n)
+            near = np.abs(g[:, None] - base[None]).min(axis=1)
+            assert near[~np.isin(g, cuts)].max() <= horizon * 2.0**((n - 1).bit_length() - 53)
 
 
 def reference_goursat_scalar(alpha, s_grid, t_grid):
