@@ -475,11 +475,11 @@ def _sweep(ds, dt, sidx, tidx, A, B, C, qx, RX, AX, qy, RY, AY):
     use = (n_maps * D <= cells) & ((D <= _GATHER_MAX_WIDTH)
                                    | (runs * _GEMM_RUN_COST <= cells * D * D))
     n_maps[~use] = 0
-    mapped, direct = np.flatnonzero(use), np.flatnonzero(~use)
+    # a group that is the whole batch is a slice, so nothing is copied
+    mapped, direct = (slice(None) if g.all() else np.flatnonzero(g) for g in (use, ~use))
+    n_mapped, n_direct = np.count_nonzero(use), np.count_nonzero(~use)
 
     def of(group):
-        # a whole batch is passed as it is, not copied
-        group = slice(None) if len(group) == n_s else group
         return (sidx[group], tidx[group], tuple(t[group] for t in A),
                 *(t[group] for t in (B, C, qx, RX, AX, qy, RY, AY)))
 
@@ -493,15 +493,13 @@ def _sweep(ds, dt, sidx, tidx, A, B, C, qx, RX, AX, qy, RY, AY):
         j = diag - i
         node = i * (n_j + 1) + j
         x = nodes.take(node[:, None] + known, axis=1)
-        if not len(direct):
-            delta = _apply_maps(maps, S[:, i] + T[:, j], x.reshape(n_s, len(i), 3 * D))
-        else:
-            delta = np.empty((n_s, len(i), D))
+        delta = np.empty((n_s, len(i), D))
+        if n_mapped:
+            delta[mapped] = _apply_maps(maps, S[:, i] + T[:, j],
+                                        x[mapped].reshape(n_mapped, len(i), 3 * D))
+        if n_direct:
             delta[direct] = _direct_increments(
                 x[direct], ds[i], dt[j], d_sidx[:, i], d_tidx[:, j], *d_tables)
-            if len(mapped):
-                delta[mapped] = _apply_maps(maps, S[:, i] + T[:, j],
-                                            x[mapped].reshape(len(mapped), len(i), 3 * D))
         x00, far, x10 = x[:, :, 0], x[:, :, 1], x[:, :, 2]
         # structural part of the far corner: w10 + (w01 - w00), F01, G10
         far[..., 0] = x10[..., 0] + (far[..., 0] - x00[..., 0])
