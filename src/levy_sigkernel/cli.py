@@ -282,7 +282,9 @@ def _parse_wiener(cfg: dict, dim: int) -> WienerSpec:
 def cmd_mmd(cfg: dict, out_dir: str) -> int:
     ensemble = _parse_ensemble(cfg)
     wiener = _parse_wiener(cfg, ensemble.dim)
-    sp, _, horizon = _parse_grid(cfg)
+    sp, tp, horizon = _parse_grid(cfg)
+    if tp != sp:
+        raise ConfigError("grid.t_points", "the mmd grid is square: must equal s_points")
     if abs(horizon - ensemble.horizon) > 1e-12:
         raise ConfigError("grid.T", "must equal the ensemble horizon")
     mmd, report = mmd_to_wiener(ensemble, wiener, sp)
@@ -294,8 +296,8 @@ def cmd_mmd(cfg: dict, out_dir: str) -> int:
 
 def cmd_validate(cfg: dict, out_dir: str) -> int:
     triplets = _require(cfg, "triplets", "")
-    if not isinstance(triplets, list) or not triplets:
-        raise ConfigError("triplets", "validate needs at least one triplet")
+    if not isinstance(triplets, list) or not 1 <= len(triplets) <= 2:
+        raise ConfigError("triplets", "validate needs one or two triplets")
     parsed = [parse_triplet(t, f"triplets[{i}]") for i, t in enumerate(triplets)]
     trip_a = parsed[0]
     trip_b = parsed[1] if len(parsed) > 1 else parsed[0]

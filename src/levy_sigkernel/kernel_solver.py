@@ -33,7 +33,10 @@ zero.  Grids must contain every velocity breakpoint so that all interval
 integrals are exact.
 
 Cross-term truncation levels are Q = min(M, N-1) on the first slot and
-Q' = min(N, M-1) on the second; for M = N both equal min(M, N) - 1.
+Q' = min(N, M-1) on the second; for M = N both equal min(M, N) - 1.  As
+<f, y^Q adj z^N> = <f (x) y^Q, z^N>, one map K: f -> f (x) y^Q per
+velocity interval serves both the field ODE and the w-integrand, so
+coefficient tables take one pass over each velocity's intervals.
 """
 
 from __future__ import annotations
@@ -206,13 +209,6 @@ def _cell_intervals(grid: np.ndarray, vel_grid: np.ndarray) -> np.ndarray:
     mids = 0.5 * (grid[:-1] + grid[1:])
     idx = np.searchsorted(vel_grid, mids, side="right") - 1
     return np.clip(idx, 0, len(vel_grid) - 2)
-
-
-def _cumulative_mass(grid: np.ndarray, v: PiecewiseVelocity) -> np.ndarray:
-    out = np.zeros(len(grid))
-    for k in range(1, len(grid)):
-        out[k] = out[k - 1] + v.mass(grid[k - 1], grid[k])
-    return out
 
 
 _CORRECTOR_PASSES = 2
@@ -599,34 +595,29 @@ def _solve_truncated_batch(pairs, M: int, N: int, s_grid, t_grid) -> list[Kernel
         t_grid = _validate_grid(t_grid, vt.time_grid, "t")
     memo = {}
 
-    def once(key, make):
-        # a velocity may sit in many pairs of a batch: work on it once
-        if key not in memo:
-            memo[key] = make()
-        return memo[key]
-
     def side(v, M, N):
-        return once(("side", id(v), M, N), lambda: _side_tables(v, M, N))
+        # a velocity may sit in many pairs of a batch: tabulate it once
+        if (id(v), M, N) not in memo:
+            memo[id(v), M, N] = _side_tables(v, M, N)
+        return memo[id(v), M, N]
 
-    def mass(grid, v, level):
-        return once(("mass", id(grid), id(v), level),
-                    lambda: _cumulative_mass(grid, v.truncated(level)))
-
-    tables = zip(*((*_cross_tables(v, vt, M, N), *side(v, M, N), *side(vt, N, M))
-                   for v, vt in pairs))
+    sides = [(side(v, M, N), side(vt, N, M)) for v, vt in pairs]
     sidx = np.stack([_cell_intervals(s_grid, v.time_grid) for v, _ in pairs])
     tidx = np.stack([_cell_intervals(t_grid, vt.time_grid) for _, vt in pairs])
-    A, *fields = map(_stack_padded, tables)
-    w, F, G, n_maps = _sweep(np.diff(s_grid), np.diff(t_grid), sidx, tidx, (A,) * 4, *fields)
-    cells = (len(s_grid) - 1) * (len(t_grid) - 1)
+    A, *fields = map(_stack_padded, zip(*(_coefficients(*lr) for lr in sides)))
+    ds, dt = np.diff(s_grid), np.diff(t_grid)
+    w, F, G, n_maps = _sweep(ds, dt, sidx, tidx, (A,) * 4, *fields)
+    cells = len(ds) * len(dt)
     width = 1 + F.shape[-1] + G.shape[-1]
+    # node masses: grids hold every breakpoint, so a cell has one interval
     return [KernelSurface(
         s_grid=s_grid, t_grid=t_grid, w=w[p], dim=d,
         f=F[p], ftilde=G[p], f_depth=N - 1, ftilde_depth=M - 1,
-        s_mass=mass(s_grid, v, M), t_mass=mass(t_grid, vt, N),
+        s_mass=np.concatenate([[0.0], np.cumsum(ds * left[0][sidx[p]])]),
+        t_mass=np.concatenate([[0.0], np.cumsum(dt * right[0][tidx[p]])]),
         meta={"system": "truncated", "M": M, "N": N, "scheme_order": 2,
               "cells": cells, "state_width": width, "maps": int(n_maps[p])})
-        for p, (v, vt) in enumerate(pairs)]
+        for p, (left, right) in enumerate(sides)]
 
 
 def _stack_padded(arrays) -> np.ndarray:
@@ -639,48 +630,44 @@ def _stack_padded(arrays) -> np.ndarray:
     return out
 
 
-def _coefficients(v: PiecewiseVelocity, vt: PiecewiseVelocity, M: int, N: int):
-    """Per-interval coefficient tables (A, B, C, qx, RX, AX, qy, RY, AY) of
-    one truncated system, in the layout ``_sweep`` takes per surface."""
-    return (*_cross_tables(v, vt, M, N), *_side_tables(v, M, N),
-            *_side_tables(vt, N, M))
-
-
-def _cross_tables(v: PiecewiseVelocity, vt: PiecewiseVelocity, M: int, N: int):
-    """Tables (A, B, C) of the w-integrand per velocity-interval pair."""
-    P, Q, Qt = min(M, N), min(M, N - 1), min(N, M - 1)
-    xs = [ta.truncate(x, M) for x in v.tensors]
-    ys = [ta.truncate(y, N) for y in vt.tensors]
-    A = np.empty((len(xs), len(ys)))
-    B = np.empty((len(xs), len(ys), ta.flat_size(v.dim, N - 1)))
-    C = np.empty((len(xs), len(ys), ta.flat_size(v.dim, M - 1)))
-    for a, x in enumerate(xs):
-        xP, xQ = ta.truncate(x, P), ta.truncate(x, Q)
-        for b, y in enumerate(ys):
-            A[a, b] = ta.inner_product(xP, ta.truncate(y, P))
-            B[a, b] = ta.flatten(ta.adjoint_right_zero(xQ, y), N - 1)
-            C[a, b] = ta.flatten(ta.adjoint_right_zero(ta.truncate(y, Qt), x), M - 1)
-    return A, B, C
+def _coefficients(left, right):
+    """Tables (A, B, C, qx, RX, AX, qy, RY, AY) of one truncated system, in
+    the layout ``_sweep`` takes per surface, from its side tables
+    ``_side_tables(v, M, N)`` and ``_side_tables(vt, N, M)``: A pairs x and
+    y up to level min(M, N), and as ``<f, adjoint_right(x^Q, y)> =
+    <f (x) x^Q, y>``, B = K_x y and C = K_y x with the scalar slot zeroed.
+    Formed per pair, so a surface's bits do not depend on its batch."""
+    (_, X, qx, KX, AX), (_, Y, qy, KY, AY) = left, right
+    P = min(X.shape[-1], Y.shape[-1])
+    A = X[:, :P] @ Y[:, :P].T
+    B = Y @ np.swapaxes(KX, 1, 2)
+    C = np.swapaxes(X @ np.swapaxes(KY, 1, 2), 0, 1)
+    B[..., 0] = C[..., 0] = 0.0
+    RX, RY = (np.swapaxes(K[:, :, :K.shape[1]], 1, 2) for K in (KX, KY))
+    return A, B, C, qx, RX, AX, qy, RY, AY
 
 
 def _side_tables(v: PiecewiseVelocity, M: int, N: int):
-    """Tables (q, R, Adj) per interval of v for the field ODE
-    f' = w q + R f + Adj g of the side cut at M against one cut at N:
-    q = x^Q, R f = f (x) x^Q, Adj g = adjoint_left_zero(g, x), with x = v
-    cut at M and Q = min(M, N - 1).  Sides are ``(v, M, N)`` and
-    ``(vt, N, M)``.  R and Adj map a batched identity, one basis vector
-    per row."""
+    """Tables (norm, X, q, K, Adj) per interval of v for the side cut at M
+    against one cut at N: with x = v cut at M and Q = min(M, N - 1), the
+    T^1 norm of x, x flattened at M, q = x^Q, the (flat(N-1), flat(N))
+    matrix K of f -> f (x) x^Q and Adj g = adjoint_left_zero(g, x).  K
+    serves the field ODE f' = w q + R f + Adj g (R is K's leading square
+    block, transposed) and the w-integrand (``_coefficients``).  Sides are
+    ``(v, M, N)`` and ``(vt, N, M)``; K and Adj map a batched identity."""
     Q = min(M, N - 1)
     ef, eg = (ta.unflatten(np.eye(ta.flat_size(v.dim, n)), v.dim, n)
               for n in (N - 1, M - 1))
-    q, R, adj = [], [], []
+    norm, X, q, K, adj = [], [], [], [], []
     for x in v.tensors:
         x = ta.truncate(x, M)
         xQ = ta.truncate(x, Q)
+        norm.append(ta.norm_p(x, 1))
+        X.append(ta.flatten(x, M))
         q.append(ta.flatten(xQ, N - 1))
-        R.append(ta.flatten(ta.tensor_mul(ef, xQ, N - 1), N - 1).T)
+        K.append(ta.flatten(ta.tensor_mul(ef, xQ, N), N))
         adj.append(ta.flatten(ta.adjoint_left_zero(eg, x), N - 1).T)
-    return np.array(q), np.array(R), np.array(adj)
+    return tuple(map(np.array, (norm, X, q, K, adj)))
 
 
 def _refine(grid: np.ndarray) -> np.ndarray:

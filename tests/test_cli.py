@@ -91,6 +91,8 @@ class TestMalformedConfigs:
         (lambda c: c["triplets"][1].update(time_grid=1.0), [], "triplets[1].time_grid"),
         (lambda c: c["triplets"][0]["intervals"][0].update(factors=5), [],
          "triplets[0].intervals[0].factors"),
+        # validate reads at most two triplets; a third would be dropped
+        (lambda c: c["triplets"].append(bm_triplet_json()), [], "triplets"),
     ])
     def test_config_error_names_field(self, tmp_path, capsys, edit, flags, field):
         cfg_data = base_config("validate", points=9)
@@ -118,6 +120,20 @@ class TestMalformedConfigs:
         assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {field}:"), err
+
+    def test_mmd_rejects_a_rectangular_grid(self, tmp_path, capsys):
+        # the mmd solves every surface on one square grid
+        cfg_data = {
+            "experiment": "mmd",
+            "ensemble": {"dim": 1, "time_grid": [0.0, 1.0],
+                         "paths": [{"derivative": [[0.5]]}]},
+            "wiener": {"time_grid": [0.0, 1.0], "covs": [[[1.0]]]},
+            "grid": {"s_points": 9, "t_points": 17, "T": 1.0},
+        }
+        cfg = write_config(tmp_path / "cfg.json", cfg_data)
+        assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: grid.t_points:"), err
 
     def test_factor_covariances_are_one_computation(self):
         factors = [[0.3, -1.1], [0.7, 0.2], [-0.4, 0.9]]

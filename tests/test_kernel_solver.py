@@ -181,6 +181,11 @@ def random_velocity(rng, dim, depth, grid, scale):
                                          for _ in range(len(grid) - 1)])
 
 
+def coefficients(v, vt, M, N):
+    """The nine coefficient tables of one truncated system."""
+    return _coefficients(_side_tables(v, M, N), _side_tables(vt, N, M))
+
+
 class TestTruncatedSystem:
     def test_zero_velocities(self):
         v = PiecewiseVelocity(2, [0.0, 1.0], [TT.zero(2, 3)])
@@ -474,7 +479,7 @@ class TestAntiDiagonalSweep:
         surf = solve_truncated_system(v, vt, M, N, s_grid, t_grid)
         ds, dt = np.diff(s_grid), np.diff(t_grid)
         sidx, tidx = _cell_intervals(s_grid, grid), _cell_intervals(t_grid, grid)
-        A, *tables = _coefficients(v, vt, M, N)
+        A, *tables = coefficients(v, vt, M, N)
         w, F, G = lexicographic_sweep(ds, dt, sidx, tidx, A, *tables)
         assert surf.w.shape == (len(s_grid), len(t_grid))
         assert_sweep_within_rounding(
@@ -496,7 +501,7 @@ class TestAntiDiagonalSweep:
         assert surf.meta["maps"] == 0
         ds, dt = np.diff(s_grid), np.diff(t_grid)
         sidx, tidx = _cell_intervals(s_grid, grid), _cell_intervals(t_grid, grid)
-        A, *tables = _coefficients(v, vt, M, N)
+        A, *tables = coefficients(v, vt, M, N)
         w, F, G = lexicographic_sweep(ds, dt, sidx, tidx, A, *tables)
         assert_sweep_within_rounding(
             np.concatenate([surf.w[..., None], surf.f, surf.ftilde], axis=-1),
@@ -582,7 +587,7 @@ def map_problem(rng, kind):
         for _ in range(2):
             v = random_velocity(rng, 2, 3, grid, scale=0.8)
             vt = random_velocity(rng, 2, 3, grid, scale=0.8)
-            A, *rest = _coefficients(v, vt, M, N)
+            A, *rest = coefficients(v, vt, M, N)
             per_surface.append(((A,) * 4, *rest))
     stacked = [tuple(np.stack(c) for c in zip(*parts)) if isinstance(parts[0], tuple)
                else np.stack(parts) for parts in zip(*per_surface)]
@@ -782,6 +787,15 @@ def reference_coefficients(v, vt, M, N):
     return A, B, C, qx, RX, AX, qy, RY, AY
 
 
+def reference_node_mass(grid, v):
+    """Reference: the cumulative node masses that the per-interval cumsum
+    replaced, one ``PiecewiseVelocity.mass`` per cell."""
+    out = np.zeros(len(grid))
+    for k in range(1, len(grid)):
+        out[k] = out[k - 1] + v.mass(grid[k - 1], grid[k])
+    return out
+
+
 def reference_wiener_self_kernel(wiener, grid):
     """Reference: the MMD's former Wiener self-kernel, the scalar Goursat
     problem with alpha(s, t) = <a(s), a(t)>/4 per cell, by the cell loop."""
@@ -835,15 +849,77 @@ class TestSweepReferences:
         grid = np.array([0.0, 0.3, 1.0])
         v = random_velocity(rng, d, max(M, N) + 1, grid, scale=0.8)
         vt = random_velocity(rng, d, max(M, N), np.array([0.0, 0.6, 0.8, 1.0]), scale=0.8)
-        tables = _coefficients(v, vt, M, N)
+        tables = coefficients(v, vt, M, N)
         reference = reference_coefficients(v, vt, M, N)
         assert len(tables) == len(reference) == 9
         for got, want in zip(tables, reference):
             assert got.shape == want.shape
+        # the field tables copy or map basis vectors, as the reference does
+        for got, want in zip(tables[3:], reference[3:]):
             assert np.array_equal(got, want)
-        # one helper serves both sides, with the levels swapped
-        for got, want in zip(_side_tables(vt, N, M), reference[6:]):
-            assert np.array_equal(got, want)
+        # A, B and C sum the same exact products as the reference, in
+        # another order.  For a contraction of length n, each of the two
+        # lies within gamma_n of the exact sum, relative to the sum of the
+        # products' magnitudes: the same contraction on magnitudes, which
+        # itself rounds down by at most a factor (1 - gamma_n)
+        P, Q, Qt = min(M, N), min(M, N - 1), min(N, M - 1)
+
+        def mag(x, depth):
+            return TT(d, [np.abs(lev) for lev in ta.truncate(x, depth).levels])
+
+        xs, ys = v.tensors, vt.tensors
+        magnitudes = (
+            np.array([[ta.inner_product(mag(x, P), mag(y, P)) for y in ys] for x in xs]),
+            np.array([[ta.flatten(ta.adjoint_right(mag(x, Q), mag(y, N)), N - 1)
+                       for y in ys] for x in xs]),
+            np.array([[ta.flatten(ta.adjoint_right(mag(y, Qt), mag(x, M)), M - 1)
+                       for y in ys] for x in xs]))
+        for got, want, bound, depth in zip(tables, reference, magnitudes, (P, N, M)):
+            g = gamma(ta.flat_size(d, depth))
+            assert np.all(np.abs(got - want) <= 2 * g * bound / (1 - g))
+
+    @pytest.mark.parametrize("kind", ["make_grid", "random"])
+    def test_node_masses_match_per_cell_mass(self, rng, kind):
+        # grids holding every breakpoint; velocities deeper than the levels,
+        # so the masses are those of the truncated velocities
+        grids = [np.array([0.0, 0.25, 1.0]), np.array([0.0, 0.5, 0.75, 1.0]),
+                 np.array([0.0, 0.3, 0.7, 1.0])]
+        vels = [random_velocity(rng, 2, 4, g, scale=0.8) for g in grids]
+        pairs = [(vels[0], vels[1]), (vels[2], vels[0]), (vels[1], vels[1])]
+        cuts = np.concatenate(grids)
+        if kind == "make_grid":
+            s_grid, t_grid = make_grid(1.0, 33, cuts), make_grid(1.0, 20, cuts)
+        else:
+            s_grid, t_grid = (np.unique(np.concatenate([cuts, rng.uniform(0.0, 1.0, n)]))
+                              for n in (30, 17))
+        M, N = 3, 2
+        batch = _solve_truncated_batch(pairs, M, N, s_grid, t_grid)
+        for (v, vt), surf in zip(pairs, batch):
+            single = solve_truncated_system(v, vt, M, N, s_grid, t_grid)
+            s_ref = reference_node_mass(s_grid, v.truncated(M))
+            t_ref = reference_node_mass(t_grid, vt.truncated(N))
+            for got in (surf, single):
+                assert np.array_equal(got.s_mass, s_ref)
+                assert np.array_equal(got.t_mass, t_ref)
+
+    def test_tables_are_built_per_velocity_not_per_pair(self, rng, monkeypatch):
+        grid = np.array([0.0, 0.25, 0.5, 1.0])
+        v = random_velocity(rng, 2, 3, grid, scale=0.8)
+        vt = random_velocity(rng, 2, 3, grid, scale=0.8)
+        g = make_grid(1.0, 9, grid)
+        calls = {}
+        for name in ("tensor_mul", "adjoint_left", "adjoint_right"):
+            def counted(*args, _name=name, _wrapped=getattr(ta, name), **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _wrapped(*args, **kwargs)
+            monkeypatch.setattr(ta, name, counted)
+        counts = []
+        for copies in (1, 12):
+            calls.clear()
+            _solve_truncated_batch([(v, vt)] * copies, 3, 3, g, g)
+            counts.append(dict(calls))
+        assert counts[0]["tensor_mul"] > 0 and counts[0]["adjoint_left"] > 0
+        assert counts[1] == counts[0]
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_batched_adjoint_left_zero_rows_match_single_calls(self, rng, d):
