@@ -263,12 +263,29 @@ class LevyTriplet:
                                cov=np.eye(dim) if cov is None else cov)
 
 
+def _gaussian_moments(cov: np.ndarray, depth: int):
+    """Yield the tensor moments of N(0, cov) at levels 2, 4, ..., ``depth``.
+
+    Pair-partition recursion on the last index: the moment at n couples the
+    final slot with each earlier slot k through the covariance, times the
+    moment at n - 2 on the remaining slots.  One outer product serves the
+    n - 1 couplings, each a view with the covariance slot moved to k; each
+    level is shaped (d,) * n and is built from the one before it.
+    """
+    prev = np.ones(())
+    for n in range(2, depth + 1, 2):
+        term = np.multiply.outer(prev, cov)           # axes: others..., k-slot, last
+        out = np.zeros(term.shape)
+        for k in range(n - 1):
+            out += np.moveaxis(term, n - 2, k)
+        yield out
+        prev = out
+
+
 def gaussian_tensor_moment(cov: np.ndarray, n: int) -> np.ndarray:
     """Flattened n-th tensor moment E[xi^{(x)n}] of xi ~ N(0, cov).
 
-    Pair-partition recursion on the last index: the moment at n couples the
-    final slot with each earlier slot through the covariance and recurses
-    on the remaining n-2 slots.  Odd moments vanish.
+    The last level of :func:`_gaussian_moments`; odd moments vanish.
     """
     cov = np.asarray(cov, dtype=float)
     d = cov.shape[0]
@@ -276,17 +293,19 @@ def gaussian_tensor_moment(cov: np.ndarray, n: int) -> np.ndarray:
         return np.ones(1)
     if n % 2 == 1:
         return np.zeros(d**n)
-    prev = gaussian_tensor_moment(cov, n - 2).reshape((d,) * (n - 2))
-    out = np.zeros((d,) * n)
-    for k in range(n - 1):
-        # tensor M_{n-2} with cov in slots (k, n-1), remaining slots in order
-        term = np.multiply.outer(prev, cov)           # axes: others..., k-slot, last
-        out += np.moveaxis(term, n - 2, k)
+    for out in _gaussian_moments(cov, n):
+        pass
     return out.ravel()
 
 
 def _jump_velocity_term(spec: JumpSpec, dim: int, depth: int) -> TruncatedTensor:
-    """Contribution of the jump measure to the characteristic velocity."""
+    """Contribution of the jump measure to the characteristic velocity.
+
+    Built in place on a zero tensor.  Its bits are those of the
+    out-of-place sums ``out + (exp(x) - 1 - x 1_{|x| <= 1}) * lambda`` over
+    the atoms in order, and ``intensity * moment / n!`` per even level n
+    for Gaussian jumps: ``a - b`` is ``a + (-b)`` exactly.
+    """
     out = TruncatedTensor.zero(dim, depth)
     if spec is None:
         return out
@@ -297,14 +316,16 @@ def _jump_velocity_term(spec: JumpSpec, dim: int, depth: int) -> TruncatedTensor
             x = atom.with_depth(depth)
             term = ta.exp_tensor(x)
             term.levels[0][0] -= 1.0
-            if ta.max_level_norm(atom) <= 1.0:
-                term = term - x
-            out = out + term * float(lam)
+            small = ta.max_level_norm(atom) <= 1.0
+            for n, lev in enumerate(term.levels):
+                if small:
+                    lev -= x.levels[n]
+                out.levels[n] += lev * float(lam)
         return out
     # Centered Gaussian law on V: the small-jump compensator vanishes by
     # symmetry, leaving intensity * (E[exp(xi)] - 1).
-    for n in range(2, depth + 1, 2):
-        out.levels[n] += spec.intensity * gaussian_tensor_moment(spec.cov, n) / math.factorial(n)
+    for n, moment in zip(range(2, depth + 1, 2), _gaussian_moments(spec.cov, depth)):
+        out.levels[n] += spec.intensity * moment.ravel() / math.factorial(n)
     return out
 
 
@@ -326,7 +347,10 @@ def characteristic_velocity(triplet: LevyTriplet, depth: int) -> PiecewiseVeloci
         x = _drift_tensor(triplet, i, depth)
         if depth >= 2:
             x.levels[2] += 0.5 * triplet.covs[i].ravel()
-        x = x + _jump_velocity_term(triplet.jumps[i], triplet.dim, depth)
+        # in place: x + term would copy x through with_depth, same bits
+        for lev, jump in zip(x.levels, _jump_velocity_term(triplet.jumps[i],
+                                                           triplet.dim, depth).levels):
+            lev += jump
         tensors.append(x)
     return PiecewiseVelocity(triplet.dim, triplet.time_grid, tensors)
 

@@ -172,12 +172,18 @@ def parse_triplet(cfg: dict, path: str) -> LevyTriplet:
         raise ConfigError(path, str(exc)) from exc
 
 
-def _parse_grid(cfg: dict) -> tuple[int, int, float]:
+def _parse_grid(cfg: dict, points: bool = True) -> tuple[int | None, int | None, float]:
+    """``(s_points, t_points, T)``.  With ``points=False`` the point counts
+    may be absent, and are None then; the ones given are still checked."""
     grid = _require(cfg, "grid", "")
-    sp = _as_int(_require(grid, "s_points", "grid"), "grid.s_points")
-    tp = _as_int(grid.get("t_points", sp), "grid.t_points")
+    if not isinstance(grid, dict):
+        raise ConfigError("grid", "expected an object")
+    sp = None
+    if points or "s_points" in grid:
+        sp = _as_int(_require(grid, "s_points", "grid"), "grid.s_points")
+    tp = _as_int(grid["t_points"], "grid.t_points") if "t_points" in grid else sp
     horizon = _as_number(_require(grid, "T", "grid"), "grid.T")
-    if sp < 2 or tp < 2 or horizon <= 0:
+    if any(p is not None and p < 2 for p in (sp, tp)) or horizon <= 0:
         raise ConfigError("grid", "need s_points, t_points >= 2 and T > 0")
     return sp, tp, horizon
 
@@ -370,8 +376,10 @@ def cmd_bounds(cfg: dict, out_dir: str) -> int:
     triplets = _require(cfg, "triplets", "")
     if not isinstance(triplets, list) or not triplets:
         raise ConfigError("triplets", "bounds needs at least one triplet")
+    # the bounds read only M and T; N and the point counts are checked
+    # when given, and ignored
     m, _ = _parse_levels(cfg)
-    _, _, horizon = _parse_grid(cfg)
+    _, _, horizon = _parse_grid(cfg, points=False)
     rows = []
     for i, raw in enumerate(triplets):
         trip = parse_triplet(raw, f"triplets[{i}]")

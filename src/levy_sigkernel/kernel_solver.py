@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -153,11 +154,6 @@ class KernelSurface:
             raise Unsupported("surface carries no coupled field")
         return ta.unflatten(self.f[i, j], self.dim, self.f_depth)
 
-    def ftilde_tensor(self, i: int, j: int) -> TruncatedTensor:
-        if self.ftilde is None:
-            raise Unsupported("surface carries no coupled field")
-        return ta.unflatten(self.ftilde[i, j], self.dim, self.ftilde_depth)
-
     def apriori_margin(self) -> float | None:
         """max over nodes of |w| - psi(C_s, C_t); non-positive when the
         a priori bound holds.  None when velocity masses are unknown."""
@@ -168,25 +164,27 @@ class KernelSurface:
         return float((np.abs(self.w) - psi).max())
 
     def to_csv(self, path, include_fields: bool = False) -> None:
-        """Serialize as ``s,t,w`` rows (plus field magnitudes on request)."""
-        fields = include_fields and self.f is not None
-        if fields:
+        """Serialize as ``s,t,w`` rows (plus field magnitudes on request).
+
+        Every number is ``repr`` of its Python float, one row per node, s
+        major.  The file is written one s-row at a time, each row joined
+        into one string, so its bytes are those of a per-node
+        ``f"{float(x)!r}"`` writer while memory stays one row wide.
+        """
+        cols = [self.w]
+        if include_fields and self.f is not None:
             # the same bits as np.linalg.norm of each node's vector (a BLAS
             # dot); norm(axis=-1) and einsum sum in another order
-            f_norm, ftilde_norm = (
-                np.sqrt(np.matmul(X[..., None, :], X[..., :, None])[..., 0, 0])
-                for X in (self.f, self.ftilde))
+            cols += (np.sqrt(np.matmul(X[..., None, :], X[..., :, None])[..., 0, 0])
+                     for X in (self.f, self.ftilde))
+        header = "s,t,w" if len(cols) == 1 else "s,t,w,f_norm,ftilde_norm"
+        fmt = ",".join(["{}"] * (2 + len(cols))) + "\n"
+        t_txt = list(map(repr, self.t_grid.tolist()))
         with open(path, "w") as fh:
-            cols = "s,t,w"
-            if fields:
-                cols += ",f_norm,ftilde_norm"
-            fh.write(cols + "\n")
-            for i, s in enumerate(self.s_grid):
-                for j, t in enumerate(self.t_grid):
-                    row = f"{float(s)!r},{float(t)!r},{float(self.w[i, j])!r}"
-                    if fields:
-                        row += f",{float(f_norm[i, j])!r},{float(ftilde_norm[i, j])!r}"
-                    fh.write(row + "\n")
+            fh.write(header + "\n")
+            for s, *rows in zip(map(repr, self.s_grid.tolist()), *cols):
+                fh.write("".join(map(fmt.format, repeat(s, len(t_txt)), t_txt,
+                                     *(map(repr, row.tolist()) for row in rows))))
 
 
 def _validate_grid(grid: np.ndarray, breakpoints: np.ndarray, what: str) -> np.ndarray:

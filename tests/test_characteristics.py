@@ -6,6 +6,7 @@ import pytest
 from levy_sigkernel import tensor_algebra as ta
 from levy_sigkernel.characteristics import (AtomicJumps, GaussianJumps,
                                             LevyTriplet, PiecewiseVelocity,
+                                            _drift_tensor, _gaussian_moments,
                                             characteristic_velocity,
                                             dilate_triplet,
                                             exponential_moment_value,
@@ -245,3 +246,100 @@ class TestVelocityIntegrals:
         assert v.level_mass(0.0, 2.0, 2) == pytest.approx(6.0)
         assert v.tail_mass(0.0, 2.0, 1) == pytest.approx(6.0)
         assert v.tail_mass(0.0, 2.0, 2) == 0.0
+
+
+def reference_gaussian_tensor_moment(cov, n):
+    """Pair-partition recursion from scratch at every level, one outer
+    product per coupling of the last slot with slot k."""
+    cov = np.asarray(cov, dtype=float)
+    d = cov.shape[0]
+    if n == 0:
+        return np.ones(1)
+    if n % 2 == 1:
+        return np.zeros(d**n)
+    prev = reference_gaussian_tensor_moment(cov, n - 2).reshape((d,) * (n - 2))
+    out = np.zeros((d,) * n)
+    for k in range(n - 1):
+        term = np.multiply.outer(prev, cov)
+        out += np.moveaxis(term, n - 2, k)
+    return out.ravel()
+
+
+def reference_jump_velocity_term(spec, dim, depth):
+    """The jump term by out-of-place tensor sums."""
+    out = TT.zero(dim, depth)
+    if spec is None:
+        return out
+    if isinstance(spec, AtomicJumps):
+        for lam, x0 in zip(spec.weights, spec.atoms):
+            if lam == 0.0:
+                continue
+            x = x0.with_depth(depth)
+            term = ta.exp_tensor(x)
+            term.levels[0][0] -= 1.0
+            if ta.max_level_norm(x0) <= 1.0:
+                term = term - x
+            out = out + term * float(lam)
+        return out
+    for n in range(2, depth + 1, 2):
+        out.levels[n] += (spec.intensity * reference_gaussian_tensor_moment(spec.cov, n)
+                          / math.factorial(n))
+    return out
+
+
+def reference_characteristic_velocity(triplet, depth):
+    tensors = []
+    for i in range(triplet.n_intervals):
+        x = _drift_tensor(triplet, i, depth)
+        x.levels[2] += 0.5 * triplet.covs[i].ravel()
+        tensors.append(x + reference_jump_velocity_term(triplet.jumps[i],
+                                                        triplet.dim, depth))
+    return tensors
+
+
+def random_cov(rng, d, scale):
+    f = rng.uniform(-scale, scale, size=(d, d))
+    return f @ f.T
+
+
+class TestBitwiseReferences:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_gaussian_moments_equal_recursion(self, rng, d):
+        cov = random_cov(rng, d, 0.8)
+        levels = list(_gaussian_moments(cov, 12))
+        assert [lev.shape for lev in levels] == [(d,) * n for n in range(2, 13, 2)]
+        for n, lev in zip(range(2, 13, 2), levels):
+            assert lev.tobytes() == reference_gaussian_tensor_moment(cov, n).tobytes()
+        for n in range(13):
+            assert (gaussian_tensor_moment(cov, n).tobytes()
+                    == reference_gaussian_tensor_moment(cov, n).tobytes())
+
+    def test_d1_moments_are_double_factorials(self):
+        sigma = 0.7
+        for n, lev in zip(range(2, 13, 2), _gaussian_moments(np.array([[sigma**2]]), 12)):
+            double_fact = math.prod(range(n - 1, 0, -2))
+            assert lev.ravel()[0] == pytest.approx(double_fact * sigma**n, rel=n * 1e-15)
+
+    def test_velocity_equals_out_of_place_composition(self, rng):
+        d = 2
+        small = atom(d, [0.3, -0.4], [[0.0, 0.2], [-0.2, 0.0]])
+        large = atom(d, [1.5, 0.8], [[0.0, -0.6], [0.6, 0.0]])
+        also_small = atom(d, [-0.5, 0.1])
+        area = np.array([[0.0, 0.25], [-0.25, 0.0]])
+        trip = LevyTriplet(
+            dim=d, time_grid=np.array([0.0, 0.3, 0.7, 1.0]),
+            drifts=[rng.uniform(-0.6, 0.6, size=d) for _ in range(3)],
+            covs=[random_cov(rng, d, 0.5) for _ in range(3)],
+            areas=[area, None, -area],
+            jumps=[GaussianJumps(1.5, random_cov(rng, d, 0.4)),
+                   AtomicJumps(np.array([0.7, 1.3, 0.0, 0.4]),
+                               (small, large, large, also_small)),
+                   None],
+            state_depth=2)
+        for depth in (2, 5, 10):
+            got = characteristic_velocity(trip, depth).tensors
+            ref = reference_characteristic_velocity(trip, depth)
+            for x, y in zip(got, ref):
+                assert x.depth == y.depth == depth
+                for lx, ly in zip(x.levels, y.levels):
+                    assert lx.tobytes() == ly.tobytes()

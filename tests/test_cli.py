@@ -213,6 +213,37 @@ class TestBoundsCommand:
         assert rem[0] == "mode,rho,m,exact,asymptotic"
         assert len(rem) == 1 + 2 * 12
 
+    def test_bounds_need_only_m_and_horizon(self, tmp_path):
+        # bounds read levels.M and grid.T alone; N and the point counts are
+        # optional and do not change a byte
+        outputs = []
+        for k, (grid, levels) in enumerate([
+                ({"s_points": 9, "t_points": 1000, "T": 1.0}, {"M": 3, "N": 9}),
+                ({"T": 1.0}, {"M": 3})]):
+            cfg_data = base_config("bounds")
+            cfg_data["grid"], cfg_data["levels"] = grid, levels
+            cfg = write_config(tmp_path / f"cfg{k}.json", cfg_data)
+            out = tmp_path / f"out{k}"
+            assert main(["--config", cfg, "--output", str(out)]) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("bounds.csv", "remainder.csv")])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda c: c["levels"].update(N="x"), "levels.N"),
+        (lambda c: c["grid"].update(s_points=2.5), "grid.s_points"),
+        (lambda c: c["grid"].update(t_points="x"), "grid.t_points"),
+        (lambda c: c["grid"].update(s_points=1), "grid"),
+        (lambda c: c["grid"].pop("T"), "grid.T"),
+    ], ids=["N", "s_points", "t_points", "s_points-range", "T-missing"])
+    def test_bounds_check_the_fields_they_ignore(self, tmp_path, capsys, edit, field):
+        cfg_data = base_config("bounds")
+        edit(cfg_data)
+        cfg = write_config(tmp_path / "cfg.json", cfg_data)
+        assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}:"), err
+
 
 class TestEntryPoints:
     def test_import_does_not_load_scipy(self):

@@ -1044,7 +1044,48 @@ class TestCertificate:
         assert np.all(cert_ratios <= bound_ratios * 1.5)
 
 
+def reference_to_csv(surface, path, include_fields=False):
+    """One f-string and one write per node."""
+    fields = include_fields and surface.f is not None
+    if fields:
+        f_norm, ftilde_norm = (
+            np.sqrt(np.matmul(X[..., None, :], X[..., :, None])[..., 0, 0])
+            for X in (surface.f, surface.ftilde))
+    with open(path, "w") as fh:
+        cols = "s,t,w"
+        if fields:
+            cols += ",f_norm,ftilde_norm"
+        fh.write(cols + "\n")
+        for i, s in enumerate(surface.s_grid):
+            for j, t in enumerate(surface.t_grid):
+                row = f"{float(s)!r},{float(t)!r},{float(surface.w[i, j])!r}"
+                if fields:
+                    row += f",{float(f_norm[i, j])!r},{float(ftilde_norm[i, j])!r}"
+                fh.write(row + "\n")
+
+
 class TestSurfaces:
+    @pytest.mark.parametrize("case, include_fields", [
+        ("truncated", True), ("truncated", False), ("scalar", True),
+        ("scalar", False), ("breakpoints", True)])
+    def test_csv_bytes_equal_per_node_writer(self, rng, tmp_path, case, include_fields):
+        grid = np.array([0.0, 0.375, 1.0])
+        v = random_velocity(rng, 2, 3, grid, scale=0.7)
+        vt = random_velocity(rng, 2, 3, grid, scale=0.7)
+        if case == "truncated":
+            surf = solve_truncated_system(v, vt, 3, 3, unigrid(17), unigrid(17))
+        elif case == "scalar":
+            surf = solve_goursat_scalar((lambda s: 1.0 + s, lambda t: -0.3), unigrid(13),
+                                        make_grid(1.0, 6, [0.1]))
+            assert surf.f is None
+        else:
+            surf = solve_truncated_system(v, vt, 2, 3, make_grid(1.0, 7, grid),
+                                          make_grid(1.0, 10, grid))
+            assert len(surf.s_grid) != len(surf.t_grid)
+        surf.to_csv(tmp_path / "got.csv", include_fields=include_fields)
+        reference_to_csv(surf, tmp_path / "ref.csv", include_fields=include_fields)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
     def test_csv_round_trip(self, rng, tmp_path):
         grid = np.array([0.0, 1.0])
         v = random_velocity(rng, 1, 2, grid, scale=0.7)
