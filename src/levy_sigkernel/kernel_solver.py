@@ -13,6 +13,11 @@ corrected values, which keeps the scheme's second-order error constant
 clean (a single pass leaves an O(h^3) defect from the first-order
 predictor that can dominate on coarse grids).
 
+The velocities have zero scalar part and proj drops the adjoint terms'
+scalar coordinate, so that of f and g is identically zero ((f (x) y^Q)_0 =
+f_0 y_0 = 0) and the state leaves it out: df = flat(N-1) - 1 and
+dg = flat(M-1) - 1 count the fields' other coordinates.
+
 The scheme is linear, so a cell's predictor and corrector passes are a
 transfer map: a (3D, D) matrix taking the states X = (w, f, g) (width
 D = 1 + df + dg) at its three nodes nearer the origin to the increments
@@ -42,6 +47,7 @@ coefficient tables take one pass over each velocity's intervals.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Sequence
@@ -128,7 +134,8 @@ class KernelSurface:
     """Solution surface of one kernel system on a 2D grid.
 
     ``w`` holds the kernel values at the grid nodes; ``f`` and ``ftilde``
-    hold the flattened coupled fields (scalar slot first), when present.
+    hold the flattened coupled fields, when present, without the
+    always-zero scalar slot; ``f_tensor`` restores it.
     ``s_mass``/``t_mass`` are the cumulative 1-variation masses of the two
     velocities at the grid nodes, used by the a priori certificate.
     """
@@ -152,7 +159,7 @@ class KernelSurface:
     def f_tensor(self, i: int, j: int) -> TruncatedTensor:
         if self.f is None:
             raise Unsupported("surface carries no coupled field")
-        return ta.unflatten(self.f[i, j], self.dim, self.f_depth)
+        return ta.unflatten(np.concatenate([[0.0], self.f[i, j]]), self.dim, self.f_depth)
 
     def apriori_margin(self) -> float | None:
         """max over nodes of |w| - psi(C_s, C_t); non-positive when the
@@ -211,9 +218,10 @@ def _cell_intervals(grid: np.ndarray, vel_grid: np.ndarray) -> np.ndarray:
 
 _CORRECTOR_PASSES = 2
 # states up to this width contract each diagonal as one gathered product;
-# wider ones as one GEMM per run of cells that share a map.  The two take
-# the same time at width 7, where the gather's per-cell copy of the maps
-# already costs the MMD 3 MiB of peak memory
+# wider ones as one GEMM per run of cells that share a map.  On the
+# 45-surface MMD batch (65^2) the two took the same time at width 7, where
+# the gather's per-cell copy of the maps cost 3 MiB of peak memory; at
+# width 5, the MMD's state, the gather took 0.066 s against 0.107 s
 _GATHER_MAX_WIDTH = 5
 # cap, in floats, on one chunk's unit-input block when building maps
 _MAP_CHUNK_FLOATS = 1 << 13
@@ -225,22 +233,42 @@ _MAP_CHUNK_FLOATS = 1 << 13
 _GEMM_RUN_COST = 100
 
 
-def _cell_increments(X00, X01, X10, h, k, A, B, C, qx, RX, AX, qy, RY, AY):
+class _Tables(namedtuple("_Tables", "A B C qx RX AX qy RY AY")):
+    """Coefficient tables of a batch of surfaces, each with a leading
+    surface axis ``p``.  ``A[p, a, b, di, dj]`` is the scalar coefficient
+    of w at corner (i + di, j + dj) of a cell (i, j) in velocity-interval
+    pair (a, b); truncated systems broadcast one value to the four
+    corners, the scalar Goursat problem takes alpha at the nodes.
+    ``B[p, a, b]`` and ``C[p, a, b]`` are the vectors paired with the
+    coupled fields in the w-update; ``qx/RX/AX`` (per s-interval) and
+    ``qy/RY/AY`` (per t-interval) define the two field ODE integrands.
+    Fields may have width zero."""
+
+    def at(self, p, a=slice(None), b=slice(None)):
+        """The tables of surfaces ``p`` at s-intervals ``a`` and
+        t-intervals ``b``: one entry per cell for index arrays, whole
+        interval axes by default."""
+        pab, pa, pb = (p, a, b), (p, a), (p, b)
+        return _Tables(*(t[pab] for t in self[:3]), *(t[pa] for t in self[3:6]),
+                       *(t[pb] for t in self[6:]))
+
+
+def _cell_increments(X00, X01, X10, h, k, tables):
     """One cell's predictor and corrector passes, in increment form.
 
     ``X00``, ``X01``, ``X10`` (shape ``(m, n, D)``, or ``(1, n, D)`` for
     inputs shared by all cells) are ``n`` states ``(w, F, G)`` at the known
-    corners (i, j), (i, j+1), (i+1, j) of each of ``m`` cells; ``h``, ``k``
-    and the four corner scalars ``A`` have shape ``(m,)``, the vectors
-    ``(m, width)`` and the matrices ``(m, rows, cols)``.
-    Returns ``(m, n, D)`` increments over the structural part of the far
-    corner: ``dw = w11 - (w10 + (w01 - w00))``, ``dF = F11 - F01`` and
-    ``dG = G11 - G10``.
+    corners (i, j), (i, j+1), (i+1, j) of each of ``m`` cells; ``h`` and
+    ``k`` have shape ``(m,)`` and ``tables`` holds one entry per cell
+    (``_Tables.at``).  Returns ``(m, n, D)`` increments over the structural
+    part of the far corner: ``dw = w11 - (w10 + (w01 - w00))``,
+    ``dF = F11 - F01`` and ``dG = G11 - G10``.
     """
+    A, B, C, qx, RX, AX, qy, RY, AY = tables
     df = qx.shape[-1]
     (w00, F00, G00), (w01, F01, G01), (w10, F10, G10) = (
         (X[..., 0], X[..., 1:1 + df], X[..., 1 + df:]) for X in (X00, X01, X10))
-    A00, A01, A10, A11 = (a[:, None] for a in A)
+    (A00, A01), (A10, A11) = np.moveaxis(A, 0, -1)[..., None]
     hk = (h * k)[:, None]
     h, k = h[:, None, None], k[:, None, None]
     qx, qy = qx[:, None], qy[:, None]
@@ -308,7 +336,7 @@ def _map_counts(ds, dt, sidx, tidx):
     return count, len(ds) * len(dt) - same_s * same_t
 
 
-def _transfer_maps(ds, dt, sidx, tidx, A, B, C, qx, RX, AX, qy, RY, AY):
+def _transfer_maps(ds, dt, sidx, tidx, tables):
     """The distinct increment maps of a batch of surfaces.
 
     A cell's increments are linear in its three known corner states, with
@@ -330,17 +358,15 @@ def _transfer_maps(ds, dt, sidx, tidx, A, B, C, qx, RX, AX, qy, RY, AY):
     map_t = t_first[s_surf[map_s]] + np.arange(len(map_s)) - s_first[map_s]
     p, i, j = s_surf[map_s], s_cell[map_s], t_cell[map_t]
     a, b = sidx[p, i], tidx[p, j]
-    D = 1 + qx.shape[-1] + qy.shape[-1]
+    D = 1 + tables.qx.shape[-1] + tables.qy.shape[-1]
     unit = np.eye(3 * D)[None]
     corners = unit[..., :D], unit[..., D:2 * D], unit[..., 2 * D:]
     maps = np.empty((len(map_s), 3 * D, D))
     chunk = max(1, _MAP_CHUNK_FLOATS // (3 * D * D))
     for lo in range(0, len(maps), chunk):
         c = slice(lo, lo + chunk)
-        pa, pb, pab = (p[c], a[c]), (p[c], b[c]), (p[c], a[c], b[c])
-        maps[c] = _cell_increments(
-            *corners, ds[i[c]], dt[j[c]], tuple(x[pab] for x in A), B[pab], C[pab],
-            qx[pa], RX[pa], AX[pa], qy[pb], RY[pb], AY[pb])
+        maps[c] = _cell_increments(*corners, ds[i[c]], dt[j[c]],
+                                   tables.at(p[c], a[c], b[c]))
     return maps, s_first[s_cls], t_cls - t_first[:, None]
 
 
@@ -363,57 +389,23 @@ def _apply_maps(maps, idx, xc):
     return delta.reshape(*idx.shape, D)
 
 
-def _direct_increments(x, h, k, a, b, A, B, C, qx, RX, AX, qy, RY, AY):
-    """Increments of a diagonal's cells by ``_cell_increments`` on their
-    own corner states, for surfaces whose maps would not pay.  ``x`` holds
-    the ``(n, c, 3, D)`` known corner states of ``c`` cells of ``n``
-    surfaces, ``h``/``k`` their ``(c,)`` steps and ``a``/``b`` their
-    ``(n, c)`` interval indices; the tables are those of the ``n``
-    surfaces."""
-    n, c, _, D = x.shape
-    p = np.arange(n)[:, None]
-    pa, pb, pab = (p, a), (p, b), (p, a, b)
-
-    def cells(t):
-        return t.reshape(n * c, *t.shape[2:])
-
-    X = x.reshape(n * c, 3, 1, D)
-    delta = _cell_increments(
-        X[:, 0], X[:, 1], X[:, 2], np.tile(h, n), np.tile(k, n),
-        tuple(cells(t[pab]) for t in A), cells(B[pab]), cells(C[pab]),
-        cells(qx[pa]), cells(RX[pa]), cells(AX[pa]),
-        cells(qy[pb]), cells(RY[pb]), cells(AY[pb]))
-    return delta.reshape(n, c, D)
-
-
-def _sweep(ds, dt, sidx, tidx, A, B, C, qx, RX, AX, qy, RY, AY):
+def _sweep(ds, dt, sidx, tidx, tables):
     """Anti-diagonal sweep over a batch of surfaces, by transfer maps.
 
-    Every table has a leading surface axis ``p``.  ``sidx[p]``/``tidx[p]``
-    map grid cells to velocity intervals.  ``A = (A00, A01, A10, A11)``
-    holds the scalar coefficient of w at the four corners of a cell:
-    ``A00[p, a, b]`` at node (i, j) of a cell in velocity-interval pair
-    (a, b), ``A01`` at (i, j+1), ``A10`` at (i+1, j) and ``A11`` at
-    (i+1, j+1).  Truncated systems pass one table four times; the scalar
-    Goursat problem passes node values of alpha.  ``B[p, a, b]`` and
-    ``C[p, a, b]`` are the vectors paired with the coupled fields in the
-    w-update; ``qx/RX/AX`` (per s-interval) and ``qy/RY/AY`` (per
-    t-interval) define the two field ODE integrands.  Fields may have
-    width zero.
-
-    Each cell's predictor and corrector passes are a linear map from its
-    three known corner states ``X = (w, F, G)`` (width ``D = 1 + df + dg``)
-    to its increments (``_cell_increments``).  One map serves every cell
-    with the same key (surface, s-class, t-class), where an s-class is a
-    distinct pair (interval, exact bits of the step h) along s and a
-    t-class the same along t; ``_transfer_maps`` builds each distinct map
-    once.  Cell (i+1, j+1) needs only nodes (i, j), (i+1, j) and (i, j+1),
-    so each anti-diagonal takes one contraction for all surfaces
-    (``_apply_maps``: a gathered product for ``D`` up to
-    ``_GATHER_MAX_WIDTH``, the scalar problem included, one GEMM per run
-    of cells sharing a map above it).  The far corner is the structural
-    part plus the increment, ``w11 = w10 + (w01 - w00) + dw``,
-    ``F11 = F01 + dF``, ``G11 = G10 + dG``.
+    ``tables`` is a ``_Tables`` record; ``sidx[p]``/``tidx[p]`` map grid
+    cells to velocity intervals.  Each cell's predictor and corrector
+    passes are a linear map from its three known corner states
+    ``X = (w, F, G)`` (width ``D = 1 + df + dg``) to its increments
+    (``_cell_increments``).  One map serves every cell with the same key
+    (surface, s-class, t-class), where an s-class is a distinct pair
+    (interval, exact bits of the step h) along s and a t-class the same
+    along t; ``_transfer_maps`` builds each distinct map once.  Cell
+    (i+1, j+1) needs only nodes (i, j), (i+1, j) and (i, j+1), so each
+    anti-diagonal takes one contraction for all surfaces (``_apply_maps``:
+    a gathered product for ``D`` up to ``_GATHER_MAX_WIDTH``, the scalar
+    problem included, one GEMM per run of cells sharing a map above it).
+    The far corner is the structural part plus the increment,
+    ``w11 = w10 + (w01 - w00) + dw``, ``F11 = F01 + dF``, ``G11 = G10 + dG``.
 
     Maps pay only when cells share them.  A surface takes maps when they
     hold at most ``D x cells`` floats (three times its own state: building
@@ -423,17 +415,17 @@ def _sweep(ds, dt, sidx, tidx, A, B, C, qx, RX, AX, qy, RY, AY):
     Uniform grids from ``make_grid`` have few classes per axis (one per
     interval, plus the cells split by breakpoints) and long runs.  Other
     surfaces, e.g. on random grids, evaluate ``_cell_increments`` directly
-    on each diagonal's states (``_direct_increments``), so the maps never
-    outgrow the state.  The choice, like the contraction, depends on the
-    surface alone and runs never cross surfaces, so a surface's bits do
-    not depend on which surfaces share its batch.  Boundary rows are
-    one-dimensional ODEs stepped in place.  Returns (w, f, g) node arrays
-    with the surface axis first, views of one state array, and the number
-    of maps of each surface (0 where cells were evaluated directly).
+    on each diagonal's states, so the maps never outgrow the state.  The
+    choice, like the contraction, depends on the surface alone and runs
+    never cross surfaces, so a surface's bits do not depend on which
+    surfaces share its batch.  Boundary rows are one-dimensional ODEs
+    stepped in place.  Returns (w, f, g) node arrays with the surface axis
+    first, views of one state array, and the number of maps of each
+    surface (0 where cells were evaluated directly).
     """
     n_s = len(sidx)
     n_i, n_j = len(ds), len(dt)
-    df, dg = qx.shape[-1], qy.shape[-1]
+    df, dg = tables.qx.shape[-1], tables.qy.shape[-1]
     D = 1 + df + dg
     X = np.zeros((n_s, n_i + 1, n_j + 1, D))
     X[..., 0] = 1.0
@@ -443,42 +435,28 @@ def _sweep(ds, dt, sidx, tidx, A, B, C, qx, RX, AX, qy, RY, AY):
         return np.matmul(mat, vec[..., None])[..., 0]
 
     p = np.arange(n_s)
-    # t = 0 boundary: f solves its ODE with w = 1 and g = 0
-    for i in range(n_i if df else 0):
-        a, h = sidx[:, i], ds[i]
-        qxa, RXa = qx[p, a], RX[p, a]
-        f0 = F[:, i, 0]
-        d0 = qxa + mv(RXa, f0)
-        f1 = f0 + h * d0
-        for _ in range(_CORRECTOR_PASSES):
-            f1 = f0 + 0.5 * h * (d0 + qxa + mv(RXa, f1))
-        F[:, i + 1, 0] = f1
-    # s = 0 boundary: g solves its ODE with w = 1 and f = 0
-    for j in range(n_j if dg else 0):
-        b, k = tidx[:, j], dt[j]
-        qyb, RYb = qy[p, b], RY[p, b]
-        g0 = G[:, 0, j]
-        d0 = qyb + mv(RYb, g0)
-        g1 = g0 + k * d0
-        for _ in range(_CORRECTOR_PASSES):
-            g1 = g0 + 0.5 * k * (d0 + qyb + mv(RYb, g1))
-        G[:, 0, j + 1] = g1
+    # boundary rows: f on t = 0 and g on s = 0 solve their ODEs with w = 1
+    # and the other field 0
+    for row, steps, idx, q, R in ((F[:, :, 0], ds, sidx, tables.qx, tables.RX),
+                                  (G[:, 0], dt, tidx, tables.qy, tables.RY)):
+        for i in range(len(steps) if q.shape[-1] else 0):
+            qa, Ra, h = q[p, idx[:, i]], R[p, idx[:, i]], steps[i]
+            f0 = row[:, i]
+            d0 = qa + mv(Ra, f0)
+            f1 = f0 + h * d0
+            for _ in range(_CORRECTOR_PASSES):
+                f1 = f0 + 0.5 * h * (d0 + qa + mv(Ra, f1))
+            row[:, i + 1] = f1
 
     cells = n_i * n_j
     n_maps, runs = _map_counts(ds, dt, sidx, tidx)
     use = (n_maps * D <= cells) & ((D <= _GATHER_MAX_WIDTH)
                                    | (runs * _GEMM_RUN_COST <= cells * D * D))
     n_maps[~use] = 0
-    # a group that is the whole batch is a slice, so nothing is copied
-    mapped, direct = (slice(None) if g.all() else np.flatnonzero(g) for g in (use, ~use))
-    n_mapped, n_direct = np.count_nonzero(use), np.count_nonzero(~use)
-
-    def of(group):
-        return (sidx[group], tidx[group], tuple(t[group] for t in A),
-                *(t[group] for t in (B, C, qx, RX, AX, qy, RY, AY)))
-
-    maps, S, T = _transfer_maps(ds, dt, *of(mapped))
-    d_sidx, d_tidx, *d_tables = of(direct)
+    n_mapped, direct = np.count_nonzero(use), np.flatnonzero(~use)
+    # a mapped group that is the whole batch is a slice, so nothing is copied
+    mapped = slice(None) if use.all() else np.flatnonzero(use)
+    maps, S, T = _transfer_maps(ds, dt, sidx[mapped], tidx[mapped], tables.at(mapped))
     nodes = X.reshape(n_s, -1, D)
     # node offsets of corners (i, j), (i, j+1), (i+1, j) from node (i, j)
     known = np.array([0, 1, n_j + 1])
@@ -491,9 +469,15 @@ def _sweep(ds, dt, sidx, tidx, A, B, C, qx, RX, AX, qy, RY, AY):
         if n_mapped:
             delta[mapped] = _apply_maps(maps, S[:, i] + T[:, j],
                                         x[mapped].reshape(n_mapped, len(i), 3 * D))
-        if n_direct:
-            delta[direct] = _direct_increments(
-                x[direct], ds[i], dt[j], d_sidx[:, i], d_tidx[:, j], *d_tables)
+        if len(direct):
+            # surfaces whose maps would not pay: each cell's update on its
+            # own corner states, the cells of all such surfaces in one stack
+            pc = np.repeat(direct, len(i))
+            ic, jc = np.tile(i, len(direct)), np.tile(j, len(direct))
+            xd = x[direct].reshape(-1, 3, 1, D)
+            delta[direct] = _cell_increments(
+                xd[:, 0], xd[:, 1], xd[:, 2], ds[ic], dt[jc],
+                tables.at(pc, sidx[pc, ic], tidx[pc, jc])).reshape(len(direct), len(i), D)
         x00, far, x10 = x[:, :, 0], x[:, :, 1], x[:, :, 2]
         # structural part of the far corner: w10 + (w01 - w00), F01, G10
         far[..., 0] = x10[..., 0] + (far[..., 0] - x00[..., 0])
@@ -533,16 +517,18 @@ def solve_goursat_scalar(alpha, s_grid, t_grid,
         if cells.shape != (n_i, n_j):
             raise InvalidParameter("cell-wise alpha must have one value per grid cell")
         nodes = None
-    corners = ((cells,) * 4 if nodes is None else
-               (nodes[:-1, :-1], nodes[:-1, 1:], nodes[1:, :-1], nodes[1:, 1:]))
     # one surface whose cell (i, j) is interval pair (i, j), with alpha at
-    # the cell's corners and coupled fields of width zero
+    # the cell's corners (views of the node array) and coupled fields of
+    # width zero
+    A = (np.broadcast_to(cells[..., None, None], (n_i, n_j, 2, 2)) if nodes is None else
+         np.lib.stride_tricks.as_strided(nodes, (n_i, n_j, 2, 2), nodes.strides * 2,
+                                         writeable=False))
     B = np.zeros((1, n_i, n_j, 0))
     qx, RX = np.zeros((1, n_i, 0)), np.zeros((1, n_i, 0, 0))
     qy, RY = np.zeros((1, n_j, 0)), np.zeros((1, n_j, 0, 0))
     w, _, _, n_maps = _sweep(np.diff(s_grid), np.diff(t_grid),
                              np.arange(n_i)[None], np.arange(n_j)[None],
-                             tuple(c[None] for c in corners), B, B, qx, RX, RX, qy, RY, RY)
+                             _Tables(A[None], B, B, qx, RX, RX, qy, RY, RY))
     return KernelSurface(
         s_grid=s_grid, t_grid=t_grid, w=w[0],
         s_mass=None if s_mass is None else np.asarray(s_mass, dtype=float),
@@ -604,7 +590,8 @@ def _solve_truncated_batch(pairs, M: int, N: int, s_grid, t_grid) -> list[Kernel
     tidx = np.stack([_cell_intervals(t_grid, vt.time_grid) for _, vt in pairs])
     A, *fields = map(_stack_padded, zip(*(_coefficients(*lr) for lr in sides)))
     ds, dt = np.diff(s_grid), np.diff(t_grid)
-    w, F, G, n_maps = _sweep(ds, dt, sidx, tidx, (A,) * 4, *fields)
+    tables = _Tables(np.broadcast_to(A[..., None, None], (*A.shape, 2, 2)), *fields)
+    w, F, G, n_maps = _sweep(ds, dt, sidx, tidx, tables)
     cells = len(ds) * len(dt)
     width = 1 + F.shape[-1] + G.shape[-1]
     # node masses: grids hold every breakpoint, so a cell has one interval
@@ -630,31 +617,36 @@ def _stack_padded(arrays) -> np.ndarray:
 
 def _coefficients(left, right):
     """Tables (A, B, C, qx, RX, AX, qy, RY, AY) of one truncated system, in
-    the layout ``_sweep`` takes per surface, from its side tables
-    ``_side_tables(v, M, N)`` and ``_side_tables(vt, N, M)``: A pairs x and
-    y up to level min(M, N), and as ``<f, adjoint_right(x^Q, y)> =
-    <f (x) x^Q, y>``, B = K_x y and C = K_y x with the scalar slot zeroed.
-    Formed per pair, so a surface's bits do not depend on its batch."""
+    the layout of ``_Tables`` per surface (A without its corner axes),
+    from its side tables ``_side_tables(v, M, N)`` and
+    ``_side_tables(vt, N, M)``: A pairs x and y up to level min(M, N), and
+    as ``<f, adjoint_right(x^Q, y)> = <f (x) x^Q, y>``, B = K_x y and
+    C = K_y x.  The fields' coordinates exclude the scalar slot; R is the
+    block of K on them, transposed.  Formed per pair, so a surface's bits
+    do not depend on its batch."""
     (_, X, qx, KX, AX), (_, Y, qy, KY, AY) = left, right
     P = min(X.shape[-1], Y.shape[-1])
     A = X[:, :P] @ Y[:, :P].T
     B = Y @ np.swapaxes(KX, 1, 2)
     C = np.swapaxes(X @ np.swapaxes(KY, 1, 2), 0, 1)
-    B[..., 0] = C[..., 0] = 0.0
-    RX, RY = (np.swapaxes(K[:, :, :K.shape[1]], 1, 2) for K in (KX, KY))
+    RX, RY = (np.swapaxes(K[:, :, 1:1 + K.shape[1]], 1, 2) for K in (KX, KY))
     return A, B, C, qx, RX, AX, qy, RY, AY
 
 
 def _side_tables(v: PiecewiseVelocity, M: int, N: int):
     """Tables (norm, X, q, K, Adj) per interval of v for the side cut at M
     against one cut at N: with x = v cut at M and Q = min(M, N - 1), the
-    T^1 norm of x, x flattened at M, q = x^Q, the (flat(N-1), flat(N))
-    matrix K of f -> f (x) x^Q and Adj g = adjoint_left_zero(g, x).  K
-    serves the field ODE f' = w q + R f + Adj g (R is K's leading square
-    block, transposed) and the w-integrand (``_coefficients``).  Sides are
-    ``(v, M, N)`` and ``(vt, N, M)``; K and Adj map a batched identity."""
+    T^1 norm of x, x flattened at M, q = x^Q, the (flat(N-1) - 1, flat(N))
+    matrix K of f -> f (x) x^Q and Adj g = proj(adjoint_left(g, x)).  The
+    fields f (depth N - 1) and g (depth M - 1) leave out their scalar slot,
+    which stays zero (q_0 = x_0 = 0, (f (x) x^Q)_0 = 0 and proj drops
+    Adj's), so q, Adj and the inputs of K have none; K keeps output slot 0
+    so that it pairs with all of y.  K serves the
+    field ODE f' = w q + R f + Adj g (``_coefficients``) and the
+    w-integrand.  Sides are ``(v, M, N)`` and ``(vt, N, M)``; K and Adj map
+    a batched identity."""
     Q = min(M, N - 1)
-    ef, eg = (ta.unflatten(np.eye(ta.flat_size(v.dim, n)), v.dim, n)
+    ef, eg = (ta.unflatten(np.eye(ta.flat_size(v.dim, n))[1:], v.dim, n)
               for n in (N - 1, M - 1))
     norm, X, q, K, adj = [], [], [], [], []
     for x in v.tensors:
@@ -662,9 +654,9 @@ def _side_tables(v: PiecewiseVelocity, M: int, N: int):
         xQ = ta.truncate(x, Q)
         norm.append(ta.norm_p(x, 1))
         X.append(ta.flatten(x, M))
-        q.append(ta.flatten(xQ, N - 1))
+        q.append(ta.flatten(xQ, N - 1)[1:])
         K.append(ta.flatten(ta.tensor_mul(ef, xQ, N), N))
-        adj.append(ta.flatten(ta.adjoint_left_zero(eg, x), N - 1).T)
+        adj.append(ta.flatten(ta.adjoint_left(eg, x), N - 1)[:, 1:].T)
     return tuple(map(np.array, (norm, X, q, K, adj)))
 
 

@@ -16,7 +16,7 @@ from levy_sigkernel.kernel_solver import (_CORRECTOR_PASSES, _apply_maps,
                                           _map_counts,
                                           _cell_intervals, _coefficients,
                                           _side_tables, _solve_truncated_batch,
-                                          _transfer_maps,
+                                          _Tables, _transfer_maps,
                                           apriori_psi, bessel_i0, make_grid,
                                           solve_goursat_scalar,
                                           solve_truncated_system,
@@ -203,7 +203,11 @@ class TestTruncatedSystem:
         g = unigrid(65)
         surf = solve_truncated_system(v, vt, 1, 1, g, g)
         ref = solve_goursat_scalar((lambda s: 0.9, lambda t: 1.1), g, g)
-        assert np.abs(surf.w - ref.w).max() < 1e-12
+        # the fields hold only their always-zero scalar slot, which the
+        # state leaves out: the sweep is the scalar one, bit for bit
+        assert surf.meta["state_width"] == 1
+        assert surf.f.shape[-1] == surf.ftilde.shape[-1] == 0
+        assert np.array_equal(surf.w, ref.w)
 
     def test_oracle_equivalence_and_order(self, rng):
         grid = np.array([0.0, 0.3, 0.7, 1.0])
@@ -510,19 +514,20 @@ class TestAntiDiagonalSweep:
         assert_fields_close(surf.f, surf.ftilde, F, G)
 
     def test_batch_matches_single_solves(self, rng):
-        # state width 11: one GEMM per run of cells sharing a map
+        # state width 9: one GEMM per run of cells sharing a map
         self.check_batch_matches_single_solves(rng, 2, 3)
 
     def test_gathered_batch_matches_single_solves(self, rng):
-        # state width 5: one gathered product per diagonal
+        # state width 3: one gathered product per diagonal
         self.check_batch_matches_single_solves(rng, 2, 1)
 
     def test_mixed_batch_matches_single_solves(self, rng):
         # a velocity with a breakpoint at every grid node gives a class per
         # step, so its surfaces are evaluated directly; the others take maps
+        # (state width 13, the GEMM contraction)
         grid = make_grid(1.0, 41, np.array([0.25, 0.5, 0.75]))
         batch = self.check_batch_matches_single_solves(
-            rng, 3, 2, [np.array([0.0, 0.25, 1.0]), grid, np.array([0.0, 1.0])], 41)
+            rng, 3, 3, [np.array([0.0, 0.25, 1.0]), grid, np.array([0.0, 1.0])], 41)
         assert sorted(surf.meta["maps"] > 0 for surf in batch) == [False, True, True]
 
     @staticmethod
@@ -589,19 +594,22 @@ def map_problem(rng, kind):
             vt = random_velocity(rng, 2, 3, grid, scale=0.8)
             A, *rest = coefficients(v, vt, M, N)
             per_surface.append(((A,) * 4, *rest))
-    stacked = [tuple(np.stack(c) for c in zip(*parts)) if isinstance(parts[0], tuple)
-               else np.stack(parts) for parts in zip(*per_surface)]
-    args = (ds, dt, np.stack([sidx] * 2), np.stack([tidx] * 2), *stacked)
+    # corners (A00, A01, A10, A11) become the record's trailing 2 x 2 axes
+    A = np.stack([np.stack(A4, axis=-1).reshape(*A4[0].shape, 2, 2)
+                  for A4, *_ in per_surface])
+    fields = (np.stack(parts) for parts in list(zip(*per_surface))[1:])
+    args = (ds, dt, np.stack([sidx] * 2), np.stack([tidx] * 2), _Tables(A, *fields))
     return args, per_surface, sidx, tidx
 
 
 class TestTransferMaps:
-    # D = 5 and 15 with their own contraction and the other one forced;
+    # D = 3 and 13 with their own contraction and the other one forced;
     # D = 1 for the scalar problem
     @pytest.mark.parametrize("kind, gather_max", [
         ((2, 1), None), ((2, 1), 0), ((3, 3), None), ((3, 3), 100), ("scalar", None)],
-        ids=["D5-gather", "D5-gemm", "D15-gemm", "D15-gather", "D1-gather"])
-    def test_maps_match_reference_cell_update(self, rng, monkeypatch, kind, gather_max):
+        ids=["D3-gather", "D3-gemm", "D13-gemm", "D13-gather", "D1-gather"])
+    def test_maps_match_reference_cell_update(self, rng, monkeypatch, request, kind,
+                                              gather_max):
         if gather_max is not None:
             monkeypatch.setattr(kernel_solver, "_GATHER_MAX_WIDTH", gather_max)
         args, per_surface, sidx, tidx = map_problem(rng, kind)
@@ -609,6 +617,9 @@ class TestTransferMaps:
         maps, S, T = _transfer_maps(*args)
         n_maps, _ = _map_counts(*args[:4])
         D = maps.shape[-1]
+        # the width and the contraction that the case's id names
+        gather = D <= kernel_solver._GATHER_MAX_WIDTH
+        assert request.node.callspec.id == f"D{D}-{'gather' if gather else 'gemm'}"
         i, j = (a.ravel() for a in np.meshgrid(np.arange(len(ds)), np.arange(len(dt)),
                                                 indexing="ij"))
         x = rng.normal(size=(2, len(i), 3, D))
@@ -644,11 +655,12 @@ class TestTransferMaps:
         v = random_velocity(rng, 2, 3, grid, scale=0.8)
         s_grid = make_grid(1.0, 17, grid)
         surf = solve_truncated_system(v, v, 3, 2, s_grid, make_grid(1.0, 9, grid))
-        # df = flat_size(2, 1) = 3, dg = flat_size(2, 2) = 7; uniform steps,
-        # so one class per interval on each axis
+        # without the scalar slots df = flat_size(2, 1) - 1 = 2 and
+        # dg = flat_size(2, 2) - 1 = 6; uniform steps, so one class per
+        # interval on each axis
         assert surf.meta == {"system": "truncated", "M": 3, "N": 2, "scheme_order": 2,
-                             "cells": 128, "state_width": 11, "maps": 4}
-        # a random t-grid has a class per step: 2 x 8 maps of width 11 would
+                             "cells": 128, "state_width": 9, "maps": 4}
+        # a random t-grid has a class per step: 2 x 8 maps of width 9 would
         # hold more floats than the state, so the cells are evaluated directly
         t_grid = np.sort(np.concatenate([grid, rng.uniform(0.0, 1.0, 6)]))
         surf = solve_truncated_system(v, v, 3, 2, s_grid, t_grid)
@@ -850,8 +862,16 @@ class TestSweepReferences:
         v = random_velocity(rng, d, max(M, N) + 1, grid, scale=0.8)
         vt = random_velocity(rng, d, max(M, N), np.array([0.0, 0.6, 0.8, 1.0]), scale=0.8)
         tables = coefficients(v, vt, M, N)
-        reference = reference_coefficients(v, vt, M, N)
-        assert len(tables) == len(reference) == 9
+        A, B, C, qx, RX, AX, qy, RY, AY = reference_coefficients(v, vt, M, N)
+        # the reference keeps the fields' scalar slot.  Every table's
+        # slot-0 output is exactly 0.0, so slot 0 of f and g stays 0 and the
+        # slot-0 inputs act on zero: the solver's tables drop both
+        for out in (B[..., 0], C[..., 0], qx[:, 0], RX[:, 0], AX[:, 0],
+                    qy[:, 0], RY[:, 0], AY[:, 0]):
+            assert np.all(out == 0.0)
+        reference = (A, B[..., 1:], C[..., 1:], qx[:, 1:], RX[:, 1:, 1:], AX[:, 1:, 1:],
+                     qy[:, 1:], RY[:, 1:, 1:], AY[:, 1:, 1:])
+        assert len(tables) == 9
         for got, want in zip(tables, reference):
             assert got.shape == want.shape
         # the field tables copy or map basis vectors, as the reference does
@@ -870,9 +890,9 @@ class TestSweepReferences:
         xs, ys = v.tensors, vt.tensors
         magnitudes = (
             np.array([[ta.inner_product(mag(x, P), mag(y, P)) for y in ys] for x in xs]),
-            np.array([[ta.flatten(ta.adjoint_right(mag(x, Q), mag(y, N)), N - 1)
+            np.array([[ta.flatten(ta.adjoint_right(mag(x, Q), mag(y, N)), N - 1)[1:]
                        for y in ys] for x in xs]),
-            np.array([[ta.flatten(ta.adjoint_right(mag(y, Qt), mag(x, M)), M - 1)
+            np.array([[ta.flatten(ta.adjoint_right(mag(y, Qt), mag(x, M)), M - 1)[1:]
                        for y in ys] for x in xs]))
         for got, want, bound, depth in zip(tables, reference, magnitudes, (P, N, M)):
             g = gamma(ta.flat_size(d, depth))
@@ -1122,3 +1142,5 @@ class TestSurfaces:
         surf = solve_truncated_system(v, v, 2, 2, unigrid(9), unigrid(9))
         f = surf.f_tensor(4, 4)
         assert f.dim == 2 and f.depth == 1 and f.scalar() == 0.0
+        # the stored field leaves out the scalar slot; the accessor puts it back
+        assert np.array_equal(ta.flatten(f, 1), [0.0, *surf.f[4, 4]])

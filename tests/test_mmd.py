@@ -98,7 +98,7 @@ class TestCrossKernel:
         surf = cross_kernel(ens, 0, wn, 33)
         # f(s, 0) = int_0^s b_k; check at the far corner of the t=0 row
         expected = 0.5 * ens.derivs[0][0] + 0.5 * ens.derivs[0][1]
-        assert np.allclose(surf.f[-1, 0, 1:], expected, atol=1e-12)
+        assert np.allclose(surf.f[-1, 0], expected, atol=1e-12)
         assert np.abs(surf.f[0]).max() == 0.0   # f(0, t) = 0
 
     def test_matches_development_inner_product(self, rng):
