@@ -41,13 +41,20 @@ __all__ = [
 def develop(v: PiecewiseVelocity, s: float, t: float, depth: int) -> TruncatedTensor:
     """Free development of the velocity over [s, t], truncated at ``depth``.
 
-    Satisfies the multiplicative splitting identity
-    ``develop(v, s, t) = develop(v, s, u) (x) develop(v, u, t)`` exactly.
+    The ordered product of ``exp(v_i dt_i)`` over the covered intervals,
+    each factor applied by one fused :func:`tensor_algebra.mul_exp`
+    (left Horner form, no exponential and no full product is formed): at
+    d = 2, depth 19 a factor costs what one exponential costs, about
+    ``live * 2**(depth + 2)`` multiply-adds for a velocity with ``live``
+    nonzero levels.  Satisfies the multiplicative splitting identity
+    ``develop(v, s, t) = develop(v, s, u) (x) develop(v, u, t)`` up to
+    rounding.  ``depth`` must be a nonnegative integer.
     """
+    if isinstance(depth, bool) or not isinstance(depth, (int, np.integer)) or depth < 0:
+        raise InvalidParameter(f"depth must be a nonnegative integer, got {depth!r}")
     out = TruncatedTensor.unit(v.dim, depth)
     for i, dt in v.overlaps(s, t):
-        factor = ta.exp_tensor(v.tensors[i].with_depth(depth) * dt)
-        out = ta.tensor_mul(out, factor, depth)
+        out = ta.mul_exp(out, v.tensors[i] * dt)
     return out
 
 

@@ -121,15 +121,14 @@ def simulate_paths(triplet: LevyTriplet, n_paths: int, steps_per_interval: int,
         bitgen.state = state
         for iv in plan:
             iv.draw(rng, p)
-    for iv in plan:
-        iv.transform_noise()
+    noise = [iv.transform_noise() for iv in plan]
 
     segments: list[tuple[np.ndarray, np.ndarray | None]] = []
     for i, iv in enumerate(plan):
         b, ar = triplet.drifts[i], triplet.areas[i]
         lvl2_base = None if ar is None else np.tile(ar.ravel() * iv.dt, (n_paths, 1))
         for step in range(steps_per_interval):
-            lvl1 = iv.noise[step]
+            lvl1 = noise[i][step]
             lvl1 += b * iv.dt
             segments.append((lvl1, None if lvl2_base is None else lvl2_base.copy()))
             for slot_entries in iv.step_slots.get(step, []):
@@ -162,9 +161,10 @@ class _IntervalDraws:
                 else spec.intensity
         if isinstance(spec, GaussianJumps):
             self.jump_factor = _cov_factor(spec.cov)
-        # sub-step noise by (step, path): standard normals until
-        # transform_noise(), then noise[step] becomes a segment
-        self.noise = np.zeros((steps, n_paths, triplet.dim))
+        # sub-step standard normals by (path, step), so that each path's
+        # draws fill one contiguous block; transform_noise() turns them into
+        # the segments' increments by (step, path)
+        self.noise = np.zeros((n_paths, steps, triplet.dim))
         # step -> slot -> list of (path, level1, level2); a path with several
         # jumps in one sub-step occupies successive slots in time order
         self.step_slots: dict[int, list[list]] = {}
@@ -179,22 +179,26 @@ class _IntervalDraws:
             slots.append([])
         slots[slot].append((p, v1, v2))
 
-    def transform_noise(self) -> None:
-        """Scale all paths' standard normals to the interval's covariance.
+    def transform_noise(self) -> np.ndarray:
+        """All paths' sub-step increments, shape ``(steps, n_paths, d)``.
 
-        One product over the whole block; each row is computed as
-        ``sqdt * z @ factor.T`` on the row alone would be.
+        Reorders the standard normals by (step, path) while scaling them by
+        sqrt(dt), then maps them to the interval's covariance by one product
+        over the whole block; each row is computed as ``sqdt * z @ factor.T``
+        on the row alone would be.  Block ``[step]`` becomes that sub-step's
+        level-1 segment.  The draws are released.
         """
-        if self.has_noise:
-            d = self.noise.shape[2]
-            flat = (self.sqdt * self.noise).reshape(-1, d) @ self.factor.T
-            self.noise = flat.reshape(self.noise.shape)
+        z, self.noise = self.noise.transpose(1, 0, 2), None
+        if not self.has_noise:
+            return np.zeros(z.shape)
+        scaled = np.multiply(z, self.sqdt, out=np.empty(z.shape))
+        return (scaled.reshape(-1, z.shape[2]) @ self.factor.T).reshape(z.shape)
 
     def draw(self, rng: np.random.Generator, p: int) -> None:
         """Path p's draws on this interval, in the order the module fixes."""
         d = self.noise.shape[2]
         if self.has_noise:
-            self.noise[:, p] = rng.standard_normal((self.steps, d))
+            rng.standard_normal(out=self.noise[p])
         spec = self.spec
         if spec is None:
             return
@@ -316,11 +320,11 @@ def estimate_kernel(triplet_a: LevyTriplet, triplet_b: LevyTriplet, t: float,
     independent mean estimates by the delta method.  The second triplet
     uses path streams offset by ``n_paths``.
     """
-    paths_a = simulate_paths(triplet_a, n_paths, steps, seed, horizon=t)
-    paths_b = simulate_paths(triplet_b, n_paths, steps, seed, horizon=t,
-                             stream_offset=n_paths)
-    sig_a = _batch_signatures(paths_a, depth)
-    sig_b = _batch_signatures(paths_b, depth)
+    # each side's paths are dropped once its signatures are formed
+    sig_a = _batch_signatures(simulate_paths(triplet_a, n_paths, steps, seed, horizon=t),
+                              depth)
+    sig_b = _batch_signatures(simulate_paths(triplet_b, n_paths, steps, seed, horizon=t,
+                                             stream_offset=n_paths), depth)
     mean_a = [lvl.mean(axis=0) for lvl in sig_a]
     mean_b = [lvl.mean(axis=0) for lvl in sig_b]
     value = float(sum(ma @ mb for ma, mb in zip(mean_a, mean_b)))

@@ -14,12 +14,17 @@ the single-tensor call on row p.  Both skip a level pair when either level
 is all zeros, which leaves the result unchanged on finite inputs: the
 surviving terms are added in the same order as in the dense sum.
 :func:`adjoint_left`, :func:`adjoint_left_zero`, :func:`flatten` and
-:func:`unflatten` take the same batch axis.  ``scalar()``, ``+``, ``-``, :func:`inner_product` and
-:func:`level_norms` (so :func:`norm_p`) raise ``Unsupported`` on a batch.
+:func:`unflatten` take the same batch axis.  ``scalar()``, ``+``, ``-``,
+:func:`inner_product`, :func:`mul_exp` and :func:`level_norms` (so
+:func:`norm_p`) raise ``Unsupported`` on a batch.
 
-The private :func:`_mul_exp_level1` fuses ``s (x) exp(x)`` for an increment
-x that stores only level 1, in Horner form per output level, with the same
-batch axis; it serves the pathwise signatures of :mod:`mc_oracle`.
+Two functions fuse ``s (x) exp(x)`` for a zero-scalar x in Horner form, so
+that neither the exponential nor the full product is formed.
+:func:`mul_exp` takes single tensors and any x; it serves the developments
+of :mod:`development`.  The private :func:`_mul_exp_level1` takes an
+increment x that stores only level 1, with the same batch axis as above; it
+serves the pathwise signatures of :mod:`mc_oracle`.  On such an x the two
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ __all__ = [
     "max_level_norm",
     "dilate",
     "exp_tensor",
+    "mul_exp",
     "log_tensor",
     "group_inverse",
     "adjoint_left",
@@ -239,6 +245,66 @@ def tensor_mul(x: TruncatedTensor, y: TruncatedTensor,
                 block += x.levels[k][..., :, None] * y.levels[n - k][..., None, :]
         levels.append(acc)
     return TruncatedTensor(d, levels)
+
+
+# Longest v that _add_outer loops over.  On a 2-core x86 host, broadcasting
+# a (2**18, 1) x (1, 2) product into its block costs 3.3 ms, the loop over
+# the two columns 1.0 ms.  The four depth-19 developments of
+# validate-jumps-d2 take 0.16-0.18 s at 4 or 8, 0.20 s at 2, 0.21-0.22 s
+# at 64 and 0.30 s without the loop.
+_SHORT_AXIS = 4
+
+
+def _add_outer(acc: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+    """``acc += u (x) v`` in place, ``acc`` holding ``len(u) * len(v)`` entries.
+
+    A short ``v`` (at most ``_SHORT_AXIS`` entries) is looped over, so that
+    numpy runs along the long axis without broadcasting a temporary of the
+    whole block.  Each entry takes one product and one addition either way,
+    so the two forms agree bit for bit.
+    """
+    block = acc.reshape(len(u), len(v))
+    if len(v) <= _SHORT_AXIS:
+        for c, vc in enumerate(v):
+            block[:, c] += u * vc
+    else:
+        block += u[:, None] * v[None, :]
+
+
+def mul_exp(s: TruncatedTensor, x: TruncatedTensor) -> TruncatedTensor:
+    """``s (x) exp(x)`` for a zero-scalar x, truncated at ``s.depth``.
+
+    Left Horner form: starting from ``q = s^0``, ``q <- s + q (x) x/k`` for
+    k = depth down to 1, so that no exponential and no full product is
+    formed.  As in :func:`exp_tensor`, step k keeps only levels
+    <= depth - k + 1 of q (the k - 1 later steps append at least one letter
+    each), all-zero levels of x are skipped, and x is scaled as
+    ``x.levels[j] / k``.  Output level n sums, in increasing j, the products
+    ``q^(n-j) (x) x^j / k`` onto ``s^n``.  For an x whose only live level is
+    level 1 the result is bitwise equal to :func:`_mul_exp_level1`; against
+    ``tensor_mul(s, exp_tensor(x))`` it agrees to rounding.  Levels of x
+    above ``s.depth`` are ignored.  Single tensors only.
+    """
+    _check_dims(s, x)
+    _check_single("mul_exp", s, x)
+    if x.levels[0].any():
+        raise ScalarPartError("mul_exp requires a zero scalar part")
+    depth = s.depth
+    live = [j for j in range(1, min(x.depth, depth) + 1) if x.levels[j].any()]
+    q = [s.levels[0].copy()]
+    for k in range(depth, 0, -1):
+        top = depth - k + 1
+        scaled = [(j, x.levels[j] / k) for j in live if j <= top]
+        step = [q[0]]
+        for n in range(1, top + 1):
+            acc = s.levels[n].copy()
+            for j, xj in scaled:
+                if j > n:
+                    break
+                _add_outer(acc, q[n - j], xj)
+            step.append(acc)
+        q = step
+    return TruncatedTensor(s.dim, q)
 
 
 def _mul_exp_level1(s: TruncatedTensor, x1: np.ndarray) -> TruncatedTensor:

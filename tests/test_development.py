@@ -6,7 +6,8 @@ import pytest
 
 from levy_sigkernel import tensor_algebra as ta
 from levy_sigkernel.characteristics import (GaussianJumps, LevyTriplet,
-                                            PiecewiseVelocity)
+                                            PiecewiseVelocity,
+                                            characteristic_velocity)
 from levy_sigkernel.development import (bell_numbers, bell_polynomials,
                                         bound_gronwall,
                                         bound_inner_truncation, bound_level,
@@ -19,7 +20,7 @@ from levy_sigkernel.development import (bell_numbers, bell_polynomials,
 from levy_sigkernel.errors import InvalidParameter, OutOfRange
 from levy_sigkernel.tensor_algebra import TruncatedTensor as TT
 
-from conftest import random_velocity_tensor
+from conftest import gamma, random_velocity_tensor
 
 
 def velocity(dim, grid, tensors):
@@ -86,6 +87,87 @@ class TestDevelop:
             develop(v, 0.0, 1.5, 3)
         with pytest.raises(OutOfRange):
             develop(v, 0.9, 0.1, 3)
+
+    @pytest.mark.parametrize("depth", [-1, 2.0, 1.5, None, True])
+    def test_depth_must_be_nonnegative_integer(self, rng, depth):
+        v = random_velocity(rng, 2, 2)
+        with pytest.raises(InvalidParameter):
+            develop(v, 0.0, 1.0, depth)
+
+    def test_depth_zero_and_numpy_integer(self, rng):
+        v = random_velocity(rng, 2, 2)
+        zero = develop(v, 0.0, 1.0, 0)
+        assert zero.depth == 0 and zero.levels[0].tolist() == [1.0]
+        a, b = develop(v, 0.0, 1.0, np.int64(3)), develop(v, 0.0, 1.0, 3)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a.levels, b.levels))
+
+
+def exp_then_multiply(v, s, t, depth):
+    """Reference: the development as the ordered product of tensor
+    exponentials, each formed by ``exp_tensor`` and multiplied on."""
+    out = TT.unit(v.dim, depth)
+    for i, dt in v.overlaps(s, t):
+        out = ta.tensor_mul(out, ta.exp_tensor((v.tensors[i] * dt).with_depth(depth)), depth)
+    return out
+
+
+def develop_bound(v, depth):
+    """Forward bound on |develop - exp_then_multiply| per coefficient, for
+    a velocity on two intervals.
+
+    A term of output level n takes r_i <= n letters from interval i, built
+    from the L_i <= n live levels of that interval's tensor (those up to n);
+    let L = max L_i.  In ``develop``, each fused step costs interval i at
+    most L_i + r_i (L_i + 2) roundings (see ``general_mul_exp_bound`` in the
+    tensor-algebra tests), 2 L + n (L + 2) in all.  In the reference, each
+    exponential costs r_i (L_i + 3) and each of the two products one
+    multiplication and at most n additions, n (L + 3) + 2 (n + 1) in all.
+    With L <= n both are at most K = (L + 5) n + 2.  Each lies within
+    gamma_K T of the exact development, T being the development of |v|
+    (levels in absolute value), evaluated in floating point on nonnegative
+    data and so low by at most a factor 1 - gamma_K, divided out.
+    """
+    absolute = velocity(v.dim, v.time_grid,
+                        [TT(v.dim, [np.abs(lev) for lev in x.levels]) for x in v.tensors])
+    t = exp_then_multiply(absolute, 0.0, v.time_grid[-1], depth)
+    live = sorted({j for x in v.tensors for j in range(1, x.depth + 1) if x.levels[j].any()})
+    bounds = []
+    for n, lev in enumerate(t.levels):
+        g = gamma((sum(j <= n for j in live) + 5) * n + 2)
+        bounds.append(2 * g / (1 - g) * lev)
+    return bounds
+
+
+class TestDevelopAtOracleDepth:
+    """``develop`` at the depth of the validate oracles (19, d = 2) on a
+    Gaussian-jump velocity followed by a diffusion one."""
+
+    @pytest.fixture(scope="class")
+    def jump_velocity(self):
+        trip = LevyTriplet(
+            dim=2, time_grid=np.array([0.0, 0.45, 1.0]),
+            drifts=[np.array([0.2, -0.1]), np.array([-0.15, 0.25])],
+            covs=[np.array([[0.09, 0.02], [0.02, 0.05]]), np.array([[0.06, -0.01], [-0.01, 0.08]])],
+            jumps=[GaussianJumps(1.5, np.array([[0.08, 0.01], [0.01, 0.05]])), None])
+        v = characteristic_velocity(trip, 19)
+        assert [j for j in range(1, 20) if v.tensors[0].levels[j].any()] \
+            == [1, 2, 4, 6, 8, 10, 12, 14, 16, 18]
+        return v
+
+    def test_matches_exp_then_multiply(self, jump_velocity):
+        got = develop(jump_velocity, 0.0, 1.0, 19)
+        want = exp_then_multiply(jump_velocity, 0.0, 1.0, 19)
+        assert got.depth == 19
+        for n, (a, b, tol) in enumerate(zip(got.levels, want.levels,
+                                            develop_bound(jump_velocity, 19))):
+            assert np.all(np.abs(a - b) <= tol), n
+
+    def test_chen_splitting(self, jump_velocity):
+        whole = develop(jump_velocity, 0.0, 1.0, 19)
+        for u in (0.3, 0.7):
+            split = ta.tensor_mul(develop(jump_velocity, 0.0, u, 19),
+                                  develop(jump_velocity, u, 1.0, 19), 19)
+            assert ta.norm_p(whole - split, "max") < 1e-12
 
 
 class TestExpectedSignature:

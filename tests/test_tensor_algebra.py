@@ -398,6 +398,105 @@ class TestFusedMulExp:
         assert s.levels[0][0] != 7.0
 
 
+def velocity_like(rng, d, live, scale=0.8):
+    """Zero-scalar tensor whose nonzero levels are ``live`` (stored up to the
+    highest); ``{1, 2, 4, 6}`` is the shape of a Gaussian-jump velocity."""
+    return TT(d, [np.zeros(1)] + [rng.normal(size=d**j) * scale / j if j in live
+                                  else np.zeros(d**j) for j in range(1, max(live) + 1)])
+
+
+def general_mul_exp_bound(s, x):
+    """Forward bound on |mul_exp - unfused| per coefficient of ``s (x) exp(x)``.
+
+    A term of output level n with r <= n factors of x, taken from L live
+    levels of x (those up to n), carries at most K = (L + 4) n + 1
+    roundings in either evaluation:
+    - ``mul_exp``: s^m enters at step r + 1 and meets at most L additions
+      there; each of the r steps scales ``x/k`` (1), multiplies (1) and adds
+      into a sum of at most L + 1 terms (L): L + r (L + 2);
+    - unfused: each of the r Horner steps of ``exp_tensor`` scales by
+      ``* (1/k)`` (2), multiplies (1) and sums at most L products (L);
+      ``tensor_mul`` adds one product and at most n additions:
+      r (L + 3) + n + 1.
+    With L <= n both are at most (L + 4) n + 1.  Each result lies within
+    gamma_K T of the exact one, T being ``|s| (x) exp(|x|)``, which is
+    evaluated on nonnegative data and so low by at most a factor
+    1 - gamma_K, divided out.
+    """
+    t = ta.tensor_mul(TT(s.dim, [np.abs(lev) for lev in s.levels]),
+                      ta.exp_tensor(TT(x.dim, [np.abs(lev) for lev in x.levels])
+                                    .with_depth(s.depth)), s.depth)
+    live = [j for j in range(1, x.depth + 1) if x.levels[j].any()]
+    bounds = []
+    for n, lev in enumerate(t.levels):
+        g = gamma((sum(j <= n for j in live) + 4) * n + 1)
+        bounds.append(2 * g / (1 - g) * lev)
+    return bounds
+
+
+class TestMulExp:
+    """``mul_exp`` against ``tensor_mul(s, exp_tensor(x))`` and against the
+    level-1 fusion ``_mul_exp_level1``."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("live", [{1}, {1, 2}, {1, 2, 4, 6}],
+                             ids=["l1", "l12", "l1246"])
+    def test_matches_unfused_within_rounding(self, rng, d, live):
+        for depth in range(9):
+            s = random_tensor(rng, d, depth, scale=2.0)
+            x = velocity_like(rng, d, live)
+            got = ta.mul_exp(s, x)
+            want = ta.tensor_mul(s, ta.exp_tensor(x.with_depth(depth)), depth)
+            assert got.depth == depth
+            for n, (a, b, tol) in enumerate(zip(got.levels, want.levels,
+                                                general_mul_exp_bound(s, x))):
+                assert a.shape == b.shape == (d**n,)
+                assert np.all(np.abs(a - b) <= tol), (depth, n)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bitwise_equal_to_level1_fusion(self, rng, d):
+        for depth in range(7):
+            s = random_tensor(rng, d, depth, scale=2.0)
+            x1 = rng.normal(size=d)
+            x = TT(d, [np.zeros(1), x1])
+            want = ta._mul_exp_level1(s, x1)
+            assert_bitwise(ta.mul_exp(s, x), want)
+            # stored all-zero levels above level 1 are skipped
+            assert_bitwise(ta.mul_exp(s, x.with_depth(depth + 2)), want)
+
+    def test_depth_zero_returns_copy(self, rng):
+        s = TT(2, [np.array([1.7])])
+        out = ta.mul_exp(s, velocity_like(rng, 2, {1, 2}))
+        assert_bitwise(out, s)
+        out.levels[0][0] = 7.0
+        assert s.levels[0][0] == 1.7
+
+    @pytest.mark.parametrize("x_depth", [0, 1, 3, 6])
+    def test_zero_x_leaves_s_unchanged(self, rng, x_depth):
+        s = random_tensor(rng, 3, 4)
+        out = ta.mul_exp(s, TT.zero(3, x_depth))
+        assert_bitwise(out, s)
+        assert all(a is not b for a, b in zip(out.levels, s.levels))
+
+    @pytest.mark.parametrize("batched", ["s", "x"])
+    def test_batch_is_unsupported(self, rng, batched):
+        s = random_tensor(rng, 2, 3)
+        x = velocity_like(rng, 2, {1, 2})
+        t = s if batched == "s" else x
+        t.levels[1] = np.ones((3, 2))
+        with pytest.raises(Unsupported):
+            ta.mul_exp(s, x)
+
+    def test_typed_errors(self, rng):
+        s = random_tensor(rng, 2, 3)
+        x = velocity_like(rng, 2, {1})
+        x.levels[0][0] = 1e-300
+        with pytest.raises(ScalarPartError):
+            ta.mul_exp(s, x)
+        with pytest.raises(DimMismatch):
+            ta.mul_exp(s, velocity_like(rng, 3, {1}))
+
+
 class TestAdjoints:
     def test_left_strips_prefix(self):
         # brute force: <e_12, e_1 (x) e_w> is nonzero only at w = (2)
