@@ -348,14 +348,16 @@ def cmd_validate(cfg: dict, out_dir: str) -> int:
         ok = ok and (np.linalg.norm(dev.levels[lev])
                      <= bound_level(va, 0.0, horizon, lev) * (1 + 1e-12))
     bounds = ("development-bounds", bool(ok), "levels and gronwall")
-    del dev
 
-    # oracle 3: Monte Carlo kernel within 3 standard errors + certificate
-    mc_val, mc_se = estimate_kernel(trip_a, trip_b, horizon, max(m, n),
-                                    n_paths, steps, seed)
+    # oracle 3: Monte Carlo kernel within 3 standard errors + certificate.
+    # Only the depth-M/N truncations are read from here on: free the deep
+    # velocities, the oracle-2 development and the solved surface first
     trunc_gap = abs(ta.inner_product(
         develop(va.truncated(m), 0.0, horizon, max(m, n)),
         develop(vb.truncated(n), 0.0, horizon, max(m, n))) - ref)
+    del va, vb, dev, surface
+    mc_val, mc_se = estimate_kernel(trip_a, trip_b, horizon, max(m, n),
+                                    n_paths, steps, seed)
     tol = 3.0 * mc_se + cert + trunc_gap + 1e-3 * max(abs(w_val), 1.0)
     results.append(("mc-vs-solver", abs(mc_val - w_val) <= tol,
                     f"|mc - w|={abs(mc_val - w_val):.3e} <= 3se+cert={tol:.3e}"))

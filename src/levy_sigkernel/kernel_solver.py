@@ -37,6 +37,17 @@ rows are one-dimensional ODEs with w = 1 and the opposite coupling term
 zero.  Grids must contain every velocity breakpoint so that all interval
 integrals are exact.
 
+The sweep's state rolls over three node anti-diagonals per surface,
+O((n_i + n_j) D) floats.  Callers that keep the surface (the kernel CSV,
+the a priori margin) have each finished diagonal copied into the full node
+array; callers that need only the far corner (the MMD) keep no node and
+sweep a large batch in chunks of surfaces whose tables, maps, diagonals
+and per-diagonal gathers stay under ``_SWEEP_CHUNK_FLOATS`` floats.  So
+their memory is flat in the number of surfaces, and the maps, which off
+dyadic grids (breakpoints splitting cells, about 11 step classes per axis)
+can hold more floats than a surface's diagonals, are bounded by the cap
+too, not by three times the full state of every surface in the batch.
+
 Cross-term truncation levels are Q = min(M, N-1) on the first slot and
 Q' = min(N, M-1) on the second; for M = N both equal min(M, N) - 1.  As
 <f, y^Q adj z^N> = <f (x) y^Q, z^N>, one map K: f -> f (x) y^Q per
@@ -225,6 +236,12 @@ _CORRECTOR_PASSES = 2
 _GATHER_MAX_WIDTH = 5
 # cap, in floats, on one chunk's unit-input block when building maps
 _MAP_CHUNK_FLOATS = 1 << 13
+# cap, in floats, on one chunk of a corner-only batch (``_corner_floats``):
+# 4 MiB holds the 45 surfaces of an 8-path MMD on 65^2 (up to 9825 floats
+# each) in one chunk.  On the 561 surfaces of a 32-path MMD, chunks of 1/4,
+# 1, 4 and 16 times this cap swept in about the same time (0.7-1.1 s, noisy
+# host), while peak RSS rose from 33 to 83 MiB
+_SWEEP_CHUNK_FLOATS = 1 << 19
 # on the GEMM contraction, a surface takes maps only while runs x this
 # <= cells x D^2: a GEMM call per run costs about as much as a direct cell
 # update of width 10.  On linspace grids of 100 and 250 points (mean run
@@ -389,7 +406,7 @@ def _apply_maps(maps, idx, xc):
     return delta.reshape(*idx.shape, D)
 
 
-def _sweep(ds, dt, sidx, tidx, tables):
+def _sweep(ds, dt, sidx, tidx, tables, keep_nodes=True):
     """Anti-diagonal sweep over a batch of surfaces, by transfer maps.
 
     ``tables`` is a ``_Tables`` record; ``sidx[p]``/``tidx[p]`` map grid
@@ -407,38 +424,53 @@ def _sweep(ds, dt, sidx, tidx, tables):
     The far corner is the structural part plus the increment,
     ``w11 = w10 + (w01 - w00) + dw``, ``F11 = F01 + dF``, ``G11 = G10 + dG``.
 
+    The state rolls over three node anti-diagonals i + j = k - 2, k - 1,
+    k, each ``(surfaces, n_i + 1, D)`` and indexed by i, so one ``take``
+    per diagonal gathers every cell's three known corners and each cell
+    sees the inputs and order of a full-array sweep.  The boundary rows
+    f(., 0) and g(0, .) are one-dimensional ODEs stepped first; their
+    nodes are copied into each new diagonal.  With ``keep_nodes`` each
+    finished diagonal is also copied into the full node array, and the
+    sweep returns (w, f, g) node arrays with the surface axis first, views
+    of one state array; without it, state per surface is O((n_i + n_j) D)
+    and the sweep returns (w, f, g) at the far corner only, shapes
+    ``(surfaces,)``, ``(surfaces, df)`` and ``(surfaces, dg)``.  Either
+    way it also returns the number of maps of each surface (0 where cells
+    were evaluated directly).
+
     Maps pay only when cells share them.  A surface takes maps when they
-    hold at most ``D x cells`` floats (three times its own state: building
-    them costs at most three cell updates per cell) and, for the GEMM
-    contraction, when its cells form at most ``cells x D^2 / _GEMM_RUN_COST``
-    runs of equal maps along the diagonals (``_map_counts``).
-    Uniform grids from ``make_grid`` have few classes per axis (one per
-    interval, plus the cells split by breakpoints) and long runs.  Other
-    surfaces, e.g. on random grids, evaluate ``_cell_increments`` directly
-    on each diagonal's states, so the maps never outgrow the state.  The
-    choice, like the contraction, depends on the surface alone and runs
-    never cross surfaces, so a surface's bits do not depend on which
-    surfaces share its batch.  Boundary rows are one-dimensional ODEs
-    stepped in place.  Returns (w, f, g) node arrays with the surface axis
-    first, views of one state array, and the number of maps of each
-    surface (0 where cells were evaluated directly).
+    hold at most ``D x cells`` floats (three times its own full state:
+    building them costs at most three cell updates per cell) and, for the
+    GEMM contraction, when its cells form at most
+    ``cells x D^2 / _GEMM_RUN_COST`` runs of equal maps along the
+    diagonals (``_map_counts``).  Uniform grids from ``make_grid`` have few
+    classes per axis (one per interval, plus the cells split by
+    breakpoints) and long runs.  Other surfaces, e.g. on random grids,
+    evaluate ``_cell_increments`` directly on each diagonal's states, so
+    the maps never outgrow the full state.  The choice, like the
+    contraction, depends on the surface alone and runs never cross
+    surfaces, so a surface's bits do not depend on which surfaces share
+    its batch; callers that keep only corners sweep a large batch in
+    chunks (``_solve_truncated_batch``).  Those chunks count each
+    surface's maps in ``_corner_floats``, so the maps of a corner-only
+    chunk stay under ``_SWEEP_CHUNK_FLOATS`` floats even off dyadic grids,
+    where breakpoints split cells into about 11 step classes per axis.
     """
     n_s = len(sidx)
     n_i, n_j = len(ds), len(dt)
     df, dg = tables.qx.shape[-1], tables.qy.shape[-1]
     D = 1 + df + dg
-    X = np.zeros((n_s, n_i + 1, n_j + 1, D))
-    X[..., 0] = 1.0
-    w, F, G = X[..., 0], X[..., 1:1 + df], X[..., 1 + df:]
 
     def mv(mat, vec):
         return np.matmul(mat, vec[..., None])[..., 0]
 
     p = np.arange(n_s)
-    # boundary rows: f on t = 0 and g on s = 0 solve their ODEs with w = 1
-    # and the other field 0
-    for row, steps, idx, q, R in ((F[:, :, 0], ds, sidx, tables.qx, tables.RX),
-                                  (G[:, 0], dt, tidx, tables.qy, tables.RY)):
+    # boundary nodes (i, 0) and (0, j): w = 1, f on t = 0 and g on s = 0
+    # solve their ODEs with w = 1 and the other field 0
+    s_edge, t_edge = np.zeros((n_s, n_i + 1, D)), np.zeros((n_s, n_j + 1, D))
+    s_edge[..., 0] = t_edge[..., 0] = 1.0
+    for row, steps, idx, q, R in ((s_edge[..., 1:1 + df], ds, sidx, tables.qx, tables.RX),
+                                  (t_edge[..., 1 + df:], dt, tidx, tables.qy, tables.RY)):
         for i in range(len(steps) if q.shape[-1] else 0):
             qa, Ra, h = q[p, idx[:, i]], R[p, idx[:, i]], steps[i]
             f0 = row[:, i]
@@ -457,14 +489,30 @@ def _sweep(ds, dt, sidx, tidx, tables):
     # a mapped group that is the whole batch is a slice, so nothing is copied
     mapped = slice(None) if use.all() else np.flatnonzero(use)
     maps, S, T = _transfer_maps(ds, dt, sidx[mapped], tidx[mapped], tables.at(mapped))
-    nodes = X.reshape(n_s, -1, D)
-    # node offsets of corners (i, j), (i, j+1), (i+1, j) from node (i, j)
-    known = np.array([0, 1, n_j + 1])
-    for diag in range(n_i + n_j - 1):
-        i = np.arange(max(0, diag - n_j + 1), min(diag, n_i - 1) + 1)
+    if keep_nodes:
+        X = np.empty((n_s, n_i + 1, n_j + 1, D))
+        X[:, :, 0], X[:, 0] = s_edge, t_edge
+        nodes = X.reshape(n_s, -1, D)
+    # node i of anti-diagonal k is row (k % 3) * (n_i + 1) + i of the ring
+    stride = n_i + 1
+    ring = np.empty((n_s, 3 * stride, D))
+    # ring offsets of corners (i, j), (i, j+1), (i+1, j) of a cell on
+    # diagonal diag, from its i, for each diag % 3
+    known = [np.array([r * stride, (r + 1) % 3 * stride, (r + 1) % 3 * stride + 1])
+             for r in range(3)]
+    for k in range(n_i + n_j + 1):
+        base = k % 3 * stride
+        if k <= n_j:
+            ring[:, base] = t_edge[:, k]
+        if k <= n_i:
+            ring[:, base + k] = s_edge[:, k]
+        diag = k - 2
+        if diag < 0:
+            continue
+        lo, hi = max(0, diag - n_j + 1), min(diag, n_i - 1) + 1
+        i = np.arange(lo, hi)
         j = diag - i
-        node = i * (n_j + 1) + j
-        x = nodes.take(node[:, None] + known, axis=1)
+        x = ring.take(i[:, None] + known[diag % 3], axis=1)
         delta = np.empty((n_s, len(i), D))
         if n_mapped:
             delta[mapped] = _apply_maps(maps, S[:, i] + T[:, j],
@@ -482,8 +530,15 @@ def _sweep(ds, dt, sidx, tidx, tables):
         # structural part of the far corner: w10 + (w01 - w00), F01, G10
         far[..., 0] = x10[..., 0] + (far[..., 0] - x00[..., 0])
         far[..., 1 + df:] = x10[..., 1 + df:]
-        nodes[:, node + n_j + 2] = far + delta
-    return w, F, G, n_maps
+        far += delta
+        # far corners (i + 1, j + 1): consecutive rows of the ring, and
+        # nodes n_j apart in the node array
+        ring[:, base + lo + 1:base + hi + 1] = far
+        if keep_nodes:
+            first = (lo + 1) * (n_j + 1) + diag - lo + 1
+            nodes[:, first:first + n_j * (hi - lo):n_j] = far
+    out = X if keep_nodes else ring[:, (n_i + n_j) % 3 * stride + n_i]
+    return out[..., 0], out[..., 1:1 + df], out[..., 1 + df:], n_maps
 
 
 def solve_goursat_scalar(alpha, s_grid, t_grid,
@@ -564,9 +619,16 @@ def solve_truncated_system(v: PiecewiseVelocity, vt: PiecewiseVelocity,
                   maps=coarse.meta["maps"] + fine.meta["maps"]))
 
 
-def _solve_truncated_batch(pairs, M: int, N: int, s_grid, t_grid) -> list[KernelSurface]:
+def _solve_truncated_batch(pairs, M: int, N: int, s_grid, t_grid, corners=False):
     """``solve_truncated_system`` for each velocity pair ``(v, vt)`` in
-    ``pairs``, all on the same grids and levels, swept together."""
+    ``pairs``, all on the same grids and levels, swept together.
+
+    With ``corners=True`` returns only each pair's far-corner value
+    w(s_end, t_end), as an array: pairs are swept without nodes, in chunks
+    of consecutive pairs whose estimated floats (``_corner_floats``) stay
+    under ``_SWEEP_CHUNK_FLOATS``, at least one pair a chunk.  A surface's
+    bits do not depend on its batch, so chunking changes no bit.
+    """
     if M < 1 or N < 1:
         raise InvalidParameter("levels M, N must be >= 1")
     if not pairs:
@@ -574,35 +636,80 @@ def _solve_truncated_batch(pairs, M: int, N: int, s_grid, t_grid) -> list[Kernel
     d = pairs[0][0].dim
     if any(v.dim != d or vt.dim != d for v, vt in pairs):
         raise InvalidParameter("velocity dims differ")
-    for v, vt in pairs:
-        s_grid = _validate_grid(s_grid, v.time_grid, "s")
-        t_grid = _validate_grid(t_grid, vt.time_grid, "t")
-    memo = {}
+    s_grid, t_grid = np.asarray(s_grid, dtype=float), np.asarray(t_grid, dtype=float)
+    tabulated, located = {}, {}
 
-    def side(v, M, N):
-        # a velocity may sit in many pairs of a batch: tabulate it once
-        if (id(v), M, N) not in memo:
-            memo[id(v), M, N] = _side_tables(v, M, N)
-        return memo[id(v), M, N]
+    def side(v, grid, what, M, N):
+        # a velocity may sit in many pairs of a batch: check the grid
+        # against it, find its cells' intervals and step classes and
+        # tabulate it once.  A pair (v, v) at M = N takes one table object
+        # on both sides, as A = X X^T then rounds as numpy's syrk
+        if (id(v), what) not in located:
+            _validate_grid(grid, v.time_grid, what)
+            idx = _cell_intervals(grid, v.time_grid)
+            located[id(v), what] = idx, len(_step_classes(np.diff(grid), idx[None])[1])
+        if (id(v), M, N) not in tabulated:
+            tabulated[id(v), M, N] = _side_tables(v, M, N)
+        return _Side(tabulated[id(v), M, N], *located[id(v), what])
 
-    sides = [(side(v, M, N), side(vt, N, M)) for v, vt in pairs]
-    sidx = np.stack([_cell_intervals(s_grid, v.time_grid) for v, _ in pairs])
-    tidx = np.stack([_cell_intervals(t_grid, vt.time_grid) for _, vt in pairs])
-    A, *fields = map(_stack_padded, zip(*(_coefficients(*lr) for lr in sides)))
+    sides = [(side(v, s_grid, "s", M, N), side(vt, t_grid, "t", N, M)) for v, vt in pairs]
     ds, dt = np.diff(s_grid), np.diff(t_grid)
-    tables = _Tables(np.broadcast_to(A[..., None, None], (*A.shape, 2, 2)), *fields)
-    w, F, G, n_maps = _sweep(ds, dt, sidx, tidx, tables)
+    if corners:
+        D = ta.flat_size(d, N - 1) + ta.flat_size(d, M - 1) - 1
+        out, lo, total = np.empty(len(pairs)), 0, 0
+        for hi, (left, right) in enumerate(sides):
+            # a surface's maps number its s-classes times its t-classes
+            cost = _corner_floats(len(ds), len(dt), D, len(left.tables[0]),
+                                  len(right.tables[0]), left.classes * right.classes)
+            if hi > lo and total + cost > _SWEEP_CHUNK_FLOATS:
+                out[lo:hi] = _sweep_sides(sides[lo:hi], ds, dt, keep_nodes=False)[0]
+                lo, total = hi, 0
+            total += cost
+        out[lo:] = _sweep_sides(sides[lo:], ds, dt, keep_nodes=False)[0]
+        return out
+    w, F, G, n_maps, sidx, tidx = _sweep_sides(sides, ds, dt, keep_nodes=True)
     cells = len(ds) * len(dt)
     width = 1 + F.shape[-1] + G.shape[-1]
     # node masses: grids hold every breakpoint, so a cell has one interval
     return [KernelSurface(
         s_grid=s_grid, t_grid=t_grid, w=w[p], dim=d,
         f=F[p], ftilde=G[p], f_depth=N - 1, ftilde_depth=M - 1,
-        s_mass=np.concatenate([[0.0], np.cumsum(ds * left[0][sidx[p]])]),
-        t_mass=np.concatenate([[0.0], np.cumsum(dt * right[0][tidx[p]])]),
+        s_mass=np.concatenate([[0.0], np.cumsum(ds * left.tables[0][sidx[p]])]),
+        t_mass=np.concatenate([[0.0], np.cumsum(dt * right.tables[0][tidx[p]])]),
         meta={"system": "truncated", "M": M, "N": N, "scheme_order": 2,
               "cells": cells, "state_width": width, "maps": int(n_maps[p])})
         for p, (left, right) in enumerate(sides)]
+
+
+# one velocity on one side of a batch: its ``_side_tables``, its cells'
+# intervals on that side's grid and the number of its step classes there
+_Side = namedtuple("_Side", "tables idx classes")
+
+
+def _sweep_sides(sides, ds, dt, keep_nodes):
+    """``_sweep`` of the surfaces whose ``_Side`` pairs are ``sides``; also
+    returns the stacked cell intervals."""
+    sidx = np.stack([left.idx for left, _ in sides])
+    tidx = np.stack([right.idx for _, right in sides])
+    A, *fields = map(_stack_padded, zip(*(_coefficients(left.tables, right.tables)
+                                          for left, right in sides)))
+    tables = _Tables(np.broadcast_to(A[..., None, None], (*A.shape, 2, 2)), *fields)
+    return (*_sweep(ds, dt, sidx, tidx, tables, keep_nodes), sidx, tidx)
+
+
+def _corner_floats(n_i, n_j, D, n_a, n_b, n_maps):
+    """Estimated floats one surface holds in a corner-only sweep on an
+    ``n_i x n_j``-cell grid, for velocities of ``n_a`` and ``n_b``
+    intervals and ``n_maps`` distinct maps: its tables (each at most D^2
+    per interval and D per interval pair), its maps (3D x D each, none
+    once they would outgrow the state), three rolling diagonals and two
+    boundary rows (D per node), and per diagonal of at most ``min(n_i,
+    n_j)`` cells the gathered maps (3D x D) and corner states, increments
+    and far corners (5D)."""
+    cells = min(n_i, n_j)
+    maps = n_maps if n_maps * D <= n_i * n_j else 0
+    return ((n_a + n_b + n_a * n_b + 3 * maps + 3 * cells) * D * D
+            + (4 * (n_i + 1) + n_j + 1 + 5 * cells) * D)
 
 
 def _stack_padded(arrays) -> np.ndarray:

@@ -10,14 +10,18 @@ the Wiener expected signature, and w_jk the deterministic signature kernel
 of the area-augmented paths j and k.  All three are truncated kernel
 systems at M = N = 2 on the level-2 characteristic velocities; u is the
 surface of the Wiener velocity with itself, whose coupled fields stay zero
-(a scalar Goursat problem).  ``mmd_to_wiener`` solves u, the m cross and
-the m(m+1)/2 pair surfaces in one batched sweep on their shared grid (each
-surface bitwise equal to its own ``solve_truncated_system`` call), so the
-result is reproducible bitwise.
+(a scalar Goursat problem).  ``mmd_to_wiener`` needs only the far-corner
+values of u, the m cross and the m(m+1)/2 pair surfaces: it sweeps them on
+their shared grid in corner-only chunks under a fixed memory cap, keeping
+three anti-diagonals per surface, so memory stays flat in m.  Each corner
+is bitwise equal to that of the surface's own ``solve_truncated_system``
+call, so the result is reproducible bitwise.  ``MMDReport.surfaces``
+solves a surface in full only when it is read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -147,6 +151,26 @@ class WienerSpec:
             covs=[a.copy() for a in self.covs], state_depth=1)
 
 
+class _LazySurfaces(Mapping):
+    """Read-only mapping from surface keys to level-2 kernel surfaces on
+    one grid.  It holds only each key's velocity pair: reading a key
+    solves that surface in full with ``solve_truncated_system``, anew on
+    each read."""
+
+    def __init__(self, pairs: dict, grid: np.ndarray):
+        self._pairs, self._grid = pairs, grid
+
+    def __getitem__(self, key) -> KernelSurface:
+        left, right = self._pairs[key]
+        return solve_truncated_system(left, right, 2, 2, self._grid, self._grid)
+
+    def __iter__(self):
+        return iter(self._pairs)
+
+    def __len__(self) -> int:
+        return len(self._pairs)
+
+
 @dataclass
 class MMDReport:
     """All surface corner values entering one MMD evaluation."""
@@ -158,7 +182,7 @@ class MMDReport:
     pair_values: np.ndarray
     radicand: float
     clipped: bool = False
-    surfaces: dict = field(default_factory=dict)
+    surfaces: Mapping = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -207,8 +231,9 @@ def mmd_to_wiener(ensemble: AugmentedPathEnsemble, wiener: WienerSpec,
     """Signature MMD between the path ensemble's empirical law and the
     Wiener measure, assembled from kernel surface corner values.
 
-    ``report.surfaces`` maps ``"wiener"``, ``("cross", k)`` and
-    ``("pair", j, k)`` for j <= k to the solved surfaces.
+    ``report.surfaces`` is a read-only mapping from ``"wiener"``,
+    ``("cross", k)`` and ``("pair", j, k)`` for j <= k to the surfaces,
+    each solved in full when it is read.
     """
     if ensemble.dim != wiener.dim:
         raise InvalidParameter("ensemble and Wiener dims differ")
@@ -226,17 +251,17 @@ def mmd_to_wiener(ensemble: AugmentedPathEnsemble, wiener: WienerSpec,
         for k in range(j, m):
             keys.append(("pair", j, k))
             pairs.append((paths[j], paths[k]))
-    surfaces = dict(zip(keys, _solve_truncated_batch(pairs, 2, 2, grid, grid)))
+    corners = dict(zip(keys, _solve_truncated_batch(pairs, 2, 2, grid, grid,
+                                                    corners=True).tolist()))
 
-    wiener_term = surfaces["wiener"].value()
-    cross = np.array([surfaces[("cross", k)].value() for k in range(m)])
-    pairs = np.zeros((m, m))
+    wiener_term = corners["wiener"]
+    cross = np.array([corners[("cross", k)] for k in range(m)])
+    values = np.zeros((m, m))
     for j in range(m):
         for k in range(j, m):
-            val = surfaces[("pair", j, k)].value()
-            pairs[j, k] = pairs[k, j] = val
+            values[j, k] = values[k, j] = corners[("pair", j, k)]
 
-    radicand = float(wiener_term - 2.0 / m * cross.sum() + pairs.sum() / m**2)
+    radicand = float(wiener_term - 2.0 / m * cross.sum() + values.sum() / m**2)
     clipped = False
     if radicand < 0.0:
         if radicand < -1e-8:
@@ -248,6 +273,6 @@ def mmd_to_wiener(ensemble: AugmentedPathEnsemble, wiener: WienerSpec,
     mmd = float(np.sqrt(radicand_clipped))
     report = MMDReport(mmd=mmd, mmd_squared=radicand_clipped,
                        wiener_term=wiener_term, cross_values=cross,
-                       pair_values=pairs, radicand=radicand, clipped=clipped,
-                       surfaces=surfaces)
+                       pair_values=values, radicand=radicand, clipped=clipped,
+                       surfaces=_LazySurfaces(dict(zip(keys, pairs)), grid))
     return mmd, report

@@ -13,7 +13,7 @@ from levy_sigkernel.errors import GridMismatch, InvalidParameter
 from levy_sigkernel import mmd
 from levy_sigkernel import kernel_solver
 from levy_sigkernel.kernel_solver import (_CORRECTOR_PASSES, _apply_maps,
-                                          _map_counts,
+                                          _cell_increments, _map_counts,
                                           _cell_intervals, _coefficients,
                                           _side_tables, _solve_truncated_batch,
                                           _Tables, _transfer_maps,
@@ -569,6 +569,149 @@ class TestAntiDiagonalSweep:
             _solve_truncated_batch([], 2, 2, g, g)
 
 
+def full_array_sweep(ds, dt, sidx, tidx, tables):
+    """Reference: the sweep over the full node array that the rolling
+    diagonals replaced.  Each cell gathers its corners from the node array;
+    maps, contractions and cell updates are the solver's own, so every cell
+    sees the same inputs in the same order and the bits must agree."""
+    n_s, n_i, n_j = len(sidx), len(ds), len(dt)
+    df, dg = tables.qx.shape[-1], tables.qy.shape[-1]
+    D = 1 + df + dg
+    X = np.zeros((n_s, n_i + 1, n_j + 1, D))
+    X[..., 0] = 1.0
+    F, G = X[..., 1:1 + df], X[..., 1 + df:]
+    p = np.arange(n_s)
+    for row, steps, idx, q, R in ((F[:, :, 0], ds, sidx, tables.qx, tables.RX),
+                                  (G[:, 0], dt, tidx, tables.qy, tables.RY)):
+        for i in range(len(steps) if q.shape[-1] else 0):
+            qa, Ra, h = q[p, idx[:, i]], R[p, idx[:, i]], steps[i]
+            f0 = row[:, i]
+            d0 = qa + np.matmul(Ra, f0[..., None])[..., 0]
+            f1 = f0 + h * d0
+            for _ in range(_CORRECTOR_PASSES):
+                f1 = f0 + 0.5 * h * (d0 + qa + np.matmul(Ra, f1[..., None])[..., 0])
+            row[:, i + 1] = f1
+    cells = n_i * n_j
+    n_maps, runs = _map_counts(ds, dt, sidx, tidx)
+    use = (n_maps * D <= cells) & ((D <= kernel_solver._GATHER_MAX_WIDTH)
+                                   | (runs * kernel_solver._GEMM_RUN_COST <= cells * D * D))
+    mapped, direct = np.flatnonzero(use), np.flatnonzero(~use)
+    maps, S, T = _transfer_maps(ds, dt, sidx[mapped], tidx[mapped], tables.at(mapped))
+    nodes = X.reshape(n_s, -1, D)
+    known = np.array([0, 1, n_j + 1])
+    for diag in range(n_i + n_j - 1):
+        i = np.arange(max(0, diag - n_j + 1), min(diag, n_i - 1) + 1)
+        j = diag - i
+        node = i * (n_j + 1) + j
+        x = nodes.take(node[:, None] + known, axis=1)
+        delta = np.empty((n_s, len(i), D))
+        if len(mapped):
+            delta[mapped] = _apply_maps(maps, S[:, i] + T[:, j],
+                                        x[mapped].reshape(len(mapped), len(i), 3 * D))
+        if len(direct):
+            pc = np.repeat(direct, len(i))
+            ic, jc = np.tile(i, len(direct)), np.tile(j, len(direct))
+            xd = x[direct].reshape(-1, 3, 1, D)
+            delta[direct] = _cell_increments(
+                xd[:, 0], xd[:, 1], xd[:, 2], ds[ic], dt[jc],
+                tables.at(pc, sidx[pc, ic], tidx[pc, jc])).reshape(len(direct), len(i), D)
+        x00, far, x10 = x[:, :, 0], x[:, :, 1], x[:, :, 2]
+        far[..., 0] = x10[..., 0] + (far[..., 0] - x00[..., 0])
+        far[..., 1 + df:] = x10[..., 1 + df:]
+        nodes[:, node + n_j + 2] = far + delta
+    return X, np.where(use, n_maps, 0)
+
+
+def captured_sweep_args(monkeypatch, solve):
+    """The inputs (grid steps, cell intervals, tables) of every ``_sweep``
+    call that ``solve()`` makes."""
+    calls = []
+    sweep = kernel_solver._sweep
+
+    def recording(*args, **kwargs):
+        calls.append(args[:5])
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(kernel_solver, "_sweep", recording)
+    solve()
+    monkeypatch.setattr(kernel_solver, "_sweep", sweep)
+    return calls
+
+
+class TestStreamedSweep:
+    """The sweep rolls over three anti-diagonals; with ``keep_nodes`` it
+    copies each into the node array.  Both must give the bits of the
+    full-array sweep it replaced: nodes everywhere, and the far corner
+    without nodes.  A diagonal read from the wrong buffer breaks both."""
+
+    @staticmethod
+    def truncated(rng, M, N, grids, s_grid, t_grid, pairs):
+        vels = [random_velocity(rng, 2, 3, g, scale=0.8) for g in grids]
+        return lambda: _solve_truncated_batch(
+            [(vels[a], vels[b]) for a, b in pairs], M, N, s_grid, t_grid)
+
+    # the state width D, then the path: gathered or GEMM contraction of
+    # maps, direct cell updates, or a mix of surfaces taking maps or not
+    @pytest.mark.parametrize("case, mapped", [
+        ("D5-gather", [True]), ("D13-gemm", [True]), ("D5-direct", [False]),
+        ("D1-scalar", [True]), ("D13-mixed", [True, True, False, True])])
+    def test_corners_and_nodes_match_full_array_sweep(self, rng, monkeypatch, case,
+                                                      mapped):
+        grid = np.array([0.0, 0.375, 1.0])
+        if case in ("D5-gather", "D13-gemm"):
+            M = N = 2 if case == "D5-gather" else 3
+            g = make_grid(1.0, 25, grid)
+            solve = self.truncated(rng, M, N, [grid], g, make_grid(1.0, 18, grid),
+                                   [(0, 0)])
+        elif case == "D5-direct":
+            # random grids: a class per step, so every cell is evaluated directly
+            s_grid, t_grid = (np.sort(np.concatenate([grid, rng.uniform(0.0, 1.0, n)]))
+                              for n in (15, 22))
+            solve = self.truncated(rng, 2, 2, [grid], s_grid, t_grid, [(0, 0)])
+        elif case == "D1-scalar":
+            s_grid, t_grid = (np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0, 1, n)]))
+                              for n in (19, 30))
+            solve = lambda: solve_goursat_scalar(
+                lambda s, t: math.sin(3.0 * s) * math.cos(2.0 * t) + s * t, s_grid, t_grid)
+        else:
+            # as in test_mixed_batch_matches_single_solves: one velocity has
+            # a breakpoint at every node, so its surfaces are direct
+            g = make_grid(1.0, 41, np.array([0.25, 0.5, 0.75]))
+            solve = self.truncated(rng, 3, 3, [np.array([0.0, 0.25, 1.0]), g,
+                                               np.array([0.0, 1.0])], g, g,
+                                   [(0, 1), (2, 0), (1, 1), (2, 2)])
+        (args,) = captured_sweep_args(monkeypatch, solve)
+        X_ref, n_maps_ref = full_array_sweep(*args)
+        D = X_ref.shape[-1]
+        assert case.startswith(f"D{D}-")
+        assert (n_maps_ref > 0).tolist() == mapped
+        assert (D <= kernel_solver._GATHER_MAX_WIDTH) == (D != 13)
+        w, F, G, n_maps = kernel_solver._sweep(*args)
+        assert np.array_equal(np.concatenate([w[..., None], F, G], axis=-1), X_ref)
+        assert np.array_equal(n_maps, n_maps_ref)
+        w, F, G, n_maps = kernel_solver._sweep(*args, keep_nodes=False)
+        assert np.array_equal(np.concatenate([w[..., None], F, G], axis=-1),
+                              X_ref[:, -1, -1])
+        assert np.array_equal(n_maps, n_maps_ref)
+
+    def test_corner_batch_is_the_full_batch_corner_in_any_chunking(self, rng, monkeypatch):
+        g = make_grid(1.0, 41, np.array([0.25, 0.5, 0.75]))
+        vels = [random_velocity(rng, 2, 3, grid, scale=0.8)
+                for grid in (np.array([0.0, 0.25, 1.0]), g, np.array([0.0, 1.0]))]
+        pairs = [(vels[0], vels[1]), (vels[2], vels[0]), (vels[1], vels[1]),
+                 (vels[2], vels[2])]
+        full = [surf.value() for surf in _solve_truncated_batch(pairs, 3, 3, g, g)]
+        whole = _solve_truncated_batch(pairs, 3, 3, g, g, corners=True)
+        assert whole.tolist() == full
+        sizes = []
+        sweep = kernel_solver._sweep
+        monkeypatch.setattr(kernel_solver, "_sweep", lambda ds, dt, sidx, *rest:
+                            sizes.append(len(sidx)) or sweep(ds, dt, sidx, *rest))
+        monkeypatch.setattr(kernel_solver, "_SWEEP_CHUNK_FLOATS", 1)
+        assert _solve_truncated_batch(pairs, 3, 3, g, g, corners=True).tolist() == full
+        assert sizes == [1] * len(pairs)
+
+
 def map_problem(rng, kind):
     """Tables of a two-surface batch for ``_transfer_maps`` and the
     per-surface tables and steps of ``reference_cells``.  ``kind`` is a
@@ -928,18 +1071,23 @@ class TestSweepReferences:
         vt = random_velocity(rng, 2, 3, grid, scale=0.8)
         g = make_grid(1.0, 9, grid)
         calls = {}
-        for name in ("tensor_mul", "adjoint_left", "adjoint_right"):
-            def counted(*args, _name=name, _wrapped=getattr(ta, name), **kwargs):
+        for module, name in ((ta, "tensor_mul"), (ta, "adjoint_left"), (ta, "adjoint_right"),
+                             (kernel_solver, "_validate_grid"),
+                             (kernel_solver, "_cell_intervals")):
+            def counted(*args, _name=name, _wrapped=getattr(module, name), **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _wrapped(*args, **kwargs)
-            monkeypatch.setattr(ta, name, counted)
+            monkeypatch.setattr(module, name, counted)
         counts = []
         for copies in (1, 12):
-            calls.clear()
-            _solve_truncated_batch([(v, vt)] * copies, 3, 3, g, g)
-            counts.append(dict(calls))
+            for corners in (False, True):
+                calls.clear()
+                _solve_truncated_batch([(v, vt)] * copies, 3, 3, g, g, corners=corners)
+                counts.append(dict(calls))
         assert counts[0]["tensor_mul"] > 0 and counts[0]["adjoint_left"] > 0
-        assert counts[1] == counts[0]
+        # the grid checks and cell intervals run once per velocity and side
+        assert counts[0]["_validate_grid"] == counts[0]["_cell_intervals"] == 2
+        assert counts[1:] == counts[:1] * 3
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_batched_adjoint_left_zero_rows_match_single_calls(self, rng, d):
@@ -978,14 +1126,18 @@ class TestSweepReferences:
         wiener = WienerSpec(d, np.array([0.0, 0.25, 0.7, 1.0]), covs)
         calls = []
 
-        def counted(pairs, *args):
-            calls.append(len(pairs))
-            return _solve_truncated_batch(pairs, *args)
+        def counted(pairs, *args, **kwargs):
+            calls.append((len(pairs), kwargs))
+            return _solve_truncated_batch(pairs, *args, **kwargs)
 
         monkeypatch.setattr(mmd, "_solve_truncated_batch", counted)
         _, report = mmd_to_wiener(ens, wiener, 65)
-        assert calls == [1 + m + m * (m + 1) // 2]
+        # one corner-only batch of every surface; reading a surface solves
+        # it alone, in full
+        assert calls == [(1 + m + m * (m + 1) // 2, {"corners": True})]
         surf = report.surfaces["wiener"]
+        assert len(calls) == 1
+        assert surf.value() == report.wiener_term
         assert np.all(surf.f == 0.0) and np.all(surf.ftilde == 0.0)
         w_ref, gram = reference_wiener_self_kernel(wiener, surf.s_grid)
         if d == 1:

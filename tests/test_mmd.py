@@ -1,14 +1,17 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from levy_sigkernel import kernel_solver
 from levy_sigkernel import tensor_algebra as ta
 from levy_sigkernel.characteristics import characteristic_velocity
 from levy_sigkernel.development import develop
 from levy_sigkernel.errors import InvalidParameter, InvalidTriplet
-from levy_sigkernel.kernel_solver import bessel_i0, solve_goursat_scalar
+from levy_sigkernel.kernel_solver import (_solve_truncated_batch, bessel_i0, make_grid,
+                                          solve_goursat_scalar)
 from levy_sigkernel.mmd import (AugmentedPathEnsemble, WienerSpec,
                                 cross_kernel, mmd_to_wiener, pair_kernel)
 
@@ -225,3 +228,79 @@ class TestMMD:
         assert lines[-1].startswith("mmd,")
         parsed = float(lines[-1].split(",")[-1])
         assert parsed == rep.mmd
+
+
+def mmd_problem(rng, n_paths):
+    ens = make_ensemble(rng, 2, n_paths, [0.0, 0.25, 0.5, 0.75, 1.0])
+    covs = [np.eye(2) * 0.5 + np.outer(f, f) for f in rng.uniform(-0.5, 0.5, (2, 2))]
+    return ens, WienerSpec(2, np.array([0.0, 0.5, 1.0]), covs)
+
+
+class TestCornerSweep:
+    def test_chunking_changes_no_bit(self, rng, monkeypatch):
+        ens, wn = mmd_problem(rng, 3)
+        sizes = []
+        sweep = kernel_solver._sweep
+        monkeypatch.setattr(kernel_solver, "_sweep", lambda ds, dt, sidx, *rest:
+                            sizes.append(len(sidx)) or sweep(ds, dt, sidx, *rest))
+        _, whole = mmd_to_wiener(ens, wn, 33)
+        n_surfaces = 1 + 3 + 6
+        assert sizes == [n_surfaces]
+        sizes.clear()
+        monkeypatch.setattr(kernel_solver, "_SWEEP_CHUNK_FLOATS", 1)
+        _, chunked = mmd_to_wiener(ens, wn, 33)
+        assert sizes == [1] * n_surfaces
+        for name in ("mmd", "mmd_squared", "wiener_term", "radicand", "clipped"):
+            assert getattr(chunked, name) == getattr(whole, name), name
+        assert np.array_equal(chunked.cross_values, whole.cross_values)
+        assert np.array_equal(chunked.pair_values, whole.pair_values)
+
+    def test_surfaces_are_the_batched_full_surfaces(self, rng):
+        ens, wn = mmd_problem(rng, 3)
+        _, rep = mmd_to_wiener(ens, wn, 33)
+        keys = (["wiener"] + [("cross", k) for k in range(3)]
+                + [("pair", j, k) for j in range(3) for k in range(j, 3)])
+        assert list(rep.surfaces) == keys and len(rep.surfaces) == len(keys)
+        # the same velocity objects as mmd_to_wiener's: a pair (v, v) rounds
+        # A = X X^T as one product with itself
+        paths = [characteristic_velocity(ens.path_triplet(k), 2) for k in range(3)]
+        right = characteristic_velocity(wn.as_triplet(), 2)
+        pairs = ([(right, right)] + [(p, right) for p in paths]
+                 + [(paths[j], paths[k]) for j in range(3) for k in range(j, 3)])
+        grid = make_grid(1.0, 33, np.concatenate([ens.time_grid, wn.time_grid]))
+        batch = _solve_truncated_batch(pairs, 2, 2, grid, grid)
+        corners = [rep.wiener_term, *rep.cross_values,
+                   *(rep.pair_values[j, k] for j in range(3) for k in range(j, 3))]
+        for key, ref, corner in zip(keys, batch, corners):
+            surf = rep.surfaces[key]
+            for name in ("s_grid", "t_grid", "w", "f", "ftilde", "s_mass", "t_mass"):
+                assert np.array_equal(getattr(surf, name), getattr(ref, name)), (key, name)
+            assert surf.meta == ref.meta
+            assert surf.value() == corner
+        with pytest.raises(TypeError):
+            rep.surfaces["wiener"] = batch[0]
+
+    def test_peak_memory_is_bounded_by_the_chunk_cap(self, rng, monkeypatch):
+        # 16 paths: 1 + 16 + 136 = 153 surfaces of state width D = 5 on 33^2
+        # nodes.  Holding every node, as a full sweep does, takes
+        # 153 * 33^2 * 5 floats = 6.7 MB.  A corner-only chunk holds at most
+        # the cap's floats as _corner_floats counts them; doubling it covers
+        # what that count leaves out (the map-building blocks, each
+        # contraction's products).  Outside the chunks the batch keeps per
+        # surface its pair, key and corner, and per velocity its tables: two
+        # floats per node of one diagonal per surface bound them
+        cap = 1 << 15
+        monkeypatch.setattr(kernel_solver, "_SWEEP_CHUNK_FLOATS", cap)
+        ens, wn = mmd_problem(rng, 16)
+        surfaces, nodes, D = 153, 33, 5
+        tracemalloc.start()
+        try:
+            _, rep = mmd_to_wiener(ens, wn, nodes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rep.surfaces) == surfaces
+        bound = 8 * (2 * cap + 2 * surfaces * nodes * D)
+        full_state = 8 * surfaces * nodes**2 * D
+        assert bound < full_state / 5
+        assert peak < bound
