@@ -313,6 +313,13 @@ def cmd_validate(cfg: dict, out_dir: str) -> int:
     n_paths = _as_int(_require(mc, "n_paths", "mc"), "mc.n_paths")
     steps = _as_int(_require(mc, "steps", "mc"), "mc.steps")
     seed = _as_int(_require(mc, "seed", "mc"), "mc.seed")
+    # checked before the solves: the Monte Carlo oracle runs last
+    if n_paths < 2:
+        raise ConfigError("mc.n_paths", "the standard error needs at least 2 paths")
+    if steps < 1:
+        raise ConfigError("mc.steps", "need at least 1 step per interval")
+    if not -2**63 <= seed < 2**63:
+        raise ConfigError("mc.seed", "a Philox key word holds seeds in [-2**63, 2**63)")
 
     results: list[tuple[str, bool, str]] = []
     va = characteristic_velocity(trip_a, _certificate_depth(trip_a.dim, m))

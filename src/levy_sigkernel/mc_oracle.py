@@ -5,23 +5,20 @@ Randomness is counter-based: path p of a run seeded with ``seed`` draws
 from a Philox stream with key ``[seed, stream_offset + p]``, so estimates
 are reproducible bitwise regardless of how paths are scheduled.  Within a
 path the draw order is fixed per interval: Brownian sub-step normals,
-then the Poisson jump count, then jump positions, then jump values.
+then the Poisson jump count, then jump positions, then jump values.  The
+loop over paths only reads the streams; the jumps are sorted and placed in
+their sub-steps after it, once per interval for all paths.
 
 Jumps enter signatures through tensor exponentials (Marcus/geometric
 convention), placed after the continuous factor of the sub-step that
 contains them; the residual weak bias from not splitting that sub-step's
 Gaussian increment is O(dt) and vanishes for commuting (d = 1) data.
 
-The signatures of all paths are computed at once, segment by segment.  A
-segment without area (level 1 only) is applied with the fused step
-``S (x) exp(x)`` of ``tensor_algebra._mul_exp_level1``, evaluated level by
-level in Horner form; a segment with area uses the batched
-:func:`tensor_algebra.tensor_mul` and :func:`tensor_algebra.exp_tensor`.
-Each segment updates only its live rows, those with a nonzero increment:
-jump slots are gathered, updated and scattered back, and a segment with no
-live row is skipped.  ``path_signature`` makes the same choices for one path
-with the same code, so row p equals
-``path_signature(paths.increments_of(p), depth)`` bit for bit.
+The signatures of all paths are computed at once, segment by segment, on
+each segment's live rows (``_batch_signatures``): a segment without area
+takes the fused step ``S (x) exp(x)`` of ``tensor_algebra._mul_exp_level1``.
+``path_signature`` makes the same choices for one path with the same code,
+so row p equals ``path_signature(paths.increments_of(p), depth)`` bit for bit.
 """
 
 from __future__ import annotations
@@ -88,15 +85,18 @@ def simulate_paths(triplet: LevyTriplet, n_paths: int, steps_per_interval: int,
 
     Gaussian sub-increments are exact per sub-step; jump counts are
     Poisson per interval with uniform positions.  Deterministic given
-    ``seed`` (see module docstring for the stream layout).
+    ``seed`` (see module docstring for the stream layout; the seed and each
+    ``stream_offset + p`` must lie in [-2**63, 2**63)).  The loop over paths
+    only reads the streams; each interval's jumps are placed after it.
     """
     if n_paths < 1 or steps_per_interval < 1:
         raise InvalidParameter("need n_paths >= 1 and steps_per_interval >= 1")
-    if horizon is None:
-        horizon = triplet.horizon
-    if horizon > triplet.horizon + 1e-12:
-        raise OutOfRange("horizon exceeds the triplet's grid")
-    d = triplet.dim
+    last = stream_offset + n_paths - 1
+    if not -2**63 <= min(seed, stream_offset) <= max(seed, last) < 2**63:
+        raise InvalidParameter("seed and stream_offset + p must lie in [-2**63, 2**63)")
+    horizon = triplet.horizon if horizon is None else horizon
+    if not 0.0 <= horizon <= triplet.horizon + 1e-12:   # false for NaN
+        raise OutOfRange(f"horizon {horizon} lies outside [0, {triplet.horizon}]")
 
     plan = []
     for i in range(triplet.n_intervals):
@@ -105,43 +105,39 @@ def simulate_paths(triplet: LevyTriplet, n_paths: int, steps_per_interval: int,
         if hi <= lo:
             break
         plan.append(_IntervalDraws(triplet, i, hi - lo, steps_per_interval, n_paths))
-        if hi >= horizon:
-            break
 
-    # Re-keying one Philox bit generator gives each path the stream of its
-    # own Generator(Philox(key=[seed, stream_offset + p])) without building
-    # one, which costs more than the path's draws.  Paths run one at a time,
-    # so each path's stream continues across intervals.
+    # Re-keying one Philox bit generator, from a state of Python ints (faster
+    # to set than arrays), gives path p the stream of Generator(Philox(key=[seed,
+    # stream_offset + p])) without building one; it continues across intervals.
     bitgen = np.random.Philox(key=[seed, stream_offset])
     rng = np.random.Generator(bitgen)
     state = bitgen.state
+    state["state"] = {k: [int(w) for w in v] for k, v in state["state"].items()}
+    state["buffer"] = [int(w) for w in state["buffer"]]
     key = state["state"]["key"]
+    normal, poisson, uniform = rng.standard_normal, rng.poisson, rng.random
     for p in range(n_paths):
-        key[1] = stream_offset + p
+        key[1] = (stream_offset + p) % 2**64
         bitgen.state = state
         for iv in plan:
-            iv.draw(rng, p)
-    noise = [iv.transform_noise() for iv in plan]
+            if iv.noise is not None:
+                normal(out=iv.noise[p])
+            n_jumps = int(poisson(iv.lam)) if iv.lam > 0 else 0
+            if n_jumps:
+                iv.owners.append(p)
+                iv.positions.append(uniform(n_jumps))
+                iv.values.append(iv.draw_values(rng, n_jumps))
 
     segments: list[tuple[np.ndarray, np.ndarray | None]] = []
     for i, iv in enumerate(plan):
-        b, ar = triplet.drifts[i], triplet.areas[i]
+        ar = triplet.areas[i]
+        lvl1, jumps = iv.transform_noise(), iv.jump_segments()
+        lvl1 += triplet.drifts[i] * iv.dt
         lvl2_base = None if ar is None else np.tile(ar.ravel() * iv.dt, (n_paths, 1))
         for step in range(steps_per_interval):
-            lvl1 = noise[i][step]
-            lvl1 += b * iv.dt
-            segments.append((lvl1, None if lvl2_base is None else lvl2_base.copy()))
-            for slot_entries in iv.step_slots.get(step, []):
-                j1 = np.zeros((n_paths, d))
-                j2 = None
-                for p, v1, v2 in slot_entries:
-                    j1[p] = v1
-                    if v2 is not None:
-                        if j2 is None:
-                            j2 = np.zeros((n_paths, d * d))
-                        j2[p] = v2
-                segments.append((j1, j2))
-    return SimulatedPaths(dim=d, n_paths=n_paths, segments=segments)
+            segments.append((lvl1[step], None if lvl2_base is None else lvl2_base.copy()))
+            segments.extend(jumps.get(step, ()))
+    return SimulatedPaths(dim=triplet.dim, n_paths=n_paths, segments=segments)
 
 
 class _IntervalDraws:
@@ -149,78 +145,80 @@ class _IntervalDraws:
 
     def __init__(self, triplet: LevyTriplet, i: int, span: float, steps: int,
                  n_paths: int):
-        self.span = span
-        self.steps = steps
+        self.dim, self.n_paths, self.span, self.steps = triplet.dim, n_paths, span, steps
         self.dt = span / steps
-        self.sqdt = math.sqrt(self.dt)
         self.factor = _cov_factor(triplet.covs[i])
-        self.has_noise = bool(np.any(self.factor))
-        spec = self.spec = triplet.jumps[i]
-        if spec is not None:
-            self.rate = float(np.sum(spec.weights)) if isinstance(spec, AtomicJumps) \
-                else spec.intensity
-        if isinstance(spec, GaussianJumps):
+        # sub-step normals by (path, step): one contiguous block per path
+        self.noise = np.zeros((n_paths, steps, self.dim)) if np.any(self.factor) else None
+        spec, rate, self.atom_table = triplet.jumps[i], 0.0, None
+        if isinstance(spec, AtomicJumps):
+            rate = float(np.sum(spec.weights))
+            self.probs = spec.weights / rate if rate > 0 else None
+            # by atom: level 1, level 2 (zero if absent), level 2 present
+            self.atom_table = [np.array(col) for col in zip(
+                *((*a.with_depth(2).levels[1:], a.depth >= 2) for a in spec.atoms))]
+        elif isinstance(spec, GaussianJumps):
+            rate = spec.intensity
             self.jump_factor = _cov_factor(spec.cov)
-        # sub-step standard normals by (path, step), so that each path's
-        # draws fill one contiguous block; transform_noise() turns them into
-        # the segments' increments by (step, path)
-        self.noise = np.zeros((n_paths, steps, triplet.dim))
-        # step -> slot -> list of (path, level1, level2); a path with several
-        # jumps in one sub-step occupies successive slots in time order
-        self.step_slots: dict[int, list[list]] = {}
-        self._seen: dict[tuple[int, int], int] = {}
+        elif spec is not None:
+            raise Unsupported(f"jump spec {type(spec).__name__}")
+        self.lam = rate * span
+        # the paths that jump here, with their jumps' uniform draws and values
+        self.owners, self.positions, self.values = [], [], []
 
-    def _place(self, p, u, v1, v2):
-        step = min(int(u / self.dt), self.steps - 1)
-        slot = self._seen.get((p, step), 0)
-        self._seen[(p, step)] = slot + 1
-        slots = self.step_slots.setdefault(step, [])
-        while len(slots) <= slot:
-            slots.append([])
-        slots[slot].append((p, v1, v2))
+    def draw_values(self, rng: np.random.Generator, n_jumps: int) -> np.ndarray:
+        """One path's jump values: atom indices, or level-1 Gaussian rows."""
+        if self.atom_table is not None:
+            return rng.choice(len(self.probs), size=n_jumps, p=self.probs)
+        return rng.standard_normal((n_jumps, self.dim)) @ self.jump_factor.T
 
     def transform_noise(self) -> np.ndarray:
         """All paths' sub-step increments, shape ``(steps, n_paths, d)``.
 
-        Reorders the standard normals by (step, path) while scaling them by
-        sqrt(dt), then maps them to the interval's covariance by one product
-        over the whole block; each row is computed as ``sqdt * z @ factor.T``
-        on the row alone would be.  Block ``[step]`` becomes that sub-step's
-        level-1 segment.  The draws are released.
+        Scales the normals by sqrt(dt) in (step, path) order, then maps them
+        to the covariance by one product, each row as ``sqdt * z @ factor.T``
+        on the row alone would be.  The draws are released.
         """
+        shape = (self.steps, self.n_paths, self.dim)
+        if self.noise is None:
+            return np.zeros(shape)
         z, self.noise = self.noise.transpose(1, 0, 2), None
-        if not self.has_noise:
-            return np.zeros(z.shape)
-        scaled = np.multiply(z, self.sqdt, out=np.empty(z.shape))
-        return (scaled.reshape(-1, z.shape[2]) @ self.factor.T).reshape(z.shape)
+        scaled = np.multiply(z, math.sqrt(self.dt), out=np.empty(shape))
+        return (scaled.reshape(-1, self.dim) @ self.factor.T).reshape(shape)
 
-    def draw(self, rng: np.random.Generator, p: int) -> None:
-        """Path p's draws on this interval, in the order the module fixes."""
-        d = self.noise.shape[2]
-        if self.has_noise:
-            rng.standard_normal(out=self.noise[p])
-        spec = self.spec
-        if spec is None:
-            return
-        n_jumps = int(rng.poisson(self.rate * self.span)) if self.rate > 0 else 0
-        if n_jumps == 0:
-            return
-        pos = np.sort(rng.uniform(0.0, self.span, size=n_jumps))
-        if isinstance(spec, AtomicJumps):
-            picks = rng.choice(len(spec.atoms), size=n_jumps, p=spec.weights / self.rate)
-            for u, pick in zip(pos, picks):
-                atom = spec.atoms[pick]
-                v1 = np.asarray(atom.levels[1], dtype=float) if atom.depth >= 1 \
-                    else np.zeros(d)
-                v2 = np.asarray(atom.levels[2], dtype=float) if atom.depth >= 2 \
-                    else None
-                self._place(p, u, v1, v2)
-        elif isinstance(spec, GaussianJumps):
-            draws = rng.standard_normal((n_jumps, d)) @ self.jump_factor.T
-            for u, val in zip(pos, draws):
-                self._place(p, u, val, None)
+    def jump_segments(self) -> dict[int, list[tuple[np.ndarray, np.ndarray | None]]]:
+        """The interval's jump segments by sub-step, each list in time order.
+
+        A path's jumps take its sorted positions ``span * u`` in draw order; a
+        jump at t lies in sub-step ``min(int(t / dt), steps - 1)``.  Segment k
+        of a sub-step holds each path's k-th jump there.  Releases the draws.
+        """
+        if not self.owners:
+            return {}
+        path = np.repeat(self.owners, [len(u) for u in self.positions])
+        pos = self.span * np.concatenate(self.positions)
+        pos = pos[np.lexsort((pos, path))]
+        values = np.concatenate(self.values)
+        self.owners = self.positions = self.values = None
+        if self.atom_table is None:
+            lvl1, lvl2, has2 = values, None, np.zeros(len(values), dtype=bool)
         else:
-            raise Unsupported(f"jump spec {type(spec).__name__}")
+            lvl1, lvl2, has2 = (col[values] for col in self.atom_table)
+        step = np.minimum((pos / self.dt).astype(np.intp), self.steps - 1)
+        cell = path * self.steps + step   # nondecreasing: sorted by path, then time
+        slot = np.arange(len(cell)) - np.searchsorted(cell, cell)
+        group = step * (slot.max() + 1) + slot   # ordered by sub-step, then slot
+        order = np.argsort(group, kind="stable")
+        out: dict[int, list] = {}
+        for rows in np.split(order, np.flatnonzero(np.diff(group[order])) + 1):
+            j1 = np.zeros((self.n_paths, self.dim))
+            j1[path[rows]] = lvl1[rows]
+            j2 = None
+            if has2[rows].any():
+                j2 = np.zeros((self.n_paths, self.dim**2))
+                j2[path[rows]] = lvl2[rows]
+            out.setdefault(int(step[rows[0]]), []).append((j1, j2))
+        return out
 
 
 def path_signature(increments, depth: int) -> TruncatedTensor:
@@ -320,6 +318,8 @@ def estimate_kernel(triplet_a: LevyTriplet, triplet_b: LevyTriplet, t: float,
     independent mean estimates by the delta method.  The second triplet
     uses path streams offset by ``n_paths``.
     """
+    if n_paths < 2:
+        raise InvalidParameter("the standard error needs n_paths >= 2")
     # each side's paths are dropped once its signatures are formed
     sig_a = _batch_signatures(simulate_paths(triplet_a, n_paths, steps, seed, horizon=t),
                               depth)

@@ -102,6 +102,22 @@ class TestMalformedConfigs:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {field}:"), err
 
+    @pytest.mark.parametrize("mc, flags, field", [
+        ({"seed": 2**63}, [], "mc.seed"),
+        ({"seed": -2**63 - 1}, [], "mc.seed"),
+        ({}, ["--seed", str(2**64)], "mc.seed"),
+        ({"n_paths": 1}, [], "mc.n_paths"),
+        ({"steps": 0}, [], "mc.steps"),
+    ])
+    def test_monte_carlo_field_names_field(self, tmp_path, capsys, mc, flags, field):
+        cfg_data = base_config("validate", points=9)
+        cfg_data["mc"].update(mc)
+        cfg = write_config(tmp_path / "cfg.json", cfg_data)
+        assert main(["--config", cfg, "--output", str(tmp_path / "o"), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}:"), err
+        assert not (tmp_path / "o" / "validate.txt").exists()
+
     @pytest.mark.parametrize("factors, field", [
         (5, "wiener.factors[0]"), ([[1.0, 2.0]], "wiener.factors[1]"),
         ([["a"]], "wiener.factors[0]"), ([[float("nan")]], "wiener.factors[1]"),

@@ -8,7 +8,7 @@ from levy_sigkernel.characteristics import (AtomicJumps, GaussianJumps,
                                             LevyTriplet, PiecewiseVelocity,
                                             characteristic_velocity)
 from levy_sigkernel.development import develop, expected_signature
-from levy_sigkernel.errors import DimMismatch, InvalidParameter
+from levy_sigkernel.errors import DimMismatch, InvalidParameter, OutOfRange
 from levy_sigkernel.kernel_solver import bessel_i0
 from levy_sigkernel.mc_oracle import (SimulatedPaths, _batch_signatures,
                                       _cov_factor, estimate_expected_signature,
@@ -222,6 +222,119 @@ class TestSharedGenerator:
             if a2 is not None:
                 assert a2.tobytes() == b2.tobytes()
 
+
+
+def assert_same_segments(new, ref):
+    assert len(new.segments) == len(ref.segments)
+    for (a1, a2), (b1, b2) in zip(new.segments, ref.segments):
+        assert a1.tobytes() == b1.tobytes()
+        assert (a2 is None) == (b2 is None)
+        if a2 is not None:
+            assert a2.tobytes() == b2.tobytes()
+
+
+def jump_cov():
+    return np.array([[0.3, 0.1], [0.1, 0.2]])
+
+
+def two_atoms():
+    """An atom with area and one without."""
+    return (TT.from_levels(2, [np.zeros(1), [0.5, -0.3], [0.0, 0.1, -0.1, 0.0]]),
+            atom(2, [-0.2, 0.4]))
+
+
+def placement_triplet(grid, covs, jumps):
+    return LevyTriplet(dim=2, time_grid=np.array(grid),
+                       drifts=[np.array([0.1, -0.2])] * len(covs), covs=covs,
+                       jumps=jumps, state_depth=2)
+
+
+class TestJumpPlacement:
+    """Jumps are placed after the stream loop, for all paths of an interval
+    at once; each case compares against one generator per path placing its
+    own jumps.  Every case has an interval where paths take several jumps in
+    one sub-step, so a wrong sort order or slot rank shows."""
+
+    def check(self, trip, steps=3, seed=11, horizon=None, offset=0, n_paths=60):
+        new = simulate_paths(trip, n_paths, steps, seed, horizon=horizon,
+                             stream_offset=offset)
+        ref = per_path_generator_paths(trip, n_paths, steps, seed, horizon=horizon,
+                                       stream_offset=offset)
+        assert_same_segments(new, ref)
+        return ref
+
+    def test_several_jumps_in_one_sub_step(self):
+        trip = LevyTriplet.homogeneous(2, 1.0, cov=0.2 * np.eye(2),
+                                       jumps=GaussianJumps(40.0, jump_cov()))
+        ref = self.check(trip)
+        # three noise segments, and some sub-step with slots 0, 1 and 2
+        assert len(ref.segments) >= 3 + 3 * 3
+
+    def test_jumps_without_covariance(self):
+        trip = placement_triplet([0.0, 0.5, 1.0], [np.zeros((2, 2)), 0.1 * np.eye(2)],
+                                 [GaussianJumps(12.0, jump_cov()), None])
+        ref = self.check(trip)
+        first = ref.segments[0][0]   # drift alone: every path alike
+        assert np.all(first == first[0])
+
+    def test_atoms_with_zero_weights(self):
+        trip = placement_triplet([0.0, 0.4, 1.0], [0.3 * np.eye(2)] * 2,
+                                 [AtomicJumps(np.zeros(2), two_atoms()),
+                                  AtomicJumps(np.array([6.0, 9.0]), two_atoms())])
+        ref = self.check(trip)
+        assert all(l2 is None for _, l2 in ref.segments[:3])
+        assert any(l2 is not None for _, l2 in ref.segments[3:])
+
+    def test_jump_free_interval_between_jump_intervals(self):
+        trip = placement_triplet([0.0, 0.3, 0.6, 1.0], [0.2 * np.eye(2)] * 3,
+                                 [GaussianJumps(15.0, jump_cov()), None,
+                                  AtomicJumps(np.array([5.0, 10.0]), two_atoms())])
+        self.check(trip)
+
+    def test_horizon_inside_a_jump_interval(self):
+        trip = placement_triplet([0.0, 0.3, 0.7, 1.0], [0.2 * np.eye(2)] * 3,
+                                 [GaussianJumps(15.0, jump_cov()),
+                                  AtomicJumps(np.array([8.0, 12.0]), two_atoms()), None])
+        ref = self.check(trip, horizon=0.5, offset=5)
+        assert len(ref.segments) > 2 * 3
+
+    def test_negative_seed(self):
+        trip = LevyTriplet.homogeneous(2, 1.0, cov=0.2 * np.eye(2),
+                                       jumps=GaussianJumps(20.0, jump_cov()))
+        self.check(trip, seed=-5)
+
+
+class TestStreamAndHorizonChecks:
+    @pytest.mark.parametrize("seed, offset", [
+        (2**63, 0), (2**64 - 2, 0), (-2**63 - 1, 0), (3, 2**63 - 2), (3, -2**63 - 1)])
+    def test_streams_a_key_cannot_hold(self, seed, offset):
+        with pytest.raises(InvalidParameter):
+            simulate_paths(jump_triplet(), 3, 2, seed, stream_offset=offset)
+
+    @pytest.mark.parametrize("seed, offset", [(-2**63, 2**63 - 3), (2**63 - 1, -2**63)])
+    def test_extreme_streams_match_per_path_generators(self, seed, offset):
+        trip = LevyTriplet.homogeneous(2, 1.0, cov=0.2 * np.eye(2),
+                                       jumps=GaussianJumps(20.0, jump_cov()))
+        new = simulate_paths(trip, 3, 2, seed, stream_offset=offset)
+        assert_same_segments(new, per_path_generator_paths(trip, 3, 2, seed,
+                                                           stream_offset=offset))
+
+    def test_kernel_needs_two_paths(self):
+        trip = LevyTriplet.brownian(1, 1.0)
+        with pytest.raises(InvalidParameter):
+            estimate_kernel(trip, trip, 1.0, 2, 1, 4, seed=1)
+
+    @pytest.mark.parametrize("horizon", [float("nan"), -0.5, float("inf"), 1.5])
+    def test_horizon_outside_the_grid(self, horizon):
+        with pytest.raises(OutOfRange):
+            simulate_paths(jump_triplet(), 4, 2, seed=1, horizon=horizon)
+
+    def test_negative_time_estimate(self):
+        with pytest.raises(OutOfRange):
+            estimate_expected_signature(jump_triplet(), -0.5, 2, 10, 2, seed=1)
+
+    def test_zero_horizon_has_no_segments(self):
+        assert simulate_paths(jump_triplet(), 4, 2, seed=1, horizon=0.0).segments == []
 
 def abs_paths(paths):
     return SimulatedPaths(paths.dim, paths.n_paths,
