@@ -38,10 +38,10 @@ import numpy as np
 
 from . import tensor_algebra as ta
 from .characteristics import (AtomicJumps, GaussianJumps, LevyTriplet,
-                              characteristic_velocity)
+                              characteristic_velocity, velocity_depth)
 from .development import (bound_gronwall, bound_inner_truncation, bound_level,
                           bound_outer_truncation, develop,
-                          remainder_diagnostics)
+                          development_inner_product, remainder_diagnostics)
 from .errors import ConfigError, InvalidParameter, LevySigKernelError
 from .kernel_solver import (make_grid, solve_truncated_system,
                             truncation_certificate)
@@ -197,12 +197,20 @@ def _parse_levels(cfg: dict) -> tuple[int, int]:
     return m, n
 
 
-def _certificate_depth(dim: int, level: int) -> int:
-    """Deepest velocity depth within the coefficient budget (>= level)."""
+def _budget_depth(dim: int, level: int) -> int:
+    """Deepest depth within the coefficient budget (>= level): the cap of
+    every depth the CLI chooses, and the depth of the bounds tables."""
     depth = level
     while depth < level + 16 and ta.flat_size(dim, depth + 1) <= _MAX_VELOCITY_COEFFS:
         depth += 1
     return depth
+
+
+def _certified_velocity(triplet: LevyTriplet, level: int, horizon: float):
+    """The characteristic velocity at the depth its certified tail needs
+    (``characteristics.velocity_depth``), capped by the budget depth."""
+    depth = velocity_depth(triplet, level, _budget_depth(triplet.dim, level), horizon)
+    return characteristic_velocity(triplet, depth)
 
 
 def cmd_kernel(cfg: dict, out_dir: str) -> int:
@@ -214,10 +222,8 @@ def cmd_kernel(cfg: dict, out_dir: str) -> int:
     sp, tp, horizon = _parse_grid(cfg)
     s_grid = make_grid(horizon, sp, ta_.time_grid)
     t_grid = make_grid(horizon, tp, tb.time_grid)
-    depth_a = _certificate_depth(ta_.dim, m)
-    depth_b = _certificate_depth(tb.dim, n)
-    va = characteristic_velocity(ta_, depth_a)
-    vb = characteristic_velocity(tb, depth_b)
+    va = _certified_velocity(ta_, m, horizon)
+    vb = _certified_velocity(tb, n, horizon)
     surface = solve_truncated_system(va.truncated(m), vb.truncated(n), m, n,
                                      s_grid, t_grid)
     cert = truncation_certificate(va, vb, m, n, horizon, horizon)
@@ -225,7 +231,7 @@ def cmd_kernel(cfg: dict, out_dir: str) -> int:
     with open(os.path.join(out_dir, "certificate.txt"), "w") as fh:
         fh.write(f"w({horizon!r},{horizon!r}) = {surface.value()!r}\n")
         fh.write(f"truncation_certificate = {cert!r}\n")
-        fh.write(f"levels M={m} N={n}; velocity depths {depth_a}/{depth_b}\n")
+        fh.write(f"levels M={m} N={n}; velocity depths {va.depth}/{vb.depth}\n")
     print(f"kernel: w(T,T) = {surface.value()!r}, certificate = {cert!r}")
     return 0
 
@@ -322,34 +328,35 @@ def cmd_validate(cfg: dict, out_dir: str) -> int:
         raise ConfigError("mc.seed", "a Philox key word holds seeds in [-2**63, 2**63)")
 
     results: list[tuple[str, bool, str]] = []
-    va = characteristic_velocity(trip_a, _certificate_depth(trip_a.dim, m))
-    vb = characteristic_velocity(trip_b, _certificate_depth(trip_b.dim, n))
+    va = _certified_velocity(trip_a, m, horizon)
+    vb = _certified_velocity(trip_b, n, horizon)
     s_grid = make_grid(horizon, sp, trip_a.time_grid)
     t_grid = make_grid(horizon, tp, trip_b.time_grid)
     surface = solve_truncated_system(va.truncated(m), vb.truncated(n), m, n,
                                      s_grid, t_grid)
     w_val = surface.value()
 
-    # oracle 1: inner product of truncated developments
-    oracle_depth = min(_certificate_depth(trip_a.dim, max(m, n) + 8), 24)
-    ref = ta.inner_product(
-        develop(va.truncated(m), 0.0, horizon, oracle_depth),
-        develop(vb.truncated(n), 0.0, horizon, oracle_depth))
+    # oracle 1: inner product of truncated developments, each oracle at the
+    # depth its remainder bound needs, within the budget depth
+    max_depth = min(_budget_depth(trip_a.dim, max(m, n) + 8), 24)
+    ref, _, _ = development_inner_product(va.truncated(m), vb.truncated(n), 0.0,
+                                          horizon, max(m, n), max_depth)
     rel = abs(w_val - ref) / max(abs(ref), 1e-12)
     results.append(("solver-vs-development", rel <= 1e-3,
                     f"rel_err={rel:.3e} (w={w_val!r}, oracle={ref!r})"))
 
     # oracle 2: certificate against the deep-velocity reference
     cert = truncation_certificate(va, vb, m, n, horizon, horizon)
-    dev = develop(va, 0.0, horizon, oracle_depth)
-    ref_full = ta.inner_product(dev, develop(vb, 0.0, horizon, oracle_depth))
+    ref_full, oracle_depth, _ = development_inner_product(va, vb, 0.0, horizon,
+                                                          max(m, n), max_depth)
     gap = abs(ref_full - w_val)
     tol = cert + 1e-3 * max(abs(ref_full), 1.0)
     results.append(("truncation-certificate", gap <= tol,
                     f"|u_ref - w|={gap:.3e} <= certificate+grid={tol:.3e}"))
 
-    # bound suite on the left velocity, reported last: it checks oracle 2's
-    # development now, so that the development is freed before the Monte Carlo
+    # bound suite on the left velocity at oracle 2's depth, reported last:
+    # checked now, so that the development is freed before the Monte Carlo
+    dev = develop(va, 0.0, horizon, oracle_depth)
     ok = ta.norm_p(dev, 1) <= bound_gronwall(va, 0.0, horizon) * (1 + 1e-12)
     for lev in range(1, min(oracle_depth, 6) + 1):
         ok = ok and (np.linalg.norm(dev.levels[lev])
@@ -392,7 +399,7 @@ def cmd_bounds(cfg: dict, out_dir: str) -> int:
     rows = []
     for i, raw in enumerate(triplets):
         trip = parse_triplet(raw, f"triplets[{i}]")
-        depth = _certificate_depth(trip.dim, m)
+        depth = _budget_depth(trip.dim, m)
         v = characteristic_velocity(trip, depth)
         dev = develop(v, 0.0, horizon, depth)
         dev_norms = [float(np.linalg.norm(lev)) for lev in dev.levels]

@@ -174,11 +174,21 @@ class KernelSurface:
 
     def apriori_margin(self) -> float | None:
         """max over nodes of |w| - psi(C_s, C_t); non-positive when the
-        a priori bound holds.  None when velocity masses are unknown."""
+        a priori bound holds.  None when velocity masses are unknown.
+
+        One array expression over all nodes, in log space:
+        log psi(x, y) = x + y + 2 sqrt(xy) + log i0e(2 sqrt(xy)), with
+        i0e(z) = e^-z I_0(z); psi is ``inf`` where it overflows.
+        """
         if self.s_mass is None or self.t_mass is None:
             return None
-        psi = np.array([[apriori_psi(cs, ct) for ct in self.t_mass]
-                        for cs in self.s_mass])
+        # scipy is imported here only: importing the CLI must not load it
+        from scipy.special import i0e
+
+        x, y = self.s_mass[:, None], self.t_mass[None, :]
+        z = 2.0 * np.sqrt(x * y)
+        with np.errstate(over="ignore"):
+            psi = np.exp(x + y + z + np.log(i0e(z)))
         return float((np.abs(self.w) - psi).max())
 
     def to_csv(self, path, include_fields: bool = False) -> None:
@@ -777,20 +787,29 @@ def _refine(grid: np.ndarray) -> np.ndarray:
 
 def truncation_certificate(v: PiecewiseVelocity, vt: PiecewiseVelocity,
                            M: int, N: int, s: float, t: float) -> float:
-    """Exact evaluation of the kernel truncation-error certificate.
+    """Bound on |u(s, t) - w(s, t)|, u the kernel of the full velocities and
+    w that of their depth-M/N truncations, exact for piecewise-constant
+    velocities.
 
-    Uses the stored velocity levels as "full depth": the bound is
-    exp(mass_v) * exp(mass_vt) * (tail of v above M + tail of vt above N)
-    with all integrals exact for piecewise-constant velocities.  A zero
-    tail gives 0.0 whatever the masses; a positive tail whose exponential
-    factor overflows gives ``inf``.
+    exp(mass_v + omit_v) * exp(mass_vt + omit_vt) * (tail of v above M +
+    omit_v + tail of vt above N + omit_vt), where mass and tail integrate
+    the stored levels exactly and ``omit`` is each velocity's bound on the
+    levels it does not store (``PiecewiseVelocity.omitted_mass``; 0 for a
+    velocity without tail rates).  The certificate is tight in the tail:
+    the stored part is exact and the omitted part is the closed form of
+    ``characteristics.velocity_tail_bound``, within a few times the levels
+    it bounds; the exponential factor is the Gronwall growth and is the
+    loose part.  A zero tail gives 0.0 whatever the masses; a positive
+    tail whose exponential factor overflows gives ``inf``.
     """
-    tail = v.tail_mass(0.0, s, M) + vt.tail_mass(0.0, t, N)
+    omit_s = v.omitted_mass(0.0, s)
+    omit_t = vt.omitted_mass(0.0, t)
+    tail = v.tail_mass(0.0, s, M) + omit_s + vt.tail_mass(0.0, t, N) + omit_t
     if tail == 0.0:
         return 0.0
     try:
-        cs = math.exp(v.mass(0.0, s))
-        ct = math.exp(vt.mass(0.0, t))
+        cs = math.exp(v.mass(0.0, s) + omit_s)
+        ct = math.exp(vt.mass(0.0, t) + omit_t)
     except OverflowError:
         return math.inf
     return float(cs * ct * tail)

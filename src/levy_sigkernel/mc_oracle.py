@@ -298,13 +298,17 @@ class SignatureEstimate:
 def estimate_expected_signature(triplet: LevyTriplet, t: float, depth: int,
                                 n_paths: int, steps: int, seed: int,
                                 stream_offset: int = 0) -> SignatureEstimate:
-    """Monte Carlo estimate of the expected signature at time t."""
+    """Monte Carlo estimate of the expected signature at time t.
+
+    Needs n_paths >= 2: one path has no standard error.
+    """
+    if n_paths < 2:
+        raise InvalidParameter("the standard error needs n_paths >= 2")
     paths = simulate_paths(triplet, n_paths, steps, seed, horizon=t,
                            stream_offset=stream_offset)
     sig = _batch_signatures(paths, depth)
     mean = TruncatedTensor(triplet.dim, [lvl.mean(axis=0) for lvl in sig])
-    se_levels = [lvl.std(axis=0, ddof=1) / math.sqrt(n_paths) if n_paths > 1
-                 else np.zeros(lvl.shape[1]) for lvl in sig]
+    se_levels = [lvl.std(axis=0, ddof=1) / math.sqrt(n_paths) for lvl in sig]
     se = TruncatedTensor(triplet.dim, se_levels)
     level_se = LevelNorms(np.array([np.linalg.norm(lev) for lev in se_levels]))
     return SignatureEstimate(mean=mean, se=se, level_se=level_se, n_paths=n_paths)

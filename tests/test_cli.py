@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import levy_sigkernel
+from levy_sigkernel.characteristics import characteristic_velocity
 from levy_sigkernel.cli import main, parse_triplet
-from levy_sigkernel.kernel_solver import bessel_i0
+from levy_sigkernel.kernel_solver import bessel_i0, truncation_certificate
 from levy_sigkernel.mmd import WienerSpec
 
 
@@ -259,6 +260,91 @@ class TestBoundsCommand:
         assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {field}:"), err
+
+
+def bench_shaped_triplet(rng, time_grid, jumps, drift, vol, jump_scale):
+    """A d = 2 triplet config shaped like the benchmark's: random drift and
+    covariance per interval, Gaussian jumps of intensity 1.5 on the first."""
+    def cov(scale):
+        f = rng.uniform(-scale, scale, size=(2, 2))
+        return (f @ f.T).tolist()
+
+    intervals = []
+    for i in range(len(time_grid) - 1):
+        iv = {"drift": rng.uniform(-drift, drift, size=2).tolist(),
+              "cov": cov(vol), "jumps": None}
+        if i == 0 and jumps:
+            iv["jumps"] = {"type": "gaussian_cp", "intensity": 1.5,
+                           "cov": cov(jump_scale)}
+        intervals.append(iv)
+    return {"dim": 2, "state_depth": 1, "time_grid": time_grid, "intervals": intervals}
+
+
+class TestCertifiedDepths:
+    """kernel and validate on small configs of the benchmark's shapes form
+    no velocity and no development deeper than 14 (the coefficient budget
+    allows 19 at d = 2), and the printed certificate is the one recomputed
+    from ``characteristic_velocity`` at the printed depths."""
+
+    MAX_DEPTH = 14
+
+    @pytest.fixture
+    def depths(self, monkeypatch):
+        from levy_sigkernel import characteristics, cli, development
+        seen = []
+
+        def record(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                seen.append((name, args[-1]))
+                return real(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        record(cli, "characteristic_velocity")
+        record(characteristics, "_velocity")        # the depth search's builds
+        record(cli, "develop")
+        record(development, "develop")              # the oracle helper's
+        return seen
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_kernel(self, tmp_path, depths, seed):
+        rng = np.random.default_rng(seed)
+        cfg_data = {
+            "experiment": "kernel",
+            "triplets": [bench_shaped_triplet(rng, [0.0, 0.4, 1.0], True, 0.6, 0.5, 0.4)
+                         for _ in range(2)],
+            "grid": {"s_points": 33, "t_points": 33, "T": 1.0},
+            "levels": {"M": 3, "N": 3},
+        }
+        cfg = write_config(tmp_path / "cfg.json", cfg_data)
+        assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == 0
+        assert {name for name, _ in depths} == {"characteristic_velocity", "_velocity"}
+        assert max(depth for _, depth in depths) <= self.MAX_DEPTH
+        lines = (tmp_path / "o" / "certificate.txt").read_text().splitlines()
+        printed = lines[1].removeprefix("truncation_certificate = ")
+        da, db = map(int, lines[2].split("velocity depths ")[1].split("/"))
+        va, vb = (characteristic_velocity(parse_triplet(t, "t"), d)
+                  for t, d in zip(cfg_data["triplets"], (da, db)))
+        assert printed == repr(truncation_certificate(va, vb, 3, 3, 1.0, 1.0))
+
+    def test_validate(self, tmp_path, depths):
+        rng = np.random.default_rng(3)
+        cfg_data = {
+            "experiment": "validate",
+            "triplets": [bench_shaped_triplet(rng, [0.0, 0.5, 1.0], True, 0.3, 0.35, 0.3),
+                         bench_shaped_triplet(rng, [0.0, 0.5, 1.0], False, 0.3, 0.35, 0.0)],
+            "grid": {"s_points": 33, "T": 1.0},
+            "levels": {"M": 4, "N": 4},
+            "mc": {"n_paths": 2000, "steps": 4, "seed": 11},
+        }
+        cfg = write_config(tmp_path / "cfg.json", cfg_data)
+        assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == 0
+        report = (tmp_path / "o" / "validate.txt").read_text().splitlines()
+        assert len(report) == 4 and all(ln.startswith("PASS ") for ln in report)
+        assert {name for name, _ in depths} == {"characteristic_velocity", "_velocity",
+                                                "develop"}
+        assert max(depth for _, depth in depths) <= self.MAX_DEPTH
 
 
 class TestEntryPoints:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from levy_sigkernel.development import bound_outer_truncation, develop
 from levy_sigkernel.errors import GridMismatch, InvalidParameter
 from levy_sigkernel import mmd
 from levy_sigkernel import kernel_solver
-from levy_sigkernel.kernel_solver import (_CORRECTOR_PASSES, _apply_maps,
+from levy_sigkernel.kernel_solver import (_CORRECTOR_PASSES, KernelSurface, _apply_maps,
                                           _cell_increments, _map_counts,
                                           _cell_intervals, _coefficients,
                                           _side_tables, _solve_truncated_batch,
@@ -275,6 +276,26 @@ class TestTruncatedSystem:
         g = make_grid(1.0, 33, grid)
         surf = solve_truncated_system(v, vt, 3, 3, g, g)
         assert surf.apriori_margin() <= 1e-12
+
+    def test_apriori_margin_equals_the_per_node_bound(self, rng):
+        grid = np.array([0.0, 0.5, 1.0])
+        v = random_velocity(rng, 2, 3, grid, scale=2.0)
+        vt = random_velocity(rng, 2, 3, grid, scale=3.0)
+        g = make_grid(1.0, 17, grid)
+        surf = solve_truncated_system(v, vt, 3, 3, g, g)
+        psi = np.array([[apriori_psi(cs, ct) for ct in surf.t_mass]
+                        for cs in surf.s_mass])
+        assert surf.apriori_margin() == pytest.approx(
+            float((np.abs(surf.w) - psi).max()), rel=0, abs=1e-13 * psi.max())
+
+    def test_apriori_margin_where_psi_overflows(self):
+        # apriori_psi(400, 400) is inf; the log-space margin neither warns
+        # nor turns it into NaN
+        mass = np.array([0.0, 400.0])
+        surf = KernelSurface(mass, mass, np.ones((2, 2)), s_mass=mass, t_mass=mass)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert surf.apriori_margin() == 0.0
 
 
 def lexicographic_sweep(ds, dt, sidx, tidx, A, B, C, qx, RX, AX, qy, RY, AY):

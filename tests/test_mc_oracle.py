@@ -324,6 +324,13 @@ class TestStreamAndHorizonChecks:
         with pytest.raises(InvalidParameter):
             estimate_kernel(trip, trip, 1.0, 2, 1, 4, seed=1)
 
+    @pytest.mark.parametrize("n_paths", [1, 0])
+    def test_expected_signature_needs_two_paths(self, n_paths):
+        # one path used to report a standard error of exactly 0
+        with pytest.raises(InvalidParameter):
+            estimate_expected_signature(LevyTriplet.brownian(1, 1.0), 1.0, 2,
+                                        n_paths, 4, seed=1)
+
     @pytest.mark.parametrize("horizon", [float("nan"), -0.5, float("inf"), 1.5])
     def test_horizon_outside_the_grid(self, horizon):
         with pytest.raises(OutOfRange):
