@@ -538,7 +538,8 @@ def velocity_depth(triplet: LevyTriplet, level: int, max_depth: int,
     """Smallest velocity depth K >= max(level, 2, state_depth) whose
     certified tail above K (over [0, horizon]) is at most
     ``VELOCITY_TAIL_RTOL`` times the stored tail of levels level+1..K;
-    never above ``max_depth``.
+    never above ``max_depth``, unless that lies below this floor, which is
+    returned then.
 
     A truncation certificate at ``level`` from ``characteristic_velocity(
     triplet, K)`` then exceeds the one at any deeper depth by a relative
@@ -553,7 +554,7 @@ def velocity_depth(triplet: LevyTriplet, level: int, max_depth: int,
         if v.omitted_mass(0.0, horizon) <= VELOCITY_TAIL_RTOL * stored:
             return depth
         depth += 1
-    return max_depth
+    return depth
 
 
 def _large_jump_radial_integrand(r: float, d: int, scale: float) -> float:

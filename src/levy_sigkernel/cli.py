@@ -64,7 +64,13 @@ def _require(cfg: dict, key: str, path: str):
 def _as_number(value, path: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(path, "expected a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:               # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):       # json parses NaN and Infinity
+        raise ConfigError(path, "expected a finite number")
+    return number
 
 
 def _as_int(value, path: str) -> int:
@@ -75,9 +81,12 @@ def _as_int(value, path: str) -> int:
 
 def _parse_array(value, path: str, what: str) -> np.ndarray:
     try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(path, f"expected {what}") from None
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(path, f"expected {what}, all finite")
+    return arr
 
 
 def _parse_matrix(value, d: int, path: str) -> np.ndarray:
@@ -399,7 +408,7 @@ def cmd_bounds(cfg: dict, out_dir: str) -> int:
     rows = []
     for i, raw in enumerate(triplets):
         trip = parse_triplet(raw, f"triplets[{i}]")
-        depth = _budget_depth(trip.dim, m)
+        depth = max(_budget_depth(trip.dim, m), trip.state_depth)
         v = characteristic_velocity(trip, depth)
         dev = develop(v, 0.0, horizon, depth)
         dev_norms = [float(np.linalg.norm(lev)) for lev in dev.levels]

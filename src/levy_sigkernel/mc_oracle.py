@@ -15,10 +15,10 @@ contains them; the residual weak bias from not splitting that sub-step's
 Gaussian increment is O(dt) and vanishes for commuting (d = 1) data.
 
 The signatures of all paths are computed at once, segment by segment, on
-each segment's live rows (``_batch_signatures``): a segment without area
-takes the fused step ``S (x) exp(x)`` of ``tensor_algebra._mul_exp_level1``.
-``path_signature`` makes the same choices for one path with the same code,
-so row p equals ``path_signature(paths.increments_of(p), depth)`` bit for bit.
+each segment's live rows (``_batch_signatures``): every segment takes the
+fused step ``S (x) exp(x)`` of the batched ``tensor_algebra.mul_exp``.
+``path_signature`` takes the same step for one path, so row p equals
+``path_signature(paths.increments_of(p), depth)`` bit for bit.
 """
 
 from __future__ import annotations
@@ -224,10 +224,8 @@ class _IntervalDraws:
 def path_signature(increments, depth: int) -> TruncatedTensor:
     """Ordered product of tensor exponentials of zero-scalar increments.
 
-    An increment that stores only level 1 is applied with the fused
-    ``tensor_algebra._mul_exp_level1``, any other with ``tensor_mul`` and
-    ``exp_tensor``; an all-zero increment is skipped, as it leaves the
-    product unchanged.
+    Each increment is applied with the fused ``tensor_algebra.mul_exp``; an
+    all-zero increment is skipped, as it leaves the product unchanged.
     """
     if not increments:
         raise InvalidParameter("need at least one increment")
@@ -240,10 +238,7 @@ def path_signature(increments, depth: int) -> TruncatedTensor:
             raise DimMismatch(f"increment dim {x.dim} vs path dim {dim}")
         if not any(lev.any() for lev in x.levels[1:]):
             continue
-        if x.depth == 1:
-            out = ta._mul_exp_level1(out, x.levels[1])
-        else:
-            out = ta.tensor_mul(out, ta.exp_tensor(x.with_depth(depth)), depth)
+        out = ta.mul_exp(out, x)
     return out
 
 
@@ -252,9 +247,8 @@ def _batch_signatures(paths: SimulatedPaths, depth: int) -> list[np.ndarray]:
 
     Each segment updates only its live rows, those whose level 1 or level 2
     is nonzero: all rows without a gather, none by skipping the segment, and
-    otherwise a gathered subset that is scattered back.  A segment without
-    level 2 uses the fused ``_mul_exp_level1``, one with level 2 the batched
-    ``tensor_mul``/``exp_tensor``, as ``path_signature`` does for one path.
+    otherwise a gathered subset that is scattered back.  Each update is one
+    batched ``mul_exp``, as ``path_signature`` takes for one path.
     """
     d = paths.dim
     n_paths = paths.n_paths
@@ -269,14 +263,9 @@ def _batch_signatures(paths: SimulatedPaths, depth: int) -> list[np.ndarray]:
         every = len(rows) == n_paths
         if every:
             rows = slice(None)
-        cur = TruncatedTensor(d, [lev[rows] for lev in sig])
-        if lvl2 is None:
-            new = ta._mul_exp_level1(cur, lvl1[rows])
-        else:
-            levels = [np.zeros(1), lvl1[rows], lvl2[rows]]
-            levels += [np.zeros(d**n) for n in range(3, depth + 1)]
-            new = ta.tensor_mul(cur, ta.exp_tensor(TruncatedTensor(d, levels[:depth + 1])),
-                                depth)
+        x = [np.zeros(1), lvl1[rows]] + ([] if lvl2 is None else [lvl2[rows]])
+        new = ta.mul_exp(TruncatedTensor(d, [lev[rows] for lev in sig]),
+                         TruncatedTensor(d, x))
         if every:
             sig = new.levels
         else:

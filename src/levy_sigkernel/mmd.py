@@ -109,7 +109,7 @@ def factor_covariance(dim: int, factors) -> np.ndarray:
     for k, sig in enumerate(factors):
         try:
             sig = np.asarray(sig, dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise InvalidParameter(f"factor {k} must be a vector of numbers") from None
         if sig.shape != (dim,) or not np.all(np.isfinite(sig)):
             raise InvalidParameter(f"factor {k} must be a finite vector of length {dim}")

@@ -6,25 +6,22 @@ base-d positional encoding (see :func:`word_index`).  All operations are
 pure functions of immutable inputs and return fresh objects; values may be
 shared freely between threads.
 
-:func:`tensor_mul` and :func:`exp_tensor` also accept batches: a level may
-carry one leading batch axis, shape ``(P, d**n)``, and a level without it
-is shared by every batch element (broadcast), so an all-zero level need not
-be materialised per element.  Row p of a batched result is bitwise equal to
-the single-tensor call on row p.  Both skip a level pair when either level
-is all zeros, which leaves the result unchanged on finite inputs: the
-surviving terms are added in the same order as in the dense sum.
-:func:`adjoint_left`, :func:`adjoint_left_zero`, :func:`flatten` and
-:func:`unflatten` take the same batch axis.  ``scalar()``, ``+``, ``-``,
-:func:`inner_product`, :func:`mul_exp` and :func:`level_norms` (so
-:func:`norm_p`) raise ``Unsupported`` on a batch.
+:func:`tensor_mul`, :func:`exp_tensor` and :func:`mul_exp` also accept
+batches: a level may carry one leading batch axis, shape ``(P, d**n)``, and
+a level without it is shared by every batch element (broadcast), so an
+all-zero level need not be materialised per element.  Row p of a batched
+result is bitwise equal to the single-tensor call on row p.  The product
+and the exponential skip a level pair when either level is all zeros, which
+leaves the result unchanged on finite inputs: the surviving terms are added
+in the same order as in the dense sum.  :func:`adjoint_left`,
+:func:`adjoint_left_zero`, :func:`flatten` and :func:`unflatten` take the
+same batch axis.  ``scalar()``, ``+``, ``-``, :func:`inner_product` and
+:func:`level_norms` (so :func:`norm_p`) raise ``Unsupported`` on a batch.
 
-Two functions fuse ``s (x) exp(x)`` for a zero-scalar x in Horner form, so
-that neither the exponential nor the full product is formed.
-:func:`mul_exp` takes single tensors and any x; it serves the developments
-of :mod:`development`.  The private :func:`_mul_exp_level1` takes an
-increment x that stores only level 1, with the same batch axis as above; it
-serves the pathwise signatures of :mod:`mc_oracle`.  On such an x the two
-agree bit for bit.
+:func:`mul_exp` fuses ``s (x) exp(x)`` for a zero-scalar x in Horner form,
+so that neither the exponential nor the full product is formed.  It serves
+both the developments of :mod:`development` and the pathwise signatures of
+:mod:`mc_oracle`.
 """
 
 from __future__ import annotations
@@ -247,28 +244,37 @@ def tensor_mul(x: TruncatedTensor, y: TruncatedTensor,
     return TruncatedTensor(d, levels)
 
 
-# Longest v that _add_outer loops over.  On a 2-core x86 host, broadcasting
-# a (2**18, 1) x (1, 2) product into its block costs 3.3 ms, the loop over
-# the two columns 1.0 ms.  The four depth-19 developments of
-# validate-jumps-d2 take 0.16-0.18 s at 4 or 8, 0.20 s at 2, 0.21-0.22 s
-# at 64 and 0.30 s without the loop.
+# Longest v that _add_outer loops over on a single tensor.  On a 2-core x86
+# host, broadcasting a (2**18, 1) x (1, 2) product into its block costs
+# 3.3 ms, the loop over the two columns 1.0 ms.  The four depth-19
+# developments of validate-jumps-d2 take 0.16-0.18 s at 4 or 8, 0.20 s at 2,
+# 0.21-0.22 s at 64 and 0.30 s without the loop.
 _SHORT_AXIS = 4
 
 
-def _add_outer(acc: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
-    """``acc += u (x) v`` in place, ``acc`` holding ``len(u) * len(v)`` entries.
+def _add_outer(acc: np.ndarray, u: np.ndarray, v: np.ndarray, add: bool) -> None:
+    """``acc += u (x) v`` in place, or ``acc = u (x) v`` unless ``add``.
 
-    A short ``v`` (at most ``_SHORT_AXIS`` entries) is looped over, so that
-    numpy runs along the long axis without broadcasting a temporary of the
-    whole block.  Each entry takes one product and one addition either way,
-    so the two forms agree bit for bit.
+    The operands are batch-last columns: ``u`` of shape ``(a, w)``, ``v`` of
+    shape ``(b, w)`` and ``acc`` of shape ``(a * b, W)``, where a width-1
+    operand is shared by all W columns.  On a single tensor (W = 1) a short
+    ``v`` (at most ``_SHORT_AXIS`` rows) is looped over, so that numpy runs
+    along the long axis without broadcasting a temporary of the whole
+    block; a batch runs along its batch axis.  Each entry takes one product,
+    and one addition if ``add``, either way, so the two forms agree bit for
+    bit.
     """
-    block = acc.reshape(len(u), len(v))
-    if len(v) <= _SHORT_AXIS:
+    block = acc.reshape(len(u), len(v), acc.shape[-1])
+    if acc.shape[-1] == 1 and len(v) <= _SHORT_AXIS:
         for c, vc in enumerate(v):
-            block[:, c] += u * vc
+            if add:
+                block[:, c] += u * vc
+            else:
+                np.multiply(u, vc, out=block[:, c])
+    elif add:
+        block += u[:, None] * v[None]
     else:
-        block += u[:, None] * v[None, :]
+        np.multiply(u[:, None], v[None], out=block)
 
 
 def mul_exp(s: TruncatedTensor, x: TruncatedTensor) -> TruncatedTensor:
@@ -280,67 +286,49 @@ def mul_exp(s: TruncatedTensor, x: TruncatedTensor) -> TruncatedTensor:
     <= depth - k + 1 of q (the k - 1 later steps append at least one letter
     each), all-zero levels of x are skipped, and x is scaled as
     ``x.levels[j] / k``.  Output level n sums, in increasing j, the products
-    ``q^(n-j) (x) x^j / k`` onto ``s^n``.  For an x whose only live level is
-    level 1 the result is bitwise equal to :func:`_mul_exp_level1`; against
+    ``p_j = q^(n-j) (x) x^j / k`` onto ``s^n``, as ``((p_1 + s^n) + p_2) +
+    ...``, which is ``((s^n + p_1) + p_2) + ...`` bit for bit.  Against
     ``tensor_mul(s, exp_tensor(x))`` it agrees to rounding.  Levels of x
-    above ``s.depth`` are ignored.  Single tensors only.
+    above ``s.depth`` are ignored.
+
+    s and x may carry a leading batch axis (module docstring); row p of the
+    result is bitwise equal to the call on row p.  The work runs with the
+    batch axis last, where numpy's inner loops are long, so the batched
+    levels of the result are transposed views.
     """
     _check_dims(s, x)
-    _check_single("mul_exp", s, x)
     if x.levels[0].any():
         raise ScalarPartError("mul_exp requires a zero scalar part")
-    depth = s.depth
-    live = [j for j in range(1, min(x.depth, depth) + 1) if x.levels[j].any()]
-    q = [s.levels[0].copy()]
-    for k in range(depth, 0, -1):
-        top = depth - k + 1
-        scaled = [(j, x.levels[j] / k) for j in live if j <= top]
-        step = [q[0]]
-        for n in range(1, top + 1):
-            acc = s.levels[n].copy()
-            for j, xj in scaled:
-                if j > n:
-                    break
-                _add_outer(acc, q[n - j], xj)
-            step.append(acc)
-        q = step
-    return TruncatedTensor(s.dim, q)
-
-
-def _mul_exp_level1(s: TruncatedTensor, x1: np.ndarray) -> TruncatedTensor:
-    """``s (x) exp(x)`` for the zero-scalar increment x whose only level is ``x1``.
-
-    Output level n is evaluated in Horner form,
-    ``((s^0 x/n + s^1) x/(n-1) + ...) x/1 + s^n``, which costs
-    ``d + d**2 + ... + d**n`` multiply-adds per element (52 at d = 2, depth 4,
-    against 129 for the product alone) and no exponential.  The sums are
-    associated differently from ``tensor_mul(s, exp_tensor(x))``, so the two
-    agree to rounding, not bit for bit.  ``s`` and ``x1`` may carry a leading
-    batch axis (module docstring); row p of the result is bitwise equal to
-    the call on row p.  The result has depth ``s.depth``; its batched levels
-    are transposed views, as the work runs with the batch axis last, where
-    numpy's inner loops are long.
-    """
-    d = s.dim
-    batch = np.broadcast_shapes(x1.shape[:-1], *(lev.shape[:-1] for lev in s.levels))
+    batch = _batch_shape(s, x)
     width = batch[0] if batch else 1
 
     def columns(lev):
         return lev.reshape(-1, lev.shape[-1]).T
 
-    scaled = [None] + [columns(x1) / k for k in range(1, s.depth + 1)]
-    levels = [np.broadcast_to(columns(s.levels[0]), (1, width)).copy()]
-    for n in range(1, s.depth + 1):
-        acc = columns(s.levels[0])
-        for j in range(1, n + 1):
-            prod = np.empty((d**(j - 1), d, width))
-            np.multiply(acc[:, None, :], scaled[n - j + 1][None, :, :], out=prod)
-            acc = prod.reshape(d**j, width)
-            acc += columns(s.levels[j])
-        levels.append(acc)
+    depth = s.depth
+    s_cols = [columns(lev) for lev in s.levels]
+    live = [(j, columns(x.levels[j])) for j in range(1, min(x.depth, depth) + 1)
+            if x.levels[j].any()]
+    q = [np.broadcast_to(s_cols[0], (1, width)).copy()]
+    for k in range(depth, 0, -1):
+        top = depth - k + 1
+        scaled = [(j, xj / k) for j, xj in live if j <= top]
+        # from the top down, so that level n reads the previous step's q
+        q.append(None)
+        for n in range(top, 0, -1):
+            terms = [(q[n - j], xj) for j, xj in scaled if j <= n]
+            acc = np.empty((len(s_cols[n]), width))
+            if terms:
+                _add_outer(acc, *terms[0], add=False)
+                acc += s_cols[n]
+            else:
+                acc[...] = s_cols[n]
+            for u, xj in terms[1:]:
+                _add_outer(acc, u, xj, add=True)
+            q[n] = acc
     if not batch:
-        return TruncatedTensor(d, [lev.reshape(-1) for lev in levels])
-    return TruncatedTensor(d, [lev.T for lev in levels])
+        return TruncatedTensor(s.dim, [lev.reshape(-1) for lev in q])
+    return TruncatedTensor(s.dim, [lev.T for lev in q])
 
 
 def inner_product(x: TruncatedTensor, y: TruncatedTensor) -> float:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from levy_sigkernel.tensor_algebra import TruncatedTensor
+from levy_sigkernel.tensor_algebra import TruncatedTensor, exp_tensor, tensor_mul
 
 
 @pytest.fixture
@@ -33,3 +33,32 @@ def gamma(k):
     k factors (1 + delta_i), |delta_i| <= u, lies within gamma_k of 1."""
     u = np.finfo(float).eps / 2
     return k * u / (1 - k * u)
+
+
+def general_mul_exp_bound(s, x):
+    """Forward bound on |mul_exp - unfused| per coefficient of ``s (x) exp(x)``.
+
+    A term of output level n with r <= n factors of x, taken from L live
+    levels of x (those up to n), carries at most K = (L + 4) n + 1
+    roundings in either evaluation:
+    - ``mul_exp``: s^m enters at step r + 1 and meets at most L additions
+      there; each of the r steps scales ``x/k`` (1), multiplies (1) and adds
+      into a sum of at most L + 1 terms (L): L + r (L + 2);
+    - unfused: each of the r Horner steps of ``exp_tensor`` scales by
+      ``* (1/k)`` (2), multiplies (1) and sums at most L products (L);
+      ``tensor_mul`` adds one product and at most n additions:
+      r (L + 3) + n + 1.
+    With L <= n both are at most (L + 4) n + 1.  Each result lies within
+    gamma_K T of the exact one, T being ``|s| (x) exp(|x|)``, which is
+    evaluated on nonnegative data and so low by at most a factor
+    1 - gamma_K, divided out.
+    """
+    absolute_x = TruncatedTensor(x.dim, [np.abs(lev) for lev in x.levels])
+    t = tensor_mul(TruncatedTensor(s.dim, [np.abs(lev) for lev in s.levels]),
+                   exp_tensor(absolute_x.with_depth(s.depth)), s.depth)
+    live = [j for j in range(1, x.depth + 1) if x.levels[j].any()]
+    bounds = []
+    for n, lev in enumerate(t.levels):
+        g = gamma((sum(j <= n for j in live) + 4) * n + 1)
+        bounds.append(2 * g / (1 - g) * lev)
+    return bounds

@@ -143,6 +143,12 @@ class TestVelocityCarriesItsTail:
         for cap in (2, 5, 11):
             assert velocity_depth(trip, 2, cap) == cap
 
+    def test_never_below_the_floor(self):
+        # a cap below max(level, 2, state_depth) gives the floor
+        trip = atomic_triplet(0.5)
+        for level, floor in ((1, 2), (3, 3)):
+            assert velocity_depth(trip, level, 1) == floor
+
 
 class TestNeedDepthCertificate:
     @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -94,6 +94,28 @@ class TestMalformedConfigs:
          "triplets[0].intervals[0].factors"),
         # validate reads at most two triplets; a third would be dropped
         (lambda c: c["triplets"].append(bm_triplet_json()), [], "triplets"),
+        # json parses NaN and Infinity; no experiment may run on them
+        (lambda c: c["triplets"][0]["intervals"][0].update(drift=[math.nan]), [],
+         "triplets[0].intervals[0].drift"),
+        (lambda c: c["triplets"][1]["intervals"][0].update(cov=[[math.inf]]), [],
+         "triplets[1].intervals[0].cov"),
+        (lambda c: c["triplets"][0].update(time_grid=[0.0, -math.inf]), [],
+         "triplets[0].time_grid"),
+        (lambda c: c["triplets"][0]["intervals"][0].update(
+            jumps={"type": "gaussian_cp", "intensity": math.inf, "cov": [[1.0]]}), [],
+         "triplets[0].intervals[0].jumps.intensity"),
+        (lambda c: c["grid"].update(T=math.nan), [], "grid.T"),
+        (lambda c: c.update(experiment="kernel") or c["grid"].update(T=math.nan), [],
+         "grid.T"),
+        (lambda c: c.update(experiment="bounds") or c["grid"].update(T=math.nan), [],
+         "grid.T"),
+        (lambda c: c.update(experiment="mmd", ensemble={
+            "dim": 1, "time_grid": [0.0, 1.0], "paths": [{"derivative": [[math.nan]]}]}),
+         [], "ensemble.paths[0].derivative"),
+        # integers beyond the float range
+        (lambda c: c["grid"].update(T=10**400), [], "grid.T"),
+        (lambda c: c["triplets"][0]["intervals"][0].update(drift=[10**400]), [],
+         "triplets[0].intervals[0].drift"),
     ])
     def test_config_error_names_field(self, tmp_path, capsys, edit, flags, field):
         cfg_data = base_config("validate", points=9)
@@ -122,6 +144,7 @@ class TestMalformedConfigs:
     @pytest.mark.parametrize("factors, field", [
         (5, "wiener.factors[0]"), ([[1.0, 2.0]], "wiener.factors[1]"),
         ([["a"]], "wiener.factors[0]"), ([[float("nan")]], "wiener.factors[1]"),
+        ([[10**400]], "wiener.factors[0]"),
     ])
     def test_wiener_factor_error_names_field(self, tmp_path, capsys, factors, field):
         wiener_factors = [[[1.0]], [[0.5]]]
@@ -278,6 +301,27 @@ def bench_shaped_triplet(rng, time_grid, jumps, drift, vol, jump_scale):
                            "cov": cov(jump_scale)}
         intervals.append(iv)
     return {"dim": 2, "state_depth": 1, "time_grid": time_grid, "intervals": intervals}
+
+
+class TestBudgetBelowStateDepth:
+    """A coefficient budget that caps the depth below ``state_depth`` still
+    runs the config, at ``state_depth``."""
+
+    @pytest.mark.parametrize("experiment", ["kernel", "bounds"])
+    def test_runs_at_state_depth(self, tmp_path, monkeypatch, experiment):
+        from levy_sigkernel import cli
+        monkeypatch.setattr(cli, "_MAX_VELOCITY_COEFFS", 6)   # flat_size(2, 2) = 7
+        trip = {"dim": 2, "state_depth": 2, "time_grid": [0.0, 1.0],
+                "intervals": [{"drift": [0.1, -0.2], "cov": np.eye(2).tolist(),
+                               "area": [[0.0, 0.3], [-0.3, 0.0]]}]}
+        cfg = write_config(tmp_path / "cfg.json", {
+            "experiment": experiment, "triplets": [trip, trip],
+            "grid": {"s_points": 9, "t_points": 9, "T": 1.0},
+            "levels": {"M": 1, "N": 1}})
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--output", str(out)]) == 0
+        if experiment == "kernel":
+            assert "velocity depths 2/2" in (out / "certificate.txt").read_text()
 
 
 class TestCertifiedDepths:

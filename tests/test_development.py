@@ -118,8 +118,8 @@ def develop_bound(v, depth):
     A term of output level n takes r_i <= n letters from interval i, built
     from the L_i <= n live levels of that interval's tensor (those up to n);
     let L = max L_i.  In ``develop``, each fused step costs interval i at
-    most L_i + r_i (L_i + 2) roundings (see ``general_mul_exp_bound`` in the
-    tensor-algebra tests), 2 L + n (L + 2) in all.  In the reference, each
+    most L_i + r_i (L_i + 2) roundings (see ``general_mul_exp_bound`` in
+    conftest), 2 L + n (L + 2) in all.  In the reference, each
     exponential costs r_i (L_i + 3) and each of the two products one
     multiplication and at most n additions, n (L + 3) + 2 (n + 1) in all.
     With L <= n both are at most K = (L + 5) n + 2.  Each lies within

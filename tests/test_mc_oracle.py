@@ -16,7 +16,7 @@ from levy_sigkernel.mc_oracle import (SimulatedPaths, _batch_signatures,
                                       path_signature, simulate_paths)
 from levy_sigkernel.tensor_algebra import TruncatedTensor as TT
 
-from conftest import gamma
+from conftest import gamma, general_mul_exp_bound
 
 
 def atom(dim, vec):
@@ -355,15 +355,15 @@ def path_roundings(paths, depth):
     A term of output level n takes m_i letters from segment i, sum m_i = n.
     Through one segment it carries at most 5 m_i + 2 roundings, whichever
     scheme computes that segment:
-    - fused level-1 step: m_i scalings ``x/k``, m_i products and at most
-      m_i + 1 Horner additions (3 m_i + 1);
-    - exponential and product (segments with area, and every segment of
-      the dense reference): each of the at most m_i Horner factors of the
-      exponential costs a scaling by 1/k (two roundings with ``x * (1/k)``,
-      one with ``x / k``), a product and the addition of the level-1 and
-      level-2 terms (4 m_i); the product with the signature adds one
-      multiplication, and summing its terms into zeros in increasing order
-      puts the term through at most m_i + 1 additions (5 m_i + 2).
+    - fused step ``mul_exp``, from L <= 2 live levels (1 and 2): at most
+      L + m_i (L + 2) <= 4 m_i + 2 (``general_mul_exp_bound`` in conftest);
+    - exponential and product (every segment of the dense reference): each
+      of the at most m_i Horner factors of the exponential costs a scaling
+      by 1/k (two roundings with ``x * (1/k)``, one with ``x / k``), a
+      product and the addition of the level-1 and level-2 terms (4 m_i);
+      the product with the signature adds one multiplication, and summing
+      its terms into zeros in increasing order puts the term through at
+      most m_i + 1 additions (5 m_i + 2).
     Summed over N segments: at most 5 n + 2 N <= 5 depth + 2 N.
     """
     return 5 * depth + 2 * len(paths.segments)
@@ -454,13 +454,14 @@ class TestBatchedSignatures:
     def test_estimate_kernel_unchanged(self, depth, value, se):
         # value and se are frozen from the dense batched products and
         # per-path generators that the shared products, the re-keyed
-        # generator and then the fused level-1 step replaced; the fused step
-        # reassociates sums, so today's bits (frozen below) lie within the
-        # rounding bound of kernel_estimate_bounds from them
+        # generator and then the fused step (on every segment, area
+        # segments included) replaced; the fused step reassociates sums, so
+        # today's bits (frozen below) lie within the rounding bound of
+        # kernel_estimate_bounds from them
         trip = jump_triplet()
         got = estimate_kernel(trip, trip, 1.0, depth, 300, 3, seed=5)
-        fused_bits = {2: ("0x1.4039e406f127bp+0", "0x1.8a1a91c53c134p-6"),
-                      4: ("0x1.4544851540b5ep+0", "0x1.b93b0032885fap-6")}
+        fused_bits = {2: ("0x1.4039e406f127cp+0", "0x1.8a1a91c53c134p-6"),
+                      4: ("0x1.4544851540b5fp+0", "0x1.b93b0032885fap-6")}
         assert got == tuple(float.fromhex(h) for h in fused_bits[depth])
         value_tol, se_tol = kernel_estimate_bounds(trip, depth, 300, 3, seed=5)
         assert abs(got[0] - float.fromhex(value)) <= value_tol
@@ -473,11 +474,8 @@ def all_rows_signatures(paths, depth):
     sig = TT(d, [np.ones((n_paths, 1))] + [np.zeros((n_paths, d**n))
                                            for n in range(1, depth + 1)])
     for lvl1, lvl2 in paths.segments:
-        if lvl2 is None:
-            sig = ta._mul_exp_level1(sig, lvl1)
-        else:
-            levels = [np.zeros(1), lvl1, lvl2] + [np.zeros(d**n) for n in range(3, depth + 1)]
-            sig = ta.tensor_mul(sig, ta.exp_tensor(TT(d, levels[:depth + 1])), depth)
+        x = [np.zeros(1), lvl1] + ([] if lvl2 is None else [lvl2])
+        sig = ta.mul_exp(sig, TT(d, x))
     return sig.levels
 
 
@@ -520,11 +518,14 @@ class TestLiveRows:
 
 class TestPathSignature:
     def test_single_increment(self):
-        # an increment that stores level 2 takes the exponential-and-product path
-        x = atom(2, [0.3, -0.4]).with_depth(2)
+        # an increment that stores level 2 takes the same fused step, which
+        # associates the products of exp_tensor differently
+        x = TT.from_levels(2, [np.zeros(1), [0.3, -0.4], [0.0, 0.2, -0.1, 0.05]])
         sig = path_signature([x], 3)
         ref = ta.exp_tensor(x.with_depth(3))
-        assert ta.norm_p(sig - ref, "max") == 0.0
+        for got, want, tol in zip(sig.levels, ref.levels,
+                                  general_mul_exp_bound(TT.unit(2, 3), x)):
+            assert np.all(np.abs(got - want) <= tol)
 
     def test_single_level1_increment(self):
         # the fused step and exp_tensor associate the same products

@@ -10,7 +10,7 @@ from levy_sigkernel.errors import (DimMismatch, InvalidParameter, InvalidWord,
                                    Unsupported)
 from levy_sigkernel.tensor_algebra import TruncatedTensor as TT
 
-from conftest import gamma, random_tensor
+from conftest import gamma, general_mul_exp_bound, random_tensor
 
 
 def enumerate_words(dim, length):
@@ -261,6 +261,11 @@ def assert_bitwise(a, b):
         assert la.shape == lb.shape and la.tobytes() == lb.tobytes()
 
 
+def row_of(t, p):
+    """Row p of a batch; levels without the batch axis are shared."""
+    return TT(t.dim, [lev[p] if lev.ndim == 2 else lev for lev in t.levels])
+
+
 def sparse_tensor(rng, dim, depth, zero_levels=(), rows=None):
     """Random tensor with the given levels all zero, optionally batched."""
     lead = () if rows is None else (rows,)
@@ -308,21 +313,18 @@ class TestLevelSparseProducts:
         y = sparse_tensor(rng, d, 4, (2,), rows)
         y.levels[3] = np.zeros(d**3)               # a shared all-zero level
 
-        def row(t, p):
-            return TT(d, [lev[p] if lev.ndim == 2 else lev for lev in t.levels])
-
         for out_depth in (2, 4, 6):
             prod = ta.tensor_mul(x, y, out_depth)
-            mixed = ta.tensor_mul(row(x, 0), y, out_depth)
+            mixed = ta.tensor_mul(row_of(x, 0), y, out_depth)
             for p in range(rows):
-                assert_bitwise(row(prod, p), ta.tensor_mul(row(x, p), row(y, p), out_depth))
-                assert_bitwise(row(prod, p), dense_tensor_mul(row(x, p), row(y, p),
+                assert_bitwise(row_of(prod, p), ta.tensor_mul(row_of(x, p), row_of(y, p), out_depth))
+                assert_bitwise(row_of(prod, p), dense_tensor_mul(row_of(x, p), row_of(y, p),
                                                               out_depth))
-                assert_bitwise(row(mixed, p), ta.tensor_mul(row(x, 0), row(y, p), out_depth))
+                assert_bitwise(row_of(mixed, p), ta.tensor_mul(row_of(x, 0), row_of(y, p), out_depth))
         ex = ta.exp_tensor(x)
         for p in range(rows):
             assert ex.levels[0].shape == (rows, 1)
-            assert_bitwise(row(ex, p), ta.exp_tensor(row(x, p)))
+            assert_bitwise(row_of(ex, p), ta.exp_tensor(row_of(x, p)))
 
     def test_batched_scalar_part_rejected(self):
         x = TT(2, [np.zeros((3, 1)), np.ones((3, 2))])
@@ -358,44 +360,34 @@ def mul_exp_bound(s, x1):
             for n, lev in enumerate(t.levels)]
 
 
-class TestFusedMulExp:
-    """``_mul_exp_level1`` against ``tensor_mul(s, exp_tensor(x))``."""
+def level1_mul_exp(s, x1):
+    """Reference: the level-1 fusion that the batched ``mul_exp`` replaced.
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4, 5])
-    def test_matches_unfused_within_rounding(self, rng, d, depth):
-        rows = 6
-        s = TT(d, [rng.normal(size=(rows, d**n)) * 2.0 / (n + 1) for n in range(depth + 1)])
-        x1 = rng.normal(size=(rows, d))
-        fused = ta._mul_exp_level1(s, x1)
-        ref = unfused_mul_exp(s, x1)
-        assert fused.depth == depth
-        for n, (got, want, tol) in enumerate(zip(fused.levels, ref.levels,
-                                                 mul_exp_bound(s, x1))):
-            assert got.shape == want.shape == (rows, d**n)
-            assert np.all(np.abs(got - want) <= tol)
+    ``s (x) exp(x)`` for the increment x whose only level is ``x1``; output
+    level n is evaluated in Horner form, ``((s^0 x/n + s^1) x/(n-1) + ...)
+    x/1 + s^n``, with the batch axis last.  ``s`` and ``x1`` may carry a
+    leading batch axis.
+    """
+    d = s.dim
+    batch = np.broadcast_shapes(x1.shape[:-1], *(lev.shape[:-1] for lev in s.levels))
+    width = batch[0] if batch else 1
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_batched_rows_match_single(self, rng, d):
-        depth, rows = 4, 5
-        s = sparse_tensor(rng, d, depth, rows=rows)
-        s.levels[2] = s.levels[2][0]          # a level shared by every row
-        x1 = rng.normal(size=(rows, d))
-        x1[1] = 0.0
-        fused = ta._mul_exp_level1(s, x1)
-        shared_x = ta._mul_exp_level1(s, x1[3])
-        for p in range(rows):
-            single = TT(d, [lev[p] if lev.ndim == 2 else lev for lev in s.levels])
-            assert_bitwise(TT(d, [lev[p] for lev in fused.levels]),
-                           ta._mul_exp_level1(single, x1[p]))
-            assert_bitwise(TT(d, [lev[p] for lev in shared_x.levels]),
-                           ta._mul_exp_level1(single, x1[3]))
+    def columns(lev):
+        return lev.reshape(-1, lev.shape[-1]).T
 
-    def test_does_not_alias_its_argument(self, rng):
-        s = sparse_tensor(rng, 2, 2)
-        out = ta._mul_exp_level1(s, np.zeros(2))
-        out.levels[0][0] = 7.0
-        assert s.levels[0][0] != 7.0
+    scaled = [None] + [columns(x1) / k for k in range(1, s.depth + 1)]
+    levels = [np.broadcast_to(columns(s.levels[0]), (1, width)).copy()]
+    for n in range(1, s.depth + 1):
+        acc = columns(s.levels[0])
+        for j in range(1, n + 1):
+            prod = np.empty((d**(j - 1), d, width))
+            np.multiply(acc[:, None, :], scaled[n - j + 1][None, :, :], out=prod)
+            acc = prod.reshape(d**j, width)
+            acc += columns(s.levels[j])
+        levels.append(acc)
+    if not batch:
+        return TT(d, [lev.reshape(-1) for lev in levels])
+    return TT(d, [lev.T for lev in levels])
 
 
 def velocity_like(rng, d, live, scale=0.8):
@@ -405,38 +397,9 @@ def velocity_like(rng, d, live, scale=0.8):
                                   else np.zeros(d**j) for j in range(1, max(live) + 1)])
 
 
-def general_mul_exp_bound(s, x):
-    """Forward bound on |mul_exp - unfused| per coefficient of ``s (x) exp(x)``.
-
-    A term of output level n with r <= n factors of x, taken from L live
-    levels of x (those up to n), carries at most K = (L + 4) n + 1
-    roundings in either evaluation:
-    - ``mul_exp``: s^m enters at step r + 1 and meets at most L additions
-      there; each of the r steps scales ``x/k`` (1), multiplies (1) and adds
-      into a sum of at most L + 1 terms (L): L + r (L + 2);
-    - unfused: each of the r Horner steps of ``exp_tensor`` scales by
-      ``* (1/k)`` (2), multiplies (1) and sums at most L products (L);
-      ``tensor_mul`` adds one product and at most n additions:
-      r (L + 3) + n + 1.
-    With L <= n both are at most (L + 4) n + 1.  Each result lies within
-    gamma_K T of the exact one, T being ``|s| (x) exp(|x|)``, which is
-    evaluated on nonnegative data and so low by at most a factor
-    1 - gamma_K, divided out.
-    """
-    t = ta.tensor_mul(TT(s.dim, [np.abs(lev) for lev in s.levels]),
-                      ta.exp_tensor(TT(x.dim, [np.abs(lev) for lev in x.levels])
-                                    .with_depth(s.depth)), s.depth)
-    live = [j for j in range(1, x.depth + 1) if x.levels[j].any()]
-    bounds = []
-    for n, lev in enumerate(t.levels):
-        g = gamma((sum(j <= n for j in live) + 4) * n + 1)
-        bounds.append(2 * g / (1 - g) * lev)
-    return bounds
-
-
 class TestMulExp:
-    """``mul_exp`` against ``tensor_mul(s, exp_tensor(x))`` and against the
-    level-1 fusion ``_mul_exp_level1``."""
+    """``mul_exp`` against ``tensor_mul(s, exp_tensor(x))``, against the
+    level-1 fusion it replaced, and batched rows against single calls."""
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("live", [{1}, {1, 2}, {1, 2, 4, 6}],
@@ -454,15 +417,59 @@ class TestMulExp:
                 assert np.all(np.abs(a - b) <= tol), (depth, n)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_bitwise_equal_to_level1_fusion(self, rng, d):
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4, 5])
+    def test_level1_batch_matches_unfused_within_rounding(self, rng, d, depth):
+        rows = 6
+        s = TT(d, [rng.normal(size=(rows, d**n)) * 2.0 / (n + 1) for n in range(depth + 1)])
+        x1 = rng.normal(size=(rows, d))
+        fused = ta.mul_exp(s, TT(d, [np.zeros(1), x1]))
+        ref = unfused_mul_exp(s, x1)
+        assert fused.depth == depth
+        for n, (got, want, tol) in enumerate(zip(fused.levels, ref.levels,
+                                                 mul_exp_bound(s, x1))):
+            assert got.shape == want.shape == (rows, d**n)
+            assert np.all(np.abs(got - want) <= tol)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [None, 1, 6])
+    def test_bitwise_equal_to_level1_fusion(self, rng, d, rows):
+        lead = () if rows is None else (rows,)
         for depth in range(7):
-            s = random_tensor(rng, d, depth, scale=2.0)
-            x1 = rng.normal(size=d)
-            x = TT(d, [np.zeros(1), x1])
-            want = ta._mul_exp_level1(s, x1)
-            assert_bitwise(ta.mul_exp(s, x), want)
-            # stored all-zero levels above level 1 are skipped
-            assert_bitwise(ta.mul_exp(s, x.with_depth(depth + 2)), want)
+            s = TT(d, [rng.normal(size=lead + (d**n,)) * 2.0 / (n + 1)
+                       for n in range(depth + 1)])
+            batched = rng.normal(size=lead + (d,))
+            for x1 in (batched, batched.reshape(-1, d)[0]):     # and shared
+                x = TT(d, [np.zeros(1), x1])
+                want = level1_mul_exp(s, x1)
+                assert_bitwise(ta.mul_exp(s, x), want)
+                # stored all-zero levels above level 1 are skipped
+                assert_bitwise(ta.mul_exp(s, x.with_depth(depth + 2)), want)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("s_batched", [True, False], ids=["s_batch", "s_shared"])
+    @pytest.mark.parametrize("x_batched", [True, False], ids=["x_batch", "x_shared"])
+    def test_batched_rows_match_single(self, rng, d, s_batched, x_batched):
+        depth, rows = 5, 4
+        s = sparse_tensor(rng, d, depth, rows=rows if s_batched else None)
+        x = velocity_like(rng, d, {1, 2, 3})
+        if s_batched:
+            s.levels[2] = s.levels[2][0]                # a level shared by every row
+            for lev in s.levels[1:]:
+                if lev.ndim == 2:
+                    lev[3] = 0.0                        # a zero row above level 0
+        if x_batched:
+            for j in (1, 2):
+                x.levels[j] = rng.normal(size=(rows, d**j)) * 0.8 / j
+                x.levels[j][1] = 0.0                    # a zero row
+            # level 3 stays shared by every row
+        out = ta.mul_exp(s, x)
+        if not (s_batched or x_batched):
+            assert all(lev.shape == (d**n,) for n, lev in enumerate(out.levels))
+            assert_bitwise(out, ta.mul_exp(row_of(s, 0), row_of(x, 0)))
+            return
+        assert all(lev.shape == (rows, d**n) for n, lev in enumerate(out.levels))
+        for p in range(rows):
+            assert_bitwise(row_of(out, p), ta.mul_exp(row_of(s, p), row_of(x, p)))
 
     def test_depth_zero_returns_copy(self, rng):
         s = TT(2, [np.array([1.7])])
@@ -478,14 +485,16 @@ class TestMulExp:
         assert_bitwise(out, s)
         assert all(a is not b for a, b in zip(out.levels, s.levels))
 
-    @pytest.mark.parametrize("batched", ["s", "x"])
-    def test_batch_is_unsupported(self, rng, batched):
-        s = random_tensor(rng, 2, 3)
-        x = velocity_like(rng, 2, {1, 2})
-        t = s if batched == "s" else x
-        t.levels[1] = np.ones((3, 2))
-        with pytest.raises(Unsupported):
-            ta.mul_exp(s, x)
+    @pytest.mark.parametrize("rows", [None, 3])
+    @pytest.mark.parametrize("live", [set(), {1}, {1, 2}])
+    def test_does_not_alias_its_argument(self, rng, rows, live):
+        s = sparse_tensor(rng, 2, 2, rows=rows)
+        x = velocity_like(rng, 2, live) if live else TT.zero(2, 1)
+        before = s.copy()
+        out = ta.mul_exp(s, x)
+        for lev in out.levels:
+            lev[...] = 7.0
+        assert_bitwise(s, before)
 
     def test_typed_errors(self, rng):
         s = random_tensor(rng, 2, 3)
