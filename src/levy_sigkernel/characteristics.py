@@ -120,33 +120,31 @@ class PiecewiseVelocity:
         return PiecewiseVelocity(self.dim, self.time_grid,
                                  [ta.truncate(x, depth) for x in self.tensors])
 
+    def _integral(self, s: float, t: float, rate) -> float:
+        """Sum of ``dt * rate(i)`` over the intervals overlapping [s, t], in
+        interval order: the integral of a per-interval constant rate."""
+        return float(sum(dt * rate(i) for i, dt in self.overlaps(s, t)))
+
     def mass(self, s: float, t: float) -> float:
         """1-variation mass: integral of the T^1 norm over [s, t]."""
-        return float(sum(dt * ta.norm_p(self.tensors[i], 1)
-                         for i, dt in self.overlaps(s, t)))
+        return self._integral(s, t, lambda i: ta.norm_p(self.tensors[i], 1))
 
     def level_mass(self, s: float, t: float, n: int) -> float:
         """Integral of the level-n Euclidean norm over [s, t]."""
-        total = 0.0
-        for i, dt in self.overlaps(s, t):
+        def rate(i):
             x = self.tensors[i]
-            if n <= x.depth:
-                total += dt * float(np.linalg.norm(x.levels[n]))
-        return float(total)
+            return float(np.linalg.norm(x.levels[n])) if n <= x.depth else 0.0
+        return self._integral(s, t, rate)
 
     def tail_mass(self, s: float, t: float, depth: int) -> float:
         """Integral of the T^1 norm of the part above ``depth``."""
-        total = 0.0
-        for i, dt in self.overlaps(s, t):
-            x = self.tensors[i]
-            total += dt * sum(np.linalg.norm(x.levels[n])
-                              for n in range(depth + 1, x.depth + 1))
-        return float(total)
+        return self._integral(s, t, lambda i: sum(
+            np.linalg.norm(lev) for lev in self.tensors[i].levels[depth + 1:]))
 
     def omitted_mass(self, s: float, t: float) -> float:
         """Bound on the integrated T^1 norm of the levels above ``depth``
         that are not stored (0.0 for a velocity without tail rates)."""
-        return float(sum(dt * self.tail_rates[i] for i, dt in self.overlaps(s, t)))
+        return self._integral(s, t, self.tail_rates.__getitem__)
 
 
 @dataclass(frozen=True)

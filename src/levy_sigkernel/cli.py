@@ -206,6 +206,15 @@ def _parse_levels(cfg: dict) -> tuple[int, int]:
     return m, n
 
 
+def _check_budget(dim: int, level: int, path: str) -> None:
+    """A level whose truncated tensor alone exceeds the coefficient budget
+    is a config error (``path`` names the level's field)."""
+    size = ta.flat_size(dim, level)
+    if size > _MAX_VELOCITY_COEFFS:
+        raise ConfigError(path, f"level {level} at dim {dim} needs {size} coefficients, "
+                                f"above the budget of {_MAX_VELOCITY_COEFFS}")
+
+
 def _budget_depth(dim: int, level: int) -> int:
     """Deepest depth within the coefficient budget (>= level): the cap of
     every depth the CLI chooses, and the depth of the bounds tables."""
@@ -222,6 +231,22 @@ def _certified_velocity(triplet: LevyTriplet, level: int, horizon: float):
     return characteristic_velocity(triplet, depth)
 
 
+def _certified_solve(trip_a: LevyTriplet, trip_b: LevyTriplet, m: int, n: int,
+                     s_points: int, t_points: int, horizon: float):
+    """The solve of kernel and validate: both certified velocities and the
+    system truncated at levels M and N, on grids through each triplet's
+    breakpoints.  Returns ``(va, vb, surface)``."""
+    _check_budget(trip_a.dim, m, "levels.M")
+    _check_budget(trip_b.dim, n, "levels.N")
+    s_grid = make_grid(horizon, s_points, trip_a.time_grid)
+    t_grid = make_grid(horizon, t_points, trip_b.time_grid)
+    va = _certified_velocity(trip_a, m, horizon)
+    vb = _certified_velocity(trip_b, n, horizon)
+    surface = solve_truncated_system(va.truncated(m), vb.truncated(n), m, n,
+                                     s_grid, t_grid)
+    return va, vb, surface
+
+
 def cmd_kernel(cfg: dict, out_dir: str) -> int:
     triplets = _require(cfg, "triplets", "")
     if not isinstance(triplets, list) or len(triplets) != 2:
@@ -229,12 +254,7 @@ def cmd_kernel(cfg: dict, out_dir: str) -> int:
     ta_, tb = (parse_triplet(t, f"triplets[{i}]") for i, t in enumerate(triplets))
     m, n = _parse_levels(cfg)
     sp, tp, horizon = _parse_grid(cfg)
-    s_grid = make_grid(horizon, sp, ta_.time_grid)
-    t_grid = make_grid(horizon, tp, tb.time_grid)
-    va = _certified_velocity(ta_, m, horizon)
-    vb = _certified_velocity(tb, n, horizon)
-    surface = solve_truncated_system(va.truncated(m), vb.truncated(n), m, n,
-                                     s_grid, t_grid)
+    va, vb, surface = _certified_solve(ta_, tb, m, n, sp, tp, horizon)
     cert = truncation_certificate(va, vb, m, n, horizon, horizon)
     surface.to_csv(os.path.join(out_dir, "kernel.csv"), include_fields=True)
     with open(os.path.join(out_dir, "certificate.txt"), "w") as fh:
@@ -337,12 +357,7 @@ def cmd_validate(cfg: dict, out_dir: str) -> int:
         raise ConfigError("mc.seed", "a Philox key word holds seeds in [-2**63, 2**63)")
 
     results: list[tuple[str, bool, str]] = []
-    va = _certified_velocity(trip_a, m, horizon)
-    vb = _certified_velocity(trip_b, n, horizon)
-    s_grid = make_grid(horizon, sp, trip_a.time_grid)
-    t_grid = make_grid(horizon, tp, trip_b.time_grid)
-    surface = solve_truncated_system(va.truncated(m), vb.truncated(n), m, n,
-                                     s_grid, t_grid)
+    va, vb, surface = _certified_solve(trip_a, trip_b, m, n, sp, tp, horizon)
     w_val = surface.value()
 
     # oracle 1: inner product of truncated developments, each oracle at the
@@ -365,20 +380,19 @@ def cmd_validate(cfg: dict, out_dir: str) -> int:
 
     # bound suite on the left velocity at oracle 2's depth, reported last:
     # checked now, so that the development is freed before the Monte Carlo
-    dev = develop(va, 0.0, horizon, oracle_depth)
-    ok = ta.norm_p(dev, 1) <= bound_gronwall(va, 0.0, horizon) * (1 + 1e-12)
+    norms = ta.level_norms(develop(va, 0.0, horizon, oracle_depth))
+    ok = float(norms.values.sum()) <= bound_gronwall(va, 0.0, horizon) * (1 + 1e-12)
     for lev in range(1, min(oracle_depth, 6) + 1):
-        ok = ok and (np.linalg.norm(dev.levels[lev])
-                     <= bound_level(va, 0.0, horizon, lev) * (1 + 1e-12))
+        ok = ok and norms[lev] <= bound_level(va, 0.0, horizon, lev) * (1 + 1e-12)
     bounds = ("development-bounds", bool(ok), "levels and gronwall")
 
     # oracle 3: Monte Carlo kernel within 3 standard errors + certificate.
     # Only the depth-M/N truncations are read from here on: free the deep
-    # velocities, the oracle-2 development and the solved surface first
+    # velocities and the solved surface first
     trunc_gap = abs(ta.inner_product(
         develop(va.truncated(m), 0.0, horizon, max(m, n)),
         develop(vb.truncated(n), 0.0, horizon, max(m, n))) - ref)
-    del va, vb, dev, surface
+    del va, vb, surface
     mc_val, mc_se = estimate_kernel(trip_a, trip_b, horizon, max(m, n),
                                     n_paths, steps, seed)
     tol = 3.0 * mc_se + cert + trunc_gap + 1e-3 * max(abs(w_val), 1.0)
@@ -408,14 +422,14 @@ def cmd_bounds(cfg: dict, out_dir: str) -> int:
     rows = []
     for i, raw in enumerate(triplets):
         trip = parse_triplet(raw, f"triplets[{i}]")
+        _check_budget(trip.dim, m, "levels.M")
         depth = max(_budget_depth(trip.dim, m), trip.state_depth)
         v = characteristic_velocity(trip, depth)
-        dev = develop(v, 0.0, horizon, depth)
-        dev_norms = [float(np.linalg.norm(lev)) for lev in dev.levels]
-        total = ta.norm_p(dev, 1)
+        norms = ta.level_norms(develop(v, 0.0, horizon, depth)).values
+        total = float(norms.sum())
         for lev in range(1, m + 1):
-            exact_tail = total - sum(dev_norms[: lev + 1])
-            rows.append((i, lev, float(dev_norms[lev]),
+            exact_tail = total - sum(norms[: lev + 1])
+            rows.append((i, lev, float(norms[lev]),
                          float(bound_level(v, 0.0, horizon, lev)),
                          float(max(exact_tail, 0.0)),
                          float(bound_inner_truncation(v, 0.0, horizon, lev)),
@@ -487,11 +501,13 @@ def main(argv=None) -> int:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 2
 
+    commands = {"kernel": cmd_kernel, "mmd": cmd_mmd, "validate": cmd_validate,
+                "bounds": cmd_bounds}
     try:
         experiment = _require(cfg, "experiment", "")
-        if experiment not in ("kernel", "mmd", "validate", "bounds"):
-            raise ConfigError("experiment",
-                              "expected kernel, mmd, validate or bounds")
+        if not isinstance(experiment, str) or experiment not in commands:
+            *names, last = commands
+            raise ConfigError("experiment", f"expected {', '.join(names)} or {last}")
         if args.seed is not None:
             mc = cfg.setdefault("mc", {})
             if not isinstance(mc, dict):
@@ -499,18 +515,15 @@ def main(argv=None) -> int:
             mc["seed"] = args.seed
         out_dir = args.output or cfg.get("output_dir", ".")
         os.makedirs(out_dir, exist_ok=True)
-        if experiment == "kernel":
-            return cmd_kernel(cfg, out_dir)
-        if experiment == "mmd":
-            return cmd_mmd(cfg, out_dir)
-        if experiment == "validate":
-            return cmd_validate(cfg, out_dir)
-        return cmd_bounds(cfg, out_dir)
+        return commands[experiment](cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except LevySigKernelError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -199,15 +199,6 @@ def bound_outer_truncation(v: PiecewiseVelocity, s: float, t: float,
     return math.exp(load) * load**k / math.factorial(k)
 
 
-def _bell_over_factorial(n_max: int) -> np.ndarray:
-    # a_n = B_n / n! via the stable recursion a_{n+1} = (1/(n+1)) sum_k a_k/(n-k)!
-    a = np.zeros(n_max + 1)
-    a[0] = 1.0
-    for n in range(n_max):
-        a[n + 1] = sum(a[k] / math.factorial(n - k) for k in range(n + 1)) / (n + 1)
-    return a
-
-
 def remainder_diagnostics(rho: float, m: int, mode: str = "factorial-jumps"):
     """Exact Taylor remainder of the two reference jump-size laws together
     with its leading-order estimate.
@@ -217,9 +208,9 @@ def remainder_diagnostics(rho: float, m: int, mode: str = "factorial-jumps"):
     numbers B_n.  ``geometric-jumps`` corresponds to masses rho^n with
     rho < 1, where the terms are rho^n sum_k C(n-1, k-1)/k!.
 
-    Returns ``(exact, estimate)``; the estimate omits the unspecified
-    constants of the asymptotic statement, so only trends should be read
-    from the ratio.
+    Returns ``(exact, estimate)`` as Python floats; the estimate omits the
+    unspecified constants of the asymptotic statement, so only trends
+    should be read from the ratio.
     """
     if m < 1:
         raise InvalidParameter("m must be >= 1")
@@ -227,17 +218,17 @@ def remainder_diagnostics(rho: float, m: int, mode: str = "factorial-jumps"):
         raise InvalidParameter("rho must be > 0")
     if mode == "factorial-jumps":
         terms = _factorial_mode_terms(rho, m)
-        a_m = _bell_over_factorial(m)[m]
-        estimate = a_m * rho**m
+        # the leading term a_m rho^m, a_m = B_m/m!, is the estimate
+        estimate = total = next(terms)
     elif mode == "geometric-jumps":
         if rho >= 1:
             raise InvalidParameter("geometric mode needs rho < 1")
         terms = _geometric_mode_terms(rho, m)
         estimate = math.exp(2 * math.sqrt(m)) / (2 * m**0.75 * math.sqrt(math.pi * math.e)) \
             * rho**m / (1 - rho)
+        total = 0.0
     else:
         raise InvalidParameter(f"unknown mode {mode!r}")
-    total = 0.0
     for term in terms:
         total += term
         if term < 1e-16 * total:
@@ -246,7 +237,8 @@ def remainder_diagnostics(rho: float, m: int, mode: str = "factorial-jumps"):
 
 
 def _factorial_mode_terms(rho: float, m: int):
-    # stream of rho^n B_n/n! for n = m, m+1, ...; grown on demand
+    # stream of rho^n B_n/n! for n = m, m+1, ..., grown on demand by the
+    # stable recursion a_{n+1} = (1/(n+1)) sum_k a_k/(n-k)! for a_n = B_n/n!
     a = [1.0]
     n = 0
     while True:

@@ -67,7 +67,7 @@ import numpy as np
 
 from . import tensor_algebra as ta
 from .characteristics import PiecewiseVelocity
-from .errors import GridMismatch, InvalidParameter, Unsupported
+from .errors import GridMismatch, InvalidParameter, NumericalInconsistency, Unsupported
 from .tensor_algebra import TruncatedTensor
 
 __all__ = [
@@ -446,7 +446,8 @@ def _sweep(ds, dt, sidx, tidx, tables, keep_nodes=True):
     and the sweep returns (w, f, g) at the far corner only, shapes
     ``(surfaces,)``, ``(surfaces, df)`` and ``(surfaces, dg)``.  Either
     way it also returns the number of maps of each surface (0 where cells
-    were evaluated directly).
+    were evaluated directly).  A w holding NaN raises
+    ``NumericalInconsistency``; an infinite w is returned as it is.
 
     Maps pay only when cells share them.  A surface takes maps when they
     hold at most ``D x cells`` floats (three times its own full state:
@@ -548,6 +549,9 @@ def _sweep(ds, dt, sidx, tidx, tables, keep_nodes=True):
             first = (lo + 1) * (n_j + 1) + diag - lo + 1
             nodes[:, first:first + n_j * (hi - lo):n_j] = far
     out = X if keep_nodes else ring[:, (n_i + n_j) % 3 * stride + n_i]
+    if np.isnan(out[..., 0]).any():
+        raise NumericalInconsistency(
+            "the kernel surface w holds NaN (an overflow or a NaN coefficient)")
     return out[..., 0], out[..., 1:1 + df], out[..., 1 + df:], n_maps
 
 

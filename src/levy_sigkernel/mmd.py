@@ -198,17 +198,18 @@ class MMDReport:
             fh.write(f"mmd,,,{float(self.mmd)!r}\n")
 
 
-def _merged_grid(ensemble: AugmentedPathEnsemble, wiener: WienerSpec, grid) -> np.ndarray:
+def _merged_grid(horizon: float, grid, *breakpoints) -> np.ndarray:
+    """``grid`` as an array, or for a point count the ``make_grid`` grid
+    through all the given breakpoint arrays."""
     if np.isscalar(grid):
-        breaks = np.concatenate([ensemble.time_grid, wiener.time_grid])
-        return make_grid(ensemble.horizon, int(grid), breaks)
+        return make_grid(horizon, int(grid), np.concatenate(breakpoints))
     return np.asarray(grid, dtype=float)
 
 
 def cross_kernel(ensemble: AugmentedPathEnsemble, k: int, wiener: WienerSpec,
                  grid) -> KernelSurface:
     """Kernel surface of path k against the Wiener expected signature."""
-    grid = _merged_grid(ensemble, wiener, grid)
+    grid = _merged_grid(ensemble.horizon, grid, ensemble.time_grid, wiener.time_grid)
     left = characteristic_velocity(ensemble.path_triplet(k), 2)
     right = characteristic_velocity(wiener.as_triplet(), 2)
     return solve_truncated_system(left, right, 2, 2, grid, grid)
@@ -217,10 +218,7 @@ def cross_kernel(ensemble: AugmentedPathEnsemble, k: int, wiener: WienerSpec,
 def pair_kernel(ensemble: AugmentedPathEnsemble, j: int, k: int,
                 grid) -> KernelSurface:
     """Deterministic signature kernel surface of paths j and k."""
-    if np.isscalar(grid):
-        grid = make_grid(ensemble.horizon, int(grid), ensemble.time_grid)
-    else:
-        grid = np.asarray(grid, dtype=float)
+    grid = _merged_grid(ensemble.horizon, grid, ensemble.time_grid)
     left = characteristic_velocity(ensemble.path_triplet(j), 2)
     right = characteristic_velocity(ensemble.path_triplet(k), 2)
     return solve_truncated_system(left, right, 2, 2, grid, grid)
@@ -240,7 +238,7 @@ def mmd_to_wiener(ensemble: AugmentedPathEnsemble, wiener: WienerSpec,
     if ensemble.n_paths == 0:
         raise InvalidParameter("ensemble is empty")
     # the batch checks the grid against the ensemble's and the Wiener breakpoints
-    grid = _merged_grid(ensemble, wiener, grid)
+    grid = _merged_grid(ensemble.horizon, grid, ensemble.time_grid, wiener.time_grid)
     m = ensemble.n_paths
 
     paths = [characteristic_velocity(ensemble.path_triplet(k), 2) for k in range(m)]

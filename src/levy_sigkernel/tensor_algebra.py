@@ -55,7 +55,6 @@ __all__ = [
     "adjoint_right_zero",
     "project",
     "truncate",
-    "level_sizes",
     "flat_size",
     "flatten",
     "unflatten",
@@ -502,10 +501,6 @@ def truncate(x: TruncatedTensor, depth: int) -> TruncatedTensor:
 
 
 # -- flat coefficient layout (used by the PDE solver) ------------------
-
-
-def level_sizes(dim: int, depth: int) -> list[int]:
-    return [dim**n for n in range(depth + 1)]
 
 
 def flat_size(dim: int, depth: int) -> int:

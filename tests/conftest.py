@@ -1,7 +1,23 @@
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 
 from levy_sigkernel.tensor_algebra import TruncatedTensor, exp_tensor, tensor_mul
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def benchmark_workloads():
+    """``perfbench/workloads.py``: the benchmark's seeded CLI configs
+    (``CONFIGS[name](seed, small=...)``)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(REPO, "perfbench", "workloads.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -247,6 +247,44 @@ class TestVelocityIntegrals:
         assert v.tail_mass(0.0, 2.0, 1) == pytest.approx(6.0)
         assert v.tail_mass(0.0, 2.0, 2) == 0.0
 
+    def test_bitwise_equal_to_per_integral_loops(self, rng):
+        # one loop per integral, as each was written before they shared one
+        # helper; the certificates are built from these bits
+        def mass(v, s, t):
+            return float(sum(dt * ta.norm_p(v.tensors[i], 1) for i, dt in v.overlaps(s, t)))
+
+        def level_mass(v, s, t, n):
+            total = 0.0
+            for i, dt in v.overlaps(s, t):
+                x = v.tensors[i]
+                if n <= x.depth:
+                    total += dt * float(np.linalg.norm(x.levels[n]))
+            return float(total)
+
+        def tail_mass(v, s, t, depth):
+            total = 0.0
+            for i, dt in v.overlaps(s, t):
+                x = v.tensors[i]
+                total += dt * sum(np.linalg.norm(x.levels[n])
+                                  for n in range(depth + 1, x.depth + 1))
+            return float(total)
+
+        def omitted_mass(v, s, t):
+            return float(sum(dt * v.tail_rates[i] for i, dt in v.overlaps(s, t)))
+
+        grid = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.3, size=4)), [1.3]])
+        depths = [1, 4, 2, 6, 3]
+        tens = [TT.from_levels(2, [np.zeros(1)] + [rng.normal(size=2**n) / n
+                                                   for n in range(1, k + 1)])
+                for k in depths]
+        v = PiecewiseVelocity(2, grid, tens, tail_rates=rng.uniform(0.0, 1e-3, size=5))
+        for s, t in [(0.0, 1.3), (0.1, 0.9), (grid[1], grid[3]), (0.7, 0.7)]:
+            assert v.mass(s, t) == mass(v, s, t)
+            assert v.omitted_mass(s, t) == omitted_mass(v, s, t)
+            for n in range(8):
+                assert v.level_mass(s, t, n) == level_mass(v, s, t, n)
+                assert v.tail_mass(s, t, n) == tail_mass(v, s, t, n)
+
 
 def reference_gaussian_tensor_moment(cov, n):
     """Pair-partition recursion from scratch at every level, one outer

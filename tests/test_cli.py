@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import levy_sigkernel
+from conftest import REPO, benchmark_workloads
 from levy_sigkernel.characteristics import characteristic_velocity
 from levy_sigkernel.cli import main, parse_triplet
 from levy_sigkernel.kernel_solver import bessel_i0, truncation_certificate
@@ -389,6 +390,100 @@ class TestCertifiedDepths:
         assert {name for name, _ in depths} == {"characteristic_velocity", "_velocity",
                                                 "develop"}
         assert max(depth for _, depth in depths) <= self.MAX_DEPTH
+
+
+WORKLOADS = benchmark_workloads()
+
+
+def cli_subprocess(cfg, out):
+    """Run the CLI in a fresh interpreter; returns the completed process."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "levy_sigkernel.cli", "--config", cfg,
+                           "--output", str(out)], env=env, capture_output=True, text=True)
+
+
+class TestNaNSurface:
+    """A surface whose w holds NaN ends the run with a typed error (exit 1)
+    and writes no table; the benchmark's small configs with one overflowing
+    input."""
+
+    def test_kernel(self, tmp_path, capsys):
+        cfg_data = WORKLOADS.kernel_config(1, small=True)
+        cfg_data["triplets"][0]["intervals"][0]["drift"] = [1e150, 0.0]
+        cfg = write_config(tmp_path / "cfg.json", cfg_data)
+        with np.errstate(all="ignore"):
+            assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "NaN" in err, err
+        assert not (tmp_path / "o" / "kernel.csv").exists()
+
+    def test_mmd(self, tmp_path, capsys):
+        cfg_data = WORKLOADS.mmd_config(1, small=True)
+        cfg_data["ensemble"]["paths"][0]["derivative"][0][0] = 1e300
+        cfg = write_config(tmp_path / "cfg.json", cfg_data)
+        with np.errstate(all="ignore"):
+            assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "NaN" in err, err
+        assert not (tmp_path / "o" / "mmd.csv").exists()
+
+
+class TestOversizedConfigs:
+    """Sizes the run cannot hold end with a message, not a traceback.  Each
+    size here is rejected by the coefficient budget or exceeds the address
+    space, so nothing is allocated for real."""
+
+    @pytest.mark.parametrize("experiment, level", [
+        ("kernel", "M"), ("kernel", "N"), ("validate", "M"), ("validate", "N"),
+        ("bounds", "M")])
+    def test_level_above_the_budget(self, tmp_path, capsys, experiment, level):
+        # flat_size(2, 20) = 2**21 - 1 coefficients, above the 2e6 budget
+        name = "validate-jumps-d2" if experiment == "validate" else "kernel-jumps-d2"
+        cfg_data = WORKLOADS.CONFIGS[name](1, small=True)
+        cfg_data["experiment"] = experiment
+        cfg_data["levels"][level] = 20
+        cfg = write_config(tmp_path / "cfg.json", cfg_data)
+        assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: levels.{level}:"), err
+
+    def test_out_of_memory(self, tmp_path):
+        # 10**15 paths ask for petabytes of Monte Carlo noise
+        cfg_data = WORKLOADS.validate_config(1, small=True)
+        cfg_data["mc"]["n_paths"] = 10**15
+        proc = cli_subprocess(write_config(tmp_path / "cfg.json", cfg_data), tmp_path / "o")
+        assert proc.returncode == 1
+        assert "error: out of memory:" in proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+
+
+class TestShortestRoundTrip:
+    """Every float the CLI writes is the shortest repr that round-trips."""
+
+    # columns that hold labels or integers, not floats
+    LABELS = {"triplet", "level", "mode", "m", "kind", "j", "k"}
+
+    def test_every_number_round_trips(self, tmp_path):
+        bounds = WORKLOADS.kernel_config(1, small=True)
+        bounds["experiment"] = "bounds"
+        runs = [(WORKLOADS.kernel_config(1, small=True), ["kernel.csv"]),
+                (WORKLOADS.mmd_config(1, small=True), ["mmd.csv"]),
+                (bounds, ["bounds.csv", "remainder.csv"])]
+        checked = 0
+        for k, (cfg_data, tables) in enumerate(runs):
+            out = tmp_path / f"o{k}"
+            cfg = write_config(tmp_path / f"cfg{k}.json", cfg_data)
+            assert main(["--config", cfg, "--output", str(out)]) == 0
+            for table in tables:
+                header, *rows = (out / table).read_text().splitlines()
+                columns = header.split(",")
+                for row in rows:
+                    for column, x in zip(columns, row.split(","), strict=True):
+                        if column not in self.LABELS:
+                            assert repr(float(x)) == x, (table, row)
+                            checked += 1
+        assert checked > 0
 
 
 class TestEntryPoints:
