@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from typing import Sequence
 
 import numpy as np
@@ -507,6 +508,14 @@ def _tail_rate(triplet: LevyTriplet, i: int, depth: int) -> float:
     return float(tail) * (1.0 + _TAIL_ROUNDING)
 
 
+def _spans(triplet: LevyTriplet, horizon: float) -> list[tuple[int, float]]:
+    """(interval, length of its part in [0, horizon]) for each interval that
+    starts before the horizon."""
+    grid = triplet.time_grid
+    return [(i, min(horizon, grid[i + 1]) - grid[i])
+            for i in range(triplet.n_intervals) if grid[i] < horizon]
+
+
 def velocity_tail_bound(triplet: LevyTriplet, depth: int,
                         horizon: float | None = None) -> float:
     """Certified bound on the integrated T^1 norm, over [0, horizon], of the
@@ -523,9 +532,61 @@ def velocity_tail_bound(triplet: LevyTriplet, depth: int,
     """
     _check_depth(triplet, depth)
     end = triplet.horizon if horizon is None else horizon
-    grid = triplet.time_grid
-    return float(sum((min(end, grid[i + 1]) - grid[i]) * _tail_rate(triplet, i, depth)
-                     for i in range(triplet.n_intervals) if grid[i] < end))
+    return float(sum(dt * _tail_rate(triplet, i, depth) for i, dt in _spans(triplet, end)))
+
+
+def _exp_levels(x: TruncatedTensor, depth: int):
+    """Yield levels 0, 1, ..., depth of exp(x) for an x on levels 1 and 2
+    (an atom), each built once.
+
+    Level n of the power x^m is x_1 (x) (level n-1 of x^(m-1)) + x_2 (x)
+    (level n-2 of x^(m-1)), and level n of exp(x) sums it over m, divided
+    by m!.  The values are those of ``ta.exp_tensor``, which evaluates all
+    levels together for one depth.
+    """
+    x1, x2 = x.levels[1], x.levels[2] if x.depth >= 2 else None
+    prev2, prev = {}, {0: np.ones(1)}       # levels n-2 and n-1 of each x^m, by m
+    yield prev[0]
+    for n in range(1, depth + 1):
+        row = {}
+        for xk, below in ((x1, prev), (x2, prev2)):
+            if xk is None:
+                continue
+            for m, p in below.items():
+                term = np.multiply.outer(xk, p).ravel()
+                row[m + 1] = row[m + 1] + term if m + 1 in row else term
+        yield sum(p / math.factorial(m) for m, p in row.items())
+        prev2, prev = prev, row
+
+
+def _level_norms(triplet: LevyTriplet, i: int, depth: int):
+    """Yield the Euclidean norms of levels 1, ..., depth of interval i's
+    velocity, each level built once: a level is the same at every depth
+    that holds it.
+
+    Levels 1 and 2 are those of ``_interval_velocity`` at depth 2.  Above
+    them only the jumps contribute: Gaussian ones with the bits of
+    ``_jump_velocity_term``, atoms by :func:`_exp_levels`.
+    """
+    for lev in _interval_velocity(triplet, i, 2).levels[1:depth + 1]:
+        yield float(np.linalg.norm(lev))
+    spec = triplet.jumps[i]
+    if isinstance(spec, GaussianJumps):
+        moments = _gaussian_moments(spec.cov, depth)
+        next(moments, None)                     # level 2
+        for n in range(3, depth + 1):
+            yield 0.0 if n % 2 else float(np.linalg.norm(
+                spec.intensity * next(moments).ravel() / math.factorial(n)))
+    elif isinstance(spec, AtomicJumps):
+        atoms = [(float(lam), islice(_exp_levels(atom, depth), 3, None))
+                 for lam, atom in zip(spec.weights, spec.atoms) if lam != 0.0]
+        for n in range(3, depth + 1):
+            out = np.zeros(triplet.dim**n)
+            for lam, levels in atoms:
+                out += next(levels) * lam
+            yield float(np.linalg.norm(out))
+    else:
+        yield from repeat(0.0, depth - 2)
 
 
 VELOCITY_TAIL_RTOL = 1e-8
@@ -542,16 +603,24 @@ def velocity_depth(triplet: LevyTriplet, level: int, max_depth: int,
     A truncation certificate at ``level`` from ``characteristic_velocity(
     triplet, K)`` then exceeds the one at any deeper depth by a relative
     amount of that order at most.  Jump-free triplets have a zero tail
-    above level 2 and get ``max(level, 2, state_depth)`` (capped).
+    above level 2 and get ``max(level, 2, state_depth)`` (capped).  The
+    search builds each velocity level once (:func:`_level_norms`) and sums
+    each interval's stored tail as ``PiecewiseVelocity.tail_mass`` does.
     """
     horizon = triplet.horizon if horizon is None else horizon
+    if not 0.0 <= horizon <= triplet.horizon + 1e-12:     # false for NaN
+        raise OutOfRange(f"horizon {horizon} lies outside [0, {triplet.horizon}]")
     depth = max(level, 2, triplet.state_depth)
+    spans = _spans(triplet, horizon)
+    norms = [_level_norms(triplet, i, max_depth) for i, _ in spans]
+    # per interval, the norms of levels level+1..depth summed in level order
+    rates = [sum(islice(g, level, depth)) for g in norms]
     while depth < max_depth:
-        v = _velocity(triplet, depth)
-        stored = v.tail_mass(0.0, horizon, level)
-        if v.omitted_mass(0.0, horizon) <= VELOCITY_TAIL_RTOL * stored:
+        stored = float(sum(dt * r for (_, dt), r in zip(spans, rates)))
+        if velocity_tail_bound(triplet, depth, horizon) <= VELOCITY_TAIL_RTOL * stored:
             return depth
         depth += 1
+        rates = [r + next(g) for r, g in zip(rates, norms)]
     return depth
 
 

@@ -215,6 +215,20 @@ def _check_budget(dim: int, level: int, path: str) -> None:
                                 f"above the budget of {_MAX_VELOCITY_COEFFS}")
 
 
+def _check_solve_budget(dim: int, m: int, n: int) -> None:
+    """A truncated solve whose state width D = flat(M-1) + flat(N-1) - 1 has
+    square tables above the coefficient budget is a config error naming the
+    larger level: its side tables hold flat(M-1)- and flat(N-1)-square
+    identities, and its transfer maps and interval-pair tables D x D blocks."""
+    fm, fn = ta.flat_size(dim, m - 1), ta.flat_size(dim, n - 1)
+    width = fm + fn - 1
+    if width * width > _MAX_VELOCITY_COEFFS:
+        raise ConfigError("levels.M" if fm >= fn else "levels.N",
+                          f"levels M={m}, N={n} at dim {dim} give a state width of "
+                          f"{width}, whose square tables exceed the budget of "
+                          f"{_MAX_VELOCITY_COEFFS} coefficients")
+
+
 def _budget_depth(dim: int, level: int) -> int:
     """Deepest depth within the coefficient budget (>= level): the cap of
     every depth the CLI chooses, and the depth of the bounds tables."""
@@ -238,6 +252,7 @@ def _certified_solve(trip_a: LevyTriplet, trip_b: LevyTriplet, m: int, n: int,
     breakpoints.  Returns ``(va, vb, surface)``."""
     _check_budget(trip_a.dim, m, "levels.M")
     _check_budget(trip_b.dim, n, "levels.N")
+    _check_solve_budget(trip_a.dim, m, n)
     s_grid = make_grid(horizon, s_points, trip_a.time_grid)
     t_grid = make_grid(horizon, t_points, trip_b.time_grid)
     va = _certified_velocity(trip_a, m, horizon)

@@ -210,39 +210,52 @@ def remainder_diagnostics(rho: float, m: int, mode: str = "factorial-jumps"):
 
     Returns ``(exact, estimate)`` as Python floats; the estimate omits the
     unspecified constants of the asymptotic statement, so only trends
-    should be read from the ratio.
+    should be read from the ratio.  The sum stops at a term below 1e-16 of
+    it, or at the first term that underflows to 0; a series whose terms
+    leave the float range before that raises ``InvalidParameter``.
     """
     if m < 1:
         raise InvalidParameter("m must be >= 1")
     if rho <= 0:
         raise InvalidParameter("rho must be > 0")
-    if mode == "factorial-jumps":
-        terms = _factorial_mode_terms(rho, m)
-        # the leading term a_m rho^m, a_m = B_m/m!, is the estimate
-        estimate = total = next(terms)
-    elif mode == "geometric-jumps":
-        if rho >= 1:
-            raise InvalidParameter("geometric mode needs rho < 1")
-        terms = _geometric_mode_terms(rho, m)
-        estimate = math.exp(2 * math.sqrt(m)) / (2 * m**0.75 * math.sqrt(math.pi * math.e)) \
-            * rho**m / (1 - rho)
-        total = 0.0
-    else:
+    if mode not in ("factorial-jumps", "geometric-jumps"):
         raise InvalidParameter(f"unknown mode {mode!r}")
-    for term in terms:
-        total += term
-        if term < 1e-16 * total:
-            break
+    if mode == "geometric-jumps" and rho >= 1:
+        raise InvalidParameter("geometric mode needs rho < 1")
+    try:
+        if mode == "factorial-jumps":
+            terms = _factorial_mode_terms(rho, m)
+            # the leading term a_m rho^m, a_m = B_m/m!, is the estimate
+            estimate = total = next(terms)
+        else:
+            terms = _geometric_mode_terms(rho, m)
+            estimate = math.exp(2 * math.sqrt(m)) \
+                / (2 * m**0.75 * math.sqrt(math.pi * math.e)) * rho**m / (1 - rho)
+            total = 0.0
+        for term in terms:
+            total += term
+            if term == 0.0 or term < 1e-16 * total:
+                break
+    except OverflowError:
+        raise InvalidParameter(f"the {mode} remainder at rho={rho!r}, m={m} "
+                               "needs terms beyond the float range") from None
     return total, estimate
+
+
+# the largest n whose n! is a finite float
+_MAX_FLOAT_FACTORIAL = 170
 
 
 def _factorial_mode_terms(rho: float, m: int):
     # stream of rho^n B_n/n! for n = m, m+1, ..., grown on demand by the
-    # stable recursion a_{n+1} = (1/(n+1)) sum_k a_k/(n-k)! for a_n = B_n/n!
+    # stable recursion a_{n+1} = (1/(n+1)) sum_k a_k/(n-k)! for a_n = B_n/n!;
+    # the sum leaves out the k with (n-k)! beyond the float range (n - k >
+    # 170), whose terms a_k/(n-k)! <= 1/171! are below 1e-306
     a = [1.0]
     n = 0
     while True:
-        a.append(sum(a[k] / math.factorial(n - k) for k in range(n + 1)) / (n + 1))
+        a.append(sum(a[k] / math.factorial(n - k)
+                     for k in range(max(0, n - _MAX_FLOAT_FACTORIAL), n + 1)) / (n + 1))
         n += 1
         if n >= m:
             yield a[n] * rho**n

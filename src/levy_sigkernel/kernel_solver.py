@@ -416,6 +416,7 @@ def _apply_maps(maps, idx, xc):
     return delta.reshape(*idx.shape, D)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _sweep(ds, dt, sidx, tidx, tables, keep_nodes=True):
     """Anti-diagonal sweep over a batch of surfaces, by transfer maps.
 
@@ -447,7 +448,9 @@ def _sweep(ds, dt, sidx, tidx, tables, keep_nodes=True):
     ``(surfaces,)``, ``(surfaces, df)`` and ``(surfaces, dg)``.  Either
     way it also returns the number of maps of each surface (0 where cells
     were evaluated directly).  A w holding NaN raises
-    ``NumericalInconsistency``; an infinite w is returned as it is.
+    ``NumericalInconsistency``; an infinite w is returned as it is.  Both
+    say what numpy's overflow and invalid-value warnings would, so the
+    sweep runs with them off.
 
     Maps pay only when cells share them.  A surface takes maps when they
     hold at most ``D x cells`` floats (three times its own full state:
@@ -633,6 +636,7 @@ def solve_truncated_system(v: PiecewiseVelocity, vt: PiecewiseVelocity,
                   maps=coarse.meta["maps"] + fine.meta["maps"]))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _solve_truncated_batch(pairs, M: int, N: int, s_grid, t_grid, corners=False):
     """``solve_truncated_system`` for each velocity pair ``(v, vt)`` in
     ``pairs``, all on the same grids and levels, swept together.
@@ -641,7 +645,9 @@ def _solve_truncated_batch(pairs, M: int, N: int, s_grid, t_grid, corners=False)
     w(s_end, t_end), as an array: pairs are swept without nodes, in chunks
     of consecutive pairs whose estimated floats (``_corner_floats``) stay
     under ``_SWEEP_CHUNK_FLOATS``, at least one pair a chunk.  A surface's
-    bits do not depend on its batch, so chunking changes no bit.
+    bits do not depend on its batch, so chunking changes no bit.  Tables
+    that overflow end in a w that ``_sweep`` reports (NaN) or returns
+    (inf), so they are built with numpy's overflow warnings off too.
     """
     if M < 1 or N < 1:
         raise InvalidParameter("levels M, N must be >= 1")

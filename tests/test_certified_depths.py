@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from levy_sigkernel import tensor_algebra as ta
-from levy_sigkernel.characteristics import (AtomicJumps, GaussianJumps,
-                                            LevyTriplet, PiecewiseVelocity,
+from levy_sigkernel.characteristics import (VELOCITY_TAIL_RTOL, AtomicJumps,
+                                            GaussianJumps, LevyTriplet,
+                                            PiecewiseVelocity, _exp_levels,
                                             characteristic_velocity,
                                             velocity_depth, velocity_tail_bound)
 from levy_sigkernel.development import develop, development_inner_product
@@ -148,6 +149,97 @@ class TestVelocityCarriesItsTail:
         trip = atomic_triplet(0.5)
         for level, floor in ((1, 2), (3, 3)):
             assert velocity_depth(trip, level, 1) == floor
+
+
+def rebuilding_velocity_depth(triplet, level, max_depth, horizon=None):
+    """Reference: the depth search that built the whole velocity at every
+    candidate depth, O(K^2) coefficients for a depth K."""
+    horizon = triplet.horizon if horizon is None else horizon
+    depth = max(level, 2, triplet.state_depth)
+    while depth < max_depth:
+        v = characteristic_velocity(triplet, depth)
+        stored = v.tail_mass(0.0, horizon, level)
+        if v.omitted_mass(0.0, horizon) <= VELOCITY_TAIL_RTOL * stored:
+            return depth
+        depth += 1
+    return depth
+
+
+def random_jump_triplet(rng):
+    """A triplet of dimension 1-3 on 1-3 intervals, each with Gaussian
+    jumps, atoms (some with level 2, some of weight 0) or none."""
+    d, n = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    grid = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, n - 1)), [1.0]])
+    jumps = []
+    for _ in range(n):
+        kind = rng.integers(3)
+        f = rng.uniform(-0.6, 0.6, size=(d, d))
+        if kind == 0:
+            jumps.append(GaussianJumps(float(rng.uniform(0.2, 3.0)), f @ f.T))
+        elif kind == 1:
+            atoms = []
+            for _ in range(int(rng.integers(1, 4))):
+                levels = [np.zeros(1), rng.uniform(-0.8, 0.8, d)]
+                a = rng.uniform(-0.3, 0.3, size=(d, d))
+                levels.append((a - a.T).ravel())
+                atoms.append(TT.from_levels(d, levels))
+            weights = rng.uniform(0.0, 3.0, len(atoms))
+            weights[rng.random(len(atoms)) < 0.2] = 0.0
+            jumps.append(AtomicJumps(weights, tuple(atoms)))
+        else:
+            jumps.append(None)
+    return LevyTriplet(dim=d, time_grid=grid,
+                       drifts=[rng.uniform(-0.5, 0.5, d) for _ in range(n)],
+                       covs=[(lambda f: f @ f.T)(rng.uniform(-0.5, 0.5, (d, d)))
+                             for _ in range(n)],
+                       jumps=jumps, state_depth=2)
+
+
+class TestDepthSearchBuildsEachLevelOnce:
+    """``velocity_depth`` builds each level once and picks the depths of the
+    search that rebuilt the velocity at every candidate depth."""
+
+    @pytest.mark.parametrize("horizon", [None, 0.7, 0.4])
+    def test_same_depths_on_workload_shapes(self, horizon):
+        trips = WORKLOAD_TRIPLETS + [validate_triplets(seed)[1] for seed in (1, 2)]
+        for trip in trips:
+            for level in (1, 2, 3, 4):
+                assert velocity_depth(trip, level, DEEP, horizon) \
+                    == rebuilding_velocity_depth(trip, level, DEEP, horizon)
+
+    def test_same_depths_on_random_triplets(self):
+        rng = np.random.default_rng(7)
+        searched = set()
+        for _ in range(30):
+            trip = random_jump_triplet(rng)
+            cap = {1: 24, 2: 13, 3: 8}[trip.dim]
+            for level in (1, 3):
+                for horizon in (None, float(rng.uniform(0.1, 1.0))):
+                    depth = velocity_depth(trip, level, cap, horizon)
+                    assert depth == rebuilding_velocity_depth(trip, level, cap, horizon)
+                    searched.add(depth)
+        assert len(searched) >= 5              # the searches end at many depths
+
+    def test_atom_levels_are_those_of_exp_tensor(self):
+        rng = np.random.default_rng(3)
+        for d, with_area in ((1, False), (2, True), (3, True), (2, False)):
+            levels = [np.zeros(1), rng.uniform(-1.0, 1.0, d)]
+            if with_area:
+                a = rng.uniform(-0.5, 0.5, size=(d, d))
+                levels.append((a - a.T).ravel())
+            x = TT.from_levels(d, levels)
+            ref = ta.exp_tensor(x.with_depth(7))
+            got = list(_exp_levels(x, 7))
+            assert len(got) == 8
+            for lev, want in zip(got, ref.levels):
+                assert lev.shape == want.shape
+                np.testing.assert_allclose(lev, want, rtol=1e-13, atol=1e-16)
+
+    def test_horizon_outside_the_grid(self):
+        from levy_sigkernel.errors import OutOfRange
+        for horizon in (float("nan"), -0.1, 1.5):
+            with pytest.raises(OutOfRange):
+                velocity_depth(WORKLOAD_TRIPLETS[0], 3, DEEP, horizon)
 
 
 class TestNeedDepthCertificate:

@@ -11,6 +11,7 @@ import levy_sigkernel
 from conftest import REPO, benchmark_workloads
 from levy_sigkernel.characteristics import characteristic_velocity
 from levy_sigkernel.cli import main, parse_triplet
+from levy_sigkernel.errors import ConfigError
 from levy_sigkernel.kernel_solver import bessel_i0, truncation_certificate
 from levy_sigkernel.mmd import WienerSpec
 
@@ -429,6 +430,26 @@ class TestNaNSurface:
         assert not (tmp_path / "o" / "mmd.csv").exists()
 
 
+class TestNaNSurfaceStderr:
+    """In a fresh interpreter, with numpy's warnings at their defaults, a NaN
+    surface writes one line to stderr: the ``error:`` line.  Overflow and
+    invalid-value warnings with source paths used to come before it."""
+
+    @pytest.mark.parametrize("experiment", ["kernel", "mmd"])
+    def test_stderr_holds_only_the_error(self, tmp_path, experiment):
+        if experiment == "kernel":
+            cfg_data = WORKLOADS.kernel_config(1, small=True)
+            cfg_data["triplets"][0]["intervals"][0]["drift"] = [1e150, 0.0]
+        else:
+            cfg_data = WORKLOADS.mmd_config(1, small=True)
+            cfg_data["ensemble"]["paths"][0]["derivative"][0][0] = 1e300
+        proc = cli_subprocess(write_config(tmp_path / "cfg.json", cfg_data), tmp_path / "o")
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "NaN" in lines[0], \
+            proc.stderr
+
+
 class TestOversizedConfigs:
     """Sizes the run cannot hold end with a message, not a traceback.  Each
     size here is rejected by the coefficient budget or exceeds the address
@@ -447,6 +468,30 @@ class TestOversizedConfigs:
         assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: levels.{level}:"), err
+
+    @pytest.mark.parametrize("experiment, level", [
+        ("kernel", "M"), ("kernel", "N"), ("validate", "M"), ("validate", "N")])
+    def test_solve_tables_above_the_budget(self, tmp_path, capsys, experiment, level):
+        # flat_size(2, 19) is within the budget, but the solve's side tables
+        # would hold a flat_size(2, 18) = 524287-square identity (2 TiB)
+        name = "validate-jumps-d2" if experiment == "validate" else "kernel-jumps-d2"
+        cfg_data = WORKLOADS.CONFIGS[name](1, small=True)
+        cfg_data["levels"][level] = 19
+        cfg = write_config(tmp_path / "cfg.json", cfg_data)
+        assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: levels.{level}:") and "state width" in err, err
+        assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+
+    def test_solve_budget_edge(self):
+        # D = flat(M-1) + flat(N-1) - 1 at d = 2: 1021 at M = N = 9 (D^2
+        # within 2e6), 1533 and 2045 above it; the larger level is named
+        from levy_sigkernel import cli
+        cli._check_solve_budget(2, 9, 9)
+        for m, n, name in [(10, 9, "levels.M"), (9, 10, "levels.N"), (10, 10, "levels.M")]:
+            with pytest.raises(ConfigError) as info:
+                cli._check_solve_budget(2, m, n)
+            assert info.value.field == name
 
     def test_out_of_memory(self, tmp_path):
         # 10**15 paths ask for petabytes of Monte Carlo noise

@@ -327,6 +327,25 @@ class TestRemainderDiagnostics:
             diffs = np.abs(np.array(ratios) - 1.0)
             assert np.all(np.diff(diffs) <= 1e-12), (mode, ratios)
 
+    @pytest.mark.parametrize("mode", ["factorial-jumps", "geometric-jumps"])
+    def test_underflowing_terms_end_the_sum(self, mode):
+        # rho^2 underflows to 0: the sum used to run on forever (geometric)
+        # or until math.factorial overflowed (factorial)
+        assert remainder_diagnostics(1e-300, 2, mode) == (0.0, 0.0)
+        exact, estimate = remainder_diagnostics(1e-300, 1, mode)
+        assert exact == 1e-300 and type(exact) is float and type(estimate) is float
+
+    def test_factorial_mode_past_171_terms(self):
+        # the series at rho = 3 needs terms past n = 171, where (n - k)!
+        # leaves the float range: sum_{n>=1} B_n 3^n / n! = e^{e^3 - 1} - 1
+        exact, _ = remainder_diagnostics(3.0, 1, "factorial-jumps")
+        assert exact == pytest.approx(math.exp(math.exp(3.0) - 1.0) - 1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("rho", [4.0, 50.0, 1e300])
+    def test_factorial_terms_beyond_the_float_range(self, rho):
+        with pytest.raises(InvalidParameter, match="float range"):
+            remainder_diagnostics(rho, 2, "factorial-jumps")
+
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameter):
             remainder_diagnostics(1.5, 3, "geometric-jumps")

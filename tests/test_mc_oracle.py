@@ -39,15 +39,15 @@ def jump_triplet():
         state_depth=2)
 
 
-def per_path_generator_paths(triplet, n_paths, steps_per_interval, seed,
-                             horizon=None, stream_offset=0):
-    """Reference simulation: one Generator(Philox) per path, drawn interval
-    by interval, as before the bit generator was re-keyed per path."""
+def reference_paths(triplet, n_paths, steps_per_interval, seed,
+                    horizon=None, stream_offset=0):
+    """Reference simulation: one Generator(Philox(key=[seed, stream_offset])),
+    read interval by interval for all paths at once (normals, counts,
+    positions, values), with each path placing its own jumps."""
     if horizon is None:
         horizon = triplet.horizon
     d = triplet.dim
-    rngs = [np.random.Generator(np.random.Philox(key=[seed, stream_offset + p]))
-            for p in range(n_paths)]
+    rng = np.random.Generator(np.random.Philox(key=[seed, stream_offset]))
     segments = []
     for i in range(triplet.n_intervals):
         lo = triplet.time_grid[i]
@@ -57,9 +57,12 @@ def per_path_generator_paths(triplet, n_paths, steps_per_interval, seed,
         dt = (hi - lo) / steps_per_interval
         b, ar = triplet.drifts[i], triplet.areas[i]
         factor = _cov_factor(triplet.covs[i])
-        has_noise = bool(np.any(factor))
         spec = triplet.jumps[i]
         noise = np.zeros((n_paths, steps_per_interval, d))
+        if np.any(factor):
+            z = rng.standard_normal((n_paths, steps_per_interval, d))
+            for p in range(n_paths):
+                noise[p] = math.sqrt(dt) * z[p] @ factor.T
         step_slots = {}
         seen = {}
 
@@ -71,29 +74,32 @@ def per_path_generator_paths(triplet, n_paths, steps_per_interval, seed,
                 slots.append([])
             slots[slot].append((p, v1, v2))
 
-        sqdt = math.sqrt(dt)
-        for p, rng in enumerate(rngs):
-            if has_noise:
-                noise[p] = sqdt * rng.standard_normal((steps_per_interval, d)) @ factor.T
-            if spec is None:
-                continue
-            rate = float(np.sum(spec.weights)) if isinstance(spec, AtomicJumps) \
-                else spec.intensity
-            n_jumps = int(rng.poisson(rate * (hi - lo))) if rate > 0 else 0
-            if n_jumps == 0:
-                continue
-            pos = np.sort(rng.uniform(0.0, hi - lo, size=n_jumps))
+        rate = 0.0
+        if isinstance(spec, AtomicJumps):
+            rate = float(np.sum(spec.weights))
+        elif spec is not None:
+            rate = spec.intensity
+        counts = rng.poisson(rate * (hi - lo), n_paths) if rate > 0 else np.zeros(n_paths)
+        n_jumps = int(counts.sum())
+        if n_jumps:
+            uniforms = rng.uniform(0.0, hi - lo, size=n_jumps)
             if isinstance(spec, AtomicJumps):
                 picks = rng.choice(len(spec.atoms), size=n_jumps, p=spec.weights / rate)
-                for u, pick in zip(pos, picks):
+                values = []
+                for pick in picks:
                     a = spec.atoms[pick]
-                    v1 = np.asarray(a.levels[1], dtype=float)
-                    v2 = np.asarray(a.levels[2], dtype=float) if a.depth >= 2 else None
-                    place(p, min(int(u / dt), steps_per_interval - 1), v1, v2)
+                    values.append((np.asarray(a.levels[1], dtype=float),
+                                   np.asarray(a.levels[2], dtype=float)
+                                   if a.depth >= 2 else None))
             else:
                 draws = rng.standard_normal((n_jumps, d)) @ _cov_factor(spec.cov).T
-                for u, val in zip(pos, draws):
-                    place(p, min(int(u / dt), steps_per_interval - 1), val, None)
+                values = [(val, None) for val in draws]
+            first = 0
+            for p, count in enumerate(counts.astype(int)):
+                pos = np.sort(uniforms[first:first + count])
+                for u, (v1, v2) in zip(pos, values[first:first + count]):
+                    place(p, min(int(u / dt), steps_per_interval - 1), v1, v2)
+                first += count
 
         lvl2_base = None if ar is None else np.tile(ar.ravel() * dt, (n_paths, 1))
         for step in range(steps_per_interval):
@@ -209,11 +215,10 @@ class TestSimulatePaths:
 
 class TestSharedGenerator:
     @pytest.mark.parametrize("horizon,offset", [(None, 0), (0.85, 37)])
-    def test_draws_match_per_path_generators(self, horizon, offset):
+    def test_draws_match_reference(self, horizon, offset):
         trip = jump_triplet()
         new = simulate_paths(trip, 60, 3, seed=11, horizon=horizon, stream_offset=offset)
-        ref = per_path_generator_paths(trip, 60, 3, seed=11, horizon=horizon,
-                                       stream_offset=offset)
+        ref = reference_paths(trip, 60, 3, seed=11, horizon=horizon, stream_offset=offset)
         assert len(new.segments) == len(ref.segments) > 3 * 3
         assert any(l2 is not None and l2.any() for _, l2 in ref.segments[3:])
         for (a1, a2), (b1, b2) in zip(new.segments, ref.segments):
@@ -250,16 +255,16 @@ def placement_triplet(grid, covs, jumps):
 
 
 class TestJumpPlacement:
-    """Jumps are placed after the stream loop, for all paths of an interval
-    at once; each case compares against one generator per path placing its
-    own jumps.  Every case has an interval where paths take several jumps in
-    one sub-step, so a wrong sort order or slot rank shows."""
+    """Jumps are placed after their interval's draws, for all paths at
+    once; each case compares against a reference in which each path places
+    its own jumps.  Every case has an interval where paths take several jumps
+    in one sub-step, so a wrong sort order or slot rank shows."""
 
     def check(self, trip, steps=3, seed=11, horizon=None, offset=0, n_paths=60):
         new = simulate_paths(trip, n_paths, steps, seed, horizon=horizon,
                              stream_offset=offset)
-        ref = per_path_generator_paths(trip, n_paths, steps, seed, horizon=horizon,
-                                       stream_offset=offset)
+        ref = reference_paths(trip, n_paths, steps, seed, horizon=horizon,
+                              stream_offset=offset)
         assert_same_segments(new, ref)
         return ref
 
@@ -306,18 +311,17 @@ class TestJumpPlacement:
 
 class TestStreamAndHorizonChecks:
     @pytest.mark.parametrize("seed, offset", [
-        (2**63, 0), (2**64 - 2, 0), (-2**63 - 1, 0), (3, 2**63 - 2), (3, -2**63 - 1)])
+        (2**63, 0), (2**64 - 2, 0), (-2**63 - 1, 0), (3, 2**63), (3, -2**63 - 1)])
     def test_streams_a_key_cannot_hold(self, seed, offset):
         with pytest.raises(InvalidParameter):
             simulate_paths(jump_triplet(), 3, 2, seed, stream_offset=offset)
 
-    @pytest.mark.parametrize("seed, offset", [(-2**63, 2**63 - 3), (2**63 - 1, -2**63)])
-    def test_extreme_streams_match_per_path_generators(self, seed, offset):
+    @pytest.mark.parametrize("seed, offset", [(-2**63, 2**63 - 1), (2**63 - 1, -2**63)])
+    def test_extreme_streams_match_reference(self, seed, offset):
         trip = LevyTriplet.homogeneous(2, 1.0, cov=0.2 * np.eye(2),
                                        jumps=GaussianJumps(20.0, jump_cov()))
         new = simulate_paths(trip, 3, 2, seed, stream_offset=offset)
-        assert_same_segments(new, per_path_generator_paths(trip, 3, 2, seed,
-                                                           stream_offset=offset))
+        assert_same_segments(new, reference_paths(trip, 3, 2, seed, stream_offset=offset))
 
     def test_kernel_needs_two_paths(self):
         trip = LevyTriplet.brownian(1, 1.0)
@@ -404,7 +408,7 @@ def kernel_estimate_bounds(trip, depth, n_paths, steps, seed):
       at most that shift over sqrt(P - 1) per side.
     """
     pa = simulate_paths(trip, n_paths, steps, seed, horizon=1.0)
-    pb = simulate_paths(trip, n_paths, steps, seed, horizon=1.0, stream_offset=n_paths)
+    pb = simulate_paths(trip, n_paths, steps, seed, horizon=1.0, stream_offset=1)
     ka, kb = path_roundings(pa, depth), path_roundings(pb, depth)
     big = trip.dim**depth + depth
     abs_a = dense_batch_signatures(abs_paths(pa), depth)
@@ -449,23 +453,40 @@ class TestBatchedSignatures:
             assert np.all(np.abs(lvl - r) <= 2 * t)
 
     @pytest.mark.parametrize("depth,value,se", [
-        (2, "0x1.4039e406f127cp+0", "0x1.8a1a91c53c135p-6"),
-        (4, "0x1.4544851540b5fp+0", "0x1.b93b0032885fap-6")])
+        (2, "0x1.33050579997efp+0", "0x1.277873b39af10p-6"),
+        (4, "0x1.362f24650a275p+0", "0x1.49390fb6c5ac4p-6")])
     def test_estimate_kernel_unchanged(self, depth, value, se):
-        # value and se are frozen from the dense batched products and
-        # per-path generators that the shared products, the re-keyed
-        # generator and then the fused step (on every segment, area
-        # segments included) replaced; the fused step reassociates sums, so
-        # today's bits (frozen below) lie within the rounding bound of
-        # kernel_estimate_bounds from them
+        # value and se are frozen from ``reference_paths`` (keys [5, 0] and
+        # [5, 1]) and ``dense_batch_signatures`` under the estimator's
+        # formulas; the fused step reassociates sums, so today's bits (frozen
+        # below) lie within the rounding bound of kernel_estimate_bounds
+        # from them
         trip = jump_triplet()
         got = estimate_kernel(trip, trip, 1.0, depth, 300, 3, seed=5)
-        fused_bits = {2: ("0x1.4039e406f127cp+0", "0x1.8a1a91c53c134p-6"),
-                      4: ("0x1.4544851540b5fp+0", "0x1.b93b0032885fap-6")}
+        fused_bits = {2: ("0x1.33050579997efp+0", "0x1.277873b39af0fp-6"),
+                      4: ("0x1.362f24650a274p+0", "0x1.49390fb6c5ac4p-6")}
         assert got == tuple(float.fromhex(h) for h in fused_bits[depth])
         value_tol, se_tol = kernel_estimate_bounds(trip, depth, 300, 3, seed=5)
         assert abs(got[0] - float.fromhex(value)) <= value_tol
         assert abs(got[1] - float.fromhex(se)) <= se_tol
+
+    def test_estimate_kernel_sides_draw_from_different_keys(self, monkeypatch):
+        # the two sides of one kernel estimate must be independent: each
+        # reads its own Philox key, and the two keys give other paths
+        from levy_sigkernel import mc_oracle
+        keys, real = [], mc_oracle.simulate_paths
+
+        def record(triplet, n_paths, steps, seed, horizon=None, stream_offset=0):
+            keys.append((seed, stream_offset))
+            return real(triplet, n_paths, steps, seed, horizon, stream_offset)
+
+        monkeypatch.setattr(mc_oracle, "simulate_paths", record)
+        trip = jump_triplet()
+        estimate_kernel(trip, trip, 1.0, 2, 50, 3, seed=5)
+        assert len(keys) == 2 and keys[0] != keys[1]
+        sides = [real(trip, 50, 3, seed, horizon=1.0, stream_offset=offset)
+                 for seed, offset in keys]
+        assert not np.array_equal(sides[0].segments[0][0], sides[1].segments[0][0])
 
 
 def all_rows_signatures(paths, depth):
