@@ -9,6 +9,7 @@ bound functions below control.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 
@@ -211,8 +212,8 @@ def remainder_diagnostics(rho: float, m: int, mode: str = "factorial-jumps"):
     Returns ``(exact, estimate)`` as Python floats; the estimate omits the
     unspecified constants of the asymptotic statement, so only trends
     should be read from the ratio.  The sum stops at a term below 1e-16 of
-    it, or at the first term that underflows to 0; a series whose terms
-    leave the float range before that raises ``InvalidParameter``.
+    it, or at the first term that underflows to 0; a series whose terms or
+    sum leave the float range before that raises ``InvalidParameter``.
     """
     if m < 1:
         raise InvalidParameter("m must be >= 1")
@@ -222,6 +223,8 @@ def remainder_diagnostics(rho: float, m: int, mode: str = "factorial-jumps"):
         raise InvalidParameter(f"unknown mode {mode!r}")
     if mode == "geometric-jumps" and rho >= 1:
         raise InvalidParameter("geometric mode needs rho < 1")
+    beyond = InvalidParameter(f"the {mode} remainder at rho={rho!r}, m={m} "
+                              "needs terms beyond the float range")
     try:
         if mode == "factorial-jumps":
             terms = _factorial_mode_terms(rho, m)
@@ -234,39 +237,65 @@ def remainder_diagnostics(rho: float, m: int, mode: str = "factorial-jumps"):
             total = 0.0
         for term in terms:
             total += term
+            if not math.isfinite(total):
+                raise beyond
             if term == 0.0 or term < 1e-16 * total:
                 break
     except OverflowError:
-        raise InvalidParameter(f"the {mode} remainder at rho={rho!r}, m={m} "
-                               "needs terms beyond the float range") from None
+        raise beyond from None
     return total, estimate
 
 
 # the largest n whose n! is a finite float
 _MAX_FLOAT_FACTORIAL = 170
+# both modes evaluate the terms up to this n directly, in the arithmetic
+# whose bits remainder.csv prints (its rows read terms up to n = 78), and
+# the later terms by a recurrence that stays in range while the terms do
+_DIRECT_TERMS = 100
 
 
 def _factorial_mode_terms(rho: float, m: int):
-    # stream of rho^n B_n/n! for n = m, m+1, ..., grown on demand by the
-    # stable recursion a_{n+1} = (1/(n+1)) sum_k a_k/(n-k)! for a_n = B_n/n!;
-    # the sum leaves out the k with (n-k)! beyond the float range (n - k >
-    # 170), whose terms a_k/(n-k)! <= 1/171! are below 1e-306
+    # stream of rho^n B_n/n! for n = m, m+1, ...  Up to _DIRECT_TERMS,
+    # a_n = B_n/n! by the stable recursion a_{n+1} = (1/(n+1)) sum_k
+    # a_k/(n-k)!, times rho^n; beyond it the terms t_n = a_n rho^n
+    # themselves, t_{n+1} = rho/(n+1) sum_k t_k rho^(n-k)/(n-k)!, as a_n
+    # underflows and rho^n overflows where the terms need not (rho = 4 sums
+    # past n = 512).  Both sums leave out the k with n - k > 170, whose
+    # a_k/(n-k)! <= 1/171! and weights rho^(n-k)/(n-k)! are below 1e-306
+    # (below 1e-168 for every rho whose sum is finite, rho < 6.57)
     a = [1.0]
-    n = 0
-    while True:
-        a.append(sum(a[k] / math.factorial(n - k)
-                     for k in range(max(0, n - _MAX_FLOAT_FACTORIAL), n + 1)) / (n + 1))
-        n += 1
+    for n in range(1, _DIRECT_TERMS + 1):
+        a.append(sum(a[k] / math.factorial(n - 1 - k)
+                     for k in range(max(0, n - 1 - _MAX_FLOAT_FACTORIAL), n)) / n)
         if n >= m:
             yield a[n] * rho**n
+    weights = [1.0]
+    for j in range(1, _MAX_FLOAT_FACTORIAL + 1):
+        weights.append(weights[-1] * rho / j)
+    t = [a_n * rho**n for n, a_n in enumerate(a)]
+    for n in itertools.count(_DIRECT_TERMS + 1):
+        t.append(rho / n * sum(t[k] * weights[n - 1 - k]
+                               for k in range(max(0, n - 1 - _MAX_FLOAT_FACTORIAL), n)))
+        if n >= m:
+            yield t[n]
 
 
 def _geometric_mode_terms(rho: float, m: int):
-    n = m
-    while True:
-        beta = sum(math.comb(n - 1, k - 1) / math.factorial(k) for k in range(1, n + 1))
-        yield beta * rho**n
-        n += 1
+    # stream of beta_n rho^n for n = m, m+1, ..., beta_n = sum_k C(n-1, k-1)/k!.
+    # Beyond _DIRECT_TERMS, whose direct sums cost O(n) big-integer work
+    # each: beta_n = L_{n-1}(-1)/n for the generalised Laguerre L_j = L_j^(1),
+    # so u_j = L_j rho^(j+1) follows (j+1) L_{j+1} = (2j+3) L_j - (j+1) L_{j-1}
+    # (L_{-1} = 0, L_0 = 1), scaled by rho^(j+1) so that it stays in range
+    # while the terms do, and beta_n rho^n = u_{n-1}/n
+    prev, cur = 0.0, rho                  # u_{-1}, u_0
+    for n in itertools.count(1):
+        if n >= m:
+            if n <= _DIRECT_TERMS:
+                yield sum(math.comb(n - 1, k - 1) / math.factorial(k)
+                          for k in range(1, n + 1)) * rho**n
+            else:
+                yield cur / n
+        prev, cur = cur, ((2 * n + 1) * rho * cur - n * rho * rho * prev) / n
 
 
 def gaussian_mgf_moment(d: int, m: int) -> float:

@@ -16,9 +16,13 @@ Gaussian increment is O(dt) and vanishes for commuting (d = 1) data.
 
 The signatures of all paths are computed at once, segment by segment, on
 each segment's live rows (``_batch_signatures``): every segment takes the
-fused step ``S (x) exp(x)`` of the batched ``tensor_algebra.mul_exp``.
-``path_signature`` takes the same step for one path, so row p equals
-``path_signature(paths.increments_of(p), depth)`` bit for bit.
+fused step ``S (x) exp(x)`` through the Horner core of
+``tensor_algebra.mul_exp``, on a signature held batch-last (level n as a
+``(d**n, n_paths)`` array) in two buffer sets reused for every segment.
+Live rows are found by one ``!= 0`` pass per column of the segment.
+``path_signature`` takes the same step for one path through ``mul_exp``,
+so row p equals ``path_signature(paths.increments_of(p), depth)`` bit for
+bit.
 """
 
 from __future__ import annotations
@@ -223,36 +227,50 @@ def path_signature(increments, depth: int) -> TruncatedTensor:
     return out
 
 
+def _live_rows(lev: np.ndarray) -> np.ndarray:
+    """Rows of a (n_paths, k) segment level with a nonzero entry (NaN counts),
+    by one ``!= 0`` pass per column."""
+    live = lev[:, 0] != 0
+    for c in range(1, lev.shape[1]):
+        live |= lev[:, c] != 0
+    return live
+
+
 def _batch_signatures(paths: SimulatedPaths, depth: int) -> list[np.ndarray]:
     """Signature levels of all paths at once, each of shape (n_paths, d**n).
 
-    Each segment updates only its live rows, those whose level 1 or level 2
-    is nonzero: all rows without a gather, none by skipping the segment, and
-    otherwise a gathered subset that is scattered back.  Each update is one
-    batched ``mul_exp``, as ``path_signature`` takes for one path.
+    The signature is held batch-last, level n as a (d**n, n_paths) array, in
+    two buffer sets that every segment reuses.  A segment updates only its
+    live rows, those whose level 1 or level 2 is nonzero: all rows by the
+    Horner core of ``mul_exp`` (``tensor_algebra._mul_exp_into``) into the
+    spare set, which then becomes the signature; none by skipping the
+    segment; otherwise its live columns, gathered and scattered back.  Each
+    update takes the steps ``path_signature`` takes for one path.
     """
     d = paths.dim
     n_paths = paths.n_paths
-    sig = [np.ones((n_paths, 1))] + [np.zeros((n_paths, d**n)) for n in range(1, depth + 1)]
-    for lvl1, lvl2 in paths.segments:
-        live = lvl1.any(axis=1)
-        if lvl2 is not None:
-            live |= lvl2.any(axis=1)
+    sig = [np.ones((1, n_paths))] + [np.zeros((d**n, n_paths)) for n in range(1, depth + 1)]
+    spare = [np.empty_like(lev) for lev in sig]
+    for segment in paths.segments:
+        levels = [(j, lev) for j, lev in enumerate(segment, 1) if lev is not None]
+        masks = [_live_rows(lev) for _, lev in levels]
+        live = masks[0] if len(masks) == 1 else masks[0] | masks[1]
         rows = np.flatnonzero(live)
         if len(rows) == 0:
             continue
-        every = len(rows) == n_paths
-        if every:
-            rows = slice(None)
-        x = [np.zeros(1), lvl1[rows]] + ([] if lvl2 is None else [lvl2[rows]])
-        new = ta.mul_exp(TruncatedTensor(d, [lev[rows] for lev in sig]),
-                         TruncatedTensor(d, x))
-        if every:
-            sig = new.levels
+        # as in mul_exp, a level of x that is zero on every live row is skipped
+        x = [(j, lev) for (j, lev), mask in zip(levels, masks) if j <= depth and mask.any()]
+        if len(rows) == n_paths:
+            ta._mul_exp_into(sig, [(j, lev.T) for j, lev in x], spare)
+            sig, spare = spare, sig
         else:
-            for lev, upd in zip(sig, new.levels):
-                lev[rows] = upd
-    return [np.ascontiguousarray(lev) for lev in sig]
+            out = [lev[:, :len(rows)] for lev in spare]
+            ta._mul_exp_into([np.take(lev, rows, axis=1) for lev in sig],
+                             [(j, np.take(lev, rows, axis=0).T) for j, lev in x], out)
+            for lev, upd in zip(sig, out):
+                lev[:, rows] = upd
+    del spare   # released before the row-major copies are made
+    return [np.ascontiguousarray(lev.T) for lev in sig]
 
 
 @dataclass

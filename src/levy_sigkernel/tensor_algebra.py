@@ -245,9 +245,10 @@ def tensor_mul(x: TruncatedTensor, y: TruncatedTensor,
 
 # Longest v that _add_outer loops over on a single tensor.  On a 2-core x86
 # host, broadcasting a (2**18, 1) x (1, 2) product into its block costs
-# 3.3 ms, the loop over the two columns 1.0 ms.  The four depth-19
-# developments of validate-jumps-d2 take 0.16-0.18 s at 4 or 8, 0.20 s at 2,
-# 0.21-0.22 s at 64 and 0.30 s without the loop.
+# 3.3 ms, the loop over the two columns 1.0 ms.  The loop pays at the bounds
+# command's depth 19 (a kernel-jumps-d2 velocity: 71-79 against 94-106 ms
+# without it), and costs at validate-jumps-d2's depths 10-12, where the
+# levels are short (14-24 against 7-13 ms per validate run, seeds 1-3).
 _SHORT_AXIS = 4
 
 
@@ -292,8 +293,8 @@ def mul_exp(s: TruncatedTensor, x: TruncatedTensor) -> TruncatedTensor:
 
     s and x may carry a leading batch axis (module docstring); row p of the
     result is bitwise equal to the call on row p.  The work runs with the
-    batch axis last, where numpy's inner loops are long, so the batched
-    levels of the result are transposed views.
+    batch axis last (:func:`_mul_exp_into`), where numpy's inner loops are
+    long, so the batched levels of the result are transposed views.
     """
     _check_dims(s, x)
     if x.levels[0].any():
@@ -304,19 +305,35 @@ def mul_exp(s: TruncatedTensor, x: TruncatedTensor) -> TruncatedTensor:
     def columns(lev):
         return lev.reshape(-1, lev.shape[-1]).T
 
-    depth = s.depth
-    s_cols = [columns(lev) for lev in s.levels]
-    live = [(j, columns(x.levels[j])) for j in range(1, min(x.depth, depth) + 1)
+    live = [(j, columns(x.levels[j])) for j in range(1, min(x.depth, s.depth) + 1)
             if x.levels[j].any()]
-    q = [np.broadcast_to(s_cols[0], (1, width)).copy()]
+    q = [np.empty((s.dim**n, width)) for n in range(s.depth + 1)]
+    _mul_exp_into([columns(lev) for lev in s.levels], live, q)
+    if not batch:
+        return TruncatedTensor(s.dim, [lev.reshape(-1) for lev in q])
+    return TruncatedTensor(s.dim, [lev.T for lev in q])
+
+
+def _mul_exp_into(s_cols: list[np.ndarray], x_cols: list[tuple[int, np.ndarray]],
+                  q: list[np.ndarray]) -> None:
+    """The Horner steps of :func:`mul_exp` on batch-last columns, into ``q``.
+
+    ``s_cols[n]`` has shape ``(d**n, w)`` and ``x_cols`` lists the live
+    levels ``(j, x^j)`` of x, each of shape ``(d**j, w)``, in increasing j;
+    w is the batch width W or 1 (shared).  ``q[n]``, of shape ``(d**n, W)``
+    for n = 0..depth, receives the result and must not overlap the inputs.
+    Each step overwrites q in place from the top level down: level n reads
+    only levels below n of the previous step, so no level is allocated
+    twice.
+    """
+    depth = len(q) - 1
+    q[0][...] = s_cols[0]
     for k in range(depth, 0, -1):
         top = depth - k + 1
-        scaled = [(j, xj / k) for j, xj in live if j <= top]
-        # from the top down, so that level n reads the previous step's q
-        q.append(None)
+        scaled = [(j, xj / k) for j, xj in x_cols if j <= top]
         for n in range(top, 0, -1):
             terms = [(q[n - j], xj) for j, xj in scaled if j <= n]
-            acc = np.empty((len(s_cols[n]), width))
+            acc = q[n]
             if terms:
                 _add_outer(acc, *terms[0], add=False)
                 acc += s_cols[n]
@@ -324,10 +341,6 @@ def mul_exp(s: TruncatedTensor, x: TruncatedTensor) -> TruncatedTensor:
                 acc[...] = s_cols[n]
             for u, xj in terms[1:]:
                 _add_outer(acc, u, xj, add=True)
-            q[n] = acc
-    if not batch:
-        return TruncatedTensor(s.dim, [lev.reshape(-1) for lev in q])
-    return TruncatedTensor(s.dim, [lev.T for lev in q])
 
 
 def inner_product(x: TruncatedTensor, y: TruncatedTensor) -> float:

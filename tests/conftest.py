@@ -78,3 +78,55 @@ def general_mul_exp_bound(s, x):
         g = gamma((sum(j <= n for j in live) + 4) * n + 1)
         bounds.append(2 * g / (1 - g) * lev)
     return bounds
+
+
+def _reference_add_outer(acc, u, v, add, short_axis=4):
+    """``tensor_algebra._add_outer`` as it stood when ``mul_exp`` allocated
+    every level of every Horner step (part of ``reference_mul_exp``)."""
+    block = acc.reshape(len(u), len(v), acc.shape[-1])
+    if acc.shape[-1] == 1 and len(v) <= short_axis:
+        for c, vc in enumerate(v):
+            if add:
+                block[:, c] += u * vc
+            else:
+                np.multiply(u, vc, out=block[:, c])
+    elif add:
+        block += u[:, None] * v[None]
+    else:
+        np.multiply(u[:, None], v[None], out=block)
+
+
+def reference_mul_exp(s, x):
+    """Reference: ``tensor_algebra.mul_exp`` before its Horner steps wrote
+    into buffers allocated once per call.  Each (step, level) takes a fresh
+    accumulator; the arithmetic and its order are those of ``mul_exp``."""
+    batch = np.broadcast_shapes(*(lev.shape[:-1] for t in (s, x) for lev in t.levels))
+    width = batch[0] if batch else 1
+
+    def columns(lev):
+        return lev.reshape(-1, lev.shape[-1]).T
+
+    depth = s.depth
+    s_cols = [columns(lev) for lev in s.levels]
+    live = [(j, columns(x.levels[j])) for j in range(1, min(x.depth, depth) + 1)
+            if x.levels[j].any()]
+    q = [np.broadcast_to(s_cols[0], (1, width)).copy()]
+    for k in range(depth, 0, -1):
+        top = depth - k + 1
+        scaled = [(j, xj / k) for j, xj in live if j <= top]
+        # from the top down, so that level n reads the previous step's q
+        q.append(None)
+        for n in range(top, 0, -1):
+            terms = [(q[n - j], xj) for j, xj in scaled if j <= n]
+            acc = np.empty((len(s_cols[n]), width))
+            if terms:
+                _reference_add_outer(acc, *terms[0], add=False)
+                acc += s_cols[n]
+            else:
+                acc[...] = s_cols[n]
+            for u, xj in terms[1:]:
+                _reference_add_outer(acc, u, xj, add=True)
+            q[n] = acc
+    if not batch:
+        return TruncatedTensor(s.dim, [lev.reshape(-1) for lev in q])
+    return TruncatedTensor(s.dim, [lev.T for lev in q])

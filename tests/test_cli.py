@@ -10,7 +10,7 @@ import pytest
 import levy_sigkernel
 from conftest import REPO, benchmark_workloads
 from levy_sigkernel.characteristics import characteristic_velocity
-from levy_sigkernel.cli import main, parse_triplet
+from levy_sigkernel.cli import cmd_validate, main, parse_triplet
 from levy_sigkernel.errors import ConfigError
 from levy_sigkernel.kernel_solver import bessel_i0, truncation_certificate
 from levy_sigkernel.mmd import WienerSpec
@@ -402,6 +402,23 @@ def cli_subprocess(cfg, out):
         filter(None, [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "levy_sigkernel.cli", "--config", cfg,
                            "--output", str(out)], env=env, capture_output=True, text=True)
+
+
+class TestValidateRepeats:
+    """Two ``cmd_validate`` runs in one process write the same bytes: the
+    Monte Carlo signatures reuse their buffers across the two estimator
+    sides and must carry nothing from one call into the next."""
+
+    def test_byte_identical_report(self, tmp_path, capsys):
+        cfg_data = WORKLOADS.validate_config(2, small=True)
+        reports = []
+        for k in range(2):
+            out = tmp_path / f"o{k}"
+            out.mkdir()
+            assert cmd_validate(json.loads(json.dumps(cfg_data)), str(out)) == 0
+            reports.append((out / "validate.txt").read_bytes())
+        assert reports[0] == reports[1]
+        assert reports[0].count(b"PASS") == 4 and b"mc-vs-solver" in reports[0]
 
 
 class TestNaNSurface:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from levy_sigkernel.development import (bell_numbers, bell_polynomials,
 from levy_sigkernel.errors import InvalidParameter, OutOfRange
 from levy_sigkernel.tensor_algebra import TruncatedTensor as TT
 
-from conftest import gamma, random_velocity_tensor
+from conftest import gamma, random_velocity_tensor, reference_mul_exp
 
 
 def velocity(dim, grid, tensors):
@@ -161,6 +162,15 @@ class TestDevelopAtOracleDepth:
         for n, (a, b, tol) in enumerate(zip(got.levels, want.levels,
                                             develop_bound(jump_velocity, 19))):
             assert np.all(np.abs(a - b) <= tol), n
+
+    @pytest.mark.parametrize("depth", [12, 19])
+    def test_bitwise_equal_with_reference_mul_exp(self, jump_velocity, depth, monkeypatch):
+        got = develop(jump_velocity, 0.0, 1.0, depth)
+        monkeypatch.setattr(ta, "mul_exp", reference_mul_exp)
+        want = develop(jump_velocity, 0.0, 1.0, depth)
+        assert got.depth == want.depth == depth
+        for a, b in zip(got.levels, want.levels):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_chen_splitting(self, jump_velocity):
         whole = develop(jump_velocity, 0.0, 1.0, 19)
@@ -303,6 +313,38 @@ class TestBounds:
         assert bound_level(v, 0.0, 1.0, 1) == pytest.approx(3.0)
 
 
+def direct_remainder(rho, m, mode):
+    """Reference: the remainder sums with every term evaluated directly, a_n
+    = B_n/n! by its recursion and beta_n by its binomial sum, as the rows of
+    remainder.csv were first computed."""
+    def factorial_terms():
+        a = [1.0]
+        for n in itertools.count():
+            a.append(sum(a[k] / math.factorial(n - k)
+                          for k in range(max(0, n - 170), n + 1)) / (n + 1))
+            if n + 1 >= m:
+                yield a[n + 1] * rho**(n + 1)
+
+    def geometric_terms():
+        for n in itertools.count(m):
+            yield sum(math.comb(n - 1, k - 1) / math.factorial(k)
+                      for k in range(1, n + 1)) * rho**n
+
+    if mode == "factorial-jumps":
+        terms = factorial_terms()
+        estimate = total = next(terms)
+    else:
+        terms = geometric_terms()
+        estimate = math.exp(2 * math.sqrt(m)) \
+            / (2 * m**0.75 * math.sqrt(math.pi * math.e)) * rho**m / (1 - rho)
+        total = 0.0
+    for term in terms:
+        total += term
+        if term == 0.0 or term < 1e-16 * total:
+            break
+    return total, estimate
+
+
 class TestRemainderDiagnostics:
     def test_factorial_mode_generating_function_value(self):
         # sum_{n>=1} B_n / n! = e^{e-1} - 1 (generating function at 1)
@@ -341,10 +383,44 @@ class TestRemainderDiagnostics:
         exact, _ = remainder_diagnostics(3.0, 1, "factorial-jumps")
         assert exact == pytest.approx(math.exp(math.exp(3.0) - 1.0) - 1.0, rel=1e-12)
 
-    @pytest.mark.parametrize("rho", [4.0, 50.0, 1e300])
+    @pytest.mark.parametrize("rho", [6.6, 50.0, 1e300])
     def test_factorial_terms_beyond_the_float_range(self, rho):
+        # sum_n B_n rho^n / n! = e^{e^rho - 1} - 1 leaves the float range
+        # from rho = 6.57 on
         with pytest.raises(InvalidParameter, match="float range"):
             remainder_diagnostics(rho, 2, "factorial-jumps")
+
+    def test_factorial_mode_where_rho_to_the_n_overflows(self):
+        # 4**n overflows at n = 512 and a_n = B_n/n! underflows near n = 545
+        # while the terms, peaking near n = 220, still count
+        exact, _ = remainder_diagnostics(4.0, 1, "factorial-jumps")
+        assert exact == pytest.approx(math.expm1(math.e**4 - 1.0), rel=1e-12)
+
+    @pytest.mark.parametrize("rho", [0.9, 0.97, 0.99])
+    def test_geometric_mode_generating_function_value(self, rho):
+        # sum_{n>=1} beta_n z^n = exp(z/(1-z)) - 1
+        exact, _ = remainder_diagnostics(rho, 1, "geometric-jumps")
+        assert exact == pytest.approx(math.expm1(rho / (1.0 - rho)), rel=1e-12)
+
+    @pytest.mark.parametrize("rho,finite", [(0.998, True), (0.999, False)])
+    def test_geometric_mode_near_one_ends_in_time(self, rho, finite):
+        # the terms peak near n = (1/(1-rho))^2: 2.5e5 terms at rho = 0.998,
+        # whose sum e^499 is finite; at 0.999 the sum e^999 is not
+        start = time.perf_counter()
+        if finite:
+            exact, _ = remainder_diagnostics(rho, 1, "geometric-jumps")
+            assert exact == pytest.approx(math.expm1(rho / (1.0 - rho)), rel=1e-10)
+        else:
+            with pytest.raises(InvalidParameter, match="float range"):
+                remainder_diagnostics(rho, 1, "geometric-jumps")
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("mode,rho", [("factorial-jumps", 1.0),
+                                          ("geometric-jumps", 0.5)])
+    def test_printed_rows_keep_the_direct_terms(self, mode, rho):
+        # the rows of remainder.csv, bitwise against the direct evaluation
+        for m in range(1, 13):
+            assert remainder_diagnostics(rho, m, mode) == direct_remainder(rho, m, mode)
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameter):

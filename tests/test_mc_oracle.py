@@ -16,7 +16,7 @@ from levy_sigkernel.mc_oracle import (SimulatedPaths, _batch_signatures,
                                       path_signature, simulate_paths)
 from levy_sigkernel.tensor_algebra import TruncatedTensor as TT
 
-from conftest import gamma, general_mul_exp_bound
+from conftest import gamma, general_mul_exp_bound, reference_mul_exp
 
 
 def atom(dim, vec):
@@ -535,6 +535,133 @@ class TestLiveRows:
         for lvl, ref in zip(_batch_signatures(paths, depth),
                             all_rows_signatures(paths, depth)):
             assert lvl.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+
+def reference_batch_signatures(paths, depth):
+    """Reference: ``_batch_signatures`` before it held the signature
+    batch-last in reused buffers.  It gathers and scatters rows, finds live
+    rows by ``any(axis=1)`` and steps by ``reference_mul_exp``."""
+    d = paths.dim
+    n_paths = paths.n_paths
+    sig = [np.ones((n_paths, 1))] + [np.zeros((n_paths, d**n)) for n in range(1, depth + 1)]
+    for lvl1, lvl2 in paths.segments:
+        live = lvl1.any(axis=1)
+        if lvl2 is not None:
+            live |= lvl2.any(axis=1)
+        rows = np.flatnonzero(live)
+        if len(rows) == 0:
+            continue
+        every = len(rows) == n_paths
+        if every:
+            rows = slice(None)
+        x = [np.zeros(1), lvl1[rows]] + ([] if lvl2 is None else [lvl2[rows]])
+        new = reference_mul_exp(TT(d, [lev[rows] for lev in sig]), TT(d, x))
+        if every:
+            sig = new.levels
+        else:
+            for lev, upd in zip(sig, new.levels):
+                lev[rows] = upd
+    return [np.ascontiguousarray(lev) for lev in sig]
+
+
+def mixed_segments(rng, n, d):
+    """Hand-made segments of every kind ``_batch_signatures`` tells apart."""
+    def rows_of(lead, which, scale=0.4):
+        out = np.zeros((n, lead))
+        out[which] = rng.normal(size=(len(which), lead)) * scale
+        return out
+
+    full = rng.normal(size=(n, d)) * 0.4
+    full[10] = [1e200, 0.5]                 # row 10's signature overflows to inf
+    nan_rows = rows_of(d, [0, 3, 7])
+    nan_rows[5] = [np.nan, 0.0]             # live through a NaN alone
+    nan_rows[9] = [0.0, np.nan]
+    signed = rows_of(d, [0, 3])
+    signed[[1, 2]] = -0.0                   # rows of -0.0 are not live
+    signed[4] = [-0.0, 0.2]
+    # a zero level is skipped, not multiplied: inf * 0 would give NaN
+    level2_zero_on_live = (rows_of(d, [1, 6, 10]), np.zeros((n, d * d)))
+    level2_zero_on_live[1][2] = -0.0
+    return [
+        (full, None),
+        (rows_of(d, [1, 4, 7]), None),                              # partly live
+        (np.zeros((n, d)), None),                                   # no live row
+        (np.zeros((n, d)), np.zeros((n, d * d))),                   # none, with level 2
+        (full * 0.5, rng.normal(size=(n, d * d)) * 0.2),            # level 2 on every row
+        (rows_of(d, [0, 2]), rows_of(d * d, [2, 5, 8], 0.2)),       # live through level 2 alone
+        (np.zeros((n, d)), rows_of(d * d, [3, 9], 0.2)),            # level 2 alone
+        (signed, None),
+        level2_zero_on_live,
+        (rows_of(d, [6]), None),                                    # one live row
+        (rows_of(d, [k for k in range(n) if k != 8]), None),        # all rows but one
+        (nan_rows, None),
+        (rng.normal(size=(n, d)) * 0.4, None),
+    ]
+
+
+class TestReferenceBatchSignatures:
+    """``_batch_signatures`` bitwise against the row-major reference it
+    replaced, on simulated paths with hand-made segments mixed in."""
+
+    def paths(self):
+        rng = np.random.default_rng(7)
+        sim = simulate_paths(jump_triplet(), 11, 2, seed=8)
+        mixed = mixed_segments(rng, sim.n_paths, sim.dim)
+        segments = sim.segments[:4] + mixed[:7] + sim.segments[4:9] + mixed[7:] \
+            + sim.segments[9:]
+        return SimulatedPaths(sim.dim, sim.n_paths, segments)
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4, 5])
+    def test_bitwise_equal_to_reference(self, depth):
+        paths = self.paths()
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _batch_signatures(paths, depth)
+            want = reference_batch_signatures(paths, depth)
+        assert len(got) == len(want) == depth + 1
+        for lvl, ref in zip(got, want):
+            assert lvl.shape == ref.shape and lvl.flags.c_contiguous
+            assert lvl.tobytes() == ref.tobytes()
+        if depth:
+            nan_rows = np.isnan(got[-1]).any(axis=1)
+            assert nan_rows[[5, 9]].all() and not nan_rows[[0, 1, 2, 3, 4, 6, 7, 8]].any()
+        if depth >= 4:
+            assert np.isinf(got[-1][10]).any()
+
+    @pytest.mark.parametrize("depth", [2, 4])
+    def test_simulated_paths_bitwise_equal_to_reference(self, depth):
+        paths = simulate_paths(jump_triplet(), 300, 3, seed=5)
+        for lvl, ref in zip(_batch_signatures(paths, depth),
+                            reference_batch_signatures(paths, depth)):
+            assert lvl.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("partly", [True, False], ids=["partly", "full"])
+    def test_zero_level_is_skipped(self, partly):
+        # a level that is zero on every live row is skipped, as mul_exp
+        # skips it: multiplied, it would turn row 0's inf into NaN
+        first = np.array([[1e200, 0.5], [0.3, -0.2], [0.1, 0.4]])
+        second = np.array([[0.3, 0.2], [0.0, 0.0] if partly else [0.2, 0.1], [-0.1, 0.4]])
+        paths = SimulatedPaths(2, 3, [(first, None), (second, np.zeros((3, 4)))])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _batch_signatures(paths, 4)
+            want = reference_batch_signatures(paths, 4)
+        for lvl, ref in zip(got, want):
+            assert lvl.tobytes() == ref.tobytes()
+        assert np.isinf(got[4][0]).any() and not np.isnan(got[4]).any()
+
+    def test_segments_unchanged_and_calls_repeat(self):
+        paths = self.paths()
+        before = [tuple(None if lev is None else lev.copy() for lev in seg)
+                  for seg in paths.segments]
+        with np.errstate(over="ignore", invalid="ignore"):
+            first = _batch_signatures(paths, 4)
+            second = _batch_signatures(paths, 4)
+        for a, b in zip(first, second):
+            assert a.tobytes() == b.tobytes()
+        assert len(paths.segments) == len(before)
+        for seg, old in zip(paths.segments, before):
+            for lev, ref in zip(seg, old):
+                assert (lev is None) == (ref is None)
+                assert lev is None or lev.tobytes() == ref.tobytes()
 
 
 class TestPathSignature:

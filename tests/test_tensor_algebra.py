@@ -10,7 +10,7 @@ from levy_sigkernel.errors import (DimMismatch, InvalidParameter, InvalidWord,
                                    Unsupported)
 from levy_sigkernel.tensor_algebra import TruncatedTensor as TT
 
-from conftest import gamma, general_mul_exp_bound, random_tensor
+from conftest import gamma, general_mul_exp_bound, random_tensor, reference_mul_exp
 
 
 def enumerate_words(dim, length):
@@ -470,6 +470,40 @@ class TestMulExp:
         assert all(lev.shape == (rows, d**n) for n, lev in enumerate(out.levels))
         for p in range(rows):
             assert_bitwise(row_of(out, p), ta.mul_exp(row_of(s, p), row_of(x, p)))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("live", [{1}, {1, 2}, {1, 2, 4, 6}],
+                             ids=["l1", "l12", "l1246"])
+    def test_bitwise_equal_to_reference(self, rng, d, live):
+        # depths 0-19, single and in a batch of 4 rows, up to 2**19
+        # coefficients in the top level (2**14 per row in the batch): d = 3
+        # reaches depth 11 single and 8 batched.  The batch holds a zero row,
+        # a row of -0.0 and a NaN, and its level 2 of s is shared.
+        rows = 4
+        for depth in range(20):
+            if d**depth > 2**19:
+                break
+            s = TT(d, [rng.normal(size=d**n) * 2.0 / (n + 1) for n in range(depth + 1)])
+            x = velocity_like(rng, d, live)
+            assert_bitwise(ta.mul_exp(s, x), reference_mul_exp(s, x))
+            if d**depth > 2**14:
+                continue
+            s = TT(d, [rng.normal(size=(rows, d**n)) * 2.0 / (n + 1)
+                       for n in range(depth + 1)])
+            if depth >= 2:
+                s.levels[2] = s.levels[2][0]
+            for lev in s.levels[1:]:
+                if lev.ndim == 2:
+                    lev[1] = -0.0
+            top = s.levels[-1] if s.levels[-1].ndim == 2 else s.levels[1]
+            top[2, -1] = np.nan
+            x.levels[1] = rng.normal(size=(rows, d)) * 0.8
+            x.levels[1][0] = 0.0
+            x.levels[1][3] = -0.0
+            for shared_x in (False, True):
+                if shared_x:
+                    x.levels[1] = x.levels[1][2]
+                assert_bitwise(ta.mul_exp(s, x), reference_mul_exp(s, x))
 
     def test_depth_zero_returns_copy(self, rng):
         s = TT(2, [np.array([1.7])])
