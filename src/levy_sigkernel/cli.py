@@ -29,6 +29,8 @@ See ``examples_config()`` for a ready-to-run annotated example.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import json
 import math
 import os
@@ -485,6 +487,55 @@ def examples_config() -> dict:
     }
 
 
+# OpenBLAS's (get, set) thread-count entry points: numpy's wheels bundle
+# scipy-openblas, whose ILP64 build suffixes them; a system OpenBLAS does not
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_thread_calls():
+    """``(get, set)`` for the thread count of numpy's OpenBLAS, or None."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for names in _OPENBLAS_THREAD_CALLS:
+        try:
+            get, set_threads = (getattr(lib, name) for name in names)
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return get, set_threads
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Runs the block with OpenBLAS on one thread, then restores its count.
+
+    An idle OpenBLAS worker busy-waits on the core that the Monte Carlo
+    signatures run their second block on (``mc_oracle._batch_signatures``).
+    Nothing changes if ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is
+    set, or if numpy's BLAS exports neither entry point.
+    """
+    calls = None
+    if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+        calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_threads = calls
+    old = get()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(old)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="levy-sigkernel",
@@ -530,7 +581,8 @@ def main(argv=None) -> int:
             mc["seed"] = args.seed
         out_dir = args.output or cfg.get("output_dir", ".")
         os.makedirs(out_dir, exist_ok=True)
-        return commands[experiment](cfg, out_dir)
+        with _one_blas_thread():
+            return commands[experiment](cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -43,6 +43,12 @@ __all__ = [
 ]
 
 _ANTISYM_TOL = 1e-10
+# A negative squared MMD is clipped to 0 down to -_RADICAND_RTOL times
+# |u| + 2/m sum |v_k| + 1/m^2 sum |w_jk|, and rejected below.  At unit
+# magnitude this is the fixed -1e-8 it replaces; it exceeds the rounding of
+# a corner value, about cells * eps (4e-12 on a 129^2 grid), by 2500 times,
+# and follows the terms' magnitude in both directions.
+_RADICAND_RTOL = 1e-8
 
 
 @dataclass
@@ -262,9 +268,12 @@ def mmd_to_wiener(ensemble: AugmentedPathEnsemble, wiener: WienerSpec,
     radicand = float(wiener_term - 2.0 / m * cross.sum() + values.sum() / m**2)
     clipped = False
     if radicand < 0.0:
-        if radicand < -1e-8:
+        scale = float(abs(wiener_term) + 2.0 / m * np.abs(cross).sum()
+                      + np.abs(values).sum() / m**2)
+        if radicand < -_RADICAND_RTOL * scale:
             raise NumericalInconsistency(
-                f"squared MMD evaluated to {radicand}, below -1e-8")
+                f"squared MMD evaluated to {radicand}, below -{_RADICAND_RTOL} "
+                f"times the magnitude {scale} of its terms")
         radicand_clipped, clipped = 0.0, True
     else:
         radicand_clipped = radicand

@@ -243,13 +243,17 @@ def tensor_mul(x: TruncatedTensor, y: TruncatedTensor,
     return TruncatedTensor(d, levels)
 
 
-# Longest v that _add_outer loops over on a single tensor.  On a 2-core x86
-# host, broadcasting a (2**18, 1) x (1, 2) product into its block costs
-# 3.3 ms, the loop over the two columns 1.0 ms.  The loop pays at the bounds
-# command's depth 19 (a kernel-jumps-d2 velocity: 71-79 against 94-106 ms
-# without it), and costs at validate-jumps-d2's depths 10-12, where the
-# levels are short (14-24 against 7-13 ms per validate run, seeds 1-3).
+# _add_outer loops over the columns of v on a single tensor when v has at
+# most _SHORT_AXIS rows and u at least _LONG_AXIS.  On a 2-core x86 host,
+# writing a (2**18, 1) x (1, 2) product into its block takes 1.8-2.0 ms by
+# broadcasting and 0.4-0.6 ms by the loop; the two break even near
+# len(u) = 256, and below it the loop's per-column calls cost more (2.4
+# against 1.1 us at len(u) = 1).  Develop time in the bounds command (kernel-jumps-d2
+# triplets, depth 19), seeds 1-3: 72-74 ms with this rule, 77-78 ms with the
+# loop at every length, 104-105 ms without it.  cmd_validate took 161-164 ms
+# against 168-173 ms with the loop at every length.
 _SHORT_AXIS = 4
+_LONG_AXIS = 512
 
 
 def _add_outer(acc: np.ndarray, u: np.ndarray, v: np.ndarray, add: bool) -> None:
@@ -258,14 +262,14 @@ def _add_outer(acc: np.ndarray, u: np.ndarray, v: np.ndarray, add: bool) -> None
     The operands are batch-last columns: ``u`` of shape ``(a, w)``, ``v`` of
     shape ``(b, w)`` and ``acc`` of shape ``(a * b, W)``, where a width-1
     operand is shared by all W columns.  On a single tensor (W = 1) a short
-    ``v`` (at most ``_SHORT_AXIS`` rows) is looped over, so that numpy runs
-    along the long axis without broadcasting a temporary of the whole
-    block; a batch runs along its batch axis.  Each entry takes one product,
-    and one addition if ``add``, either way, so the two forms agree bit for
-    bit.
+    ``v`` (at most ``_SHORT_AXIS`` rows) against a long ``u`` (at least
+    ``_LONG_AXIS``) is looped over, so that numpy runs along the long axis
+    without broadcasting a temporary of the whole block; a batch runs along
+    its batch axis.  Each entry takes one product, and one addition if
+    ``add``, either way, so the two forms agree bit for bit.
     """
     block = acc.reshape(len(u), len(v), acc.shape[-1])
-    if acc.shape[-1] == 1 and len(v) <= _SHORT_AXIS:
+    if acc.shape[-1] == 1 and len(v) <= _SHORT_AXIS and len(u) >= _LONG_AXIS:
         for c, vc in enumerate(v):
             if add:
                 block[:, c] += u * vc

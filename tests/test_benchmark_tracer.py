@@ -15,6 +15,7 @@ import sys
 import pytest
 
 from conftest import REPO, benchmark_workloads
+from levy_sigkernel import mc_oracle
 
 WORKLOADS = benchmark_workloads()
 
@@ -26,10 +27,10 @@ COUNTERS = {
 }
 
 
-@pytest.mark.parametrize("workload", sorted(WORKLOADS.CONFIGS))
-def test_traced_run(tmp_path, workload):
+def traced_run(tmp_path, cfg_data):
+    """Span table and tracer overhead of one traced CLI run."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(WORKLOADS.CONFIGS[workload](2, small=True)))
+    cfg.write_text(json.dumps(cfg_data))
     spans_path = tmp_path / "spans.json"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH")])))
@@ -38,7 +39,25 @@ def test_traced_run(tmp_path, workload):
          "--config", str(cfg), "--output", str(tmp_path / "o")],
         env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    spans = json.loads(spans_path.read_text())["spans"]
+    table = json.loads(spans_path.read_text())
+    return table["spans"], table["hook_s"]
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS.CONFIGS))
+def test_traced_run(tmp_path, workload):
+    spans, _ = traced_run(tmp_path, WORKLOADS.CONFIGS[workload](2, small=True))
     assert spans["cli.main"]["calls"] == 1
     name, counter = COUNTERS[workload]
     assert spans[name][counter] > 0
+
+
+def test_self_times_balance_with_signature_threads(tmp_path):
+    # enough paths that the Monte Carlo signatures run in column blocks on
+    # threads: the spans, which assume one thread, must still add up
+    cfg_data = WORKLOADS.validate_config(2, small=True)
+    cfg_data["mc"]["n_paths"] = 2 * mc_oracle._MIN_BLOCK_PATHS
+    spans, hook_s = traced_run(tmp_path, cfg_data)
+    total = spans["cli.main"]["s"]
+    self_sum = sum(stats["self_s"] for stats in spans.values())
+    assert spans["mc_oracle.estimate_kernel"]["calls"] == 1
+    assert abs(self_sum + hook_s - total) <= 1e-9 * total

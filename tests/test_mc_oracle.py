@@ -1,8 +1,13 @@
 import math
+import sys
+import threading
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from levy_sigkernel import mc_oracle
 from levy_sigkernel import tensor_algebra as ta
 from levy_sigkernel.characteristics import (AtomicJumps, GaussianJumps,
                                             LevyTriplet, PiecewiseVelocity,
@@ -662,6 +667,132 @@ class TestReferenceBatchSignatures:
             for lev, ref in zip(seg, old):
                 assert (lev is None) == (ref is None)
                 assert lev is None or lev.tobytes() == ref.tobytes()
+
+
+class TestColumnBlocks:
+    """``_batch_signatures`` split into column blocks, one per thread, is
+    bitwise equal to the reference for every split."""
+
+    N = 13   # blocks=2 splits rows 0-5 from rows 6-12
+
+    def paths(self):
+        rng = np.random.default_rng(11)
+        n, d = self.N, 2
+        sim = simulate_paths(jump_triplet(), n, 2, seed=4)
+        mixed = mixed_segments(rng, n, d)     # inf row 10; NaN rows 5, 9; -0.0 rows 1, 2, 4
+        overflow = rng.normal(size=(n, d)) * 0.4
+        overflow[2] = [1e200, 0.5]            # an inf row left of the split too
+        signed = np.zeros((n, d))
+        signed[[3, 8]] = [0.3, -0.2]
+        signed[[7, 11]] = -0.0                # rows of -0.0 right of the split
+        signed[12] = [-0.0, 0.1]
+        left_only = np.zeros((n, d))          # every row of block 0, none of block 1
+        left_only[:6] = rng.normal(size=(6, d)) * 0.4
+        segments = (sim.segments[:3] + [(overflow, None)] + mixed[:7] + sim.segments[3:8]
+                    + [(signed, None), (left_only, None)] + mixed[7:] + sim.segments[8:])
+        return SimulatedPaths(d, n, segments)
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3, 13])
+    @pytest.mark.parametrize("depth", [0, 1, 3, 4])
+    def test_bitwise_equal_to_reference(self, blocks, depth):
+        paths = self.paths()
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _batch_signatures(paths, depth, blocks=blocks)
+            want = reference_batch_signatures(paths, depth)
+        assert len(got) == depth + 1
+        for lvl, ref in zip(got, want):
+            assert lvl.shape == ref.shape and lvl.flags.c_contiguous
+            assert lvl.tobytes() == ref.tobytes()
+        if depth >= 4:
+            top = got[-1]
+            assert np.isinf(top[[2, 10]]).any(axis=1).all()
+            assert np.isnan(top[[5, 9]]).any(axis=1).all()
+
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_level_skip_is_decided_on_all_rows(self, blocks):
+        # level 2 of the second segment is live in block 1 (rows 2-3) alone;
+        # block 0 multiplies it too, so row 0's inf times 0 gives NaN there
+        first = np.array([[1e200, 0.5], [0.3, -0.2], [0.1, 0.4], [0.2, 0.1]])
+        second = (np.array([[0.1, 0.2], [0.0, 0.0], [-0.3, 0.1], [0.0, 0.0]]),
+                  np.array([[0.0] * 4, [0.0] * 4, [0.0, 0.1, -0.1, 0.0], [0.0] * 4]))
+        paths = SimulatedPaths(2, 4, [(first, None), second])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _batch_signatures(paths, 4, blocks=blocks)
+            want = reference_batch_signatures(paths, 4)
+        for lvl, ref in zip(got, want):
+            assert lvl.tobytes() == ref.tobytes()
+        assert np.isnan(got[4][0]).any() and np.isfinite(got[4][1:]).all()
+
+    def test_more_blocks_than_cores_under_frequent_switches(self):
+        # the blocks share only the read-only plan and the result slots
+        paths = simulate_paths(jump_triplet(), 301, 3, seed=9)
+        want = reference_batch_signatures(paths, 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                got = _batch_signatures(paths, 4, blocks=7)
+                for lvl, ref in zip(got, want):
+                    assert lvl.tobytes() == ref.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_blocks_follow_the_cpus_and_run_in_threads(self, monkeypatch):
+        calls = []
+        original = mc_oracle._block_signatures
+
+        def record(plan, lo, hi, d, depth):
+            calls.append((lo, hi, threading.current_thread() is threading.main_thread()))
+            return original(plan, lo, hi, d, depth)
+
+        monkeypatch.setattr(mc_oracle, "_block_signatures", record)
+        monkeypatch.setattr(mc_oracle, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(mc_oracle, "_MIN_BLOCK_PATHS", 4)
+        paths = simulate_paths(jump_triplet(), 13, 2, seed=4)
+        got = _batch_signatures(paths, 3)
+        assert sorted(calls) == [(0, 4, True), (4, 8, False), (8, 13, False)]
+        for lvl, ref in zip(got, reference_batch_signatures(paths, 3)):
+            assert lvl.tobytes() == ref.tobytes()
+        calls.clear()
+        _batch_signatures(simulate_paths(jump_triplet(), 11, 2, seed=4), 3)
+        assert sorted(calls) == [(0, 5, True), (5, 11, False)]   # 11 // 4 blocks
+        calls.clear()
+        _batch_signatures(simulate_paths(jump_triplet(), 7, 2, seed=4), 3)
+        assert calls == [(0, 7, True)]
+
+    def overflow_in_block_1(self):
+        # only row 2, which the worker thread takes, overflows
+        first = np.array([[0.1, 0.2], [0.3, -0.1], [1e200, 0.5], [0.2, 0.2]])
+        return SimulatedPaths(2, 4, [(first, None), (first * 0.5, None)])
+
+    def test_worker_runs_under_the_callers_errstate(self):
+        paths = self.overflow_in_block_1()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = _batch_signatures(paths, 4, blocks=2)
+        assert np.isinf(got[4][2]).any() and np.isfinite(got[4][[0, 1, 3]]).all()
+
+    def test_worker_error_reaches_the_caller(self):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            _batch_signatures(self.overflow_in_block_1(), 4, blocks=2)
+
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_peak_memory_holds_two_signature_sets(self, blocks):
+        # the signature and its spare set, a gathered copy of a partly live
+        # segment's columns (at most 44 % of the paths here) and one product
+        # temporary: 3.1 sets in one block, 2.9-3.2 in two.  Outputs
+        # allocated before the blocks end would add a third set
+        n_paths, depth = 4000, 4
+        paths = simulate_paths(jump_triplet(), n_paths, 2, seed=6)
+        one_set = 8 * n_paths * sum(2**n for n in range(depth + 1))
+        tracemalloc.start()
+        try:
+            _batch_signatures(paths, depth, blocks=blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * one_set, peak / one_set
 
 
 class TestPathSignature:

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from levy_sigkernel import kernel_solver
+from levy_sigkernel import mmd as mmd_module
 from levy_sigkernel import tensor_algebra as ta
 from levy_sigkernel.characteristics import characteristic_velocity
 from levy_sigkernel.development import develop
-from levy_sigkernel.errors import InvalidParameter, InvalidTriplet
+from levy_sigkernel.errors import InvalidParameter, InvalidTriplet, NumericalInconsistency
 from levy_sigkernel.kernel_solver import (_solve_truncated_batch, bessel_i0, make_grid,
                                           solve_goursat_scalar)
 from levy_sigkernel.mmd import (AugmentedPathEnsemble, WienerSpec,
@@ -228,6 +229,44 @@ class TestMMD:
         assert lines[-1].startswith("mmd,")
         parsed = float(lines[-1].split(",")[-1])
         assert parsed == rep.mmd
+
+
+class TestRadicandTolerance:
+    """A negative squared MMD is clipped or rejected by its size against
+    ``|u| + 2/m sum |v| + 1/m^2 sum |w|``, not against a fixed -1e-8."""
+
+    @staticmethod
+    def mmd_with_corners(rng, monkeypatch, magnitude, shortfall):
+        # m = 2 paths; u, v and w all equal magnitude, so the squared MMD is
+        # -shortfall and the terms' magnitude 4 * magnitude
+        ens = make_ensemble(rng, 2, 2, [0.0, 1.0])
+        wn = WienerSpec(2, np.array([0.0, 1.0]), [np.eye(2)])
+        corners = np.array([magnitude - shortfall] + [magnitude] * 5)
+        monkeypatch.setattr(mmd_module, "_solve_truncated_batch",
+                            lambda pairs, *a, **k: corners[:len(pairs)])
+        return mmd_to_wiener(ens, wn, 9)
+
+    @pytest.mark.parametrize("magnitude, shortfall", [(1e6, 1e-7), (1e-6, 1e-20)])
+    def test_rounding_level_radicand_is_clipped(self, rng, monkeypatch, magnitude,
+                                                shortfall):
+        # at 1e6 the fixed threshold rejected a radicand of -1e-7
+        mmd, rep = self.mmd_with_corners(rng, monkeypatch, magnitude, shortfall)
+        assert rep.radicand < 0.0 and rep.clipped
+        assert mmd == rep.mmd_squared == 0.0
+
+    @pytest.mark.parametrize("magnitude, shortfall", [(1e6, 1.0), (1e-6, 1e-9)])
+    def test_radicand_beyond_rounding_is_rejected(self, rng, monkeypatch, magnitude,
+                                                  shortfall):
+        # at 1e-6 the fixed threshold clipped a radicand of -1e-9, 0.1 % of u
+        with pytest.raises(NumericalInconsistency, match="magnitude"):
+            self.mmd_with_corners(rng, monkeypatch, magnitude, shortfall)
+
+    def test_threshold_scales_with_the_terms(self, rng, monkeypatch):
+        # just inside and just outside -1e-8 times the magnitude 4e6
+        _, rep = self.mmd_with_corners(rng, monkeypatch, 1e6, 0.039)
+        assert rep.clipped
+        with pytest.raises(NumericalInconsistency):
+            self.mmd_with_corners(rng, monkeypatch, 1e6, 0.041)
 
 
 def mmd_problem(rng, n_paths):
