@@ -52,8 +52,7 @@ def develop(v: PiecewiseVelocity, s: float, t: float, depth: int) -> TruncatedTe
     ``develop(v, s, t) = develop(v, s, u) (x) develop(v, u, t)`` up to
     rounding.  ``depth`` must be a nonnegative integer.
     """
-    if isinstance(depth, bool) or not isinstance(depth, (int, np.integer)) or depth < 0:
-        raise InvalidParameter(f"depth must be a nonnegative integer, got {depth!r}")
+    ta._check_depth(depth)
     out = TruncatedTensor.unit(v.dim, depth)
     for i, dt in v.overlaps(s, t):
         out = ta.mul_exp(out, v.tensors[i] * dt)

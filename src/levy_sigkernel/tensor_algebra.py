@@ -10,18 +10,19 @@ shared freely between threads.
 batches: a level may carry one leading batch axis, shape ``(P, d**n)``, and
 a level without it is shared by every batch element (broadcast), so an
 all-zero level need not be materialised per element.  Row p of a batched
-result is bitwise equal to the single-tensor call on row p.  The product
-and the exponential skip a level pair when either level is all zeros, which
-leaves the result unchanged on finite inputs: the surviving terms are added
-in the same order as in the dense sum.  :func:`adjoint_left`,
-:func:`adjoint_left_zero`, :func:`flatten` and :func:`unflatten` take the
-same batch axis.  ``scalar()``, ``+``, ``-``, :func:`inner_product` and
-:func:`level_norms` (so :func:`norm_p`) raise ``Unsupported`` on a batch.
+result is bitwise equal to the single-tensor call on row p.
+:func:`adjoint_left`, :func:`adjoint_left_zero`, :func:`flatten` and
+:func:`unflatten` take the same batch axis; ``scalar()``, ``+``, ``-``,
+:func:`inner_product`, :func:`adjoint_right` and :func:`level_norms` (so
+:func:`norm_p`) raise ``Unsupported`` on a batch.  A depth or level that
+is not a nonnegative integer raises ``InvalidParameter``.
 
-:func:`mul_exp` fuses ``s (x) exp(x)`` for a zero-scalar x in Horner form,
-so that neither the exponential nor the full product is formed.  It serves
-both the developments of :mod:`development` and the pathwise signatures of
-:mod:`mc_oracle`.
+One routine forms every truncated product, on batch-last ``(d**n, P)``
+columns: :func:`tensor_mul` sums level pairs into zeros, :func:`mul_exp`
+fuses ``s (x) exp(x)`` in Horner form (developments and pathwise
+signatures), and :func:`exp_tensor` is ``mul_exp(1, x)``.  Pairs with an
+all-zero level are skipped, which leaves finite results unchanged: the
+surviving terms are added in the same order as in the dense sum.
 """
 
 from __future__ import annotations
@@ -207,6 +208,11 @@ def _check_dims(x: TruncatedTensor, y: TruncatedTensor) -> None:
         raise DimMismatch(f"dim {x.dim} vs {y.dim}")
 
 
+def _check_depth(depth: int, name: str = "depth") -> None:
+    if isinstance(depth, bool) or not isinstance(depth, (int, np.integer)) or depth < 0:
+        raise InvalidParameter(f"{name} must be a nonnegative integer, got {depth!r}")
+
+
 def _check_single(op: str, *tensors: TruncatedTensor) -> None:
     batched = [lev.shape[0] for x in tensors for lev in x.levels if lev.ndim != 1]
     if batched:
@@ -222,25 +228,36 @@ def tensor_mul(x: TruncatedTensor, y: TruncatedTensor,
     """Truncated tensor (concatenation) product of ``x`` and ``y``.
 
     Output level n sums ``x^(k) (x) y^(n-k)`` over all stored level pairs,
-    in increasing k, skipping pairs with an all-zero level; levels above
-    ``out_depth`` are dropped.  Batched levels broadcast (module docstring).
+    in increasing k, into zeros, skipping pairs with an all-zero level;
+    levels above ``out_depth`` are dropped.  Batched levels broadcast
+    (module docstring).
     """
     _check_dims(x, y)
     if out_depth is None:
         out_depth = max(x.depth, y.depth)
+    _check_depth(out_depth, "out_depth")
     d = x.dim
     batch = _batch_shape(x, y)
-    x_live = [lev.any() for lev in x.levels[:out_depth + 1]]
-    y_live = [lev.any() for lev in y.levels[:out_depth + 1]]
-    levels = []
-    for n in range(out_depth + 1):
-        acc = np.zeros(batch + (d**n,))
+    x_cols = [_columns(lev) if lev.any() else None for lev in x.levels[:out_depth + 1]]
+    y_cols = [_columns(lev) if lev.any() else None for lev in y.levels[:out_depth + 1]]
+    q = [np.zeros((d**n, batch[0] if batch else 1)) for n in range(out_depth + 1)]
+    for n, acc in enumerate(q):
         for k in range(max(0, n - y.depth), min(n, x.depth) + 1):
-            if x_live[k] and y_live[n - k]:
-                block = acc.reshape(batch + (d**k, d**(n - k)))
-                block += x.levels[k][..., :, None] * y.levels[n - k][..., None, :]
-        levels.append(acc)
-    return TruncatedTensor(d, levels)
+            if x_cols[k] is not None and y_cols[n - k] is not None:
+                _add_outer(acc, x_cols[k], y_cols[n - k], add=True)
+    return _from_columns(d, q, batch)
+
+
+def _columns(lev: np.ndarray) -> np.ndarray:
+    """A level as batch-last columns, ``(d**n, P)`` or shared ``(d**n, 1)``."""
+    return lev.reshape(-1, lev.shape[-1]).T
+
+
+def _from_columns(dim: int, q: list[np.ndarray], batch: tuple[int, ...]) -> TruncatedTensor:
+    """The tensor of batch-last levels ``q`` (transposed views in a batch)."""
+    if not batch:
+        return TruncatedTensor(dim, [lev.reshape(-1) for lev in q])
+    return TruncatedTensor(dim, [lev.T for lev in q])
 
 
 # _add_outer loops over the columns of v on a single tensor when v has at
@@ -251,13 +268,16 @@ def tensor_mul(x: TruncatedTensor, y: TruncatedTensor,
 # against 1.1 us at len(u) = 1).  Develop time in the bounds command (kernel-jumps-d2
 # triplets, depth 19), seeds 1-3: 72-74 ms with this rule, 77-78 ms with the
 # loop at every length, 104-105 ms without it.  cmd_validate took 161-164 ms
-# against 168-173 ms with the loop at every length.
+# against 168-173 ms with the loop at every length.  The loop also serves
+# single tensor_mul products (a depth-10 tensor times a level 1 at d = 2).
 _SHORT_AXIS = 4
 _LONG_AXIS = 512
 
 
 def _add_outer(acc: np.ndarray, u: np.ndarray, v: np.ndarray, add: bool) -> None:
-    """``acc += u (x) v`` in place, or ``acc = u (x) v`` unless ``add``.
+    """``acc += u (x) v`` in place, or ``acc = u (x) v`` unless ``add``: the
+    one place where a truncated product is formed, for :func:`tensor_mul`
+    and for the Horner steps of :func:`mul_exp`.
 
     The operands are batch-last columns: ``u`` of shape ``(a, w)``, ``v`` of
     shape ``(b, w)`` and ``acc`` of shape ``(a * b, W)``, where a width-1
@@ -286,14 +306,13 @@ def mul_exp(s: TruncatedTensor, x: TruncatedTensor) -> TruncatedTensor:
 
     Left Horner form: starting from ``q = s^0``, ``q <- s + q (x) x/k`` for
     k = depth down to 1, so that no exponential and no full product is
-    formed.  As in :func:`exp_tensor`, step k keeps only levels
-    <= depth - k + 1 of q (the k - 1 later steps append at least one letter
-    each), all-zero levels of x are skipped, and x is scaled as
-    ``x.levels[j] / k``.  Output level n sums, in increasing j, the products
-    ``p_j = q^(n-j) (x) x^j / k`` onto ``s^n``, as ``((p_1 + s^n) + p_2) +
-    ...``, which is ``((s^n + p_1) + p_2) + ...`` bit for bit.  Against
-    ``tensor_mul(s, exp_tensor(x))`` it agrees to rounding.  Levels of x
-    above ``s.depth`` are ignored.
+    formed.  Step k keeps only levels <= depth - k + 1 of q (the k - 1
+    later steps append at least one letter each), all-zero levels of x are
+    skipped, and x is scaled as ``x.levels[j] / k``.  Output level n sums,
+    in increasing j, the products ``p_j = q^(n-j) (x) x^j / k`` onto
+    ``s^n``, as ``((p_1 + s^n) + p_2) + ...``, which is ``((s^n + p_1) +
+    p_2) + ...`` bit for bit.  Against ``tensor_mul(s, exp_tensor(x))`` it
+    agrees to rounding.  Levels of x above ``s.depth`` are ignored.
 
     s and x may carry a leading batch axis (module docstring); row p of the
     result is bitwise equal to the call on row p.  The work runs with the
@@ -302,20 +321,13 @@ def mul_exp(s: TruncatedTensor, x: TruncatedTensor) -> TruncatedTensor:
     """
     _check_dims(s, x)
     if x.levels[0].any():
-        raise ScalarPartError("mul_exp requires a zero scalar part")
+        raise ScalarPartError("the exponent x must have a zero scalar part")
     batch = _batch_shape(s, x)
-    width = batch[0] if batch else 1
-
-    def columns(lev):
-        return lev.reshape(-1, lev.shape[-1]).T
-
-    live = [(j, columns(x.levels[j])) for j in range(1, min(x.depth, s.depth) + 1)
+    live = [(j, _columns(x.levels[j])) for j in range(1, min(x.depth, s.depth) + 1)
             if x.levels[j].any()]
-    q = [np.empty((s.dim**n, width)) for n in range(s.depth + 1)]
-    _mul_exp_into([columns(lev) for lev in s.levels], live, q)
-    if not batch:
-        return TruncatedTensor(s.dim, [lev.reshape(-1) for lev in q])
-    return TruncatedTensor(s.dim, [lev.T for lev in q])
+    q = [np.empty((s.dim**n, batch[0] if batch else 1)) for n in range(s.depth + 1)]
+    _mul_exp_into([_columns(lev) for lev in s.levels], live, q)
+    return _from_columns(s.dim, q, batch)
 
 
 def _mul_exp_into(s_cols: list[np.ndarray], x_cols: list[tuple[int, np.ndarray]],
@@ -370,10 +382,10 @@ def norm_p(x: TruncatedTensor, p: float | str = 1.0) -> float:
         if p != "max":
             raise InvalidParameter(f"unknown norm mode {p!r}")
         return float(norms.max())
-    if math.isinf(p):
+    if p == math.inf:
         return float(norms.max())
-    if p < 1:
-        raise InvalidParameter("p must be >= 1")
+    if not p >= 1:
+        raise InvalidParameter(f"p must be >= 1, got {p!r}")
     if p == 1:
         return float(norms.sum())
     return float((norms**p).sum() ** (1.0 / p))
@@ -390,26 +402,9 @@ def dilate(x: TruncatedTensor, lam: float) -> TruncatedTensor:
 
 
 def exp_tensor(x: TruncatedTensor) -> TruncatedTensor:
-    """Tensor exponential of a zero-scalar element (finite sum at fixed depth).
-
-    Horner form ``1 + x(1 + x/2 (1 + x/3 (...)))``, evaluated from k = depth
-    down to 1.  As x has no scalar part, level n of ``x (x) acc`` reads acc
-    only up to level n - 1, so step k keeps levels <= depth - k + 1 of acc
-    and scales only the levels of x that the step reads.  The dropped levels
-    never reach the result, which is exact and equal bit for bit to the
-    untruncated Horner scheme.  Batched x gives a batched result.
-    """
-    if x.levels[0].any():
-        raise ScalarPartError("exp_tensor requires a zero scalar part")
-    depth = x.depth
-    acc = TruncatedTensor(x.dim, [np.ones(x.levels[0].shape)])
-    for k in range(depth, 0, -1):
-        top = depth - k + 1
-        step = TruncatedTensor(x.dim, [x.levels[0]]
-                               + [lev * (1.0 / k) for lev in x.levels[1:top + 1]])
-        acc = tensor_mul(step, acc, top)
-        acc.levels[0][..., 0] += 1.0
-    return acc
+    """Tensor exponential of a zero-scalar element (finite sum at fixed
+    depth): ``mul_exp(1, x)``.  Batched x gives a batched result."""
+    return mul_exp(TruncatedTensor.unit(x.dim, x.depth), x)
 
 
 def log_tensor(x: TruncatedTensor) -> TruncatedTensor:
@@ -470,6 +465,7 @@ def adjoint_left(x: TruncatedTensor, z: TruncatedTensor) -> TruncatedTensor:
 def adjoint_right(y: TruncatedTensor, z: TruncatedTensor) -> TruncatedTensor:
     """Adjoint of right multiplication: coefficient at w is sum_v y^v z^{wv}."""
     _check_dims(y, z)
+    _check_single("adjoint_right", y, z)
     d = y.dim
     out = TruncatedTensor.zero(d, z.depth)
     for k in range(min(y.depth, z.depth) + 1):
@@ -501,8 +497,7 @@ def adjoint_right_zero(y: TruncatedTensor, z: TruncatedTensor) -> TruncatedTenso
 
 def project(x: TruncatedTensor, n: int) -> TruncatedTensor:
     """Projection onto level n (all other levels zeroed)."""
-    if n < 0:
-        raise InvalidParameter("level must be >= 0")
+    _check_depth(n, "level")
     out = TruncatedTensor.zero(x.dim, x.depth)
     if n <= x.depth:
         out.levels[n] = x.levels[n].copy()
@@ -511,8 +506,7 @@ def project(x: TruncatedTensor, n: int) -> TruncatedTensor:
 
 def truncate(x: TruncatedTensor, depth: int) -> TruncatedTensor:
     """Drop all levels above ``depth`` (no-op above the stored depth)."""
-    if depth < 0:
-        raise InvalidParameter("depth must be >= 0")
+    _check_depth(depth)
     return TruncatedTensor(x.dim, [x.levels[n].copy()
                                    for n in range(min(depth, x.depth) + 1)])
 
@@ -529,6 +523,7 @@ def flat_size(dim: int, depth: int) -> int:
 def flatten(x: TruncatedTensor, depth: int) -> np.ndarray:
     """Concatenate levels 0..depth into one vector (zero-padded), or into
     one row per element of a batch (module docstring)."""
+    _check_depth(depth)
     batch = _batch_shape(x)
     parts = [np.broadcast_to(x.levels[n], batch + (x.dim**n,)) if n <= x.depth
              else np.zeros(batch + (x.dim**n,)) for n in range(depth + 1)]
@@ -537,6 +532,7 @@ def flatten(x: TruncatedTensor, depth: int) -> np.ndarray:
 
 def unflatten(vec: np.ndarray, dim: int, depth: int) -> TruncatedTensor:
     """Inverse of :func:`flatten`, for one vector or a batch of rows."""
+    _check_depth(depth)
     vec = np.asarray(vec, dtype=float)
     if vec.ndim == 0 or vec.shape[-1] != flat_size(dim, depth):
         raise InvalidParameter("vector length does not match dim/depth")

@@ -60,11 +60,13 @@ def general_mul_exp_bound(s, x):
     - ``mul_exp``: s^m enters at step r + 1 and meets at most L additions
       there; each of the r steps scales ``x/k`` (1), multiplies (1) and adds
       into a sum of at most L + 1 terms (L): L + r (L + 2);
-    - unfused: each of the r Horner steps of ``exp_tensor`` scales by
-      ``* (1/k)`` (2), multiplies (1) and sums at most L products (L);
-      ``tensor_mul`` adds one product and at most n additions:
-      r (L + 3) + n + 1.
-    With L <= n both are at most (L + 4) n + 1.  Each result lies within
+    - unfused: ``exp_tensor`` is ``mul_exp(1, x)``, so L + r (L + 2) as
+      above; ``tensor_mul`` adds one product and at most n additions:
+      L + r (L + 2) + n + 1;
+    - dense Horner, x on the left (tests' ``dense_exp_tensor``): each of
+      the r steps scales by ``* (1/k)`` (2), multiplies (1) and sums at
+      most L products (L), and level 0 adds 1: r (L + 3) + 1.
+    With L <= n all are at most (L + 4) n + 1.  Each result lies within
     gamma_K T of the exact one, T being ``|s| (x) exp(|x|)``, which is
     evaluated on nonnegative data and so low by at most a factor
     1 - gamma_K, divided out.

@@ -1,10 +1,10 @@
 """The benchmark's span tracer (``perfbench/spans.py``) runs on the package.
 
-Its hooks read the package's results: ``SimulatedPaths.segments`` unpacked
+Its hooks read the package's results (``SimulatedPaths.segments`` unpacked
 as pairs, ``solve_truncated_system(...).f`` and
-``mmd_to_wiener(...)[1].surfaces``.  A change that breaks one of them
-fails the traced benchmark run only, so each workload's small config runs
-under the tracer here.
+``mmd_to_wiener(...)[1].surfaces``) and ``tensor_mul``'s arguments.  A
+change that breaks one of them fails the traced benchmark run only, so each
+workload's small config runs under the tracer here.
 """
 
 import json
@@ -49,6 +49,7 @@ def test_traced_run(tmp_path, workload):
     assert spans["cli.main"]["calls"] == 1
     name, counter = COUNTERS[workload]
     assert spans[name][counter] > 0
+    assert spans["tensor_algebra.tensor_mul"]["madds"] > 0
 
 
 def test_self_times_balance_with_signature_threads(tmp_path):

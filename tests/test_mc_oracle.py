@@ -797,8 +797,8 @@ class TestColumnBlocks:
 
 class TestPathSignature:
     def test_single_increment(self):
-        # an increment that stores level 2 takes the same fused step, which
-        # associates the products of exp_tensor differently
+        # exp_tensor is mul_exp(1, x), the fused step itself, so the bound
+        # of any Horner order holds with room to spare
         x = TT.from_levels(2, [np.zeros(1), [0.3, -0.4], [0.0, 0.2, -0.1, 0.05]])
         sig = path_signature([x], 3)
         ref = ta.exp_tensor(x.with_depth(3))
@@ -807,8 +807,8 @@ class TestPathSignature:
             assert np.all(np.abs(got - want) <= tol)
 
     def test_single_level1_increment(self):
-        # the fused step and exp_tensor associate the same products
-        # differently: level n carries at most 3n roundings in either
+        # level n carries at most 3n roundings in any Horner order; exp_tensor
+        # takes that of the fused step
         x = atom(2, [0.3, -0.4])
         sig = path_signature([x], 3)
         ref = ta.exp_tensor(x.with_depth(3))

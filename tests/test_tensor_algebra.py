@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from levy_sigkernel import tensor_algebra as ta
+from levy_sigkernel.characteristics import PiecewiseVelocity
+from levy_sigkernel.development import develop
 from levy_sigkernel.errors import (DimMismatch, InvalidParameter, InvalidWord,
                                    LevySigKernelError, ScalarPartError,
                                    Unsupported)
@@ -124,9 +126,10 @@ class TestNorms:
             x = random_tensor(rng, 2, 3)
             assert ta.norm_p(x, 1) >= ta.norm_p(x, 2) - 1e-14
 
-    def test_invalid_p(self):
+    @pytest.mark.parametrize("p", [0.5, math.nan, -math.inf])
+    def test_invalid_p(self, p):
         with pytest.raises(InvalidParameter):
-            ta.norm_p(TT.unit(1, 1), 0.5)
+            ta.norm_p(TT.unit(1, 1), p)
 
     def test_level_norms_zero_iff_zero(self, rng):
         x = random_tensor(rng, 2, 2)
@@ -209,8 +212,9 @@ class TestBatchRejected:
         lambda x, y: ta.inner_product(y, x), lambda x, y: ta.level_norms(x),
         lambda x, y: ta.norm_p(x, 1), lambda x, y: ta.norm_p(x, 2),
         lambda x, y: ta.max_level_norm(x), lambda x, y: x.scalar(),
+        lambda x, y: ta.adjoint_right(y, x),
     ], ids=["add", "radd", "sub", "rsub", "inner", "rinner", "level_norms",
-            "norm_1", "norm_2", "norm_max", "scalar"])
+            "norm_1", "norm_2", "norm_max", "scalar", "adjoint_right"])
     @pytest.mark.parametrize("batched_level", [0, 1])
     def test_batch_is_unsupported(self, op, batched_level):
         x = TT(2, [np.ones(1), np.ones(2)])
@@ -255,6 +259,17 @@ def dense_exp_tensor(x):
     return acc
 
 
+def assert_exp_is_mul_exp(x):
+    """``exp_tensor(x)`` is ``mul_exp(1, x)`` bit for bit, and within
+    rounding of the dense Horner scheme, which multiplies x on the left."""
+    unit = TT.unit(x.dim, x.depth)
+    got = ta.exp_tensor(x)
+    assert_bitwise(got, reference_mul_exp(unit, x))
+    for lev, want, tol in zip(got.levels, dense_exp_tensor(x).levels,
+                              general_mul_exp_bound(unit, x)):
+        assert np.all(np.abs(lev - want) <= tol)
+
+
 def assert_bitwise(a, b):
     assert a.dim == b.dim and a.depth == b.depth
     for la, lb in zip(a.levels, b.levels):
@@ -279,11 +294,16 @@ class TestLevelSparseProducts:
     bitwise equal on finite inputs, and batched rows equal to single calls."""
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("x_depth,y_depth", [(3, 3), (1, 4), (4, 2), (0, 3)])
+    @pytest.mark.parametrize("x_depth,y_depth", [(3, 3), (1, 4), (4, 2), (0, 3),
+                                                 (10, 1), (10, 2)])
     def test_mul_matches_dense(self, rng, d, x_depth, y_depth):
+        # at d = 2 a depth-10 x has levels of 512 words and more, which the
+        # product loops over against y's levels of at most 4
         for zx, zy in [((), ()), ((0,), (2,)), ((1, 3), (0,)), ((2,), (1, 2))]:
             x = sparse_tensor(rng, d, x_depth, zx)
             y = sparse_tensor(rng, d, y_depth, zy)
+            for lev in (*x.levels, *y.levels):
+                lev[::3] = -0.0
             before = [lev.copy() for lev in (*x.levels, *y.levels)]
             top = max(x_depth, y_depth)
             for out_depth in (None, max(top - 1, 0), top, top + 2):
@@ -296,13 +316,11 @@ class TestLevelSparseProducts:
     def test_exp_matches_dense(self, rng, d):
         for depth, zero_levels in [(0, ()), (1, ()), (4, ()), (6, (3, 4, 5, 6)),
                                    (7, (1, 5, 6, 7)), (5, (2,))]:
-            x = sparse_tensor(rng, d, depth, (0, *zero_levels))
-            assert_bitwise(ta.exp_tensor(x), dense_exp_tensor(x))
+            assert_exp_is_mul_exp(sparse_tensor(rng, d, depth, (0, *zero_levels)))
 
     def test_velocity_like_exp_at_depth(self, rng):
         # a truncated velocity: levels 1..4 of a depth-12 tensor
-        x = sparse_tensor(rng, 2, 12, (0, *range(5, 13)))
-        assert_bitwise(ta.exp_tensor(x), dense_exp_tensor(x))
+        assert_exp_is_mul_exp(sparse_tensor(rng, 2, 12, (0, *range(5, 13))))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_batched_rows_match_single(self, rng, d):
@@ -346,8 +364,8 @@ def mul_exp_bound(s, x1):
     output level n, each computed term carrying at most K = 4n + 1 roundings:
     - fused Horner: the s^0 term takes n scalings ``x/k``, n products and n
       additions (3n); a term s^j, j >= 1, takes 3(n - j) + 1;
-    - unfused: level m of ``exp_tensor`` multiplies m factors ``x * (1/k)``
-      (two roundings each: ``1/k`` and the product) through m products (3m);
+    - unfused: level m of ``exp_tensor``, which is ``mul_exp(1, x)``, takes
+      m scalings ``x/k``, m products and m additions (3m);
       ``tensor_mul`` adds one product and, adding its n + 1 terms into zeros
       in increasing j, at most n additions (4n + 1 for j = 0, fewer above).
     So each result lies within gamma_K * T of the exact value, T being
@@ -678,3 +696,22 @@ class TestFlatLayout:
             TT.from_levels(2, [np.zeros(1), np.zeros(3)])
         with pytest.raises(InvalidParameter):
             TT.from_levels(2, [np.array([np.nan])])
+
+
+class TestDepthArguments:
+    """Every depth or level argument is checked alike."""
+
+    @pytest.mark.parametrize("op", [
+        lambda x, v, depth: develop(v, 0.0, 1.0, depth),
+        lambda x, v, depth: ta.tensor_mul(x, x, depth),
+        lambda x, v, depth: ta.truncate(x, depth),
+        lambda x, v, depth: ta.project(x, depth),
+        lambda x, v, depth: ta.flatten(x, depth),
+        lambda x, v, depth: ta.unflatten(np.zeros(7), 2, depth),
+    ], ids=["develop", "tensor_mul", "truncate", "project", "flatten", "unflatten"])
+    @pytest.mark.parametrize("depth", [-1, 2.5])
+    def test_invalid_depth(self, op, depth):
+        x = TT.from_word((1, 2), 2)
+        v = PiecewiseVelocity(2, [0.0, 1.0], [TT.from_word((1,), 2, 2)])
+        with pytest.raises(InvalidParameter):
+            op(x, v, depth)
