@@ -541,8 +541,8 @@ def _exp_levels(x: TruncatedTensor, depth: int):
 
     Level n of the power x^m is x_1 (x) (level n-1 of x^(m-1)) + x_2 (x)
     (level n-2 of x^(m-1)), and level n of exp(x) sums it over m, divided
-    by m!.  The values are equal to ``ta.exp_tensor`` up to rounding; it
-    evaluates all levels together for one depth.
+    by m!.  Equal to ``ta.exp_tensor`` up to rounding, but lazy: velocity_depth
+    draws levels until its tail bound holds, not all levels up to its cap.
     """
     x1, x2 = x.levels[1], x.levels[2] if x.depth >= 2 else None
     prev2, prev = {}, {0: np.ones(1)}       # levels n-2 and n-1 of each x^m, by m

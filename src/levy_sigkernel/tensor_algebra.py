@@ -108,6 +108,7 @@ class TruncatedTensor:
 
     @classmethod
     def zero(cls, dim: int, depth: int) -> "TruncatedTensor":
+        _check_depth(depth)
         return cls(dim, [np.zeros(dim**n) for n in range(depth + 1)])
 
     @classmethod
@@ -161,6 +162,7 @@ class TruncatedTensor:
 
     def with_depth(self, depth: int) -> "TruncatedTensor":
         """Same element, zero-padded or truncated to the requested depth."""
+        _check_depth(depth)
         levels = [self.levels[n].copy() if n <= self.depth else np.zeros(self.dim**n)
                   for n in range(depth + 1)]
         return TruncatedTensor(self.dim, levels)
@@ -515,6 +517,7 @@ def truncate(x: TruncatedTensor, depth: int) -> TruncatedTensor:
 
 
 def flat_size(dim: int, depth: int) -> int:
+    _check_depth(depth)
     if dim == 1:
         return depth + 1
     return (dim ** (depth + 1) - 1) // (dim - 1)

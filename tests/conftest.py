@@ -51,6 +51,37 @@ def gamma(k):
     return k * u / (1 - k * u)
 
 
+def dense_tensor_mul(x, y, out_depth=None):
+    """Reference: the dense product that the level-sparse one replaced; it
+    multiplies every stored level pair, zero or not."""
+    if out_depth is None:
+        out_depth = max(x.depth, y.depth)
+    d = x.dim
+    out = TruncatedTensor.zero(d, out_depth)
+    for n in range(out_depth + 1):
+        acc = out.levels[n]
+        for k in range(max(0, n - y.depth), min(n, x.depth) + 1):
+            xk = x.levels[k]
+            ym = y.levels[n - k]
+            if k == 0:
+                acc += xk[0] * ym
+            elif k == n:
+                acc += xk * ym[0]
+            else:
+                acc += np.multiply.outer(xk, ym).ravel()
+    return out
+
+
+def dense_exp_tensor(x):
+    """Reference: the Horner scheme with every step kept at full depth."""
+    depth = x.depth
+    acc = TruncatedTensor.unit(x.dim, depth)
+    for k in range(depth, 0, -1):
+        acc = dense_tensor_mul(x * (1.0 / k), acc, depth)
+        acc.levels[0][0] += 1.0
+    return acc
+
+
 def general_mul_exp_bound(s, x):
     """Forward bound on |mul_exp - unfused| per coefficient of ``s (x) exp(x)``.
 
@@ -60,16 +91,17 @@ def general_mul_exp_bound(s, x):
     - ``mul_exp``: s^m enters at step r + 1 and meets at most L additions
       there; each of the r steps scales ``x/k`` (1), multiplies (1) and adds
       into a sum of at most L + 1 terms (L): L + r (L + 2);
-    - unfused: ``exp_tensor`` is ``mul_exp(1, x)``, so L + r (L + 2) as
-      above; ``tensor_mul`` adds one product and at most n additions:
-      L + r (L + 2) + n + 1;
-    - dense Horner, x on the left (tests' ``dense_exp_tensor``): each of
-      the r steps scales by ``* (1/k)`` (2), multiplies (1) and sums at
-      most L products (L), and level 0 adds 1: r (L + 3) + 1.
-    With L <= n all are at most (L + 4) n + 1.  Each result lies within
-    gamma_K T of the exact one, T being ``|s| (x) exp(|x|)``, which is
-    evaluated on nonnegative data and so low by at most a factor
-    1 - gamma_K, divided out.
+    - unfused, ``tensor_mul(s, dense_exp_tensor(x))``: each of the r steps
+      of the dense Horner scheme, x on the left, scales by ``* (1/k)`` (2),
+      multiplies (1) and adds into zeros a sum of at most L nonzero
+      products (L - 1); level 0 adds 1 to 0, exact since x has no scalar
+      part.  ``tensor_mul`` adds one product and at most n additions:
+      r (L + 2) + n + 1.
+    With r, L <= n both are at most (L + 4) n + 1; ``exp_tensor``, which is
+    ``mul_exp(1, x)``, against ``dense_exp_tensor`` is the case s = 1.
+    Each result lies within gamma_K T of the exact one, T being
+    ``|s| (x) exp(|x|)``, which is evaluated on nonnegative data and so low
+    by at most a factor 1 - gamma_K, divided out.
     """
     absolute_x = TruncatedTensor(x.dim, [np.abs(lev) for lev in x.levels])
     t = tensor_mul(TruncatedTensor(s.dim, [np.abs(lev) for lev in s.levels]),

@@ -21,7 +21,7 @@ from levy_sigkernel.mc_oracle import (SimulatedPaths, _batch_signatures,
                                       path_signature, simulate_paths)
 from levy_sigkernel.tensor_algebra import TruncatedTensor as TT
 
-from conftest import gamma, general_mul_exp_bound, reference_mul_exp
+from conftest import dense_exp_tensor, gamma, general_mul_exp_bound, reference_mul_exp
 
 
 def atom(dim, vec):
@@ -797,21 +797,21 @@ class TestColumnBlocks:
 
 class TestPathSignature:
     def test_single_increment(self):
-        # exp_tensor is mul_exp(1, x), the fused step itself, so the bound
-        # of any Horner order holds with room to spare
+        # an increment that stores level 2 takes the same fused step, which
+        # associates the products of the dense Horner scheme differently
         x = TT.from_levels(2, [np.zeros(1), [0.3, -0.4], [0.0, 0.2, -0.1, 0.05]])
         sig = path_signature([x], 3)
-        ref = ta.exp_tensor(x.with_depth(3))
+        ref = dense_exp_tensor(x.with_depth(3))
         for got, want, tol in zip(sig.levels, ref.levels,
                                   general_mul_exp_bound(TT.unit(2, 3), x)):
             assert np.all(np.abs(got - want) <= tol)
 
     def test_single_level1_increment(self):
-        # level n carries at most 3n roundings in any Horner order; exp_tensor
-        # takes that of the fused step
+        # the fused step and the dense Horner scheme associate the same
+        # products differently: level n carries at most 3n roundings in either
         x = atom(2, [0.3, -0.4])
         sig = path_signature([x], 3)
-        ref = ta.exp_tensor(x.with_depth(3))
+        ref = dense_exp_tensor(x.with_depth(3))
         majorant = ta.exp_tensor(TT.from_levels(2, [np.zeros(1), np.abs(x.levels[1])])
                                  .with_depth(3))
         for n in range(4):

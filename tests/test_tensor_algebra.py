@@ -12,7 +12,8 @@ from levy_sigkernel.errors import (DimMismatch, InvalidParameter, InvalidWord,
                                    Unsupported)
 from levy_sigkernel.tensor_algebra import TruncatedTensor as TT
 
-from conftest import gamma, general_mul_exp_bound, random_tensor, reference_mul_exp
+from conftest import (dense_exp_tensor, dense_tensor_mul, gamma, general_mul_exp_bound,
+                      random_tensor, reference_mul_exp)
 
 
 def enumerate_words(dim, length):
@@ -228,37 +229,6 @@ class TestBatchRejected:
         assert ta.norm_p(x + x - x, "max") == 5.0
 
 
-def dense_tensor_mul(x, y, out_depth=None):
-    """Reference: the dense product that the level-sparse one replaced; it
-    multiplies every stored level pair, zero or not."""
-    if out_depth is None:
-        out_depth = max(x.depth, y.depth)
-    d = x.dim
-    out = TT.zero(d, out_depth)
-    for n in range(out_depth + 1):
-        acc = out.levels[n]
-        for k in range(max(0, n - y.depth), min(n, x.depth) + 1):
-            xk = x.levels[k]
-            ym = y.levels[n - k]
-            if k == 0:
-                acc += xk[0] * ym
-            elif k == n:
-                acc += xk * ym[0]
-            else:
-                acc += np.multiply.outer(xk, ym).ravel()
-    return out
-
-
-def dense_exp_tensor(x):
-    """Reference: the Horner scheme with every step kept at full depth."""
-    depth = x.depth
-    acc = TT.unit(x.dim, depth)
-    for k in range(depth, 0, -1):
-        acc = dense_tensor_mul(x * (1.0 / k), acc, depth)
-        acc.levels[0][0] += 1.0
-    return acc
-
-
 def assert_exp_is_mul_exp(x):
     """``exp_tensor(x)`` is ``mul_exp(1, x)`` bit for bit, and within
     rounding of the dense Horner scheme, which multiplies x on the left."""
@@ -296,14 +266,18 @@ class TestLevelSparseProducts:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("x_depth,y_depth", [(3, 3), (1, 4), (4, 2), (0, 3),
                                                  (10, 1), (10, 2)])
-    def test_mul_matches_dense(self, rng, d, x_depth, y_depth):
+    @pytest.mark.parametrize("signed_zeros", [False, True])
+    def test_mul_matches_dense(self, rng, d, x_depth, y_depth, signed_zeros):
         # at d = 2 a depth-10 x has levels of 512 words and more, which the
         # product loops over against y's levels of at most 4
         for zx, zy in [((), ()), ((0,), (2,)), ((1, 3), (0,)), ((2,), (1, 2))]:
             x = sparse_tensor(rng, d, x_depth, zx)
             y = sparse_tensor(rng, d, y_depth, zy)
-            for lev in (*x.levels, *y.levels):
-                lev[::3] = -0.0
+            if signed_zeros:
+                # every third entry -0.0, so the scalar parts and every
+                # level at d = 1 are -0.0 throughout
+                for lev in (*x.levels, *y.levels):
+                    lev[::3] = -0.0
             before = [lev.copy() for lev in (*x.levels, *y.levels)]
             top = max(x_depth, y_depth)
             for out_depth in (None, max(top - 1, 0), top, top + 2):
@@ -334,10 +308,13 @@ class TestLevelSparseProducts:
         for out_depth in (2, 4, 6):
             prod = ta.tensor_mul(x, y, out_depth)
             mixed = ta.tensor_mul(row_of(x, 0), y, out_depth)
+            swapped = ta.tensor_mul(y, x, out_depth)     # a live batched scalar on the left
             for p in range(rows):
                 assert_bitwise(row_of(prod, p), ta.tensor_mul(row_of(x, p), row_of(y, p), out_depth))
                 assert_bitwise(row_of(prod, p), dense_tensor_mul(row_of(x, p), row_of(y, p),
                                                               out_depth))
+                assert_bitwise(row_of(swapped, p), dense_tensor_mul(row_of(y, p), row_of(x, p),
+                                                                 out_depth))
                 assert_bitwise(row_of(mixed, p), ta.tensor_mul(row_of(x, 0), row_of(y, p), out_depth))
         ex = ta.exp_tensor(x)
         for p in range(rows):
@@ -352,9 +329,15 @@ class TestLevelSparseProducts:
 
 
 def unfused_mul_exp(s, x1):
-    """``tensor_mul(s, exp_tensor(x))`` for the increment x with level 1 ``x1``."""
+    """``tensor_mul(s, dense_exp_tensor(x))`` for the increment x with level 1
+    ``x1``; a batch is taken row by row, as the dense scheme is single."""
+    rows = np.broadcast_shapes(x1.shape[:-1], *(lev.shape[:-1] for lev in s.levels))
+    if rows:
+        out = [unfused_mul_exp(row_of(s, p), x1[p] if x1.ndim == 2 else x1)
+               for p in range(rows[0])]
+        return TT(s.dim, [np.stack(levs) for levs in zip(*(t.levels for t in out))])
     levels = [np.zeros(1), x1] + [np.zeros(s.dim**n) for n in range(2, s.depth + 1)]
-    return ta.tensor_mul(s, ta.exp_tensor(TT(s.dim, levels[:s.depth + 1])), s.depth)
+    return ta.tensor_mul(s, dense_exp_tensor(TT(s.dim, levels[:s.depth + 1])), s.depth)
 
 
 def mul_exp_bound(s, x1):
@@ -364,8 +347,9 @@ def mul_exp_bound(s, x1):
     output level n, each computed term carrying at most K = 4n + 1 roundings:
     - fused Horner: the s^0 term takes n scalings ``x/k``, n products and n
       additions (3n); a term s^j, j >= 1, takes 3(n - j) + 1;
-    - unfused: level m of ``exp_tensor``, which is ``mul_exp(1, x)``, takes
-      m scalings ``x/k``, m products and m additions (3m);
+    - unfused: level m of ``dense_exp_tensor`` multiplies m factors
+      ``x * (1/k)`` (two roundings each: ``1/k`` and the product) through m
+      products (3m);
       ``tensor_mul`` adds one product and, adding its n + 1 terms into zeros
       in increasing j, at most n additions (4n + 1 for j = 0, fewer above).
     So each result lies within gamma_K * T of the exact value, T being
@@ -416,7 +400,7 @@ def velocity_like(rng, d, live, scale=0.8):
 
 
 class TestMulExp:
-    """``mul_exp`` against ``tensor_mul(s, exp_tensor(x))``, against the
+    """``mul_exp`` against ``tensor_mul(s, dense_exp_tensor(x))``, against the
     level-1 fusion it replaced, and batched rows against single calls."""
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -427,7 +411,7 @@ class TestMulExp:
             s = random_tensor(rng, d, depth, scale=2.0)
             x = velocity_like(rng, d, live)
             got = ta.mul_exp(s, x)
-            want = ta.tensor_mul(s, ta.exp_tensor(x.with_depth(depth)), depth)
+            want = ta.tensor_mul(s, dense_exp_tensor(x.with_depth(depth)), depth)
             assert got.depth == depth
             for n, (a, b, tol) in enumerate(zip(got.levels, want.levels,
                                                 general_mul_exp_bound(s, x))):
@@ -708,7 +692,13 @@ class TestDepthArguments:
         lambda x, v, depth: ta.project(x, depth),
         lambda x, v, depth: ta.flatten(x, depth),
         lambda x, v, depth: ta.unflatten(np.zeros(7), 2, depth),
-    ], ids=["develop", "tensor_mul", "truncate", "project", "flatten", "unflatten"])
+        lambda x, v, depth: ta.flat_size(2, depth),
+        lambda x, v, depth: TT.zero(2, depth),
+        lambda x, v, depth: TT.unit(2, depth),
+        lambda x, v, depth: TT.from_word((), 2, depth),
+        lambda x, v, depth: x.with_depth(depth),
+    ], ids=["develop", "tensor_mul", "truncate", "project", "flatten", "unflatten",
+            "flat_size", "zero", "unit", "from_word", "with_depth"])
     @pytest.mark.parametrize("depth", [-1, 2.5])
     def test_invalid_depth(self, op, depth):
         x = TT.from_word((1, 2), 2)
