@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -101,7 +101,7 @@ class PiecewiseVelocity:
 
     def interval_of(self, t: float) -> int:
         """Index of the interval containing t (right-open, last one closed)."""
-        if t < self.time_grid[0] - 1e-12 or t > self.time_grid[-1] + 1e-12:
+        if not self.time_grid[0] - 1e-12 <= t <= self.time_grid[-1] + 1e-12:  # false for NaN
             raise OutOfRange(f"time {t} outside [{self.time_grid[0]}, {self.time_grid[-1]}]")
         i = int(np.searchsorted(self.time_grid, t, side="right") - 1)
         return min(max(i, 0), len(self.tensors) - 1)
@@ -318,35 +318,33 @@ def gaussian_tensor_moment(cov: np.ndarray, n: int) -> np.ndarray:
     return out.ravel()
 
 
-def _jump_velocity_term(spec: JumpSpec, dim: int, depth: int) -> TruncatedTensor:
-    """Contribution of the jump measure to the characteristic velocity.
+def _exp_levels(x: TruncatedTensor, depth: int):
+    """Yield levels 0, 1, ..., depth of exp(x) for an x on levels 1 and 2
+    (an atom), each built once.
 
-    Built in place on a zero tensor.  Its bits are those of the
-    out-of-place sums ``out + (exp(x) - 1 - x 1_{|x| <= 1}) * lambda`` over
-    the atoms in order, and ``intensity * moment / n!`` per even level n
-    for Gaussian jumps: ``a - b`` is ``a + (-b)`` exactly.
+    Level n of the power x^m is x_1 (x) (level n-1 of x^(m-1)) + x_2 (x)
+    (level n-2 of x^(m-1)), each product formed by ``ta._add_outer``, and
+    level n of exp(x) sums it over m, divided by m!.  Equal to
+    ``ta.exp_tensor`` up to rounding, but lazy: a level does not depend on
+    ``depth``, and velocity_depth draws levels until its tail bound holds,
+    not all levels up to its cap.
     """
-    out = TruncatedTensor.zero(dim, depth)
-    if spec is None:
-        return out
-    if isinstance(spec, AtomicJumps):
-        for lam, atom in zip(spec.weights, spec.atoms):
-            if lam == 0.0:
+    x1 = ta._columns(x.levels[1])
+    x2 = ta._columns(x.levels[2]) if x.depth >= 2 else None
+    prev2, prev = {}, {0: np.ones((1, 1))}  # levels n-2 and n-1 of each x^m, by m
+    yield prev[0].ravel()
+    for n in range(1, depth + 1):
+        row = {}
+        for xk, below in ((x1, prev), (x2, prev2)):
+            if xk is None:
                 continue
-            x = atom.with_depth(depth)
-            term = ta.exp_tensor(x)
-            term.levels[0][0] -= 1.0
-            small = ta.max_level_norm(atom) <= 1.0
-            for n, lev in enumerate(term.levels):
-                if small:
-                    lev -= x.levels[n]
-                out.levels[n] += lev * float(lam)
-        return out
-    # Centered Gaussian law on V: the small-jump compensator vanishes by
-    # symmetry, leaving intensity * (E[exp(xi)] - 1).
-    for n, moment in zip(range(2, depth + 1, 2), _gaussian_moments(spec.cov, depth)):
-        out.levels[n] += spec.intensity * moment.ravel() / math.factorial(n)
-    return out
+            for m, p in below.items():
+                add = m + 1 in row
+                if not add:
+                    row[m + 1] = np.empty((len(xk) * len(p), 1))
+                ta._add_outer(row[m + 1], xk, p, add)
+        yield sum(p / math.factorial(m) for m, p in row.items()).ravel()
+        prev2, prev = prev, row
 
 
 def _drift_tensor(triplet: LevyTriplet, i: int, depth: int) -> TruncatedTensor:
@@ -357,15 +355,44 @@ def _drift_tensor(triplet: LevyTriplet, i: int, depth: int) -> TruncatedTensor:
     return x
 
 
-def _interval_velocity(triplet: LevyTriplet, i: int, depth: int) -> TruncatedTensor:
-    x = _drift_tensor(triplet, i, depth)
-    if depth >= 2:
-        x.levels[2] += 0.5 * triplet.covs[i].ravel()
-    # in place: x + term would copy x through with_depth, same bits
-    for lev, jump in zip(x.levels, _jump_velocity_term(triplet.jumps[i],
-                                                       triplet.dim, depth).levels):
-        lev += jump
-    return x
+def _velocity_levels(triplet: LevyTriplet, i: int, depth: int):
+    """Yield levels 0, 1, ..., depth of interval i's velocity, each built
+    once: a level has the same bits at every depth that holds it.
+
+    Level n is drift, then area, then cov/2 added onto zeros (levels 1 and
+    2 only), plus the jump term, itself summed onto zeros: ``intensity *
+    moment / n!`` on the even levels of Gaussian jumps (the small-jump
+    compensator vanishes by symmetry), and ``lam * (E_n - [n == 0] -
+    [small] x_n)`` per atom x of weight lam > 0, in atom order, with E_n
+    level n of exp(x) (:func:`_exp_levels`) and small meaning
+    ``|x| <= 1``.
+    """
+    d, spec = triplet.dim, triplet.jumps[i]
+    gaussian, atoms = isinstance(spec, GaussianJumps), []
+    if gaussian:
+        moments = _gaussian_moments(spec.cov, depth)
+    elif isinstance(spec, AtomicJumps):
+        atoms = [(float(lam), atom, ta.max_level_norm(atom) <= 1.0, _exp_levels(atom, depth))
+                 for lam, atom in zip(spec.weights, spec.atoms) if lam != 0.0]
+    for n in range(depth + 1):
+        x, jump = np.zeros(d**n), np.zeros(d**n)
+        if n == 1:
+            x += triplet.drifts[i]
+        elif n == 2:
+            if triplet.areas[i] is not None:
+                x += triplet.areas[i].ravel()
+            x += 0.5 * triplet.covs[i].ravel()
+        if gaussian and n >= 2 and n % 2 == 0:
+            jump += spec.intensity * next(moments).ravel() / math.factorial(n)
+        for lam, atom, small, exp_levels in atoms:
+            term = next(exp_levels)
+            if n == 0:
+                term = term - 1.0
+            elif small and n <= atom.depth:
+                term = term - atom.levels[n]
+            jump += term * lam
+        x += jump
+        yield x
 
 
 def characteristic_velocity(triplet: LevyTriplet, depth: int) -> PiecewiseVelocity:
@@ -386,9 +413,10 @@ def _check_depth(triplet: LevyTriplet, depth: int) -> None:
 
 
 def _velocity(triplet: LevyTriplet, depth: int) -> PiecewiseVelocity:
-    n = triplet.n_intervals
-    return PiecewiseVelocity(triplet.dim, triplet.time_grid,
-                             [_interval_velocity(triplet, i, depth) for i in range(n)],
+    d, n = triplet.dim, triplet.n_intervals
+    return PiecewiseVelocity(d, triplet.time_grid,
+                             [TruncatedTensor(d, list(_velocity_levels(triplet, i, depth)))
+                              for i in range(n)],
                              [_tail_rate(triplet, i, depth) for i in range(n)])
 
 
@@ -495,8 +523,9 @@ def _tail_rate(triplet: LevyTriplet, i: int, depth: int) -> float:
     live on levels 1 and 2, and so does the small-jump compensator.
     """
     if depth < 2:
-        level2 = np.linalg.norm(_interval_velocity(triplet, i, 2).levels[2])
-        return float(level2) * (1.0 + _TAIL_ROUNDING) + _tail_rate(triplet, i, 2)
+        *_, level2 = _velocity_levels(triplet, i, 2)
+        return (float(np.linalg.norm(level2)) * (1.0 + _TAIL_ROUNDING)
+                + _tail_rate(triplet, i, 2))
     spec = triplet.jumps[i]
     if isinstance(spec, GaussianJumps):
         tail = spec.intensity * _gaussian_tail(spec.cov, depth)
@@ -508,10 +537,16 @@ def _tail_rate(triplet: LevyTriplet, i: int, depth: int) -> float:
     return float(tail) * (1.0 + _TAIL_ROUNDING)
 
 
-def _spans(triplet: LevyTriplet, horizon: float) -> list[tuple[int, float]]:
+def _spans(triplet: LevyTriplet, horizon: float | None = None
+           ) -> list[tuple[int, float]]:
     """(interval, length of its part in [0, horizon]) for each interval that
-    starts before the horizon."""
+    starts before the horizon, which defaults to the triplet's; raises
+    ``OutOfRange`` unless 0 <= horizon <= T (NaN included)."""
     grid = triplet.time_grid
+    if horizon is None:
+        horizon = triplet.horizon
+    if not 0.0 <= horizon <= triplet.horizon + 1e-12:     # false for NaN
+        raise OutOfRange(f"horizon {horizon} lies outside [0, {triplet.horizon}]")
     return [(i, min(horizon, grid[i + 1]) - grid[i])
             for i in range(triplet.n_intervals) if grid[i] < horizon]
 
@@ -531,62 +566,7 @@ def velocity_tail_bound(triplet: LevyTriplet, depth: int,
     :func:`development.gaussian_jump_tail_bound` is 1e4-1e6x above it.
     """
     _check_depth(triplet, depth)
-    end = triplet.horizon if horizon is None else horizon
-    return float(sum(dt * _tail_rate(triplet, i, depth) for i, dt in _spans(triplet, end)))
-
-
-def _exp_levels(x: TruncatedTensor, depth: int):
-    """Yield levels 0, 1, ..., depth of exp(x) for an x on levels 1 and 2
-    (an atom), each built once.
-
-    Level n of the power x^m is x_1 (x) (level n-1 of x^(m-1)) + x_2 (x)
-    (level n-2 of x^(m-1)), and level n of exp(x) sums it over m, divided
-    by m!.  Equal to ``ta.exp_tensor`` up to rounding, but lazy: velocity_depth
-    draws levels until its tail bound holds, not all levels up to its cap.
-    """
-    x1, x2 = x.levels[1], x.levels[2] if x.depth >= 2 else None
-    prev2, prev = {}, {0: np.ones(1)}       # levels n-2 and n-1 of each x^m, by m
-    yield prev[0]
-    for n in range(1, depth + 1):
-        row = {}
-        for xk, below in ((x1, prev), (x2, prev2)):
-            if xk is None:
-                continue
-            for m, p in below.items():
-                term = np.multiply.outer(xk, p).ravel()
-                row[m + 1] = row[m + 1] + term if m + 1 in row else term
-        yield sum(p / math.factorial(m) for m, p in row.items())
-        prev2, prev = prev, row
-
-
-def _level_norms(triplet: LevyTriplet, i: int, depth: int):
-    """Yield the Euclidean norms of levels 1, ..., depth of interval i's
-    velocity, each level built once: a level is the same at every depth
-    that holds it.
-
-    Levels 1 and 2 are those of ``_interval_velocity`` at depth 2.  Above
-    them only the jumps contribute: Gaussian ones with the bits of
-    ``_jump_velocity_term``, atoms by :func:`_exp_levels`.
-    """
-    for lev in _interval_velocity(triplet, i, 2).levels[1:depth + 1]:
-        yield float(np.linalg.norm(lev))
-    spec = triplet.jumps[i]
-    if isinstance(spec, GaussianJumps):
-        moments = _gaussian_moments(spec.cov, depth)
-        next(moments, None)                     # level 2
-        for n in range(3, depth + 1):
-            yield 0.0 if n % 2 else float(np.linalg.norm(
-                spec.intensity * next(moments).ravel() / math.factorial(n)))
-    elif isinstance(spec, AtomicJumps):
-        atoms = [(float(lam), islice(_exp_levels(atom, depth), 3, None))
-                 for lam, atom in zip(spec.weights, spec.atoms) if lam != 0.0]
-        for n in range(3, depth + 1):
-            out = np.zeros(triplet.dim**n)
-            for lam, levels in atoms:
-                out += next(levels) * lam
-            yield float(np.linalg.norm(out))
-    else:
-        yield from repeat(0.0, depth - 2)
+    return float(sum(dt * _tail_rate(triplet, i, depth) for i, dt in _spans(triplet, horizon)))
 
 
 VELOCITY_TAIL_RTOL = 1e-8
@@ -604,17 +584,16 @@ def velocity_depth(triplet: LevyTriplet, level: int, max_depth: int,
     triplet, K)`` then exceeds the one at any deeper depth by a relative
     amount of that order at most.  Jump-free triplets have a zero tail
     above level 2 and get ``max(level, 2, state_depth)`` (capped).  The
-    search builds each velocity level once (:func:`_level_norms`) and sums
-    each interval's stored tail as ``PiecewiseVelocity.tail_mass`` does.
+    search takes the norms of the velocity's own levels
+    (:func:`_velocity_levels`), each built once, and sums each interval's
+    stored tail as ``PiecewiseVelocity.tail_mass`` does.
     """
-    horizon = triplet.horizon if horizon is None else horizon
-    if not 0.0 <= horizon <= triplet.horizon + 1e-12:     # false for NaN
-        raise OutOfRange(f"horizon {horizon} lies outside [0, {triplet.horizon}]")
-    depth = max(level, 2, triplet.state_depth)
     spans = _spans(triplet, horizon)
-    norms = [_level_norms(triplet, i, max_depth) for i, _ in spans]
+    depth = max(level, 2, triplet.state_depth)
+    norms = [(float(np.linalg.norm(lev)) for lev in _velocity_levels(triplet, i, max_depth))
+             for i, _ in spans]
     # per interval, the norms of levels level+1..depth summed in level order
-    rates = [sum(islice(g, level, depth)) for g in norms]
+    rates = [sum(islice(g, level + 1, depth + 1)) for g in norms]
     while depth < max_depth:
         stored = float(sum(dt * r for (_, dt), r in zip(spans, rates)))
         if velocity_tail_bound(triplet, depth, horizon) <= VELOCITY_TAIL_RTOL * stored:
@@ -643,13 +622,8 @@ def exponential_moment_value(triplet: LevyTriplet, lam: float,
     """
     if lam <= 0:
         raise InvalidParameter("lam must be > 0")
-    if horizon is None:
-        horizon = triplet.horizon
     total = 0.0
-    for i in range(triplet.n_intervals):
-        dt = min(horizon, triplet.time_grid[i + 1]) - triplet.time_grid[i]
-        if dt <= 0:
-            continue
+    for i, dt in _spans(triplet, horizon):
         spec = triplet.jumps[i]
         if spec is None:
             continue

@@ -663,7 +663,8 @@ def _solve_truncated_batch(pairs, M: int, N: int, s_grid, t_grid, corners=False)
         # a velocity may sit in many pairs of a batch: check the grid
         # against it, find its cells' intervals and step classes and
         # tabulate it once.  A pair (v, v) at M = N takes one table object
-        # on both sides, as A = X X^T then rounds as numpy's syrk
+        # on both sides; _coefficients copies A's right operand, so that
+        # its bits are those of a pair of equal but distinct velocities
         if (id(v), what) not in located:
             _validate_grid(grid, v.time_grid, what)
             idx = _cell_intervals(grid, v.time_grid)
@@ -753,7 +754,9 @@ def _coefficients(left, right):
     do not depend on its batch."""
     (_, X, qx, KX, AX), (_, Y, qy, KY, AY) = left, right
     P = min(X.shape[-1], Y.shape[-1])
-    A = X[:, :P] @ Y[:, :P].T
+    # a copy: on operands that share one buffer numpy takes syrk, whose
+    # bits differ from gemm's, so (v, v) would not round as (v, copy(v))
+    A = X[:, :P] @ Y[:, :P].T.copy()
     B = Y @ np.swapaxes(KX, 1, 2)
     C = np.swapaxes(X @ np.swapaxes(KY, 1, 2), 0, 1)
     RX, RY = (np.swapaxes(K[:, :, 1:1 + K.shape[1]], 1, 2) for K in (KX, KY))

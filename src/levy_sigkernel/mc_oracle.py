@@ -39,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor_algebra as ta
-from .characteristics import AtomicJumps, GaussianJumps, LevyTriplet
-from .errors import DimMismatch, InvalidParameter, OutOfRange, Unsupported
+from .characteristics import AtomicJumps, GaussianJumps, LevyTriplet, _spans
+from .errors import DimMismatch, InvalidParameter, Unsupported
 from .tensor_algebra import LevelNorms, TruncatedTensor
 
 __all__ = [
@@ -103,18 +103,11 @@ def simulate_paths(triplet: LevyTriplet, n_paths: int, steps_per_interval: int,
         raise InvalidParameter("need n_paths >= 1 and steps_per_interval >= 1")
     if not -2**63 <= min(seed, stream_offset) <= max(seed, stream_offset) < 2**63:
         raise InvalidParameter("seed and stream_offset must lie in [-2**63, 2**63)")
-    horizon = triplet.horizon if horizon is None else horizon
-    if not 0.0 <= horizon <= triplet.horizon + 1e-12:   # false for NaN
-        raise OutOfRange(f"horizon {horizon} lies outside [0, {triplet.horizon}]")
 
     rng = np.random.Generator(np.random.Philox(key=[seed, stream_offset]))
     segments: list[tuple[np.ndarray, np.ndarray | None]] = []
-    for i in range(triplet.n_intervals):
-        lo = triplet.time_grid[i]
-        hi = min(triplet.time_grid[i + 1], horizon)
-        if hi <= lo:
-            break
-        iv = _IntervalDraws(triplet, i, hi - lo, steps_per_interval, n_paths)
+    for i, span in _spans(triplet, horizon):
+        iv = _IntervalDraws(triplet, i, span, steps_per_interval, n_paths)
         lvl1 = iv.increments(rng)             # the stream's order: normals, then jumps
         jumps = iv.jump_segments(rng)
         lvl1 += triplet.drifts[i] * iv.dt

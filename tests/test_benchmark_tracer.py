@@ -1,8 +1,9 @@
 """The benchmark's span tracer (``perfbench/spans.py``) runs on the package.
 
 Its hooks read the package's results (``SimulatedPaths.segments`` unpacked
-as pairs, ``solve_truncated_system(...).f`` and
-``mmd_to_wiener(...)[1].surfaces``) and ``tensor_mul``'s arguments.  A
+as pairs, ``solve_truncated_system(...).f``,
+``mmd_to_wiener(...)[1].surfaces`` and the levels of
+``characteristic_velocity(...).tensors``) and ``tensor_mul``'s arguments.  A
 change that breaks one of them fails the traced benchmark run only, so each
 workload's small config runs under the tracer here.
 """
@@ -25,6 +26,8 @@ COUNTERS = {
     "mmd-area-m8": ("mmd.mmd_to_wiener", "surfaces"),
     "validate-jumps-d2": ("mc_oracle.simulate_paths", "segments"),
 }
+# the workloads whose configs hold triplets, so build characteristic velocities
+VELOCITY_WORKLOADS = ("kernel-jumps-d2", "validate-jumps-d2")
 
 
 def traced_run(tmp_path, cfg_data):
@@ -50,6 +53,8 @@ def test_traced_run(tmp_path, workload):
     name, counter = COUNTERS[workload]
     assert spans[name][counter] > 0
     assert spans["tensor_algebra.tensor_mul"]["madds"] > 0
+    if workload in VELOCITY_WORKLOADS:
+        assert spans["characteristics.characteristic_velocity"]["coeffs"] > 0
 
 
 def test_self_times_balance_with_signature_threads(tmp_path):

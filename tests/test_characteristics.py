@@ -10,9 +10,13 @@ from levy_sigkernel.characteristics import (AtomicJumps, GaussianJumps,
                                             characteristic_velocity,
                                             dilate_triplet,
                                             exponential_moment_value,
-                                            gaussian_tensor_moment)
+                                            gaussian_tensor_moment,
+                                            velocity_tail_bound)
+from levy_sigkernel.development import develop, expected_signature
 from levy_sigkernel.errors import (DepthTooSmall, InvalidParameter,
-                                   InvalidTriplet, Unsupported)
+                                   InvalidTriplet, OutOfRange, Unsupported)
+from levy_sigkernel.kernel_solver import truncation_certificate
+from levy_sigkernel.mc_oracle import simulate_paths
 from levy_sigkernel.tensor_algebra import TruncatedTensor as TT
 
 
@@ -286,6 +290,42 @@ class TestVelocityIntegrals:
                 assert v.tail_mass(s, t, n) == tail_mass(v, s, t, n)
 
 
+NAN = float("nan")
+
+
+def two_jump_triplet():
+    """Gaussian jumps on [0, 0.4), a large atom on [0.4, 1]."""
+    return LevyTriplet(dim=2, time_grid=np.array([0.0, 0.4, 1.0]),
+                       drifts=[np.array([0.2, -0.1])] * 2, covs=[0.1 * np.eye(2)] * 2,
+                       jumps=[GaussianJumps(1.5, 0.2 * np.eye(2)),
+                              AtomicJumps(np.array([0.5]), (atom(2, [1.5, 0.0]),))])
+
+
+class TestTimesOutsideTheGrid:
+    # expected_signature takes a jump-free triplet, so that NaN reaches develop
+    @pytest.mark.parametrize("call", [
+        lambda v: v.mass(NAN, 1.0),
+        lambda v: develop(v, NAN, 1.0, 2),
+        lambda v: truncation_certificate(v, v, 2, 2, NAN, 1.0),
+        lambda v: expected_signature(LevyTriplet.brownian(2, 1.0), NAN, 2),
+    ], ids=["mass", "develop", "truncation_certificate", "expected_signature"])
+    def test_nan_time(self, call):
+        with pytest.raises(OutOfRange):
+            call(characteristic_velocity(two_jump_triplet(), 2))
+
+    # velocity_depth, which reads the same horizon rule, is tested in
+    # test_certified_depths.py
+    @pytest.mark.parametrize("horizon", [NAN, 1.5])
+    @pytest.mark.parametrize("call", [
+        lambda trip, h: velocity_tail_bound(trip, 2, h),
+        lambda trip, h: exponential_moment_value(trip, 1.0, h),
+        lambda trip, h: simulate_paths(trip, 4, 2, seed=1, horizon=h),
+    ], ids=["velocity_tail_bound", "exponential_moment_value", "simulate_paths"])
+    def test_horizon_outside_the_grid(self, call, horizon):
+        with pytest.raises(OutOfRange, match="lies outside"):
+            call(two_jump_triplet(), horizon)
+
+
 def reference_gaussian_tensor_moment(cov, n):
     """Pair-partition recursion from scratch at every level, one outer
     product per coupling of the last slot with slot k."""
@@ -377,7 +417,34 @@ class TestBitwiseReferences:
         for depth in (2, 5, 10):
             got = characteristic_velocity(trip, depth).tensors
             ref = reference_characteristic_velocity(trip, depth)
-            for x, y in zip(got, ref):
+            for i, (x, y) in enumerate(zip(got, ref)):
                 assert x.depth == y.depth == depth
+                for lx, ly in zip(x.levels, y.levels):
+                    if isinstance(trip.jumps[i], AtomicJumps):
+                        # exp(x) level by level, not by exp_tensor's Horner form
+                        assert np.abs(lx - ly).max() <= 1e-14 * np.abs(ly).max()
+                    else:
+                        assert lx.tobytes() == ly.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_level_bits_do_not_depend_on_the_depth(self, rng, d):
+        def antisym(scale):
+            a = rng.uniform(-scale, scale, size=(d, d))
+            return a - a.T
+
+        small = atom(d, rng.uniform(-0.3, 0.3, d), antisym(0.2))
+        large = atom(d, rng.uniform(1.0, 1.5, d))
+        trip = LevyTriplet(
+            dim=d, time_grid=np.array([0.0, 0.3, 0.7, 1.0]),
+            drifts=[rng.uniform(-0.6, 0.6, size=d) for _ in range(3)],
+            covs=[random_cov(rng, d, 0.5) for _ in range(3)],
+            areas=[antisym(0.3), None, antisym(0.3)],
+            jumps=[GaussianJumps(1.5, random_cov(rng, d, 0.4)),
+                   AtomicJumps(np.array([0.7, 0.0, 1.3]), (small, large, large)),
+                   None],
+            state_depth=2)
+        deepest = characteristic_velocity(trip, 9).tensors
+        for depth in range(2, 9):
+            for x, y in zip(characteristic_velocity(trip, depth).tensors, deepest):
                 for lx, ly in zip(x.levels, y.levels):
                     assert lx.tobytes() == ly.tobytes()
