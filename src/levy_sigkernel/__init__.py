@@ -19,9 +19,9 @@ from .errors import (ConfigError, DepthTooSmall, DimMismatch, GridMismatch,
                      InvalidParameter, InvalidTriplet, InvalidWord,
                      LevySigKernelError, NumericalInconsistency, OutOfRange,
                      ScalarPartError, Unsupported)
-from .kernel_solver import (KernelSurface, apriori_psi, bessel_i0, make_grid,
-                            solve_goursat_scalar, solve_truncated_system,
-                            truncation_certificate)
+from .kernel_solver import (KernelSurface, apriori_psi, bessel_i0,
+                            log_apriori_psi, make_grid, solve_goursat_scalar,
+                            solve_truncated_system, truncation_certificate)
 from .mc_oracle import (SignatureEstimate, SimulatedPaths,
                         estimate_expected_signature, estimate_kernel,
                         estimate_to_csv, path_signature, simulate_paths)

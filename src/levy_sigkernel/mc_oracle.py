@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import contextvars
 import math
-import os
 import threading
 from dataclasses import dataclass
 
@@ -252,7 +251,7 @@ def _batch_signatures(paths: SimulatedPaths, depth: int,
     """
     d, n_paths = paths.dim, paths.n_paths
     if blocks is None:
-        blocks = min(_cpu_count(), n_paths // _MIN_BLOCK_PATHS)
+        blocks = min(ta._cpu_count(), n_paths // _MIN_BLOCK_PATHS)
     blocks = max(1, min(blocks, n_paths))
     plan = []
     for segment in paths.segments:
@@ -294,14 +293,6 @@ def _batch_signatures(paths: SimulatedPaths, depth: int,
 # at depth 4 took 31.7 ms in one block against 35.8 ms in two at 8000 paths,
 # 39.5 against 36.9 ms at 10 000 and 83.5 against 54.2 ms at 20 000.
 _MIN_BLOCK_PATHS = 5000
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # no affinity mask on this platform
-        return os.cpu_count() or 1
 
 
 def _block_signatures(plan, lo: int, hi: int, d: int, depth: int) -> list[np.ndarray]:

@@ -28,6 +28,7 @@ surviving terms are added in the same order as in the dense sum.
 from __future__ import annotations
 
 import math
+import os
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -544,3 +545,16 @@ def unflatten(vec: np.ndarray, dim: int, depth: int) -> TruncatedTensor:
         levels.append(vec[..., pos:pos + dim**n].copy())
         pos += dim**n
     return TruncatedTensor(dim, levels)
+
+
+# -- the host ------------------------------------------------------------
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: the one count by which the pathwise
+    signatures (``mc_oracle``) and the kernel CSV (``kernel_solver``) split
+    their work."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity mask on this platform
+        return os.cpu_count() or 1

@@ -10,6 +10,7 @@ import pytest
 
 import levy_sigkernel
 from levy_sigkernel import cli as cli_module
+from levy_sigkernel import tensor_algebra as ta
 from conftest import REPO, benchmark_workloads
 from levy_sigkernel.characteristics import characteristic_velocity
 from levy_sigkernel.cli import cmd_validate, main, parse_triplet
@@ -61,6 +62,33 @@ class TestKernelCommand:
         assert main(["--config", cfg, "--output", str(out)]) == 0
         rows = (out / "kernel.csv").read_text().strip().split("\n")[1:]
         assert all(float(r.split(",")[2]) == 1.0 for r in rows)
+
+    def test_split_csv_writes_the_bytes_of_one_block(self, tmp_path, monkeypatch):
+        # 65 x 65 nodes: two blocks of at least _MIN_BLOCK_NODES on two CPUs
+        from levy_sigkernel import kernel_solver
+        cfg = base_config(points=65)
+        assert 65 * 65 >= 2 * kernel_solver._MIN_BLOCK_NODES
+        real_fork, forks = os.fork, []
+
+        def fork():
+            forks.append(None)
+            return real_fork()
+        monkeypatch.setattr(os, "fork", fork)
+        outputs = []
+        for cpus in (None, 1):
+            if cpus is not None:
+                monkeypatch.setattr(ta, "_cpu_count", lambda: cpus)
+            out = tmp_path / f"out-{cpus}"
+            out.mkdir()
+            forks.clear()
+            assert cli_module.cmd_kernel(cfg, str(out)) == 0
+            assert sorted(p.name for p in out.iterdir()) == ["certificate.txt", "kernel.csv"]
+            assert len(forks) == (min(ta._cpu_count(), 2) - 1 if cpus is None else 0)
+            outputs.append([(out / name).read_bytes()
+                            for name in ("kernel.csv", "certificate.txt")])
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        assert outputs[0] == outputs[1]
 
     def test_missing_levels_is_config_error(self, tmp_path, capsys):
         cfg_data = base_config()
@@ -349,8 +377,19 @@ class TestCertifiedDepths:
                 return real(*args)
             monkeypatch.setattr(module, name, wrapper)
 
+        def record_levels(module, name):
+            # each level the generator yields, so a lazy consumer (the depth
+            # search) is seen at the depth it reaches, not the one it asks for
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                for n, level in enumerate(real(*args)):
+                    seen.append((name, n))
+                    yield level
+            monkeypatch.setattr(module, name, wrapper)
+
         record(cli, "characteristic_velocity")
-        record(characteristics, "_velocity")        # the depth search's builds
+        record_levels(characteristics, "_velocity_levels")   # every velocity level built
         record(cli, "develop")
         record(development, "develop")              # the oracle helper's
         return seen
@@ -367,7 +406,7 @@ class TestCertifiedDepths:
         }
         cfg = write_config(tmp_path / "cfg.json", cfg_data)
         assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == 0
-        assert {name for name, _ in depths} == {"characteristic_velocity", "_velocity"}
+        assert {name for name, _ in depths} == {"characteristic_velocity", "_velocity_levels"}
         assert max(depth for _, depth in depths) <= self.MAX_DEPTH
         lines = (tmp_path / "o" / "certificate.txt").read_text().splitlines()
         printed = lines[1].removeprefix("truncation_certificate = ")
@@ -390,7 +429,7 @@ class TestCertifiedDepths:
         assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == 0
         report = (tmp_path / "o" / "validate.txt").read_text().splitlines()
         assert len(report) == 4 and all(ln.startswith("PASS ") for ln in report)
-        assert {name for name, _ in depths} == {"characteristic_velocity", "_velocity",
+        assert {name for name, _ in depths} == {"characteristic_velocity", "_velocity_levels",
                                                 "develop"}
         assert max(depth for _, depth in depths) <= self.MAX_DEPTH
 

@@ -1,5 +1,6 @@
 import copy
 import math
+import os
 import warnings
 
 import numpy as np
@@ -19,7 +20,8 @@ from levy_sigkernel.kernel_solver import (_CORRECTOR_PASSES, KernelSurface, _app
                                           _cell_intervals, _coefficients,
                                           _side_tables, _solve_truncated_batch,
                                           _Tables, _transfer_maps,
-                                          apriori_psi, bessel_i0, make_grid,
+                                          apriori_psi, bessel_i0,
+                                          log_apriori_psi, make_grid,
                                           solve_goursat_scalar,
                                           solve_truncated_system,
                                           truncation_certificate)
@@ -78,6 +80,45 @@ class TestBessel:
         assert apriori_psi(0.0, 709.0) == pytest.approx(math.exp(709.0), rel=1e-15)
         with pytest.raises(InvalidParameter):
             bessel_i0(math.nan)
+
+    def test_log_psi_finite_where_psi_overflows(self):
+        # log psi(400, 400) = 800 + log I_0(800), frozen from a 40-digit evaluation
+        assert apriori_psi(400.0, 400.0) == math.inf
+        assert log_apriori_psi(400.0, 400.0) == pytest.approx(1595.738911950745, rel=1e-14)
+        assert log_apriori_psi(0.0, 0.0) == 0.0
+        with pytest.raises(InvalidParameter):
+            log_apriori_psi(-1.0, 1.0)
+        with pytest.raises(InvalidParameter):
+            log_apriori_psi(np.array([0.0, math.nan]), 1.0)
+
+    def test_exp_log_psi_matches_psi(self):
+        # exp turns the rounding of its argument L = log psi into a relative
+        # error of up to |L| eps (1.2e-13 at L near 700), so the tolerance is
+        # 1e-14 plus that conditioning; log psi itself agrees to 2 eps relative
+        eps = np.finfo(float).eps
+        xs = np.concatenate([[0.0, 1e-3, 0.5, 1.0, 300.0], np.linspace(0.0, 300.0, 31)])
+        for x in xs:
+            for y in xs:
+                psi = apriori_psi(x, y)
+                if not math.isfinite(psi):
+                    continue
+                log_psi = log_apriori_psi(x, y)
+                assert math.exp(log_psi) == pytest.approx(psi, rel=1e-14 + 2 * eps * log_psi)
+                assert log_psi == pytest.approx(math.log(psi), rel=2 * eps, abs=1e-15)
+
+    def test_log_psi_broadcasts_as_in_the_margin(self):
+        x, y = np.array([0.0, 0.3, 2.0]), np.array([0.0, 1.5, 400.0, 700.0])
+        table = log_apriori_psi(x[:, None], y[None, :])
+        assert table.shape == (3, 4) and np.all(np.isfinite(table))
+        for i, j in np.ndindex(table.shape):
+            assert table[i, j] == log_apriori_psi(x[i], y[j])
+
+    @settings(max_examples=60, deadline=500)
+    @given(x=st.floats(min_value=0.0, max_value=1e300),
+           y=st.floats(min_value=0.0, max_value=1e300))
+    def test_log_psi_total_on_extreme_input(self, x, y):
+        val = log_apriori_psi(x, y)
+        assert val >= 0.0 and not math.isnan(val)
 
     @settings(max_examples=60, deadline=500)
     @given(z=st.floats(min_value=0.0, max_value=1e300))
@@ -1334,3 +1375,145 @@ class TestSurfaces:
         assert f.dim == 2 and f.depth == 1 and f.scalar() == 0.0
         # the stored field leaves out the scalar slot; the accessor puts it back
         assert np.array_equal(ta.flatten(f, 1), [0.0, *surf.f[4, 4]])
+
+
+def split_surface(rng, case, n_rows):
+    """A surface with ``n_rows`` s-rows for the split writer."""
+    t_grid = unigrid(5)
+    if case == "scalar":
+        surf = solve_goursat_scalar((lambda s: 1.0 + s, lambda t: -0.3), unigrid(n_rows),
+                                    t_grid)
+        assert surf.f is None
+        return surf
+    grid = np.array([0.0, 1.0])
+    v = random_velocity(rng, 2, 3, grid, scale=0.7)
+    surf = solve_truncated_system(v, random_velocity(rng, 2, 3, grid, scale=0.7), 3, 3,
+                                  unigrid(n_rows), t_grid)
+    if case == "special":
+        # non-finite values and a signed zero in w and in both fields' norms
+        surf.w[0, 1], surf.w[-1, 0], surf.w[n_rows // 2, 2] = math.nan, -math.inf, -0.0
+        surf.f[0, 2], surf.ftilde[-1, 3] = math.inf, math.nan
+        surf.f[n_rows // 2, 4] = -0.0
+    return surf
+
+
+class TestSplitWriter:
+    """``to_csv`` in row blocks written by forked children gives the bytes
+    of the per-node writer, by every path, and leaves no part file and no
+    child process behind."""
+
+    def write_and_compare(self, surf, tmp_path, include_fields=True, **kwargs):
+        surf.to_csv(tmp_path / "got.csv", include_fields=include_fields, **kwargs)
+        reference_to_csv(surf, tmp_path / "ref.csv", include_fields=include_fields)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["got.csv", "ref.csv"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Count the children forked; return the list of their pids."""
+        real_fork, pids = os.fork, []
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                pids.append(pid)
+            return pid
+        monkeypatch.setattr(os, "fork", fork)
+        return pids
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    @pytest.mark.parametrize("case, n_rows, include_fields", [
+        ("truncated", 7, True), ("truncated", 8, True), ("truncated", 7, False),
+        ("truncated", 2, True), ("scalar", 7, True), ("special", 9, True)])
+    def test_blocks_give_the_same_bytes(self, rng, tmp_path, forks, blocks, case, n_rows,
+                                        include_fields):
+        surf = split_surface(rng, case, n_rows)
+        self.write_and_compare(surf, tmp_path, include_fields, blocks=blocks)
+        assert len(forks) == min(blocks, n_rows) - 1
+
+    def test_default_blocks_follow_the_cpus_and_the_floor(self, rng, tmp_path, monkeypatch,
+                                                          forks):
+        surf = split_surface(rng, "truncated", 8)   # 8 rows of 5 nodes
+        monkeypatch.setattr(kernel_solver, "_MIN_BLOCK_NODES", 10)   # 2 rows
+        for cpus, want in [(1, 1), (3, 3), (8, 4)]:
+            monkeypatch.setattr(ta, "_cpu_count", lambda: cpus)
+            forks.clear()
+            self.write_and_compare(surf, tmp_path)
+            assert len(forks) == want - 1
+        monkeypatch.setattr(kernel_solver, "_MIN_BLOCK_NODES", 11)   # 3 rows
+        forks.clear()
+        self.write_and_compare(surf, tmp_path)
+        assert len(forks) == 1
+
+    def test_without_fork(self, rng, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        self.write_and_compare(split_surface(rng, "special", 9), tmp_path, blocks=3)
+
+    def test_fork_raising(self, rng, tmp_path, monkeypatch):
+        def fork():
+            raise OSError(11, "Resource temporarily unavailable")
+        monkeypatch.setattr(os, "fork", fork)
+        self.write_and_compare(split_surface(rng, "special", 9), tmp_path, blocks=3)
+
+    @pytest.mark.parametrize("failing", [1, 2])
+    def test_child_exiting_with_1(self, rng, tmp_path, monkeypatch, failing):
+        real_fork, calls = os.fork, []
+
+        def fork():
+            calls.append(None)
+            pid = real_fork()
+            if pid == 0 and len(calls) == failing:
+                os._exit(1)
+            return pid
+        monkeypatch.setattr(os, "fork", fork)
+        self.write_and_compare(split_surface(rng, "special", 9), tmp_path, blocks=3)
+
+    def test_existing_part_file_is_left_alone(self, rng, tmp_path, forks):
+        part = tmp_path / f"got.csv.{os.getpid()}.1.part"
+        part.write_text("not ours")
+        surf = split_surface(rng, "truncated", 7)
+        surf.to_csv(tmp_path / "got.csv", include_fields=True, blocks=3)
+        reference_to_csv(surf, tmp_path / "ref.csv", include_fields=True)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert part.read_text() == "not ours" and len(forks) == 1
+        part.unlink()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["got.csv", "ref.csv"]
+
+    @pytest.mark.parametrize("where", ["join", "append"])
+    def test_parent_error_kills_and_removes(self, rng, tmp_path, monkeypatch, forks, where):
+        # the parent raises with both children unreaped, or with one
+        # reaped and its part file not yet appended
+        if where == "join":
+            target, name = kernel_solver, "_exited_cleanly"
+        else:
+            target, name = kernel_solver.shutil, "copyfileobj"
+
+        def fail(*args):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(target, name, fail)
+        with pytest.raises(KeyboardInterrupt):
+            split_surface(rng, "truncated", 7).to_csv(tmp_path / "got.csv", blocks=3)
+        assert [p.name for p in tmp_path.iterdir()] == ["got.csv"]
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_warning_where_fork_warns_about_threads(self, rng, tmp_path, monkeypatch):
+        # Python 3.12+ warns in the parent after forking a process with more
+        # than one thread; under warnings as errors the writer still gives
+        # the same bytes, shows nothing and leaves no child behind
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                              "fork() may lead to deadlocks in the child.",
+                              DeprecationWarning, stacklevel=2)
+            return pid
+        monkeypatch.setattr(os, "fork", fork)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.write_and_compare(split_surface(rng, "truncated", 8), tmp_path, blocks=2)

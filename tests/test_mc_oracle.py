@@ -746,7 +746,7 @@ class TestColumnBlocks:
             return original(plan, lo, hi, d, depth)
 
         monkeypatch.setattr(mc_oracle, "_block_signatures", record)
-        monkeypatch.setattr(mc_oracle, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(ta, "_cpu_count", lambda: 3)
         monkeypatch.setattr(mc_oracle, "_MIN_BLOCK_PATHS", 4)
         paths = simulate_paths(jump_triplet(), 13, 2, seed=4)
         got = _batch_signatures(paths, 3)
