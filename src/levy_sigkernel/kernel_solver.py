@@ -60,6 +60,7 @@ from __future__ import annotations
 import math
 import os
 import shutil
+import threading
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -205,19 +206,19 @@ class KernelSurface:
             psi = np.exp(log_psi)
         return float((np.abs(self.w) - psi).max())
 
-    def to_csv(self, path, include_fields: bool = False, blocks: int | None = None) -> None:
+    def to_csv(self, path, include_fields: bool = False) -> None:
         """Serialize as ``s,t,w`` rows (plus field magnitudes on request).
 
         Every number is ``repr`` of its Python float, one row per node, s
         major; the field magnitudes are each node's BLAS dot, the bits of
-        ``np.linalg.norm`` per node.  The s-rows are cut into ``blocks``
-        contiguous blocks, by default one per CPU the process may run on
-        but none under ``_MIN_BLOCK_NODES`` nodes.  Each block is written
-        one row at a time, each row joined into one string, the first by
-        the calling process and the others by forked children
-        (:func:`_write_blocks`).  So the bytes are those of a per-node
-        ``f"{float(x)!r}"`` writer whatever the split, and memory stays one
-        row wide in every process.
+        ``np.linalg.norm`` per node.  The s-rows are cut into contiguous
+        blocks, one per CPU the process may run on while another block
+        still pays for itself (``_BLOCK_COST_NODES``).  The calling process
+        writes the first block; this method forks (``os.fork``) a child
+        for each other block (:func:`_write_blocks`).  Each block is
+        written one row at a time, each row joined into one string, so the
+        bytes are those of a per-node ``f"{float(x)!r}"`` writer whatever
+        the split, and memory stays one row wide in every process.
         """
         cols = [self.w]
         if include_fields and self.f is not None:
@@ -235,22 +236,25 @@ class KernelSurface:
                 fh.write("".join(map(fmt.format, repeat(s, len(t_txt)), t_txt,
                                      *(map(repr, row.tolist()) for row in rows))))
 
-        n_rows = len(s_txt)
-        if blocks is None:
-            min_rows = -(-_MIN_BLOCK_NODES // len(t_txt))
-            blocks = min(ta._cpu_count(), n_rows // min_rows)
-        blocks = max(1, min(blocks, n_rows))
+        n_rows, nodes = len(s_txt), len(s_txt) * len(t_txt)
+        blocks, most = 1, min(ta._cpu_count(), n_rows)
+        # block b + 1 saves nodes / (b (b + 1)) nodes' formatting
+        while blocks < most and blocks * (blocks + 1) * _BLOCK_COST_NODES < nodes:
+            blocks += 1
         _write_blocks(path, header + "\n", write_rows,
                       [n_rows * b // blocks for b in range(blocks + 1)])
 
 
-# Fewest nodes in a block of KernelSurface.to_csv.  A block past the first
-# costs a fork, a reap and an append: about 1.5 ms for a 40 MiB process on a
-# 2-core x86 host, where a node takes 2-3 us to format.  There, with
-# fields, one block against two took 4.6 against 4.8 ms at 1600 nodes,
-# 5.3 against 5.1 ms at 2304, 9.2 against 7.4 ms at 4096 and 11.4 against
-# 8.6 ms at 5184 (medians of 41).
-_MIN_BLOCK_NODES = 2048
+# What a block of KernelSurface.to_csv past the first costs the calling
+# process (a fork, a reap and an append), in nodes formatted in that time.
+# On a 2-core x86 host, with fields, one block against two took 4.6 against
+# 4.8 ms at 1600 nodes, 5.3 against 5.1 ms at 2304, 9.2 against 7.4 ms at
+# 4096 and 11.4 against 8.6 ms at 5184 (medians of 41, 40 MiB process):
+# 1.8 us a node and 1.7-2.0 ms a block.  The parent pays the blocks one
+# after another, so more blocks stop paying at about sqrt(nodes / this):
+# 8 blocks on 258^2 nodes, whatever the CPUs.  Counts past 2 blocks follow
+# from this model and were not measured.
+_BLOCK_COST_NODES = 1024
 
 
 def _write_blocks(path, header: str, write_rows, edges: list[int]) -> None:
@@ -261,16 +265,16 @@ def _write_blocks(path, header: str, write_rows, edges: list[int]) -> None:
     later block goes to a child made by ``os.fork`` (:func:`_fork_block`)
     that writes it into a part file next to ``path``; the parent appends
     the part files in block order and removes them.  A block whose part
-    file or child cannot be made, or whose child does not exit with 0, is
-    written by the parent, so every path gives the same bytes.  If the
-    parent raises, every child is killed and reaped and every part file
-    removed.
+    file or child cannot be made, or whose child does not exit with 0 or
+    was reaped elsewhere, is written by the parent, so every path gives
+    the same bytes.  If the parent raises, every child is killed and
+    reaped and every part file removed.
     """
     children: dict[int, list] = {}   # block -> [pid, None once reaped; part file]
     try:
         with open(path, "w") as fh:
             for b in range(1, len(edges) - 1):
-                _fork_block(children, b, f"{os.fspath(path)}.{os.getpid()}.{b}.part",
+                _fork_block(children, b, f"{os.fsdecode(path)}.{os.getpid()}.{b}.part",
                             write_rows, edges[b], edges[b + 1])
             fh.write(header)
             write_rows(fh, edges[0], edges[1])
@@ -289,8 +293,11 @@ def _write_blocks(path, header: str, write_rows, edges: list[int]) -> None:
         for pid, part in children.values():
             if pid is not None:
                 import signal   # only on this path: importing the CLI must not load it
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                except (ProcessLookupError, ChildProcessError):
+                    pass   # reaped already, as under SIGCHLD = SIG_IGN
             try:
                 os.remove(part)
             except FileNotFoundError:
@@ -300,17 +307,18 @@ def _write_blocks(path, header: str, write_rows, edges: list[int]) -> None:
 def _fork_block(children: dict, b: int, part: str, write_rows, lo: int, hi: int) -> None:
     """Create the file ``part`` (``O_EXCL``) and fork a child that writes
     rows ``lo:hi`` into it; record ``children[b] = [pid, part]``, with pid
-    None if the fork raised.  Without ``os.fork``, or when ``part`` cannot
-    be created, record nothing.
+    None if the fork raised.  Without ``os.fork``, with another Python
+    thread alive, or when ``part`` cannot be created, record nothing.
 
     The child only formats and writes: it calls no BLAS (``write_rows``
-    must not either) and takes no lock another thread may hold, and it
-    ends with ``os._exit``, so no atexit handler runs and no inherited
-    buffer is flushed.  That makes the fork safe in a process with other
-    threads (numpy's OpenBLAS starts one), so the warning that Python 3.12+
-    gives for such a fork is not shown.
+    must not either) and, with no other Python thread, meets no lock that
+    another thread may hold; it ends with ``os._exit``, so no atexit
+    handler runs and no inherited buffer is flushed.  That makes the fork
+    safe beside the threads that are not Python's (numpy's OpenBLAS starts
+    one), so the warning that Python 3.12+ gives for such a fork is not
+    shown; the filter cannot race another thread's, as there is none.
     """
-    if not hasattr(os, "fork"):
+    if not hasattr(os, "fork") or threading.active_count() > 1:
         return
     try:
         fd = os.open(part, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -336,12 +344,16 @@ def _fork_block(children: dict, b: int, part: str, write_rows, lo: int, hi: int)
 
 
 def _exited_cleanly(child: list) -> bool:
-    """Reap ``child``'s process, if it has one; True if it exited with 0."""
+    """Reap ``child``'s process, if it has one; True if it exited with 0,
+    False if it failed or was reaped elsewhere."""
     if child[0] is None:
         return False
-    _, status = os.waitpid(child[0], 0)
+    try:
+        _, status = os.waitpid(child[0], 0)
+    except ChildProcessError:   # reaped already, as under SIGCHLD = SIG_IGN
+        status = None
     child[0] = None
-    return os.waitstatus_to_exitcode(status) == 0
+    return status is not None and os.waitstatus_to_exitcode(status) == 0
 
 
 def _validate_grid(grid: np.ndarray, breakpoints: np.ndarray, what: str) -> np.ndarray:

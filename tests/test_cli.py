@@ -64,10 +64,10 @@ class TestKernelCommand:
         assert all(float(r.split(",")[2]) == 1.0 for r in rows)
 
     def test_split_csv_writes_the_bytes_of_one_block(self, tmp_path, monkeypatch):
-        # 65 x 65 nodes: two blocks of at least _MIN_BLOCK_NODES on two CPUs
+        # 65 x 65 nodes: two blocks pay for their cost, three do not
         from levy_sigkernel import kernel_solver
         cfg = base_config(points=65)
-        assert 65 * 65 >= 2 * kernel_solver._MIN_BLOCK_NODES
+        assert 2 < 65 * 65 / kernel_solver._BLOCK_COST_NODES < 6
         real_fork, forks = os.fork, []
 
         def fork():

@@ -1,6 +1,8 @@
 import copy
 import math
 import os
+import signal
+import threading
 import warnings
 
 import numpy as np
@@ -1402,13 +1404,19 @@ class TestSplitWriter:
     of the per-node writer, by every path, and leaves no part file and no
     child process behind."""
 
-    def write_and_compare(self, surf, tmp_path, include_fields=True, **kwargs):
-        surf.to_csv(tmp_path / "got.csv", include_fields=include_fields, **kwargs)
+    def write_and_compare(self, surf, tmp_path, include_fields=True):
+        surf.to_csv(tmp_path / "got.csv", include_fields=include_fields)
         reference_to_csv(surf, tmp_path / "ref.csv", include_fields=include_fields)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["got.csv", "ref.csv"]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def force_blocks(monkeypatch, blocks):
+        """Have ``to_csv`` cut ``blocks`` blocks (fewer on fewer rows)."""
+        monkeypatch.setattr(ta, "_cpu_count", lambda: blocks)
+        monkeypatch.setattr(kernel_solver, "_BLOCK_COST_NODES", 0)
 
     @pytest.fixture
     def forks(self, monkeypatch):
@@ -1423,39 +1431,47 @@ class TestSplitWriter:
         monkeypatch.setattr(os, "fork", fork)
         return pids
 
+    @pytest.fixture
+    def sigchld_ignored(self):
+        """SIGCHLD set to SIG_IGN, so the kernel reaps every child and
+        ``waitpid`` on it fails with ``ChildProcessError``."""
+        old = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        yield
+        signal.signal(signal.SIGCHLD, old)
+
     @pytest.mark.parametrize("blocks", [1, 2, 3])
     @pytest.mark.parametrize("case, n_rows, include_fields", [
         ("truncated", 7, True), ("truncated", 8, True), ("truncated", 7, False),
         ("truncated", 2, True), ("scalar", 7, True), ("special", 9, True)])
-    def test_blocks_give_the_same_bytes(self, rng, tmp_path, forks, blocks, case, n_rows,
-                                        include_fields):
+    def test_blocks_give_the_same_bytes(self, rng, tmp_path, monkeypatch, forks, blocks,
+                                        case, n_rows, include_fields):
         surf = split_surface(rng, case, n_rows)
-        self.write_and_compare(surf, tmp_path, include_fields, blocks=blocks)
+        self.force_blocks(monkeypatch, blocks)
+        self.write_and_compare(surf, tmp_path, include_fields)
         assert len(forks) == min(blocks, n_rows) - 1
 
-    def test_default_blocks_follow_the_cpus_and_the_floor(self, rng, tmp_path, monkeypatch,
-                                                          forks):
+    def test_blocks_follow_the_cpus_and_the_block_cost(self, rng, tmp_path, monkeypatch,
+                                                       forks):
         surf = split_surface(rng, "truncated", 8)   # 8 rows of 5 nodes
-        monkeypatch.setattr(kernel_solver, "_MIN_BLOCK_NODES", 10)   # 2 rows
-        for cpus, want in [(1, 1), (3, 3), (8, 4)]:
+        # block b + 1 is cut while b (b + 1) * cost < 40 nodes
+        for cost, cpus, want in [(2, 1, 1), (2, 3, 3), (2, 8, 4), (7, 8, 2), (20, 8, 1)]:
+            monkeypatch.setattr(kernel_solver, "_BLOCK_COST_NODES", cost)
             monkeypatch.setattr(ta, "_cpu_count", lambda: cpus)
             forks.clear()
             self.write_and_compare(surf, tmp_path)
             assert len(forks) == want - 1
-        monkeypatch.setattr(kernel_solver, "_MIN_BLOCK_NODES", 11)   # 3 rows
-        forks.clear()
-        self.write_and_compare(surf, tmp_path)
-        assert len(forks) == 1
 
     def test_without_fork(self, rng, tmp_path, monkeypatch):
         monkeypatch.delattr(os, "fork")
-        self.write_and_compare(split_surface(rng, "special", 9), tmp_path, blocks=3)
+        self.force_blocks(monkeypatch, 3)
+        self.write_and_compare(split_surface(rng, "special", 9), tmp_path)
 
     def test_fork_raising(self, rng, tmp_path, monkeypatch):
         def fork():
             raise OSError(11, "Resource temporarily unavailable")
         monkeypatch.setattr(os, "fork", fork)
-        self.write_and_compare(split_surface(rng, "special", 9), tmp_path, blocks=3)
+        self.force_blocks(monkeypatch, 3)
+        self.write_and_compare(split_surface(rng, "special", 9), tmp_path)
 
     @pytest.mark.parametrize("failing", [1, 2])
     def test_child_exiting_with_1(self, rng, tmp_path, monkeypatch, failing):
@@ -1468,23 +1484,73 @@ class TestSplitWriter:
                 os._exit(1)
             return pid
         monkeypatch.setattr(os, "fork", fork)
-        self.write_and_compare(split_surface(rng, "special", 9), tmp_path, blocks=3)
+        self.force_blocks(monkeypatch, 3)
+        self.write_and_compare(split_surface(rng, "special", 9), tmp_path)
 
-    def test_existing_part_file_is_left_alone(self, rng, tmp_path, forks):
+    def test_children_reaped_by_sigchld_ignore(self, rng, tmp_path, monkeypatch, forks,
+                                               sigchld_ignored):
+        # waitpid cannot see the children's status: the parent writes their
+        # blocks itself and removes their part files
+        self.force_blocks(monkeypatch, 3)
+        self.write_and_compare(split_surface(rng, "special", 9), tmp_path)
+        assert len(forks) == 2
+
+    def test_no_fork_beside_another_python_thread(self, rng, tmp_path, monkeypatch, forks):
+        self.force_blocks(monkeypatch, 3)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            self.write_and_compare(split_surface(rng, "special", 9), tmp_path)
+        finally:
+            stop.set()
+            other.join()
+        assert forks == []
+
+    def test_bytes_path_puts_part_files_beside_the_output(self, rng, tmp_path, monkeypatch,
+                                                          forks):
+        real_fork_block, parts = kernel_solver._fork_block, []
+
+        def fork_block(children, b, part, *args):
+            parts.append(part)
+            return real_fork_block(children, b, part, *args)
+        monkeypatch.setattr(kernel_solver, "_fork_block", fork_block)
+        self.force_blocks(monkeypatch, 3)
+        surf = split_surface(rng, "truncated", 7)
+        surf.to_csv(os.fsencode(tmp_path / "got.csv"), include_fields=True)
+        reference_to_csv(surf, tmp_path / "ref.csv", include_fields=True)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert [os.path.dirname(p) for p in parts] == [str(tmp_path)] * 2
+        assert len(forks) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["got.csv", "ref.csv"]
+
+    def test_existing_part_file_is_left_alone(self, rng, tmp_path, monkeypatch, forks):
         part = tmp_path / f"got.csv.{os.getpid()}.1.part"
         part.write_text("not ours")
+        self.force_blocks(monkeypatch, 3)
         surf = split_surface(rng, "truncated", 7)
-        surf.to_csv(tmp_path / "got.csv", include_fields=True, blocks=3)
+        surf.to_csv(tmp_path / "got.csv", include_fields=True)
         reference_to_csv(surf, tmp_path / "ref.csv", include_fields=True)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
         assert part.read_text() == "not ours" and len(forks) == 1
         part.unlink()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["got.csv", "ref.csv"]
 
+    @pytest.mark.parametrize("reaping", ["waitpid", "sigchld-ignore"])
     @pytest.mark.parametrize("where", ["join", "append"])
-    def test_parent_error_kills_and_removes(self, rng, tmp_path, monkeypatch, forks, where):
+    def test_parent_error_kills_and_removes(self, rng, tmp_path, monkeypatch, forks,
+                                            request, where, reaping):
         # the parent raises with both children unreaped, or with one
-        # reaped and its part file not yet appended
+        # reaped and its part file not yet appended; under SIGCHLD =
+        # SIG_IGN the kill or the reap finds a child gone
+        if reaping == "sigchld-ignore":
+            request.getfixturevalue("sigchld_ignored")
+            real_exited_cleanly = kernel_solver._exited_cleanly
+
+            def exited_cleanly(child):   # lets the append be reached
+                real_exited_cleanly(child)
+                return True
+            monkeypatch.setattr(kernel_solver, "_exited_cleanly", exited_cleanly)
         if where == "join":
             target, name = kernel_solver, "_exited_cleanly"
         else:
@@ -1493,8 +1559,9 @@ class TestSplitWriter:
         def fail(*args):
             raise KeyboardInterrupt
         monkeypatch.setattr(target, name, fail)
+        self.force_blocks(monkeypatch, 3)
         with pytest.raises(KeyboardInterrupt):
-            split_surface(rng, "truncated", 7).to_csv(tmp_path / "got.csv", blocks=3)
+            split_surface(rng, "truncated", 7).to_csv(tmp_path / "got.csv")
         assert [p.name for p in tmp_path.iterdir()] == ["got.csv"]
         assert len(forks) == 2
         with pytest.raises(ChildProcessError):
@@ -1516,4 +1583,5 @@ class TestSplitWriter:
         monkeypatch.setattr(os, "fork", fork)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            self.write_and_compare(split_surface(rng, "truncated", 8), tmp_path, blocks=2)
+            self.force_blocks(monkeypatch, 2)
+            self.write_and_compare(split_surface(rng, "truncated", 8), tmp_path)
