@@ -32,10 +32,15 @@ the maps' rounding scales with the small increments, not with w.  A
 surface whose cells share too few maps (a random grid, say) has each
 diagonal's cell updates evaluated directly instead.  The
 scalar Goursat problem d^2 u/ds dt = alpha u is the same sweep with no
-fields (D = 1, one map per cell when alpha is given at nodes).  Boundary
-rows are one-dimensional ODEs with w = 1 and the opposite coupling term
-zero.  Grids must contain every velocity breakpoint so that all interval
-integrals are exact.
+fields (D = 1, one map per cell when alpha is given at nodes).  The
+boundary rows f(., 0) and g(0, .) are cells of the same sweep: a ghost row
+and column of cells with step 0 on interval 0, whose outer nodes hold
+(w, f, g) = (1, 0, 0), have the boundary nodes as far corners.  Their
+update is the boundary ODE step: w = 1 + (1 - 1) + 0, the field along the
+zero step gets a zero increment, and the other one its predictor and
+corrector passes with w = 1 and the opposite coupling term zero.  Grids
+must contain every velocity breakpoint so that all interval integrals are
+exact.
 
 The sweep's state rolls over three node anti-diagonals per surface,
 O((n_i + n_j) D) floats.  Callers that keep the surface (the kernel CSV,
@@ -119,8 +124,8 @@ def apriori_psi(x: float, y: float) -> float:
 
 def log_apriori_psi(x, y):
     """log psi(x, y) = x + y + z + log i0e(z), with z = 2 sqrt(xy) and
-    i0e(z) = e^-z I_0(z): finite wherever xy is, also where psi overflows,
-    and ``inf`` where xy overflows.  Elementwise (broadcast) on arrays."""
+    i0e(z) = e^-z I_0(z): finite wherever x + y + z is, also where psi or
+    xy overflows, and ``inf`` beyond.  Elementwise (broadcast) on arrays."""
     if not (np.all(np.greater_equal(x, 0)) and np.all(np.greater_equal(y, 0))):
         raise InvalidParameter("log_apriori_psi requires non-negative arguments")
     # scipy is imported here only: importing the CLI must not load it
@@ -128,6 +133,8 @@ def log_apriori_psi(x, y):
 
     with np.errstate(over="ignore"):
         z = 2.0 * np.sqrt(x * y)
+        # only where x y overflows, so that the other entries keep their bits
+        z = np.where(np.isinf(z), 2.0 * np.sqrt(x) * np.sqrt(y), z)
         # i0e(inf) is 0; at the largest float it is finite, so z = inf gives inf
         return x + y + z + np.log(i0e(np.minimum(z, np.finfo(float).max)))
 
@@ -141,10 +148,16 @@ def make_grid(horizon: float, n_points: int, breakpoints: Sequence[float] = ()) 
     (the sweep shares one transfer map among cells with equal steps); the
     last node is ``horizon``.  Where the step is a power of two this is
     ``np.linspace``; elsewhere a node moves from it by at most
-    ``horizon * 2**(bit_length(n_points - 1) - 53)``.
+    ``horizon * 2**(bit_length(n_points - 1) - 53)``.  ``n_points`` must
+    be an integer >= 2 (not a bool) and ``horizon`` finite and > 0, else
+    ``InvalidParameter``.
     """
-    if n_points < 2:
-        raise InvalidParameter("need at least two grid points")
+    if (isinstance(n_points, bool) or not isinstance(n_points, (int, np.integer))
+            or n_points < 2):
+        raise InvalidParameter(f"need an integer of at least two grid points, got {n_points!r}")
+    if not 0.0 < horizon < math.inf:
+        raise InvalidParameter(f"need a finite horizon > 0, got {horizon!r}")
+    n_points = int(n_points)
     h = horizon / (n_points - 1)
     if math.isfinite(h) and h != 0.0:
         mant, exp = math.frexp(h)
@@ -261,20 +274,27 @@ def _write_blocks(path, header: str, write_rows, edges: list[int]) -> None:
     """Write ``header``, then ``write_rows(fh, lo, hi)`` for each block of
     rows ``edges[b]:edges[b + 1]`` in order, into the text file ``path``.
 
-    The calling process writes block 0 straight into ``path``.  Every
-    later block goes to a child made by ``os.fork`` (:func:`_fork_block`)
-    that writes it into a part file next to ``path``; the parent appends
-    the part files in block order and removes them.  A block whose part
-    file or child cannot be made, or whose child does not exit with 0 or
-    was reaped elsewhere, is written by the parent, so every path gives
-    the same bytes.  If the parent raises, every child is killed and
-    reaped and every part file removed.
+    The blocks go into a new file next to ``path`` (created exclusively),
+    which replaces ``path`` (``os.replace``) once the last block is in;
+    if anything raises, that file is removed and a file already at
+    ``path`` is left as it was.  The calling process writes block 0.
+    Every later block goes to a child made by ``os.fork``
+    (:func:`_fork_block`) that writes it into a part file next to
+    ``path``; the parent appends the part files in block order and
+    removes them.  A block whose part file or child cannot be made, or
+    whose child does not exit with 0 or was reaped elsewhere, is written
+    by the parent, so every path gives the same bytes.  If the parent
+    raises, every child is killed and reaped and every part file removed.
     """
+    path = os.fsdecode(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
     children: dict[int, list] = {}   # block -> [pid, None once reaped; part file]
+    # opened before the try: a name already taken is not ours to remove
+    fh = open(tmp, "x")
     try:
-        with open(path, "w") as fh:
+        with fh:
             for b in range(1, len(edges) - 1):
-                _fork_block(children, b, f"{os.fsdecode(path)}.{os.getpid()}.{b}.part",
+                _fork_block(children, b, f"{path}.{os.getpid()}.{b}.part",
                             write_rows, edges[b], edges[b + 1])
             fh.write(header)
             write_rows(fh, edges[0], edges[1])
@@ -289,6 +309,10 @@ def _write_blocks(path, header: str, write_rows, edges: list[int]) -> None:
                 if child is not None:
                     os.remove(child[1])
                     del children[b]
+        os.replace(tmp, path)
+    except BaseException:
+        _remove(tmp)
+        raise
     finally:
         for pid, part in children.values():
             if pid is not None:
@@ -298,10 +322,14 @@ def _write_blocks(path, header: str, write_rows, edges: list[int]) -> None:
                     os.waitpid(pid, 0)
                 except (ProcessLookupError, ChildProcessError):
                     pass   # reaped already, as under SIGCHLD = SIG_IGN
-            try:
-                os.remove(part)
-            except FileNotFoundError:
-                pass
+            _remove(part)
+
+
+def _remove(name: str) -> None:
+    try:
+        os.remove(name)
+    except FileNotFoundError:
+        pass
 
 
 def _fork_block(children: dict, b: int, part: str, write_rows, lo: int, hi: int) -> None:
@@ -388,7 +416,7 @@ _GATHER_MAX_WIDTH = 5
 # cap, in floats, on one chunk's unit-input block when building maps
 _MAP_CHUNK_FLOATS = 1 << 13
 # cap, in floats, on one chunk of a corner-only batch (``_corner_floats``):
-# 4 MiB holds the 45 surfaces of an 8-path MMD on 65^2 (up to 9825 floats
+# 4 MiB holds the 45 surfaces of an 8-path MMD on 65^2 (up to 9965 floats
 # each) in one chunk.  On the 561 surfaces of a 32-path MMD, chunks of 1/4,
 # 1, 4 and 16 times this cap swept in about the same time (0.7-1.1 s, noisy
 # host), while peak RSS rose from 33 to 83 MiB
@@ -576,31 +604,34 @@ def _sweep(ds, dt, sidx, tidx, tables, keep_nodes=True):
     The far corner is the structural part plus the increment,
     ``w11 = w10 + (w01 - w00) + dw``, ``F11 = F01 + dF``, ``G11 = G10 + dG``.
 
-    The state rolls over three node anti-diagonals i + j = k - 2, k - 1,
-    k, each ``(surfaces, n_i + 1, D)`` and indexed by i, so one ``take``
-    per diagonal gathers every cell's three known corners and each cell
-    sees the inputs and order of a full-array sweep.  The boundary rows
-    f(., 0) and g(0, .) are one-dimensional ODEs stepped first; their
-    nodes are copied into each new diagonal.  With ``keep_nodes`` each
+    The grid is swept with a ghost row and column of cells in front: steps
+    0, interval 0, and outer nodes in the constant state (1, 0, 0), so the
+    far corner of ghost-grid cell (i, j) is node (i, j) and the boundary
+    rows come out of the same maps or direct updates as every other cell.
+    The state rolls over three node anti-diagonals of the ghost grid, each
+    ``(surfaces, n_i + 2, D)`` and indexed by i, so one ``take`` per
+    diagonal gathers every cell's three known corners and each cell sees
+    the inputs and order of a full-array sweep.  With ``keep_nodes`` each
     finished diagonal is also copied into the full node array, and the
     sweep returns (w, f, g) node arrays with the surface axis first, views
     of one state array; without it, state per surface is O((n_i + n_j) D)
     and the sweep returns (w, f, g) at the far corner only, shapes
     ``(surfaces,)``, ``(surfaces, df)`` and ``(surfaces, dg)``.  Either
-    way it also returns the number of maps of each surface (0 where cells
-    were evaluated directly).  A w holding NaN raises
-    ``NumericalInconsistency``; an infinite w is returned as it is.  Both
-    say what numpy's overflow and invalid-value warnings would, so the
-    sweep runs with them off.
+    way it also returns the number of maps of each surface, the ghost
+    cells' included (0 where cells were evaluated directly).  A w holding
+    NaN raises ``NumericalInconsistency``; an infinite w is returned as it
+    is.  Both say what numpy's overflow and invalid-value warnings would,
+    so the sweep runs with them off.
 
-    Maps pay only when cells share them.  A surface takes maps when they
-    hold at most ``D x cells`` floats (three times its own full state:
-    building them costs at most three cell updates per cell) and, for the
-    GEMM contraction, when its cells form at most
+    Maps pay only when cells share them.  A surface takes maps when the
+    maps of its own cells hold at most ``D x cells`` floats (three times
+    its own full state: building them costs at most three cell updates per
+    cell) and, for the GEMM contraction, when its cells form at most
     ``cells x D^2 / _GEMM_RUN_COST`` runs of equal maps along the
-    diagonals (``_map_counts``).  Uniform grids from ``make_grid`` have few
-    classes per axis (one per interval, plus the cells split by
-    breakpoints) and long runs.  Other surfaces, e.g. on random grids,
+    diagonals (``_map_counts``); the ghost cells add one class of step 0
+    per axis to the maps built, not to this choice.  Uniform grids from
+    ``make_grid`` have few classes per axis (one per interval, plus the
+    cells split by breakpoints) and long runs.  Other surfaces, e.g. on random grids,
     evaluate ``_cell_increments`` directly on each diagonal's states, so
     the maps never outgrow the full state.  The choice, like the
     contraction, depends on the surface alone and runs never cross
@@ -615,56 +646,35 @@ def _sweep(ds, dt, sidx, tidx, tables, keep_nodes=True):
     n_i, n_j = len(ds), len(dt)
     df, dg = tables.qx.shape[-1], tables.qy.shape[-1]
     D = 1 + df + dg
-
-    def mv(mat, vec):
-        return np.matmul(mat, vec[..., None])[..., 0]
-
-    p = np.arange(n_s)
-    # boundary nodes (i, 0) and (0, j): w = 1, f on t = 0 and g on s = 0
-    # solve their ODEs with w = 1 and the other field 0
-    s_edge, t_edge = np.zeros((n_s, n_i + 1, D)), np.zeros((n_s, n_j + 1, D))
-    s_edge[..., 0] = t_edge[..., 0] = 1.0
-    for row, steps, idx, q, R in ((s_edge[..., 1:1 + df], ds, sidx, tables.qx, tables.RX),
-                                  (t_edge[..., 1 + df:], dt, tidx, tables.qy, tables.RY)):
-        for i in range(len(steps) if q.shape[-1] else 0):
-            qa, Ra, h = q[p, idx[:, i]], R[p, idx[:, i]], steps[i]
-            f0 = row[:, i]
-            d0 = qa + mv(Ra, f0)
-            f1 = f0 + h * d0
-            for _ in range(_CORRECTOR_PASSES):
-                f1 = f0 + 0.5 * h * (d0 + qa + mv(Ra, f1))
-            row[:, i + 1] = f1
-
     cells = n_i * n_j
     n_maps, runs = _map_counts(ds, dt, sidx, tidx)
     use = (n_maps * D <= cells) & ((D <= _GATHER_MAX_WIDTH)
                                    | (runs * _GEMM_RUN_COST <= cells * D * D))
-    n_maps[~use] = 0
     n_mapped, direct = np.count_nonzero(use), np.flatnonzero(~use)
     # a mapped group that is the whole batch is a slice, so nothing is copied
     mapped = slice(None) if use.all() else np.flatnonzero(use)
+    # the ghost row and column of cells: steps 0 on interval 0
+    ds, dt = np.concatenate([[0.0], ds]), np.concatenate([[0.0], dt])
+    sidx, tidx = (np.pad(idx, ((0, 0), (1, 0))) for idx in (sidx, tidx))
     maps, S, T = _transfer_maps(ds, dt, sidx[mapped], tidx[mapped], tables.at(mapped))
+    # surface p's maps are numbered from S[p].min() to S[p].max() + T[p].max()
+    n_maps = np.zeros(n_s, dtype=np.intp)
+    n_maps[mapped] = S.max(axis=1) - S.min(axis=1) + T.max(axis=1) + 1
     if keep_nodes:
         X = np.empty((n_s, n_i + 1, n_j + 1, D))
-        X[:, :, 0], X[:, 0] = s_edge, t_edge
         nodes = X.reshape(n_s, -1, D)
-    # node i of anti-diagonal k is row (k % 3) * (n_i + 1) + i of the ring
-    stride = n_i + 1
-    ring = np.empty((n_s, 3 * stride, D))
+    # node i of ghost-grid anti-diagonal k is row (k % 3) * (n_i + 2) + i of
+    # the ring.  Every row starts as the ghost state (1, 0, 0): no far
+    # corner is written to row 0, nor to row k before anti-diagonal k
+    stride = n_i + 2
+    ring = np.zeros((n_s, 3 * stride, D))
+    ring[..., 0] = 1.0
     # ring offsets of corners (i, j), (i, j+1), (i+1, j) of a cell on
     # diagonal diag, from its i, for each diag % 3
     known = [np.array([r * stride, (r + 1) % 3 * stride, (r + 1) % 3 * stride + 1])
              for r in range(3)]
-    for k in range(n_i + n_j + 1):
-        base = k % 3 * stride
-        if k <= n_j:
-            ring[:, base] = t_edge[:, k]
-        if k <= n_i:
-            ring[:, base + k] = s_edge[:, k]
-        diag = k - 2
-        if diag < 0:
-            continue
-        lo, hi = max(0, diag - n_j + 1), min(diag, n_i - 1) + 1
+    for diag in range(n_i + n_j + 1):
+        lo, hi = max(0, diag - n_j), min(diag, n_i) + 1
         i = np.arange(lo, hi)
         j = diag - i
         x = ring.take(i[:, None] + known[diag % 3], axis=1)
@@ -686,13 +696,13 @@ def _sweep(ds, dt, sidx, tidx, tables, keep_nodes=True):
         far[..., 0] = x10[..., 0] + (far[..., 0] - x00[..., 0])
         far[..., 1 + df:] = x10[..., 1 + df:]
         far += delta
-        # far corners (i + 1, j + 1): consecutive rows of the ring, and
-        # nodes n_j apart in the node array
+        # far corners of ghost-grid cells (i, j) are the nodes (i, j):
+        # consecutive rows of the ring, and nodes n_j apart in the node array
+        base = (diag + 2) % 3 * stride
         ring[:, base + lo + 1:base + hi + 1] = far
         if keep_nodes:
-            first = (lo + 1) * (n_j + 1) + diag - lo + 1
-            nodes[:, first:first + n_j * (hi - lo):n_j] = far
-    out = X if keep_nodes else ring[:, (n_i + n_j) % 3 * stride + n_i]
+            nodes[:, lo * n_j + diag:(hi - 1) * n_j + diag + 1:n_j] = far
+    out = X if keep_nodes else ring[:, (n_i + n_j + 2) % 3 * stride + n_i + 1]
     if np.isnan(out[..., 0]).any():
         raise NumericalInconsistency(
             "the kernel surface w holds NaN (an overflow or a NaN coefficient)")
@@ -708,10 +718,11 @@ def solve_goursat_scalar(alpha, s_grid, t_grid,
     array of shape (len(s_grid)-1, len(t_grid)-1) for piecewise-constant
     coefficients.  Optional ``s_mass``/``t_mass`` node arrays feed the
     a priori certificate; for a separable pair they default to the
-    cumulative trapezoidal integrals of |f| and |g|.
+    cumulative trapezoidal integrals of |f| and |g|.  The grids need not
+    start at 0 and may be single nodes (then w is 1); one that is not 1-D,
+    finite and strictly increasing raises ``GridMismatch``.
     """
-    s_grid = np.asarray(s_grid, dtype=float)
-    t_grid = np.asarray(t_grid, dtype=float)
+    s_grid, t_grid = _check_scalar_grid(s_grid, "s"), _check_scalar_grid(t_grid, "t")
     n_i, n_j = len(s_grid) - 1, len(t_grid) - 1
     if isinstance(alpha, tuple):
         fvals = np.array([float(alpha[0](s)) for s in s_grid])
@@ -730,24 +741,40 @@ def solve_goursat_scalar(alpha, s_grid, t_grid,
         if cells.shape != (n_i, n_j):
             raise InvalidParameter("cell-wise alpha must have one value per grid cell")
         nodes = None
-    # one surface whose cell (i, j) is interval pair (i, j), with alpha at
-    # the cell's corners (views of the node array) and coupled fields of
-    # width zero
-    A = (np.broadcast_to(cells[..., None, None], (n_i, n_j, 2, 2)) if nodes is None else
-         np.lib.stride_tricks.as_strided(nodes, (n_i, n_j, 2, 2), nodes.strides * 2,
-                                         writeable=False))
-    B = np.zeros((1, n_i, n_j, 0))
-    qx, RX = np.zeros((1, n_i, 0)), np.zeros((1, n_i, 0, 0))
-    qy, RY = np.zeros((1, n_j, 0)), np.zeros((1, n_j, 0, 0))
-    w, _, _, n_maps = _sweep(np.diff(s_grid), np.diff(t_grid),
-                             np.arange(n_i)[None], np.arange(n_j)[None],
-                             _Tables(A[None], B, B, qx, RX, RX, qy, RY, RY))
+    if n_i and n_j:
+        # one surface whose cell (i, j) is interval pair (i, j), with alpha
+        # at the cell's corners (views of the node array) and coupled fields
+        # of width zero
+        A = (np.broadcast_to(cells[..., None, None], (n_i, n_j, 2, 2)) if nodes is None
+             else np.lib.stride_tricks.as_strided(nodes, (n_i, n_j, 2, 2),
+                                                  nodes.strides * 2, writeable=False))
+        B = np.zeros((1, n_i, n_j, 0))
+        qx, RX = np.zeros((1, n_i, 0)), np.zeros((1, n_i, 0, 0))
+        qy, RY = np.zeros((1, n_j, 0)), np.zeros((1, n_j, 0, 0))
+        w, _, _, n_maps = _sweep(np.diff(s_grid), np.diff(t_grid),
+                                 np.arange(n_i)[None], np.arange(n_j)[None],
+                                 _Tables(A[None], B, B, qx, RX, RX, qy, RY, RY))
+        w, n_maps = w[0], int(n_maps[0])
+    else:
+        # no cell on one axis, so no interval for a ghost cell to read
+        w, n_maps = np.ones((n_i + 1, n_j + 1)), 0
     return KernelSurface(
-        s_grid=s_grid, t_grid=t_grid, w=w[0],
+        s_grid=s_grid, t_grid=t_grid, w=w,
         s_mass=None if s_mass is None else np.asarray(s_mass, dtype=float),
         t_mass=None if t_mass is None else np.asarray(t_mass, dtype=float),
         meta={"system": "goursat-scalar", "scheme_order": 2, "cells": n_i * n_j,
-              "state_width": 1, "maps": int(n_maps[0])})
+              "state_width": 1, "maps": n_maps})
+
+
+def _check_scalar_grid(grid, what: str) -> np.ndarray:
+    """``grid`` as a float array; ``GridMismatch`` unless it is 1-D,
+    finite and strictly increasing, with at least one node."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or len(grid) == 0:
+        raise GridMismatch(f"{what} grid must be a 1-D array of at least one node")
+    if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
+        raise GridMismatch(f"{what} grid must be finite and strictly increasing")
+    return grid
 
 
 def solve_truncated_system(v: PiecewiseVelocity, vt: PiecewiseVelocity,
@@ -820,9 +847,8 @@ def _solve_truncated_batch(pairs, M: int, N: int, s_grid, t_grid, corners=False)
         D = ta.flat_size(d, N - 1) + ta.flat_size(d, M - 1) - 1
         out, lo, total = np.empty(len(pairs)), 0, 0
         for hi, (left, right) in enumerate(sides):
-            # a surface's maps number its s-classes times its t-classes
             cost = _corner_floats(len(ds), len(dt), D, len(left.tables[0]),
-                                  len(right.tables[0]), left.classes * right.classes)
+                                  len(right.tables[0]), left.classes, right.classes)
             if hi > lo and total + cost > _SWEEP_CHUNK_FLOATS:
                 out[lo:hi] = _sweep_sides(sides[lo:hi], ds, dt, keep_nodes=False)[0]
                 lo, total = hi, 0
@@ -859,19 +885,22 @@ def _sweep_sides(sides, ds, dt, keep_nodes):
     return (*_sweep(ds, dt, sidx, tidx, tables, keep_nodes), sidx, tidx)
 
 
-def _corner_floats(n_i, n_j, D, n_a, n_b, n_maps):
+def _corner_floats(n_i, n_j, D, n_a, n_b, s_classes, t_classes):
     """Estimated floats one surface holds in a corner-only sweep on an
     ``n_i x n_j``-cell grid, for velocities of ``n_a`` and ``n_b``
-    intervals and ``n_maps`` distinct maps: its tables (each at most D^2
-    per interval and D per interval pair), its maps (3D x D each, none
-    once they would outgrow the state), three rolling diagonals and two
-    boundary rows (D per node), and per diagonal of at most ``min(n_i,
-    n_j)`` cells the gathered maps (3D x D) and corner states, increments
-    and far corners (5D)."""
-    cells = min(n_i, n_j)
-    maps = n_maps if n_maps * D <= n_i * n_j else 0
+    intervals with ``s_classes`` and ``t_classes`` step classes: its tables
+    (each at most D^2 per interval and D per interval pair), its maps (3D x
+    D each; a map per pair of classes, the ghost cells' class of step 0
+    included, and none once the grid's own maps would outgrow the state),
+    three rolling diagonals of the ghost grid (``n_i + 2`` nodes of D
+    each), and per diagonal of at most ``min(n_i, n_j) + 1`` cells the
+    gathered maps (3D x D) and corner states, increments and far corners
+    (5D)."""
+    cells = min(n_i, n_j) + 1
+    maps = ((s_classes + 1) * (t_classes + 1)
+            if s_classes * t_classes * D <= n_i * n_j else 0)
     return ((n_a + n_b + n_a * n_b + 3 * maps + 3 * cells) * D * D
-            + (4 * (n_i + 1) + n_j + 1 + 5 * cells) * D)
+            + (3 * (n_i + 2) + 5 * cells) * D)
 
 
 def _stack_padded(arrays) -> np.ndarray:

@@ -14,7 +14,7 @@ from levy_sigkernel import tensor_algebra as ta
 from levy_sigkernel.characteristics import (LevyTriplet, PiecewiseVelocity,
                                             characteristic_velocity)
 from levy_sigkernel.development import bound_outer_truncation, develop
-from levy_sigkernel.errors import GridMismatch, InvalidParameter
+from levy_sigkernel.errors import GridMismatch, InvalidParameter, NumericalInconsistency
 from levy_sigkernel import mmd
 from levy_sigkernel import kernel_solver
 from levy_sigkernel.kernel_solver import (_CORRECTOR_PASSES, KernelSurface, _apply_maps,
@@ -93,6 +93,18 @@ class TestBessel:
         with pytest.raises(InvalidParameter):
             log_apriori_psi(np.array([0.0, math.nan]), 1.0)
 
+    def test_log_psi_finite_where_xy_overflows(self):
+        # x y = 1e400 overflows; log psi = x + y + z + log i0e(z) with
+        # z = 2 sqrt(x y) = 2e200, where log i0e(z) is about -230
+        assert log_apriori_psi(1e200, 1e200) == pytest.approx(4e200, rel=1e-15)
+        assert log_apriori_psi(1e300, 1e10) == pytest.approx(1e300, rel=1e-15)
+        # the entries whose x y is finite keep the bits they have alone
+        x, y = np.array([1e200, 2.0, 1e150]), np.array([1e200, 3.0, 1e150])
+        table = log_apriori_psi(x, y)
+        assert np.all(np.isfinite(table))
+        assert table[1] == log_apriori_psi(2.0, 3.0)
+        assert table[2] == log_apriori_psi(1e150, 1e150)
+
     def test_exp_log_psi_matches_psi(self):
         # exp turns the rounding of its argument L = log psi into a relative
         # error of up to |L| eps (1.2e-13 at L near 700), so the tolerance is
@@ -146,6 +158,28 @@ class TestScalarGoursat:
         surf = solve_goursat_scalar((lambda s: 1.0, lambda t: 1.0), unigrid(n_s), unigrid(n_t))
         assert surf.w.shape == (n_s, n_t) and np.all(surf.w == 1.0)
         assert surf.meta["cells"] == surf.meta["maps"] == 0
+
+    @pytest.mark.parametrize("grid", [
+        np.array([0.0, 0.5, 0.2]), np.array([0.0, 0.5, 0.5]), np.array([[0.0, 0.5, 1.0]]),
+        np.array([0.0, math.nan, 1.0]), np.array([0.0, 0.5, math.inf]), np.array([])],
+        ids=["decreasing", "repeated", "2-d", "nan", "inf", "empty"])
+    def test_bad_grid_raises(self, grid):
+        for s_grid, t_grid in ((grid, unigrid(5)), (unigrid(5), grid)):
+            with pytest.raises(GridMismatch):
+                solve_goursat_scalar((lambda s: 1.0, lambda t: 1.0), s_grid, t_grid)
+
+    def test_grid_need_not_start_at_zero(self):
+        # u = I_0(2 sqrt((s - s0) t)) for constant alpha = 1
+        s_grid, t_grid = 0.5 + unigrid(129, 0.5), unigrid(129)
+        surf = solve_goursat_scalar((lambda s: 1.0, lambda t: 1.0), s_grid, t_grid)
+        assert surf.value() == pytest.approx(bessel_i0(2 * math.sqrt(0.5)), rel=1e-4)
+        assert np.all(surf.w[0] == 1.0) and np.all(surf.w[:, 0] == 1.0)
+
+    def test_nan_alpha_raises(self):
+        cells = np.full((8, 8), 0.5)
+        cells[3, 4] = math.nan
+        with pytest.raises(NumericalInconsistency):
+            solve_goursat_scalar(cells, unigrid(9), unigrid(9))
 
     def test_constant_alpha_bessel(self):
         g = unigrid(513)
@@ -650,40 +684,86 @@ class TestAntiDiagonalSweep:
             _solve_truncated_batch([], 2, 2, g, g)
 
 
+class TestBoundaryRows:
+    """The boundary rows are the far corners of the ghost cells, whose steps
+    are 0: w = 1 + (1 - 1) + 0 and the field along the zero step gets a
+    zero increment, on every path, exactly."""
+
+    @staticmethod
+    def assert_unit_boundary(w, F=None, G=None):
+        assert np.all(w[0] == 1.0) and np.all(w[:, 0] == 1.0)
+        if F is not None:
+            # f on s = 0 and g on t = 0
+            assert np.all(F[0] == 0.0) and np.all(G[:, 0] == 0.0)
+
+    @pytest.mark.parametrize("M, N, kind", [(2, 2, "make_grid"), (3, 3, "make_grid"),
+                                            (2, 2, "random"), (3, 3, "random")])
+    def test_truncated(self, rng, M, N, kind):
+        # make_grid: maps (gathered at D = 5, GEMM at 13); random: direct
+        grid = np.array([0.0, 0.375, 1.0])
+        v = random_velocity(rng, 2, 3, grid, scale=2.0)
+        vt = random_velocity(rng, 2, 3, grid, scale=2.0)
+        if kind == "make_grid":
+            s_grid, t_grid = make_grid(1.0, 25, grid), make_grid(1.0, 18, grid)
+        else:
+            s_grid, t_grid = (np.sort(np.concatenate([grid, rng.uniform(0.0, 1.0, n)]))
+                              for n in (15, 22))
+        surf = solve_truncated_system(v, vt, M, N, s_grid, t_grid)
+        assert (surf.meta["maps"] > 0) == (kind == "make_grid")
+        assert np.abs(surf.f[1:, 1:]).min() > 0.0 and np.abs(surf.w - 1.0).max() > 0.1
+        self.assert_unit_boundary(surf.w, surf.f, surf.ftilde)
+
+    @pytest.mark.parametrize("alpha", ["nodes", "cells"])
+    def test_scalar(self, rng, alpha):
+        s_grid, t_grid = (np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0, 1, n)]))
+                          for n in (19, 30))
+        if alpha == "cells":
+            alpha = rng.normal(size=(len(s_grid) - 1, len(t_grid) - 1)) * 3.0
+        else:
+            alpha = lambda s, t: 3.0 * math.sin(3.0 * s) * math.cos(2.0 * t) - 2.0
+        self.assert_unit_boundary(solve_goursat_scalar(alpha, s_grid, t_grid).w)
+
+    def test_batch(self, rng):
+        # the mixed batch of an MMD's corner sweep: surfaces taking maps and
+        # surfaces evaluated directly, swept together with their nodes
+        g = make_grid(1.0, 41, np.array([0.25, 0.5, 0.75]))
+        vels = [random_velocity(rng, 2, 3, grid, scale=0.8)
+                for grid in (np.array([0.0, 0.25, 1.0]), g, np.array([0.0, 1.0]))]
+        batch = _solve_truncated_batch([(vels[0], vels[1]), (vels[2], vels[0]),
+                                        (vels[1], vels[1])], 3, 3, g, g)
+        assert sorted(surf.meta["maps"] > 0 for surf in batch) == [False, True, True]
+        for surf in batch:
+            self.assert_unit_boundary(surf.w, surf.f, surf.ftilde)
+
+
 def full_array_sweep(ds, dt, sidx, tidx, tables):
     """Reference: the sweep over the full node array that the rolling
-    diagonals replaced.  Each cell gathers its corners from the node array;
-    maps, contractions and cell updates are the solver's own, so every cell
-    sees the same inputs in the same order and the bits must agree."""
+    diagonals replaced, on the same ghost grid: a row and a column of cells
+    of step 0 on interval 0 whose outer nodes hold (w, f, g) = (1, 0, 0),
+    so that their far corners are the boundary nodes.  Each cell gathers
+    its corners from the node array; maps, contractions and cell updates
+    are the solver's own, so every cell sees the same inputs in the same
+    order and the bits must agree."""
     n_s, n_i, n_j = len(sidx), len(ds), len(dt)
     df, dg = tables.qx.shape[-1], tables.qy.shape[-1]
     D = 1 + df + dg
-    X = np.zeros((n_s, n_i + 1, n_j + 1, D))
-    X[..., 0] = 1.0
-    F, G = X[..., 1:1 + df], X[..., 1 + df:]
-    p = np.arange(n_s)
-    for row, steps, idx, q, R in ((F[:, :, 0], ds, sidx, tables.qx, tables.RX),
-                                  (G[:, 0], dt, tidx, tables.qy, tables.RY)):
-        for i in range(len(steps) if q.shape[-1] else 0):
-            qa, Ra, h = q[p, idx[:, i]], R[p, idx[:, i]], steps[i]
-            f0 = row[:, i]
-            d0 = qa + np.matmul(Ra, f0[..., None])[..., 0]
-            f1 = f0 + h * d0
-            for _ in range(_CORRECTOR_PASSES):
-                f1 = f0 + 0.5 * h * (d0 + qa + np.matmul(Ra, f1[..., None])[..., 0])
-            row[:, i + 1] = f1
     cells = n_i * n_j
     n_maps, runs = _map_counts(ds, dt, sidx, tidx)
     use = (n_maps * D <= cells) & ((D <= kernel_solver._GATHER_MAX_WIDTH)
                                    | (runs * kernel_solver._GEMM_RUN_COST <= cells * D * D))
     mapped, direct = np.flatnonzero(use), np.flatnonzero(~use)
+    ds, dt = np.concatenate([[0.0], ds]), np.concatenate([[0.0], dt])
+    sidx = np.concatenate([np.zeros((n_s, 1), dtype=sidx.dtype), sidx], axis=1)
+    tidx = np.concatenate([np.zeros((n_s, 1), dtype=tidx.dtype), tidx], axis=1)
     maps, S, T = _transfer_maps(ds, dt, sidx[mapped], tidx[mapped], tables.at(mapped))
+    X = np.zeros((n_s, n_i + 2, n_j + 2, D))
+    X[..., 0] = 1.0
     nodes = X.reshape(n_s, -1, D)
-    known = np.array([0, 1, n_j + 1])
-    for diag in range(n_i + n_j - 1):
-        i = np.arange(max(0, diag - n_j + 1), min(diag, n_i - 1) + 1)
+    known = np.array([0, 1, n_j + 2])
+    for diag in range(n_i + n_j + 1):
+        i = np.arange(max(0, diag - n_j), min(diag, n_i) + 1)
         j = diag - i
-        node = i * (n_j + 1) + j
+        node = i * (n_j + 2) + j
         x = nodes.take(node[:, None] + known, axis=1)
         delta = np.empty((n_s, len(i), D))
         if len(mapped):
@@ -699,8 +779,11 @@ def full_array_sweep(ds, dt, sidx, tidx, tables):
         x00, far, x10 = x[:, :, 0], x[:, :, 1], x[:, :, 2]
         far[..., 0] = x10[..., 0] + (far[..., 0] - x00[..., 0])
         far[..., 1 + df:] = x10[..., 1 + df:]
-        nodes[:, node + n_j + 2] = far + delta
-    return X, np.where(use, n_maps, 0)
+        nodes[:, node + n_j + 3] = far + delta
+    # every map the sweep builds, the ghost cells' included
+    n_built = np.zeros(n_s, dtype=int)
+    n_built[mapped] = [len(np.unique(S[p][:, None] + T[p][None])) for p in range(len(mapped))]
+    return X[:, 1:, 1:], n_built
 
 
 def captured_sweep_args(monkeypatch, solve):
@@ -881,14 +964,30 @@ class TestTransferMaps:
         surf = solve_truncated_system(v, v, 3, 2, s_grid, make_grid(1.0, 9, grid))
         # without the scalar slots df = flat_size(2, 1) - 1 = 2 and
         # dg = flat_size(2, 2) - 1 = 6; uniform steps, so one class per
-        # interval on each axis
+        # interval on each axis, and one more for the ghost cells of step 0
+        # that step the boundary rows: 3 x 3 maps
         assert surf.meta == {"system": "truncated", "M": 3, "N": 2, "scheme_order": 2,
-                             "cells": 128, "state_width": 9, "maps": 4}
+                             "cells": 128, "state_width": 9, "maps": 9}
         # a random t-grid has a class per step: 2 x 8 maps of width 9 would
         # hold more floats than the state, so the cells are evaluated directly
         t_grid = np.sort(np.concatenate([grid, rng.uniform(0.0, 1.0, 6)]))
         surf = solve_truncated_system(v, v, 3, 2, s_grid, t_grid)
         assert surf.meta["maps"] == 0 and surf.meta["cells"] == 128
+
+    @pytest.mark.parametrize("horizon, n_points", [
+        (1.0, 2.5), (1.0, 1), (1.0, True), (1.0, "9"), (math.nan, 5), (math.inf, 5),
+        (-1.0, 5), (0.0, 5)],
+        ids=["float-count", "one-point", "bool-count", "str-count", "nan-horizon",
+             "inf-horizon", "negative-horizon", "zero-horizon"])
+    def test_make_grid_rejects_bad_input(self, horizon, n_points):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameter):
+                make_grid(horizon, n_points)
+
+    def test_make_grid_takes_numpy_integers(self):
+        assert np.array_equal(make_grid(0.3, np.int64(65), [0.1]), make_grid(0.3, 65, [0.1]))
+        assert np.array_equal(make_grid(np.float64(2.0), np.int32(9)), make_grid(2.0, 9))
 
     def test_make_grid_steps_are_bitwise_equal_between_breakpoints(self):
         # dyadic steps: np.linspace exactly
@@ -1073,7 +1172,9 @@ class TestSweepReferences:
         surf = solve_goursat_scalar(alpha, s_grid, t_grid)
         w_ref = reference_goursat_scalar(alpha, s_grid, t_grid)
         n_i, n_j = len(s_grid) - 1, len(t_grid) - 1
-        assert surf.meta["cells"] == surf.meta["maps"] == n_i * n_j
+        # a map per cell, and per ghost cell of the boundary rows
+        assert surf.meta["cells"] == n_i * n_j
+        assert surf.meta["maps"] == (n_i + 1) * (n_j + 1)
         assert surf.meta["state_width"] == 1
         assert_sweep_within_rounding(
             surf.w[..., None], w_ref[..., None], scalar_tables(alpha, s_grid, t_grid),
@@ -1562,10 +1663,47 @@ class TestSplitWriter:
         self.force_blocks(monkeypatch, 3)
         with pytest.raises(KeyboardInterrupt):
             split_surface(rng, "truncated", 7).to_csv(tmp_path / "got.csv")
-        assert [p.name for p in tmp_path.iterdir()] == ["got.csv"]
+        # no part file and no partial got.csv
+        assert list(tmp_path.iterdir()) == []
         assert len(forks) == 2
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_error_leaves_an_existing_file_as_it_was(self, rng, tmp_path, monkeypatch,
+                                                     forks, blocks):
+        # the parent raises in its second row, its first one written
+        (tmp_path / "got.csv").write_text("an earlier run")
+        rows, real_repeat = [], kernel_solver.repeat
+
+        def fail_on_second_row(*args):
+            rows.append(None)
+            if len(rows) == 2:
+                raise KeyboardInterrupt
+            return real_repeat(*args)
+        surf = split_surface(rng, "truncated", 7)
+        monkeypatch.setattr(kernel_solver, "repeat", fail_on_second_row)
+        self.force_blocks(monkeypatch, blocks)
+        with pytest.raises(KeyboardInterrupt):
+            surf.to_csv(tmp_path / "got.csv")
+        monkeypatch.undo()
+        assert len(rows) == 2 and len(forks) == blocks - 1
+        assert [p.name for p in tmp_path.iterdir()] == ["got.csv"]
+        assert (tmp_path / "got.csv").read_text() == "an earlier run"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        # a run that completes replaces it
+        surf.to_csv(tmp_path / "got.csv")
+        reference_to_csv(surf, tmp_path / "ref.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_existing_temporary_name_is_left_alone(self, rng, tmp_path):
+        other = tmp_path / f"got.csv.{os.getpid()}.tmp"
+        other.write_text("not ours")
+        with pytest.raises(FileExistsError):
+            split_surface(rng, "truncated", 7).to_csv(tmp_path / "got.csv")
+        assert [p.name for p in tmp_path.iterdir()] == [other.name]
+        assert other.read_text() == "not ours"
 
     def test_no_warning_where_fork_warns_about_threads(self, rng, tmp_path, monkeypatch):
         # Python 3.12+ warns in the parent after forking a process with more
