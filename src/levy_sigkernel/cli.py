@@ -592,6 +592,10 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:   # from making the output directory or writing into it
+        where = "" if exc.filename is not None else f" in {out_dir!r}"
+        print(f"error: cannot write output{where}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -14,15 +14,24 @@ convention), placed after the continuous factor of the sub-step that
 contains them; the residual weak bias from not splitting that sub-step's
 Gaussian increment is O(dt) and vanishes for commuting (d = 1) data.
 
+The estimators do not build the paths: ``_interval_segments`` draws one
+interval at a time and the signatures take each interval's segments before
+the next is drawn, so at most one interval's increments exist at once.  A
+sub-step's Brownian segment holds every path, as a contiguous row of the
+interval's ``(steps, n_paths, d)`` buffer; a jump segment holds only the
+paths that jump in it, their indices and values.  ``simulate_paths``
+collects the same intervals into dense segments.
+
 The signatures of all paths are computed at once, segment by segment, on
 each segment's live rows (``_batch_signatures``): every segment takes the
 fused step ``S (x) exp(x)`` through the Horner core of
 ``tensor_algebra.mul_exp``, on a signature held batch-last (level n as a
 ``(d**n, width)`` array) in two buffer sets reused for every segment.
-Live rows are found by one ``!= 0`` pass per column of the segment.  A
-large batch is split into column blocks, one per CPU, each block but the
-first on a thread of its own; every column takes the same steps in any
-split.
+Live rows are the segment's rows with a level ``!= 0`` (NaN included),
+found by one pass per column.  A large batch is split into column blocks,
+one per CPU, each block but the first on a thread of its own, and every
+block takes each interval before it is dropped; every column takes the
+same steps in any split.
 The worker threads call private functions only.  ``path_signature`` takes
 the same step for one path through ``mul_exp``, so row p equals
 ``path_signature(paths.increments_of(p), depth)`` bit for bit.
@@ -31,9 +40,12 @@ the same step for one path through ``mul_exp``, so row p equals
 from __future__ import annotations
 
 import contextvars
+import functools
 import math
 import threading
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,6 +99,29 @@ def _cov_factor(cov: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(vals)
 
 
+def _interval_segments(triplet: LevyTriplet, n_paths: int, steps_per_interval: int,
+                       seed: int, horizon: float | None = None,
+                       stream_offset: int = 0) -> Iterator[list[tuple]]:
+    """Each interval's segments on [0, horizon], drawn when asked for.
+
+    Reads the Philox stream of key ``[seed, stream_offset]`` in the order
+    of the module docstring and yields one list per interval of its
+    segments ``(rows, level1, level2)`` in time order; ``level2`` may be
+    None.  A sub-step's Brownian segment has ``rows`` None and rows of every
+    path: ``level1`` is a contiguous ``(n_paths, d)`` row of the interval's
+    ``(steps, n_paths, d)`` buffer.  A jump segment holds only the paths
+    that jump in it, their indices ``rows`` increasing, with one value row
+    each.  The generator keeps no reference to an interval it has yielded.
+    """
+    if n_paths < 1 or steps_per_interval < 1:
+        raise InvalidParameter("need n_paths >= 1 and steps_per_interval >= 1")
+    if not -2**63 <= min(seed, stream_offset) <= max(seed, stream_offset) < 2**63:
+        raise InvalidParameter("seed and stream_offset must lie in [-2**63, 2**63)")
+    rng = np.random.Generator(np.random.Philox(key=[seed, stream_offset]))
+    for i, span in _spans(triplet, horizon):
+        yield _IntervalDraws(triplet, i, span, steps_per_interval, n_paths).segments(rng)
+
+
 def simulate_paths(triplet: LevyTriplet, n_paths: int, steps_per_interval: int,
                    seed: int, horizon: float | None = None,
                    stream_offset: int = 0) -> SimulatedPaths:
@@ -97,25 +132,28 @@ def simulate_paths(triplet: LevyTriplet, n_paths: int, steps_per_interval: int,
     ``seed`` and ``stream_offset``, the two words of the Philox key (each
     must lie in [-2**63, 2**63); see the module docstring for the stream
     layout).  Each interval's variates are drawn for all paths at once.
+    Every segment is dense: a jump segment holds a zero row for each path
+    that does not jump in it.
     """
-    if n_paths < 1 or steps_per_interval < 1:
-        raise InvalidParameter("need n_paths >= 1 and steps_per_interval >= 1")
-    if not -2**63 <= min(seed, stream_offset) <= max(seed, stream_offset) < 2**63:
-        raise InvalidParameter("seed and stream_offset must lie in [-2**63, 2**63)")
-
-    rng = np.random.Generator(np.random.Philox(key=[seed, stream_offset]))
     segments: list[tuple[np.ndarray, np.ndarray | None]] = []
-    for i, span in _spans(triplet, horizon):
-        iv = _IntervalDraws(triplet, i, span, steps_per_interval, n_paths)
-        lvl1 = iv.increments(rng)             # the stream's order: normals, then jumps
-        jumps = iv.jump_segments(rng)
-        lvl1 += triplet.drifts[i] * iv.dt
-        ar = triplet.areas[i]
-        lvl2_base = None if ar is None else np.tile(ar.ravel() * iv.dt, (n_paths, 1))
-        for step in range(steps_per_interval):
-            segments.append((lvl1[step], None if lvl2_base is None else lvl2_base.copy()))
-            segments.extend(jumps.get(step, ()))
+    for interval in _interval_segments(triplet, n_paths, steps_per_interval, seed,
+                                       horizon, stream_offset):
+        for rows, lvl1, lvl2 in interval:
+            if rows is None:   # each segment gets its own area level
+                segments.append((lvl1, None if lvl2 is None else lvl2.copy()))
+                continue
+            dense = [None, None]
+            for k, lev in enumerate((lvl1, lvl2)):
+                if lev is not None:
+                    dense[k] = np.zeros((n_paths, lev.shape[1]))
+                    dense[k][rows] = lev
+            segments.append(tuple(dense))
     return SimulatedPaths(dim=triplet.dim, n_paths=n_paths, segments=segments)
+
+
+# Normals drawn per call while an interval's Brownian increments are read,
+# unless three paths hold more: two scratch buffers of 256 KiB
+_DRAW_NORMALS = 1 << 15
 
 
 class _IntervalDraws:
@@ -125,6 +163,7 @@ class _IntervalDraws:
                  n_paths: int):
         self.dim, self.n_paths, self.span, self.steps = triplet.dim, n_paths, span, steps
         self.dt = span / steps
+        self.drift, self.area = triplet.drifts[i], triplet.areas[i]
         self.factor = _cov_factor(triplet.covs[i])
         spec, rate, self.atom_table = triplet.jumps[i], 0.0, None
         if isinstance(spec, AtomicJumps):
@@ -140,37 +179,65 @@ class _IntervalDraws:
             raise Unsupported(f"jump spec {type(spec).__name__}")
         self.lam = rate * span
 
+    def segments(self, rng: np.random.Generator) -> list[tuple]:
+        """Draws the interval and returns its segments ``(rows, level1,
+        level2)`` in time order: each sub-step's Brownian segment (drift
+        included), then its jump segments.  The Brownian segments share one
+        area level."""
+        lvl1 = self.increments(rng)           # the stream's order: normals, then jumps
+        jumps = self.jump_segments(rng)
+        lvl1 += self.drift * self.dt
+        lvl2 = None if self.area is None else np.tile(self.area.ravel() * self.dt,
+                                                      (self.n_paths, 1))
+        out = []
+        for step in range(self.steps):
+            out.append((None, lvl1[step], lvl2))
+            out.extend(jumps.get(step, ()))
+        return out
+
     def increments(self, rng: np.random.Generator) -> np.ndarray:
         """All paths' sub-step increments, shape ``(steps, n_paths, d)``.
 
-        Draws the normals by (path, step) in one call, unless the interval
-        has no covariance.  Scales them by sqrt(dt) in (step, path) order,
-        then maps them to the covariance by one product, each row as
-        ``sqdt * z @ factor.T`` on the row alone would be.
+        Draws the normals by (path, step), unless the interval has no
+        covariance, into a scratch buffer of whole paths at a time: the
+        ``Generator`` fills its output in order, so the calls read the
+        stream as one call would.  Scales each call's normals by sqrt(dt),
+        maps them by the covariance factor in one product and moves them
+        to their (step, path) places.  The calls split the paths evenly,
+        with room for at least three paths each, so no call holds a lone
+        path unless there is one path in all: each row is then
+        ``sqdt * z @ factor.T`` as in one product for all paths, while a
+        product of one row, which a lone path at one sub-step would give,
+        takes another BLAS routine.
         """
         shape = (self.steps, self.n_paths, self.dim)
         if not np.any(self.factor):
             return np.zeros(shape)
-        noise = np.empty((self.n_paths, self.steps, self.dim))
-        rng.standard_normal(out=noise)
-        scaled = np.multiply(noise.transpose(1, 0, 2), math.sqrt(self.dt), out=np.empty(shape))
-        # the product reuses the drawn normals' buffer: validate's peak RSS
-        # read 3.5 MB lower than with a third buffer per interval
-        out = noise.reshape(-1, self.dim)
-        np.matmul(scaled.reshape(-1, self.dim), self.factor.T, out=out)
-        return out.reshape(shape)
+        out = np.empty(shape)
+        calls = -(-self.n_paths // max(3, _DRAW_NORMALS // (self.steps * self.dim)))
+        edges = [self.n_paths * c // calls for c in range(calls + 1)]
+        noise = np.empty((-(-self.n_paths // calls), self.steps, self.dim))
+        mapped = np.empty_like(noise)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            z, zf = noise[:hi - lo], mapped[:hi - lo]
+            rng.standard_normal(out=z)
+            z *= math.sqrt(self.dt)
+            np.matmul(z.reshape(-1, self.dim), self.factor.T, out=zf.reshape(-1, self.dim))
+            out[:, lo:hi] = zf.transpose(1, 0, 2)
+        return out
 
-    def jump_segments(self, rng: np.random.Generator
-                      ) -> dict[int, list[tuple[np.ndarray, np.ndarray | None]]]:
-        """Draws the interval's jumps and returns its jump segments by
-        sub-step, each list in time order.
+    def jump_segments(self, rng: np.random.Generator) -> dict[int, list[tuple]]:
+        """Draws the interval's jumps and returns its jump segments
+        ``(rows, level1, level2)`` by sub-step, each list in time order.
 
         The draws, all paths in path order: the Poisson counts, then the
         uniform positions, then the values (Gaussian rows times the jump
         factor in one product, or atom indices).  A path's jumps take its
         sorted positions ``span * u`` in draw order; a jump at t lies in
         sub-step ``min(int(t / dt), steps - 1)``.  Segment k of a sub-step
-        holds each path's k-th jump there.
+        holds each path's k-th jump there: the paths ``rows`` in increasing
+        order and their values, level 2 only if a jump of the segment has
+        one.
         """
         if self.lam <= 0:
             return {}
@@ -194,13 +261,8 @@ class _IntervalDraws:
         order = np.argsort(group, kind="stable")
         out: dict[int, list] = {}
         for rows in np.split(order, np.flatnonzero(np.diff(group[order])) + 1):
-            j1 = np.zeros((self.n_paths, self.dim))
-            j1[path[rows]] = lvl1[rows]
-            j2 = None
-            if has2[rows].any():
-                j2 = np.zeros((self.n_paths, self.dim**2))
-                j2[path[rows]] = lvl2[rows]
-            out.setdefault(int(step[rows[0]]), []).append((j1, j2))
+            segment = (path[rows], lvl1[rows], lvl2[rows] if has2[rows].any() else None)
+            out.setdefault(int(step[rows[0]]), []).append(segment)
         return out
 
 
@@ -234,41 +296,65 @@ def _live_rows(lev: np.ndarray) -> np.ndarray:
     return live
 
 
-def _batch_signatures(paths: SimulatedPaths, depth: int,
+class _PathStream(NamedTuple):
+    """A batch of paths that exists one interval at a time: ``intervals``
+    yields each interval's segments ``(rows, level1, level2)``, as
+    ``_interval_segments`` does."""
+
+    dim: int
+    n_paths: int
+    intervals: Iterator[list[tuple]]
+
+
+def _streamed_signatures(triplet: LevyTriplet, n_paths: int, steps: int, seed: int,
+                         horizon: float, depth: int, stream_offset: int = 0
+                         ) -> list[np.ndarray]:
+    """``_batch_signatures`` of the paths ``simulate_paths`` would return,
+    fed to it one interval at a time: no more than one interval's
+    increments exist at once."""
+    intervals = _interval_segments(triplet, n_paths, steps, seed, horizon, stream_offset)
+    return _batch_signatures(_PathStream(triplet.dim, n_paths, intervals), depth)
+
+
+def _batch_signatures(paths: SimulatedPaths | _PathStream, depth: int,
                       blocks: int | None = None) -> list[np.ndarray]:
     """Signature levels of all paths at once, each of shape (n_paths, d**n).
 
-    The paths are split into ``blocks`` column blocks of nearly equal width,
-    by default one per CPU the process may run on, but none narrower than
-    ``_MIN_BLOCK_PATHS`` paths.  Every block but the first runs in its own
-    thread, in a copy of the caller's context (so under its ``np.errstate``),
-    and the first runs on the calling thread.  Which levels of each segment
-    take part is decided here, on all rows: as in ``mul_exp``, a level that
-    is zero on every row is skipped.  Each path's column then takes the same
-    steps in any split, so the result does not depend on ``blocks``.  The
-    row-major outputs are allocated after every block has dropped its spare
-    buffers.
+    ``paths`` is a ``_PathStream`` or, as one interval of dense segments,
+    a ``SimulatedPaths``.  The paths are split into ``blocks`` column blocks
+    of nearly equal width, by default one per CPU the process may run on,
+    but none narrower than ``_MIN_BLOCK_PATHS`` paths.  Every block but the
+    first runs in its own thread, in a copy of the caller's context (so
+    under its ``np.errstate``), and the first runs on the calling thread,
+    which draws the intervals (``_Relay``).  Which levels of each segment
+    take part is decided on all rows (``_interval_plan``): as in
+    ``mul_exp``, a level that is zero on every row is skipped.  Each path's
+    column then takes the same steps in any split, so the result does not
+    depend on ``blocks``.  The row-major outputs are allocated after every
+    block has dropped its spare buffers.
     """
     d, n_paths = paths.dim, paths.n_paths
     if blocks is None:
         blocks = min(ta._cpu_count(), n_paths // _MIN_BLOCK_PATHS)
     blocks = max(1, min(blocks, n_paths))
-    plan = []
-    for segment in paths.segments:
-        levels = [(j, lev) for j, lev in enumerate(segment, 1) if lev is not None]
-        nonzero = [(j, lev) for j, lev in levels if lev.any()]
-        if nonzero:
-            plan.append(([lev for _, lev in levels],
-                         [(j, lev) for j, lev in nonzero if j <= depth]))
+    if isinstance(paths, SimulatedPaths):
+        intervals = iter([[(None, *segment) for segment in paths.segments]])
+    else:
+        intervals = paths.intervals
+    # map, unlike a generator expression, keeps no reference to the last
+    # interval while it draws the next
+    relay = _Relay(map(functools.partial(_interval_plan, depth=depth), intervals), blocks)
+    feeds = [relay.lead()] + [relay.follow() for _ in range(1, blocks)]
     edges = [n_paths * b // blocks for b in range(blocks + 1)]
     spans = list(zip(edges[:-1], edges[1:]))
     results: list = [None] * blocks
 
     def run(b: int) -> None:
         try:
-            results[b] = _block_signatures(plan, *spans[b], d, depth)
+            results[b] = _block_signatures(feeds[b], *spans[b], d, depth)
         except BaseException as exc:   # re-raised on the calling thread
             results[b] = exc
+            relay.barrier.abort()      # the other blocks stop at their next interval
 
     workers = [threading.Thread(target=contextvars.copy_context().run, args=(run, b))
                for b in range(1, blocks)]
@@ -277,9 +363,10 @@ def _batch_signatures(paths: SimulatedPaths, depth: int,
     run(0)
     for worker in workers:
         worker.join()
-    for res in results:
-        if isinstance(res, BaseException):
-            raise res
+    failed = [res for res in results if isinstance(res, BaseException)]
+    if failed:   # a failed block breaks the barrier of the others
+        raise next((exc for exc in failed
+                    if not isinstance(exc, threading.BrokenBarrierError)), failed[0])
     out = [np.empty((n_paths, d**n)) for n in range(depth + 1)]
     for (lo, hi), sig in zip(spans, results):
         for lev, part in zip(out, sig):
@@ -295,41 +382,112 @@ def _batch_signatures(paths: SimulatedPaths, depth: int,
 _MIN_BLOCK_PATHS = 5000
 
 
-def _block_signatures(plan, lo: int, hi: int, d: int, depth: int) -> list[np.ndarray]:
+def _interval_plan(segments: list[tuple], depth: int) -> list[tuple]:
+    """``(rows, levels, x)`` for each of an interval's segments with a
+    nonzero level: its rows (None for every path), its levels, and the live
+    levels ``(j, x^j)`` that every block multiplies."""
+    plan = []
+    for rows, *pair in segments:
+        levels = [(j, lev) for j, lev in enumerate(pair, 1) if lev is not None]
+        nonzero = [(j, lev) for j, lev in levels if lev.any()]
+        if nonzero:
+            plan.append((rows, [lev for _, lev in levels],
+                         [(j, lev) for j, lev in nonzero if j <= depth]))
+    return plan
+
+
+class _Relay:
+    """Hands each item of ``source`` to ``blocks`` iterators in turn.
+
+    ``lead()`` draws the items and must run on the calling thread;
+    ``follow()`` serves each other block on its own thread.  An item is
+    handed to all of them at once, and the next is drawn only when every
+    block is done with it and the relay has dropped it, so one item exists
+    at a time.  ``barrier.abort()`` makes every iterator raise
+    ``threading.BrokenBarrierError`` at its next wait.
+    """
+
+    def __init__(self, source, blocks: int):
+        self.source, self.item = source, None
+        self.barrier = threading.Barrier(blocks)
+
+    def lead(self):
+        try:
+            while True:
+                self.item = next(self.source, None)
+                self.barrier.wait()        # handed to every block; None ends
+                if self.item is None:
+                    return
+                yield self.item
+                self.barrier.wait()        # every block is done with it
+                self.item = None
+        except BaseException:
+            self.barrier.abort()
+            raise
+
+    def follow(self):
+        while True:
+            self.barrier.wait()
+            if self.item is None:
+                return
+            yield self.item
+            self.barrier.wait()
+
+
+def _block_signatures(intervals, lo: int, hi: int, d: int, depth: int) -> list[np.ndarray]:
     """Signature levels of paths ``lo:hi``, batch-last: level n as a
     (d**n, hi - lo) array.
 
-    ``plan`` lists, per segment with a nonzero level, the segment's levels
-    and the live levels ``(j, x^j)`` that every block multiplies.  The
-    signature sits in two buffer sets that every segment reuses.  A segment
-    updates only the block's live rows, those with a nonzero level (NaN
-    counts, found by ``_live_rows``): all rows by the Horner core of
-    ``mul_exp`` (``tensor_algebra._mul_exp_into``) into the spare set, which
-    then becomes the signature; none by skipping the segment; otherwise its
-    live columns, gathered and scattered back.  Each update takes the steps
-    ``path_signature`` takes for one path.
+    ``intervals`` yields each interval's plan (``_interval_plan``).  The
+    signature sits in two buffer sets that every segment of every interval
+    reuses; each interval is dropped before the next is drawn.
     """
     width = hi - lo
     sig = [np.ones((1, width))] + [np.zeros((d**n, width)) for n in range(1, depth + 1)]
     spare = [np.empty_like(lev) for lev in sig]
-    for levels, x in plan:
-        live = _live_rows(levels[0][lo:hi])
+    for plan in intervals:
+        sig, spare = _apply_plan(plan, sig, spare, lo, hi)
+        del plan   # no reference to the interval while the next is drawn
+    return sig
+
+
+def _apply_plan(plan, sig: list[np.ndarray], spare: list[np.ndarray], lo: int,
+                hi: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Applies an interval's segments to the signature ``sig`` of paths
+    ``lo:hi``; returns the signature and the spare set.
+
+    A segment updates only the block's live rows, those of its rows with a
+    nonzero level (NaN counts, found by ``_live_rows``): all rows by the
+    Horner core of ``mul_exp`` (``tensor_algebra._mul_exp_into``) into the
+    spare set, which then becomes the signature; none by skipping the
+    segment; otherwise its live columns, gathered and scattered back.  Each
+    update takes the steps ``path_signature`` takes for one path.
+    """
+    width = hi - lo
+    for rows, levels, x in plan:
+        if rows is None:
+            part, cols = slice(lo, hi), None
+        else:      # the segment's rows in this block
+            part = slice(*np.searchsorted(rows, (lo, hi)))
+            cols = rows[part] - lo
+        live = _live_rows(levels[0][part])
         for lev in levels[1:]:
-            live |= _live_rows(lev[lo:hi])
-        rows = np.flatnonzero(live)
-        if len(rows) == 0:
+            live |= _live_rows(lev[part])
+        idx = np.flatnonzero(live)
+        if len(idx) == 0:
             continue
-        if len(rows) == width:
-            ta._mul_exp_into(sig, [(j, lev[lo:hi].T) for j, lev in x], spare)
+        if len(idx) == width:
+            ta._mul_exp_into(sig, [(j, lev[part].T) for j, lev in x], spare)
             sig, spare = spare, sig
         else:
-            out = [lev[:, :len(rows)] for lev in spare]
-            ta._mul_exp_into([np.take(lev, rows, axis=1) for lev in sig],
-                             [(j, np.take(lev[lo:hi], rows, axis=0).T) for j, lev in x],
+            target = idx if cols is None else cols[idx]
+            out = [lev[:, :len(idx)] for lev in spare]
+            ta._mul_exp_into([np.take(lev, target, axis=1) for lev in sig],
+                             [(j, np.take(lev[part], idx, axis=0).T) for j, lev in x],
                              out)
             for lev, upd in zip(sig, out):
-                lev[:, rows] = upd
-    return sig
+                lev[:, target] = upd
+    return sig, spare
 
 
 @dataclass
@@ -351,9 +509,7 @@ def estimate_expected_signature(triplet: LevyTriplet, t: float, depth: int,
     """
     if n_paths < 2:
         raise InvalidParameter("the standard error needs n_paths >= 2")
-    paths = simulate_paths(triplet, n_paths, steps, seed, horizon=t,
-                           stream_offset=stream_offset)
-    sig = _batch_signatures(paths, depth)
+    sig = _streamed_signatures(triplet, n_paths, steps, seed, t, depth, stream_offset)
     mean = TruncatedTensor(triplet.dim, [lvl.mean(axis=0) for lvl in sig])
     se_levels = [lvl.std(axis=0, ddof=1) / math.sqrt(n_paths) for lvl in sig]
     se = TruncatedTensor(triplet.dim, se_levels)
@@ -372,11 +528,8 @@ def estimate_kernel(triplet_a: LevyTriplet, triplet_b: LevyTriplet, t: float,
     """
     if n_paths < 2:
         raise InvalidParameter("the standard error needs n_paths >= 2")
-    # each side's paths are dropped once its signatures are formed
-    sig_a = _batch_signatures(simulate_paths(triplet_a, n_paths, steps, seed, horizon=t),
-                              depth)
-    sig_b = _batch_signatures(simulate_paths(triplet_b, n_paths, steps, seed, horizon=t,
-                                             stream_offset=1), depth)
+    sig_a = _streamed_signatures(triplet_a, n_paths, steps, seed, t, depth)
+    sig_b = _streamed_signatures(triplet_b, n_paths, steps, seed, t, depth, stream_offset=1)
     mean_a = [lvl.mean(axis=0) for lvl in sig_a]
     mean_b = [lvl.mean(axis=0) for lvl in sig_b]
     value = float(sum(ma @ mb for ma, mb in zip(mean_a, mean_b)))

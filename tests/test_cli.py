@@ -627,6 +627,50 @@ class TestOversizedConfigs:
         assert "Traceback" not in proc.stderr, proc.stderr
 
 
+class TestUnwritableOutput:
+    """An output that cannot be written ends in one ``error:`` line naming
+    the path, exit code 1, and leaves no temporary file."""
+
+    OUTPUTS = {"kernel": ("kernel-jumps-d2", "kernel.csv"),
+               "mmd": ("mmd-area-m8", "mmd.csv"),
+               "validate": ("validate-jumps-d2", "validate.txt")}
+
+    def run(self, tmp_path, capsys, experiment, out):
+        name, _ = self.OUTPUTS[experiment]
+        cfg = write_config(tmp_path / "cfg.json", WORKLOADS.CONFIGS[name](1, small=True))
+        assert main(["--config", cfg, "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output") and err.count("\n") == 1, err
+        return err
+
+    @pytest.mark.parametrize("experiment", sorted(OUTPUTS))
+    def test_output_under_a_regular_file(self, tmp_path, capsys, experiment):
+        (tmp_path / "notadir").write_text("")
+        err = self.run(tmp_path, capsys, experiment, tmp_path / "notadir" / "x")
+        assert "Not a directory" in err and str(tmp_path / "notadir" / "x") in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "notadir"]
+
+    @pytest.mark.parametrize("experiment", sorted(OUTPUTS))
+    def test_directory_at_the_output_name(self, tmp_path, capsys, experiment):
+        target = tmp_path / "o" / self.OUTPUTS[experiment][1]
+        target.mkdir(parents=True)
+        err = self.run(tmp_path, capsys, experiment, tmp_path / "o")
+        assert "Is a directory" in err and str(target) in err
+        assert [p.name for p in (tmp_path / "o").iterdir()] == [target.name]
+        assert not any(target.iterdir())
+
+    def test_taken_temporary_name(self, tmp_path, capsys):
+        # kernel.csv is written under <path>.<pid>.tmp: a file already
+        # there is not the run's to overwrite or remove
+        taken = tmp_path / "o" / f"kernel.csv.{os.getpid()}.tmp"
+        taken.parent.mkdir()
+        taken.write_text("someone else's")
+        err = self.run(tmp_path, capsys, "kernel", tmp_path / "o")
+        assert "File exists" in err and str(taken) in err
+        assert [p.name for p in (tmp_path / "o").iterdir()] == [taken.name]
+        assert taken.read_text() == "someone else's"
+
+
 class TestShortestRoundTrip:
     """Every float the CLI writes is the shortest repr that round-trips."""
 

@@ -477,19 +477,20 @@ class TestBatchedSignatures:
 
     def test_estimate_kernel_sides_draw_from_different_keys(self, monkeypatch):
         # the two sides of one kernel estimate must be independent: each
-        # reads its own Philox key, and the two keys give other paths
-        from levy_sigkernel import mc_oracle
-        keys, real = [], mc_oracle.simulate_paths
+        # reads its own Philox key, and the two keys give other paths.  The
+        # keys are recorded where the interval generator opens the stream
+        keys, real = [], mc_oracle._interval_segments
 
         def record(triplet, n_paths, steps, seed, horizon=None, stream_offset=0):
             keys.append((seed, stream_offset))
             return real(triplet, n_paths, steps, seed, horizon, stream_offset)
 
-        monkeypatch.setattr(mc_oracle, "simulate_paths", record)
+        monkeypatch.setattr(mc_oracle, "_interval_segments", record)
         trip = jump_triplet()
         estimate_kernel(trip, trip, 1.0, 2, 50, 3, seed=5)
         assert len(keys) == 2 and keys[0] != keys[1]
-        sides = [real(trip, 50, 3, seed, horizon=1.0, stream_offset=offset)
+        monkeypatch.undo()
+        sides = [simulate_paths(trip, 50, 3, seed, horizon=1.0, stream_offset=offset)
                  for seed, offset in keys]
         assert not np.array_equal(sides[0].segments[0][0], sides[1].segments[0][0])
 
@@ -741,9 +742,9 @@ class TestColumnBlocks:
         calls = []
         original = mc_oracle._block_signatures
 
-        def record(plan, lo, hi, d, depth):
+        def record(intervals, lo, hi, d, depth):
             calls.append((lo, hi, threading.current_thread() is threading.main_thread()))
-            return original(plan, lo, hi, d, depth)
+            return original(intervals, lo, hi, d, depth)
 
         monkeypatch.setattr(mc_oracle, "_block_signatures", record)
         monkeypatch.setattr(ta, "_cpu_count", lambda: 3)
@@ -793,6 +794,224 @@ class TestColumnBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * one_set, peak / one_set
+
+
+def streamed_signatures(trip, n_paths, steps, seed, depth, blocks=None):
+    """``_batch_signatures`` fed by the interval generator, as the estimators
+    feed it."""
+    intervals = mc_oracle._interval_segments(trip, n_paths, steps, seed)
+    return _batch_signatures(mc_oracle._PathStream(trip.dim, n_paths, intervals), depth,
+                             blocks=blocks)
+
+
+def zero_atom_triplet():
+    """``jump_triplet`` whose atomic interval also jumps, most often, to an
+    atom whose levels are all zero."""
+    trip = jump_triplet()
+    zero = TT.from_levels(2, [np.zeros(1), np.zeros(2), np.zeros(4)])
+    atomic = trip.jumps[1]
+    jumps = [trip.jumps[0], AtomicJumps(np.append(atomic.weights, 12.0),
+                                        atomic.atoms + (zero,)), None]
+    return LevyTriplet(dim=2, time_grid=trip.time_grid, drifts=trip.drifts,
+                       covs=trip.covs, areas=trip.areas, jumps=jumps, state_depth=2)
+
+
+def sparse_form(segment, pick):
+    """A dense segment as a sparse one on the rows ``pick`` selects and the
+    rows with a nonzero entry (NaN included)."""
+    rows = np.flatnonzero(pick | np.any([lev.any(axis=1) for lev in segment
+                                         if lev is not None], axis=0))
+    return (rows, *(None if lev is None else lev[rows] for lev in segment))
+
+
+class TestStreamedSignatures:
+    """Signatures fed one interval at a time, with sparse jump segments,
+    bitwise equal to the reference on ``simulate_paths``'s dense segments."""
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    @pytest.mark.parametrize("depth", [2, 4])
+    def test_bitwise_equal_to_reference(self, blocks, depth):
+        trip = jump_triplet()
+        dense = simulate_paths(trip, 301, 3, seed=5)
+        # level-2 atoms and area segments, and sparse jump segments
+        assert any(l2 is not None and l2.any() for _, l2 in dense.segments[3:])
+        got = streamed_signatures(trip, 301, 3, 5, depth, blocks=blocks)
+        want = reference_batch_signatures(dense, depth)
+        for lvl, ref in zip(got, want):
+            assert lvl.flags.c_contiguous and lvl.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_zero_atom_is_skipped(self, monkeypatch, blocks):
+        # a drawn jump to the zero atom updates no row, and a segment of
+        # such jumps alone takes no step
+        trip = zero_atom_triplet()
+        dense = simulate_paths(trip, 200, 2, seed=3)
+        live = [int((l1.any(axis=1) | (l2 is not None and l2.any(axis=1))).sum())
+                for l1, l2 in dense.segments]
+        assert 0 in live and any(0 < k < 200 for k in live)
+        widths, real = [], ta._mul_exp_into
+
+        def record(s_cols, x_cols, q):
+            widths.append(q[0].shape[1])
+            return real(s_cols, x_cols, q)
+
+        monkeypatch.setattr(ta, "_mul_exp_into", record)
+        got = streamed_signatures(trip, 200, 2, 3, 4, blocks=blocks)
+        assert sum(widths) == sum(live)
+        for lvl, ref in zip(got, reference_batch_signatures(dense, 4)):
+            assert lvl.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    @pytest.mark.parametrize("depth", [1, 4])
+    def test_hand_made_sparse_segments(self, monkeypatch, blocks, depth):
+        # the mixed segments as sparse ones that also hold zero rows, rows
+        # of -0.0 and NaN rows: a sparse segment updates the rows that its
+        # dense form would, and no other
+        paths = TestColumnBlocks().paths()
+        pick = np.arange(paths.n_paths) % 3 == 0
+        segments = [(None, *seg) if k % 4 == 0 else sparse_form(seg, pick)
+                    for k, seg in enumerate(paths.segments)]
+        assert sum(rows is not None and len(rows) < paths.n_paths
+                   for rows, *_ in segments) > 10
+        live = sum(int((l1.any(axis=1) | (l2 is not None and l2.any(axis=1))).sum())
+                   for l1, l2 in paths.segments)
+        widths, real = [], ta._mul_exp_into
+
+        def record(s_cols, x_cols, q):
+            widths.append(q[0].shape[1])
+            return real(s_cols, x_cols, q)
+
+        stream = mc_oracle._PathStream(paths.dim, paths.n_paths,
+                                       iter([segments[:9], [], segments[9:]]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            monkeypatch.setattr(ta, "_mul_exp_into", record)
+            got = _batch_signatures(stream, depth, blocks=blocks)
+            monkeypatch.undo()
+            want = reference_batch_signatures(paths, depth)
+        assert sum(widths) == live
+        for lvl, ref in zip(got, want):
+            assert lvl.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("normals", [30, 4], ids=["paths_per_draw", "steps_past_draw"])
+    def test_draws_across_calls_match_reference(self, monkeypatch, normals):
+        # in d = 2, 30 normals hold five paths of 3 sub-steps, so 61 paths
+        # take 13 draws; 4 normals hold less than one path (three are drawn)
+        monkeypatch.setattr(mc_oracle, "_DRAW_NORMALS", normals)
+        trip = jump_triplet()
+        for n_paths, seed, horizon in [(61, 11, None), (61, 3, 0.85), (1, 4, None)]:
+            assert_same_segments(simulate_paths(trip, n_paths, 3, seed, horizon=horizon),
+                                 reference_paths(trip, n_paths, 3, seed, horizon=horizon))
+
+    def test_draws_at_one_sub_step_leave_no_path_alone(self, monkeypatch):
+        # at one sub-step a lone path's product has one row, which takes
+        # another BLAS routine (so does the reference's product per path),
+        # and rounds otherwise in some rows: 4 and 61 paths, three per
+        # draw, must round as one draw of all of them
+        trip = jump_triplet()
+        cases = [(n_paths, seed) for n_paths in (4, 61) for seed in range(12)]
+        whole = [simulate_paths(trip, n_paths, 1, seed) for n_paths, seed in cases]
+        monkeypatch.setattr(mc_oracle, "_DRAW_NORMALS", 4)
+        for (n_paths, seed), ref in zip(cases, whole):
+            assert_same_segments(simulate_paths(trip, n_paths, 1, seed), ref)
+
+    def test_more_blocks_than_cores_under_frequent_switches(self):
+        # seven blocks take each of three intervals from the relay; a block
+        # that missed an interval, or took one twice, would change its rows
+        trip = jump_triplet()
+        want = reference_batch_signatures(simulate_paths(trip, 301, 3, seed=9), 4)
+        got = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: got.extend(
+                streamed_signatures(trip, 301, 3, 9, 4, blocks=7) for _ in range(5)))
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive() and len(got) == 5
+        for sig in got:
+            for lvl, ref in zip(sig, want):
+                assert lvl.tobytes() == ref.tobytes()
+
+    def test_stream_error_stops_every_block(self):
+        # the stream raises while the blocks wait for its second interval
+        before = threading.active_count()
+
+        def intervals():
+            yield [(None, np.full((12, 2), 0.1), None)]
+            raise OutOfRange("stream ends")
+
+        with pytest.raises(OutOfRange):
+            _batch_signatures(mc_oracle._PathStream(2, 12, intervals()), 3, blocks=3)
+        assert threading.active_count() == before
+
+    def test_worker_error_in_a_later_interval_reaches_the_caller(self):
+        # row 10, in the last of three blocks, overflows in the second of
+        # three intervals; the other blocks wait for the third
+        before = threading.active_count()
+        first = np.full((12, 2), 0.1)
+        second = first.copy()
+        second[10] = [1e200, 0.5]
+        stream = mc_oracle._PathStream(2, 12, iter(
+            [[(None, first, None)], [(None, second, None)], [(None, first, None)]]))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            _batch_signatures(stream, 4, blocks=3)
+        assert threading.active_count() == before
+
+
+class TestStreamedMemory:
+    """``estimate_kernel`` holds one interval's increments at a time."""
+
+    N, STEPS, DEPTH = 6000, 8, 4
+
+    def triplet(self, intervals):
+        # equal spans, so that every interval draws alike
+        k = intervals
+        return LevyTriplet(dim=2, time_grid=0.125 * np.arange(k + 1),
+                           drifts=[np.array([0.1, -0.2])] * k,
+                           covs=[np.array([[0.4, 0.1], [0.1, 0.2]])] * k,
+                           jumps=[GaussianJumps(6.0, jump_cov())] * k)
+
+    def peak(self, intervals):
+        trip = self.triplet(intervals)
+        horizon = float(trip.time_grid[-1])
+        # a first call makes the imports it needs outside the traced span
+        estimate_kernel(trip, trip, horizon, self.DEPTH, 8, self.STEPS, seed=3)
+        tracemalloc.start()
+        try:
+            estimate_kernel(trip, trip, horizon, self.DEPTH, self.N, self.STEPS, seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def sizes(self):
+        one_set = 8 * self.N * sum(2**n for n in range(self.DEPTH + 1))
+        interval = 8 * self.STEPS * self.N * 2
+        return one_set, interval
+
+    @pytest.fixture(params=[1, 2], ids=["one_block", "two_blocks"])
+    def blocks(self, request, monkeypatch):
+        monkeypatch.setattr(ta, "_cpu_count", lambda: request.param)
+        monkeypatch.setattr(mc_oracle, "_MIN_BLOCK_PATHS", 1000)
+        return request.param
+
+    def test_peak_does_not_grow_with_intervals(self, blocks):
+        _, interval = self.sizes()
+        two, eight = self.peak(2), self.peak(8)
+        assert eight <= two + interval, (two / interval, eight / interval)
+
+    def test_peak_holds_signature_sets_and_one_interval(self, blocks):
+        # side a's row-major output, side b's signature and spare sets,
+        # one interval's increments and the two draw scratch buffers, which
+        # peak while an interval is drawn: 3 sets + 1.68 intervals here,
+        # where the scratch is 0.67 of an interval.  A leaked interval
+        # would add one more; a fifth of a set (0.39 of an interval) is
+        # left for the gathered columns and product temporaries
+        one_set, interval = self.sizes()
+        scratch = 2 * 8 * mc_oracle._DRAW_NORMALS
+        peak = self.peak(2)
+        assert peak <= 3.2 * one_set + interval + scratch, (peak - 3 * one_set) / interval
 
 
 class TestPathSignature:
