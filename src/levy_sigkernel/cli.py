@@ -550,8 +550,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.write_example:
-        with open(args.write_example, "w") as fh:
-            json.dump(examples_config(), fh, indent=2)
+        try:
+            with open(args.write_example, "w") as fh:
+                json.dump(examples_config(), fh, indent=2)
+        except OSError as exc:
+            print(f"error: cannot write example config: {exc}", file=sys.stderr)
+            return 1
         print(f"wrote example config to {args.write_example}")
         return 0
     if not args.config:

@@ -63,10 +63,6 @@ coefficient tables take one pass over each velocity's intervals.
 from __future__ import annotations
 
 import math
-import os
-import shutil
-import threading
-import warnings
 from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -74,6 +70,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _forks
 from . import tensor_algebra as ta
 from .characteristics import PiecewiseVelocity
 from .errors import GridMismatch, InvalidParameter, NumericalInconsistency, Unsupported
@@ -228,7 +225,7 @@ class KernelSurface:
         blocks, one per CPU the process may run on while another block
         still pays for itself (``_BLOCK_COST_NODES``).  The calling process
         writes the first block; this method forks (``os.fork``) a child
-        for each other block (:func:`_write_blocks`).  Each block is
+        for each other block (``_forks.write_blocks``).  Each block is
         written one row at a time, each row joined into one string, so the
         bytes are those of a per-node ``f"{float(x)!r}"`` writer whatever
         the split, and memory stays one row wide in every process.
@@ -254,8 +251,8 @@ class KernelSurface:
         # block b + 1 saves nodes / (b (b + 1)) nodes' formatting
         while blocks < most and blocks * (blocks + 1) * _BLOCK_COST_NODES < nodes:
             blocks += 1
-        _write_blocks(path, header + "\n", write_rows,
-                      [n_rows * b // blocks for b in range(blocks + 1)])
+        _forks.write_blocks(path, header + "\n", write_rows,
+                            [n_rows * b // blocks for b in range(blocks + 1)])
 
 
 # What a block of KernelSurface.to_csv past the first costs the calling
@@ -268,120 +265,6 @@ class KernelSurface:
 # 8 blocks on 258^2 nodes, whatever the CPUs.  Counts past 2 blocks follow
 # from this model and were not measured.
 _BLOCK_COST_NODES = 1024
-
-
-def _write_blocks(path, header: str, write_rows, edges: list[int]) -> None:
-    """Write ``header``, then ``write_rows(fh, lo, hi)`` for each block of
-    rows ``edges[b]:edges[b + 1]`` in order, into the text file ``path``.
-
-    The blocks go into a new file next to ``path`` (created exclusively),
-    which replaces ``path`` (``os.replace``) once the last block is in;
-    if anything raises, that file is removed and a file already at
-    ``path`` is left as it was.  The calling process writes block 0.
-    Every later block goes to a child made by ``os.fork``
-    (:func:`_fork_block`) that writes it into a part file next to
-    ``path``; the parent appends the part files in block order and
-    removes them.  A block whose part file or child cannot be made, or
-    whose child does not exit with 0 or was reaped elsewhere, is written
-    by the parent, so every path gives the same bytes.  If the parent
-    raises, every child is killed and reaped and every part file removed.
-    """
-    path = os.fsdecode(path)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    children: dict[int, list] = {}   # block -> [pid, None once reaped; part file]
-    # opened before the try: a name already taken is not ours to remove
-    fh = open(tmp, "x")
-    try:
-        with fh:
-            for b in range(1, len(edges) - 1):
-                _fork_block(children, b, f"{path}.{os.getpid()}.{b}.part",
-                            write_rows, edges[b], edges[b + 1])
-            fh.write(header)
-            write_rows(fh, edges[0], edges[1])
-            for b in range(1, len(edges) - 1):
-                child = children.get(b)
-                if child is not None and _exited_cleanly(child):
-                    fh.flush()
-                    with open(child[1], "rb") as src:
-                        shutil.copyfileobj(src, fh.buffer)
-                else:
-                    write_rows(fh, edges[b], edges[b + 1])
-                if child is not None:
-                    os.remove(child[1])
-                    del children[b]
-        os.replace(tmp, path)
-    except BaseException:
-        _remove(tmp)
-        raise
-    finally:
-        for pid, part in children.values():
-            if pid is not None:
-                import signal   # only on this path: importing the CLI must not load it
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-                except (ProcessLookupError, ChildProcessError):
-                    pass   # reaped already, as under SIGCHLD = SIG_IGN
-            _remove(part)
-
-
-def _remove(name: str) -> None:
-    try:
-        os.remove(name)
-    except FileNotFoundError:
-        pass
-
-
-def _fork_block(children: dict, b: int, part: str, write_rows, lo: int, hi: int) -> None:
-    """Create the file ``part`` (``O_EXCL``) and fork a child that writes
-    rows ``lo:hi`` into it; record ``children[b] = [pid, part]``, with pid
-    None if the fork raised.  Without ``os.fork``, with another Python
-    thread alive, or when ``part`` cannot be created, record nothing.
-
-    The child only formats and writes: it calls no BLAS (``write_rows``
-    must not either) and, with no other Python thread, meets no lock that
-    another thread may hold; it ends with ``os._exit``, so no atexit
-    handler runs and no inherited buffer is flushed.  That makes the fork
-    safe beside the threads that are not Python's (numpy's OpenBLAS starts
-    one), so the warning that Python 3.12+ gives for such a fork is not
-    shown; the filter cannot race another thread's, as there is none.
-    """
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return
-    try:
-        fd = os.open(part, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError:
-        return
-    children[b] = child = [None, part]
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "This process .* is multi-threaded",
-                                    DeprecationWarning)
-            child[0] = os.fork()
-    except OSError:
-        pass   # the parent writes this block
-    if child[0] == 0:
-        code = 1
-        try:
-            with open(fd, "w") as fh:
-                write_rows(fh, lo, hi)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(fd)
-
-
-def _exited_cleanly(child: list) -> bool:
-    """Reap ``child``'s process, if it has one; True if it exited with 0,
-    False if it failed or was reaped elsewhere."""
-    if child[0] is None:
-        return False
-    try:
-        _, status = os.waitpid(child[0], 0)
-    except ChildProcessError:   # reaped already, as under SIGCHLD = SIG_IGN
-        status = None
-    child[0] = None
-    return status is not None and os.waitstatus_to_exitcode(status) == 0
 
 
 def _validate_grid(grid: np.ndarray, breakpoints: np.ndarray, what: str) -> np.ndarray:

@@ -35,6 +35,19 @@ same steps in any split.
 The worker threads call private functions only.  ``path_signature`` takes
 the same step for one path through ``mul_exp``, so row p equals
 ``path_signature(paths.increments_of(p), depth)`` bit for bit.
+
+``estimate_kernel`` runs its two sides at once on two or more CPUs: side b
+(key ``[seed, 1]``) in a forked child (``_ForkedSide``), side a (key
+``[seed, 0]``) in the calling process, each in half the CPUs' column
+blocks.  They exchange raw float64 bytes over pipes: the child sends side
+b's mean levels, reads side a's and sends back the variance of side b's
+projections on them, from which the parent forms the estimate in the
+sequential order, so every path gives the same bits.  Where no child can
+be made (``_forks``: no ``os.fork``, another Python thread alive, a fork
+that fails), or the child exits non-zero, dies, warns or is reaped
+elsewhere, the calling process computes side b itself, with the same bits,
+errors and warnings; if it raises, it kills and reaps the child.  Side b's
+signatures then exist only in the child, so each process holds one side.
 """
 
 from __future__ import annotations
@@ -42,13 +55,16 @@ from __future__ import annotations
 import contextvars
 import functools
 import math
+import os
 import threading
+import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from . import _forks
 from . import tensor_algebra as ta
 from .characteristics import AtomicJumps, GaussianJumps, LevyTriplet, _spans
 from .errors import DimMismatch, InvalidParameter, Unsupported
@@ -307,13 +323,13 @@ class _PathStream(NamedTuple):
 
 
 def _streamed_signatures(triplet: LevyTriplet, n_paths: int, steps: int, seed: int,
-                         horizon: float, depth: int, stream_offset: int = 0
-                         ) -> list[np.ndarray]:
+                         horizon: float, depth: int, stream_offset: int = 0,
+                         blocks: int | None = None) -> list[np.ndarray]:
     """``_batch_signatures`` of the paths ``simulate_paths`` would return,
     fed to it one interval at a time: no more than one interval's
     increments exist at once."""
     intervals = _interval_segments(triplet, n_paths, steps, seed, horizon, stream_offset)
-    return _batch_signatures(_PathStream(triplet.dim, n_paths, intervals), depth)
+    return _batch_signatures(_PathStream(triplet.dim, n_paths, intervals), depth, blocks)
 
 
 def _batch_signatures(paths: SimulatedPaths | _PathStream, depth: int,
@@ -523,21 +539,146 @@ def estimate_kernel(triplet_a: LevyTriplet, triplet_b: LevyTriplet, t: float,
 
     Returns ``(value, standard_error)``; the error combines the two
     independent mean estimates by the delta method.  The two sides are
-    independent: the first draws from Philox key ``[seed, 0]``, the second
-    from ``[seed, 1]``.
+    independent: side a draws from Philox key ``[seed, 0]``, side b from
+    ``[seed, 1]``.  On two or more CPUs, side b runs in a forked child
+    (``_ForkedSide``) while the calling process runs side a, each on half
+    the CPUs' column blocks; otherwise, or when the child fails, the
+    calling process runs side b after side a.  Every path gives the same
+    bits and raises the same errors.
     """
     if n_paths < 2:
         raise InvalidParameter("the standard error needs n_paths >= 2")
-    sig_a = _streamed_signatures(triplet_a, n_paths, steps, seed, t, depth)
-    sig_b = _streamed_signatures(triplet_b, n_paths, steps, seed, t, depth, stream_offset=1)
-    mean_a = [lvl.mean(axis=0) for lvl in sig_a]
-    mean_b = [lvl.mean(axis=0) for lvl in sig_b]
+    if triplet_a.dim != triplet_b.dim:
+        raise DimMismatch(f"triplet dims {triplet_a.dim} and {triplet_b.dim} differ")
+    side_a, side_b = (functools.partial(_streamed_signatures, triplet, n_paths, steps,
+                                        seed, t, depth, offset)
+                      for offset, triplet in enumerate((triplet_a, triplet_b)))
+    cpus = ta._cpu_count()
+    half = min(cpus // 2, n_paths // _MIN_BLOCK_PATHS)
+    child = None
+    if cpus >= 2:
+        child = _ForkedSide.start(functools.partial(side_b, blocks=half),
+                                  [triplet_a.dim**n for n in range(depth + 1)])
+    try:
+        sig_a = side_a(blocks=half if child else None)
+        mean_a = _level_means(sig_a)
+        got = child.exchange(mean_a) if child else None
+    finally:
+        if child:
+            child.close()
+    if got is None:
+        sig_b = side_b()
+        got = _level_means(sig_b), _projection_variance(sig_b, mean_a)
+        del sig_b
+    mean_b, var_b = got
     value = float(sum(ma @ mb for ma, mb in zip(mean_a, mean_b)))
     # delta method: variance of <mean_a, .> against per-path signatures of b
-    proj_a = sum(lvl @ mb for lvl, mb in zip(sig_a, mean_b))
-    proj_b = sum(lvl @ ma for lvl, ma in zip(sig_b, mean_a))
-    var = proj_a.var(ddof=1) / n_paths + proj_b.var(ddof=1) / n_paths
+    var = _projection_variance(sig_a, mean_b) / n_paths + var_b / n_paths
     return value, float(math.sqrt(var))
+
+
+def _level_means(sig: list[np.ndarray]) -> list[np.ndarray]:
+    return [lvl.mean(axis=0) for lvl in sig]
+
+
+def _projection_variance(sig: list[np.ndarray], other_mean: list[np.ndarray]):
+    """Sample variance (ddof 1) over the paths of ``<S_p, other_mean>``."""
+    return sum(lvl @ m for lvl, m in zip(sig, other_mean)).var(ddof=1)
+
+
+class _ForkedSide:
+    """One side of ``estimate_kernel`` computed in a forked child
+    (``_forks.fork``), which exchanges raw float64 bytes with the parent
+    over two pipes.
+
+    The child computes its signatures and sends their mean levels; then it
+    reads the other side's mean levels and sends the variance of its
+    projections on them (``_projection_variance``).  The parent reads the
+    child's means before it sends its own, so neither blocks on a full pipe
+    while the other writes.  A warning in the child is an error there, so
+    that a side which warns is computed again, and warns, in the parent.
+    """
+
+    def __init__(self, pid: int, reader, writer, sizes: list[int]):
+        self.pid, self.reader, self.writer, self.sizes = pid, reader, writer, sizes
+
+    @classmethod
+    def start(cls, signatures, sizes: list[int]) -> _ForkedSide | None:
+        """Forks the child of ``signatures()``; ``sizes`` are the lengths
+        of both sides' mean levels.  None if no child was made
+        (``_forks.fork``) or a pipe could not be opened."""
+        if not _forks.can_fork():
+            return None
+        fds: list[int] = []   # read and write ends: child to parent, parent to child
+        try:
+            for _ in range(2):
+                fds.extend(os.pipe())
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            return None
+        pid = _forks.fork(functools.partial(cls._run, signatures, fds, sizes))
+        os.close(fds[1])
+        os.close(fds[2])
+        if pid is None:
+            os.close(fds[0])
+            os.close(fds[3])
+            return None
+        return cls(pid, open(fds[0], "rb"), open(fds[3], "wb"), sizes)
+
+    @staticmethod
+    def _run(signatures, fds: list[int], sizes: list[int]) -> None:
+        os.close(fds[0])
+        os.close(fds[3])
+        warnings.simplefilter("error")
+        sig = signatures()
+        with open(fds[1], "wb") as writer, open(fds[2], "rb") as reader:
+            _send(writer, _level_means(sig))
+            other_mean = _receive(reader, sizes)
+            if other_mean is None:
+                raise EOFError("the parent sent no mean levels")
+            _send(writer, [np.array([_projection_variance(sig, other_mean)])])
+
+    def exchange(self, mean: list[np.ndarray]):
+        """Sends the parent's mean levels and returns the child's ``(mean
+        levels, projection variance)``; reaps the child.  None if the child
+        sent less, did not exit with 0 or was reaped elsewhere."""
+        got = _receive(self.reader, self.sizes)
+        try:
+            if got is not None:
+                _send(self.writer, mean)
+        except BrokenPipeError:   # the child has gone
+            got = None
+        var = None if got is None else _receive(self.reader, [1])
+        clean, self.pid = _forks.exited_cleanly(self.pid), None
+        if not clean or var is None:
+            return None
+        return got, var[0][0]
+
+    def close(self) -> None:
+        """Closes the pipes; kills and reaps the child if it is not reaped."""
+        for fh in (self.reader, self.writer):
+            try:
+                fh.close()
+            except OSError:   # a write the child did not read
+                pass
+        if self.pid is not None:
+            _forks.kill(self.pid)
+
+
+def _send(writer, levels: list[np.ndarray]) -> None:
+    for lev in levels:
+        writer.write(np.ascontiguousarray(lev, dtype=np.float64).data)
+    writer.flush()
+
+
+def _receive(reader, sizes: list[int]) -> list[np.ndarray] | None:
+    """Float64 levels of lengths ``sizes`` read from ``reader``; None at an
+    early end of the pipe."""
+    flat = np.empty(sum(sizes))
+    if reader.readinto(flat) < flat.nbytes:
+        return None
+    return np.split(flat, np.cumsum(sizes)[:-1])
 
 
 def estimate_to_csv(estimate: SignatureEstimate, path) -> None:

@@ -25,6 +25,20 @@ def rng():
     return np.random.default_rng(20240901)
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """Count the children forked; return the list of their pids."""
+    real_fork, pids = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
 def random_tensor(rng, dim, depth, scale=0.5, zero_scalar=False):
     levels = [rng.normal(size=dim**n) * scale / (n + 1) for n in range(depth + 1)]
     if zero_scalar:

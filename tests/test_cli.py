@@ -659,6 +659,18 @@ class TestUnwritableOutput:
         assert [p.name for p in (tmp_path / "o").iterdir()] == [target.name]
         assert not any(target.iterdir())
 
+    @pytest.mark.parametrize("where", ["missing_directory", "directory_at_the_name"])
+    def test_write_example(self, tmp_path, capsys, where):
+        target = tmp_path / "nonexistent" / "x.json"
+        if where == "directory_at_the_name":
+            target.mkdir(parents=True)
+        assert main(["--write-example", str(target)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1, err
+        assert err.startswith("error: cannot write example config") and str(target) in err
+        assert [p.name for p in tmp_path.rglob("*")] == (
+            [] if where == "missing_directory" else ["nonexistent", "x.json"])
+
     def test_taken_temporary_name(self, tmp_path, capsys):
         # kernel.csv is written under <path>.<pid>.tmp: a file already
         # there is not the run's to overwrite or remove

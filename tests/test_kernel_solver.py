@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levy_sigkernel import _forks
 from levy_sigkernel import tensor_algebra as ta
 from levy_sigkernel.characteristics import (LevyTriplet, PiecewiseVelocity,
                                             characteristic_velocity)
@@ -1520,19 +1521,6 @@ class TestSplitWriter:
         monkeypatch.setattr(kernel_solver, "_BLOCK_COST_NODES", 0)
 
     @pytest.fixture
-    def forks(self, monkeypatch):
-        """Count the children forked; return the list of their pids."""
-        real_fork, pids = os.fork, []
-
-        def fork():
-            pid = real_fork()
-            if pid:
-                pids.append(pid)
-            return pid
-        monkeypatch.setattr(os, "fork", fork)
-        return pids
-
-    @pytest.fixture
     def sigchld_ignored(self):
         """SIGCHLD set to SIG_IGN, so the kernel reaps every child and
         ``waitpid`` on it fails with ``ChildProcessError``."""
@@ -1610,12 +1598,12 @@ class TestSplitWriter:
 
     def test_bytes_path_puts_part_files_beside_the_output(self, rng, tmp_path, monkeypatch,
                                                           forks):
-        real_fork_block, parts = kernel_solver._fork_block, []
+        real_fork_block, parts = _forks._fork_block, []
 
         def fork_block(children, b, part, *args):
             parts.append(part)
             return real_fork_block(children, b, part, *args)
-        monkeypatch.setattr(kernel_solver, "_fork_block", fork_block)
+        monkeypatch.setattr(_forks, "_fork_block", fork_block)
         self.force_blocks(monkeypatch, 3)
         surf = split_surface(rng, "truncated", 7)
         surf.to_csv(os.fsencode(tmp_path / "got.csv"), include_fields=True)
@@ -1646,16 +1634,16 @@ class TestSplitWriter:
         # SIG_IGN the kill or the reap finds a child gone
         if reaping == "sigchld-ignore":
             request.getfixturevalue("sigchld_ignored")
-            real_exited_cleanly = kernel_solver._exited_cleanly
+            real_exited_cleanly = _forks.exited_cleanly
 
             def exited_cleanly(child):   # lets the append be reached
                 real_exited_cleanly(child)
                 return True
-            monkeypatch.setattr(kernel_solver, "_exited_cleanly", exited_cleanly)
+            monkeypatch.setattr(_forks, "exited_cleanly", exited_cleanly)
         if where == "join":
-            target, name = kernel_solver, "_exited_cleanly"
+            target, name = _forks, "exited_cleanly"
         else:
-            target, name = kernel_solver.shutil, "copyfileobj"
+            target, name = _forks.shutil, "copyfileobj"
 
         def fail(*args):
             raise KeyboardInterrupt

@@ -1,4 +1,8 @@
+import functools
 import math
+import os
+import signal
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -65,9 +69,11 @@ def reference_paths(triplet, n_paths, steps_per_interval, seed,
         spec = triplet.jumps[i]
         noise = np.zeros((n_paths, steps_per_interval, d))
         if np.any(factor):
-            z = rng.standard_normal((n_paths, steps_per_interval, d))
-            for p in range(n_paths):
-                noise[p] = math.sqrt(dt) * z[p] @ factor.T
+            # every path's scaled normals mapped in one product, as in
+            # ``_IntervalDraws.increments``: a product of one row takes
+            # another BLAS routine and rounds otherwise
+            z = math.sqrt(dt) * rng.standard_normal((n_paths, steps_per_interval, d))
+            noise = (z.reshape(-1, d) @ factor.T).reshape(noise.shape)
         step_slots = {}
         seen = {}
 
@@ -219,12 +225,13 @@ class TestSimulatePaths:
 
 
 class TestSharedGenerator:
-    @pytest.mark.parametrize("horizon,offset", [(None, 0), (0.85, 37)])
-    def test_draws_match_reference(self, horizon, offset):
+    @pytest.mark.parametrize("horizon,offset,steps", [(None, 0, 3), (0.85, 37, 3),
+                                                      (None, 5, 1)])
+    def test_draws_match_reference(self, horizon, offset, steps):
         trip = jump_triplet()
-        new = simulate_paths(trip, 60, 3, seed=11, horizon=horizon, stream_offset=offset)
-        ref = reference_paths(trip, 60, 3, seed=11, horizon=horizon, stream_offset=offset)
-        assert len(new.segments) == len(ref.segments) > 3 * 3
+        new = simulate_paths(trip, 60, steps, seed=11, horizon=horizon, stream_offset=offset)
+        ref = reference_paths(trip, 60, steps, seed=11, horizon=horizon, stream_offset=offset)
+        assert len(new.segments) == len(ref.segments) > 3 * steps
         assert any(l2 is not None and l2.any() for _, l2 in ref.segments[3:])
         for (a1, a2), (b1, b2) in zip(new.segments, ref.segments):
             assert a1.tobytes() == b1.tobytes()
@@ -327,6 +334,14 @@ class TestStreamAndHorizonChecks:
                                        jumps=GaussianJumps(20.0, jump_cov()))
         new = simulate_paths(trip, 3, 2, seed, stream_offset=offset)
         assert_same_segments(new, reference_paths(trip, 3, 2, seed, stream_offset=offset))
+
+    def test_kernel_needs_triplets_of_one_dim(self, forks):
+        # before any fork: a matmul of the two sides' means would raise
+        # numpy's ValueError
+        with pytest.raises(DimMismatch):
+            estimate_kernel(LevyTriplet.brownian(1, 1.0), LevyTriplet.brownian(2, 1.0),
+                            1.0, 3, 50, 2, seed=1)
+        assert forks == []
 
     def test_kernel_needs_two_paths(self):
         trip = LevyTriplet.brownian(1, 1.0)
@@ -475,19 +490,27 @@ class TestBatchedSignatures:
         assert abs(got[0] - float.fromhex(value)) <= value_tol
         assert abs(got[1] - float.fromhex(se)) <= se_tol
 
-    def test_estimate_kernel_sides_draw_from_different_keys(self, monkeypatch):
+    @pytest.mark.parametrize("forked", [True, False], ids=["forked", "in_process"])
+    def test_estimate_kernel_sides_draw_from_different_keys(self, monkeypatch, tmp_path,
+                                                             forked):
         # the two sides of one kernel estimate must be independent: each
         # reads its own Philox key, and the two keys give other paths.  The
-        # keys are recorded where the interval generator opens the stream
-        keys, real = [], mc_oracle._interval_segments
+        # keys are recorded where the interval generator opens the stream,
+        # in a file, so that a forked side's key is seen too
+        log, real = tmp_path / "keys", mc_oracle._interval_segments
 
         def record(triplet, n_paths, steps, seed, horizon=None, stream_offset=0):
-            keys.append((seed, stream_offset))
+            with open(log, "a") as fh:
+                fh.write(f"{seed} {stream_offset}\n")
             return real(triplet, n_paths, steps, seed, horizon, stream_offset)
 
+        monkeypatch.setattr(ta, "_cpu_count", lambda: 2)
+        if not forked:
+            monkeypatch.delattr(os, "fork")
         monkeypatch.setattr(mc_oracle, "_interval_segments", record)
         trip = jump_triplet()
         estimate_kernel(trip, trip, 1.0, 2, 50, 3, seed=5)
+        keys = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
         assert len(keys) == 2 and keys[0] != keys[1]
         monkeypatch.undo()
         sides = [simulate_paths(trip, 50, 3, seed, horizon=1.0, stream_offset=offset)
@@ -961,7 +984,9 @@ class TestStreamedSignatures:
 
 
 class TestStreamedMemory:
-    """``estimate_kernel`` holds one interval's increments at a time."""
+    """``estimate_kernel`` holds one interval's increments at a time.  The
+    in-process path (no ``os.fork``) holds both sides, one after the other;
+    with side b in a forked child, the parent holds side a alone."""
 
     N, STEPS, DEPTH = 6000, 8, 4
 
@@ -994,6 +1019,7 @@ class TestStreamedMemory:
     def blocks(self, request, monkeypatch):
         monkeypatch.setattr(ta, "_cpu_count", lambda: request.param)
         monkeypatch.setattr(mc_oracle, "_MIN_BLOCK_PATHS", 1000)
+        monkeypatch.delattr(os, "fork")   # both sides in this process
         return request.param
 
     def test_peak_does_not_grow_with_intervals(self, blocks):
@@ -1012,6 +1038,246 @@ class TestStreamedMemory:
         scratch = 2 * 8 * mc_oracle._DRAW_NORMALS
         peak = self.peak(2)
         assert peak <= 3.2 * one_set + interval + scratch, (peak - 3 * one_set) / interval
+
+    def test_forked_parent_holds_one_side(self, monkeypatch, forks):
+        # side a's signature and spare sets, or its signature and row-major
+        # output, with one interval and the draw scratch: side b's sets and
+        # intervals live in the child.  A fifth of a set is left for the
+        # gathered columns and product temporaries
+        monkeypatch.setattr(ta, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(mc_oracle, "_MIN_BLOCK_PATHS", 1000)
+        one_set, interval = self.sizes()
+        scratch = 2 * 8 * mc_oracle._DRAW_NORMALS
+        peak = self.peak(2)
+        assert len(forks) == 2   # the first call and the traced one
+        assert peak <= 2.2 * one_set + interval + scratch, (peak - 2 * one_set) / interval
+
+
+def no_jump_triplet():
+    """``jump_triplet`` without its jumps: drift, covariance and an area."""
+    trip = jump_triplet()
+    return LevyTriplet(dim=2, time_grid=trip.time_grid, drifts=trip.drifts,
+                       covs=trip.covs, areas=trip.areas, jumps=[None] * 3,
+                       state_depth=2)
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+class TestForkedSide:
+    """``estimate_kernel`` with side b in a forked child gives the bits of
+    the in-process path, by every fallback, and leaves no child process and
+    no open file descriptor behind."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(ta, "_cpu_count", lambda: 2)
+
+    @staticmethod
+    def in_process(monkeypatch, *args, **kwargs):
+        with monkeypatch.context() as m:
+            m.delattr(os, "fork")
+            return estimate_kernel(*args, **kwargs)
+
+    def check(self, monkeypatch, *args, **kwargs):
+        """The estimate of the current setup equals the in-process one, bit
+        for bit, and no child or descriptor is left."""
+        fds = open_fds()
+        got = estimate_kernel(*args, **kwargs)
+        assert open_fds() == fds
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        want = self.in_process(monkeypatch, *args, **kwargs)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    @pytest.mark.parametrize("sides", [
+        (jump_triplet, jump_triplet), (no_jump_triplet, no_jump_triplet),
+        (jump_triplet, zero_atom_triplet), (no_jump_triplet, jump_triplet)],
+        ids=["jumps", "no_jumps", "atoms_a_zero_atom_b", "mixed"])
+    @pytest.mark.parametrize("depth", [2, 4])
+    def test_bitwise_equal_to_in_process(self, monkeypatch, forks, sides, depth):
+        # the atoms of jump_triplet carry level 2
+        trip_a, trip_b = (side() for side in sides)
+        self.check(monkeypatch, trip_a, trip_b, 1.0, depth, 301, 3, seed=5)
+        assert len(forks) == 1
+
+    def test_fork_raising(self, monkeypatch):
+        def fork():
+            raise OSError(11, "Resource temporarily unavailable")
+        monkeypatch.setattr(os, "fork", fork)
+        self.check(monkeypatch, jump_triplet(), jump_triplet(), 1.0, 3, 101, 2, seed=2)
+
+    @pytest.mark.parametrize("how", ["exit_1", "killed"])
+    def test_child_failing_at_once(self, monkeypatch, how):
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid == 0:
+                if how == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                os._exit(1)
+            return pid
+        monkeypatch.setattr(os, "fork", fork)
+        self.check(monkeypatch, jump_triplet(), jump_triplet(), 1.0, 3, 101, 2, seed=2)
+
+    @pytest.mark.parametrize("how", ["exit_1", "killed"])
+    def test_child_failing_after_its_means(self, monkeypatch, forks, how):
+        # the child has sent its mean levels and fails on the variance
+        parent, real = os.getpid(), mc_oracle._projection_variance
+
+        def variance(sig, other_mean):
+            if os.getpid() != parent:
+                if how == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("child fails")
+            return real(sig, other_mean)
+        monkeypatch.setattr(mc_oracle, "_projection_variance", variance)
+        self.check(monkeypatch, jump_triplet(), jump_triplet(), 1.0, 3, 101, 2, seed=2)
+        assert len(forks) == 1
+
+    def test_child_exiting_1_after_sending_everything(self, monkeypatch, forks):
+        # a child that sent a variance and then failed is not trusted: the
+        # parent computes side b itself
+        parent, real = os.getpid(), mc_oracle._send
+
+        def send(writer, levels):
+            if os.getpid() == parent or len(levels) > 1:
+                return real(writer, levels)
+            real(writer, [np.array([-1.0])])
+            raise RuntimeError("child fails after its variance")
+        monkeypatch.setattr(mc_oracle, "_send", send)
+        self.check(monkeypatch, jump_triplet(), jump_triplet(), 1.0, 3, 101, 2, seed=2)
+        assert len(forks) == 1
+
+    def test_child_reaped_by_sigchld_ignore(self, monkeypatch, forks):
+        # waitpid cannot see the child's status: the parent computes side b
+        old = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            self.check(monkeypatch, jump_triplet(), jump_triplet(), 1.0, 3, 101, 2, seed=2)
+        finally:
+            signal.signal(signal.SIGCHLD, old)
+        assert len(forks) == 1
+
+    def test_no_fork_beside_another_python_thread(self, monkeypatch, forks):
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            self.check(monkeypatch, jump_triplet(), jump_triplet(), 1.0, 3, 101, 2, seed=2)
+        finally:
+            stop.set()
+            other.join()
+        assert forks == []
+
+    @pytest.mark.parametrize("where", ["signatures", "exchange"])
+    def test_parent_error_kills_and_reaps(self, monkeypatch, forks, where):
+        # the parent raises in side a, or while it waits for the child's
+        # means: the child is killed and reaped, and every pipe closed
+        parent = os.getpid()
+        if where == "signatures":
+            real = mc_oracle._streamed_signatures
+
+            def fail(*args, **kwargs):
+                if os.getpid() == parent:
+                    raise KeyboardInterrupt
+                return real(*args, **kwargs)
+            monkeypatch.setattr(mc_oracle, "_streamed_signatures", fail)
+        else:
+            def fail(reader, sizes):
+                raise KeyboardInterrupt
+            monkeypatch.setattr(mc_oracle, "_receive", fail)
+        fds = open_fds()
+        with pytest.raises(KeyboardInterrupt):
+            estimate_kernel(jump_triplet(), jump_triplet(), 1.0, 3, 101, 2, seed=2)
+        assert len(forks) == 1 and open_fds() == fds
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_error_reaches_the_caller_as_its_type(self, forks):
+        # side b's horizon lies past its grid: the child fails, and the
+        # parent, computing side b itself, raises the typed error
+        fds = open_fds()
+        with pytest.raises(OutOfRange):
+            estimate_kernel(LevyTriplet.brownian(2, 2.0), jump_triplet(), 1.5, 3, 50, 2,
+                            seed=1)
+        assert len(forks) == 1 and open_fds() == fds
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_warning_is_shown_by_the_parent(self, monkeypatch, forks):
+        # side b overflows: the child stops at numpy's first warning, and
+        # the parent computes side b again and shows the warnings that the
+        # in-process path shows
+        args = (LevyTriplet.brownian(2, 1.0),
+                LevyTriplet.homogeneous(2, 1.0, drift=np.array([1e120, 0.0])), 1.0, 4, 20, 2)
+        runs = []
+        for run in (estimate_kernel, functools.partial(self.in_process, monkeypatch)):
+            with warnings.catch_warnings(record=True) as shown:
+                warnings.simplefilter("always")
+                got = run(*args, seed=1)
+            runs.append((got, [(w.category, str(w.message)) for w in shown]))
+        (got, shown), (want, want_shown) = runs
+        assert len(forks) == 1 and not all(map(math.isfinite, got))
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert shown == want_shown and (RuntimeWarning, "overflow encountered in multiply") \
+            in shown
+
+
+ISOLATED_PREAMBLE = """
+import os
+from levy_sigkernel import mc_oracle, tensor_algebra as ta
+from levy_sigkernel.characteristics import LevyTriplet
+ta._cpu_count = lambda: 2
+real_fork, forks = os.fork, []
+def fork():
+    forks.append(None)
+    return real_fork()
+os.fork = fork
+def both(*args, **kwargs):
+    got = mc_oracle.estimate_kernel(*args, **kwargs)
+    del os.fork
+    want = mc_oracle.estimate_kernel(*args, **kwargs)
+    os.fork = fork
+    print(len(forks), got == want)
+"""
+
+
+def run_isolated(code: str) -> str:
+    """Runs ``code`` after ``ISOLATED_PREAMBLE`` in a new interpreter, with
+    the package on its path and OpenBLAS left at its own thread count, under
+    a timeout; returns its output."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mc_oracle.__file__)))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", ISOLATED_PREAMBLE + code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestForkedSideIsolated:
+    """Forked sides in a process of their own, where a hang would only run
+    into the timeout."""
+
+    def test_levels_larger_than_a_pipe_buffer(self):
+        # d = 2, depth 14: 32 767 mean coordinates, 256 KiB each way, four
+        # times a 64 KiB pipe buffer
+        out = run_isolated("trip = LevyTriplet.brownian(2, 1.0)\n"
+                           "both(trip, trip, 1.0, 14, 6, 1, seed=3)\n")
+        assert out.split() == ["1", "True"]
+
+    def test_uncapped_openblas(self):
+        # a large product first starts OpenBLAS's worker threads; the child
+        # calls BLAS in the draws and in its projections
+        out = run_isolated("import numpy as np\n"
+                           "a = np.ones((400, 400)); a @ a\n"
+                           "trip = LevyTriplet.brownian(2, 1.0, cov=np.array([[0.4, 0.1], "
+                           "[0.1, 0.2]]))\n"
+                           "both(trip, trip, 1.0, 4, 20000, 4, seed=3)\n")
+        assert out.split() == ["1", "True"]
 
 
 class TestPathSignature:
