@@ -38,6 +38,7 @@ import sys
 
 import numpy as np
 
+from . import _forks
 from . import tensor_algebra as ta
 from .characteristics import (AtomicJumps, GaussianJumps, LevyTriplet,
                               characteristic_velocity, velocity_depth)
@@ -274,10 +275,10 @@ def cmd_kernel(cfg: dict, out_dir: str) -> int:
     va, vb, surface = _certified_solve(ta_, tb, m, n, sp, tp, horizon)
     cert = truncation_certificate(va, vb, m, n, horizon, horizon)
     surface.to_csv(os.path.join(out_dir, "kernel.csv"), include_fields=True)
-    with open(os.path.join(out_dir, "certificate.txt"), "w") as fh:
-        fh.write(f"w({horizon!r},{horizon!r}) = {surface.value()!r}\n")
-        fh.write(f"truncation_certificate = {cert!r}\n")
-        fh.write(f"levels M={m} N={n}; velocity depths {va.depth}/{vb.depth}\n")
+    _forks.write_text(os.path.join(out_dir, "certificate.txt"),
+                      f"w({horizon!r},{horizon!r}) = {surface.value()!r}\n"
+                      f"truncation_certificate = {cert!r}\n"
+                      f"levels M={m} N={n}; velocity depths {va.depth}/{vb.depth}\n")
     print(f"kernel: w(T,T) = {surface.value()!r}, certificate = {cert!r}")
     return 0
 
@@ -423,8 +424,7 @@ def cmd_validate(cfg: dict, out_dir: str) -> int:
         all_ok &= passed
         lines.append(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
     print("\n".join(lines))
-    with open(os.path.join(out_dir, "validate.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _forks.write_text(os.path.join(out_dir, "validate.txt"), "\n".join(lines) + "\n")
     return 0 if all_ok else 1
 
 
@@ -452,18 +452,17 @@ def cmd_bounds(cfg: dict, out_dir: str) -> int:
                          float(bound_inner_truncation(v, 0.0, horizon, lev)),
                          float(bound_outer_truncation(v, 0.0, horizon,
                                                       max(lev, 1), lev + 1))))
-    with open(os.path.join(out_dir, "bounds.csv"), "w") as fh:
-        fh.write("triplet,level,exact_level_norm,level_bound,"
-                 "exact_tail,inner_truncation_bound,outer_truncation_bound\n")
-        for row in rows:
-            fh.write(",".join(repr(x) if isinstance(x, float) else str(x)
-                              for x in row) + "\n")
-    with open(os.path.join(out_dir, "remainder.csv"), "w") as fh:
-        fh.write("mode,rho,m,exact,asymptotic\n")
-        for mode, rho in (("factorial-jumps", 1.0), ("geometric-jumps", 0.5)):
-            for mm in range(1, 13):
-                exact, asym = remainder_diagnostics(rho, mm, mode)
-                fh.write(f"{mode},{rho!r},{mm},{exact!r},{asym!r}\n")
+    table = ["triplet,level,exact_level_norm,level_bound,"
+             "exact_tail,inner_truncation_bound,outer_truncation_bound\n"]
+    table += (",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n"
+              for row in rows)
+    _forks.write_text(os.path.join(out_dir, "bounds.csv"), "".join(table))
+    remainder = ["mode,rho,m,exact,asymptotic\n"]
+    for mode, rho in (("factorial-jumps", 1.0), ("geometric-jumps", 0.5)):
+        for mm in range(1, 13):
+            exact, asym = remainder_diagnostics(rho, mm, mode)
+            remainder.append(f"{mode},{rho!r},{mm},{exact!r},{asym!r}\n")
+    _forks.write_text(os.path.join(out_dir, "remainder.csv"), "".join(remainder))
     print(f"bounds: wrote {len(rows)} rows")
     return 0
 
@@ -551,8 +550,7 @@ def main(argv=None) -> int:
 
     if args.write_example:
         try:
-            with open(args.write_example, "w") as fh:
-                json.dump(examples_config(), fh, indent=2)
+            _forks.write_text(args.write_example, json.dumps(examples_config(), indent=2))
         except OSError as exc:
             print(f"error: cannot write example config: {exc}", file=sys.stderr)
             return 1

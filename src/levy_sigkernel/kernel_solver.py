@@ -47,11 +47,13 @@ O((n_i + n_j) D) floats.  Callers that keep the surface (the kernel CSV,
 the a priori margin) have each finished diagonal copied into the full node
 array; callers that need only the far corner (the MMD) keep no node and
 sweep a large batch in chunks of surfaces whose tables, maps, diagonals
-and per-diagonal gathers stay under ``_SWEEP_CHUNK_FLOATS`` floats.  So
-their memory is flat in the number of surfaces, and the maps, which off
-dyadic grids (breakpoints splitting cells, about 11 step classes per axis)
-can hold more floats than a surface's diagonals, are bounded by the cap
-too, not by three times the full state of every surface in the batch.
+and per-diagonal gathers stay under ``_SWEEP_CHUNK_FLOATS`` floats, and
+on two or more CPUs in groups of chunks, each group past the first in a
+forked child.  So their memory is flat in the number of surfaces, and the
+maps, which off dyadic grids (breakpoints splitting cells, about 11 step
+classes per axis) can hold more floats than a surface's diagonals, are
+bounded by the cap too, not by three times the full state of every
+surface in the batch.
 
 Cross-term truncation levels are Q = min(M, N-1) on the first slot and
 Q' = min(N, M-1) on the second; for M = N both equal min(M, N) - 1.  As
@@ -62,6 +64,7 @@ coefficient tables take one pass over each velocity's intervals.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -304,6 +307,17 @@ _MAP_CHUNK_FLOATS = 1 << 13
 # 1, 4 and 16 times this cap swept in about the same time (0.7-1.1 s, noisy
 # host), while peak RSS rose from 33 to 83 MiB
 _SWEEP_CHUNK_FLOATS = 1 << 19
+# What a group of a corner-only batch past the first costs (a fork, the
+# child's copy-on-write faults, a pipe and a reap), in ``_corner_floats``
+# swept in that time.  On a 2-core x86 host, MMD batches of d = 2 (medians
+# of 30 alternating in-process calls, 1 group against 2) broke even at
+# about 190 000 floats on 17^2 (45 surfaces: 29.8 against 30.9 ms), 170 000
+# on 33^2 (28 surfaces: 30.0 against 28.2 ms) and 95 000-145 000 on 65^2
+# (10 surfaces: 20.4 against 23.9 ms; 15: 31.9 against 29.8 ms); 3
+# surfaces lost 4.0 ms on 17^2 and 3.4 ms on 65^2, and the 45 surfaces of
+# 65^2 (439 000 floats) won 95.3 against 66.4 ms.  So a second group needs
+# twice this; counts past 2 groups follow from the model, unmeasured.
+_GROUP_COST_FLOATS = 1 << 16
 # on the GEMM contraction, a surface takes maps only while runs x this
 # <= cells x D^2: a GEMM call per run costs about as much as a direct cell
 # update of width 10.  On linspace grids of 100 and 250 points (mean run
@@ -695,10 +709,17 @@ def _solve_truncated_batch(pairs, M: int, N: int, s_grid, t_grid, corners=False)
     With ``corners=True`` returns only each pair's far-corner value
     w(s_end, t_end), as an array: pairs are swept without nodes, in chunks
     of consecutive pairs whose estimated floats (``_corner_floats``) stay
-    under ``_SWEEP_CHUNK_FLOATS``, at least one pair a chunk.  A surface's
-    bits do not depend on its batch, so chunking changes no bit.  Tables
-    that overflow end in a w that ``_sweep`` reports (NaN) or returns
-    (inf), so they are built with numpy's overflow warnings off too.
+    under ``_SWEEP_CHUNK_FLOATS``, at least one pair a chunk
+    (``_sweep_corners``).  The pairs are first split into contiguous
+    groups of about equal floats (``_group_edges``), one per CPU while
+    group g + 1 takes more floats off this process than a fork costs
+    (``_GROUP_COST_FLOATS``); this process sweeps group 0 and a forked
+    child each other group (``_forks.map_groups``), which sweeps it again
+    itself where no child can be made or a child fails.  A surface's bits
+    do not depend on its batch, so neither chunks nor groups change a bit.
+    Tables that overflow end in a w that ``_sweep`` reports (NaN) or
+    returns (inf), so they are built with numpy's overflow warnings off
+    too, in the children as in this process.
     """
     if M < 1 or N < 1:
         raise InvalidParameter("levels M, N must be >= 1")
@@ -728,16 +749,15 @@ def _solve_truncated_batch(pairs, M: int, N: int, s_grid, t_grid, corners=False)
     ds, dt = np.diff(s_grid), np.diff(t_grid)
     if corners:
         D = ta.flat_size(d, N - 1) + ta.flat_size(d, M - 1) - 1
-        out, lo, total = np.empty(len(pairs)), 0, 0
-        for hi, (left, right) in enumerate(sides):
-            cost = _corner_floats(len(ds), len(dt), D, len(left.tables[0]),
-                                  len(right.tables[0]), left.classes, right.classes)
-            if hi > lo and total + cost > _SWEEP_CHUNK_FLOATS:
-                out[lo:hi] = _sweep_sides(sides[lo:hi], ds, dt, keep_nodes=False)[0]
-                lo, total = hi, 0
-            total += cost
-        out[lo:] = _sweep_sides(sides[lo:], ds, dt, keep_nodes=False)[0]
-        return out
+        costs = [_corner_floats(len(ds), len(dt), D, len(left.tables[0]),
+                                len(right.tables[0]), left.classes, right.classes)
+                 for left, right in sides]
+        groups, most = 1, min(ta._cpu_count(), len(sides))
+        # group g + 1 takes sum(costs) / (g (g + 1)) floats off this process
+        while groups < most and groups * (groups + 1) * _GROUP_COST_FLOATS < sum(costs):
+            groups += 1
+        return _forks.map_groups(functools.partial(_sweep_corners, sides, costs, ds, dt),
+                                 _group_edges(costs, groups))
     w, F, G, n_maps, sidx, tidx = _sweep_sides(sides, ds, dt, keep_nodes=True)
     cells = len(ds) * len(dt)
     width = 1 + F.shape[-1] + G.shape[-1]
@@ -766,6 +786,32 @@ def _sweep_sides(sides, ds, dt, keep_nodes):
                                           for left, right in sides)))
     tables = _Tables(np.broadcast_to(A[..., None, None], (*A.shape, 2, 2)), *fields)
     return (*_sweep(ds, dt, sidx, tidx, tables, keep_nodes), sidx, tidx)
+
+
+def _sweep_corners(sides, costs, ds, dt, lo: int, hi: int) -> np.ndarray:
+    """Far-corner w of the surfaces ``sides[lo:hi]``, swept without nodes
+    in chunks of consecutive surfaces whose ``costs`` (``_corner_floats``)
+    stay under ``_SWEEP_CHUNK_FLOATS``, at least one surface a chunk."""
+    out, start, total = np.empty(hi - lo), lo, 0
+    for k in range(lo, hi):
+        if k > start and total + costs[k] > _SWEEP_CHUNK_FLOATS:
+            out[start - lo:k - lo] = _sweep_sides(sides[start:k], ds, dt, keep_nodes=False)[0]
+            start, total = k, 0
+        total += costs[k]
+    out[start - lo:] = _sweep_sides(sides[start:hi], ds, dt, keep_nodes=False)[0]
+    return out
+
+
+def _group_edges(costs, groups: int) -> list[int]:
+    """Edges of ``groups`` contiguous, non-empty groups of the items with
+    ``costs``: edge g sits where the running cost comes nearest g / groups
+    of the total, as far as every group keeps an item."""
+    running = np.concatenate([[0], np.cumsum(costs)])
+    edges = [0]
+    for g in range(1, groups):
+        nearest = int(np.abs(running - running[-1] * g / groups).argmin())
+        edges.append(min(max(nearest, edges[-1] + 1), len(costs) - groups + g))
+    return edges + [len(costs)]
 
 
 def _corner_floats(n_i, n_j, D, n_a, n_b, s_classes, t_classes):

@@ -589,7 +589,7 @@ def _projection_variance(sig: list[np.ndarray], other_mean: list[np.ndarray]):
 class _ForkedSide:
     """One side of ``estimate_kernel`` computed in a forked child
     (``_forks.fork``), which exchanges raw float64 bytes with the parent
-    over two pipes.
+    over two pipes (``_forks.send``, ``_forks.receive``).
 
     The child computes its signatures and sends their mean levels; then it
     reads the other side's mean levels and sends the variance of its
@@ -633,23 +633,23 @@ class _ForkedSide:
         warnings.simplefilter("error")
         sig = signatures()
         with open(fds[1], "wb") as writer, open(fds[2], "rb") as reader:
-            _send(writer, _level_means(sig))
-            other_mean = _receive(reader, sizes)
+            _forks.send(writer, _level_means(sig))
+            other_mean = _forks.receive(reader, sizes)
             if other_mean is None:
                 raise EOFError("the parent sent no mean levels")
-            _send(writer, [np.array([_projection_variance(sig, other_mean)])])
+            _forks.send(writer, [np.array([_projection_variance(sig, other_mean)])])
 
     def exchange(self, mean: list[np.ndarray]):
         """Sends the parent's mean levels and returns the child's ``(mean
         levels, projection variance)``; reaps the child.  None if the child
         sent less, did not exit with 0 or was reaped elsewhere."""
-        got = _receive(self.reader, self.sizes)
+        got = _forks.receive(self.reader, self.sizes)
         try:
             if got is not None:
-                _send(self.writer, mean)
+                _forks.send(self.writer, mean)
         except BrokenPipeError:   # the child has gone
             got = None
-        var = None if got is None else _receive(self.reader, [1])
+        var = None if got is None else _forks.receive(self.reader, [1])
         clean, self.pid = _forks.exited_cleanly(self.pid), None
         if not clean or var is None:
             return None
@@ -666,28 +666,14 @@ class _ForkedSide:
             _forks.kill(self.pid)
 
 
-def _send(writer, levels: list[np.ndarray]) -> None:
-    for lev in levels:
-        writer.write(np.ascontiguousarray(lev, dtype=np.float64).data)
-    writer.flush()
-
-
-def _receive(reader, sizes: list[int]) -> list[np.ndarray] | None:
-    """Float64 levels of lengths ``sizes`` read from ``reader``; None at an
-    early end of the pipe."""
-    flat = np.empty(sum(sizes))
-    if reader.readinto(flat) < flat.nbytes:
-        return None
-    return np.split(flat, np.cumsum(sizes)[:-1])
-
-
 def estimate_to_csv(estimate: SignatureEstimate, path) -> None:
-    """Serialize an estimate as (word, mean, se) rows."""
+    """Serialize an estimate as (word, mean, se) rows, written whole or not
+    at all (``_forks.write_text``)."""
     dim = estimate.mean.dim
-    with open(path, "w") as fh:
-        fh.write("word,mean,se\n")
-        for n in range(estimate.mean.depth + 1):
-            for idx in range(dim**n):
-                word = "".join(str(c) for c in ta.word_from_index(idx, n, dim))
-                fh.write(f"{word},{float(estimate.mean.levels[n][idx])!r},"
-                         f"{float(estimate.se.levels[n][idx])!r}\n")
+    rows = ["word,mean,se\n"]
+    for n in range(estimate.mean.depth + 1):
+        for idx in range(dim**n):
+            word = "".join(str(c) for c in ta.word_from_index(idx, n, dim))
+            rows.append(f"{word},{float(estimate.mean.levels[n][idx])!r},"
+                        f"{float(estimate.se.levels[n][idx])!r}\n")
+    _forks.write_text(path, "".join(rows))

@@ -13,10 +13,18 @@ surface of the Wiener velocity with itself, whose coupled fields stay zero
 (a scalar Goursat problem).  ``mmd_to_wiener`` needs only the far-corner
 values of u, the m cross and the m(m+1)/2 pair surfaces: it sweeps them on
 their shared grid in corner-only chunks under a fixed memory cap, keeping
-three anti-diagonals per surface, so memory stays flat in m.  Each corner
-is bitwise equal to that of the surface's own ``solve_truncated_system``
-call, so the result is reproducible bitwise.  ``MMDReport.surfaces``
-solves a surface in full only when it is read.
+three anti-diagonals per surface, so memory stays flat in m.  On two or
+more CPUs a batch large enough to pay for a fork is split into contiguous
+groups of surfaces, one per CPU: the calling process sweeps the first and
+a forked child each other group, sending its corners back as raw float64
+bytes.  Without a child (no ``os.fork``, another Python thread alive, a
+fork or pipe that fails), or when a child exits non-zero, dies, sends
+short, warns or is reaped elsewhere, the calling process sweeps that group
+itself; if it raises, it kills and reaps every child.  Each corner is
+bitwise equal to that of the surface's own ``solve_truncated_system``
+call, whatever its chunk or group, so the result is reproducible bitwise
+and the errors are those of one process.  ``MMDReport.surfaces`` solves a
+surface in full only when it is read.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _forks
 from .characteristics import LevyTriplet, _check_grid, characteristic_velocity
 from .errors import InvalidParameter, InvalidTriplet, NumericalInconsistency
 from .kernel_solver import (KernelSurface, _solve_truncated_batch, make_grid,
@@ -191,17 +200,16 @@ class MMDReport:
     surfaces: Mapping = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("kind,j,k,value\n")
-            fh.write(f"wiener,,,{float(self.wiener_term)!r}\n")
-            for k, val in enumerate(self.cross_values):
-                fh.write(f"cross,,{k},{float(val)!r}\n")
-            m = len(self.cross_values)
-            for j in range(m):
-                for k in range(m):
-                    fh.write(f"pair,{j},{k},{float(self.pair_values[j, k])!r}\n")
-            fh.write(f"mmd_squared,,,{float(self.mmd_squared)!r}\n")
-            fh.write(f"mmd,,,{float(self.mmd)!r}\n")
+        """Write the corner values as (kind, j, k, value) rows, whole or not
+        at all (``_forks.write_text``)."""
+        m = len(self.cross_values)
+        rows = ["kind,j,k,value\n", f"wiener,,,{float(self.wiener_term)!r}\n"]
+        rows += (f"cross,,{k},{float(val)!r}\n" for k, val in enumerate(self.cross_values))
+        rows += (f"pair,{j},{k},{float(self.pair_values[j, k])!r}\n"
+                 for j in range(m) for k in range(m))
+        rows += (f"mmd_squared,,,{float(self.mmd_squared)!r}\n",
+                 f"mmd,,,{float(self.mmd)!r}\n")
+        _forks.write_text(path, "".join(rows))
 
 
 def _merged_grid(horizon: float, grid, *breakpoints) -> np.ndarray:

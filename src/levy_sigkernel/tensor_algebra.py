@@ -552,8 +552,9 @@ def unflatten(vec: np.ndarray, dim: int, depth: int) -> TruncatedTensor:
 
 def _cpu_count() -> int:
     """CPUs this process may run on: the one count by which the pathwise
-    signatures (``mc_oracle``) and the kernel CSV (``kernel_solver``) split
-    their work."""
+    signatures and the kernel estimator's sides (``mc_oracle``), the kernel
+    CSV and the corner-only sweep of the MMD's surfaces (``kernel_solver``)
+    split their work."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:   # no affinity mask on this platform

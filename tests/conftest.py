@@ -4,6 +4,8 @@ import os
 import numpy as np
 import pytest
 
+from levy_sigkernel.characteristics import PiecewiseVelocity
+from levy_sigkernel.kernel_solver import make_grid
 from levy_sigkernel.tensor_algebra import TruncatedTensor, exp_tensor, tensor_mul
 
 
@@ -37,6 +39,11 @@ def forks(monkeypatch):
         return pid
     monkeypatch.setattr(os, "fork", fork)
     return pids
+
+
+def open_fds():
+    """This process's open file descriptors."""
+    return sorted(os.listdir("/proc/self/fd"))
 
 
 def random_tensor(rng, dim, depth, scale=0.5, zero_scalar=False):
@@ -178,3 +185,21 @@ def reference_mul_exp(s, x):
     if not batch:
         return TruncatedTensor(s.dim, [lev.reshape(-1) for lev in q])
     return TruncatedTensor(s.dim, [lev.T for lev in q])
+
+
+def random_velocity(rng, dim, depth, grid, scale):
+    return PiecewiseVelocity(dim, grid, [random_velocity_tensor(rng, dim, depth, scale)
+                                         for _ in range(len(grid) - 1)])
+
+
+def mixed_corner_batch(rng):
+    """Four velocity pairs (d = 2, depth 3) and their 41-point grid, to be
+    solved at M = N = 3 (state width 13): one velocity has a breakpoint at
+    every node, so its surfaces are evaluated directly; the others take
+    maps."""
+    g = make_grid(1.0, 41, np.array([0.25, 0.5, 0.75]))
+    vels = [random_velocity(rng, 2, 3, grid, scale=0.8)
+            for grid in (np.array([0.0, 0.25, 1.0]), g, np.array([0.0, 1.0]))]
+    pairs = [(vels[0], vels[1]), (vels[2], vels[0]), (vels[1], vels[1]),
+             (vels[2], vels[2])]
+    return pairs, g

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import levy_sigkernel
+from levy_sigkernel import _forks
 from levy_sigkernel import cli as cli_module
 from levy_sigkernel import tensor_algebra as ta
 from conftest import REPO, benchmark_workloads
@@ -681,6 +682,38 @@ class TestUnwritableOutput:
         assert "File exists" in err and str(taken) in err
         assert [p.name for p in (tmp_path / "o").iterdir()] == [taken.name]
         assert taken.read_text() == "someone else's"
+
+
+class TestWholeOutputs:
+    """Every CLI output but ``kernel.csv`` (the block writer's) is written
+    whole or not at all by ``_forks.write_text``."""
+
+    @pytest.fixture
+    def written(self, monkeypatch):
+        names, real = [], _forks.write_text
+        monkeypatch.setattr(_forks, "write_text", lambda path, text:
+                            names.append(os.path.basename(path)) or real(path, text))
+        return names
+
+    @pytest.mark.parametrize("experiment, workload, names", [
+        ("kernel", "kernel-jumps-d2", ["certificate.txt"]),
+        ("mmd", "mmd-area-m8", ["mmd.csv"]),
+        ("validate", "validate-jumps-d2", ["validate.txt"]),
+        ("bounds", "kernel-jumps-d2", ["bounds.csv", "remainder.csv"])])
+    def test_outputs(self, tmp_path, written, experiment, workload, names):
+        cfg_data = WORKLOADS.CONFIGS[workload](1, small=True)
+        cfg_data["experiment"] = experiment
+        cfg = write_config(tmp_path / "cfg.json", cfg_data)
+        assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == 0
+        assert written == names
+        assert not [p for p in (tmp_path / "o").iterdir() if p.name.endswith(".tmp")]
+
+    def test_write_example(self, tmp_path, written):
+        target = tmp_path / "example.json"
+        assert main(["--write-example", str(target)]) == 0
+        assert written == ["example.json"]
+        assert target.read_text() == json.dumps(cli_module.examples_config(), indent=2)
+        assert [p.name for p in tmp_path.iterdir()] == ["example.json"]
 
 
 class TestShortestRoundTrip:

@@ -31,7 +31,7 @@ from levy_sigkernel.kernel_solver import (_CORRECTOR_PASSES, KernelSurface, _app
 from levy_sigkernel.mmd import AugmentedPathEnsemble, WienerSpec, mmd_to_wiener
 from levy_sigkernel.tensor_algebra import TruncatedTensor as TT
 
-from conftest import gamma, random_velocity_tensor
+from conftest import gamma, mixed_corner_batch, random_velocity
 
 I0_1 = 1.2660658777520084
 I0_2 = 2.2795853023360673
@@ -254,11 +254,6 @@ class TestLevel2System:
         v2 = characteristic_velocity(trips[1], 2)
         ref = ta.inner_product(develop(v1, 0, 1, 12), develop(v2, 0, 1, 12))
         assert abs(surf.value() - ref) / abs(ref) < 1e-3
-
-
-def random_velocity(rng, dim, depth, grid, scale):
-    return PiecewiseVelocity(dim, grid, [random_velocity_tensor(rng, dim, depth, scale)
-                                         for _ in range(len(grid) - 1)])
 
 
 def coefficients(v, vt, M, N):
@@ -860,11 +855,9 @@ class TestStreamedSweep:
         assert np.array_equal(n_maps, n_maps_ref)
 
     def test_corner_batch_is_the_full_batch_corner_in_any_chunking(self, rng, monkeypatch):
-        g = make_grid(1.0, 41, np.array([0.25, 0.5, 0.75]))
-        vels = [random_velocity(rng, 2, 3, grid, scale=0.8)
-                for grid in (np.array([0.0, 0.25, 1.0]), g, np.array([0.0, 1.0]))]
-        pairs = [(vels[0], vels[1]), (vels[2], vels[0]), (vels[1], vels[1]),
-                 (vels[2], vels[2])]
+        # one group: every chunk is swept in this process
+        monkeypatch.setattr(ta, "_cpu_count", lambda: 1)
+        pairs, g = mixed_corner_batch(rng)
         full = [surf.value() for surf in _solve_truncated_batch(pairs, 3, 3, g, g)]
         whole = _solve_truncated_batch(pairs, 3, 3, g, g, corners=True)
         assert whole.tolist() == full
@@ -875,6 +868,31 @@ class TestStreamedSweep:
         monkeypatch.setattr(kernel_solver, "_SWEEP_CHUNK_FLOATS", 1)
         assert _solve_truncated_batch(pairs, 3, 3, g, g, corners=True).tolist() == full
         assert sizes == [1] * len(pairs)
+
+    @pytest.mark.parametrize("cap", [None, 1], ids=["one_chunk", "chunk_per_surface"])
+    def test_forked_groups_give_the_full_batch_corner(self, rng, monkeypatch, forks, cap):
+        # two groups: this process sweeps group 0 only, in its own chunks,
+        # and a child the rest
+        monkeypatch.setattr(ta, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(kernel_solver, "_GROUP_COST_FLOATS", 0)
+        pairs, g = mixed_corner_batch(rng)
+        full = [surf.value() for surf in _solve_truncated_batch(pairs, 3, 3, g, g)]
+        if cap is not None:
+            monkeypatch.setattr(kernel_solver, "_SWEEP_CHUNK_FLOATS", cap)
+        parent, groups, sizes = os.getpid(), [], []
+        sweep, corners = kernel_solver._sweep, kernel_solver._sweep_corners
+
+        def record(to, what):
+            return to.append(what) if os.getpid() == parent else None
+        monkeypatch.setattr(kernel_solver, "_sweep", lambda ds, dt, sidx, *rest:
+                            record(sizes, len(sidx)) or sweep(ds, dt, sidx, *rest))
+        monkeypatch.setattr(kernel_solver, "_sweep_corners", lambda *args:
+                            record(groups, args[-2:]) or corners(*args))
+        assert _solve_truncated_batch(pairs, 3, 3, g, g, corners=True).tolist() == full
+        assert len(forks) == 1
+        ((lo, hi),) = groups
+        assert lo == 0 and 0 < hi < len(pairs)
+        assert sizes == ([hi] if cap is None else [1] * hi)
 
 
 def map_problem(rng, kind):

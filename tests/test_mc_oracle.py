@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from levy_sigkernel import mc_oracle
+from levy_sigkernel import _forks, mc_oracle
 from levy_sigkernel import tensor_algebra as ta
 from levy_sigkernel.characteristics import (AtomicJumps, GaussianJumps,
                                             LevyTriplet, PiecewiseVelocity,
@@ -25,7 +25,8 @@ from levy_sigkernel.mc_oracle import (SimulatedPaths, _batch_signatures,
                                       path_signature, simulate_paths)
 from levy_sigkernel.tensor_algebra import TruncatedTensor as TT
 
-from conftest import dense_exp_tensor, gamma, general_mul_exp_bound, reference_mul_exp
+from conftest import (dense_exp_tensor, gamma, general_mul_exp_bound, open_fds,
+                      reference_mul_exp)
 
 
 def atom(dim, vec):
@@ -1061,10 +1062,6 @@ def no_jump_triplet():
                        state_depth=2)
 
 
-def open_fds():
-    return sorted(os.listdir("/proc/self/fd"))
-
-
 class TestForkedSide:
     """``estimate_kernel`` with side b in a forked child gives the bits of
     the in-process path, by every fallback, and leaves no child process and
@@ -1140,14 +1137,14 @@ class TestForkedSide:
     def test_child_exiting_1_after_sending_everything(self, monkeypatch, forks):
         # a child that sent a variance and then failed is not trusted: the
         # parent computes side b itself
-        parent, real = os.getpid(), mc_oracle._send
+        parent, real = os.getpid(), _forks.send
 
         def send(writer, levels):
             if os.getpid() == parent or len(levels) > 1:
                 return real(writer, levels)
             real(writer, [np.array([-1.0])])
             raise RuntimeError("child fails after its variance")
-        monkeypatch.setattr(mc_oracle, "_send", send)
+        monkeypatch.setattr(_forks, "send", send)
         self.check(monkeypatch, jump_triplet(), jump_triplet(), 1.0, 3, 101, 2, seed=2)
         assert len(forks) == 1
 
@@ -1187,7 +1184,7 @@ class TestForkedSide:
         else:
             def fail(reader, sizes):
                 raise KeyboardInterrupt
-            monkeypatch.setattr(mc_oracle, "_receive", fail)
+            monkeypatch.setattr(_forks, "receive", fail)
         fds = open_fds()
         with pytest.raises(KeyboardInterrupt):
             estimate_kernel(jump_triplet(), jump_triplet(), 1.0, 3, 101, 2, seed=2)

@@ -1,11 +1,15 @@
 import itertools
 import math
+import os
+import signal
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from levy_sigkernel import kernel_solver
+from levy_sigkernel import _forks, kernel_solver
 from levy_sigkernel import mmd as mmd_module
 from levy_sigkernel import tensor_algebra as ta
 from levy_sigkernel.characteristics import characteristic_velocity
@@ -15,6 +19,8 @@ from levy_sigkernel.kernel_solver import (_solve_truncated_batch, bessel_i0, mak
                                           solve_goursat_scalar)
 from levy_sigkernel.mmd import (AugmentedPathEnsemble, WienerSpec,
                                 cross_kernel, mmd_to_wiener, pair_kernel)
+
+from conftest import mixed_corner_batch, open_fds
 
 I0_1 = 1.2660658777520084
 
@@ -277,6 +283,8 @@ def mmd_problem(rng, n_paths):
 
 class TestCornerSweep:
     def test_chunking_changes_no_bit(self, rng, monkeypatch):
+        # one group: every chunk is swept in this process
+        monkeypatch.setattr(ta, "_cpu_count", lambda: 1)
         ens, wn = mmd_problem(rng, 3)
         sizes = []
         sweep = kernel_solver._sweep
@@ -293,6 +301,29 @@ class TestCornerSweep:
             assert getattr(chunked, name) == getattr(whole, name), name
         assert np.array_equal(chunked.cross_values, whole.cross_values)
         assert np.array_equal(chunked.pair_values, whole.pair_values)
+
+    @pytest.mark.parametrize("cap", [None, 1], ids=["one_chunk", "chunk_per_surface"])
+    def test_forked_groups_change_no_bit(self, rng, monkeypatch, forks, cap):
+        # two groups: this process sweeps group 0 only, in its own chunks,
+        # and a child the rest
+        ens, wn = mmd_problem(rng, 3)
+        monkeypatch.setattr(ta, "_cpu_count", lambda: 1)
+        _, whole = mmd_to_wiener(ens, wn, 33)
+        monkeypatch.setattr(ta, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(kernel_solver, "_GROUP_COST_FLOATS", 0)
+        if cap is not None:
+            monkeypatch.setattr(kernel_solver, "_SWEEP_CHUNK_FLOATS", cap)
+        parent, sizes = os.getpid(), []
+        sweep = kernel_solver._sweep
+        monkeypatch.setattr(kernel_solver, "_sweep", lambda ds, dt, sidx, *rest:
+                            (sizes.append(len(sidx)) if os.getpid() == parent else None)
+                            or sweep(ds, dt, sidx, *rest))
+        _, forked = mmd_to_wiener(ens, wn, 33)
+        assert len(forks) == 1
+        group = sum(sizes)
+        assert 0 < group < 1 + 3 + 6
+        assert sizes == ([group] if cap is None else [1] * group)
+        assert report_bits(forked) == report_bits(whole)
 
     def test_surfaces_are_the_batched_full_surfaces(self, rng):
         ens, wn = mmd_problem(rng, 3)
@@ -328,6 +359,8 @@ class TestCornerSweep:
         # contraction's products).  Outside the chunks the batch keeps per
         # surface its pair, key and corner, and per velocity its tables: two
         # floats per node of one diagonal per surface bound them
+        # one group: tracemalloc sees this process only
+        monkeypatch.setattr(ta, "_cpu_count", lambda: 1)
         cap = 1 << 15
         monkeypatch.setattr(kernel_solver, "_SWEEP_CHUNK_FLOATS", cap)
         ens, wn = mmd_problem(rng, 16)
@@ -343,3 +376,231 @@ class TestCornerSweep:
         full_state = 8 * surfaces * nodes**2 * D
         assert bound < full_state / 5
         assert peak < bound
+
+    def test_forked_parent_peak_is_bounded_by_the_chunk_cap(self, rng, monkeypatch, forks):
+        # the bound of the test above holds for this process, which sweeps
+        # one of two groups (at the fitted group cost: 153 surfaces hold
+        # far more floats than two groups need)
+        monkeypatch.setattr(ta, "_cpu_count", lambda: 2)
+        cap = 1 << 15
+        monkeypatch.setattr(kernel_solver, "_SWEEP_CHUNK_FLOATS", cap)
+        ens, wn = mmd_problem(rng, 16)
+        surfaces, nodes, D = 153, 33, 5
+        tracemalloc.start()
+        try:
+            _, rep = mmd_to_wiener(ens, wn, nodes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(forks) == 1 and len(rep.surfaces) == surfaces
+        assert peak < 8 * (2 * cap + 2 * surfaces * nodes * D)
+
+
+def report_bits(rep):
+    """Every number of an ``MMDReport`` but its surfaces, as exact bits."""
+    return ([float(getattr(rep, name)).hex() for name in
+             ("mmd", "mmd_squared", "wiener_term", "radicand")]
+            + [rep.clipped, rep.cross_values.tobytes(), rep.pair_values.tobytes()])
+
+
+class TestForkedCornerGroups:
+    """A corner-only batch split into surface groups, every group past the
+    first swept by a forked child, gives the bits, errors and warnings of
+    one group swept in this process, by every fallback, and leaves no
+    child process and no open file descriptor behind."""
+
+    FITTED = kernel_solver._GROUP_COST_FLOATS
+
+    @pytest.fixture(autouse=True)
+    def groups(self, monkeypatch):
+        # two groups, whatever the batch's size
+        monkeypatch.setattr(ta, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(kernel_solver, "_GROUP_COST_FLOATS", 0)
+
+    @staticmethod
+    def problem(rng, which):
+        """A zero-argument solve returning its result's exact bits."""
+        if which == "mmd":
+            ens, wn = mmd_problem(rng, 3)
+            return lambda: report_bits(mmd_to_wiener(ens, wn, 33)[1])
+        pairs, g = mixed_corner_batch(rng)
+        return lambda: _solve_truncated_batch(pairs, 3, 3, g, g, corners=True).tobytes()
+
+    def check(self, monkeypatch, solve):
+        """``solve()`` in the current setup gives the bits of one group, and
+        leaves no child and no descriptor."""
+        fds = open_fds()
+        got = solve()
+        assert open_fds() == fds
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        with monkeypatch.context() as m:
+            m.setattr(ta, "_cpu_count", lambda: 1)
+            assert got == solve()
+
+    @pytest.mark.parametrize("which", ["mmd", "mixed"])
+    @pytest.mark.parametrize("cap", [None, 1], ids=["one_chunk", "chunk_per_surface"])
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_bitwise_equal_to_one_group(self, rng, monkeypatch, forks, which, cap, cpus):
+        monkeypatch.setattr(ta, "_cpu_count", lambda: cpus)
+        if cap is not None:
+            monkeypatch.setattr(kernel_solver, "_SWEEP_CHUNK_FLOATS", cap)
+        self.check(monkeypatch, self.problem(rng, which))
+        assert len(forks) == cpus - 1
+
+    @pytest.mark.parametrize("how", ["no_fork", "fork_raising", "pipe_raising"])
+    def test_no_child(self, rng, monkeypatch, how):
+        def fail(*args):
+            raise OSError(24, "Too many open files")
+        if how == "no_fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(os, "fork" if how == "fork_raising" else "pipe", fail)
+        self.check(monkeypatch, self.problem(rng, "mmd"))
+
+    @pytest.mark.parametrize("how", ["exit_1", "killed"])
+    def test_child_failing_at_once(self, rng, monkeypatch, how):
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid == 0:
+                if how == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                os._exit(1)
+            return pid
+        monkeypatch.setattr(os, "fork", fork)
+        self.check(monkeypatch, self.problem(rng, "mmd"))
+
+    @pytest.mark.parametrize("how", ["short", "wrong_then_exit_1"])
+    def test_child_sending_what_is_not_used(self, rng, monkeypatch, forks, how):
+        # a child that exits 0 after sending one value too few, or sends
+        # zeros of the right length and then fails: the parent sweeps the
+        # group itself
+        parent, real = os.getpid(), _forks.send
+
+        def send(writer, levels):
+            if os.getpid() == parent:
+                return real(writer, levels)
+            if how == "short":
+                return real(writer, [levels[0][:-1]])
+            real(writer, [np.zeros_like(levels[0])])
+            raise RuntimeError("child fails after its values")
+        monkeypatch.setattr(_forks, "send", send)
+        self.check(monkeypatch, self.problem(rng, "mixed"))
+        assert len(forks) == 1
+
+    def test_child_reaped_by_sigchld_ignore(self, rng, monkeypatch, forks):
+        old = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            self.check(monkeypatch, self.problem(rng, "mmd"))
+        finally:
+            signal.signal(signal.SIGCHLD, old)
+        assert len(forks) == 1
+
+    def test_no_fork_beside_another_python_thread(self, rng, monkeypatch, forks):
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            self.check(monkeypatch, self.problem(rng, "mmd"))
+        finally:
+            stop.set()
+            other.join()
+        assert forks == []
+
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    def test_nan_surface(self, rng, monkeypatch, forks, where):
+        # an overflowing path's surfaces end in the last group (a child's)
+        # or in the first (this process's): the error of one group, and the
+        # child is reaped or killed
+        ens, wn = mmd_problem(rng, 3)
+        ens.derivs[0][0, 0] = 1e300
+        paths = [characteristic_velocity(ens.path_triplet(k), 2) for k in range(3)]
+        right = characteristic_velocity(wn.as_triplet(), 2)
+        pairs = [(right, right)] + [(p, right) for p in paths[1:]]
+        nan_pair = [(paths[0], paths[0])]
+        pairs = pairs + nan_pair if where == "child" else nan_pair + pairs
+        grid = make_grid(1.0, 33, np.concatenate([ens.time_grid, wn.time_grid]))
+        errors = []
+        for cpus in (2, 1):
+            monkeypatch.setattr(ta, "_cpu_count", lambda: cpus)
+            fds = open_fds()
+            with pytest.raises(NumericalInconsistency) as err:
+                _solve_truncated_batch(pairs, 2, 2, grid, grid, corners=True)
+            errors.append(str(err.value))
+            assert open_fds() == fds
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        assert len(forks) == 1 and errors[0] == errors[1]
+
+    @pytest.mark.parametrize("where", ["group", "receive"])
+    def test_parent_interrupt_kills_and_reaps(self, rng, monkeypatch, forks, where):
+        # three groups: this process raises in its own group, or while it
+        # reads the first child's values; both children are killed and
+        # reaped, and every pipe closed
+        monkeypatch.setattr(ta, "_cpu_count", lambda: 3)
+        parent = os.getpid()
+        if where == "group":
+            real = kernel_solver._sweep_corners
+
+            def interrupt(*args):
+                if os.getpid() == parent:
+                    raise KeyboardInterrupt
+                return real(*args)
+            monkeypatch.setattr(kernel_solver, "_sweep_corners", interrupt)
+        else:
+            def interrupt(reader, sizes):
+                raise KeyboardInterrupt
+            monkeypatch.setattr(_forks, "receive", interrupt)
+        solve = self.problem(rng, "mixed")
+        fds = open_fds()
+        with pytest.raises(KeyboardInterrupt):
+            solve()
+        assert len(forks) == 2 and open_fds() == fds
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_warning_is_shown_by_the_parent(self, rng, monkeypatch, forks):
+        # each group warns once: the child stops at its warning, and this
+        # process sweeps that group again and shows it, as with no fork
+        real = kernel_solver._sweep_corners
+
+        def warn(*args):
+            warnings.warn(f"group {args[-2]}:{args[-1]}", UserWarning)
+            return real(*args)
+        monkeypatch.setattr(kernel_solver, "_sweep_corners", warn)
+        solve = self.problem(rng, "mixed")
+        runs = []
+        for fork in (True, False):
+            with monkeypatch.context() as m, warnings.catch_warnings(record=True) as shown:
+                warnings.simplefilter("always")
+                if not fork:
+                    m.delattr(os, "fork")
+                got = solve()
+            runs.append((got, [str(w.message) for w in shown]))
+        assert len(forks) == 1 and runs[0] == runs[1] and len(runs[0][1]) == 2
+
+    def test_one_surface_forks_nothing(self, rng, forks):
+        pairs, g = mixed_corner_batch(rng)
+        _solve_truncated_batch(pairs[:1], 3, 3, g, g, corners=True)
+        assert forks == []
+
+    @pytest.mark.parametrize("paths, points, forked", [(1, 17, False), (1, 65, False),
+                                                       (8, 65, True)])
+    def test_groups_follow_the_fitted_cost(self, rng, monkeypatch, forks, paths, points,
+                                           forked):
+        # 3 surfaces lose to the fork on 17^2 and 65^2; the 45 of 8 paths
+        # on 65^2 win
+        monkeypatch.setattr(kernel_solver, "_GROUP_COST_FLOATS", self.FITTED)
+        ens, wn = mmd_problem(rng, paths)
+        mmd_to_wiener(ens, wn, points)
+        assert len(forks) == forked
+
+    @pytest.mark.parametrize("costs, groups, edges", [
+        ([1] * 10, 2, [0, 5, 10]), ([1] * 10, 3, [0, 3, 7, 10]),
+        ([10] + [1] * 10, 2, [0, 1, 11]), ([1, 1, 1, 100], 3, [0, 2, 3, 4]),
+        ([5, 5], 2, [0, 1, 2]), ([3, 1, 4], 1, [0, 3])])
+    def test_group_edges(self, costs, groups, edges):
+        # contiguous, non-empty and as near equal in cost as the items allow
+        assert kernel_solver._group_edges(costs, groups) == edges
