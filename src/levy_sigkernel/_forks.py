@@ -20,8 +20,10 @@ The users: ``KernelSurface.to_csv`` writes its row blocks through
 ``kernel_solver._solve_truncated_batch`` (the MMD's surfaces) computes its
 surface groups through :func:`map_groups`; ``mc_oracle.estimate_kernel``
 runs one side in a child (``_ForkedSide``) that talks to the parent
-through :func:`send` and :func:`receive`.  The CLI writes every other
-output whole or not at all through :func:`write_text`.
+through :func:`send` and :func:`receive`.  These children are the
+package's only way to use a second core: it starts no Python thread, so
+the guard fails only beside a thread of the caller's.  The CLI writes
+every other output whole or not at all through :func:`write_text`.
 """
 
 from __future__ import annotations

@@ -26,20 +26,17 @@ The signatures of all paths are computed at once, segment by segment, on
 each segment's live rows (``_batch_signatures``): every segment takes the
 fused step ``S (x) exp(x)`` through the Horner core of
 ``tensor_algebra.mul_exp``, on a signature held batch-last (level n as a
-``(d**n, width)`` array) in two buffer sets reused for every segment.
+``(d**n, n_paths)`` array) in two buffer sets reused for every segment.
 Live rows are the segment's rows with a level ``!= 0`` (NaN included),
-found by one pass per column.  A large batch is split into column blocks,
-one per CPU, each block but the first on a thread of its own, and every
-block takes each interval before it is dropped; every column takes the
-same steps in any split.
-The worker threads call private functions only.  ``path_signature`` takes
-the same step for one path through ``mul_exp``, so row p equals
+found by one pass per column.  ``path_signature`` takes the same step for
+one path through ``mul_exp``, so row p equals
 ``path_signature(paths.increments_of(p), depth)`` bit for bit.
 
 ``estimate_kernel`` runs its two sides at once on two or more CPUs: side b
 (key ``[seed, 1]``) in a forked child (``_ForkedSide``), side a (key
-``[seed, 0]``) in the calling process, each in half the CPUs' column
-blocks.  They exchange raw float64 bytes over pipes: the child sends side
+``[seed, 0]``) in the calling process.  This is the estimators' only
+parallelism: each side's signatures run in one loop on one thread.  The
+two processes exchange raw float64 bytes over pipes: the child sends side
 b's mean levels, reads side a's and sends back the variance of side b's
 projections on them, from which the parent forms the estimate in the
 sequential order, so every path gives the same bits.  Where no child can
@@ -52,11 +49,9 @@ signatures then exist only in the child, so each process holds one side.
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import math
 import os
-import threading
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -128,14 +123,28 @@ def _interval_segments(triplet: LevyTriplet, n_paths: int, steps_per_interval: i
     ``(steps, n_paths, d)`` buffer.  A jump segment holds only the paths
     that jump in it, their indices ``rows`` increasing, with one value row
     each.  The generator keeps no reference to an interval it has yielded.
+    The arguments (``_check_draws``) and the horizon are checked at the
+    call, before any draw.
     """
+    _check_draws(n_paths, steps_per_interval, seed, stream_offset)
+    rng = np.random.Generator(np.random.Philox(key=[seed, stream_offset]))
+    return (_IntervalDraws(triplet, i, span, steps_per_interval, n_paths).segments(rng)
+            for i, span in _spans(triplet, horizon))
+
+
+def _check_draws(n_paths: int, steps_per_interval: int, seed: int,
+                 stream_offset: int) -> None:
+    """``InvalidParameter`` unless the sizes are integers >= 1 and the key
+    words integers in [-2**63, 2**63); an integer is an ``int`` or a numpy
+    integer, not a bool."""
+    args = (n_paths, steps_per_interval, seed, stream_offset)
+    if any(isinstance(a, bool) or not isinstance(a, (int, np.integer)) for a in args):
+        raise InvalidParameter("n_paths, steps_per_interval, seed and stream_offset "
+                               f"must be integers, got {args!r}")
     if n_paths < 1 or steps_per_interval < 1:
         raise InvalidParameter("need n_paths >= 1 and steps_per_interval >= 1")
     if not -2**63 <= min(seed, stream_offset) <= max(seed, stream_offset) < 2**63:
         raise InvalidParameter("seed and stream_offset must lie in [-2**63, 2**63)")
-    rng = np.random.Generator(np.random.Philox(key=[seed, stream_offset]))
-    for i, span in _spans(triplet, horizon):
-        yield _IntervalDraws(triplet, i, span, steps_per_interval, n_paths).segments(rng)
 
 
 def simulate_paths(triplet: LevyTriplet, n_paths: int, steps_per_interval: int,
@@ -323,85 +332,47 @@ class _PathStream(NamedTuple):
 
 
 def _streamed_signatures(triplet: LevyTriplet, n_paths: int, steps: int, seed: int,
-                         horizon: float, depth: int, stream_offset: int = 0,
-                         blocks: int | None = None) -> list[np.ndarray]:
+                         horizon: float, depth: int, stream_offset: int = 0
+                         ) -> list[np.ndarray]:
     """``_batch_signatures`` of the paths ``simulate_paths`` would return,
     fed to it one interval at a time: no more than one interval's
     increments exist at once."""
     intervals = _interval_segments(triplet, n_paths, steps, seed, horizon, stream_offset)
-    return _batch_signatures(_PathStream(triplet.dim, n_paths, intervals), depth, blocks)
+    return _batch_signatures(_PathStream(triplet.dim, n_paths, intervals), depth)
 
 
-def _batch_signatures(paths: SimulatedPaths | _PathStream, depth: int,
-                      blocks: int | None = None) -> list[np.ndarray]:
+def _batch_signatures(paths: SimulatedPaths | _PathStream, depth: int) -> list[np.ndarray]:
     """Signature levels of all paths at once, each of shape (n_paths, d**n).
 
     ``paths`` is a ``_PathStream`` or, as one interval of dense segments,
-    a ``SimulatedPaths``.  The paths are split into ``blocks`` column blocks
-    of nearly equal width, by default one per CPU the process may run on,
-    but none narrower than ``_MIN_BLOCK_PATHS`` paths.  Every block but the
-    first runs in its own thread, in a copy of the caller's context (so
-    under its ``np.errstate``), and the first runs on the calling thread,
-    which draws the intervals (``_Relay``).  Which levels of each segment
-    take part is decided on all rows (``_interval_plan``): as in
-    ``mul_exp``, a level that is zero on every row is skipped.  Each path's
-    column then takes the same steps in any split, so the result does not
-    depend on ``blocks``.  The row-major outputs are allocated after every
-    block has dropped its spare buffers.
+    a ``SimulatedPaths``.  The signature sits batch-last, level n as a
+    ``(d**n, n_paths)`` array, in two buffer sets that every segment of
+    every interval reuses; each interval is dropped before the next is
+    drawn.  Which levels of each segment take part is decided on all rows
+    (``_interval_plan``): as in ``mul_exp``, a level that is zero on every
+    row is skipped.  The row-major outputs are allocated after the spare
+    set is dropped.
     """
     d, n_paths = paths.dim, paths.n_paths
-    if blocks is None:
-        blocks = min(ta._cpu_count(), n_paths // _MIN_BLOCK_PATHS)
-    blocks = max(1, min(blocks, n_paths))
     if isinstance(paths, SimulatedPaths):
         intervals = iter([[(None, *segment) for segment in paths.segments]])
     else:
         intervals = paths.intervals
+    sig = [np.ones((1, n_paths))] + [np.zeros((d**n, n_paths)) for n in range(1, depth + 1)]
+    spare = [np.empty_like(lev) for lev in sig]
     # map, unlike a generator expression, keeps no reference to the last
     # interval while it draws the next
-    relay = _Relay(map(functools.partial(_interval_plan, depth=depth), intervals), blocks)
-    feeds = [relay.lead()] + [relay.follow() for _ in range(1, blocks)]
-    edges = [n_paths * b // blocks for b in range(blocks + 1)]
-    spans = list(zip(edges[:-1], edges[1:]))
-    results: list = [None] * blocks
-
-    def run(b: int) -> None:
-        try:
-            results[b] = _block_signatures(feeds[b], *spans[b], d, depth)
-        except BaseException as exc:   # re-raised on the calling thread
-            results[b] = exc
-            relay.barrier.abort()      # the other blocks stop at their next interval
-
-    workers = [threading.Thread(target=contextvars.copy_context().run, args=(run, b))
-               for b in range(1, blocks)]
-    for worker in workers:
-        worker.start()
-    run(0)
-    for worker in workers:
-        worker.join()
-    failed = [res for res in results if isinstance(res, BaseException)]
-    if failed:   # a failed block breaks the barrier of the others
-        raise next((exc for exc in failed
-                    if not isinstance(exc, threading.BrokenBarrierError)), failed[0])
-    out = [np.empty((n_paths, d**n)) for n in range(depth + 1)]
-    for (lo, hi), sig in zip(spans, results):
-        for lev, part in zip(out, sig):
-            lev[lo:hi] = part.T
-    return out
-
-
-# Narrowest block of paths that _batch_signatures splits off.  Each block
-# runs the whole segment loop, and two threads hand the GIL to each other
-# at every numpy call.  On a 2-core x86 host, validate-jumps-d2's two sides
-# at depth 4 took 31.7 ms in one block against 35.8 ms in two at 8000 paths,
-# 39.5 against 36.9 ms at 10 000 and 83.5 against 54.2 ms at 20 000.
-_MIN_BLOCK_PATHS = 5000
+    for plan in map(functools.partial(_interval_plan, depth=depth), intervals):
+        sig, spare = _apply_plan(plan, sig, spare)
+        del plan   # no reference to the interval while the next is drawn
+    del spare
+    return [np.ascontiguousarray(lev.T) for lev in sig]
 
 
 def _interval_plan(segments: list[tuple], depth: int) -> list[tuple]:
     """``(rows, levels, x)`` for each of an interval's segments with a
     nonzero level: its rows (None for every path), its levels, and the live
-    levels ``(j, x^j)`` that every block multiplies."""
+    levels ``(j, x^j)`` that its live rows multiply."""
     plan = []
     for rows, *pair in segments:
         levels = [(j, lev) for j, lev in enumerate(pair, 1) if lev is not None]
@@ -412,95 +383,34 @@ def _interval_plan(segments: list[tuple], depth: int) -> list[tuple]:
     return plan
 
 
-class _Relay:
-    """Hands each item of ``source`` to ``blocks`` iterators in turn.
+def _apply_plan(plan, sig: list[np.ndarray], spare: list[np.ndarray]
+                ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Applies an interval's segments to the batch-last signature ``sig``;
+    returns the signature and the spare set.
 
-    ``lead()`` draws the items and must run on the calling thread;
-    ``follow()`` serves each other block on its own thread.  An item is
-    handed to all of them at once, and the next is drawn only when every
-    block is done with it and the relay has dropped it, so one item exists
-    at a time.  ``barrier.abort()`` makes every iterator raise
-    ``threading.BrokenBarrierError`` at its next wait.
-    """
-
-    def __init__(self, source, blocks: int):
-        self.source, self.item = source, None
-        self.barrier = threading.Barrier(blocks)
-
-    def lead(self):
-        try:
-            while True:
-                self.item = next(self.source, None)
-                self.barrier.wait()        # handed to every block; None ends
-                if self.item is None:
-                    return
-                yield self.item
-                self.barrier.wait()        # every block is done with it
-                self.item = None
-        except BaseException:
-            self.barrier.abort()
-            raise
-
-    def follow(self):
-        while True:
-            self.barrier.wait()
-            if self.item is None:
-                return
-            yield self.item
-            self.barrier.wait()
-
-
-def _block_signatures(intervals, lo: int, hi: int, d: int, depth: int) -> list[np.ndarray]:
-    """Signature levels of paths ``lo:hi``, batch-last: level n as a
-    (d**n, hi - lo) array.
-
-    ``intervals`` yields each interval's plan (``_interval_plan``).  The
-    signature sits in two buffer sets that every segment of every interval
-    reuses; each interval is dropped before the next is drawn.
-    """
-    width = hi - lo
-    sig = [np.ones((1, width))] + [np.zeros((d**n, width)) for n in range(1, depth + 1)]
-    spare = [np.empty_like(lev) for lev in sig]
-    for plan in intervals:
-        sig, spare = _apply_plan(plan, sig, spare, lo, hi)
-        del plan   # no reference to the interval while the next is drawn
-    return sig
-
-
-def _apply_plan(plan, sig: list[np.ndarray], spare: list[np.ndarray], lo: int,
-                hi: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Applies an interval's segments to the signature ``sig`` of paths
-    ``lo:hi``; returns the signature and the spare set.
-
-    A segment updates only the block's live rows, those of its rows with a
-    nonzero level (NaN counts, found by ``_live_rows``): all rows by the
-    Horner core of ``mul_exp`` (``tensor_algebra._mul_exp_into``) into the
-    spare set, which then becomes the signature; none by skipping the
-    segment; otherwise its live columns, gathered and scattered back.  Each
+    A segment updates only its live rows, those with a nonzero level (NaN
+    counts, found by ``_live_rows``): all paths by the Horner core of
+    ``mul_exp`` (``tensor_algebra._mul_exp_into``) into the spare set,
+    which then becomes the signature; none by skipping the segment;
+    otherwise the live paths' columns, gathered and scattered back.  Each
     update takes the steps ``path_signature`` takes for one path.
     """
-    width = hi - lo
+    n_paths = sig[0].shape[1]
     for rows, levels, x in plan:
-        if rows is None:
-            part, cols = slice(lo, hi), None
-        else:      # the segment's rows in this block
-            part = slice(*np.searchsorted(rows, (lo, hi)))
-            cols = rows[part] - lo
-        live = _live_rows(levels[0][part])
+        live = _live_rows(levels[0])
         for lev in levels[1:]:
-            live |= _live_rows(lev[part])
+            live |= _live_rows(lev)
         idx = np.flatnonzero(live)
         if len(idx) == 0:
             continue
-        if len(idx) == width:
-            ta._mul_exp_into(sig, [(j, lev[part].T) for j, lev in x], spare)
+        if len(idx) == n_paths:
+            ta._mul_exp_into(sig, [(j, lev.T) for j, lev in x], spare)
             sig, spare = spare, sig
         else:
-            target = idx if cols is None else cols[idx]
+            target = idx if rows is None else rows[idx]
             out = [lev[:, :len(idx)] for lev in spare]
             ta._mul_exp_into([np.take(lev, target, axis=1) for lev in sig],
-                             [(j, np.take(lev[part], idx, axis=0).T) for j, lev in x],
-                             out)
+                             [(j, np.take(lev, idx, axis=0).T) for j, lev in x], out)
             for lev, upd in zip(sig, out):
                 lev[:, target] = upd
     return sig, spare
@@ -541,26 +451,23 @@ def estimate_kernel(triplet_a: LevyTriplet, triplet_b: LevyTriplet, t: float,
     independent mean estimates by the delta method.  The two sides are
     independent: side a draws from Philox key ``[seed, 0]``, side b from
     ``[seed, 1]``.  On two or more CPUs, side b runs in a forked child
-    (``_ForkedSide``) while the calling process runs side a, each on half
-    the CPUs' column blocks; otherwise, or when the child fails, the
-    calling process runs side b after side a.  Every path gives the same
-    bits and raises the same errors.
+    (``_ForkedSide``) while the calling process runs side a; otherwise, or
+    when the child fails, the calling process runs side b after side a.
+    Every path gives the same bits and raises the same errors.
     """
     if n_paths < 2:
         raise InvalidParameter("the standard error needs n_paths >= 2")
     if triplet_a.dim != triplet_b.dim:
         raise DimMismatch(f"triplet dims {triplet_a.dim} and {triplet_b.dim} differ")
+    _check_draws(n_paths, steps, seed, 1)   # in this process, before the fork
     side_a, side_b = (functools.partial(_streamed_signatures, triplet, n_paths, steps,
                                         seed, t, depth, offset)
                       for offset, triplet in enumerate((triplet_a, triplet_b)))
-    cpus = ta._cpu_count()
-    half = min(cpus // 2, n_paths // _MIN_BLOCK_PATHS)
     child = None
-    if cpus >= 2:
-        child = _ForkedSide.start(functools.partial(side_b, blocks=half),
-                                  [triplet_a.dim**n for n in range(depth + 1)])
+    if ta._cpu_count() >= 2:
+        child = _ForkedSide.start(side_b, [triplet_a.dim**n for n in range(depth + 1)])
     try:
-        sig_a = side_a(blocks=half if child else None)
+        sig_a = side_a()
         mean_a = _level_means(sig_a)
         got = child.exchange(mean_a) if child else None
     finally:

@@ -214,9 +214,10 @@ class MMDReport:
 
 def _merged_grid(horizon: float, grid, *breakpoints) -> np.ndarray:
     """``grid`` as an array, or for a point count the ``make_grid`` grid
-    through all the given breakpoint arrays."""
+    through all the given breakpoint arrays; ``make_grid`` rejects a count
+    that is not an integer."""
     if np.isscalar(grid):
-        return make_grid(horizon, int(grid), np.concatenate(breakpoints))
+        return make_grid(horizon, grid, np.concatenate(breakpoints))
     return np.asarray(grid, dtype=float)
 
 

@@ -551,10 +551,10 @@ def unflatten(vec: np.ndarray, dim: int, depth: int) -> TruncatedTensor:
 
 
 def _cpu_count() -> int:
-    """CPUs this process may run on: the one count by which the pathwise
-    signatures and the kernel estimator's sides (``mc_oracle``), the kernel
-    CSV and the corner-only sweep of the MMD's surfaces (``kernel_solver``)
-    split their work."""
+    """CPUs this process may run on: the one count by which the kernel
+    estimator's two sides (``mc_oracle``, side b forked on two or more),
+    the kernel CSV and the corner-only sweep of the MMD's surfaces
+    (``kernel_solver``) split their work, each into forked children."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:   # no affinity mask on this platform

@@ -63,24 +63,16 @@ def traced_run(tmp_path, cfg_data):
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS.CONFIGS))
 def test_traced_run(tmp_path, workload):
-    spans, _ = traced_run(tmp_path, WORKLOADS.CONFIGS[workload](2, small=True))
+    spans, hook_s = traced_run(tmp_path, WORKLOADS.CONFIGS[workload](2, small=True))
     assert spans["cli.main"]["calls"] == 1
     name, counter = COUNTERS[workload]
     assert spans[name][counter] > 0
     assert spans["tensor_algebra.tensor_mul"]["madds"] > 0
     if workload in VELOCITY_WORKLOADS:
         assert spans["characteristics.characteristic_velocity"]["coeffs"] > 0
-
-
-def test_self_times_balance_with_signature_threads(tmp_path):
-    # enough paths that the Monte Carlo signatures run in column blocks on
-    # threads: the spans, which assume one thread, must still add up
-    cfg_data = WORKLOADS.validate_config(2, small=True)
-    cfg_data["mc"]["n_paths"] = 2 * mc_oracle._MIN_BLOCK_PATHS
-    spans, hook_s = traced_run(tmp_path, cfg_data)
+    # the self times and the tracer's overhead add up to the run's time
     total = spans["cli.main"]["s"]
     self_sum = sum(stats["self_s"] for stats in spans.values())
-    assert spans["mc_oracle.estimate_kernel"]["calls"] == 1
     assert abs(self_sum + hook_s - total) <= 1e-9 * total
 
 

@@ -1,4 +1,3 @@
-import ctypes
 import json
 import math
 import os
@@ -507,72 +506,6 @@ class TestNaNSurfaceStderr:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and "NaN" in lines[0], \
             proc.stderr
-
-
-BLAS_PROBE = """
-import ctypes, json, sys
-import numpy as np
-lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-get, set_threads = (getattr(lib, name) for name in sys.argv[1:3])
-seen = {"before_import": get()}
-from levy_sigkernel import cli
-seen["after_import"] = get()
-set_threads(2)
-def probe(cfg, out_dir):
-    seen["during_main"] = get()
-    return 0
-cli.cmd_bounds = probe
-seen["code"] = cli.main(["--config", sys.argv[3], "--output", sys.argv[4]])
-seen["after_main"] = get()
-print(json.dumps(seen))
-"""
-
-
-class TestBlasThreads:
-    """``main``, and no import, runs the command with OpenBLAS on one
-    thread and restores the count after; an explicit thread variable wins."""
-
-    def run_probe(self, tmp_path, **env_vars):
-        if cli_module._openblas_thread_calls() is None:
-            pytest.skip("numpy's BLAS exports no OpenBLAS thread calls")
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        names = next(n for n in cli_module._OPENBLAS_THREAD_CALLS if hasattr(lib, n[0]))
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-        env.update(env_vars, PYTHONPATH=os.pathsep.join(
-            filter(None, [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH")])))
-        cfg = write_config(tmp_path / "cfg.json", {"experiment": "bounds"})
-        out = subprocess.run([sys.executable, "-c", BLAS_PROBE, *names, cfg,
-                              str(tmp_path / "o")],
-                             env=env, check=True, capture_output=True, text=True).stdout
-        return json.loads(out.strip().splitlines()[-1])
-
-    def test_main_caps_and_restores(self, tmp_path):
-        seen = self.run_probe(tmp_path)
-        assert seen["after_import"] == seen["before_import"]
-        assert (seen["code"], seen["during_main"], seen["after_main"]) == (0, 1, 2)
-
-    @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
-    def test_explicit_thread_count_is_left_alone(self, tmp_path, var):
-        seen = self.run_probe(tmp_path, **{var: "2"})
-        assert seen["after_import"] == seen["before_import"]
-        assert (seen["code"], seen["during_main"], seen["after_main"]) == (0, 2, 2)
-
-    def test_main_restores_after_an_error(self, monkeypatch, tmp_path, capsys):
-        calls = []
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        monkeypatch.setattr(cli_module, "_openblas_thread_calls",
-                            lambda: (lambda: 3, calls.append))
-
-        def fail(cfg, out_dir):
-            raise ConfigError("x", "fails inside the command")
-
-        monkeypatch.setattr(cli_module, "cmd_bounds", fail)
-        cfg = write_config(tmp_path / "cfg.json", {"experiment": "bounds"})
-        assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == 2
-        assert calls == [1, 3]
-        assert "fails inside the command" in capsys.readouterr().err
 
 
 class TestOversizedConfigs:

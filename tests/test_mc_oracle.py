@@ -368,6 +368,36 @@ class TestStreamAndHorizonChecks:
     def test_zero_horizon_has_no_segments(self):
         assert simulate_paths(jump_triplet(), 4, 2, seed=1, horizon=0.0).segments == []
 
+    # each entry point's output arrays for sizes (n_paths, steps, seed)
+    SIZED = {
+        "simulate_paths": lambda *sizes: [
+            lev for seg in simulate_paths(jump_triplet(), *sizes).segments
+            for lev in seg if lev is not None],
+        "estimate_expected_signature": lambda *sizes: estimate_expected_signature(
+            jump_triplet(), 1.0, 2, *sizes).mean.levels,
+        "estimate_kernel": lambda *sizes: [np.array(estimate_kernel(
+            jump_triplet(), jump_triplet(), 1.0, 2, *sizes))],
+    }
+
+    @pytest.mark.parametrize("sizes", [
+        (10.0, 2, 1), (np.float64(10), 2, 1), (10, 2.5, 1), (10, True, 1), (10, 2, 1.0)],
+        ids=["float_paths", "numpy_float_paths", "float_steps", "bool_steps", "float_seed"])
+    @pytest.mark.parametrize("entry", sorted(SIZED))
+    def test_sizes_must_be_integers(self, monkeypatch, forks, entry, sizes):
+        # a float used to end in numpy's TypeError, and a bool passed as 1;
+        # the kernel estimator checks before it forks
+        monkeypatch.setattr(ta, "_cpu_count", lambda: 2)
+        with pytest.raises(InvalidParameter, match="integers"):
+            self.SIZED[entry](*sizes)
+        assert forks == []
+
+    @pytest.mark.parametrize("entry", sorted(SIZED))
+    def test_numpy_integer_sizes(self, entry):
+        got = self.SIZED[entry](np.int64(10), np.int32(2), np.uint8(1))
+        want = self.SIZED[entry](10, 2, 1)
+        assert [lev.tobytes() for lev in got] == [lev.tobytes() for lev in want]
+
+
 def abs_paths(paths):
     return SimulatedPaths(paths.dim, paths.n_paths,
                           [(np.abs(l1), None if l2 is None else np.abs(l2))
@@ -694,11 +724,12 @@ class TestReferenceBatchSignatures:
                 assert lev is None or lev.tobytes() == ref.tobytes()
 
 
-class TestColumnBlocks:
-    """``_batch_signatures`` split into column blocks, one per thread, is
-    bitwise equal to the reference for every split."""
+class TestEdgeRows:
+    """``_batch_signatures`` on rows of inf, NaN and -0.0, on levels live in
+    a few rows and on overflows is bitwise equal to the reference, and an
+    error under ``np.errstate`` reaches the caller."""
 
-    N = 13   # blocks=2 splits rows 0-5 from rows 6-12
+    N = 13
 
     def paths(self):
         rng = np.random.default_rng(11)
@@ -706,23 +737,22 @@ class TestColumnBlocks:
         sim = simulate_paths(jump_triplet(), n, 2, seed=4)
         mixed = mixed_segments(rng, n, d)     # inf row 10; NaN rows 5, 9; -0.0 rows 1, 2, 4
         overflow = rng.normal(size=(n, d)) * 0.4
-        overflow[2] = [1e200, 0.5]            # an inf row left of the split too
+        overflow[2] = [1e200, 0.5]            # an inf row
         signed = np.zeros((n, d))
         signed[[3, 8]] = [0.3, -0.2]
-        signed[[7, 11]] = -0.0                # rows of -0.0 right of the split
+        signed[[7, 11]] = -0.0                # rows of -0.0
         signed[12] = [-0.0, 0.1]
-        left_only = np.zeros((n, d))          # every row of block 0, none of block 1
-        left_only[:6] = rng.normal(size=(6, d)) * 0.4
+        first_rows = np.zeros((n, d))         # rows 0-5 only
+        first_rows[:6] = rng.normal(size=(6, d)) * 0.4
         segments = (sim.segments[:3] + [(overflow, None)] + mixed[:7] + sim.segments[3:8]
-                    + [(signed, None), (left_only, None)] + mixed[7:] + sim.segments[8:])
+                    + [(signed, None), (first_rows, None)] + mixed[7:] + sim.segments[8:])
         return SimulatedPaths(d, n, segments)
 
-    @pytest.mark.parametrize("blocks", [1, 2, 3, 13])
     @pytest.mark.parametrize("depth", [0, 1, 3, 4])
-    def test_bitwise_equal_to_reference(self, blocks, depth):
+    def test_bitwise_equal_to_reference(self, depth):
         paths = self.paths()
         with np.errstate(over="ignore", invalid="ignore"):
-            got = _batch_signatures(paths, depth, blocks=blocks)
+            got = _batch_signatures(paths, depth)
             want = reference_batch_signatures(paths, depth)
         assert len(got) == depth + 1
         for lvl, ref in zip(got, want):
@@ -733,99 +763,49 @@ class TestColumnBlocks:
             assert np.isinf(top[[2, 10]]).any(axis=1).all()
             assert np.isnan(top[[5, 9]]).any(axis=1).all()
 
-    @pytest.mark.parametrize("blocks", [1, 2])
-    def test_level_skip_is_decided_on_all_rows(self, blocks):
-        # level 2 of the second segment is live in block 1 (rows 2-3) alone;
-        # block 0 multiplies it too, so row 0's inf times 0 gives NaN there
+    def test_level_skip_is_decided_on_all_rows(self):
+        # level 2 of the second segment is live in row 2 alone; row 0, live
+        # by its level 1, multiplies it too, so its inf times 0 gives NaN
         first = np.array([[1e200, 0.5], [0.3, -0.2], [0.1, 0.4], [0.2, 0.1]])
         second = (np.array([[0.1, 0.2], [0.0, 0.0], [-0.3, 0.1], [0.0, 0.0]]),
                   np.array([[0.0] * 4, [0.0] * 4, [0.0, 0.1, -0.1, 0.0], [0.0] * 4]))
         paths = SimulatedPaths(2, 4, [(first, None), second])
         with np.errstate(over="ignore", invalid="ignore"):
-            got = _batch_signatures(paths, 4, blocks=blocks)
+            got = _batch_signatures(paths, 4)
             want = reference_batch_signatures(paths, 4)
         for lvl, ref in zip(got, want):
             assert lvl.tobytes() == ref.tobytes()
         assert np.isnan(got[4][0]).any() and np.isfinite(got[4][1:]).all()
 
-    def test_more_blocks_than_cores_under_frequent_switches(self):
-        # the blocks share only the read-only plan and the result slots
-        paths = simulate_paths(jump_triplet(), 301, 3, seed=9)
-        want = reference_batch_signatures(paths, 4)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                got = _batch_signatures(paths, 4, blocks=7)
-                for lvl, ref in zip(got, want):
-                    assert lvl.tobytes() == ref.tobytes()
-        finally:
-            sys.setswitchinterval(interval)
-
-    def test_blocks_follow_the_cpus_and_run_in_threads(self, monkeypatch):
-        calls = []
-        original = mc_oracle._block_signatures
-
-        def record(intervals, lo, hi, d, depth):
-            calls.append((lo, hi, threading.current_thread() is threading.main_thread()))
-            return original(intervals, lo, hi, d, depth)
-
-        monkeypatch.setattr(mc_oracle, "_block_signatures", record)
-        monkeypatch.setattr(ta, "_cpu_count", lambda: 3)
-        monkeypatch.setattr(mc_oracle, "_MIN_BLOCK_PATHS", 4)
-        paths = simulate_paths(jump_triplet(), 13, 2, seed=4)
-        got = _batch_signatures(paths, 3)
-        assert sorted(calls) == [(0, 4, True), (4, 8, False), (8, 13, False)]
-        for lvl, ref in zip(got, reference_batch_signatures(paths, 3)):
-            assert lvl.tobytes() == ref.tobytes()
-        calls.clear()
-        _batch_signatures(simulate_paths(jump_triplet(), 11, 2, seed=4), 3)
-        assert sorted(calls) == [(0, 5, True), (5, 11, False)]   # 11 // 4 blocks
-        calls.clear()
-        _batch_signatures(simulate_paths(jump_triplet(), 7, 2, seed=4), 3)
-        assert calls == [(0, 7, True)]
-
-    def overflow_in_block_1(self):
-        # only row 2, which the worker thread takes, overflows
+    def test_overflow_reaches_the_caller(self):
+        # only row 2 overflows
         first = np.array([[0.1, 0.2], [0.3, -0.1], [1e200, 0.5], [0.2, 0.2]])
-        return SimulatedPaths(2, 4, [(first, None), (first * 0.5, None)])
-
-    def test_worker_runs_under_the_callers_errstate(self):
-        paths = self.overflow_in_block_1()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with np.errstate(over="ignore", invalid="ignore"):
-                got = _batch_signatures(paths, 4, blocks=2)
-        assert np.isinf(got[4][2]).any() and np.isfinite(got[4][[0, 1, 3]]).all()
-
-    def test_worker_error_reaches_the_caller(self):
+        paths = SimulatedPaths(2, 4, [(first, None), (first * 0.5, None)])
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            _batch_signatures(self.overflow_in_block_1(), 4, blocks=2)
+            _batch_signatures(paths, 4)
 
-    @pytest.mark.parametrize("blocks", [1, 2])
-    def test_peak_memory_holds_two_signature_sets(self, blocks):
+    def test_peak_memory_holds_two_signature_sets(self):
         # the signature and its spare set, a gathered copy of a partly live
         # segment's columns (at most 44 % of the paths here) and one product
-        # temporary: 3.1 sets in one block, 2.9-3.2 in two.  Outputs
-        # allocated before the blocks end would add a third set
+        # temporary: 3.1 sets.  Outputs allocated before the spare set is
+        # dropped would add a third set
         n_paths, depth = 4000, 4
         paths = simulate_paths(jump_triplet(), n_paths, 2, seed=6)
         one_set = 8 * n_paths * sum(2**n for n in range(depth + 1))
         tracemalloc.start()
         try:
-            _batch_signatures(paths, depth, blocks=blocks)
+            _batch_signatures(paths, depth)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * one_set, peak / one_set
 
 
-def streamed_signatures(trip, n_paths, steps, seed, depth, blocks=None):
+def streamed_signatures(trip, n_paths, steps, seed, depth):
     """``_batch_signatures`` fed by the interval generator, as the estimators
     feed it."""
     intervals = mc_oracle._interval_segments(trip, n_paths, steps, seed)
-    return _batch_signatures(mc_oracle._PathStream(trip.dim, n_paths, intervals), depth,
-                             blocks=blocks)
+    return _batch_signatures(mc_oracle._PathStream(trip.dim, n_paths, intervals), depth)
 
 
 def zero_atom_triplet():
@@ -852,20 +832,18 @@ class TestStreamedSignatures:
     """Signatures fed one interval at a time, with sparse jump segments,
     bitwise equal to the reference on ``simulate_paths``'s dense segments."""
 
-    @pytest.mark.parametrize("blocks", [1, 2, 3])
     @pytest.mark.parametrize("depth", [2, 4])
-    def test_bitwise_equal_to_reference(self, blocks, depth):
+    def test_bitwise_equal_to_reference(self, depth):
         trip = jump_triplet()
         dense = simulate_paths(trip, 301, 3, seed=5)
         # level-2 atoms and area segments, and sparse jump segments
         assert any(l2 is not None and l2.any() for _, l2 in dense.segments[3:])
-        got = streamed_signatures(trip, 301, 3, 5, depth, blocks=blocks)
+        got = streamed_signatures(trip, 301, 3, 5, depth)
         want = reference_batch_signatures(dense, depth)
         for lvl, ref in zip(got, want):
             assert lvl.flags.c_contiguous and lvl.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("blocks", [1, 2])
-    def test_zero_atom_is_skipped(self, monkeypatch, blocks):
+    def test_zero_atom_is_skipped(self, monkeypatch):
         # a drawn jump to the zero atom updates no row, and a segment of
         # such jumps alone takes no step
         trip = zero_atom_triplet()
@@ -880,18 +858,17 @@ class TestStreamedSignatures:
             return real(s_cols, x_cols, q)
 
         monkeypatch.setattr(ta, "_mul_exp_into", record)
-        got = streamed_signatures(trip, 200, 2, 3, 4, blocks=blocks)
+        got = streamed_signatures(trip, 200, 2, 3, 4)
         assert sum(widths) == sum(live)
         for lvl, ref in zip(got, reference_batch_signatures(dense, 4)):
             assert lvl.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("blocks", [1, 2, 3])
     @pytest.mark.parametrize("depth", [1, 4])
-    def test_hand_made_sparse_segments(self, monkeypatch, blocks, depth):
+    def test_hand_made_sparse_segments(self, monkeypatch, depth):
         # the mixed segments as sparse ones that also hold zero rows, rows
         # of -0.0 and NaN rows: a sparse segment updates the rows that its
         # dense form would, and no other
-        paths = TestColumnBlocks().paths()
+        paths = TestEdgeRows().paths()
         pick = np.arange(paths.n_paths) % 3 == 0
         segments = [(None, *seg) if k % 4 == 0 else sparse_form(seg, pick)
                     for k, seg in enumerate(paths.segments)]
@@ -909,7 +886,7 @@ class TestStreamedSignatures:
                                        iter([segments[:9], [], segments[9:]]))
         with np.errstate(over="ignore", invalid="ignore"):
             monkeypatch.setattr(ta, "_mul_exp_into", record)
-            got = _batch_signatures(stream, depth, blocks=blocks)
+            got = _batch_signatures(stream, depth)
             monkeypatch.undo()
             want = reference_batch_signatures(paths, depth)
         assert sum(widths) == live
@@ -938,28 +915,8 @@ class TestStreamedSignatures:
         for (n_paths, seed), ref in zip(cases, whole):
             assert_same_segments(simulate_paths(trip, n_paths, 1, seed), ref)
 
-    def test_more_blocks_than_cores_under_frequent_switches(self):
-        # seven blocks take each of three intervals from the relay; a block
-        # that missed an interval, or took one twice, would change its rows
-        trip = jump_triplet()
-        want = reference_batch_signatures(simulate_paths(trip, 301, 3, seed=9), 4)
-        got = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            runner = threading.Thread(target=lambda: got.extend(
-                streamed_signatures(trip, 301, 3, 9, 4, blocks=7) for _ in range(5)))
-            runner.start()
-            runner.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not runner.is_alive() and len(got) == 5
-        for sig in got:
-            for lvl, ref in zip(sig, want):
-                assert lvl.tobytes() == ref.tobytes()
-
-    def test_stream_error_stops_every_block(self):
-        # the stream raises while the blocks wait for its second interval
+    def test_stream_error_reaches_the_caller(self):
+        # the stream raises while its second interval is drawn
         before = threading.active_count()
 
         def intervals():
@@ -967,12 +924,11 @@ class TestStreamedSignatures:
             raise OutOfRange("stream ends")
 
         with pytest.raises(OutOfRange):
-            _batch_signatures(mc_oracle._PathStream(2, 12, intervals()), 3, blocks=3)
+            _batch_signatures(mc_oracle._PathStream(2, 12, intervals()), 3)
         assert threading.active_count() == before
 
-    def test_worker_error_in_a_later_interval_reaches_the_caller(self):
-        # row 10, in the last of three blocks, overflows in the second of
-        # three intervals; the other blocks wait for the third
+    def test_overflow_in_a_later_interval_reaches_the_caller(self):
+        # row 10 overflows in the second of three intervals
         before = threading.active_count()
         first = np.full((12, 2), 0.1)
         second = first.copy()
@@ -980,7 +936,7 @@ class TestStreamedSignatures:
         stream = mc_oracle._PathStream(2, 12, iter(
             [[(None, first, None)], [(None, second, None)], [(None, first, None)]]))
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            _batch_signatures(stream, 4, blocks=3)
+            _batch_signatures(stream, 4)
         assert threading.active_count() == before
 
 
@@ -1016,19 +972,16 @@ class TestStreamedMemory:
         interval = 8 * self.STEPS * self.N * 2
         return one_set, interval
 
-    @pytest.fixture(params=[1, 2], ids=["one_block", "two_blocks"])
-    def blocks(self, request, monkeypatch):
-        monkeypatch.setattr(ta, "_cpu_count", lambda: request.param)
-        monkeypatch.setattr(mc_oracle, "_MIN_BLOCK_PATHS", 1000)
+    @pytest.fixture
+    def in_process(self, monkeypatch):
         monkeypatch.delattr(os, "fork")   # both sides in this process
-        return request.param
 
-    def test_peak_does_not_grow_with_intervals(self, blocks):
+    def test_peak_does_not_grow_with_intervals(self, in_process):
         _, interval = self.sizes()
         two, eight = self.peak(2), self.peak(8)
         assert eight <= two + interval, (two / interval, eight / interval)
 
-    def test_peak_holds_signature_sets_and_one_interval(self, blocks):
+    def test_peak_holds_signature_sets_and_one_interval(self, in_process):
         # side a's row-major output, side b's signature and spare sets,
         # one interval's increments and the two draw scratch buffers, which
         # peak while an interval is drawn: 3 sets + 1.68 intervals here,
@@ -1046,12 +999,44 @@ class TestStreamedMemory:
         # intervals live in the child.  A fifth of a set is left for the
         # gathered columns and product temporaries
         monkeypatch.setattr(ta, "_cpu_count", lambda: 2)
-        monkeypatch.setattr(mc_oracle, "_MIN_BLOCK_PATHS", 1000)
         one_set, interval = self.sizes()
         scratch = 2 * 8 * mc_oracle._DRAW_NORMALS
         peak = self.peak(2)
         assert len(forks) == 2   # the first call and the traced one
         assert peak <= 2.2 * one_set + interval + scratch, (peak - 2 * one_set) / interval
+
+
+def test_estimators_start_no_thread(monkeypatch, forks):
+    # side b's fork is the estimators' only parallelism: at 12 000 paths
+    # on four CPUs neither estimator starts a Python thread, forked or not
+    trip = jump_triplet()
+
+    def expected_signature():
+        return estimate_expected_signature(trip, 1.0, 3, 12_000, 2, seed=7).mean.levels
+
+    def kernel():
+        return [np.array(estimate_kernel(trip, trip, 1.0, 3, 12_000, 2, seed=7))]
+
+    def start(thread):
+        raise AssertionError(f"a thread was started: {thread!r}")
+
+    def bits(levels):
+        return [lev.tobytes() for lev in levels]
+
+    def patched(run):
+        with monkeypatch.context() as m:
+            m.setattr(threading.Thread, "start", start)
+            m.setattr(ta, "_cpu_count", lambda: 4)
+            return run()
+
+    assert bits(patched(expected_signature)) == bits(expected_signature())
+    want = bits(kernel())
+    forked = len(forks)
+    assert bits(patched(kernel)) == want
+    assert len(forks) == forked + 1
+    monkeypatch.delattr(os, "fork")
+    assert bits(kernel()) == want
+    assert bits(patched(kernel)) == want
 
 
 def no_jump_triplet():

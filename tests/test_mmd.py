@@ -86,6 +86,28 @@ class TestValidation:
         wn = WienerSpec.from_factors(2, [0.0, 1.0], [[[1.0, 0.0], [0.0, 2.0]]])
         assert np.allclose(wn.covs[0], np.diag([1.0, 4.0]))
 
+    # each entry point's corner value on a grid of ``points`` points
+    CORNERS = {
+        "mmd_to_wiener": lambda ens, wn, points: mmd_to_wiener(ens, wn, points)[0],
+        "cross_kernel": lambda ens, wn, points: cross_kernel(ens, 1, wn, points).w[-1, -1],
+        "pair_kernel": lambda ens, wn, points: pair_kernel(ens, 0, 1, points).w[-1, -1],
+    }
+
+    @pytest.mark.parametrize("points", [17.9, np.float64(17.5), True],
+                             ids=["float", "numpy_float", "bool"])
+    @pytest.mark.parametrize("entry", sorted(CORNERS))
+    def test_point_count_must_be_an_integer(self, rng, entry, points):
+        # a float count used to be cut to an integer without a word
+        ens, wn = mmd_problem(rng, 2)
+        with pytest.raises(InvalidParameter, match="integer"):
+            self.CORNERS[entry](ens, wn, points)
+
+    @pytest.mark.parametrize("entry", sorted(CORNERS))
+    def test_numpy_integer_point_count(self, rng, entry):
+        ens, wn = mmd_problem(rng, 2)
+        got = self.CORNERS[entry](ens, wn, np.int64(17))
+        assert got.hex() == self.CORNERS[entry](ens, wn, 17).hex()
+
 
 class TestCrossKernel:
     def test_pure_area_path_gives_one(self, rng):
