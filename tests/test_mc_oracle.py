@@ -748,7 +748,7 @@ class TestEdgeRows:
                     + [(signed, None), (first_rows, None)] + mixed[7:] + sim.segments[8:])
         return SimulatedPaths(d, n, segments)
 
-    @pytest.mark.parametrize("depth", [0, 1, 3, 4])
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
     def test_bitwise_equal_to_reference(self, depth):
         paths = self.paths()
         with np.errstate(over="ignore", invalid="ignore"):
@@ -832,7 +832,7 @@ class TestStreamedSignatures:
     """Signatures fed one interval at a time, with sparse jump segments,
     bitwise equal to the reference on ``simulate_paths``'s dense segments."""
 
-    @pytest.mark.parametrize("depth", [2, 4])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     def test_bitwise_equal_to_reference(self, depth):
         trip = jump_triplet()
         dense = simulate_paths(trip, 301, 3, seed=5)
@@ -843,7 +843,8 @@ class TestStreamedSignatures:
         for lvl, ref in zip(got, want):
             assert lvl.flags.c_contiguous and lvl.tobytes() == ref.tobytes()
 
-    def test_zero_atom_is_skipped(self, monkeypatch):
+    @pytest.mark.parametrize("depth", [2, 4])
+    def test_zero_atom_is_skipped(self, monkeypatch, depth):
         # a drawn jump to the zero atom updates no row, and a segment of
         # such jumps alone takes no step
         trip = zero_atom_triplet()
@@ -858,9 +859,9 @@ class TestStreamedSignatures:
             return real(s_cols, x_cols, q)
 
         monkeypatch.setattr(ta, "_mul_exp_into", record)
-        got = streamed_signatures(trip, 200, 2, 3, 4)
+        got = streamed_signatures(trip, 200, 2, 3, depth)
         assert sum(widths) == sum(live)
-        for lvl, ref in zip(got, reference_batch_signatures(dense, 4)):
+        for lvl, ref in zip(got, reference_batch_signatures(dense, depth)):
             assert lvl.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("depth", [1, 4])
