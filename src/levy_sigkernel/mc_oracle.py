@@ -33,26 +33,23 @@ one path through ``mul_exp``, so row p equals
 ``path_signature(paths.increments_of(p), depth)`` bit for bit.
 
 ``estimate_kernel`` runs its two sides at once on two or more CPUs: side b
-(key ``[seed, 1]``) in a forked child (``_ForkedSide``), side a (key
+(key ``[seed, 1]``) in a forked child (``_forks.start``), side a (key
 ``[seed, 0]``) in the calling process.  This is the estimators' only
 parallelism: each side's signatures run in one loop on one thread.  The
-two processes exchange raw float64 bytes over pipes: the child sends side
-b's mean levels, reads side a's and sends back the variance of side b's
-projections on them, from which the parent forms the estimate in the
-sequential order, so every path gives the same bits.  Where no child can
-be made (``_forks``: no ``os.fork``, another Python thread alive, a fork
-that fails), or the child exits non-zero, dies, warns or is reaped
-elsewhere, the calling process computes side b itself, with the same bits,
-errors and warnings; if it raises, it kills and reaps the child.  Side b's
-signatures then exist only in the child, so each process holds one side.
+child sends side b's mean levels and signature levels one way, as raw
+float64 bytes; the parent takes them after its own loop and forms the
+estimate as the sequential sides do, so every path gives the same bits.
+Where the child gives nothing (no ``os.fork``, another Python thread
+alive, a fork that fails, a child that exits non-zero, dies, warns or is
+reaped elsewhere), the calling process computes side b itself, with the
+same bits, errors and warnings; if it raises, it kills and reaps the
+child.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
-import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -451,9 +448,10 @@ def estimate_kernel(triplet_a: LevyTriplet, triplet_b: LevyTriplet, t: float,
     independent mean estimates by the delta method.  The two sides are
     independent: side a draws from Philox key ``[seed, 0]``, side b from
     ``[seed, 1]``.  On two or more CPUs, side b runs in a forked child
-    (``_ForkedSide``) while the calling process runs side a; otherwise, or
-    when the child fails, the calling process runs side b after side a.
-    Every path gives the same bits and raises the same errors.
+    (``_forks.start``) that sends its mean and signature levels while the
+    calling process runs side a; otherwise, or when the child gives
+    nothing, the calling process runs side b after side a.  Every path
+    gives the same bits and raises the same errors.
     """
     if n_paths < 2:
         raise InvalidParameter("the standard error needs n_paths >= 2")
@@ -463,21 +461,28 @@ def estimate_kernel(triplet_a: LevyTriplet, triplet_b: LevyTriplet, t: float,
     side_a, side_b = (functools.partial(_streamed_signatures, triplet, n_paths, steps,
                                         seed, t, depth, offset)
                       for offset, triplet in enumerate((triplet_a, triplet_b)))
-    child = None
+
+    def side_b_levels() -> list[np.ndarray]:
+        sig = side_b()
+        return _level_means(sig) + sig
+
+    sizes = [triplet_a.dim**n for n in range(depth + 1)]
+    child = _forks.Child()
     if ta._cpu_count() >= 2:
-        child = _ForkedSide.start(side_b, [triplet_a.dim**n for n in range(depth + 1)])
+        child = _forks.start(side_b_levels, sizes + [n_paths * k for k in sizes])
     try:
         sig_a = side_a()
         mean_a = _level_means(sig_a)
-        got = child.exchange(mean_a) if child else None
+        got = child.join()
     finally:
-        if child:
-            child.close()
+        child.kill()
     if got is None:
         sig_b = side_b()
-        got = _level_means(sig_b), _projection_variance(sig_b, mean_a)
-        del sig_b
-    mean_b, var_b = got
+        mean_b = _level_means(sig_b)
+    else:
+        mean_b = got[:depth + 1]
+        sig_b = [lev.reshape(n_paths, k) for lev, k in zip(got[depth + 1:], sizes)]
+    var_b = _projection_variance(sig_b, mean_a)
     value = float(sum(ma @ mb for ma, mb in zip(mean_a, mean_b)))
     # delta method: variance of <mean_a, .> against per-path signatures of b
     var = _projection_variance(sig_a, mean_b) / n_paths + var_b / n_paths
@@ -491,86 +496,6 @@ def _level_means(sig: list[np.ndarray]) -> list[np.ndarray]:
 def _projection_variance(sig: list[np.ndarray], other_mean: list[np.ndarray]):
     """Sample variance (ddof 1) over the paths of ``<S_p, other_mean>``."""
     return sum(lvl @ m for lvl, m in zip(sig, other_mean)).var(ddof=1)
-
-
-class _ForkedSide:
-    """One side of ``estimate_kernel`` computed in a forked child
-    (``_forks.fork``), which exchanges raw float64 bytes with the parent
-    over two pipes (``_forks.send``, ``_forks.receive``).
-
-    The child computes its signatures and sends their mean levels; then it
-    reads the other side's mean levels and sends the variance of its
-    projections on them (``_projection_variance``).  The parent reads the
-    child's means before it sends its own, so neither blocks on a full pipe
-    while the other writes.  A warning in the child is an error there, so
-    that a side which warns is computed again, and warns, in the parent.
-    """
-
-    def __init__(self, pid: int, reader, writer, sizes: list[int]):
-        self.pid, self.reader, self.writer, self.sizes = pid, reader, writer, sizes
-
-    @classmethod
-    def start(cls, signatures, sizes: list[int]) -> _ForkedSide | None:
-        """Forks the child of ``signatures()``; ``sizes`` are the lengths
-        of both sides' mean levels.  None if no child was made
-        (``_forks.fork``) or a pipe could not be opened."""
-        if not _forks.can_fork():
-            return None
-        fds: list[int] = []   # read and write ends: child to parent, parent to child
-        try:
-            for _ in range(2):
-                fds.extend(os.pipe())
-        except OSError:
-            for fd in fds:
-                os.close(fd)
-            return None
-        pid = _forks.fork(functools.partial(cls._run, signatures, fds, sizes))
-        os.close(fds[1])
-        os.close(fds[2])
-        if pid is None:
-            os.close(fds[0])
-            os.close(fds[3])
-            return None
-        return cls(pid, open(fds[0], "rb"), open(fds[3], "wb"), sizes)
-
-    @staticmethod
-    def _run(signatures, fds: list[int], sizes: list[int]) -> None:
-        os.close(fds[0])
-        os.close(fds[3])
-        warnings.simplefilter("error")
-        sig = signatures()
-        with open(fds[1], "wb") as writer, open(fds[2], "rb") as reader:
-            _forks.send(writer, _level_means(sig))
-            other_mean = _forks.receive(reader, sizes)
-            if other_mean is None:
-                raise EOFError("the parent sent no mean levels")
-            _forks.send(writer, [np.array([_projection_variance(sig, other_mean)])])
-
-    def exchange(self, mean: list[np.ndarray]):
-        """Sends the parent's mean levels and returns the child's ``(mean
-        levels, projection variance)``; reaps the child.  None if the child
-        sent less, did not exit with 0 or was reaped elsewhere."""
-        got = _forks.receive(self.reader, self.sizes)
-        try:
-            if got is not None:
-                _forks.send(self.writer, mean)
-        except BrokenPipeError:   # the child has gone
-            got = None
-        var = None if got is None else _forks.receive(self.reader, [1])
-        clean, self.pid = _forks.exited_cleanly(self.pid), None
-        if not clean or var is None:
-            return None
-        return got, var[0][0]
-
-    def close(self) -> None:
-        """Closes the pipes; kills and reaps the child if it is not reaped."""
-        for fh in (self.reader, self.writer):
-            try:
-                fh.close()
-            except OSError:   # a write the child did not read
-                pass
-        if self.pid is not None:
-            _forks.kill(self.pid)
 
 
 def estimate_to_csv(estimate: SignatureEstimate, path) -> None:

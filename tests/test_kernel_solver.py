@@ -31,7 +31,7 @@ from levy_sigkernel.kernel_solver import (_CORRECTOR_PASSES, KernelSurface, _app
 from levy_sigkernel.mmd import AugmentedPathEnsemble, WienerSpec, mmd_to_wiener
 from levy_sigkernel.tensor_algebra import TruncatedTensor as TT
 
-from conftest import gamma, mixed_corner_batch, random_velocity
+from conftest import gamma, mixed_corner_batch, open_fds, random_velocity
 
 I0_1 = 1.2660658777520084
 I0_2 = 2.2795853023360673
@@ -1525,7 +1525,9 @@ class TestSplitWriter:
     child process behind."""
 
     def write_and_compare(self, surf, tmp_path, include_fields=True):
+        fds = open_fds()
         surf.to_csv(tmp_path / "got.csv", include_fields=include_fields)
+        assert open_fds() == fds
         reference_to_csv(surf, tmp_path / "ref.csv", include_fields=include_fields)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["got.csv", "ref.csv"]
@@ -1616,18 +1618,22 @@ class TestSplitWriter:
 
     def test_bytes_path_puts_part_files_beside_the_output(self, rng, tmp_path, monkeypatch,
                                                           forks):
-        real_fork_block, parts = _forks._fork_block, []
+        # each block's part file exists, beside the output, when its child
+        # is started
+        real_start, parts = _forks.start, []
 
-        def fork_block(children, b, part, *args):
-            parts.append(part)
-            return real_fork_block(children, b, part, *args)
-        monkeypatch.setattr(_forks, "_fork_block", fork_block)
+        def start(*args):
+            parts.append(sorted(p.name for p in tmp_path.iterdir()
+                                if p.name.endswith(".part")))
+            return real_start(*args)
+        monkeypatch.setattr(_forks, "start", start)
         self.force_blocks(monkeypatch, 3)
         surf = split_surface(rng, "truncated", 7)
         surf.to_csv(os.fsencode(tmp_path / "got.csv"), include_fields=True)
         reference_to_csv(surf, tmp_path / "ref.csv", include_fields=True)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-        assert [os.path.dirname(p) for p in parts] == [str(tmp_path)] * 2
+        names = [f"got.csv.{os.getpid()}.{b}.part" for b in (1, 2)]
+        assert parts == [names[:1], names]
         assert len(forks) == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["got.csv", "ref.csv"]
 
@@ -1652,14 +1658,14 @@ class TestSplitWriter:
         # SIG_IGN the kill or the reap finds a child gone
         if reaping == "sigchld-ignore":
             request.getfixturevalue("sigchld_ignored")
-            real_exited_cleanly = _forks.exited_cleanly
+            real_join = _forks.Child.join
 
-            def exited_cleanly(child):   # lets the append be reached
-                real_exited_cleanly(child)
-                return True
-            monkeypatch.setattr(_forks, "exited_cleanly", exited_cleanly)
+            def join(child):   # lets the append be reached
+                real_join(child)
+                return []
+            monkeypatch.setattr(_forks.Child, "join", join)
         if where == "join":
-            target, name = _forks, "exited_cleanly"
+            target, name = _forks.Child, "join"
         else:
             target, name = _forks.shutil, "copyfileobj"
 
@@ -1667,10 +1673,11 @@ class TestSplitWriter:
             raise KeyboardInterrupt
         monkeypatch.setattr(target, name, fail)
         self.force_blocks(monkeypatch, 3)
+        fds = open_fds()
         with pytest.raises(KeyboardInterrupt):
             split_surface(rng, "truncated", 7).to_csv(tmp_path / "got.csv")
-        # no part file and no partial got.csv
-        assert list(tmp_path.iterdir()) == []
+        # no part file, no partial got.csv and no open pipe
+        assert list(tmp_path.iterdir()) == [] and open_fds() == fds
         assert len(forks) == 2
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)

@@ -944,7 +944,8 @@ class TestStreamedSignatures:
 class TestStreamedMemory:
     """``estimate_kernel`` holds one interval's increments at a time.  The
     in-process path (no ``os.fork``) holds both sides, one after the other;
-    with side b in a forked child, the parent holds side a alone."""
+    with side b in a forked child, the parent's loop holds side a alone,
+    and side b's signature set arrives only after that loop."""
 
     N, STEPS, DEPTH = 6000, 8, 4
 
@@ -996,9 +997,10 @@ class TestStreamedMemory:
 
     def test_forked_parent_holds_one_side(self, monkeypatch, forks):
         # side a's signature and spare sets, or its signature and row-major
-        # output, with one interval and the draw scratch: side b's sets and
-        # intervals live in the child.  A fifth of a set is left for the
-        # gathered columns and product temporaries
+        # output, with one interval and the draw scratch: side b's spare set
+        # and intervals live in the child, and its row-major set, received
+        # after side a's loop, sits beside side a's alone.  A fifth of a set
+        # is left for the gathered columns and product temporaries
         monkeypatch.setattr(ta, "_cpu_count", lambda: 2)
         one_set, interval = self.sizes()
         scratch = 2 * 8 * mc_oracle._DRAW_NORMALS
@@ -1106,30 +1108,31 @@ class TestForkedSide:
         self.check(monkeypatch, jump_triplet(), jump_triplet(), 1.0, 3, 101, 2, seed=2)
 
     @pytest.mark.parametrize("how", ["exit_1", "killed"])
-    def test_child_failing_after_its_means(self, monkeypatch, forks, how):
-        # the child has sent its mean levels and fails on the variance
-        parent, real = os.getpid(), mc_oracle._projection_variance
+    def test_child_failing_in_mid_send(self, monkeypatch, forks, how):
+        # the child has sent its mean levels, not its signature levels
+        parent, real = os.getpid(), _forks.send
 
-        def variance(sig, other_mean):
-            if os.getpid() != parent:
-                if how == "killed":
-                    os.kill(os.getpid(), signal.SIGKILL)
-                raise RuntimeError("child fails")
-            return real(sig, other_mean)
-        monkeypatch.setattr(mc_oracle, "_projection_variance", variance)
+        def send(writer, arrays):
+            if os.getpid() == parent:
+                return real(writer, arrays)
+            real(writer, arrays[:4])   # depth 3: the four mean levels
+            if how == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("child fails in mid-send")
+        monkeypatch.setattr(_forks, "send", send)
         self.check(monkeypatch, jump_triplet(), jump_triplet(), 1.0, 3, 101, 2, seed=2)
         assert len(forks) == 1
 
     def test_child_exiting_1_after_sending_everything(self, monkeypatch, forks):
-        # a child that sent a variance and then failed is not trusted: the
-        # parent computes side b itself
+        # a child that sent arrays of every size and then failed is not
+        # trusted: the parent computes side b itself
         parent, real = os.getpid(), _forks.send
 
-        def send(writer, levels):
-            if os.getpid() == parent or len(levels) > 1:
-                return real(writer, levels)
-            real(writer, [np.array([-1.0])])
-            raise RuntimeError("child fails after its variance")
+        def send(writer, arrays):
+            if os.getpid() == parent:
+                return real(writer, arrays)
+            real(writer, [np.full_like(a, -1.0) for a in arrays])
+            raise RuntimeError("child fails after its levels")
         monkeypatch.setattr(_forks, "send", send)
         self.check(monkeypatch, jump_triplet(), jump_triplet(), 1.0, 3, 101, 2, seed=2)
         assert len(forks) == 1
@@ -1154,10 +1157,10 @@ class TestForkedSide:
             other.join()
         assert forks == []
 
-    @pytest.mark.parametrize("where", ["signatures", "exchange"])
+    @pytest.mark.parametrize("where", ["signatures", "join"])
     def test_parent_error_kills_and_reaps(self, monkeypatch, forks, where):
-        # the parent raises in side a, or while it waits for the child's
-        # means: the child is killed and reaped, and every pipe closed
+        # the parent raises in side a, or while it reads the child's
+        # levels: the child is killed and reaped, and the pipe closed
         parent = os.getpid()
         if where == "signatures":
             real = mc_oracle._streamed_signatures
@@ -1246,15 +1249,15 @@ class TestForkedSideIsolated:
     into the timeout."""
 
     def test_levels_larger_than_a_pipe_buffer(self):
-        # d = 2, depth 14: 32 767 mean coordinates, 256 KiB each way, four
-        # times a 64 KiB pipe buffer
+        # d = 2, depth 14: 32 767 mean coordinates (256 KiB, four times a
+        # 64 KiB pipe buffer), then six paths' signature levels (1.5 MiB)
         out = run_isolated("trip = LevyTriplet.brownian(2, 1.0)\n"
                            "both(trip, trip, 1.0, 14, 6, 1, seed=3)\n")
         assert out.split() == ["1", "True"]
 
     def test_uncapped_openblas(self):
         # a large product first starts OpenBLAS's worker threads; the child
-        # calls BLAS in the draws and in its projections
+        # calls BLAS in the draws, and the parent in side b's projections
         out = run_isolated("import numpy as np\n"
                            "a = np.ones((400, 400)); a @ a\n"
                            "trip = LevyTriplet.brownian(2, 1.0, cov=np.array([[0.4, 0.1], "
