@@ -20,7 +20,7 @@ the next is drawn, so at most one interval's increments exist at once.  A
 sub-step's Brownian segment holds every path, as a contiguous row of the
 interval's ``(steps, n_paths, d)`` buffer; a jump segment holds only the
 paths that jump in it, their indices and values.  ``simulate_paths``
-collects the same intervals into dense segments.
+collects the same intervals into dense segments, a view no estimator uses.
 
 The signatures of all paths are computed at once, segment by segment, on
 each segment's live rows (``_batch_signatures``): every segment takes the
@@ -35,10 +35,12 @@ one path through ``mul_exp``, so row p equals
 ``estimate_kernel`` runs its two sides at once on two or more CPUs: side b
 (key ``[seed, 1]``) in a forked child (``_forks.start``), side a (key
 ``[seed, 0]``) in the calling process.  This is the estimators' only
-parallelism: each side's signatures run in one loop on one thread.  The
-child sends side b's mean levels and signature levels one way, as raw
-float64 bytes; the parent takes them after its own loop and forms the
-estimate as the sequential sides do, so every path gives the same bits.
+parallelism: each side's signatures run in one loop on one thread and
+end in its moments (``_side_moments``).  The child sends side b's one
+way, as raw float64 bytes (7.9 KB at d = 2, depth 4); the parent takes
+them after its loop, then factors its own side, not beside the child's
+factor, and forms the estimate as the sequential sides do, so every path
+gives the same bits.
 Where the child gives nothing (no ``os.fork``, another Python thread
 alive, a fork that fails, a child that exits non-zero, dies, warns or is
 reaped elsewhere), the calling process computes side b itself, with the
@@ -52,7 +54,6 @@ import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -318,44 +319,20 @@ def _live_rows(lev: np.ndarray) -> np.ndarray:
     return live
 
 
-class _PathStream(NamedTuple):
-    """A batch of paths that exists one interval at a time: ``intervals``
-    yields each interval's segments ``(rows, level1, level2)``, as
-    ``_interval_segments`` does."""
-
-    dim: int
-    n_paths: int
-    intervals: Iterator[list[tuple]]
-
-
-def _streamed_signatures(triplet: LevyTriplet, n_paths: int, steps: int, seed: int,
-                         horizon: float, depth: int, stream_offset: int = 0
-                         ) -> list[np.ndarray]:
-    """``_batch_signatures`` of the paths ``simulate_paths`` would return,
-    fed to it one interval at a time: no more than one interval's
-    increments exist at once."""
-    intervals = _interval_segments(triplet, n_paths, steps, seed, horizon, stream_offset)
-    return _batch_signatures(_PathStream(triplet.dim, n_paths, intervals), depth)
-
-
-def _batch_signatures(paths: SimulatedPaths | _PathStream, depth: int) -> list[np.ndarray]:
+def _batch_signatures(dim: int, n_paths: int, intervals: Iterator[list[tuple]],
+                      depth: int) -> list[np.ndarray]:
     """Signature levels of all paths at once, each of shape (n_paths, d**n).
 
-    ``paths`` is a ``_PathStream`` or, as one interval of dense segments,
-    a ``SimulatedPaths``.  The signature sits batch-last, level n as a
-    ``(d**n, n_paths)`` array, in two buffer sets that every segment of
-    every interval reuses; each interval is dropped before the next is
-    drawn.  Which levels of each segment take part is decided on all rows
-    (``_interval_plan``): as in ``mul_exp``, a level that is zero on every
-    row is skipped.  The row-major outputs are allocated after the spare
-    set is dropped.
+    ``intervals`` yields each interval's segments ``(rows, level1,
+    level2)``, as ``_interval_segments`` does.  The signature sits
+    batch-last, level n as a ``(d**n, n_paths)`` array, in two buffer sets
+    that every segment of every interval reuses; each interval is dropped
+    before the next is drawn.  Which levels of each segment take part is
+    decided on all rows (``_interval_plan``): as in ``mul_exp``, a level
+    that is zero on every row is skipped.  The row-major outputs are
+    allocated after the spare set is dropped.
     """
-    d, n_paths = paths.dim, paths.n_paths
-    if isinstance(paths, SimulatedPaths):
-        intervals = iter([[(None, *segment) for segment in paths.segments]])
-    else:
-        intervals = paths.intervals
-    sig = [np.ones((1, n_paths))] + [np.zeros((d**n, n_paths)) for n in range(1, depth + 1)]
+    sig = [np.ones((1, n_paths))] + [np.zeros((dim**n, n_paths)) for n in range(1, depth + 1)]
     spare = [np.empty_like(lev) for lev in sig]
     # map, unlike a generator expression, keeps no reference to the last
     # interval while it draws the next
@@ -430,9 +407,12 @@ def estimate_expected_signature(triplet: LevyTriplet, t: float, depth: int,
 
     Needs n_paths >= 2: one path has no standard error.
     """
+    # checks the sizes (``_check_draws``) and t first, before any draw
+    intervals = _interval_segments(triplet, n_paths, steps, seed, t, stream_offset)
+    ta._check_depth(depth)
     if n_paths < 2:
         raise InvalidParameter("the standard error needs n_paths >= 2")
-    sig = _streamed_signatures(triplet, n_paths, steps, seed, t, depth, stream_offset)
+    sig = _batch_signatures(triplet.dim, n_paths, intervals, depth)
     mean = TruncatedTensor(triplet.dim, [lvl.mean(axis=0) for lvl in sig])
     se_levels = [lvl.std(axis=0, ddof=1) / math.sqrt(n_paths) for lvl in sig]
     se = TruncatedTensor(triplet.dim, se_levels)
@@ -444,58 +424,76 @@ def estimate_kernel(triplet_a: LevyTriplet, triplet_b: LevyTriplet, t: float,
                     depth: int, n_paths: int, steps: int, seed: int):
     """Monte Carlo estimate of the expected signature kernel at (t, t).
 
-    Returns ``(value, standard_error)``; the error combines the two
-    independent mean estimates by the delta method.  The two sides are
-    independent: side a draws from Philox key ``[seed, 0]``, side b from
-    ``[seed, 1]``.  On two or more CPUs, side b runs in a forked child
-    (``_forks.start``) that sends its mean and signature levels while the
-    calling process runs side a; otherwise, or when the child gives
-    nothing, the calling process runs side b after side a.  Every path
-    gives the same bits and raises the same errors.
+    Returns ``(value, standard_error)``.  The two sides are independent:
+    side a draws from Philox key ``[seed, 0]``, side b from ``[seed, 1]``.
+    From each side's means m and factor F (``_side_moments``), ``value``
+    is ``sum_n <m_a^n, m_b^n>`` and the delta method's variance is
+    ``(|F_a m_b|^2 + |F_b m_a|^2) / ((n - 1) n)``.  On two or more CPUs,
+    side b runs in a forked child (``_forks.start``) that sends its
+    moments while the calling process runs side a; otherwise, or when the
+    child gives nothing, the calling process runs side b after side a.
+    Every path gives the same bits and raises the same errors.
     """
+    _check_draws(n_paths, steps, seed, 1)   # in this process, before the fork
+    ta._check_depth(depth)
     if n_paths < 2:
         raise InvalidParameter("the standard error needs n_paths >= 2")
     if triplet_a.dim != triplet_b.dim:
         raise DimMismatch(f"triplet dims {triplet_a.dim} and {triplet_b.dim} differ")
-    _check_draws(n_paths, steps, seed, 1)   # in this process, before the fork
-    side_a, side_b = (functools.partial(_streamed_signatures, triplet, n_paths, steps,
-                                        seed, t, depth, offset)
+    side_a, side_b = ((triplet, n_paths, steps, seed, t, depth, offset)
                       for offset, triplet in enumerate((triplet_a, triplet_b)))
-
-    def side_b_levels() -> list[np.ndarray]:
-        sig = side_b()
-        return _level_means(sig) + sig
-
-    sizes = [triplet_a.dim**n for n in range(depth + 1)]
+    edges = np.cumsum([triplet_a.dim**n for n in range(depth + 1)])   # level ends
+    k = int(edges[-1])
     child = _forks.Child()
     if ta._cpu_count() >= 2:
-        child = _forks.start(side_b_levels, sizes + [n_paths * k for k in sizes])
+        child = _forks.start(functools.partial(_side_moments, *side_b),
+                             [k, min(n_paths, k) * k])
     try:
-        sig_a = side_a()
-        mean_a = _level_means(sig_a)
+        mean_a, rows_a = _centred_rows(*side_a)
         got = child.join()
     finally:
         child.kill()
-    if got is None:
-        sig_b = side_b()
-        mean_b = _level_means(sig_b)
-    else:
-        mean_b = got[:depth + 1]
-        sig_b = [lev.reshape(n_paths, k) for lev, k in zip(got[depth + 1:], sizes)]
-    var_b = _projection_variance(sig_b, mean_a)
-    value = float(sum(ma @ mb for ma, mb in zip(mean_a, mean_b)))
-    # delta method: variance of <mean_a, .> against per-path signatures of b
-    var = _projection_variance(sig_a, mean_b) / n_paths + var_b / n_paths
+    # side a's factor waits for the child: run in both processes at once,
+    # OpenBLAS's threads made the Gram products 20 and the eigenpairs 160
+    # times slower (d = 2, depth 7, 10 000 paths)
+    factor_a = _factor(rows_a)
+    del rows_a   # before a fallback runs side b in this process
+    mean_b, factor_b = got or _side_moments(*side_b)
+    value = float(sum(ma @ mb for ma, mb in zip(np.split(mean_a, edges[:-1]),
+                                                np.split(mean_b, edges[:-1]))))
+    proj_a, proj_b = factor_a @ mean_b, factor_b.reshape(-1, k) @ mean_a
+    var = (proj_a @ proj_a + proj_b @ proj_b) / ((n_paths - 1) * n_paths)
     return value, float(math.sqrt(var))
 
 
-def _level_means(sig: list[np.ndarray]) -> list[np.ndarray]:
-    return [lvl.mean(axis=0) for lvl in sig]
+def _side_moments(*side) -> tuple[np.ndarray, np.ndarray]:
+    """The means of ``_centred_rows(*side)`` and the ``_factor`` of its rows."""
+    mean, rows = _centred_rows(*side)
+    return mean, _factor(rows)
 
 
-def _projection_variance(sig: list[np.ndarray], other_mean: list[np.ndarray]):
-    """Sample variance (ddof 1) over the paths of ``<S_p, other_mean>``."""
-    return sum(lvl @ m for lvl, m in zip(sig, other_mean)).var(ddof=1)
+def _centred_rows(triplet: LevyTriplet, n_paths: int, steps: int, seed: int, t: float,
+                  depth: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """The means of one side's K = sum_n d**n signature coordinates, and its
+    signatures as ``(n_paths, K)`` rows less the means."""
+    intervals = _interval_segments(triplet, n_paths, steps, seed, t, offset)
+    sig = _batch_signatures(triplet.dim, n_paths, intervals, depth)
+    mean = np.concatenate([lvl.mean(axis=0) for lvl in sig])
+    rows = np.concatenate(sig, axis=1)
+    rows -= mean
+    return mean, rows
+
+
+def _factor(rows: np.ndarray) -> np.ndarray:
+    """F with ``F^T F = X_c^T X_c`` and min(n_paths, K) rows, X_c the centred
+    rows: X_c when n_paths <= K, else ``(V sqrt(lam))^T`` from the
+    eigenpairs ``(lam, V)`` of ``X_c^T X_c``, with lam clipped at 0."""
+    if len(rows) <= rows.shape[1]:
+        return rows
+    lam, vecs = np.linalg.eigh(rows.T @ rows)
+    # C order, as the child's copy arrives: ``F @ m`` on a transposed view
+    # takes another BLAS routine and rounds otherwise
+    return np.ascontiguousarray((vecs * np.sqrt(np.clip(lam, 0.0, None))).T)
 
 
 def estimate_to_csv(estimate: SignatureEstimate, path) -> None:

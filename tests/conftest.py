@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from levy_sigkernel.characteristics import PiecewiseVelocity
 from levy_sigkernel.kernel_solver import make_grid
@@ -10,6 +11,10 @@ from levy_sigkernel.tensor_algebra import TruncatedTensor, exp_tensor, tensor_mu
 
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# the same examples on every run, and no example database (.hypothesis/)
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 
 def benchmark_workloads():

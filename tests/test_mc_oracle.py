@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import os
 import signal
@@ -157,6 +158,12 @@ def dense_batch_exp(x, depth, d):
         acc = dense_batch_mul([lvl / k for lvl in x], acc, depth, d)
         acc[0] += 1.0
     return acc
+
+
+def batch_signatures(paths, depth):
+    """``_batch_signatures`` of dense paths, fed as one interval."""
+    intervals = iter([[(None, *segment) for segment in paths.segments]])
+    return _batch_signatures(paths.dim, paths.n_paths, intervals, depth)
 
 
 def dense_batch_signatures(paths, depth):
@@ -368,27 +375,39 @@ class TestStreamAndHorizonChecks:
     def test_zero_horizon_has_no_segments(self):
         assert simulate_paths(jump_triplet(), 4, 2, seed=1, horizon=0.0).segments == []
 
-    # each entry point's output arrays for sizes (n_paths, steps, seed)
+    # each entry point's output arrays for sizes (n_paths, steps, seed) and,
+    # for the estimators, a depth
     SIZED = {
         "simulate_paths": lambda *sizes: [
             lev for seg in simulate_paths(jump_triplet(), *sizes).segments
             for lev in seg if lev is not None],
-        "estimate_expected_signature": lambda *sizes: estimate_expected_signature(
-            jump_triplet(), 1.0, 2, *sizes).mean.levels,
-        "estimate_kernel": lambda *sizes: [np.array(estimate_kernel(
-            jump_triplet(), jump_triplet(), 1.0, 2, *sizes))],
+        "estimate_expected_signature": lambda *sizes, depth=2: estimate_expected_signature(
+            jump_triplet(), 1.0, depth, *sizes).mean.levels,
+        "estimate_kernel": lambda *sizes, depth=2: [np.array(estimate_kernel(
+            jump_triplet(), jump_triplet(), 1.0, depth, *sizes))],
     }
 
-    @pytest.mark.parametrize("sizes", [
-        (10.0, 2, 1), (np.float64(10), 2, 1), (10, 2.5, 1), (10, True, 1), (10, 2, 1.0)],
-        ids=["float_paths", "numpy_float_paths", "float_steps", "bool_steps", "float_seed"])
-    @pytest.mark.parametrize("entry", sorted(SIZED))
+    # sizes, then a depth (which simulate_paths does not take)
+    BAD_SIZES = {
+        "float_paths": (10.0, 2, 1), "numpy_float_paths": (np.float64(10), 2, 1),
+        "float_steps": (10, 2.5, 1), "bool_steps": (10, True, 1), "float_seed": (10, 2, 1.0),
+        "none_paths": (None, 2, 1), "str_paths": ("5", 2, 1),
+        "float_depth": (10, 2, 1, 2.5), "negative_depth": (10, 2, 1, -1),
+        "bool_depth": (10, 2, 1, True),
+    }
+
+    @pytest.mark.parametrize("entry, sizes", [
+        pytest.param(entry, sizes, id=f"{entry}-{name}")
+        for (name, sizes), entry in itertools.product(BAD_SIZES.items(), sorted(SIZED))
+        if len(sizes) == 3 or entry != "simulate_paths"])
     def test_sizes_must_be_integers(self, monkeypatch, forks, entry, sizes):
-        # a float used to end in numpy's TypeError, and a bool passed as 1;
-        # the kernel estimator checks before it forks
+        # a float, None or a string used to end in a raw TypeError, a bool
+        # passed as 1, and a negative depth gave a depth-0 estimate; the
+        # kernel estimator checks before it forks
         monkeypatch.setattr(ta, "_cpu_count", lambda: 2)
-        with pytest.raises(InvalidParameter, match="integers"):
-            self.SIZED[entry](*sizes)
+        depth = {"depth": sizes[3]} if len(sizes) == 4 else {}
+        with pytest.raises(InvalidParameter, match="integers|nonnegative integer"):
+            self.SIZED[entry](*sizes[:3], **depth)
         assert forks == []
 
     @pytest.mark.parametrize("entry", sorted(SIZED))
@@ -486,7 +505,7 @@ class TestBatchedSignatures:
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     def test_rows_match_single_path_signatures(self, depth):
         paths = simulate_paths(jump_triplet(), 25, 2, seed=4)
-        sig = _batch_signatures(paths, depth)
+        sig = batch_signatures(paths, depth)
         for p in range(paths.n_paths):
             single = path_signature(paths.increments_of(p), depth)
             for lvl, ref in zip(sig, single.levels):
@@ -495,7 +514,7 @@ class TestBatchedSignatures:
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     def test_matches_dense_batched_reference(self, depth):
         paths = simulate_paths(jump_triplet(), 40, 3, seed=8)
-        sig = _batch_signatures(paths, depth)
+        sig = batch_signatures(paths, depth)
         ref = dense_batch_signatures(paths, depth)
         tol = signature_bound(paths, depth)
         assert len(sig) == len(ref) == depth + 1
@@ -508,13 +527,17 @@ class TestBatchedSignatures:
         (4, "0x1.362f24650a275p+0", "0x1.49390fb6c5ac4p-6")])
     def test_estimate_kernel_unchanged(self, depth, value, se):
         # value and se are frozen from ``reference_paths`` (keys [5, 0] and
-        # [5, 1]) and ``dense_batch_signatures`` under the estimator's
-        # formulas; the fused step reassociates sums, so today's bits (frozen
-        # below) lie within the rounding bound of kernel_estimate_bounds
-        # from them
+        # [5, 1]) and ``dense_batch_signatures``, se as the sample variances
+        # of the projections ``<S_a,p, m_b>`` and ``<S_b,p, m_a>``.  Today's
+        # bits (frozen below) come from the fused step, which reassociates
+        # sums, and from each side's moments: se from ``|F_a m_b|^2 +
+        # |F_b m_a|^2``, F a factor of the centred rows' Gram matrix (here
+        # from its eigenpairs, as 300 paths exceed the 7 and 31
+        # coordinates).  They lie within the rounding bound of
+        # kernel_estimate_bounds, derived for the projections, from them
         trip = jump_triplet()
         got = estimate_kernel(trip, trip, 1.0, depth, 300, 3, seed=5)
-        fused_bits = {2: ("0x1.33050579997efp+0", "0x1.277873b39af0fp-6"),
+        fused_bits = {2: ("0x1.33050579997efp+0", "0x1.277873b39af10p-6"),
                       4: ("0x1.362f24650a274p+0", "0x1.49390fb6c5ac4p-6")}
         assert got == tuple(float.fromhex(h) for h in fused_bits[depth])
         value_tol, se_tol = kernel_estimate_bounds(trip, depth, 300, 3, seed=5)
@@ -563,7 +586,7 @@ def all_rows_signatures(paths, depth):
 class TestLiveRows:
     def test_zero_triplet_skips_every_segment(self):
         paths = simulate_paths(LevyTriplet.homogeneous(2, 1.0), 5, 4, seed=1)
-        sig = _batch_signatures(paths, 3)
+        sig = batch_signatures(paths, 3)
         unit = path_signature(paths.increments_of(0), 3)
         assert [lvl.shape for lvl in sig] == [(5, 2**n) for n in range(4)]
         for lvl, ref in zip(sig, unit.levels):
@@ -577,7 +600,7 @@ class TestLiveRows:
         n, d = paths.n_paths, paths.dim
         dead = (np.zeros((n, d)), np.zeros((n, d * d)) if with_level2 else None)
         padded = SimulatedPaths(d, n, paths.segments[:3] + [dead] + paths.segments[3:])
-        for lvl, ref in zip(_batch_signatures(padded, 4), _batch_signatures(paths, 4)):
+        for lvl, ref in zip(batch_signatures(padded, 4), batch_signatures(paths, 4)):
             assert lvl.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("depth", [2, 4])
@@ -592,7 +615,7 @@ class TestLiveRows:
         partly = [0 < k < paths.n_paths for k in live]
         assert any(p and l2 is None for p, (_, l2) in zip(partly, paths.segments))
         assert any(p and l2 is not None for p, (_, l2) in zip(partly, paths.segments))
-        for lvl, ref in zip(_batch_signatures(paths, depth),
+        for lvl, ref in zip(batch_signatures(paths, depth),
                             all_rows_signatures(paths, depth)):
             assert lvl.tobytes() == np.ascontiguousarray(ref).tobytes()
 
@@ -675,7 +698,7 @@ class TestReferenceBatchSignatures:
     def test_bitwise_equal_to_reference(self, depth):
         paths = self.paths()
         with np.errstate(over="ignore", invalid="ignore"):
-            got = _batch_signatures(paths, depth)
+            got = batch_signatures(paths, depth)
             want = reference_batch_signatures(paths, depth)
         assert len(got) == len(want) == depth + 1
         for lvl, ref in zip(got, want):
@@ -690,7 +713,7 @@ class TestReferenceBatchSignatures:
     @pytest.mark.parametrize("depth", [2, 4])
     def test_simulated_paths_bitwise_equal_to_reference(self, depth):
         paths = simulate_paths(jump_triplet(), 300, 3, seed=5)
-        for lvl, ref in zip(_batch_signatures(paths, depth),
+        for lvl, ref in zip(batch_signatures(paths, depth),
                             reference_batch_signatures(paths, depth)):
             assert lvl.tobytes() == ref.tobytes()
 
@@ -702,7 +725,7 @@ class TestReferenceBatchSignatures:
         second = np.array([[0.3, 0.2], [0.0, 0.0] if partly else [0.2, 0.1], [-0.1, 0.4]])
         paths = SimulatedPaths(2, 3, [(first, None), (second, np.zeros((3, 4)))])
         with np.errstate(over="ignore", invalid="ignore"):
-            got = _batch_signatures(paths, 4)
+            got = batch_signatures(paths, 4)
             want = reference_batch_signatures(paths, 4)
         for lvl, ref in zip(got, want):
             assert lvl.tobytes() == ref.tobytes()
@@ -713,8 +736,8 @@ class TestReferenceBatchSignatures:
         before = [tuple(None if lev is None else lev.copy() for lev in seg)
                   for seg in paths.segments]
         with np.errstate(over="ignore", invalid="ignore"):
-            first = _batch_signatures(paths, 4)
-            second = _batch_signatures(paths, 4)
+            first = batch_signatures(paths, 4)
+            second = batch_signatures(paths, 4)
         for a, b in zip(first, second):
             assert a.tobytes() == b.tobytes()
         assert len(paths.segments) == len(before)
@@ -752,7 +775,7 @@ class TestEdgeRows:
     def test_bitwise_equal_to_reference(self, depth):
         paths = self.paths()
         with np.errstate(over="ignore", invalid="ignore"):
-            got = _batch_signatures(paths, depth)
+            got = batch_signatures(paths, depth)
             want = reference_batch_signatures(paths, depth)
         assert len(got) == depth + 1
         for lvl, ref in zip(got, want):
@@ -771,7 +794,7 @@ class TestEdgeRows:
                   np.array([[0.0] * 4, [0.0] * 4, [0.0, 0.1, -0.1, 0.0], [0.0] * 4]))
         paths = SimulatedPaths(2, 4, [(first, None), second])
         with np.errstate(over="ignore", invalid="ignore"):
-            got = _batch_signatures(paths, 4)
+            got = batch_signatures(paths, 4)
             want = reference_batch_signatures(paths, 4)
         for lvl, ref in zip(got, want):
             assert lvl.tobytes() == ref.tobytes()
@@ -782,7 +805,7 @@ class TestEdgeRows:
         first = np.array([[0.1, 0.2], [0.3, -0.1], [1e200, 0.5], [0.2, 0.2]])
         paths = SimulatedPaths(2, 4, [(first, None), (first * 0.5, None)])
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            _batch_signatures(paths, 4)
+            batch_signatures(paths, 4)
 
     def test_peak_memory_holds_two_signature_sets(self):
         # the signature and its spare set, a gathered copy of a partly live
@@ -794,7 +817,7 @@ class TestEdgeRows:
         one_set = 8 * n_paths * sum(2**n for n in range(depth + 1))
         tracemalloc.start()
         try:
-            _batch_signatures(paths, depth)
+            batch_signatures(paths, depth)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -805,7 +828,7 @@ def streamed_signatures(trip, n_paths, steps, seed, depth):
     """``_batch_signatures`` fed by the interval generator, as the estimators
     feed it."""
     intervals = mc_oracle._interval_segments(trip, n_paths, steps, seed)
-    return _batch_signatures(mc_oracle._PathStream(trip.dim, n_paths, intervals), depth)
+    return _batch_signatures(trip.dim, n_paths, intervals, depth)
 
 
 def zero_atom_triplet():
@@ -883,11 +906,10 @@ class TestStreamedSignatures:
             widths.append(q[0].shape[1])
             return real(s_cols, x_cols, q)
 
-        stream = mc_oracle._PathStream(paths.dim, paths.n_paths,
-                                       iter([segments[:9], [], segments[9:]]))
+        intervals = iter([segments[:9], [], segments[9:]])
         with np.errstate(over="ignore", invalid="ignore"):
             monkeypatch.setattr(ta, "_mul_exp_into", record)
-            got = _batch_signatures(stream, depth)
+            got = _batch_signatures(paths.dim, paths.n_paths, intervals, depth)
             monkeypatch.undo()
             want = reference_batch_signatures(paths, depth)
         assert sum(widths) == live
@@ -925,7 +947,7 @@ class TestStreamedSignatures:
             raise OutOfRange("stream ends")
 
         with pytest.raises(OutOfRange):
-            _batch_signatures(mc_oracle._PathStream(2, 12, intervals()), 3)
+            _batch_signatures(2, 12, intervals(), 3)
         assert threading.active_count() == before
 
     def test_overflow_in_a_later_interval_reaches_the_caller(self):
@@ -934,18 +956,19 @@ class TestStreamedSignatures:
         first = np.full((12, 2), 0.1)
         second = first.copy()
         second[10] = [1e200, 0.5]
-        stream = mc_oracle._PathStream(2, 12, iter(
-            [[(None, first, None)], [(None, second, None)], [(None, first, None)]]))
+        intervals = iter([[(None, first, None)], [(None, second, None)],
+                          [(None, first, None)]])
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            _batch_signatures(stream, 4)
+            _batch_signatures(2, 12, intervals, 4)
         assert threading.active_count() == before
 
 
 class TestStreamedMemory:
-    """``estimate_kernel`` holds one interval's increments at a time.  The
-    in-process path (no ``os.fork``) holds both sides, one after the other;
-    with side b in a forked child, the parent's loop holds side a alone,
-    and side b's signature set arrives only after that loop."""
+    """``estimate_kernel`` holds one interval's increments at a time, and
+    one side's signatures: each side ends in its moments, a few KiB, before
+    the next begins.  The in-process path (no ``os.fork``) runs both sides,
+    one after the other; with side b in a forked child, the parent holds
+    side a alone."""
 
     N, STEPS, DEPTH = 6000, 8, 4
 
@@ -984,23 +1007,24 @@ class TestStreamedMemory:
         assert eight <= two + interval, (two / interval, eight / interval)
 
     def test_peak_holds_signature_sets_and_one_interval(self, in_process):
-        # side a's row-major output, side b's signature and spare sets,
-        # one interval's increments and the two draw scratch buffers, which
-        # peak while an interval is drawn: 3 sets + 1.68 intervals here,
-        # where the scratch is 0.67 of an interval.  A leaked interval
-        # would add one more; a fifth of a set (0.39 of an interval) is
-        # left for the gathered columns and product temporaries
+        # side b's signature and spare sets, one interval's increments and
+        # the two draw scratch buffers, which peak while an interval is
+        # drawn: 2 sets + 1.68 intervals here, where the scratch is 0.67 of
+        # an interval.  Side a's rows kept through side b would add a set,
+        # and a leaked interval one more interval; a fifth of a set (0.39
+        # of an interval) is left for the gathered columns and product
+        # temporaries
         one_set, interval = self.sizes()
         scratch = 2 * 8 * mc_oracle._DRAW_NORMALS
         peak = self.peak(2)
-        assert peak <= 3.2 * one_set + interval + scratch, (peak - 3 * one_set) / interval
+        assert peak <= 2.2 * one_set + interval + scratch, (peak - 2 * one_set) / interval
 
     def test_forked_parent_holds_one_side(self, monkeypatch, forks):
-        # side a's signature and spare sets, or its signature and row-major
-        # output, with one interval and the draw scratch: side b's spare set
-        # and intervals live in the child, and its row-major set, received
-        # after side a's loop, sits beside side a's alone.  A fifth of a set
-        # is left for the gathered columns and product temporaries
+        # side a's signature and spare sets, or its signatures and their
+        # row-major copy, with one interval and the draw scratch: side b's
+        # sets and intervals live in the child, which sends its moments
+        # alone.  A fifth of a set is left for the gathered columns and
+        # product temporaries
         monkeypatch.setattr(ta, "_cpu_count", lambda: 2)
         one_set, interval = self.sizes()
         scratch = 2 * 8 * mc_oracle._DRAW_NORMALS
@@ -1080,12 +1104,38 @@ class TestForkedSide:
         (jump_triplet, jump_triplet), (no_jump_triplet, no_jump_triplet),
         (jump_triplet, zero_atom_triplet), (no_jump_triplet, jump_triplet)],
         ids=["jumps", "no_jumps", "atoms_a_zero_atom_b", "mixed"])
-    @pytest.mark.parametrize("depth", [2, 4])
-    def test_bitwise_equal_to_in_process(self, monkeypatch, forks, sides, depth):
-        # the atoms of jump_triplet carry level 2
+    @pytest.mark.parametrize("depth, n_paths", [(1, 301), (2, 301), (4, 301), (4, 20)],
+                             ids=["1", "2", "4", "4_rows"])
+    def test_bitwise_equal_to_in_process(self, monkeypatch, forks, sides, depth, n_paths):
+        # the atoms of jump_triplet carry level 2.  At 20 paths, fewer than
+        # the 31 coordinates, each side's factor is its centred rows; else
+        # it comes from the eigenpairs of their Gram matrix
         trip_a, trip_b = (side() for side in sides)
-        self.check(monkeypatch, trip_a, trip_b, 1.0, depth, 301, 3, seed=5)
+        self.check(monkeypatch, trip_a, trip_b, 1.0, depth, n_paths, 3, seed=5)
         assert len(forks) == 1
+
+    def test_child_sends_its_moments(self, monkeypatch, forks):
+        # side b's child sends its K means and a factor of min(n, K) rows
+        # of K: at validate-jumps-d2's shape (d = 2, depth 4, 20 000 paths)
+        # 31 + 961 floats, under a 64 KiB pipe buffer
+        started, joined = [], []
+        real_start, real_join = _forks.start, _forks.Child.join
+
+        def start(run, sizes):
+            started.append(list(sizes))
+            return real_start(run, sizes)
+
+        def join(child):
+            got = real_join(child)
+            joined.append(None if got is None else [a.size for a in got])
+            return got
+        monkeypatch.setattr(_forks, "start", start)
+        monkeypatch.setattr(_forks.Child, "join", join)
+        trip = jump_triplet()
+        for depth, n_paths in [(4, 20_000), (4, 20), (1, 301)]:
+            estimate_kernel(trip, trip, 1.0, depth, n_paths, 2, seed=2)
+        assert started == joined == [[31, 31 * 31], [31, 20 * 31], [3, 3 * 3]]
+        assert len(forks) == 3 and 8 * sum(started[0]) < 64 * 1024
 
     def test_fork_raising(self, monkeypatch):
         def fork():
@@ -1109,13 +1159,13 @@ class TestForkedSide:
 
     @pytest.mark.parametrize("how", ["exit_1", "killed"])
     def test_child_failing_in_mid_send(self, monkeypatch, forks, how):
-        # the child has sent its mean levels, not its signature levels
+        # the child has sent its means, not its factor
         parent, real = os.getpid(), _forks.send
 
         def send(writer, arrays):
             if os.getpid() == parent:
                 return real(writer, arrays)
-            real(writer, arrays[:4])   # depth 3: the four mean levels
+            real(writer, arrays[:1])
             if how == "killed":
                 os.kill(os.getpid(), signal.SIGKILL)
             raise RuntimeError("child fails in mid-send")
@@ -1132,7 +1182,7 @@ class TestForkedSide:
             if os.getpid() == parent:
                 return real(writer, arrays)
             real(writer, [np.full_like(a, -1.0) for a in arrays])
-            raise RuntimeError("child fails after its levels")
+            raise RuntimeError("child fails after its moments")
         monkeypatch.setattr(_forks, "send", send)
         self.check(monkeypatch, jump_triplet(), jump_triplet(), 1.0, 3, 101, 2, seed=2)
         assert len(forks) == 1
@@ -1160,16 +1210,16 @@ class TestForkedSide:
     @pytest.mark.parametrize("where", ["signatures", "join"])
     def test_parent_error_kills_and_reaps(self, monkeypatch, forks, where):
         # the parent raises in side a, or while it reads the child's
-        # levels: the child is killed and reaped, and the pipe closed
+        # moments: the child is killed and reaped, and the pipe closed
         parent = os.getpid()
         if where == "signatures":
-            real = mc_oracle._streamed_signatures
+            real = mc_oracle._batch_signatures
 
             def fail(*args, **kwargs):
                 if os.getpid() == parent:
                     raise KeyboardInterrupt
                 return real(*args, **kwargs)
-            monkeypatch.setattr(mc_oracle, "_streamed_signatures", fail)
+            monkeypatch.setattr(mc_oracle, "_batch_signatures", fail)
         else:
             def fail(reader, sizes):
                 raise KeyboardInterrupt
@@ -1249,15 +1299,17 @@ class TestForkedSideIsolated:
     into the timeout."""
 
     def test_levels_larger_than_a_pipe_buffer(self):
-        # d = 2, depth 14: 32 767 mean coordinates (256 KiB, four times a
-        # 64 KiB pipe buffer), then six paths' signature levels (1.5 MiB)
+        # d = 2, depth 14: 32 767 means (256 KiB, four times a 64 KiB pipe
+        # buffer), then a factor of six paths' centred rows (1.5 MiB)
         out = run_isolated("trip = LevyTriplet.brownian(2, 1.0)\n"
                            "both(trip, trip, 1.0, 14, 6, 1, seed=3)\n")
         assert out.split() == ["1", "True"]
 
     def test_uncapped_openblas(self):
-        # a large product first starts OpenBLAS's worker threads; the child
-        # calls BLAS in the draws, and the parent in side b's projections
+        # a large product first starts OpenBLAS's worker threads; child and
+        # parent call BLAS in the draws and in the moments' Gram products,
+        # eigenpairs and projections (20 000 paths exceed the 31
+        # coordinates)
         out = run_isolated("import numpy as np\n"
                            "a = np.ones((400, 400)); a @ a\n"
                            "trip = LevyTriplet.brownian(2, 1.0, cov=np.array([[0.4, 0.1], "
@@ -1371,6 +1423,23 @@ class TestEstimators:
         vals = [float(line.split(",")[1]) for line in lines[1:]]
         flat = np.concatenate([est.mean.levels[n] for n in range(3)])
         assert np.array_equal(np.array(vals), flat)
+
+    @pytest.mark.parametrize("n_paths", [20, 301], ids=["rows", "eigh"])
+    def test_kernel_se_is_the_projections_delta_method(self, n_paths):
+        # se from the sides' moments equals the delta method on the paths:
+        # sqrt((var_p <S_a,p, m_b> + var_p <S_b,p, m_a>) / n), the sample
+        # variances of each side's signatures projected on the other side's
+        # mean, here from the dense reference signatures.  20 paths take
+        # the factor of centred rows (K = 31), 301 the eigenpairs
+        trip_a, trip_b, depth, steps = jump_triplet(), zero_atom_triplet(), 4, 3
+        sig_a, sig_b = (dense_batch_signatures(simulate_paths(
+            trip, n_paths, steps, 5, horizon=1.0, stream_offset=offset), depth)
+            for offset, trip in enumerate((trip_a, trip_b)))
+        m_a, m_b = ([lvl.mean(axis=0) for lvl in sig] for sig in (sig_a, sig_b))
+        var = sum(sum(lvl @ m for lvl, m in zip(sig, other)).var(ddof=1)
+                  for sig, other in ((sig_a, m_b), (sig_b, m_a)))
+        _, se = estimate_kernel(trip_a, trip_b, 1.0, depth, n_paths, steps, seed=5)
+        assert se == pytest.approx(math.sqrt(var / n_paths), rel=1e-12, abs=0)
 
     def test_level_se_is_norm_of_coordinate_ses(self):
         bm = LevyTriplet.brownian(2, 1.0)
