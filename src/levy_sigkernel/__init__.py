@@ -4,35 +4,60 @@ Solves the coupled Goursat PDE-ODE systems for expected signature kernels,
 computes signature-MMDs against the inhomogeneous Wiener measure, and
 certifies results with explicit error bounds plus independent oracles
 (Bessel closed forms, truncated-development inner products, Monte Carlo).
+
+Importing the package loads no submodule: each exported name loads its
+module on first use (PEP 562 ``__getattr__``), so a CLI run loads only the
+modules its command uses.
 """
 
-from .characteristics import (AtomicJumps, GaussianJumps, LevyTriplet,
-                              PiecewiseVelocity, characteristic_velocity,
-                              dilate_triplet, exponential_moment_value,
-                              gaussian_tensor_moment)
-from .development import (bell_numbers, bell_polynomials, bound_gronwall,
-                          bound_inner_truncation, bound_level,
-                          bound_lipschitz, bound_outer_truncation, develop,
-                          expected_signature, gaussian_jump_tail_bound,
-                          gaussian_mgf_moment, remainder_diagnostics)
-from .errors import (ConfigError, DepthTooSmall, DimMismatch, GridMismatch,
-                     InvalidParameter, InvalidTriplet, InvalidWord,
-                     LevySigKernelError, NumericalInconsistency, OutOfRange,
-                     ScalarPartError, Unsupported)
-from .kernel_solver import (KernelSurface, apriori_psi, bessel_i0,
-                            log_apriori_psi, make_grid, solve_goursat_scalar,
-                            solve_truncated_system, truncation_certificate)
-from .mc_oracle import (SignatureEstimate, SimulatedPaths,
-                        estimate_expected_signature, estimate_kernel,
-                        estimate_to_csv, path_signature, simulate_paths)
-from .mmd import (AugmentedPathEnsemble, MMDReport, WienerSpec, cross_kernel,
-                  factor_covariance, mmd_to_wiener, pair_kernel)
-from .tensor_algebra import (LevelNorms, TruncatedTensor, adjoint_left,
-                             adjoint_left_zero, adjoint_right,
-                             adjoint_right_zero, dilate, exp_tensor,
-                             group_inverse, inner_product, level_norms,
-                             log_tensor, max_level_norm, norm_p, project,
-                             tensor_mul, truncate, word_from_index,
-                             word_index)
+import importlib
 
 __version__ = "0.1.0"
+
+# exported name -> the submodule that defines it
+_EXPORTS = {
+    **dict.fromkeys(
+        ("AtomicJumps", "GaussianJumps", "LevyTriplet", "PiecewiseVelocity",
+         "characteristic_velocity", "dilate_triplet", "exponential_moment_value",
+         "factor_covariance", "gaussian_tensor_moment"), "characteristics"),
+    **dict.fromkeys(
+        ("bell_numbers", "bell_polynomials", "bound_gronwall", "bound_inner_truncation",
+         "bound_level", "bound_lipschitz", "bound_outer_truncation", "develop",
+         "expected_signature", "gaussian_jump_tail_bound", "gaussian_mgf_moment",
+         "remainder_diagnostics"), "development"),
+    **dict.fromkeys(
+        ("ConfigError", "DepthTooSmall", "DimMismatch", "GridMismatch",
+         "InvalidParameter", "InvalidTriplet", "InvalidWord", "LevySigKernelError",
+         "NumericalInconsistency", "OutOfRange", "ScalarPartError", "Unsupported"),
+        "errors"),
+    **dict.fromkeys(
+        ("KernelSurface", "apriori_psi", "bessel_i0", "log_apriori_psi", "make_grid",
+         "solve_goursat_scalar", "solve_truncated_system", "truncation_certificate"),
+        "kernel_solver"),
+    **dict.fromkeys(
+        ("SignatureEstimate", "SimulatedPaths", "estimate_expected_signature",
+         "estimate_kernel", "estimate_to_csv", "path_signature", "simulate_paths"),
+        "mc_oracle"),
+    **dict.fromkeys(
+        ("AugmentedPathEnsemble", "MMDReport", "WienerSpec", "cross_kernel",
+         "mmd_to_wiener", "pair_kernel"), "mmd"),
+    **dict.fromkeys(
+        ("LevelNorms", "TruncatedTensor", "adjoint_left", "adjoint_left_zero",
+         "adjoint_right", "adjoint_right_zero", "dilate", "exp_tensor", "group_inverse",
+         "inner_product", "level_norms", "log_tensor", "max_level_norm", "norm_p",
+         "project", "tensor_mul", "truncate", "word_from_index", "word_index"),
+        "tensor_algebra"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

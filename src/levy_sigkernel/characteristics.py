@@ -28,6 +28,7 @@ from .tensor_algebra import TruncatedTensor
 __all__ = [
     "PiecewiseVelocity",
     "LevyTriplet",
+    "factor_covariance",
     "AtomicJumps",
     "GaussianJumps",
     "characteristic_velocity",
@@ -281,6 +282,23 @@ class LevyTriplet:
         """Time-homogeneous Brownian motion (standard if cov omitted)."""
         return cls.homogeneous(dim, horizon,
                                cov=np.eye(dim) if cov is None else cov)
+
+
+def factor_covariance(dim: int, factors) -> np.ndarray:
+    """Covariance ``sum_k sig_k sig_k^T`` of a list of volatility factor
+    vectors ``sig_k``, each a finite 1-D vector of length ``dim``."""
+    if not isinstance(factors, (list, tuple, np.ndarray)):
+        raise InvalidParameter("expected a list of factor vectors")
+    a = np.zeros((dim, dim))
+    for k, sig in enumerate(factors):
+        try:
+            sig = np.asarray(sig, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidParameter(f"factor {k} must be a vector of numbers") from None
+        if sig.shape != (dim,) or not np.all(np.isfinite(sig)):
+            raise InvalidParameter(f"factor {k} must be a finite vector of length {dim}")
+        a += np.outer(sig, sig)
+    return a
 
 
 def _gaussian_moments(cov: np.ndarray, depth: int):

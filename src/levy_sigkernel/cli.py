@@ -33,23 +33,24 @@ import json
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import _forks
 from . import tensor_algebra as ta
 from .characteristics import (AtomicJumps, GaussianJumps, LevyTriplet,
-                              characteristic_velocity, velocity_depth)
-from .development import (bound_gronwall, bound_inner_truncation, bound_level,
-                          bound_outer_truncation, develop,
-                          development_inner_product, remainder_diagnostics)
+                              characteristic_velocity, factor_covariance,
+                              velocity_depth)
 from .errors import ConfigError, InvalidParameter, LevySigKernelError
 from .kernel_solver import (make_grid, solve_truncated_system,
                             truncation_certificate)
-from .mc_oracle import estimate_kernel
-from .mmd import (AugmentedPathEnsemble, WienerSpec, factor_covariance,
-                  mmd_to_wiener)
 from .tensor_algebra import TruncatedTensor
+
+# ``development``, ``mc_oracle`` and ``mmd`` are imported inside the
+# commands that use them, so that a run loads only what it computes
+if TYPE_CHECKING:
+    from .mmd import AugmentedPathEnsemble, WienerSpec
 
 _MAX_VELOCITY_COEFFS = 2_000_000
 
@@ -282,6 +283,7 @@ def cmd_kernel(cfg: dict, out_dir: str) -> int:
 
 
 def _parse_ensemble(cfg: dict) -> AugmentedPathEnsemble:
+    from .mmd import AugmentedPathEnsemble
     ens = _require(cfg, "ensemble", "")
     d = _as_int(_require(ens, "dim", "ensemble"), "ensemble.dim")
     grid = _parse_time_grid(_require(ens, "time_grid", "ensemble"),
@@ -317,6 +319,7 @@ def _parse_ensemble(cfg: dict) -> AugmentedPathEnsemble:
 
 
 def _parse_wiener(cfg: dict, dim: int) -> WienerSpec:
+    from .mmd import WienerSpec
     wn = _require(cfg, "wiener", "")
     grid = _parse_time_grid(_require(wn, "time_grid", "wiener"), "wiener.time_grid")
     if "factors" in wn:
@@ -337,6 +340,7 @@ def _parse_wiener(cfg: dict, dim: int) -> WienerSpec:
 
 
 def cmd_mmd(cfg: dict, out_dir: str) -> int:
+    from .mmd import mmd_to_wiener
     ensemble = _parse_ensemble(cfg)
     wiener = _parse_wiener(cfg, ensemble.dim)
     sp, tp, horizon = _parse_grid(cfg)
@@ -352,6 +356,9 @@ def cmd_mmd(cfg: dict, out_dir: str) -> int:
 
 
 def cmd_validate(cfg: dict, out_dir: str) -> int:
+    from .development import (bound_gronwall, bound_level, develop,
+                              development_inner_product)
+    from .mc_oracle import estimate_kernel
     triplets = _require(cfg, "triplets", "")
     if not isinstance(triplets, list) or not 1 <= len(triplets) <= 2:
         raise ConfigError("triplets", "validate needs one or two triplets")
@@ -427,6 +434,9 @@ def cmd_validate(cfg: dict, out_dir: str) -> int:
 
 
 def cmd_bounds(cfg: dict, out_dir: str) -> int:
+    from .development import (bound_inner_truncation, bound_level,
+                              bound_outer_truncation, develop,
+                              remainder_diagnostics)
     triplets = _require(cfg, "triplets", "")
     if not isinstance(triplets, list) or not triplets:
         raise ConfigError("triplets", "bounds needs at least one triplet")

@@ -240,14 +240,13 @@ class KernelSurface:
             cols += (np.sqrt(np.matmul(X[..., None, :], X[..., :, None])[..., 0, 0])
                      for X in (self.f, self.ftilde))
         header = "s,t,w" if len(cols) == 1 else "s,t,w,f_norm,ftilde_norm"
-        fmt = ",".join(["{}"] * (2 + len(cols))) + "\n"
         s_txt = list(map(repr, self.s_grid.tolist()))
         t_txt = list(map(repr, self.t_grid.tolist()))
 
         def write_rows(fh, lo: int, hi: int) -> None:
             for s, *rows in zip(s_txt[lo:hi], *(c[lo:hi] for c in cols)):
-                fh.write("".join(map(fmt.format, repeat(s, len(t_txt)), t_txt,
-                                     *(map(repr, row.tolist()) for row in rows))))
+                fh.write("\n".join(map(",".join, zip(
+                    repeat(s), t_txt, *(map(repr, row.tolist()) for row in rows)))) + "\n")
 
         n_rows, nodes = len(s_txt), len(s_txt) * len(t_txt)
         blocks, most = 1, min(ta._cpu_count(), n_rows)
@@ -266,7 +265,10 @@ class KernelSurface:
 # 1.8 us a node and 1.7-2.0 ms a block.  The parent pays the blocks one
 # after another, so more blocks stop paying at about sqrt(nodes / this):
 # 8 blocks on 258^2 nodes, whatever the CPUs.  Counts past 2 blocks follow
-# from this model and were not measured.
+# from this model and were not measured.  Rows joined without a per-node
+# format call left the break-even where it was: one against two blocks took
+# 6.1 against 5.9 ms at 1681 nodes and 9.3 against 8.9 ms at 2401 (medians
+# of 41, on a host about half as fast).
 _BLOCK_COST_NODES = 1024
 
 

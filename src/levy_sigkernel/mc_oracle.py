@@ -38,8 +38,8 @@ one path through ``mul_exp``, so row p equals
 parallelism: each side's signatures run in one loop on one thread and
 end in its moments (``_side_moments``).  The child sends side b's one
 way, as raw float64 bytes (7.9 KB at d = 2, depth 4); the parent takes
-them after its loop, then factors its own side, not beside the child's
-factor, and forms the estimate as the sequential sides do, so every path
+them after its loop, then forms its own side's moments, not beside the
+child's, and the estimate as the sequential sides do, so every path
 gives the same bits.
 Where the child gives nothing (no ``os.fork``, another Python thread
 alive, a fork that fails, a child that exits non-zero, dies, warns or is
@@ -426,9 +426,9 @@ def estimate_kernel(triplet_a: LevyTriplet, triplet_b: LevyTriplet, t: float,
 
     Returns ``(value, standard_error)``.  The two sides are independent:
     side a draws from Philox key ``[seed, 0]``, side b from ``[seed, 1]``.
-    From each side's means m and factor F (``_side_moments``), ``value``
-    is ``sum_n <m_a^n, m_b^n>`` and the delta method's variance is
-    ``(|F_a m_b|^2 + |F_b m_a|^2) / ((n - 1) n)``.  On two or more CPUs,
+    From each side's means m and centred rows X (``_side_moments``),
+    ``value`` is ``sum_n <m_a^n, m_b^n>`` and the delta method's variance
+    is ``(|X_a m_b|^2 + |X_b m_a|^2) / ((n - 1) n)``.  On two or more CPUs,
     side b runs in a forked child (``_forks.start``) that sends its
     moments while the calling process runs side a; otherwise, or when the
     child gives nothing, the calling process runs side b after side a.
@@ -453,23 +453,25 @@ def estimate_kernel(triplet_a: LevyTriplet, triplet_b: LevyTriplet, t: float,
         got = child.join()
     finally:
         child.kill()
-    # side a's factor waits for the child: run in both processes at once,
-    # OpenBLAS's threads made the Gram products 20 and the eigenpairs 160
-    # times slower (d = 2, depth 7, 10 000 paths)
-    factor_a = _factor(rows_a)
+    # side a's Gram product waits for the child: run in both processes at
+    # once, OpenBLAS's threads made the Gram products 20 times slower
+    # (d = 2, depth 7, 10 000 paths)
+    spread_a = _spread(rows_a)
     del rows_a   # before a fallback runs side b in this process
-    mean_b, factor_b = got or _side_moments(*side_b)
+    mean_b, spread_b = got or _side_moments(*side_b)
     value = float(sum(ma @ mb for ma, mb in zip(np.split(mean_a, edges[:-1]),
                                                 np.split(mean_b, edges[:-1]))))
-    proj_a, proj_b = factor_a @ mean_b, factor_b.reshape(-1, k) @ mean_a
-    var = (proj_a @ proj_a + proj_b @ proj_b) / ((n_paths - 1) * n_paths)
+    gram = n_paths > k
+    var = ((_squared_norm(spread_a, mean_b, gram)
+            + _squared_norm(spread_b.reshape(-1, k), mean_a, gram))
+           / ((n_paths - 1) * n_paths))
     return value, float(math.sqrt(var))
 
 
 def _side_moments(*side) -> tuple[np.ndarray, np.ndarray]:
-    """The means of ``_centred_rows(*side)`` and the ``_factor`` of its rows."""
+    """The means of ``_centred_rows(*side)`` and the ``_spread`` of its rows."""
     mean, rows = _centred_rows(*side)
-    return mean, _factor(rows)
+    return mean, _spread(rows)
 
 
 def _centred_rows(triplet: LevyTriplet, n_paths: int, steps: int, seed: int, t: float,
@@ -484,16 +486,19 @@ def _centred_rows(triplet: LevyTriplet, n_paths: int, steps: int, seed: int, t: 
     return mean, rows
 
 
-def _factor(rows: np.ndarray) -> np.ndarray:
-    """F with ``F^T F = X_c^T X_c`` and min(n_paths, K) rows, X_c the centred
-    rows: X_c when n_paths <= K, else ``(V sqrt(lam))^T`` from the
-    eigenpairs ``(lam, V)`` of ``X_c^T X_c``, with lam clipped at 0."""
-    if len(rows) <= rows.shape[1]:
-        return rows
-    lam, vecs = np.linalg.eigh(rows.T @ rows)
-    # C order, as the child's copy arrives: ``F @ m`` on a transposed view
-    # takes another BLAS routine and rounds otherwise
-    return np.ascontiguousarray((vecs * np.sqrt(np.clip(lam, 0.0, None))).T)
+def _spread(rows: np.ndarray) -> np.ndarray:
+    """The centred rows X_c when n_paths <= K, else their Gram matrix
+    ``X_c^T X_c``: min(n_paths, K) rows of K either way."""
+    return rows if len(rows) <= rows.shape[1] else rows.T @ rows
+
+
+def _squared_norm(spread: np.ndarray, m: np.ndarray, gram: bool) -> float:
+    """``|X_c m|^2`` from ``_spread``'s output: ``m^T (G m)`` clipped at 0
+    from a Gram matrix G, else the squared norm of the projections."""
+    if gram:
+        return max(float(m @ (spread @ m)), 0.0)
+    proj = spread @ m
+    return float(proj @ proj)
 
 
 def estimate_to_csv(estimate: SignatureEstimate, path) -> None:

@@ -36,7 +36,8 @@ from typing import Sequence
 import numpy as np
 
 from . import _forks
-from .characteristics import LevyTriplet, _check_grid, characteristic_velocity
+from .characteristics import (LevyTriplet, _check_grid, characteristic_velocity,
+                              factor_covariance)
 from .errors import InvalidParameter, InvalidTriplet, NumericalInconsistency
 from .kernel_solver import (KernelSurface, _solve_truncated_batch, make_grid,
                             solve_truncated_system)
@@ -113,23 +114,6 @@ class AugmentedPathEnsemble:
             covs=[np.zeros((self.dim, self.dim)) for _ in range(m)],
             areas=[None if ar is None else ar[i] for i in range(m)],
             state_depth=2 if ar is not None else 1)
-
-
-def factor_covariance(dim: int, factors) -> np.ndarray:
-    """Covariance ``sum_k sig_k sig_k^T`` of a list of volatility factor
-    vectors ``sig_k``, each a finite 1-D vector of length ``dim``."""
-    if not isinstance(factors, (list, tuple, np.ndarray)):
-        raise InvalidParameter("expected a list of factor vectors")
-    a = np.zeros((dim, dim))
-    for k, sig in enumerate(factors):
-        try:
-            sig = np.asarray(sig, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidParameter(f"factor {k} must be a vector of numbers") from None
-        if sig.shape != (dim,) or not np.all(np.isfinite(sig)):
-            raise InvalidParameter(f"factor {k} must be a finite vector of length {dim}")
-        a += np.outer(sig, sig)
-    return a
 
 
 @dataclass

@@ -43,6 +43,12 @@ COUNTERS = {
 }
 # the workloads whose configs hold triplets, so build characteristic velocities
 VELOCITY_WORKLOADS = ("kernel-jumps-d2", "validate-jumps-d2")
+# one span per workload that its command reaches through an import made when
+# the command runs, which must read the tracer's wrapper
+COMMAND_SPANS = {
+    "mmd-area-m8": "mmd.mmd_to_wiener",
+    "validate-jumps-d2": "mc_oracle.estimate_kernel",
+}
 
 
 def traced_run(tmp_path, cfg_data):
@@ -70,6 +76,8 @@ def test_traced_run(tmp_path, workload):
     assert spans["tensor_algebra.tensor_mul"]["madds"] > 0
     if workload in VELOCITY_WORKLOADS:
         assert spans["characteristics.characteristic_velocity"]["coeffs"] > 0
+    if workload in COMMAND_SPANS:
+        assert spans[COMMAND_SPANS[workload]]["calls"] == 1
     # the self times and the tracer's overhead add up to the run's time
     total = spans["cli.main"]["s"]
     self_sum = sum(stats["self_s"] for stats in spans.values())

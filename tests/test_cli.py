@@ -390,8 +390,9 @@ class TestCertifiedDepths:
 
         record(cli, "characteristic_velocity")
         record_levels(characteristics, "_velocity_levels")   # every velocity level built
-        record(cli, "develop")
-        record(development, "develop")              # the oracle helper's
+        # the commands import develop when they run, so they read this
+        # binding, as the oracle helper does
+        record(development, "develop")
         return seen
 
     @pytest.mark.parametrize("seed", [1, 2])
@@ -677,18 +678,108 @@ class TestShortestRoundTrip:
         assert checked > 0
 
 
+def run_fresh(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter, with the
+    package's source directory on its path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(levy_sigkernel.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+# the package's exports, by the module that defines each
+EXPORTS = {
+    "characteristics": ("AtomicJumps", "GaussianJumps", "LevyTriplet", "PiecewiseVelocity",
+                        "characteristic_velocity", "dilate_triplet",
+                        "exponential_moment_value", "factor_covariance",
+                        "gaussian_tensor_moment"),
+    "development": ("bell_numbers", "bell_polynomials", "bound_gronwall",
+                    "bound_inner_truncation", "bound_level", "bound_lipschitz",
+                    "bound_outer_truncation", "develop", "expected_signature",
+                    "gaussian_jump_tail_bound", "gaussian_mgf_moment",
+                    "remainder_diagnostics"),
+    "errors": ("ConfigError", "DepthTooSmall", "DimMismatch", "GridMismatch",
+               "InvalidParameter", "InvalidTriplet", "InvalidWord", "LevySigKernelError",
+               "NumericalInconsistency", "OutOfRange", "ScalarPartError", "Unsupported"),
+    "kernel_solver": ("KernelSurface", "apriori_psi", "bessel_i0", "log_apriori_psi",
+                      "make_grid", "solve_goursat_scalar", "solve_truncated_system",
+                      "truncation_certificate"),
+    "mc_oracle": ("SignatureEstimate", "SimulatedPaths", "estimate_expected_signature",
+                  "estimate_kernel", "estimate_to_csv", "path_signature", "simulate_paths"),
+    "mmd": ("AugmentedPathEnsemble", "MMDReport", "WienerSpec", "cross_kernel",
+            "mmd_to_wiener", "pair_kernel"),
+    "tensor_algebra": ("LevelNorms", "TruncatedTensor", "adjoint_left", "adjoint_left_zero",
+                       "adjoint_right", "adjoint_right_zero", "dilate", "exp_tensor",
+                       "group_inverse", "inner_product", "level_norms", "log_tensor",
+                       "max_level_norm", "norm_p", "project", "tensor_mul", "truncate",
+                       "word_from_index", "word_index"),
+}
+# the modules that only some commands use
+COMMAND_MODULES = ("development", "mc_oracle", "mmd")
+# prints the names of the loaded submodules on one line
+LOADED = ("print('loaded:', *sorted(m.split('.', 1)[1] for m in sys.modules "
+          "if m.startswith('levy_sigkernel.')))")
+
+
 class TestEntryPoints:
     def test_import_does_not_load_scipy(self):
         # scipy is imported lazily by exponential_moment_value alone; loaded
         # at import time it took most of the CLI's start-up time and memory
-        src = os.path.dirname(os.path.dirname(os.path.abspath(levy_sigkernel.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = ("import sys, levy_sigkernel.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
+        out = run_fresh("import sys, levy_sigkernel.cli; "
+                        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         assert out.strip() == "[]"
+
+    def test_package_import_loads_no_submodule(self):
+        out = run_fresh(f"import sys, levy_sigkernel; {LOADED}")
+        assert out.split() == ["loaded:"]
+
+    def test_cli_import_loads_no_command_module(self):
+        loaded = run_fresh(f"import sys, levy_sigkernel.cli; {LOADED}").split()
+        assert "cli" in loaded and not set(COMMAND_MODULES) & set(loaded)
+
+    @pytest.mark.parametrize("experiment, unused", [
+        ("kernel", COMMAND_MODULES), ("mmd", ("development", "mc_oracle"))])
+    def test_run_loads_only_its_modules(self, tmp_path, experiment, unused):
+        # the kernel triplet's covariance comes from factors, as a Wiener
+        # measure's can
+        if experiment == "kernel":
+            cfg_data = base_config(points=9)
+            cfg_data["triplets"][0]["intervals"][0] = {"factors": [[0.8], [0.6]]}
+        else:
+            cfg_data = WORKLOADS.CONFIGS["mmd-area-m8"](2, small=True)
+        cfg = write_config(tmp_path / "cfg.json", cfg_data)
+        out = run_fresh("import sys; from levy_sigkernel.cli import main; "
+                        f"print(main(['--config', {cfg!r}, '--output', "
+                        f"{str(tmp_path / 'o')!r}])); {LOADED}")
+        code, loaded = out.strip().splitlines()[-2:]
+        loaded = loaded.split()
+        assert code == "0" and ("mmd" in loaded) == (experiment == "mmd")
+        assert not set(unused) & set(loaded)
+
+    def test_exports_are_the_defining_modules_objects(self):
+        # each name through the package attribute, ``from ... import`` and
+        # ``import *``; factor_covariance is also mmd's
+        out = run_fresh(
+            "import importlib, levy_sigkernel\n"
+            "from levy_sigkernel import *\n"
+            f"exports = {EXPORTS!r}\n"
+            "bad = []\n"
+            "for module, names in exports.items():\n"
+            "    home = importlib.import_module('levy_sigkernel.' + module)\n"
+            "    for name in names:\n"
+            "        obj = getattr(home, name)\n"
+            "        scope = {}\n"
+            "        exec(f'from levy_sigkernel import {name}', scope)\n"
+            "        same = (getattr(levy_sigkernel, name), scope[name], globals()[name])\n"
+            "        if any(x is not obj for x in same) or obj.__module__ != home.__name__:\n"
+            "            bad.append(name)\n"
+            "mmd = importlib.import_module('levy_sigkernel.mmd')\n"
+            "print(bad, mmd.factor_covariance is factor_covariance)\n"
+            "print(sorted(levy_sigkernel.__all__) == sorted(sum(exports.values(), ())),\n"
+            "      set(levy_sigkernel.__all__) <= set(dir(levy_sigkernel)),\n"
+            "      levy_sigkernel.__version__, hasattr(levy_sigkernel, 'no_such_name'))\n")
+        assert out.splitlines() == ["[] True", "True True 0.1.0 False"]
 
     @pytest.mark.parametrize("experiment", ["kernel", "mmd"])
     def test_run_does_not_load_numpy_ma(self, tmp_path, experiment):
@@ -705,20 +796,13 @@ class TestEntryPoints:
                 "grid": {"s_points": 9, "T": 1.0},
             }
         cfg = write_config(tmp_path / "cfg.json", cfg_data)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(levy_sigkernel.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = ("import sys; from levy_sigkernel.cli import main; "
-                f"code = main(['--config', {cfg!r}, '--output', {str(tmp_path / 'o')!r}]); "
-                "print(code, 'numpy.ma' in sys.modules)")
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
+        out = run_fresh("import sys; from levy_sigkernel.cli import main; "
+                        f"code = main(['--config', {cfg!r}, '--output', "
+                        f"{str(tmp_path / 'o')!r}]); "
+                        "print(code, 'numpy.ma' in sys.modules)")
         assert out.strip().splitlines()[-1] == "0 False"
 
     def test_bound_lipschitz_does_not_load_numpy_ma(self):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(levy_sigkernel.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         # the two velocity grids share the cut 0.5, which must be merged
         code = ("import sys; from levy_sigkernel.characteristics import PiecewiseVelocity; "
                 "from levy_sigkernel.development import bound_lipschitz; "
@@ -727,9 +811,7 @@ class TestEntryPoints:
                 "v = PiecewiseVelocity(1, [0.0, 0.5, 1.0], x[:2]); "
                 "u = PiecewiseVelocity(1, [0.0, 0.25, 0.5, 1.0], x); "
                 "print(bound_lipschitz(v, u, 0.0, 1.0) > 0, 'numpy.ma' in sys.modules)")
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip().splitlines()[-1] == "True False"
+        assert run_fresh(code).strip().splitlines()[-1] == "True False"
 
     def test_write_example(self, tmp_path):
         target = tmp_path / "example.json"

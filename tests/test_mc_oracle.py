@@ -530,10 +530,10 @@ class TestBatchedSignatures:
         # [5, 1]) and ``dense_batch_signatures``, se as the sample variances
         # of the projections ``<S_a,p, m_b>`` and ``<S_b,p, m_a>``.  Today's
         # bits (frozen below) come from the fused step, which reassociates
-        # sums, and from each side's moments: se from ``|F_a m_b|^2 +
-        # |F_b m_a|^2``, F a factor of the centred rows' Gram matrix (here
-        # from its eigenpairs, as 300 paths exceed the 7 and 31
-        # coordinates).  They lie within the rounding bound of
+        # sums, and from each side's moments: se from ``m_b^T G_a m_b +
+        # m_a^T G_b m_a``, G the centred rows' Gram matrix (here, as 300
+        # paths exceed the 7 and 31 coordinates; the eigenpairs it replaced
+        # gave the same bits).  They lie within the rounding bound of
         # kernel_estimate_bounds, derived for the projections, from them
         trip = jump_triplet()
         got = estimate_kernel(trip, trip, 1.0, depth, 300, 3, seed=5)
@@ -1108,15 +1108,15 @@ class TestForkedSide:
                              ids=["1", "2", "4", "4_rows"])
     def test_bitwise_equal_to_in_process(self, monkeypatch, forks, sides, depth, n_paths):
         # the atoms of jump_triplet carry level 2.  At 20 paths, fewer than
-        # the 31 coordinates, each side's factor is its centred rows; else
-        # it comes from the eigenpairs of their Gram matrix
+        # the 31 coordinates, each side sends its centred rows; else their
+        # Gram matrix
         trip_a, trip_b = (side() for side in sides)
         self.check(monkeypatch, trip_a, trip_b, 1.0, depth, n_paths, 3, seed=5)
         assert len(forks) == 1
 
     def test_child_sends_its_moments(self, monkeypatch, forks):
-        # side b's child sends its K means and a factor of min(n, K) rows
-        # of K: at validate-jumps-d2's shape (d = 2, depth 4, 20 000 paths)
+        # side b's child sends its K means and min(n, K) rows of K (its
+        # centred rows or their Gram matrix): at validate-jumps-d2's shape (d = 2, depth 4, 20 000 paths)
         # 31 + 961 floats, under a 64 KiB pipe buffer
         started, joined = [], []
         real_start, real_join = _forks.start, _forks.Child.join
@@ -1159,7 +1159,7 @@ class TestForkedSide:
 
     @pytest.mark.parametrize("how", ["exit_1", "killed"])
     def test_child_failing_in_mid_send(self, monkeypatch, forks, how):
-        # the child has sent its means, not its factor
+        # the child has sent its means, not its Gram matrix
         parent, real = os.getpid(), _forks.send
 
         def send(writer, arrays):
@@ -1300,16 +1300,15 @@ class TestForkedSideIsolated:
 
     def test_levels_larger_than_a_pipe_buffer(self):
         # d = 2, depth 14: 32 767 means (256 KiB, four times a 64 KiB pipe
-        # buffer), then a factor of six paths' centred rows (1.5 MiB)
+        # buffer), then six paths' centred rows (1.5 MiB)
         out = run_isolated("trip = LevyTriplet.brownian(2, 1.0)\n"
                            "both(trip, trip, 1.0, 14, 6, 1, seed=3)\n")
         assert out.split() == ["1", "True"]
 
     def test_uncapped_openblas(self):
         # a large product first starts OpenBLAS's worker threads; child and
-        # parent call BLAS in the draws and in the moments' Gram products,
-        # eigenpairs and projections (20 000 paths exceed the 31
-        # coordinates)
+        # parent call BLAS in the draws and in the moments' Gram products
+        # (20 000 paths exceed the 31 coordinates)
         out = run_isolated("import numpy as np\n"
                            "a = np.ones((400, 400)); a @ a\n"
                            "trip = LevyTriplet.brownian(2, 1.0, cov=np.array([[0.4, 0.1], "
@@ -1424,13 +1423,13 @@ class TestEstimators:
         flat = np.concatenate([est.mean.levels[n] for n in range(3)])
         assert np.array_equal(np.array(vals), flat)
 
-    @pytest.mark.parametrize("n_paths", [20, 301], ids=["rows", "eigh"])
+    @pytest.mark.parametrize("n_paths", [20, 301], ids=["rows", "gram"])
     def test_kernel_se_is_the_projections_delta_method(self, n_paths):
         # se from the sides' moments equals the delta method on the paths:
         # sqrt((var_p <S_a,p, m_b> + var_p <S_b,p, m_a>) / n), the sample
         # variances of each side's signatures projected on the other side's
         # mean, here from the dense reference signatures.  20 paths take
-        # the factor of centred rows (K = 31), 301 the eigenpairs
+        # the centred rows (K = 31), 301 their Gram matrix
         trip_a, trip_b, depth, steps = jump_triplet(), zero_atom_triplet(), 4, 3
         sig_a, sig_b = (dense_batch_signatures(simulate_paths(
             trip, n_paths, steps, 5, horizon=1.0, stream_offset=offset), depth)
