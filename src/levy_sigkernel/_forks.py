@@ -1,31 +1,35 @@
-"""Forked child processes, and files written whole or not at all.
+"""Forked child processes: whether to fork, how many children and where to
+cut the work; and files written whole or not at all.
 
 A child (:func:`start`) runs a function and sends the float64 arrays it
 returns down one pipe, in sizes that the parent states; the parent's
 :meth:`Child.join` returns them and reaps the child.  A child is made
-only with ``os.fork`` present and no other Python thread alive, so it
-meets no lock that another thread holds.  It ends with ``os._exit``, so
-no atexit handler runs and no inherited buffer is flushed.  That makes
-the fork safe beside the threads that are not Python's: numpy's OpenBLAS
-starts one, and stops its workers before a fork (its ``pthread_atfork``
-handler), so a child may call BLAS.  The warning that Python 3.12+ gives
-for a fork beside such threads is therefore not shown; the filter cannot
-race another thread's, as there is none.  A warning in the child is an
-error there.  Every caller has a fallback that gives the same result in
-the calling process: where ``join`` returns None (no child was made, or
-it sent short, did not exit with 0 or was reaped elsewhere, as under
-``SIGCHLD = SIG_IGN``), the caller does the child's work itself, and so
-shows its warnings and raises its errors.  A caller that raises kills
-and reaps its children (:meth:`Child.kill`).
+only on two or more CPUs, with ``os.fork`` present and no other Python
+thread alive, so it meets no lock that another thread holds.  It ends
+with ``os._exit``, so no atexit handler runs and no inherited buffer is
+flushed.  That makes the fork safe beside the threads that are not
+Python's: numpy's OpenBLAS starts one, and stops its workers before a
+fork (its ``pthread_atfork`` handler), so a child may call BLAS.  The
+warning that Python 3.12+ gives for a fork beside such threads is
+therefore not shown; the filter cannot race another thread's, as there
+is none.  A warning in the child is an error there.  Every caller has a
+fallback that gives the same result in the calling process: where
+``join`` returns None (no child was made, or it sent short, did not exit
+with 0 or was reaped elsewhere, as under ``SIGCHLD = SIG_IGN``), the
+caller does the child's work itself, and so shows its warnings and
+raises its errors.  A caller that raises kills and reaps its children
+(:meth:`Child.kill`).
 
-The users: ``KernelSurface.to_csv`` writes its row blocks through
-:func:`write_blocks`; the corner-only sweep of
-``kernel_solver._solve_truncated_batch`` (the MMD's surfaces) computes its
-surface groups through :func:`map_groups`; ``mc_oracle.estimate_kernel``
-computes one side in a child.  These children are the package's only way
-to use a second core: it starts no Python thread, so the guard fails only
-beside a thread of the caller's.  The CLI writes every other output whole
-or not at all through :func:`write_text`.
+:func:`edges` cuts a caller's items, by the costs it states, into one
+group per CPU (:func:`cpu_count`) while one more pays for its fork:
+``KernelSurface.to_csv`` its s-rows by their nodes (:func:`write_blocks`),
+the corner-only sweep of ``kernel_solver._solve_truncated_batch`` (the
+MMD's surfaces) its surfaces by their floats (:func:`map_groups`).
+``mc_oracle.estimate_kernel`` computes one side in a child.  These
+children are the package's only way to use a second core: it starts no
+Python thread, so the guard fails only beside a thread of the caller's.
+The CLI writes every other output whole or not at all through
+:func:`write_text`.
 """
 
 from __future__ import annotations
@@ -39,10 +43,35 @@ import warnings
 import numpy as np
 
 
+def cpu_count() -> int:
+    """CPUs this process may run on (its affinity mask, where there is one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
 def can_fork() -> bool:
-    """True where ``fork`` may make a child: ``os.fork`` exists and no
-    other Python thread is alive."""
-    return hasattr(os, "fork") and threading.active_count() == 1
+    """True where ``fork`` may make a child: two or more CPUs, ``os.fork``
+    exists and no other Python thread is alive."""
+    return cpu_count() >= 2 and hasattr(os, "fork") and threading.active_count() == 1
+
+
+def edges(costs, fork_cost) -> list[int]:
+    """Edges of contiguous, non-empty groups of the items with ``costs``,
+    one per CPU while group g + 1 takes more off the caller than a fork
+    costs, ``g (g + 1) fork_cost < sum(costs)`` (``fork_cost`` in the costs'
+    units).  Edge g sits where the running cost comes nearest g / groups
+    of the total, as far as every group keeps an item."""
+    running = np.concatenate([[0], np.cumsum(costs)])
+    groups, most = 1, min(cpu_count(), len(costs))
+    while groups < most and groups * (groups + 1) * fork_cost < running[-1]:
+        groups += 1
+    cuts = [0]
+    for g in range(1, groups):
+        nearest = int(np.abs(running - running[-1] * g / groups).argmin())
+        cuts.append(min(max(nearest, cuts[-1] + 1), len(costs) - groups + g))
+    return cuts + [len(costs)]
 
 
 class Child:
@@ -139,10 +168,10 @@ def receive(reader, sizes: list[int]) -> list[np.ndarray] | None:
     return out
 
 
-def map_groups(compute, edges: list[int]) -> np.ndarray:
+def map_groups(compute, costs, fork_cost) -> np.ndarray:
     """The float64 values ``compute(lo, hi)`` (one per item, shape ``(hi -
-    lo,)``) of each group of items ``edges[g]:edges[g + 1]`` (``edges[0]``
-    is 0), concatenated.
+    lo,)``) of each group of items ``lo:hi`` that :func:`edges` cuts from
+    ``costs`` and ``fork_cost``, concatenated.
 
     The calling process computes group 0, and a child (:func:`start`) each
     later group.  A group whose child :meth:`Child.join` gives nothing is
@@ -150,13 +179,14 @@ def map_groups(compute, edges: list[int]) -> np.ndarray:
     warnings, as long as a group's values do not depend on the split.  If
     the parent raises, every child is killed and reaped.
     """
-    out = np.empty(edges[-1])
-    later = list(zip(edges[1:-1], edges[2:]))
+    cuts = edges(costs, fork_cost)
+    out = np.empty(cuts[-1])
+    later = list(zip(cuts[1:-1], cuts[2:]))
     children = []
     try:
         for lo, hi in later:
             children.append(start(lambda lo=lo, hi=hi: [compute(lo, hi)], [hi - lo]))
-        out[:edges[1]] = compute(0, edges[1])
+        out[:cuts[1]] = compute(0, cuts[1])
         for child, (lo, hi) in zip(children, later):
             got = child.join()
             out[lo:hi] = compute(lo, hi) if got is None else got[0]
@@ -192,9 +222,10 @@ def _replaced(path):
         raise
 
 
-def write_blocks(path, header: str, write_rows, edges: list[int]) -> None:
+def write_blocks(path, header: str, write_rows, costs, fork_cost) -> None:
     """Write ``header``, then ``write_rows(fh, lo, hi)`` for each block of
-    rows ``edges[b]:edges[b + 1]`` in order, into the text file ``path``.
+    rows ``lo:hi`` that :func:`edges` cuts from ``costs`` and
+    ``fork_cost``, in order, into the text file ``path``.
 
     The blocks go into a new file next to ``path`` that replaces it once
     the last block is in (:func:`_replaced`), so no partial file is left.
@@ -208,14 +239,15 @@ def write_blocks(path, header: str, write_rows, edges: list[int]) -> None:
     ``write_rows`` runs in the children too.
     """
     path = os.fsdecode(path)
-    later = list(zip(edges[1:-1], edges[2:]))
+    cuts = edges(costs, fork_cost)
+    later = list(zip(cuts[1:-1], cuts[2:]))
     blocks: list[tuple[Child, str | None]] = []
     try:
         with _replaced(path) as fh:
             for b, (lo, hi) in enumerate(later, 1):
                 _start_block(blocks, f"{path}.{os.getpid()}.{b}.part", write_rows, lo, hi)
             fh.write(header)
-            write_rows(fh, edges[0], edges[1])
+            write_rows(fh, 0, cuts[1])
             for (child, part), (lo, hi) in zip(blocks, later):
                 if child.join() is None:
                     write_rows(fh, lo, hi)

@@ -247,11 +247,25 @@ def _certified_velocity(triplet: LevyTriplet, level: int, horizon: float):
     return characteristic_velocity(triplet, depth)
 
 
+def _check_horizon(horizon: float, triplet: LevyTriplet, path: str) -> None:
+    """``grid.T`` past the triplet's horizon (by more than every time check
+    allows) is a config error."""
+    if horizon > triplet.horizon + 1e-12:
+        raise ConfigError("grid.T", f"{horizon!r} lies past {path}'s horizon "
+                                    f"{triplet.horizon!r}")
+
+
 def _certified_solve(trip_a: LevyTriplet, trip_b: LevyTriplet, m: int, n: int,
                      s_points: int, t_points: int, horizon: float):
     """The solve of kernel and validate: both certified velocities and the
     system truncated at levels M and N, on grids through each triplet's
     breakpoints.  Returns ``(va, vb, surface)``."""
+    if trip_b.dim != trip_a.dim:
+        raise ConfigError("triplets[1].dim", f"expected {trip_a.dim}, the dim of "
+                                             f"triplets[0], got {trip_b.dim}")
+    # a lone triplet is both: it fails as triplets[0] first
+    _check_horizon(horizon, trip_a, "triplets[0]")
+    _check_horizon(horizon, trip_b, "triplets[1]")
     _check_budget(trip_a.dim, m, "levels.M")
     _check_budget(trip_b.dim, n, "levels.N")
     _check_solve_budget(trip_a.dim, m, n)
@@ -348,6 +362,9 @@ def cmd_mmd(cfg: dict, out_dir: str) -> int:
         raise ConfigError("grid.t_points", "the mmd grid is square: must equal s_points")
     if abs(horizon - ensemble.horizon) > 1e-12:
         raise ConfigError("grid.T", "must equal the ensemble horizon")
+    if ensemble.horizon > wiener.time_grid[-1] + 1e-12:
+        raise ConfigError("wiener.time_grid", f"ends before the ensemble horizon "
+                                              f"{ensemble.horizon!r}")
     mmd, report = mmd_to_wiener(ensemble, wiener, sp)
     report.to_csv(os.path.join(out_dir, "mmd.csv"))
     print(f"mmd = {mmd!r} (mmd^2 = {report.mmd_squared!r}, "
@@ -384,8 +401,9 @@ def cmd_validate(cfg: dict, out_dir: str) -> int:
     w_val = surface.value()
 
     # oracle 1: inner product of truncated developments, each oracle at the
-    # depth its remainder bound needs, within the budget depth
-    max_depth = min(_budget_depth(trip_a.dim, max(m, n) + 8), 24)
+    # depth its remainder bound needs, within the budget depth and 24, but
+    # never below the levels (d = 1 admits levels past 24)
+    max_depth = max(min(_budget_depth(trip_a.dim, max(m, n) + 8), 24), max(m, n))
     ref, _, _ = development_inner_product(va.truncated(m), vb.truncated(n), 0.0,
                                           horizon, max(m, n), max_depth)
     rel = abs(w_val - ref) / max(abs(ref), 1e-12)
@@ -447,6 +465,7 @@ def cmd_bounds(cfg: dict, out_dir: str) -> int:
     rows = []
     for i, raw in enumerate(triplets):
         trip = parse_triplet(raw, f"triplets[{i}]")
+        _check_horizon(horizon, trip, f"triplets[{i}]")
         _check_budget(trip.dim, m, "levels.M")
         depth = max(_budget_depth(trip.dim, m), trip.state_depth)
         v = characteristic_velocity(trip, depth)

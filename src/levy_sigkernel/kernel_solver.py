@@ -224,14 +224,14 @@ class KernelSurface:
 
         Every number is ``repr`` of its Python float, one row per node, s
         major; the field magnitudes are each node's BLAS dot, the bits of
-        ``np.linalg.norm`` per node.  The s-rows are cut into contiguous
-        blocks, one per CPU the process may run on while another block
-        still pays for itself (``_BLOCK_COST_NODES``).  The calling process
-        writes the first block; this method forks (``os.fork``) a child
-        for each other block (``_forks.write_blocks``).  Each block is
-        written one row at a time, each row joined into one string, so the
-        bytes are those of a per-node ``f"{float(x)!r}"`` writer whatever
-        the split, and memory stays one row wide in every process.
+        ``np.linalg.norm`` per node.  The s-rows, each costing its nodes,
+        are cut into contiguous blocks against ``_BLOCK_COST_NODES``
+        (``_forks.edges``).  The calling process writes the first block,
+        and a forked child each other block (``_forks.write_blocks``).
+        Each block is written one row at a time, each row joined into one
+        string, so the bytes are those of a per-node ``f"{float(x)!r}"``
+        writer whatever the split, and memory stays one row wide in every
+        process.
         """
         cols = [self.w]
         if include_fields and self.f is not None:
@@ -248,13 +248,8 @@ class KernelSurface:
                 fh.write("\n".join(map(",".join, zip(
                     repeat(s), t_txt, *(map(repr, row.tolist()) for row in rows)))) + "\n")
 
-        n_rows, nodes = len(s_txt), len(s_txt) * len(t_txt)
-        blocks, most = 1, min(ta._cpu_count(), n_rows)
-        # block b + 1 saves nodes / (b (b + 1)) nodes' formatting
-        while blocks < most and blocks * (blocks + 1) * _BLOCK_COST_NODES < nodes:
-            blocks += 1
-        _forks.write_blocks(path, header + "\n", write_rows,
-                            [n_rows * b // blocks for b in range(blocks + 1)])
+        _forks.write_blocks(path, header + "\n", write_rows, [len(t_txt)] * len(s_txt),
+                            _BLOCK_COST_NODES)
 
 
 # What a block of KernelSurface.to_csv past the first costs the calling
@@ -712,13 +707,12 @@ def _solve_truncated_batch(pairs, M: int, N: int, s_grid, t_grid, corners=False)
     w(s_end, t_end), as an array: pairs are swept without nodes, in chunks
     of consecutive pairs whose estimated floats (``_corner_floats``) stay
     under ``_SWEEP_CHUNK_FLOATS``, at least one pair a chunk
-    (``_sweep_corners``).  The pairs are first split into contiguous
-    groups of about equal floats (``_group_edges``), one per CPU while
-    group g + 1 takes more floats off this process than a fork costs
-    (``_GROUP_COST_FLOATS``); this process sweeps group 0 and a forked
-    child each other group (``_forks.map_groups``), which sweeps it again
-    itself where no child can be made or a child fails.  A surface's bits
-    do not depend on its batch, so neither chunks nor groups change a bit.
+    (``_sweep_corners``).  The pairs are first cut into contiguous groups
+    of about equal floats against ``_GROUP_COST_FLOATS`` (``_forks.edges``);
+    this process sweeps group 0 and a forked child each other group
+    (``_forks.map_groups``), which sweeps it again itself where no child
+    can be made or a child fails.  A surface's bits do not depend on its
+    batch, so neither chunks nor groups change a bit.
     Tables that overflow end in a w that ``_sweep`` reports (NaN) or
     returns (inf), so they are built with numpy's overflow warnings off
     too, in the children as in this process.
@@ -754,12 +748,8 @@ def _solve_truncated_batch(pairs, M: int, N: int, s_grid, t_grid, corners=False)
         costs = [_corner_floats(len(ds), len(dt), D, len(left.tables[0]),
                                 len(right.tables[0]), left.classes, right.classes)
                  for left, right in sides]
-        groups, most = 1, min(ta._cpu_count(), len(sides))
-        # group g + 1 takes sum(costs) / (g (g + 1)) floats off this process
-        while groups < most and groups * (groups + 1) * _GROUP_COST_FLOATS < sum(costs):
-            groups += 1
         return _forks.map_groups(functools.partial(_sweep_corners, sides, costs, ds, dt),
-                                 _group_edges(costs, groups))
+                                 costs, _GROUP_COST_FLOATS)
     w, F, G, n_maps, sidx, tidx = _sweep_sides(sides, ds, dt, keep_nodes=True)
     cells = len(ds) * len(dt)
     width = 1 + F.shape[-1] + G.shape[-1]
@@ -802,18 +792,6 @@ def _sweep_corners(sides, costs, ds, dt, lo: int, hi: int) -> np.ndarray:
         total += costs[k]
     out[start - lo:] = _sweep_sides(sides[start:hi], ds, dt, keep_nodes=False)[0]
     return out
-
-
-def _group_edges(costs, groups: int) -> list[int]:
-    """Edges of ``groups`` contiguous, non-empty groups of the items with
-    ``costs``: edge g sits where the running cost comes nearest g / groups
-    of the total, as far as every group keeps an item."""
-    running = np.concatenate([[0], np.cumsum(costs)])
-    edges = [0]
-    for g in range(1, groups):
-        nearest = int(np.abs(running - running[-1] * g / groups).argmin())
-        edges.append(min(max(nearest, edges[-1] + 1), len(costs) - groups + g))
-    return edges + [len(costs)]
 
 
 def _corner_floats(n_i, n_j, D, n_a, n_b, s_classes, t_classes):

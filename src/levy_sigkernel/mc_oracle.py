@@ -41,11 +41,11 @@ way, as raw float64 bytes (7.9 KB at d = 2, depth 4); the parent takes
 them after its loop, then forms its own side's moments, not beside the
 child's, and the estimate as the sequential sides do, so every path
 gives the same bits.
-Where the child gives nothing (no ``os.fork``, another Python thread
-alive, a fork that fails, a child that exits non-zero, dies, warns or is
-reaped elsewhere), the calling process computes side b itself, with the
-same bits, errors and warnings; if it raises, it kills and reaps the
-child.
+Where the child gives nothing (one CPU, no ``os.fork``, another Python
+thread alive, a fork that fails, a child that exits non-zero, dies,
+warns or is reaped elsewhere), the calling process computes side b
+itself, with the same bits, errors and warnings; if it raises, it kills
+and reaps the child.
 """
 
 from __future__ import annotations
@@ -327,56 +327,42 @@ def _batch_signatures(dim: int, n_paths: int, intervals: Iterator[list[tuple]],
     level2)``, as ``_interval_segments`` does.  The signature sits
     batch-last, level n as a ``(d**n, n_paths)`` array, in two buffer sets
     that every segment of every interval reuses; each interval is dropped
-    before the next is drawn.  Which levels of each segment take part is
-    decided on all rows (``_interval_plan``): as in ``mul_exp``, a level
-    that is zero on every row is skipped.  The row-major outputs are
-    allocated after the spare set is dropped.
+    before the next is drawn (``_apply_segments`` takes each).  The
+    row-major outputs are allocated after the spare set is dropped.
     """
     sig = [np.ones((1, n_paths))] + [np.zeros((dim**n, n_paths)) for n in range(1, depth + 1)]
     spare = [np.empty_like(lev) for lev in sig]
-    # map, unlike a generator expression, keeps no reference to the last
-    # interval while it draws the next
-    for plan in map(functools.partial(_interval_plan, depth=depth), intervals):
-        sig, spare = _apply_plan(plan, sig, spare)
-        del plan   # no reference to the interval while the next is drawn
+    for segments in intervals:
+        sig, spare = _apply_segments(segments, sig, spare, depth)
+        del segments   # no reference to the interval while the next is drawn
     del spare
     return [np.ascontiguousarray(lev.T) for lev in sig]
 
 
-def _interval_plan(segments: list[tuple], depth: int) -> list[tuple]:
-    """``(rows, levels, x)`` for each of an interval's segments with a
-    nonzero level: its rows (None for every path), its levels, and the live
-    levels ``(j, x^j)`` that its live rows multiply."""
-    plan = []
-    for rows, *pair in segments:
-        levels = [(j, lev) for j, lev in enumerate(pair, 1) if lev is not None]
-        nonzero = [(j, lev) for j, lev in levels if lev.any()]
-        if nonzero:
-            plan.append((rows, [lev for _, lev in levels],
-                         [(j, lev) for j, lev in nonzero if j <= depth]))
-    return plan
-
-
-def _apply_plan(plan, sig: list[np.ndarray], spare: list[np.ndarray]
-                ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Applies an interval's segments to the batch-last signature ``sig``;
-    returns the signature and the spare set.
+def _apply_segments(segments: list[tuple], sig: list[np.ndarray], spare: list[np.ndarray],
+                    depth: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Applies an interval's segments ``(rows, level1, level2)`` to the
+    batch-last signature ``sig``; returns the signature and the spare set.
 
     A segment updates only its live rows, those with a nonzero level (NaN
-    counts, found by ``_live_rows``): all paths by the Horner core of
-    ``mul_exp`` (``tensor_algebra._mul_exp_into``) into the spare set,
-    which then becomes the signature; none by skipping the segment;
-    otherwise the live paths' columns, gathered and scattered back.  Each
-    update takes the steps ``path_signature`` takes for one path.
+    counts, found by ``_live_rows``), by its levels up to ``depth`` that
+    are nonzero on some row (as ``mul_exp`` skips a zero level): all paths
+    by the Horner core of ``mul_exp`` (``tensor_algebra._mul_exp_into``)
+    into the spare set, which then becomes the signature; none by skipping
+    the segment; otherwise the live paths' columns, gathered and scattered
+    back.  Each update takes the steps ``path_signature`` takes for one
+    path.
     """
     n_paths = sig[0].shape[1]
-    for rows, levels, x in plan:
-        live = _live_rows(levels[0])
-        for lev in levels[1:]:
+    for rows, *pair in segments:
+        levels = [(j, lev) for j, lev in enumerate(pair, 1) if lev is not None]
+        live = _live_rows(levels[0][1])
+        for _, lev in levels[1:]:
             live |= _live_rows(lev)
         idx = np.flatnonzero(live)
         if len(idx) == 0:
             continue
+        x = [(j, lev) for j, lev in levels if j <= depth and lev.any()]
         if len(idx) == n_paths:
             ta._mul_exp_into(sig, [(j, lev.T) for j, lev in x], spare)
             sig, spare = spare, sig
@@ -444,10 +430,7 @@ def estimate_kernel(triplet_a: LevyTriplet, triplet_b: LevyTriplet, t: float,
                       for offset, triplet in enumerate((triplet_a, triplet_b)))
     edges = np.cumsum([triplet_a.dim**n for n in range(depth + 1)])   # level ends
     k = int(edges[-1])
-    child = _forks.Child()
-    if ta._cpu_count() >= 2:
-        child = _forks.start(functools.partial(_side_moments, *side_b),
-                             [k, min(n_paths, k) * k])
+    child = _forks.start(functools.partial(_side_moments, *side_b), [k, min(n_paths, k) * k])
     try:
         mean_a, rows_a = _centred_rows(*side_a)
         got = child.join()

@@ -3,7 +3,8 @@
 Elements of the truncated algebra are stored level by level: level ``n``
 holds the d^n coefficients of all words of length ``n``, flattened with the
 base-d positional encoding (see :func:`word_index`).  All operations are
-pure functions of immutable inputs and return fresh objects; values may be
+pure functions of immutable inputs that ask nothing of the host (the CPU
+count is ``_forks.cpu_count``) and return fresh objects; values may be
 shared freely between threads.
 
 :func:`tensor_mul`, :func:`exp_tensor` and :func:`mul_exp` also accept
@@ -28,7 +29,6 @@ surviving terms are added in the same order as in the dense sum.
 from __future__ import annotations
 
 import math
-import os
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -546,16 +546,3 @@ def unflatten(vec: np.ndarray, dim: int, depth: int) -> TruncatedTensor:
         pos += dim**n
     return TruncatedTensor(dim, levels)
 
-
-# -- the host ------------------------------------------------------------
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on: the one count by which the kernel
-    estimator's two sides (``mc_oracle``, side b forked on two or more),
-    the kernel CSV and the corner-only sweep of the MMD's surfaces
-    (``kernel_solver``) split their work, each into forked children."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # no affinity mask on this platform
-        return os.cpu_count() or 1

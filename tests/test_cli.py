@@ -10,7 +10,6 @@ import pytest
 import levy_sigkernel
 from levy_sigkernel import _forks
 from levy_sigkernel import cli as cli_module
-from levy_sigkernel import tensor_algebra as ta
 from conftest import REPO, benchmark_workloads
 from levy_sigkernel.characteristics import characteristic_velocity
 from levy_sigkernel.cli import cmd_validate, main, parse_triplet
@@ -77,13 +76,13 @@ class TestKernelCommand:
         outputs = []
         for cpus in (None, 1):
             if cpus is not None:
-                monkeypatch.setattr(ta, "_cpu_count", lambda: cpus)
+                monkeypatch.setattr(_forks, "cpu_count", lambda: cpus)
             out = tmp_path / f"out-{cpus}"
             out.mkdir()
             forks.clear()
             assert cli_module.cmd_kernel(cfg, str(out)) == 0
             assert sorted(p.name for p in out.iterdir()) == ["certificate.txt", "kernel.csv"]
-            assert len(forks) == (min(ta._cpu_count(), 2) - 1 if cpus is None else 0)
+            assert len(forks) == (min(_forks.cpu_count(), 2) - 1 if cpus is None else 0)
             outputs.append([(out / name).read_bytes()
                             for name in ("kernel.csv", "certificate.txt")])
             with pytest.raises(ChildProcessError):
@@ -156,6 +155,32 @@ class TestMalformedConfigs:
         assert main(["--config", cfg, "--output", str(tmp_path / "o"), *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {field}:"), err
+
+    @pytest.mark.parametrize("experiment, edit, field", [
+        ("kernel", lambda c: c["grid"].update(T=2.0), "grid.T"),
+        ("validate", lambda c: c["grid"].update(T=2.0), "grid.T"),
+        ("bounds", lambda c: c["grid"].update(T=3.0), "grid.T"),
+        ("validate", lambda c: c["triplets"][1].update(time_grid=[0.0, 0.5]), "grid.T"),
+        ("kernel", lambda c: c["triplets"].__setitem__(1, bm_triplet_json(dim=2)),
+         "triplets[1].dim"),
+        ("validate", lambda c: c["triplets"].__setitem__(1, bm_triplet_json(dim=2)),
+         "triplets[1].dim"),
+        ("mmd", lambda c: c.update(
+            ensemble={"dim": 1, "time_grid": [0.0, 1.0], "paths": [{"derivative": [[0.5]]}]},
+            wiener={"time_grid": [0.0, 0.5], "covs": [[[1.0]]]}), "wiener.time_grid"),
+    ], ids=["kernel-T", "validate-T", "bounds-T", "validate-short-triplet", "kernel-dim",
+            "validate-dim", "mmd-short-wiener"])
+    def test_inconsistent_fields_name_a_field(self, tmp_path, capsys, experiment, edit,
+                                              field):
+        # each field is valid alone but not with the others: the error
+        # names the field before any output is written
+        cfg_data = base_config(experiment, points=9)
+        edit(cfg_data)
+        cfg = write_config(tmp_path / "cfg.json", cfg_data)
+        assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}:"), err
+        assert list((tmp_path / "o").iterdir()) == []
 
     @pytest.mark.parametrize("mc, flags, field", [
         ({"seed": 2**63}, [], "mc.seed"),
@@ -244,6 +269,18 @@ class TestValidateCommand:
         report = (out / "validate.txt").read_text()
         assert "FAIL" not in report
         assert report.count("PASS") == 4
+
+
+    def test_levels_past_the_oracle_depth_cap(self, tmp_path):
+        # d = 1 admits levels above the development oracles' depth cap of
+        # 24: the oracles then run at the levels themselves
+        cfg_data = base_config("validate", points=65)
+        cfg_data["levels"] = {"M": 26, "N": 26}
+        cfg = write_config(tmp_path / "cfg.json", cfg_data)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--output", str(out)]) == 0
+        report = (out / "validate.txt").read_text()
+        assert report.count("PASS") == 4 and "FAIL" not in report
 
 
 class TestMMDCommand:

@@ -1,3 +1,5 @@
+import ast
+import glob
 import math
 import os
 import signal
@@ -9,7 +11,7 @@ import pytest
 
 from levy_sigkernel import _forks
 
-from conftest import open_fds
+from conftest import REPO, open_fds
 
 
 class TestWriteText:
@@ -49,14 +51,65 @@ class TestWriteText:
         assert [p.name for p in tmp_path.iterdir()] == [taken.name]
 
 
+POLICY_CALLS = {"fork", "sched_getaffinity", "cpu_count"}
+
+
+def test_fork_policy_stays_in_forks():
+    # whether to fork, how many children and where to cut is decided in
+    # _forks alone: no other module of the package forks or counts CPUs
+    calls = []
+    for name in sorted(glob.glob(os.path.join(REPO, "src", "levy_sigkernel", "*.py"))):
+        with open(name) as fh:
+            tree = ast.parse(fh.read(), name)
+        calls += [(os.path.basename(name), node.lineno, node.func.attr)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and isinstance(node.func.value, ast.Name) and node.func.value.id == "os"
+                  and node.func.attr in POLICY_CALLS]
+        calls += [(os.path.basename(name), node.lineno, alias.name)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module == "os"
+                  for alias in node.names if alias.name in POLICY_CALLS]
+    assert {where for where, *_ in calls} == {"_forks.py"}, calls
+
+
+class TestEdges:
+    """``_forks.edges``: one group per CPU while one more group takes more
+    cost off the caller than a fork costs, the groups contiguous, non-empty
+    and as near equal in cost as the items allow."""
+
+    @pytest.mark.parametrize("costs, cpus, edges", [
+        ([1] * 10, 2, [0, 5, 10]), ([1] * 10, 3, [0, 3, 7, 10]),
+        ([10] + [1] * 10, 2, [0, 1, 11]), ([1, 1, 1, 100], 3, [0, 2, 3, 4]),
+        ([5, 5], 2, [0, 1, 2]), ([3, 1, 4], 1, [0, 3]), ([5, 5], 4, [0, 1, 2])])
+    def test_cut(self, monkeypatch, costs, cpus, edges):
+        monkeypatch.setattr(_forks, "cpu_count", lambda: cpus)
+        assert _forks.edges(costs, 0) == edges
+
+    @pytest.mark.parametrize("fork_cost, cpus, groups", [
+        (2, 1, 1), (2, 3, 3), (2, 8, 4), (7, 8, 2), (20, 8, 1)])
+    def test_count_follows_the_cpus_and_the_fork_cost(self, monkeypatch, fork_cost, cpus,
+                                                      groups):
+        # 8 items of 5 (a kernel CSV's s-rows of 5 nodes): group g + 1 is
+        # cut while g (g + 1) * fork_cost < 40
+        monkeypatch.setattr(_forks, "cpu_count", lambda: cpus)
+        assert len(_forks.edges([5] * 8, fork_cost)) - 1 == groups
+
+
 class TestMapGroups:
     """``_forks.map_groups`` concatenates its groups' values in order."""
 
-    @pytest.mark.parametrize("edges", [[0, 7], [0, 3, 7], [0, 1, 2, 7], [0, 2, 4, 5, 7]])
-    def test_groups_in_order(self, forks, edges):
+    @pytest.mark.parametrize("cpus, costs, edges", [
+        (1, [1] * 7, [0, 7]), (2, [1] * 7, [0, 3, 7]),
+        (3, [5, 5, 1, 1, 1, 1, 1], [0, 1, 2, 7]), (4, [1, 1, 1, 1, 2, 1, 1], [0, 2, 4, 5, 7])])
+    def test_groups_in_order(self, monkeypatch, forks, cpus, costs, edges):
+        monkeypatch.setattr(_forks, "cpu_count", lambda: cpus)
         values = np.linspace(-1.0, 1.0, 7) ** 3
-        got = _forks.map_groups(lambda lo, hi: values[lo:hi], edges)
+        groups = []
+        got = _forks.map_groups(lambda lo, hi: groups.append((lo, hi)) or values[lo:hi],
+                                costs, 0)
         assert got.tobytes() == values.tobytes()
+        assert groups == [(0, edges[1])]   # the later groups ran in children
         assert len(forks) == len(edges) - 2
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -67,6 +120,11 @@ class TestChild:
     them all and exited with 0, and None however else the child ended or
     where none was made; no way of ending leaves a child process or an
     open descriptor behind."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        # a child is made on two or more CPUs only
+        monkeypatch.setattr(_forks, "cpu_count", lambda: 2)
 
     @staticmethod
     def join(run, sizes):
@@ -146,11 +204,13 @@ class TestChild:
             signal.signal(signal.SIGCHLD, old)
         assert len(forks) == 1
 
-    @pytest.mark.parametrize("how", ["no_fork", "fork_raising", "pipe_raising"])
+    @pytest.mark.parametrize("how", ["one_cpu", "no_fork", "fork_raising", "pipe_raising"])
     def test_no_child(self, monkeypatch, how):
         def fail(*args):
             raise OSError(11, "Resource temporarily unavailable")
-        if how == "no_fork":
+        if how == "one_cpu":
+            monkeypatch.setattr(_forks, "cpu_count", lambda: 1)
+        elif how == "no_fork":
             monkeypatch.delattr(os, "fork")
         else:
             monkeypatch.setattr(os, "fork" if how == "fork_raising" else "pipe", fail)

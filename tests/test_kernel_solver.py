@@ -856,7 +856,7 @@ class TestStreamedSweep:
 
     def test_corner_batch_is_the_full_batch_corner_in_any_chunking(self, rng, monkeypatch):
         # one group: every chunk is swept in this process
-        monkeypatch.setattr(ta, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(_forks, "cpu_count", lambda: 1)
         pairs, g = mixed_corner_batch(rng)
         full = [surf.value() for surf in _solve_truncated_batch(pairs, 3, 3, g, g)]
         whole = _solve_truncated_batch(pairs, 3, 3, g, g, corners=True)
@@ -873,7 +873,7 @@ class TestStreamedSweep:
     def test_forked_groups_give_the_full_batch_corner(self, rng, monkeypatch, forks, cap):
         # two groups: this process sweeps group 0 only, in its own chunks,
         # and a child the rest
-        monkeypatch.setattr(ta, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(_forks, "cpu_count", lambda: 2)
         monkeypatch.setattr(kernel_solver, "_GROUP_COST_FLOATS", 0)
         pairs, g = mixed_corner_batch(rng)
         full = [surf.value() for surf in _solve_truncated_batch(pairs, 3, 3, g, g)]
@@ -1537,7 +1537,7 @@ class TestSplitWriter:
     @staticmethod
     def force_blocks(monkeypatch, blocks):
         """Have ``to_csv`` cut ``blocks`` blocks (fewer on fewer rows)."""
-        monkeypatch.setattr(ta, "_cpu_count", lambda: blocks)
+        monkeypatch.setattr(_forks, "cpu_count", lambda: blocks)
         monkeypatch.setattr(kernel_solver, "_BLOCK_COST_NODES", 0)
 
     @pytest.fixture
@@ -1565,7 +1565,7 @@ class TestSplitWriter:
         # block b + 1 is cut while b (b + 1) * cost < 40 nodes
         for cost, cpus, want in [(2, 1, 1), (2, 3, 3), (2, 8, 4), (7, 8, 2), (20, 8, 1)]:
             monkeypatch.setattr(kernel_solver, "_BLOCK_COST_NODES", cost)
-            monkeypatch.setattr(ta, "_cpu_count", lambda: cpus)
+            monkeypatch.setattr(_forks, "cpu_count", lambda: cpus)
             forks.clear()
             self.write_and_compare(surf, tmp_path)
             assert len(forks) == want - 1

@@ -404,7 +404,7 @@ class TestStreamAndHorizonChecks:
         # a float, None or a string used to end in a raw TypeError, a bool
         # passed as 1, and a negative depth gave a depth-0 estimate; the
         # kernel estimator checks before it forks
-        monkeypatch.setattr(ta, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(_forks, "cpu_count", lambda: 2)
         depth = {"depth": sizes[3]} if len(sizes) == 4 else {}
         with pytest.raises(InvalidParameter, match="integers|nonnegative integer"):
             self.SIZED[entry](*sizes[:3], **depth)
@@ -558,7 +558,7 @@ class TestBatchedSignatures:
                 fh.write(f"{seed} {stream_offset}\n")
             return real(triplet, n_paths, steps, seed, horizon, stream_offset)
 
-        monkeypatch.setattr(ta, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(_forks, "cpu_count", lambda: 2)
         if not forked:
             monkeypatch.delattr(os, "fork")
         monkeypatch.setattr(mc_oracle, "_interval_segments", record)
@@ -1025,7 +1025,7 @@ class TestStreamedMemory:
         # sets and intervals live in the child, which sends its moments
         # alone.  A fifth of a set is left for the gathered columns and
         # product temporaries
-        monkeypatch.setattr(ta, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(_forks, "cpu_count", lambda: 2)
         one_set, interval = self.sizes()
         scratch = 2 * 8 * mc_oracle._DRAW_NORMALS
         peak = self.peak(2)
@@ -1053,7 +1053,7 @@ def test_estimators_start_no_thread(monkeypatch, forks):
     def patched(run):
         with monkeypatch.context() as m:
             m.setattr(threading.Thread, "start", start)
-            m.setattr(ta, "_cpu_count", lambda: 4)
+            m.setattr(_forks, "cpu_count", lambda: 4)
             return run()
 
     assert bits(patched(expected_signature)) == bits(expected_signature())
@@ -1081,7 +1081,7 @@ class TestForkedSide:
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
-        monkeypatch.setattr(ta, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(_forks, "cpu_count", lambda: 2)
 
     @staticmethod
     def in_process(monkeypatch, *args, **kwargs):
@@ -1207,6 +1207,11 @@ class TestForkedSide:
             other.join()
         assert forks == []
 
+    def test_one_cpu_forks_nothing(self, monkeypatch, forks):
+        monkeypatch.setattr(_forks, "cpu_count", lambda: 1)
+        self.check(monkeypatch, jump_triplet(), jump_triplet(), 1.0, 3, 101, 2, seed=2)
+        assert forks == []
+
     @pytest.mark.parametrize("where", ["signatures", "join"])
     def test_parent_error_kills_and_reaps(self, monkeypatch, forks, where):
         # the parent raises in side a, or while it reads the child's
@@ -1263,9 +1268,9 @@ class TestForkedSide:
 
 ISOLATED_PREAMBLE = """
 import os
-from levy_sigkernel import mc_oracle, tensor_algebra as ta
+from levy_sigkernel import _forks, mc_oracle
 from levy_sigkernel.characteristics import LevyTriplet
-ta._cpu_count = lambda: 2
+_forks.cpu_count = lambda: 2
 real_fork, forks = os.fork, []
 def fork():
     forks.append(None)

@@ -306,7 +306,7 @@ def mmd_problem(rng, n_paths):
 class TestCornerSweep:
     def test_chunking_changes_no_bit(self, rng, monkeypatch):
         # one group: every chunk is swept in this process
-        monkeypatch.setattr(ta, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(_forks, "cpu_count", lambda: 1)
         ens, wn = mmd_problem(rng, 3)
         sizes = []
         sweep = kernel_solver._sweep
@@ -329,9 +329,9 @@ class TestCornerSweep:
         # two groups: this process sweeps group 0 only, in its own chunks,
         # and a child the rest
         ens, wn = mmd_problem(rng, 3)
-        monkeypatch.setattr(ta, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(_forks, "cpu_count", lambda: 1)
         _, whole = mmd_to_wiener(ens, wn, 33)
-        monkeypatch.setattr(ta, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(_forks, "cpu_count", lambda: 2)
         monkeypatch.setattr(kernel_solver, "_GROUP_COST_FLOATS", 0)
         if cap is not None:
             monkeypatch.setattr(kernel_solver, "_SWEEP_CHUNK_FLOATS", cap)
@@ -382,7 +382,7 @@ class TestCornerSweep:
         # surface its pair, key and corner, and per velocity its tables: two
         # floats per node of one diagonal per surface bound them
         # one group: tracemalloc sees this process only
-        monkeypatch.setattr(ta, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(_forks, "cpu_count", lambda: 1)
         cap = 1 << 15
         monkeypatch.setattr(kernel_solver, "_SWEEP_CHUNK_FLOATS", cap)
         ens, wn = mmd_problem(rng, 16)
@@ -403,7 +403,7 @@ class TestCornerSweep:
         # the bound of the test above holds for this process, which sweeps
         # one of two groups (at the fitted group cost: 153 surfaces hold
         # far more floats than two groups need)
-        monkeypatch.setattr(ta, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(_forks, "cpu_count", lambda: 2)
         cap = 1 << 15
         monkeypatch.setattr(kernel_solver, "_SWEEP_CHUNK_FLOATS", cap)
         ens, wn = mmd_problem(rng, 16)
@@ -436,7 +436,7 @@ class TestForkedCornerGroups:
     @pytest.fixture(autouse=True)
     def groups(self, monkeypatch):
         # two groups, whatever the batch's size
-        monkeypatch.setattr(ta, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(_forks, "cpu_count", lambda: 2)
         monkeypatch.setattr(kernel_solver, "_GROUP_COST_FLOATS", 0)
 
     @staticmethod
@@ -457,14 +457,14 @@ class TestForkedCornerGroups:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         with monkeypatch.context() as m:
-            m.setattr(ta, "_cpu_count", lambda: 1)
+            m.setattr(_forks, "cpu_count", lambda: 1)
             assert got == solve()
 
     @pytest.mark.parametrize("which", ["mmd", "mixed"])
     @pytest.mark.parametrize("cap", [None, 1], ids=["one_chunk", "chunk_per_surface"])
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_bitwise_equal_to_one_group(self, rng, monkeypatch, forks, which, cap, cpus):
-        monkeypatch.setattr(ta, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(_forks, "cpu_count", lambda: cpus)
         if cap is not None:
             monkeypatch.setattr(kernel_solver, "_SWEEP_CHUNK_FLOATS", cap)
         self.check(monkeypatch, self.problem(rng, which))
@@ -546,7 +546,7 @@ class TestForkedCornerGroups:
         grid = make_grid(1.0, 33, np.concatenate([ens.time_grid, wn.time_grid]))
         errors = []
         for cpus in (2, 1):
-            monkeypatch.setattr(ta, "_cpu_count", lambda: cpus)
+            monkeypatch.setattr(_forks, "cpu_count", lambda: cpus)
             fds = open_fds()
             with pytest.raises(NumericalInconsistency) as err:
                 _solve_truncated_batch(pairs, 2, 2, grid, grid, corners=True)
@@ -561,7 +561,7 @@ class TestForkedCornerGroups:
         # three groups: this process raises in its own group, or while it
         # reads the first child's values; both children are killed and
         # reaped, and every pipe closed
-        monkeypatch.setattr(ta, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(_forks, "cpu_count", lambda: 3)
         parent = os.getpid()
         if where == "group":
             real = kernel_solver._sweep_corners
@@ -618,11 +618,3 @@ class TestForkedCornerGroups:
         ens, wn = mmd_problem(rng, paths)
         mmd_to_wiener(ens, wn, points)
         assert len(forks) == forked
-
-    @pytest.mark.parametrize("costs, groups, edges", [
-        ([1] * 10, 2, [0, 5, 10]), ([1] * 10, 3, [0, 3, 7, 10]),
-        ([10] + [1] * 10, 2, [0, 1, 11]), ([1, 1, 1, 100], 3, [0, 2, 3, 4]),
-        ([5, 5], 2, [0, 1, 2]), ([3, 1, 4], 1, [0, 3])])
-    def test_group_edges(self, costs, groups, edges):
-        # contiguous, non-empty and as near equal in cost as the items allow
-        assert kernel_solver._group_edges(costs, groups) == edges
