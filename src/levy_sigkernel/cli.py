@@ -462,11 +462,12 @@ def cmd_bounds(cfg: dict, out_dir: str) -> int:
     # when given, and ignored
     m, _ = _parse_levels(cfg)
     _, _, horizon = _parse_grid(cfg, points=False)
-    rows = []
-    for i, raw in enumerate(triplets):
-        trip = parse_triplet(raw, f"triplets[{i}]")
+    parsed = [parse_triplet(raw, f"triplets[{i}]") for i, raw in enumerate(triplets)]
+    for i, trip in enumerate(parsed):
         _check_horizon(horizon, trip, f"triplets[{i}]")
         _check_budget(trip.dim, m, "levels.M")
+    rows = []
+    for i, trip in enumerate(parsed):
         depth = max(_budget_depth(trip.dim, m), trip.state_depth)
         v = characteristic_velocity(trip, depth)
         norms = ta.level_norms(develop(v, 0.0, horizon, depth)).values
@@ -477,8 +478,7 @@ def cmd_bounds(cfg: dict, out_dir: str) -> int:
                          float(bound_level(v, 0.0, horizon, lev)),
                          float(max(exact_tail, 0.0)),
                          float(bound_inner_truncation(v, 0.0, horizon, lev)),
-                         float(bound_outer_truncation(v, 0.0, horizon,
-                                                      max(lev, 1), lev + 1))))
+                         float(bound_outer_truncation(v, 0.0, horizon, lev, lev + 1))))
     table = ["triplet,level,exact_level_norm,level_bound,"
              "exact_tail,inner_truncation_bound,outer_truncation_bound\n"]
     table += (",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n"

@@ -139,11 +139,31 @@ def bell_numbers(n: int) -> np.ndarray:
 
 
 def bound_level(v: PiecewiseVelocity, s: float, t: float, n: int) -> float:
-    """Bell-polynomial bound on the level-n norm of the development."""
-    if n == 0:
-        return 1.0
-    ys = np.array([math.factorial(k) * v.level_mass(s, t, k) for k in range(1, n + 1)])
-    return float(bell_polynomials(ys)[-1]) / math.factorial(n)
+    """Bell-polynomial bound on the level-n norm of the development,
+    ``B_n(1! m_1, ..., n! m_n) / n!`` for the level masses ``m_k``.  Where
+    that form leaves the float range (a factorial past 170! or a polynomial
+    value past the largest float), the same number comes from its
+    generating function ``exp(sum_k m_k x^k)``, whose coefficients obey
+    ``(j + 1) a_{j+1} = sum_k (k + 1) m_{k+1} a_{j-k}``.  A coefficient
+    before ``a_n`` may leave the float range where ``a_n`` does not
+    (masses ``(a, 0, ...)`` give ``a^j / j!``, largest near ``j = a``), so
+    they are decimals of the widest exponent range; the bound is ``inf``
+    only where ``a_n`` itself overflows a float."""
+    masses = [v.level_mass(s, t, k) for k in range(1, n + 1)]
+    if 0 < n <= _MAX_FLOAT_FACTORIAL:
+        with np.errstate(over="ignore", invalid="ignore"):
+            ys = np.array([math.factorial(k) * m for k, m in enumerate(masses, 1)])
+            bound = float(bell_polynomials(ys)[-1]) / math.factorial(n)
+        if math.isfinite(bound):
+            return bound
+    # loaded on first use: the Bell form above serves all but extreme input
+    from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
+    terms = [(k, (k + 1) * Decimal(m)) for k, m in enumerate(masses) if m]
+    a = [Decimal(1)]
+    with localcontext(Context(Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        for j in range(n):
+            a.append(sum((c * a[j - k] for k, c in terms if k <= j), Decimal(0)) / (j + 1))
+    return float(a[n])
 
 
 def bound_gronwall(v: PiecewiseVelocity, s: float, t: float) -> float:
@@ -196,7 +216,12 @@ def bound_outer_truncation(v: PiecewiseVelocity, s: float, t: float,
         raise InvalidParameter("need outer_level >= inner_depth >= 1")
     load = v.truncated(inner_depth).mass(s, t)
     k = math.ceil(outer_level / inner_depth)
-    return math.exp(load) * load**k / math.factorial(k)
+    try:
+        return math.exp(load) * load**k / math.factorial(k)
+    except OverflowError:
+        # a factor past the float range (k! beyond 170!, say): the bound in logs
+        with np.errstate(over="ignore", divide="ignore"):
+            return float(np.exp(load + k * np.log(load) - math.lgamma(k + 1)))
 
 
 def remainder_diagnostics(rho: float, m: int, mode: str = "factorial-jumps"):

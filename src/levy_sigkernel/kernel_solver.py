@@ -22,20 +22,22 @@ The scheme is linear, so a cell's predictor and corrector passes are a
 transfer map: a (3D, D) matrix taking the states X = (w, f, g) (width
 D = 1 + df + dg) at its three nodes nearer the origin to the increments
 of the far corner over its structural part, w11 - (w10 + (w01 - w00)),
-f11 - f01 and g11 - g10.  A map depends only on the surface, the cell's
-velocity-interval pair and its exact step sizes, so each distinct one is
-built once, by running the cell update on unit inputs.  The sweep then
-advances one anti-diagonal i + j = const at a time, for a batch of
-surfaces on the same grid: one contraction gives the increments of all
-its cells, and the structural part is added as in the cell update, so
-the maps' rounding scales with the small increments, not with w.  A
-surface whose cells share too few maps (a random grid, say) has each
-diagonal's cell updates evaluated directly instead.  The
-scalar Goursat problem d^2 u/ds dt = alpha u is the same sweep with no
-fields (D = 1, one map per cell when alpha is given at nodes).  The
-boundary rows f(., 0) and g(0, .) are cells of the same sweep: a ghost row
-and column of cells with step 0 on interval 0, whose outer nodes hold
-(w, f, g) = (1, 0, 0), have the boundary nodes as far corners.  Their
+f11 - f01 and g11 - g10.  A map depends only on the surface and the
+cell's step classes, a class being a distinct pair (velocity interval,
+exact step size) along one axis, so each velocity's cells are classified
+once per grid and each distinct map is built once, by running the cell
+update on unit inputs.  The sweep then advances one anti-diagonal
+i + j = const at a time, for a batch of surfaces on the same grid: one
+contraction gives the increments of all its cells, and the structural
+part is added as in the cell update, so the maps' rounding scales with
+the small increments, not with w.  A surface whose cells share too few
+maps (a random grid, say; one rule, ``_takes_maps``) has each diagonal's
+cell updates evaluated directly instead.  The scalar Goursat problem
+d^2 u/ds dt = alpha u is the same sweep with no fields (D = 1, one map
+per cell when alpha is given at nodes).  The boundary rows f(., 0) and
+g(0, .) are cells of the same sweep: a ghost row and column of cells with
+step 0 on interval 0, whose outer nodes hold (w, f, g) = (1, 0, 0), have
+the boundary nodes as far corners.  Their
 update is the boundary ODE step: w = 1 + (1 - 1) + 0, the field along the
 zero step gets a zero increment, and the other one its predictor and
 corrector passes with w = 1 and the opposite coupling term zero.  Grids
@@ -393,71 +395,75 @@ def _cell_increments(X00, X01, X10, h, k, tables):
 
 
 def _step_classes(steps, idx):
-    """Distinct ``(interval, exact step)`` pairs of each surface along one
-    grid axis, found by sort and mask.  Classes are numbered surface by
-    surface; returns each cell's class and the surface and cell of each
-    class's first member."""
-    n_s, n = idx.shape
-    keys = np.stack([np.repeat(np.arange(n_s), n), idx.ravel(),
-                     np.tile(steps.view(np.int64), n_s)])
-    order = np.lexsort(keys[::-1])
-    keys = keys[:, order]
-    new = np.ones(n_s * n, dtype=bool)
-    new[1:] = np.any(keys[:, 1:] != keys[:, :-1], axis=0)
-    cls = np.empty(n_s * n, dtype=np.intp)
-    cls[order] = np.cumsum(new) - 1
-    first = order[new]
-    return cls.reshape(n_s, n), first // n, first % n
+    """Each cell's step class along one grid axis of one velocity: the
+    distinct pairs (interval ``idx``, exact bits of the step), numbered by
+    interval, then step (positive steps sort as their bits do)."""
+    return np.unique(np.stack([idx, steps.view(np.int64)], axis=1), axis=0,
+                     return_inverse=True)[1].reshape(-1)
 
 
-def _map_counts(ds, dt, sidx, tidx):
-    """Per surface, the number of distinct maps and the number of runs of
-    cells that share a map along the anti-diagonals.  Cell (i, j) continues
-    the run of (i-1, j+1) when both have the same s- and t-class, so the
-    cells that continue a run number (equal s-neighbours) x (equal
-    t-neighbours)."""
-    n_surf = len(sidx)
-    (s_cls, s_surf, _), (t_cls, t_surf, _) = (
-        _step_classes(ds, sidx), _step_classes(dt, tidx))
-    count = (np.bincount(s_surf, minlength=n_surf)
-             * np.bincount(t_surf, minlength=n_surf))
-    same_s = np.count_nonzero(s_cls[:, 1:] == s_cls[:, :-1], axis=1)
-    same_t = np.count_nonzero(t_cls[:, 1:] == t_cls[:, :-1], axis=1)
-    return count, len(ds) * len(dt) - same_s * same_t
+def _takes_maps(s_cls, t_cls, D):
+    """Whether each surface of a batch takes transfer maps, from its cells'
+    step classes along s and t (``s_cls[p]``, ``t_cls[p]``, each numbered
+    from 0, ghost cells left out) and the state width ``D``.
+
+    Maps pay only when cells share them.  A surface takes maps when the
+    maps of its own cells, one per pair of classes, hold at most ``D x
+    cells`` floats (three times its own full state: building them costs at
+    most three cell updates per cell) and, for the GEMM contraction, when
+    its cells form at most ``cells x D^2 / _GEMM_RUN_COST`` runs of equal
+    maps along the anti-diagonals.  Cell (i, j) continues the run of
+    (i-1, j+1) when both have the same s- and t-class, so the cells that
+    continue a run number (equal s-neighbours) x (equal t-neighbours).  The
+    ghost cells add one class of step 0 per axis to the maps built, not to
+    this choice.  Uniform grids from ``make_grid`` have few classes per
+    axis (one per interval, plus the cells split by breakpoints) and long
+    runs; other surfaces, e.g. on random grids, are evaluated directly, so
+    the maps never outgrow the full state.  The choice depends on the
+    surface alone, so a surface's bits do not depend on its batch.
+    """
+    cells = s_cls.shape[1] * t_cls.shape[1]
+    n_maps = (s_cls.max(axis=1) + 1) * (t_cls.max(axis=1) + 1)
+    runs = cells - (np.count_nonzero(s_cls[:, 1:] == s_cls[:, :-1], axis=1)
+                    * np.count_nonzero(t_cls[:, 1:] == t_cls[:, :-1], axis=1))
+    return (n_maps * D <= cells) & ((D <= _GATHER_MAX_WIDTH)
+                                    | (runs * _GEMM_RUN_COST <= cells * D * D))
 
 
-def _transfer_maps(ds, dt, sidx, tidx, tables):
+def _transfer_maps(ds, dt, sidx, tidx, s_cls, t_cls, tables):
     """The distinct increment maps of a batch of surfaces.
 
     A cell's increments are linear in its three known corner states, with
     a ``(3D, D)`` map ``L`` (``delta = [X00, X01, X10] @ L``) that depends
-    only on the surface, its interval pair and its exact step sizes.  Each
-    distinct map is built once by running ``_cell_increments`` on the
-    ``3D`` unit inputs, in chunks of bounded size.  Returns the maps and
-    ``(S, T)`` such that cell (i, j) of surface p uses map
-    ``S[p, i] + T[p, j]``.
+    only on the surface, its interval pair and its exact step sizes, i.e.
+    on its surface and its step classes ``s_cls[p, i]`` and ``t_cls[p, j]``
+    (each numbered from 0 per surface).  Maps are numbered by surface, then
+    s-class, then t-class; each is built once, from any one cell of its
+    classes, by running ``_cell_increments`` on the ``3D`` unit inputs, in
+    chunks of bounded size.  Returns the maps and ``(S, T)`` such that cell
+    (i, j) of surface p uses map ``S[p, i] + T[p, j]``.
     """
-    s_cls, s_surf, s_cell = _step_classes(ds, sidx)
-    t_cls, t_surf, t_cell = _step_classes(dt, tidx)
-    n_t = np.bincount(t_surf, minlength=len(sidx))
-    t_first = np.cumsum(n_t) - n_t
-    # maps are numbered by s-class, then by t-class of the same surface
-    per_s = n_t[s_surf]
-    s_first = np.cumsum(per_s) - per_s
-    map_s = np.repeat(np.arange(len(per_s)), per_s)
-    map_t = t_first[s_surf[map_s]] + np.arange(len(map_s)) - s_first[map_s]
-    p, i, j = s_surf[map_s], s_cell[map_s], t_cell[map_t]
+    rows = np.arange(len(sidx))[:, None]
+    n_t = t_cls.max(axis=1) + 1
+    per = (s_cls.max(axis=1) + 1) * n_t
+    first = np.cumsum(per) - per
+    # a cell of each class: all of them share their interval and step bits
+    s_cell, t_cell = np.empty_like(s_cls), np.empty_like(t_cls)
+    s_cell[rows, s_cls] = np.arange(s_cls.shape[1])
+    t_cell[rows, t_cls] = np.arange(t_cls.shape[1])
+    p = np.repeat(rows[:, 0], per)
+    k = np.arange(len(p)) - first[p]
+    i, j = s_cell[p, k // n_t[p]], t_cell[p, k % n_t[p]]
     a, b = sidx[p, i], tidx[p, j]
     D = 1 + tables.qx.shape[-1] + tables.qy.shape[-1]
-    unit = np.eye(3 * D)[None]
-    corners = unit[..., :D], unit[..., D:2 * D], unit[..., 2 * D:]
-    maps = np.empty((len(map_s), 3 * D, D))
+    corners = np.split(np.eye(3 * D)[None], 3, axis=-1)
+    maps = np.empty((len(p), 3 * D, D))
     chunk = max(1, _MAP_CHUNK_FLOATS // (3 * D * D))
     for lo in range(0, len(maps), chunk):
         c = slice(lo, lo + chunk)
         maps[c] = _cell_increments(*corners, ds[i[c]], dt[j[c]],
                                    tables.at(p[c], a[c], b[c]))
-    return maps, s_first[s_cls], t_cls - t_first[:, None]
+    return maps, first[:, None] + s_cls * n_t[:, None], t_cls
 
 
 def _apply_maps(maps, idx, xc):
@@ -480,19 +486,22 @@ def _apply_maps(maps, idx, xc):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _sweep(ds, dt, sidx, tidx, tables, keep_nodes=True):
+def _sweep(ds, dt, sidx, tidx, s_cls, t_cls, tables, keep_nodes=True):
     """Anti-diagonal sweep over a batch of surfaces, by transfer maps.
 
     ``tables`` is a ``_Tables`` record; ``sidx[p]``/``tidx[p]`` map grid
-    cells to velocity intervals.  Each cell's predictor and corrector
+    cells to velocity intervals and ``s_cls[p]``/``t_cls[p]`` to step
+    classes (``_step_classes``).  Each cell's predictor and corrector
     passes are a linear map from its three known corner states
     ``X = (w, F, G)`` (width ``D = 1 + df + dg``) to its increments
     (``_cell_increments``).  One map serves every cell with the same key
     (surface, s-class, t-class), where an s-class is a distinct pair
     (interval, exact bits of the step h) along s and a t-class the same
-    along t; ``_transfer_maps`` builds each distinct map once.  Cell
-    (i+1, j+1) needs only nodes (i, j), (i+1, j) and (i, j+1), so each
-    anti-diagonal takes one contraction for all surfaces (``_apply_maps``:
+    along t; ``_transfer_maps`` builds each distinct map once for the
+    surfaces that take maps (``_takes_maps``), and the others have each
+    diagonal's cell updates evaluated directly.  Cell (i+1, j+1) needs
+    only nodes (i, j), (i+1, j) and (i, j+1), so each anti-diagonal takes
+    one contraction for all surfaces (``_apply_maps``:
     a gathered product for ``D`` up to ``_GATHER_MAX_WIDTH``, the scalar
     problem included, one GEMM per run of cells sharing a map above it).
     The far corner is the structural part plus the increment,
@@ -515,45 +524,27 @@ def _sweep(ds, dt, sidx, tidx, tables, keep_nodes=True):
     cells' included (0 where cells were evaluated directly).  A w holding
     NaN raises ``NumericalInconsistency``; an infinite w is returned as it
     is.  Both say what numpy's overflow and invalid-value warnings would,
-    so the sweep runs with them off.
-
-    Maps pay only when cells share them.  A surface takes maps when the
-    maps of its own cells hold at most ``D x cells`` floats (three times
-    its own full state: building them costs at most three cell updates per
-    cell) and, for the GEMM contraction, when its cells form at most
-    ``cells x D^2 / _GEMM_RUN_COST`` runs of equal maps along the
-    diagonals (``_map_counts``); the ghost cells add one class of step 0
-    per axis to the maps built, not to this choice.  Uniform grids from
-    ``make_grid`` have few classes per axis (one per interval, plus the
-    cells split by breakpoints) and long runs.  Other surfaces, e.g. on random grids,
-    evaluate ``_cell_increments`` directly on each diagonal's states, so
-    the maps never outgrow the full state.  The choice, like the
-    contraction, depends on the surface alone and runs never cross
-    surfaces, so a surface's bits do not depend on which surfaces share
-    its batch; callers that keep only corners sweep a large batch in
-    chunks (``_solve_truncated_batch``).  Those chunks count each
-    surface's maps in ``_corner_floats``, so the maps of a corner-only
-    chunk stay under ``_SWEEP_CHUNK_FLOATS`` floats even off dyadic grids,
-    where breakpoints split cells into about 11 step classes per axis.
+    so the sweep runs with them off.  Runs never cross surfaces, so a
+    surface's bits do not depend on which surfaces share its batch;
+    callers that keep only corners sweep a large batch in chunks
+    (``_solve_truncated_batch``).
     """
     n_s = len(sidx)
     n_i, n_j = len(ds), len(dt)
     df, dg = tables.qx.shape[-1], tables.qy.shape[-1]
     D = 1 + df + dg
-    cells = n_i * n_j
-    n_maps, runs = _map_counts(ds, dt, sidx, tidx)
-    use = (n_maps * D <= cells) & ((D <= _GATHER_MAX_WIDTH)
-                                   | (runs * _GEMM_RUN_COST <= cells * D * D))
+    use = _takes_maps(s_cls, t_cls, D)
+    # the ghost cells add one class of step 0 per axis to the maps built
+    n_maps = np.where(use, (s_cls.max(axis=1) + 2) * (t_cls.max(axis=1) + 2), 0)
     n_mapped, direct = np.count_nonzero(use), np.flatnonzero(~use)
     # a mapped group that is the whole batch is a slice, so nothing is copied
     mapped = slice(None) if use.all() else np.flatnonzero(use)
-    # the ghost row and column of cells: steps 0 on interval 0
+    # the ghost row and column of cells: steps 0 on interval 0, class 0
     ds, dt = np.concatenate([[0.0], ds]), np.concatenate([[0.0], dt])
-    sidx, tidx = (np.pad(idx, ((0, 0), (1, 0))) for idx in (sidx, tidx))
-    maps, S, T = _transfer_maps(ds, dt, sidx[mapped], tidx[mapped], tables.at(mapped))
-    # surface p's maps are numbered from S[p].min() to S[p].max() + T[p].max()
-    n_maps = np.zeros(n_s, dtype=np.intp)
-    n_maps[mapped] = S.max(axis=1) - S.min(axis=1) + T.max(axis=1) + 1
+    sidx, tidx, s_cls, t_cls = (np.pad(a, ((0, 0), (1, 0))) for a in (
+        sidx, tidx, s_cls[mapped] + 1, t_cls[mapped] + 1))
+    maps, S, T = _transfer_maps(ds, dt, sidx[mapped], tidx[mapped], s_cls, t_cls,
+                                tables.at(mapped))
     if keep_nodes:
         X = np.empty((n_s, n_i + 1, n_j + 1, D))
         nodes = X.reshape(n_s, -1, D)
@@ -645,8 +636,9 @@ def solve_goursat_scalar(alpha, s_grid, t_grid,
         B = np.zeros((1, n_i, n_j, 0))
         qx, RX = np.zeros((1, n_i, 0)), np.zeros((1, n_i, 0, 0))
         qy, RY = np.zeros((1, n_j, 0)), np.zeros((1, n_j, 0, 0))
-        w, _, _, n_maps = _sweep(np.diff(s_grid), np.diff(t_grid),
-                                 np.arange(n_i)[None], np.arange(n_j)[None],
+        # cell (i, j) is interval pair (i, j), so each cell is a class of its own
+        s, t = np.arange(n_i)[None], np.arange(n_j)[None]
+        w, _, _, n_maps = _sweep(np.diff(s_grid), np.diff(t_grid), s, t, s, t,
                                  _Tables(A[None], B, B, qx, RX, RX, qy, RY, RY))
         w, n_maps = w[0], int(n_maps[0])
     else:
@@ -736,7 +728,7 @@ def _solve_truncated_batch(pairs, M: int, N: int, s_grid, t_grid, corners=False)
         if (id(v), what) not in located:
             _validate_grid(grid, v.time_grid, what)
             idx = _cell_intervals(grid, v.time_grid)
-            located[id(v), what] = idx, len(_step_classes(np.diff(grid), idx[None])[1])
+            located[id(v), what] = idx, _step_classes(np.diff(grid), idx)
         if (id(v), M, N) not in tabulated:
             tabulated[id(v), M, N] = _side_tables(v, M, N)
         return _Side(tabulated[id(v), M, N], *located[id(v), what])
@@ -744,40 +736,36 @@ def _solve_truncated_batch(pairs, M: int, N: int, s_grid, t_grid, corners=False)
     sides = [(side(v, s_grid, "s", M, N), side(vt, t_grid, "t", N, M)) for v, vt in pairs]
     ds, dt = np.diff(s_grid), np.diff(t_grid)
     if corners:
-        D = ta.flat_size(d, N - 1) + ta.flat_size(d, M - 1) - 1
-        costs = [_corner_floats(len(ds), len(dt), D, len(left.tables[0]),
-                                len(right.tables[0]), left.classes, right.classes)
-                 for left, right in sides]
+        costs = [_corner_floats(*pair) for pair in sides]
         return _forks.map_groups(functools.partial(_sweep_corners, sides, costs, ds, dt),
                                  costs, _GROUP_COST_FLOATS)
-    w, F, G, n_maps, sidx, tidx = _sweep_sides(sides, ds, dt, keep_nodes=True)
+    w, F, G, n_maps = _sweep_sides(sides, ds, dt, keep_nodes=True)
     cells = len(ds) * len(dt)
     width = 1 + F.shape[-1] + G.shape[-1]
     # node masses: grids hold every breakpoint, so a cell has one interval
     return [KernelSurface(
         s_grid=s_grid, t_grid=t_grid, w=w[p], dim=d,
         f=F[p], ftilde=G[p], f_depth=N - 1, ftilde_depth=M - 1,
-        s_mass=np.concatenate([[0.0], np.cumsum(ds * left.tables[0][sidx[p]])]),
-        t_mass=np.concatenate([[0.0], np.cumsum(dt * right.tables[0][tidx[p]])]),
+        s_mass=np.concatenate([[0.0], np.cumsum(ds * left.tables[0][left.idx])]),
+        t_mass=np.concatenate([[0.0], np.cumsum(dt * right.tables[0][right.idx])]),
         meta={"system": "truncated", "M": M, "N": N, "scheme_order": 2,
               "cells": cells, "state_width": width, "maps": int(n_maps[p])})
         for p, (left, right) in enumerate(sides)]
 
 
-# one velocity on one side of a batch: its ``_side_tables``, its cells'
-# intervals on that side's grid and the number of its step classes there
+# one velocity on one side of a batch: its ``_side_tables``, and its cells'
+# intervals and step classes (``_step_classes``) on that side's grid
 _Side = namedtuple("_Side", "tables idx classes")
 
 
 def _sweep_sides(sides, ds, dt, keep_nodes):
-    """``_sweep`` of the surfaces whose ``_Side`` pairs are ``sides``; also
-    returns the stacked cell intervals."""
-    sidx = np.stack([left.idx for left, _ in sides])
-    tidx = np.stack([right.idx for _, right in sides])
+    """``_sweep`` of the surfaces whose ``_Side`` pairs are ``sides``."""
+    sidx, tidx, s_cls, t_cls = (np.stack([getattr(side, key) for side in column])
+                                for key in ("idx", "classes") for column in zip(*sides))
     A, *fields = map(_stack_padded, zip(*(_coefficients(left.tables, right.tables)
                                           for left, right in sides)))
     tables = _Tables(np.broadcast_to(A[..., None, None], (*A.shape, 2, 2)), *fields)
-    return (*_sweep(ds, dt, sidx, tidx, tables, keep_nodes), sidx, tidx)
+    return _sweep(ds, dt, sidx, tidx, s_cls, t_cls, tables, keep_nodes)
 
 
 def _sweep_corners(sides, costs, ds, dt, lo: int, hi: int) -> np.ndarray:
@@ -794,22 +782,25 @@ def _sweep_corners(sides, costs, ds, dt, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def _corner_floats(n_i, n_j, D, n_a, n_b, s_classes, t_classes):
-    """Estimated floats one surface holds in a corner-only sweep on an
-    ``n_i x n_j``-cell grid, for velocities of ``n_a`` and ``n_b``
-    intervals with ``s_classes`` and ``t_classes`` step classes: its tables
-    (each at most D^2 per interval and D per interval pair), its maps (3D x
-    D each; a map per pair of classes, the ghost cells' class of step 0
-    included, and none once the grid's own maps would outgrow the state),
-    three rolling diagonals of the ghost grid (``n_i + 2`` nodes of D
-    each), and per diagonal of at most ``min(n_i, n_j) + 1`` cells the
-    gathered maps (3D x D) and corner states, increments and far corners
-    (5D)."""
+def _corner_floats(left, right):
+    """Estimated floats one surface holds in a corner-only sweep, from the
+    ``_Side`` of its two velocities: of ``n_a`` and ``n_b`` intervals, with
+    the fields' widths ``df`` and ``dg`` (``D = 1 + df + dg``), and cells
+    of step classes ``s_cls`` and ``t_cls`` on an ``n_i x n_j``-cell grid.
+    They are its tables (each at most D^2 per interval and D per interval
+    pair), its maps (3D x D each; a map per pair of classes, the ghost
+    cells' class of step 0 included, where the surface takes maps,
+    ``_takes_maps``), three rolling diagonals of the ghost grid (``n_i + 2``
+    nodes of D each), and per diagonal of at most ``min(n_i, n_j) + 1``
+    cells the gathered maps (3D x D) and corner states, increments and far
+    corners (5D)."""
+    (n_a, df), (n_b, dg) = left.tables[2].shape, right.tables[2].shape
+    s_cls, t_cls, D = left.classes, right.classes, 1 + df + dg
+    n_i, n_j = len(s_cls), len(t_cls)
     cells = min(n_i, n_j) + 1
-    maps = ((s_classes + 1) * (t_classes + 1)
-            if s_classes * t_classes * D <= n_i * n_j else 0)
-    return ((n_a + n_b + n_a * n_b + 3 * maps + 3 * cells) * D * D
-            + (3 * (n_i + 2) + 5 * cells) * D)
+    maps = (s_cls.max() + 2) * (t_cls.max() + 2) * _takes_maps(s_cls[None], t_cls[None], D)[0]
+    return int((n_a + n_b + n_a * n_b + 3 * maps + 3 * cells) * D * D
+               + (3 * (n_i + 2) + 5 * cells) * D)
 
 
 def _stack_padded(arrays) -> np.ndarray:

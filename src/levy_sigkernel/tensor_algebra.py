@@ -379,19 +379,20 @@ def norm_p(x: TruncatedTensor, p: float | str = 1.0) -> float:
     """The p-summability norm ``(sum_n |x^(n)|^p)^(1/p)`` over stored levels.
 
     ``p="max"`` (or ``math.inf``) returns the maximum level norm instead.
+    Other p are summed relative to the largest level norm, so that no power
+    under- or overflows where the norm itself is a finite positive float.
     """
     norms = level_norms(x).values
-    if isinstance(p, str):
-        if p != "max":
-            raise InvalidParameter(f"unknown norm mode {p!r}")
-        return float(norms.max())
-    if p == math.inf:
-        return float(norms.max())
+    if isinstance(p, str) and p != "max":
+        raise InvalidParameter(f"unknown norm mode {p!r}")
+    top = norms.max()
+    if p == "max" or p == math.inf:
+        return float(top)
     if not p >= 1:
         raise InvalidParameter(f"p must be >= 1, got {p!r}")
-    if p == 1:
+    if p == 1 or not 0.0 < top < math.inf:
         return float(norms.sum())
-    return float((norms**p).sum() ** (1.0 / p))
+    return float(top * ((norms / top) ** p).sum() ** (1.0 / p))
 
 
 def max_level_norm(x: TruncatedTensor) -> float:

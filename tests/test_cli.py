@@ -353,6 +353,23 @@ class TestBoundsCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {field}:"), err
 
+    def test_every_triplet_is_checked_before_the_first_development(
+            self, tmp_path, capsys, monkeypatch):
+        # triplet 0 is valid; triplet 1 ends before grid.T
+        from levy_sigkernel import development
+        developed = []
+        develop = development.develop
+        monkeypatch.setattr(development, "develop",
+                            lambda *args: developed.append(args) or develop(*args))
+        cfg_data = base_config("bounds")
+        cfg_data["triplets"][1]["time_grid"] = [0.0, 0.5]
+        cfg = write_config(tmp_path / "cfg.json", cfg_data)
+        assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: grid.T:") and "triplets[1]" in err, err
+        assert developed == []
+        assert list((tmp_path / "o").iterdir()) == []
+
 
 def bench_shaped_triplet(rng, time_grid, jumps, drift, vol, jump_scale):
     """A d = 2 triplet config shaped like the benchmark's: random drift and

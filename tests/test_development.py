@@ -312,6 +312,38 @@ class TestBounds:
         assert dev.levels[1][0] == pytest.approx(3.0)
         assert bound_level(v, 0.0, 1.0, 1) == pytest.approx(3.0)
 
+    def test_bounds_past_170_factorial_are_finite(self):
+        # level masses (0, c): exp(c x^2) has the coefficients c^j / j! at
+        # x^{2j} and 0 at odd powers; the Bell form needs 171! as a float
+        v = characteristic_velocity(LevyTriplet.brownian(2, 1.0), 2)
+        c = v.level_mass(0.0, 1.0, 2)
+        assert bound_level(v, 0, 1, 170) == pytest.approx(c**85 / math.factorial(85),
+                                                          rel=1e-12)
+        assert bound_level(v, 0, 1, 171) == 0.0
+        assert bound_level(v, 0, 1, 172) == pytest.approx(
+            math.exp(86 * math.log(c) - math.lgamma(87)), rel=1e-12)
+        # no level-1 mass: no load, so no tail at any level
+        assert bound_outer_truncation(v, 0, 1, 1, 400) == 0.0
+        # level masses (a, 0): exp(a x) has the coefficients a^n / n!; at
+        # a = 300 the Bell form's B_170 = a^170 overflows, the bound does not
+        for a in (3.0, 300.0):
+            v = velocity(1, [0.0, 1.0], [TT.from_levels(1, [[0.0], [a]])])
+            for n in (170, 171, 300):
+                assert bound_level(v, 0, 1, n) == pytest.approx(
+                    math.exp(n * math.log(a) - math.lgamma(n + 1)), rel=1e-12)
+            assert bound_outer_truncation(v, 0, 1, 1, 400) == pytest.approx(
+                math.exp(a + 400 * math.log(a) - math.lgamma(401)), rel=1e-12)
+        big = velocity(1, [0.0, 1.0], [TT.from_levels(1, [[0.0], [1e3]])])
+        assert bound_outer_truncation(big, 0, 1, 1, 400) == math.inf
+        # at a = 800 the coefficient a^j / j! overflows near j = 800, while
+        # a_1500 (about e^552) and a_3000 (about e^-298) are finite; with a
+        # zero level-2 mass an inf coefficient once made the bound nan
+        v = velocity(1, [0.0, 1.0], [TT.from_levels(1, [[0.0], [800.0], [0.0]])])
+        for n in (1500, 3000):
+            assert bound_level(v, 0, 1, n) == pytest.approx(
+                math.exp(n * math.log(800.0) - math.lgamma(n + 1)), rel=1e-11)
+        assert bound_level(v, 0, 1, 800) == math.inf
+
 
 def direct_remainder(rho, m, mode):
     """Reference: the remainder sums with every term evaluated directly, a_n

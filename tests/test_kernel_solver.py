@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 import os
 import signal
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levy_sigkernel import _forks
+from levy_sigkernel import _forks, cli
 from levy_sigkernel import tensor_algebra as ta
 from levy_sigkernel.characteristics import (LevyTriplet, PiecewiseVelocity,
                                             characteristic_velocity)
@@ -19,10 +20,10 @@ from levy_sigkernel.errors import GridMismatch, InvalidParameter, NumericalIncon
 from levy_sigkernel import mmd
 from levy_sigkernel import kernel_solver
 from levy_sigkernel.kernel_solver import (_CORRECTOR_PASSES, KernelSurface, _apply_maps,
-                                          _cell_increments, _map_counts,
-                                          _cell_intervals, _coefficients,
-                                          _side_tables, _solve_truncated_batch,
-                                          _Tables, _transfer_maps,
+                                          _cell_increments, _cell_intervals,
+                                          _coefficients, _side_tables,
+                                          _solve_truncated_batch, _step_classes,
+                                          _Tables, _takes_maps, _transfer_maps,
                                           apriori_psi, bessel_i0,
                                           log_apriori_psi, make_grid,
                                           solve_goursat_scalar,
@@ -31,7 +32,8 @@ from levy_sigkernel.kernel_solver import (_CORRECTOR_PASSES, KernelSurface, _app
 from levy_sigkernel.mmd import AugmentedPathEnsemble, WienerSpec, mmd_to_wiener
 from levy_sigkernel.tensor_algebra import TruncatedTensor as TT
 
-from conftest import gamma, mixed_corner_batch, open_fds, random_velocity
+from conftest import (benchmark_workloads, gamma, mixed_corner_batch, open_fds,
+                      random_velocity)
 
 I0_1 = 1.2660658777520084
 I0_2 = 2.2795853023360673
@@ -732,7 +734,7 @@ class TestBoundaryRows:
             self.assert_unit_boundary(surf.w, surf.f, surf.ftilde)
 
 
-def full_array_sweep(ds, dt, sidx, tidx, tables):
+def full_array_sweep(ds, dt, sidx, tidx, s_cls, t_cls, tables):
     """Reference: the sweep over the full node array that the rolling
     diagonals replaced, on the same ghost grid: a row and a column of cells
     of step 0 on interval 0 whose outer nodes hold (w, f, g) = (1, 0, 0),
@@ -743,15 +745,14 @@ def full_array_sweep(ds, dt, sidx, tidx, tables):
     n_s, n_i, n_j = len(sidx), len(ds), len(dt)
     df, dg = tables.qx.shape[-1], tables.qy.shape[-1]
     D = 1 + df + dg
-    cells = n_i * n_j
-    n_maps, runs = _map_counts(ds, dt, sidx, tidx)
-    use = (n_maps * D <= cells) & ((D <= kernel_solver._GATHER_MAX_WIDTH)
-                                   | (runs * kernel_solver._GEMM_RUN_COST <= cells * D * D))
+    use = _takes_maps(s_cls, t_cls, D)
     mapped, direct = np.flatnonzero(use), np.flatnonzero(~use)
     ds, dt = np.concatenate([[0.0], ds]), np.concatenate([[0.0], dt])
-    sidx = np.concatenate([np.zeros((n_s, 1), dtype=sidx.dtype), sidx], axis=1)
-    tidx = np.concatenate([np.zeros((n_s, 1), dtype=tidx.dtype), tidx], axis=1)
-    maps, S, T = _transfer_maps(ds, dt, sidx[mapped], tidx[mapped], tables.at(mapped))
+    sidx, tidx, s_cls, t_cls = (
+        np.concatenate([np.zeros((n_s, 1), dtype=a.dtype), a + shift], axis=1)
+        for a, shift in ((sidx, 0), (tidx, 0), (s_cls, 1), (t_cls, 1)))
+    maps, S, T = _transfer_maps(ds, dt, sidx[mapped], tidx[mapped], s_cls[mapped],
+                                t_cls[mapped], tables.at(mapped))
     X = np.zeros((n_s, n_i + 2, n_j + 2, D))
     X[..., 0] = 1.0
     nodes = X.reshape(n_s, -1, D)
@@ -783,13 +784,13 @@ def full_array_sweep(ds, dt, sidx, tidx, tables):
 
 
 def captured_sweep_args(monkeypatch, solve):
-    """The inputs (grid steps, cell intervals, tables) of every ``_sweep``
-    call that ``solve()`` makes."""
+    """The inputs (grid steps, cell intervals, step classes, tables) of
+    every ``_sweep`` call that ``solve()`` makes."""
     calls = []
     sweep = kernel_solver._sweep
 
     def recording(*args, **kwargs):
-        calls.append(args[:5])
+        calls.append(args[:7])
         return sweep(*args, **kwargs)
 
     monkeypatch.setattr(kernel_solver, "_sweep", recording)
@@ -896,11 +897,12 @@ class TestStreamedSweep:
 
 
 def map_problem(rng, kind):
-    """Tables of a two-surface batch for ``_transfer_maps`` and the
-    per-surface tables and steps of ``reference_cells``.  ``kind`` is a
-    pair of truncation levels (d = 2) or ``"scalar"`` (random alpha per
-    cell corner).  The s-grid repeats a few step sizes; the t-grid is
-    random, so each of its steps is a class of its own."""
+    """Steps, cell intervals, step classes and tables of a two-surface
+    batch for ``_transfer_maps``, and the per-surface tables and steps of
+    ``reference_cells``.  ``kind`` is a pair of truncation levels (d = 2)
+    or ``"scalar"`` (random alpha per cell corner).  The s-grid repeats a
+    few step sizes; the t-grid is random, so each of its steps is a class
+    of its own."""
     grid = np.array([0.0, 0.375, 1.0])
     s_grid = make_grid(1.0, 9, grid)
     t_grid = np.sort(np.concatenate([[0.0, 0.375, 1.0], rng.uniform(0, 1, 6)]))
@@ -924,7 +926,9 @@ def map_problem(rng, kind):
     A = np.stack([np.stack(A4, axis=-1).reshape(*A4[0].shape, 2, 2)
                   for A4, *_ in per_surface])
     fields = (np.stack(parts) for parts in list(zip(*per_surface))[1:])
-    args = (ds, dt, np.stack([sidx] * 2), np.stack([tidx] * 2), _Tables(A, *fields))
+    args = (ds, dt, np.stack([sidx] * 2), np.stack([tidx] * 2),
+            np.stack([_step_classes(ds, sidx)] * 2), np.stack([_step_classes(dt, tidx)] * 2),
+            _Tables(A, *fields))
     return args, per_surface, sidx, tidx
 
 
@@ -941,7 +945,6 @@ class TestTransferMaps:
         args, per_surface, sidx, tidx = map_problem(rng, kind)
         ds, dt = args[:2]
         maps, S, T = _transfer_maps(*args)
-        n_maps, _ = _map_counts(*args[:4])
         D = maps.shape[-1]
         # the width and the contraction that the case's id names
         gather = D <= kernel_solver._GATHER_MAX_WIDTH
@@ -963,10 +966,12 @@ class TestTransferMaps:
                 *map(np.abs, (x00, x01, x10)),
                 *cell_coefficients(tables, ds, dt, sidx, tidx, i, j, True), sign=1.0)
             assert np.all(np.abs(far - ref_far) <= local_bound(D, far, ref_far, delta_abs))
-            # one map per distinct (interval, step bits) pair on each axis
+            # one map per distinct (interval, step bits) pair on each axis,
+            # numbered from the surface's first
             s_keys = {(a, h) for a, h in zip(sidx.tolist(), ds.tolist())}
             t_keys = {(b, k) for b, k in zip(tidx.tolist(), dt.tolist())}
-            assert n_maps[p] == len(s_keys) * len(t_keys)
+            used = np.unique(S[p][:, None] + T[p][None])
+            assert np.array_equal(used, p * len(used) + np.arange(len(s_keys) * len(t_keys)))
 
     @pytest.mark.parametrize("kind", [(3, 3), "scalar"])
     def test_memory_cap_does_not_change_maps(self, rng, monkeypatch, kind):
@@ -1024,6 +1029,79 @@ class TestTransferMaps:
             base = np.linspace(0.0, horizon, n)
             near = np.abs(g[:, None] - base[None]).min(axis=1)
             assert near[~np.isin(g, cuts)].max() <= horizon * 2.0**((n - 1).bit_length() - 53)
+
+
+class TestMapsOrDirect:
+    """Step classes are found once per velocity and side of a batch, and one
+    rule, ``_takes_maps``, decides maps or direct updates from them."""
+
+    def test_step_classes_number_by_interval_then_step(self):
+        steps = np.array([0.5, 0.25, 0.5, 0.25, 0.125, 0.25])
+        assert _step_classes(steps, np.array([1, 1, 0, 0, 1, 1])).tolist() == [
+            4, 3, 1, 0, 2, 3]
+
+    def test_rule_at_the_map_count_boundary(self):
+        # 10 x 10 cells at D = 5 (the gathered contraction, where runs do
+        # not count): 4 x 5 maps hold D x cells floats, 5 x 5 more
+        D = 5
+        assert D <= kernel_solver._GATHER_MAX_WIDTH
+        alternating = np.arange(10) % 4
+        s_cls = np.stack([alternating, np.arange(10) % 5])
+        t_cls = np.stack([np.arange(10) % 5] * 2)
+        assert 4 * 5 * D == 10 * 10
+        assert _takes_maps(s_cls, t_cls, D).tolist() == [True, False]
+
+    def test_rule_at_the_run_count_boundary(self):
+        # 10 x 10 cells at D = 6 (one GEMM per run): classes changing once on
+        # each axis leave 8 x 8 cells continuing a run, so 36 runs, and
+        # runs x _GEMM_RUN_COST = cells x D^2; one more change on t makes 44
+        D, cells = 6, 100
+        assert D > kernel_solver._GATHER_MAX_WIDTH
+        assert 36 * kernel_solver._GEMM_RUN_COST == cells * D * D
+        halves = np.repeat([0, 1], 5)
+        s_cls = np.stack([halves, halves])
+        t_cls = np.stack([halves, np.repeat([0, 1, 2], [3, 3, 4])])
+        assert _takes_maps(s_cls, t_cls, D).tolist() == [True, False]
+        # the same classes at the gathered width take maps either way
+        assert _takes_maps(s_cls, t_cls, kernel_solver._GATHER_MAX_WIDTH).tolist() == [
+            True, True]
+
+    @staticmethod
+    def count_step_classes(monkeypatch):
+        """Calls of ``_step_classes``, each recorded with whether it came
+        from inside ``_sweep``."""
+        calls, inside = [], []
+        step_classes, sweep = kernel_solver._step_classes, kernel_solver._sweep
+
+        def counted(*args):
+            calls.append(bool(inside))
+            return step_classes(*args)
+
+        def sweeping(*args, **kwargs):
+            inside.append(None)
+            try:
+                return sweep(*args, **kwargs)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(kernel_solver, "_step_classes", counted)
+        monkeypatch.setattr(kernel_solver, "_sweep", sweeping)
+        return calls
+
+    def test_once_per_velocity_and_side(self, rng, monkeypatch, tmp_path, capsys):
+        calls = self.count_step_classes(monkeypatch)
+        grid = np.array([0.0, 0.375, 1.0])
+        v, vt = (random_velocity(rng, 2, 3, grid, scale=0.8) for _ in range(2))
+        g = make_grid(1.0, 33, grid)
+        solve_truncated_system(v, vt, 3, 3, g, g)
+        assert calls == [False, False]
+        # the MMD batch of the benchmark's mmd workload (seed 2): 8 paths and
+        # a Wiener measure, one classification per velocity and side
+        calls.clear()
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(benchmark_workloads().CONFIGS["mmd-area-m8"](2)))
+        assert cli.main(["--config", str(path), "--output", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out.startswith("mmd = ")
+        assert calls == [False] * 18
 
 
 def reference_goursat_scalar(alpha, s_grid, t_grid):

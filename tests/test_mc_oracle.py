@@ -1428,6 +1428,31 @@ class TestEstimators:
         flat = np.concatenate([est.mean.levels[n] for n in range(3)])
         assert np.array_equal(np.array(vals), flat)
 
+    @pytest.mark.parametrize("dim", [2, 11])
+    def test_estimate_csv_round_trip(self, rng, tmp_path, dim):
+        # from dim 10 on, letters are separated: "11" alone is letter 11
+        depth = 2
+        mean, se = (TT.from_levels(dim, [rng.normal(size=dim**n) for n in range(depth + 1)])
+                    for _ in range(2))
+        out = tmp_path / "esig.csv"
+        estimate_to_csv(mc_oracle.SignatureEstimate(mean, se, ta.level_norms(se), 2), out)
+        lines = out.read_text().split("\n")
+        assert lines[0] == "word,mean,se" and lines[-1] == ""
+        read = {}
+        for line in lines[1:-1]:
+            word, m, s = line.split(",")
+            letters = tuple(map(int, word.split("-") if dim >= 10 and word else word))
+            assert letters not in read
+            read[letters] = (m, s)
+        assert len(read) == sum(dim**n for n in range(depth + 1))
+        for letters, (m, s) in read.items():
+            n, idx = len(letters), ta.word_index(letters, dim) if letters else 0
+            assert (m, s) == (repr(float(mean.levels[n][idx])), repr(float(se.levels[n][idx])))
+        if dim >= 10:
+            assert {(11,), (1, 1), (1, 11), (11, 1)} <= read.keys()
+        else:
+            assert lines[1 + 1 + dim + 1].startswith("12,")
+
     @pytest.mark.parametrize("n_paths", [20, 301], ids=["rows", "gram"])
     def test_kernel_se_is_the_projections_delta_method(self, n_paths):
         # se from the sides' moments equals the delta method on the paths:

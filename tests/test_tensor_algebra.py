@@ -127,6 +127,15 @@ class TestNorms:
             x = random_tensor(rng, 2, 3)
             assert ta.norm_p(x, 1) >= ta.norm_p(x, 2) - 1e-14
 
+    @pytest.mark.parametrize("scale", [0.5, 5.0, 1e-100, 1e100])
+    def test_large_p_is_finite(self, scale):
+        # one level norm: 0.5^2000 underflows and 5^2000 overflows unscaled
+        x = scale * TT.from_word((1,), 1, 2)
+        assert ta.norm_p(x, 2000) == scale
+        y = x + 0.5 * scale * TT.from_word((1, 1), 1, 2)
+        assert ta.norm_p(y, 2000) == pytest.approx(scale, rel=1e-15)
+        assert ta.norm_p(0.0 * x, 2000) == 0.0
+
     @pytest.mark.parametrize("p", [0.5, math.nan, -math.inf])
     def test_invalid_p(self, p):
         with pytest.raises(InvalidParameter):
