@@ -18,13 +18,13 @@ __version__ = "0.1.0"
 _EXPORTS = {
     **dict.fromkeys(
         ("AtomicJumps", "GaussianJumps", "LevyTriplet", "PiecewiseVelocity",
-         "characteristic_velocity", "dilate_triplet", "exponential_moment_value",
-         "factor_covariance", "gaussian_tensor_moment"), "characteristics"),
+         "characteristic_velocity", "exponential_moment_value", "factor_covariance",
+         "gaussian_tensor_moment"), "characteristics"),
     **dict.fromkeys(
-        ("bell_numbers", "bell_polynomials", "bound_gronwall", "bound_inner_truncation",
-         "bound_level", "bound_lipschitz", "bound_outer_truncation", "develop",
-         "expected_signature", "gaussian_jump_tail_bound", "gaussian_mgf_moment",
-         "remainder_diagnostics"), "development"),
+        ("bell_polynomials", "bound_gronwall", "bound_inner_truncation", "bound_level",
+         "bound_lipschitz", "bound_outer_truncation", "develop", "expected_signature",
+         "gaussian_jump_tail_bound", "gaussian_mgf_moment", "remainder_diagnostics"),
+        "development"),
     **dict.fromkeys(
         ("ConfigError", "DepthTooSmall", "DimMismatch", "GridMismatch",
          "InvalidParameter", "InvalidTriplet", "InvalidWord", "LevySigKernelError",
@@ -36,17 +36,13 @@ _EXPORTS = {
         "kernel_solver"),
     **dict.fromkeys(
         ("SignatureEstimate", "SimulatedPaths", "estimate_expected_signature",
-         "estimate_kernel", "estimate_to_csv", "path_signature", "simulate_paths"),
-        "mc_oracle"),
+         "estimate_kernel", "path_signature", "simulate_paths"), "mc_oracle"),
+    **dict.fromkeys(("AugmentedPathEnsemble", "MMDReport", "WienerSpec", "mmd_to_wiener"),
+                    "mmd"),
     **dict.fromkeys(
-        ("AugmentedPathEnsemble", "MMDReport", "WienerSpec", "cross_kernel",
-         "mmd_to_wiener", "pair_kernel"), "mmd"),
-    **dict.fromkeys(
-        ("LevelNorms", "TruncatedTensor", "adjoint_left", "adjoint_left_zero",
-         "adjoint_right", "adjoint_right_zero", "dilate", "exp_tensor", "group_inverse",
-         "inner_product", "level_norms", "log_tensor", "max_level_norm", "norm_p",
-         "project", "tensor_mul", "truncate", "word_from_index", "word_index"),
-        "tensor_algebra"),
+        ("LevelNorms", "TruncatedTensor", "adjoint_left", "adjoint_right", "dilate",
+         "exp_tensor", "inner_product", "level_norms", "log_tensor", "max_level_norm",
+         "norm_p", "tensor_mul", "truncate", "word_index"), "tensor_algebra"),
 }
 
 __all__ = sorted(_EXPORTS)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import tensor_algebra as ta
 from .errors import (DepthTooSmall, DimMismatch, InvalidParameter,
-                     InvalidTriplet, OutOfRange, Unsupported)
+                     InvalidTriplet, OutOfRange)
 from .tensor_algebra import TruncatedTensor
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "velocity_tail_bound",
     "velocity_depth",
     "exponential_moment_value",
-    "dilate_triplet",
     "gaussian_tensor_moment",
 ]
 
@@ -365,14 +364,6 @@ def _exp_levels(x: TruncatedTensor, depth: int):
         prev2, prev = prev, row
 
 
-def _drift_tensor(triplet: LevyTriplet, i: int, depth: int) -> TruncatedTensor:
-    x = TruncatedTensor.zero(triplet.dim, depth)
-    x.levels[1] += triplet.drifts[i]
-    if triplet.areas[i] is not None and depth >= 2:
-        x.levels[2] += triplet.areas[i].ravel()
-    return x
-
-
 def _velocity_levels(triplet: LevyTriplet, i: int, depth: int):
     """Yield levels 0, 1, ..., depth of interval i's velocity, each built
     once: a level has the same bits at every depth that holds it.
@@ -666,47 +657,3 @@ def exponential_moment_value(triplet: LevyTriplet, lam: float,
                 args=(d, lam * sigma))
             total += dt * spec.intensity * val
     return total
-
-
-def dilate_triplet(triplet: LevyTriplet, lam: float) -> LevyTriplet:
-    """Triplet of the dilated process.
-
-    Atoms dilate level by level, the covariance picks up lam^2, and the
-    drift absorbs the compensator mismatch of atoms whose max-level norm
-    crosses the small-jump threshold: each such atom contributes
-    ``weight * x * (1_{|dilated| <= 1} - 1_{|original| <= 1})`` before the
-    final dilation.  The sign is fixed by the requirement that the
-    characteristic velocity of the dilated triplet equal the dilated
-    characteristic velocity.
-    """
-    if lam <= 0:
-        raise InvalidParameter("lam must be > 0")
-    drifts, covs, areas, jumps = [], [], [], []
-    for i in range(triplet.n_intervals):
-        spec = triplet.jumps[i]
-        if isinstance(spec, GaussianJumps):
-            if triplet.state_depth != 1:
-                raise Unsupported("Gaussian jump scaling is defined for state_depth 1 only")
-            jumps.append(GaussianJumps(spec.intensity, lam**2 * spec.cov))
-            correction = TruncatedTensor.zero(triplet.dim, triplet.state_depth)
-        elif isinstance(spec, AtomicJumps):
-            new_atoms = tuple(ta.dilate(x, lam) for x in spec.atoms)
-            jumps.append(AtomicJumps(spec.weights.copy(), new_atoms))
-            correction = TruncatedTensor.zero(triplet.dim, triplet.state_depth)
-            for w, x, xl in zip(spec.weights, spec.atoms, new_atoms):
-                flip = (1.0 if ta.max_level_norm(xl) <= 1.0 else 0.0) \
-                    - (1.0 if ta.max_level_norm(x) <= 1.0 else 0.0)
-                if flip != 0.0:
-                    correction = correction + x.with_depth(triplet.state_depth) * (w * flip)
-        else:
-            jumps.append(None)
-            correction = TruncatedTensor.zero(triplet.dim, triplet.state_depth)
-        b = _drift_tensor(triplet, i, triplet.state_depth) + correction
-        b = ta.dilate(b, lam)
-        drifts.append(b.levels[1].copy())
-        areas.append(b.levels[2].reshape(triplet.dim, triplet.dim).copy()
-                     if triplet.state_depth == 2 else None)
-        covs.append(lam**2 * triplet.covs[i])
-    return LevyTriplet(dim=triplet.dim, time_grid=triplet.time_grid.copy(),
-                       drifts=drifts, covs=covs, areas=areas, jumps=jumps,
-                       state_depth=triplet.state_depth)

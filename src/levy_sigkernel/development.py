@@ -27,7 +27,6 @@ __all__ = [
     "development_inner_product",
     "expected_signature",
     "bell_polynomials",
-    "bell_numbers",
     "bound_level",
     "bound_gronwall",
     "bound_lipschitz",
@@ -120,22 +119,32 @@ def bell_polynomials(ys) -> np.ndarray:
     """Complete exponential Bell polynomials B_1..B_n at the given arguments.
 
     Uses the binomial recursion B_{m+1} = sum_k C(m, k) B_{m-k} y_{k+1}
-    with B_0 = 1.
+    with B_0 = 1, leaving out the terms with a zero factor (which change no
+    finite sum), so that nonnegative arguments give ``inf``, not NaN or a
+    warning, where a value or a binomial coefficient leaves the float range.
     """
     ys = np.asarray(ys, dtype=float)
     n = len(ys)
     if n < 1:
         raise InvalidParameter("need at least one argument")
-    b = np.zeros(n + 1)
-    b[0] = 1.0
+    ys = ys.tolist()
+    b = [1.0]
     for m in range(n):
-        b[m + 1] = sum(math.comb(m, k) * b[m - k] * ys[k] for k in range(m + 1))
-    return b[1:]
+        total, comb = 0.0, 1              # comb = C(m, k)
+        for k in range(m + 1):
+            if ys[k] and b[m - k]:
+                total += _float(comb) * b[m - k] * ys[k]
+            comb = comb * (m - k) // (k + 1)
+        b.append(total)
+    return np.array(b[1:])
 
 
-def bell_numbers(n: int) -> np.ndarray:
-    """Bell numbers B_1..B_n (all polynomial arguments equal to 1)."""
-    return bell_polynomials(np.ones(n))
+def _float(i: int) -> float:
+    """An integer as a float, ``inf`` past the float range."""
+    try:
+        return float(i)
+    except OverflowError:
+        return math.inf
 
 
 def bound_level(v: PiecewiseVelocity, s: float, t: float, n: int) -> float:
@@ -323,10 +332,22 @@ def _geometric_mode_terms(rho: float, m: int):
 
 
 def gaussian_mgf_moment(d: int, m: int) -> float:
-    """Closed form of E[e^{|xi|^2/4} |xi|^{2m}] for xi ~ N(0, I_d)."""
+    """Closed form of E[e^{|xi|^2/4} |xi|^{2m}] for xi ~ N(0, I_d),
+    ``2^(2m + d/2) Gamma(d/2 + m) / Gamma(d/2)``: in logs where a factor
+    leaves the float range, and ``inf`` where the value does."""
     if d < 1 or m < 0:
         raise InvalidParameter("need d >= 1 and m >= 0")
-    return 2.0 ** (2 * m + d / 2) * math.gamma(d / 2 + m) / math.gamma(d / 2)
+    try:
+        value = 2.0 ** (2 * m + d / 2) * math.gamma(d / 2 + m) / math.gamma(d / 2)
+    except OverflowError:
+        value = math.inf
+    if value < math.inf:
+        return value
+    log = (2 * m + d / 2) * math.log(2.0) + math.lgamma(d / 2 + m) - math.lgamma(d / 2)
+    try:
+        return math.exp(log)
+    except OverflowError:
+        return math.inf
 
 
 def gaussian_jump_tail_bound(cov: np.ndarray, intensity: float, t: float,

@@ -18,7 +18,7 @@ class InvalidParameter(LevySigKernelError):
 
 
 class ScalarPartError(LevySigKernelError):
-    """Tensor exponential/logarithm/inverse received the wrong scalar part."""
+    """Tensor exponential or logarithm received the wrong scalar part."""
 
 
 class DepthTooSmall(LevySigKernelError):

@@ -150,7 +150,8 @@ def make_grid(horizon: float, n_points: int, breakpoints: Sequence[float] = ()) 
     (the sweep shares one transfer map among cells with equal steps); the
     last node is ``horizon``.  Where the step is a power of two this is
     ``np.linspace``; elsewhere a node moves from it by at most
-    ``horizon * 2**(bit_length(n_points - 1) - 53)``.  ``n_points`` must
+    ``horizon * 2**(bit_length(n_points - 1) - 53)``.  A merged node within
+    ``1e-12 * horizon`` of the one before it is dropped.  ``n_points`` must
     be an integer >= 2 (not a bool) and ``horizon`` finite and > 0, else
     ``InvalidParameter``.
     """
@@ -171,7 +172,7 @@ def make_grid(horizon: float, n_points: int, breakpoints: Sequence[float] = ()) 
                        if 0.0 < b < horizon], dtype=float)
     grid = np.sort(np.concatenate([base, cuts]))
     # drop duplicates and near-duplicates introduced by the merge
-    keep = np.concatenate([[True], np.diff(grid) > 1e-12 * max(horizon, 1.0)])
+    keep = np.concatenate([[True], np.diff(grid) > 1e-12 * horizon])
     return grid[keep]
 
 
@@ -278,7 +279,7 @@ def _validate_grid(grid: np.ndarray, breakpoints: np.ndarray, what: str) -> np.n
     end = grid[-1]
     if end > breakpoints[-1] + 1e-12:
         raise GridMismatch(f"{what} grid extends past the velocity horizon")
-    tol = 1e-12 * max(1.0, end)
+    tol = 1e-12 * end
     for b in breakpoints:
         if 0.0 < b < end - tol and np.abs(grid - b).min() > tol:
             raise GridMismatch(f"{what} grid misses velocity breakpoint {b}")
@@ -664,30 +665,11 @@ def _check_scalar_grid(grid, what: str) -> np.ndarray:
 
 
 def solve_truncated_system(v: PiecewiseVelocity, vt: PiecewiseVelocity,
-                           M: int, N: int, s_grid, t_grid,
-                           richardson: bool = False) -> KernelSurface:
+                           M: int, N: int, s_grid, t_grid) -> KernelSurface:
     """Truncated kernel system for velocities cut at levels M (left) and
     N (right); w approximates the inner product of the two truncated
-    developments with empirical grid convergence order about 2.
-
-    With ``richardson=True`` the system is re-solved on the midpoint-refined
-    grid and the two w-surfaces are Richardson-extrapolated.
-    """
-    if not richardson:
-        return _solve_truncated_batch([(v, vt)], M, N, s_grid, t_grid)[0]
-    coarse = solve_truncated_system(v, vt, M, N, s_grid, t_grid)
-    fine = solve_truncated_system(v, vt, M, N,
-                                  _refine(coarse.s_grid), _refine(coarse.t_grid))
-    w = (4.0 * fine.w[::2, ::2] - coarse.w) / 3.0
-    return KernelSurface(
-        s_grid=coarse.s_grid, t_grid=coarse.t_grid, w=w, dim=coarse.dim,
-        f=fine.f[::2, ::2], ftilde=fine.ftilde[::2, ::2],
-        f_depth=fine.f_depth, ftilde_depth=fine.ftilde_depth,
-        s_mass=coarse.s_mass, t_mass=coarse.t_mass,
-        # the counts cover both solves
-        meta=dict(coarse.meta, richardson=True,
-                  cells=coarse.meta["cells"] + fine.meta["cells"],
-                  maps=coarse.meta["maps"] + fine.meta["maps"]))
+    developments with empirical grid convergence order about 2."""
+    return _solve_truncated_batch([(v, vt)], M, N, s_grid, t_grid)[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -861,6 +843,7 @@ def _side_tables(v: PiecewiseVelocity, M: int, N: int):
 
 
 def _refine(grid: np.ndarray) -> np.ndarray:
+    """``grid`` with each cell's midpoint inserted, for grid-refinement studies."""
     mids = 0.5 * (grid[:-1] + grid[1:])
     out = np.empty(2 * len(grid) - 1)
     out[::2] = grid

@@ -70,7 +70,6 @@ __all__ = [
     "path_signature",
     "estimate_expected_signature",
     "estimate_kernel",
-    "estimate_to_csv",
 ]
 
 
@@ -482,18 +481,3 @@ def _squared_norm(spread: np.ndarray, m: np.ndarray, gram: bool) -> float:
         return max(float(m @ (spread @ m)), 0.0)
     proj = spread @ m
     return float(proj @ proj)
-
-
-def estimate_to_csv(estimate: SignatureEstimate, path) -> None:
-    """Serialize an estimate as (word, mean, se) rows, written whole or not
-    at all (``_forks.write_text``).  A word is its letters 1..dim joined,
-    with ``-`` between them from dim 10 on, so that no two words read the
-    same ("1-11" and "11-1")."""
-    dim = estimate.mean.dim
-    rows = ["word,mean,se\n"]
-    for n in range(estimate.mean.depth + 1):
-        for idx in range(dim**n):
-            word = ("-" if dim >= 10 else "").join(map(str, ta.word_from_index(idx, n, dim)))
-            rows.append(f"{word},{float(estimate.mean.levels[n][idx])!r},"
-                        f"{float(estimate.se.levels[n][idx])!r}\n")
-    _forks.write_text(path, "".join(rows))

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -48,8 +47,6 @@ __all__ = [
     "factor_covariance",
     "MMDReport",
     "mmd_to_wiener",
-    "cross_kernel",
-    "pair_kernel",
 ]
 
 _ANTISYM_TOL = 1e-10
@@ -130,18 +127,6 @@ class WienerSpec:
             raise InvalidParameter("need one covariance per interval")
         self.covs = [np.asarray(a, dtype=float) for a in self.covs]
 
-    @classmethod
-    def from_factors(cls, dim: int, time_grid, factor_lists) -> "WienerSpec":
-        """Build covariances from per-interval lists of volatility factor
-        vectors (see :func:`factor_covariance`)."""
-        covs = []
-        for i, factors in enumerate(factor_lists):
-            try:
-                covs.append(factor_covariance(dim, factors))
-            except InvalidParameter as exc:
-                raise InvalidParameter(f"interval {i}: {exc}") from None
-        return cls(dim, np.asarray(time_grid, dtype=float), covs)
-
     def as_triplet(self) -> LevyTriplet:
         m = len(self.covs)
         return LevyTriplet(
@@ -196,33 +181,6 @@ class MMDReport:
         _forks.write_text(path, "".join(rows))
 
 
-def _merged_grid(horizon: float, grid, *breakpoints) -> np.ndarray:
-    """``grid`` as an array, or for a point count the ``make_grid`` grid
-    through all the given breakpoint arrays; ``make_grid`` rejects a count
-    that is not an integer."""
-    if np.isscalar(grid):
-        return make_grid(horizon, grid, np.concatenate(breakpoints))
-    return np.asarray(grid, dtype=float)
-
-
-def cross_kernel(ensemble: AugmentedPathEnsemble, k: int, wiener: WienerSpec,
-                 grid) -> KernelSurface:
-    """Kernel surface of path k against the Wiener expected signature."""
-    grid = _merged_grid(ensemble.horizon, grid, ensemble.time_grid, wiener.time_grid)
-    left = characteristic_velocity(ensemble.path_triplet(k), 2)
-    right = characteristic_velocity(wiener.as_triplet(), 2)
-    return solve_truncated_system(left, right, 2, 2, grid, grid)
-
-
-def pair_kernel(ensemble: AugmentedPathEnsemble, j: int, k: int,
-                grid) -> KernelSurface:
-    """Deterministic signature kernel surface of paths j and k."""
-    grid = _merged_grid(ensemble.horizon, grid, ensemble.time_grid)
-    left = characteristic_velocity(ensemble.path_triplet(j), 2)
-    right = characteristic_velocity(ensemble.path_triplet(k), 2)
-    return solve_truncated_system(left, right, 2, 2, grid, grid)
-
-
 def mmd_to_wiener(ensemble: AugmentedPathEnsemble, wiener: WienerSpec,
                   grid) -> tuple[float, MMDReport]:
     """Signature MMD between the path ensemble's empirical law and the
@@ -236,8 +194,12 @@ def mmd_to_wiener(ensemble: AugmentedPathEnsemble, wiener: WienerSpec,
         raise InvalidParameter("ensemble and Wiener dims differ")
     if ensemble.n_paths == 0:
         raise InvalidParameter("ensemble is empty")
-    # the batch checks the grid against the ensemble's and the Wiener breakpoints
-    grid = _merged_grid(ensemble.horizon, grid, ensemble.time_grid, wiener.time_grid)
+    # a point count goes to make_grid, which rejects one that is not an
+    # integer; the batch checks the grid against every breakpoint
+    if np.isscalar(grid):
+        grid = make_grid(ensemble.horizon, grid,
+                         np.concatenate([ensemble.time_grid, wiener.time_grid]))
+    grid = np.asarray(grid, dtype=float)
     m = ensemble.n_paths
 
     paths = [characteristic_velocity(ensemble.path_triplet(k), 2) for k in range(m)]

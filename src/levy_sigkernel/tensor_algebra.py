@@ -12,11 +12,11 @@ batches: a level may carry one leading batch axis, shape ``(P, d**n)``, and
 a level without it is shared by every batch element (broadcast), so an
 all-zero level need not be materialised per element.  Row p of a batched
 result is bitwise equal to the single-tensor call on row p.
-:func:`adjoint_left`, :func:`adjoint_left_zero`, :func:`flatten` and
-:func:`unflatten` take the same batch axis; ``scalar()``, ``+``, ``-``,
-:func:`inner_product`, :func:`adjoint_right` and :func:`level_norms` (so
-:func:`norm_p`) raise ``Unsupported`` on a batch.  A depth or level that
-is not a nonnegative integer raises ``InvalidParameter``.
+:func:`adjoint_left`, :func:`flatten` and :func:`unflatten` take the same
+batch axis; ``scalar()``, ``+``, ``-``, :func:`inner_product`,
+:func:`adjoint_right` and :func:`level_norms` (so :func:`norm_p`) raise
+``Unsupported`` on a batch.  A depth or level that is not a nonnegative
+integer raises ``InvalidParameter``.
 
 One routine forms every truncated product, on batch-last ``(d**n, P)``
 columns: :func:`tensor_mul` sums level pairs into zeros, :func:`mul_exp`
@@ -40,7 +40,6 @@ __all__ = [
     "TruncatedTensor",
     "LevelNorms",
     "word_index",
-    "word_from_index",
     "tensor_mul",
     "inner_product",
     "level_norms",
@@ -50,12 +49,8 @@ __all__ = [
     "exp_tensor",
     "mul_exp",
     "log_tensor",
-    "group_inverse",
     "adjoint_left",
     "adjoint_right",
-    "adjoint_left_zero",
-    "adjoint_right_zero",
-    "project",
     "truncate",
     "flat_size",
     "flatten",
@@ -76,17 +71,6 @@ def word_index(word: Sequence[int], dim: int) -> int:
             raise InvalidWord(f"letter {letter} outside alphabet 1..{dim}")
         idx = idx * dim + (letter - 1)
     return idx
-
-
-def word_from_index(index: int, length: int, dim: int) -> tuple[int, ...]:
-    """Inverse of :func:`word_index` for words of the given length."""
-    if not 0 <= index < dim**length:
-        raise InvalidWord(f"index {index} outside 0..{dim ** length - 1}")
-    letters = []
-    for _ in range(length):
-        letters.append(index % dim + 1)
-        index //= dim
-    return tuple(reversed(letters))
 
 
 class TruncatedTensor:
@@ -371,8 +355,22 @@ def inner_product(x: TruncatedTensor, y: TruncatedTensor) -> float:
 
 
 def level_norms(x: TruncatedTensor) -> LevelNorms:
+    """Euclidean norm of each level, ``np.linalg.norm``'s bits.  Where that
+    squares past the float range, to ``inf`` or to 0 on a nonzero level,
+    the level is scaled by its largest entry first, so a norm is ``inf``
+    or 0 only where its value is."""
     _check_single("level_norms", x)
-    return LevelNorms(np.array([np.linalg.norm(lev) for lev in x.levels]))
+    with np.errstate(over="ignore"):
+        return LevelNorms(np.array([_level_norm(lev) for lev in x.levels]))
+
+
+def _level_norm(lev: np.ndarray) -> float:
+    norm = np.linalg.norm(lev)
+    if norm == math.inf or (norm == 0.0 and lev.any()):
+        top = np.abs(lev).max()
+        if top < math.inf:
+            norm = top * np.linalg.norm(lev / top)
+    return norm
 
 
 def norm_p(x: TruncatedTensor, p: float | str = 1.0) -> float:
@@ -428,20 +426,6 @@ def log_tensor(x: TruncatedTensor) -> TruncatedTensor:
     return out
 
 
-def group_inverse(x: TruncatedTensor) -> TruncatedTensor:
-    """Group inverse of a unit-scalar element: sum of powers of (1 - x)."""
-    if x.scalar() != 1.0:
-        raise ScalarPartError("group_inverse requires scalar part 1")
-    depth = x.depth
-    y = TruncatedTensor.unit(x.dim, depth) - x
-    out = TruncatedTensor.unit(x.dim, depth)
-    term = TruncatedTensor.unit(x.dim, depth)
-    for _ in range(depth):
-        term = tensor_mul(term, y, depth)
-        out = out + term
-    return out
-
-
 def adjoint_left(x: TruncatedTensor, z: TruncatedTensor) -> TruncatedTensor:
     """Adjoint of left multiplication: coefficient at w is sum_v x^v z^{vw}.
 
@@ -482,29 +466,6 @@ def adjoint_right(y: TruncatedTensor, z: TruncatedTensor) -> TruncatedTensor:
                 out.levels[m] += yk[0] * z.levels[n]
             else:
                 out.levels[m] += z.levels[n].reshape(d**m, d**k) @ yk
-    return out
-
-
-def adjoint_left_zero(x: TruncatedTensor, z: TruncatedTensor) -> TruncatedTensor:
-    """Adjoint left multiplication with the scalar component removed."""
-    out = adjoint_left(x, z)
-    out.levels[0][..., 0] = 0.0
-    return out
-
-
-def adjoint_right_zero(y: TruncatedTensor, z: TruncatedTensor) -> TruncatedTensor:
-    """Adjoint right multiplication with the scalar component removed."""
-    out = adjoint_right(y, z)
-    out.levels[0][0] = 0.0
-    return out
-
-
-def project(x: TruncatedTensor, n: int) -> TruncatedTensor:
-    """Projection onto level n (all other levels zeroed)."""
-    _check_depth(n, "level")
-    out = TruncatedTensor.zero(x.dim, x.depth)
-    if n <= x.depth:
-        out.levels[n] = x.levels[n].copy()
     return out
 
 

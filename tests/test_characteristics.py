@@ -6,15 +6,14 @@ import pytest
 from levy_sigkernel import tensor_algebra as ta
 from levy_sigkernel.characteristics import (AtomicJumps, GaussianJumps,
                                             LevyTriplet, PiecewiseVelocity,
-                                            _drift_tensor, _gaussian_moments,
+                                            _gaussian_moments,
                                             characteristic_velocity,
-                                            dilate_triplet,
                                             exponential_moment_value,
                                             gaussian_tensor_moment,
                                             velocity_tail_bound)
 from levy_sigkernel.development import develop, expected_signature
 from levy_sigkernel.errors import (DepthTooSmall, InvalidParameter,
-                                   InvalidTriplet, OutOfRange, Unsupported)
+                                   InvalidTriplet, OutOfRange)
 from levy_sigkernel.kernel_solver import truncation_certificate
 from levy_sigkernel.mc_oracle import simulate_paths
 from levy_sigkernel.tensor_algebra import TruncatedTensor as TT
@@ -176,66 +175,6 @@ class TestExponentialMoment:
         assert val >= mc * 0.95
 
 
-class TestDilateTriplet:
-    def test_identity_at_lambda_one(self):
-        trip = LevyTriplet.homogeneous(
-            1, 1.0, drift=[0.3], cov=np.array([[0.5]]),
-            jumps=AtomicJumps(np.array([1.0]), (atom(1, [0.8]),)))
-        out = dilate_triplet(trip, 1.0)
-        assert np.array_equal(out.drifts[0], trip.drifts[0])
-        assert np.array_equal(out.covs[0], trip.covs[0])
-
-    def test_classical_diffusion_scaling(self):
-        trip = LevyTriplet.homogeneous(1, 1.0, cov=np.array([[0.7]]))
-        out = dilate_triplet(trip, 2.0)
-        assert out.covs[0][0, 0] == pytest.approx(4 * 0.7, rel=1e-14)
-
-    def test_atom_crossing_threshold_compensates_drift(self):
-        trip = LevyTriplet.homogeneous(
-            1, 1.0, jumps=AtomicJumps(np.array([1.0]), (atom(1, [0.8]),)))
-        out = dilate_triplet(trip, 2.0)
-        jump = out.jumps[0]
-        assert jump.atoms[0].levels[1][0] == pytest.approx(1.6, rel=1e-14)
-        # the atom leaves the small-jump ball, so the drift absorbs a
-        # compensation of magnitude dilate(0.8 e_1) = 1.6 e_1; its sign is
-        # pinned by the velocity consistency identity checked below
-        assert out.drifts[0][0] == pytest.approx(-1.6, rel=1e-14)
-        lhs = characteristic_velocity(out, 4)
-        rhs = characteristic_velocity(trip, 4)
-        diff = lhs.tensors[0] - ta.dilate(rhs.tensors[0], 2.0)
-        assert ta.norm_p(diff, "max") < 1e-12
-
-    def test_velocity_dilation_consistency(self, rng):
-        # dilating the triplet then taking the velocity equals dilating the
-        # velocity, both sides computed independently
-        for _ in range(20):
-            d = 2
-            atoms = tuple(atom(d, rng.normal(size=d) * s) for s in (0.4, 1.3))
-            trip = LevyTriplet.homogeneous(
-                d, 1.0, drift=rng.normal(size=d) * 0.3,
-                cov=np.diag(rng.uniform(0.1, 1.0, size=d)),
-                jumps=AtomicJumps(rng.uniform(0.1, 1.0, size=2), atoms))
-            lam = float(rng.uniform(0.4, 1.8))
-            lhs = characteristic_velocity(dilate_triplet(trip, lam), 4)
-            rhs = characteristic_velocity(trip, 4)
-            for i in range(trip.n_intervals):
-                diff = lhs.tensors[i] - ta.dilate(rhs.tensors[i], lam)
-                assert ta.norm_p(diff, "max") < 1e-12
-
-    def test_gaussian_level2_unsupported(self):
-        trip = LevyTriplet.homogeneous(
-            2, 1.0, area=np.array([[0, 0.1], [-0.1, 0]]),
-            jumps=GaussianJumps(1.0, np.eye(2)), state_depth=2)
-        with pytest.raises(Unsupported):
-            dilate_triplet(trip, 2.0)
-
-    def test_gaussian_level1_scales_covariance(self):
-        trip = LevyTriplet.homogeneous(1, 1.0, jumps=GaussianJumps(1.5, np.array([[0.3]])))
-        out = dilate_triplet(trip, 3.0)
-        assert out.jumps[0].cov[0, 0] == pytest.approx(9 * 0.3, rel=1e-14)
-        assert out.jumps[0].intensity == 1.5
-
-
 class TestVelocityIntegrals:
     def test_mass_piecewise(self):
         grid = np.array([0.0, 0.5, 1.0])
@@ -365,10 +304,19 @@ def reference_jump_velocity_term(spec, dim, depth):
     return out
 
 
+def reference_drift(triplet, i, depth):
+    """Interval i's drift and area as a depth-``depth`` tensor."""
+    x = TT.zero(triplet.dim, depth)
+    x.levels[1] += triplet.drifts[i]
+    if triplet.areas[i] is not None and depth >= 2:
+        x.levels[2] += triplet.areas[i].ravel()
+    return x
+
+
 def reference_characteristic_velocity(triplet, depth):
     tensors = []
     for i in range(triplet.n_intervals):
-        x = _drift_tensor(triplet, i, depth)
+        x = reference_drift(triplet, i, depth)
         x.levels[2] += 0.5 * triplet.covs[i].ravel()
         tensors.append(x + reference_jump_velocity_term(triplet.jumps[i],
                                                         triplet.dim, depth))

@@ -1,8 +1,11 @@
+import glob
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tokenize
 
 import numpy as np
 import pytest
@@ -15,7 +18,6 @@ from levy_sigkernel.characteristics import characteristic_velocity
 from levy_sigkernel.cli import cmd_validate, main, parse_triplet
 from levy_sigkernel.errors import ConfigError
 from levy_sigkernel.kernel_solver import bessel_i0, truncation_certificate
-from levy_sigkernel.mmd import WienerSpec
 
 
 def write_config(path, cfg):
@@ -240,7 +242,8 @@ class TestMalformedConfigs:
         for sig in factors:
             expected += np.outer(sig, sig)
         trip = parse_triplet(cfg, "triplets[0]")
-        wiener = WienerSpec.from_factors(2, [0.0, 1.0], [factors])
+        wiener = cli_module._parse_wiener({"wiener": {"time_grid": [0.0, 1.0],
+                                                      "factors": [factors]}}, 2)
         assert np.array_equal(trip.covs[0], expected)
         assert np.array_equal(wiener.covs[0], expected)
 
@@ -745,13 +748,11 @@ def run_fresh(code: str) -> str:
 # the package's exports, by the module that defines each
 EXPORTS = {
     "characteristics": ("AtomicJumps", "GaussianJumps", "LevyTriplet", "PiecewiseVelocity",
-                        "characteristic_velocity", "dilate_triplet",
-                        "exponential_moment_value", "factor_covariance",
-                        "gaussian_tensor_moment"),
-    "development": ("bell_numbers", "bell_polynomials", "bound_gronwall",
-                    "bound_inner_truncation", "bound_level", "bound_lipschitz",
-                    "bound_outer_truncation", "develop", "expected_signature",
-                    "gaussian_jump_tail_bound", "gaussian_mgf_moment",
+                        "characteristic_velocity", "exponential_moment_value",
+                        "factor_covariance", "gaussian_tensor_moment"),
+    "development": ("bell_polynomials", "bound_gronwall", "bound_inner_truncation",
+                    "bound_level", "bound_lipschitz", "bound_outer_truncation", "develop",
+                    "expected_signature", "gaussian_jump_tail_bound", "gaussian_mgf_moment",
                     "remainder_diagnostics"),
     "errors": ("ConfigError", "DepthTooSmall", "DimMismatch", "GridMismatch",
                "InvalidParameter", "InvalidTriplet", "InvalidWord", "LevySigKernelError",
@@ -760,20 +761,61 @@ EXPORTS = {
                       "make_grid", "solve_goursat_scalar", "solve_truncated_system",
                       "truncation_certificate"),
     "mc_oracle": ("SignatureEstimate", "SimulatedPaths", "estimate_expected_signature",
-                  "estimate_kernel", "estimate_to_csv", "path_signature", "simulate_paths"),
-    "mmd": ("AugmentedPathEnsemble", "MMDReport", "WienerSpec", "cross_kernel",
-            "mmd_to_wiener", "pair_kernel"),
-    "tensor_algebra": ("LevelNorms", "TruncatedTensor", "adjoint_left", "adjoint_left_zero",
-                       "adjoint_right", "adjoint_right_zero", "dilate", "exp_tensor",
-                       "group_inverse", "inner_product", "level_norms", "log_tensor",
-                       "max_level_norm", "norm_p", "project", "tensor_mul", "truncate",
-                       "word_from_index", "word_index"),
+                  "estimate_kernel", "path_signature", "simulate_paths"),
+    "mmd": ("AugmentedPathEnsemble", "MMDReport", "WienerSpec", "mmd_to_wiener"),
+    "tensor_algebra": ("LevelNorms", "TruncatedTensor", "adjoint_left", "adjoint_right",
+                       "dilate", "exp_tensor", "inner_product", "level_norms", "log_tensor",
+                       "max_level_norm", "norm_p", "tensor_mul", "truncate", "word_index"),
 }
 # the modules that only some commands use
 COMMAND_MODULES = ("development", "mc_oracle", "mmd")
 # prints the names of the loaded submodules on one line
 LOADED = ("print('loaded:', *sorted(m.split('.', 1)[1] for m in sys.modules "
           "if m.startswith('levy_sigkernel.')))")
+
+
+def identifiers(path, strings=False):
+    """The identifiers of a Python file, comments left out, and strings
+    (docstrings included) left out too unless ``strings``."""
+    found = set()
+    with open(path, "rb") as fh:
+        for tok in tokenize.tokenize(fh.readline):
+            if tok.type == tokenize.NAME:
+                found.add(tok.string)
+            elif strings and tok.type == tokenize.STRING:
+                found.update(re.findall(r"[A-Za-z_]\w*", tok.string))
+    return found
+
+
+def exports_without_users(exports):
+    """The names of ``exports`` (name -> defining module) that no other
+    module of the package, no benchmark file (which names its spans in
+    strings), not the acceptance suite and no code in the README uses."""
+    package = os.path.dirname(levy_sigkernel.__file__)
+    modules = {os.path.basename(p)[:-3]: identifiers(p)
+               for p in glob.glob(os.path.join(package, "*.py"))}
+    with open(os.path.join(REPO, "README.md")) as fh:
+        readme = fh.read()
+    readme_code = re.findall(r"```.*?```", readme, re.S) + re.findall(r"`[^`\n]+`", readme)
+    users = set().union(
+        *(identifiers(p, strings=True)
+          for p in glob.glob(os.path.join(REPO, "perfbench", "*.py"))),
+        identifiers(os.path.join(REPO, "tests", "test_acceptance.py")),
+        re.findall(r"[A-Za-z_]\w*", "\n".join(readme_code)))
+    return [name for name, home in sorted(exports.items()) if name not in users
+            and not any(name in found for module, found in modules.items()
+                        if module not in ("__init__", home))]
+
+
+class TestExportsHaveUsers:
+    def test_every_export_has_a_user(self):
+        assert exports_without_users(levy_sigkernel._EXPORTS) == []
+
+    def test_an_export_without_a_user_is_found(self):
+        # used only inside its own module, or only by a test, is not a user
+        exports = dict(levy_sigkernel._EXPORTS, _level_norm="tensor_algebra",
+                       reference_drift="characteristics")
+        assert exports_without_users(exports) == ["_level_norm", "reference_drift"]
 
 
 class TestEntryPoints:

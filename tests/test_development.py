@@ -9,7 +9,7 @@ from levy_sigkernel import tensor_algebra as ta
 from levy_sigkernel.characteristics import (GaussianJumps, LevyTriplet,
                                             PiecewiseVelocity,
                                             characteristic_velocity)
-from levy_sigkernel.development import (bell_numbers, bell_polynomials,
+from levy_sigkernel.development import (bell_polynomials,
                                         bound_gronwall,
                                         bound_inner_truncation, bound_level,
                                         bound_lipschitz,
@@ -218,10 +218,22 @@ class TestBellPolynomials:
         assert np.all(bell_polynomials(np.zeros(5)) == 0.0)
 
     def test_bell_numbers_vs_set_partition_count(self):
-        got = bell_numbers(5)
+        # all arguments 1 give the Bell numbers
+        got = bell_polynomials(np.ones(5))
         expected = [count_set_partitions(n) for n in range(1, 6)]
         assert expected == [1, 2, 5, 15, 52]
         assert np.allclose(got, expected)
+
+    @pytest.mark.parametrize("ys", [np.ones(1100), np.tile([0.0, 1.0], 550)],
+                             ids=["ones", "zeros-between"])
+    def test_past_the_float_range_is_inf(self, ys):
+        # B_n overflows near n = 218 and C(m, k) near m = 1030; warnings are
+        # errors here, and the values up to the overflow keep their bits
+        got = bell_polynomials(ys)
+        assert not np.isnan(got).any() and got[-1] == math.inf
+        top = int(np.argmax(np.isinf(got)))
+        assert top > 100 and np.isfinite(got[:top]).all()
+        assert got[:top].tobytes() == bell_polynomials(ys[:top]).tobytes()
 
 
 class TestBounds:
@@ -478,6 +490,13 @@ class TestGaussianMgf:
     def test_d1_m2_gamma_ratio(self):
         # Gamma(2.5)/Gamma(0.5) = (3/2)(1/2) = 3/4
         assert gaussian_mgf_moment(1, 2) == pytest.approx(2**4.5 * 0.75, rel=1e-14)
+
+    @pytest.mark.parametrize("d, m, expected", [
+        (400, 0, 2.0**200), (400, 10, 2.0**220 * math.prod(range(200, 210))),
+        (2, 400, math.inf), (1, 171, math.inf)])
+    def test_past_the_gamma_range(self, d, m, expected):
+        # Gamma(d/2 + m) or Gamma(d/2) overflows a float; the value may not
+        assert gaussian_mgf_moment(d, m) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_monte_carlo_agreement(self, rng):
         for d in (1, 2, 3):

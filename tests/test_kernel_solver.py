@@ -21,7 +21,7 @@ from levy_sigkernel import mmd
 from levy_sigkernel import kernel_solver
 from levy_sigkernel.kernel_solver import (_CORRECTOR_PASSES, KernelSurface, _apply_maps,
                                           _cell_increments, _cell_intervals,
-                                          _coefficients, _side_tables,
+                                          _coefficients, _refine, _side_tables,
                                           _solve_truncated_batch, _step_classes,
                                           _Tables, _takes_maps, _transfer_maps,
                                           apriori_psi, bessel_i0,
@@ -348,18 +348,18 @@ class TestTruncatedSystem:
                                    make_grid(1, 11, grid))
 
     def test_richardson_improves_value(self, rng):
+        # the scheme is second order: extrapolating the coarse and the
+        # midpoint-refined solves at the call site beats the coarse value
         grid = np.array([0.0, 1.0])
         v = random_velocity(rng, 1, 2, grid, scale=0.8)
         vt = random_velocity(rng, 1, 2, grid, scale=0.8)
         oracle = development_oracle(v, vt, 2, 2, 1.0, 30)
         g = unigrid(33)
         plain = solve_truncated_system(v, vt, 2, 2, g, g)
-        extrap = solve_truncated_system(v, vt, 2, 2, g, g, richardson=True)
-        assert abs(extrap.value() - oracle) < abs(plain.value() - oracle) / 4
-        # the counts cover the coarse and the midpoint-refined solve
-        assert extrap.meta["cells"] == 32 * 32 + 64 * 64
-        assert extrap.meta["maps"] == plain.meta["maps"] + solve_truncated_system(
-            v, vt, 2, 2, unigrid(65), unigrid(65)).meta["maps"]
+        fine = solve_truncated_system(v, vt, 2, 2, _refine(g), _refine(g))
+        assert fine.meta["cells"] == 64 * 64
+        extrap = (4.0 * fine.value() - plain.value()) / 3.0
+        assert abs(extrap - oracle) < abs(plain.value() - oracle) / 4
 
     def test_apriori_bound_holds(self, rng):
         grid = np.array([0.0, 0.5, 1.0])
@@ -1009,6 +1009,24 @@ class TestTransferMaps:
             with pytest.raises(InvalidParameter):
                 make_grid(horizon, n_points)
 
+    @pytest.mark.parametrize("horizon", [1e-9, 1e-12])
+    def test_make_grid_keeps_its_points_at_tiny_horizons(self, horizon):
+        # near-duplicates are measured against the horizon, not against 1
+        g = make_grid(horizon, 2001)
+        assert len(g) == 2001 and np.all(np.diff(g) > 0) and g[-1] == horizon
+        g = make_grid(horizon, 11, [0.37 * horizon])
+        assert len(g) == 12 and 0.37 * horizon in g
+
+    def test_breakpoint_check_scales_with_the_horizon(self, rng):
+        # a breakpoint 1e-13 from a node is 1e-4 of this grid's step away
+        horizon = 1e-9
+        cut = (0.3 + 1e-4) * horizon
+        v = random_velocity(rng, 1, 2, np.array([0.0, cut, horizon]), scale=0.5)
+        with pytest.raises(GridMismatch, match="breakpoint"):
+            solve_truncated_system(v, v, 2, 2, unigrid(11, horizon), unigrid(11, horizon))
+        g = make_grid(horizon, 11, [cut])
+        assert solve_truncated_system(v, v, 2, 2, g, g).w.shape == (12, 12)
+
     def test_make_grid_takes_numpy_integers(self):
         assert np.array_equal(make_grid(0.3, np.int64(65), [0.1]), make_grid(0.3, 65, [0.1]))
         assert np.array_equal(make_grid(np.float64(2.0), np.int32(9)), make_grid(2.0, 9))
@@ -1167,9 +1185,16 @@ def scalar_tables(alpha, s_grid, t_grid):
     return A4, B, B, q, R, R, q, R, R
 
 
+def zero_scalar(x):
+    """``x`` with its scalar coordinate (slot 0) set to 0, in place."""
+    x.levels[0][..., 0] = 0.0
+    return x
+
+
 def reference_coefficients(v, vt, M, N):
     """Reference: the coefficient assembly that the batched identities
-    replaced, with one tensor_mul / adjoint_left_zero per basis vector."""
+    replaced, with one tensor_mul / adjoint_left per basis vector, the
+    adjoints' scalar slot zeroed."""
     d = v.dim
     P = min(M, N)
     Q = min(M, N - 1)
@@ -1199,7 +1224,7 @@ def reference_coefficients(v, vt, M, N):
         for col, e in basis_vectors(depth_f):
             RX[a][:, col] = ta.flatten(ta.tensor_mul(e, xQ, depth_f), depth_f)
         for col, e in basis_vectors(depth_g):
-            AX[a][:, col] = ta.flatten(ta.adjoint_left_zero(e, x), depth_f)
+            AX[a][:, col] = ta.flatten(zero_scalar(ta.adjoint_left(e, x)), depth_f)
     qy = np.empty((nb, dg))
     RY = np.empty((nb, dg, dg))
     AY = np.empty((nb, dg, df))
@@ -1209,13 +1234,14 @@ def reference_coefficients(v, vt, M, N):
         for col, e in basis_vectors(depth_g):
             RY[b][:, col] = ta.flatten(ta.tensor_mul(e, yQt, depth_g), depth_g)
         for col, e in basis_vectors(depth_f):
-            AY[b][:, col] = ta.flatten(ta.adjoint_left_zero(e, y), depth_g)
+            AY[b][:, col] = ta.flatten(zero_scalar(ta.adjoint_left(e, y)), depth_g)
     for a, x in enumerate(xs):
         xP, xQ = ta.truncate(x, P), ta.truncate(x, Q)
         for b, y in enumerate(ys):
             A[a, b] = ta.inner_product(xP, ta.truncate(y, P))
-            B[a, b] = ta.flatten(ta.adjoint_right_zero(xQ, y), depth_f)
-            C[a, b] = ta.flatten(ta.adjoint_right_zero(ta.truncate(y, Qt), x), depth_g)
+            B[a, b] = ta.flatten(zero_scalar(ta.adjoint_right(xQ, y)), depth_f)
+            C[a, b] = ta.flatten(zero_scalar(ta.adjoint_right(ta.truncate(y, Qt), x)),
+                                 depth_g)
     return A, B, C, qx, RX, AX, qy, RY, AY
 
 
@@ -1369,23 +1395,23 @@ class TestSweepReferences:
         assert counts[1:] == counts[:1] * 3
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_batched_adjoint_left_zero_rows_match_single_calls(self, rng, d):
+    def test_batched_adjoint_left_rows_match_single_calls(self, rng, d):
         rows = 5
         for depth_x, depth_z in [(0, 3), (2, 3), (3, 2), (2, 4)]:
             x = TT(d, [rng.normal(size=(rows, d**n)) for n in range(depth_x + 1)])
             x.levels[-1][1] = 0.0    # a zero row within a live level
             z = TT(d, [rng.normal(size=d**n) for n in range(depth_z + 1)])
             zb = TT(d, [rng.normal(size=(rows, d**n)) for n in range(depth_z + 1)])
-            out, outb = ta.adjoint_left_zero(x, z), ta.adjoint_left_zero(x, zb)
+            out, outb = ta.adjoint_left(x, z), ta.adjoint_left(x, zb)
             flat, flatb = ta.flatten(out, depth_z), ta.flatten(outb, depth_z)
             for p in range(rows):
                 xp = TT(d, [lev[p] for lev in x.levels])
                 zp = TT(d, [lev[p] for lev in zb.levels])
-                single = ta.adjoint_left_zero(xp, z)
+                single = ta.adjoint_left(xp, z)
                 for lev, ref in zip(out.levels, single.levels):
                     assert np.array_equal(lev[p], ref)
                 assert np.array_equal(flat[p], ta.flatten(single, depth_z))
-                single = ta.adjoint_left_zero(xp, zp)
+                single = ta.adjoint_left(xp, zp)
                 assert np.array_equal(flatb[p], ta.flatten(single, depth_z))
                 back = ta.unflatten(flatb, d, depth_z)
                 for lev, ref in zip(back.levels, single.levels):

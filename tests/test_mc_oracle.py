@@ -22,8 +22,8 @@ from levy_sigkernel.errors import DimMismatch, InvalidParameter, OutOfRange
 from levy_sigkernel.kernel_solver import bessel_i0
 from levy_sigkernel.mc_oracle import (SimulatedPaths, _batch_signatures,
                                       _cov_factor, estimate_expected_signature,
-                                      estimate_kernel, estimate_to_csv,
-                                      path_signature, simulate_paths)
+                                      estimate_kernel, path_signature,
+                                      simulate_paths)
 from levy_sigkernel.tensor_algebra import TruncatedTensor as TT
 
 from conftest import (dense_exp_tensor, gamma, general_mul_exp_bound, open_fds,
@@ -1414,44 +1414,6 @@ class TestEstimators:
         bm = LevyTriplet.brownian(1, 1.0)
         val, se = estimate_kernel(bm, bm, 1.0, 6, 20_000, 8, seed=21)
         assert abs(val - bessel_i0(1.0)) <= 3.5 * se + 1e-3
-
-    def test_estimate_csv(self, tmp_path):
-        bm = LevyTriplet.brownian(1, 1.0)
-        est = estimate_expected_signature(bm, 1.0, 2, 500, 4, seed=1)
-        out = tmp_path / "esig.csv"
-        estimate_to_csv(est, out)
-        lines = out.read_text().strip().split("\n")
-        assert lines[0] == "word,mean,se"
-        # empty word row then single-letter rows; exact re-parse
-        assert lines[1].startswith(",")
-        vals = [float(line.split(",")[1]) for line in lines[1:]]
-        flat = np.concatenate([est.mean.levels[n] for n in range(3)])
-        assert np.array_equal(np.array(vals), flat)
-
-    @pytest.mark.parametrize("dim", [2, 11])
-    def test_estimate_csv_round_trip(self, rng, tmp_path, dim):
-        # from dim 10 on, letters are separated: "11" alone is letter 11
-        depth = 2
-        mean, se = (TT.from_levels(dim, [rng.normal(size=dim**n) for n in range(depth + 1)])
-                    for _ in range(2))
-        out = tmp_path / "esig.csv"
-        estimate_to_csv(mc_oracle.SignatureEstimate(mean, se, ta.level_norms(se), 2), out)
-        lines = out.read_text().split("\n")
-        assert lines[0] == "word,mean,se" and lines[-1] == ""
-        read = {}
-        for line in lines[1:-1]:
-            word, m, s = line.split(",")
-            letters = tuple(map(int, word.split("-") if dim >= 10 and word else word))
-            assert letters not in read
-            read[letters] = (m, s)
-        assert len(read) == sum(dim**n for n in range(depth + 1))
-        for letters, (m, s) in read.items():
-            n, idx = len(letters), ta.word_index(letters, dim) if letters else 0
-            assert (m, s) == (repr(float(mean.levels[n][idx])), repr(float(se.levels[n][idx])))
-        if dim >= 10:
-            assert {(11,), (1, 1), (1, 11), (11, 1)} <= read.keys()
-        else:
-            assert lines[1 + 1 + dim + 1].startswith("12,")
 
     @pytest.mark.parametrize("n_paths", [20, 301], ids=["rows", "gram"])
     def test_kernel_se_is_the_projections_delta_method(self, n_paths):

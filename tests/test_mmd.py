@@ -1,5 +1,4 @@
 import itertools
-import math
 import os
 import signal
 import threading
@@ -12,13 +11,12 @@ import pytest
 from levy_sigkernel import _forks, kernel_solver
 from levy_sigkernel import mmd as mmd_module
 from levy_sigkernel import tensor_algebra as ta
-from levy_sigkernel.characteristics import characteristic_velocity
+from levy_sigkernel.characteristics import characteristic_velocity, factor_covariance
 from levy_sigkernel.development import develop
 from levy_sigkernel.errors import InvalidParameter, InvalidTriplet, NumericalInconsistency
-from levy_sigkernel.kernel_solver import (_solve_truncated_batch, bessel_i0, make_grid,
+from levy_sigkernel.kernel_solver import (_solve_truncated_batch, make_grid,
                                           solve_goursat_scalar)
-from levy_sigkernel.mmd import (AugmentedPathEnsemble, WienerSpec,
-                                cross_kernel, mmd_to_wiener, pair_kernel)
+from levy_sigkernel.mmd import AugmentedPathEnsemble, WienerSpec, mmd_to_wiener
 
 from conftest import mixed_corner_batch, open_fds
 
@@ -43,6 +41,16 @@ def make_ensemble(rng, dim, n_paths, grid, scale=0.8, with_area=True):
             area_derivs.append(None)
     return AugmentedPathEnsemble(dim=dim, time_grid=np.asarray(grid, float),
                                  derivs=derivs, area_derivs=area_derivs)
+
+
+def surface(ensemble, key, points, wiener=None):
+    """The surface ``key`` of ``mmd_to_wiener``'s report, solved in full when
+    read; by default against a standard Wiener measure, whose one interval
+    adds no breakpoint to the grid."""
+    if wiener is None:
+        wiener = WienerSpec(ensemble.dim, np.array([0.0, ensemble.horizon]),
+                            [np.eye(ensemble.dim)])
+    return mmd_to_wiener(ensemble, wiener, points)[1].surfaces[key]
 
 
 def wiener_expected_signature(wiener, t, depth):
@@ -80,17 +88,20 @@ class TestValidation:
                              ids=["short", "non-numeric", "empty", "nan"])
     def test_factor_must_be_finite_dim_vector(self, factor):
         with pytest.raises(InvalidParameter):
-            WienerSpec.from_factors(2, [0.0, 1.0], [[factor]])
+            factor_covariance(2, [factor])
 
     def test_factor_construction(self):
-        wn = WienerSpec.from_factors(2, [0.0, 1.0], [[[1.0, 0.0], [0.0, 2.0]]])
-        assert np.allclose(wn.covs[0], np.diag([1.0, 4.0]))
+        cov = factor_covariance(2, [[1.0, 0.0], [0.0, 2.0]])
+        assert np.allclose(cov, np.diag([1.0, 4.0]))
 
-    # each entry point's corner value on a grid of ``points`` points
+    # each value's corner on a grid of ``points`` points: the MMD, and the
+    # cross and pair surfaces read from its report
     CORNERS = {
         "mmd_to_wiener": lambda ens, wn, points: mmd_to_wiener(ens, wn, points)[0],
-        "cross_kernel": lambda ens, wn, points: cross_kernel(ens, 1, wn, points).w[-1, -1],
-        "pair_kernel": lambda ens, wn, points: pair_kernel(ens, 0, 1, points).w[-1, -1],
+        "cross_kernel": lambda ens, wn, points: surface(ens, ("cross", 1), points,
+                                                        wn).w[-1, -1],
+        "pair_kernel": lambda ens, wn, points: surface(ens, ("pair", 0, 1), points,
+                                                       wn).w[-1, -1],
     }
 
     @pytest.mark.parametrize("points", [17.9, np.float64(17.5), True],
@@ -115,19 +126,19 @@ class TestCrossKernel:
         ens = make_ensemble(rng, 2, 1, grid, with_area=True)
         ens.derivs[0][:] = 0.0
         wn = WienerSpec(2, np.array([0.0, 1.0]), [np.eye(2)])
-        surf = cross_kernel(ens, 0, wn, 33)
+        surf = surface(ens, ("cross", 0), 33, wn)
         assert np.abs(surf.w - 1.0).max() < 1e-10
 
     def test_degenerate_wiener_gives_one(self, rng):
         ens = make_ensemble(rng, 2, 1, [0.0, 1.0])
         wn = WienerSpec(2, np.array([0.0, 1.0]), [np.zeros((2, 2))])
-        surf = cross_kernel(ens, 0, wn, 17)
+        surf = surface(ens, ("cross", 0), 17, wn)
         assert np.abs(surf.w - 1.0).max() < 1e-12
 
     def test_boundary_field_is_path_integral(self, rng):
         ens = make_ensemble(rng, 2, 1, [0.0, 0.5, 1.0], with_area=True)
         wn = WienerSpec(2, np.array([0.0, 1.0]), [np.eye(2)])
-        surf = cross_kernel(ens, 0, wn, 33)
+        surf = surface(ens, ("cross", 0), 33, wn)
         # f(s, 0) = int_0^s b_k; check at the far corner of the t=0 row
         expected = 0.5 * ens.derivs[0][0] + 0.5 * ens.derivs[0][1]
         assert np.allclose(surf.f[-1, 0], expected, atol=1e-12)
@@ -139,7 +150,7 @@ class TestCrossKernel:
         ens = AugmentedPathEnsemble(dim=1, time_grid=grid,
                                     derivs=[np.array([[1.0]])], area_derivs=[None])
         wn = WienerSpec(1, grid, [np.eye(1)])
-        surf = cross_kernel(ens, 0, wn, 257)
+        surf = surface(ens, ("cross", 0), 257, wn)
         sig = develop(characteristic_velocity(ens.path_triplet(0), 2), 0, 1, 12)
         esig = wiener_expected_signature(wn, 1.0, 12)
         ref = ta.inner_product(sig, esig)
@@ -151,7 +162,7 @@ class TestPairKernel:
         ens = AugmentedPathEnsemble(dim=2, time_grid=np.array([0.0, 1.0]),
                                     derivs=[np.zeros((1, 2))] * 2,
                                     area_derivs=[None, None])
-        surf = pair_kernel(ens, 0, 1, 9)
+        surf = surface(ens, ("pair", 0, 1), 9)
         assert np.all(surf.w == 1.0)
 
     def test_area_free_reduces_to_classical_goursat(self, rng):
@@ -159,7 +170,7 @@ class TestPairKernel:
         b0, b1 = np.array([[0.8, -0.3]]), np.array([[0.2, 0.9]])
         ens = AugmentedPathEnsemble(dim=2, time_grid=grid, derivs=[b0, b1],
                                     area_derivs=[None, None])
-        surf = pair_kernel(ens, 0, 1, 65)
+        surf = surface(ens, ("pair", 0, 1), 65)
         alpha = float(b0[0] @ b1[0])
         g = surf.s_grid
         ref = solve_goursat_scalar((lambda s: alpha, lambda t: 1.0), g, g)
@@ -174,7 +185,7 @@ class TestPairKernel:
         ens = AugmentedPathEnsemble(dim=2, time_grid=grid,
                                     derivs=[np.zeros((1, 2))] * 2,
                                     area_derivs=[a1[None], a2[None]])
-        surf = pair_kernel(ens, 0, 1, 65)
+        surf = surface(ens, ("pair", 0, 1), 65)
         alpha = float(np.sum(a1 * a2))
         ref = solve_goursat_scalar((lambda s: alpha, lambda t: 1.0),
                                    surf.s_grid, surf.t_grid)
@@ -182,7 +193,7 @@ class TestPairKernel:
 
     def test_random_pair_matches_development(self, rng):
         ens = make_ensemble(rng, 2, 2, [0.0, 0.4, 1.0], scale=0.7)
-        surf = pair_kernel(ens, 0, 1, 257)
+        surf = surface(ens, ("pair", 0, 1), 257)
         sig0 = develop(characteristic_velocity(ens.path_triplet(0), 2), 0, 1, 12)
         sig1 = develop(characteristic_velocity(ens.path_triplet(1), 2), 0, 1, 12)
         ref = ta.inner_product(sig0, sig1)
@@ -190,8 +201,10 @@ class TestPairKernel:
 
     def test_transpose_symmetry(self, rng):
         ens = make_ensemble(rng, 2, 2, [0.0, 0.5, 1.0])
-        a = pair_kernel(ens, 0, 1, 17)
-        b = pair_kernel(ens, 1, 0, 17)
+        swapped = AugmentedPathEnsemble(ens.dim, ens.time_grid, ens.derivs[::-1],
+                                        ens.area_derivs[::-1])
+        a = surface(ens, ("pair", 0, 1), 17)
+        b = surface(swapped, ("pair", 0, 1), 17)
         assert np.abs(a.w - b.w.T).max() < 1e-12
 
 
