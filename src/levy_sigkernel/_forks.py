@@ -204,15 +204,15 @@ def write_text(path, text: str) -> None:
 
 
 @contextlib.contextmanager
-def _replaced(path):
-    """A text file opened under the new name ``<path>.<pid>.tmp`` (created
-    exclusively), which replaces ``path`` (``os.replace``) when the block
-    ends; if anything raises, that file is removed and a file already at
-    ``path`` is left as it was."""
+def _replaced(path, mode: str = "x"):
+    """A file opened in ``mode`` (``"x"`` text, ``"xb"`` binary) under the
+    new name ``<path>.<pid>.tmp``, which replaces ``path`` (``os.replace``)
+    when the block ends; if anything raises, that file is removed and a
+    file already at ``path`` is left as it was."""
     path = os.fsdecode(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     # opened before the try: a name already taken is not ours to remove
-    fh = open(tmp, "x")
+    fh = open(tmp, mode)
     try:
         with fh:
             yield fh
@@ -222,10 +222,10 @@ def _replaced(path):
         raise
 
 
-def write_blocks(path, header: str, write_rows, costs, fork_cost) -> None:
+def write_blocks(path, header: bytes, write_rows, costs, fork_cost) -> None:
     """Write ``header``, then ``write_rows(fh, lo, hi)`` for each block of
     rows ``lo:hi`` that :func:`edges` cuts from ``costs`` and
-    ``fork_cost``, in order, into the text file ``path``.
+    ``fork_cost``, in order, into the binary file ``path``.
 
     The blocks go into a new file next to ``path`` that replaces it once
     the last block is in (:func:`_replaced`), so no partial file is left.
@@ -243,7 +243,7 @@ def write_blocks(path, header: str, write_rows, costs, fork_cost) -> None:
     later = list(zip(cuts[1:-1], cuts[2:]))
     blocks: list[tuple[Child, str | None]] = []
     try:
-        with _replaced(path) as fh:
+        with _replaced(path, "xb") as fh:
             for b, (lo, hi) in enumerate(later, 1):
                 _start_block(blocks, f"{path}.{os.getpid()}.{b}.part", write_rows, lo, hi)
             fh.write(header)
@@ -252,9 +252,8 @@ def write_blocks(path, header: str, write_rows, costs, fork_cost) -> None:
                 if child.join() is None:
                     write_rows(fh, lo, hi)
                 else:
-                    fh.flush()
                     with open(part, "rb") as src:
-                        shutil.copyfileobj(src, fh.buffer)
+                        shutil.copyfileobj(src, fh)
     finally:
         for child, part in blocks:
             child.kill()
@@ -284,7 +283,7 @@ def _start_block(blocks: list, part: str, write_rows, lo: int, hi: int) -> None:
     blocks[-1] = (Child(), part)
 
     def write_part() -> list:
-        with open(fd, "w") as fh:
+        with open(fd, "wb") as fh:
             write_rows(fh, lo, hi)
         return []
 

@@ -70,7 +70,6 @@ import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -150,9 +149,12 @@ def make_grid(horizon: float, n_points: int, breakpoints: Sequence[float] = ()) 
     (the sweep shares one transfer map among cells with equal steps); the
     last node is ``horizon``.  Where the step is a power of two this is
     ``np.linspace``; elsewhere a node moves from it by at most
-    ``horizon * 2**(bit_length(n_points - 1) - 53)``.  A merged node within
-    ``1e-12 * horizon`` of the one before it is dropped.  ``n_points`` must
-    be an integer >= 2 (not a bool) and ``horizon`` finite and > 0, else
+    ``horizon * 2**(bit_length(n_points - 1) - 53)``.  A merged node less
+    than ``1e-12`` of its own size above the one before it is that node and
+    is dropped, and so is a breakpoint within ``1e-12 * horizon`` of the
+    horizon: every breakpoint in (0, horizon) is a node to within rounding
+    of its size, as ``_validate_grid`` asks.  ``n_points`` must be an
+    integer >= 2 (not a bool) and ``horizon`` finite and > 0, else
     ``InvalidParameter``.
     """
     if (isinstance(n_points, bool) or not isinstance(n_points, (int, np.integer))
@@ -169,10 +171,9 @@ def make_grid(horizon: float, n_points: int, breakpoints: Sequence[float] = ()) 
     base = np.arange(n_points) * h
     base[-1] = horizon
     cuts = np.asarray([b for b in np.atleast_1d(breakpoints)
-                       if 0.0 < b < horizon], dtype=float)
+                       if 0.0 < b < horizon * (1.0 - 1e-12)], dtype=float)
     grid = np.sort(np.concatenate([base, cuts]))
-    # drop duplicates and near-duplicates introduced by the merge
-    keep = np.concatenate([[True], np.diff(grid) > 1e-12 * horizon])
+    keep = np.concatenate([[True], np.diff(grid) > 1e-12 * grid[1:]])
     return grid[keep]
 
 
@@ -225,49 +226,91 @@ class KernelSurface:
     def to_csv(self, path, include_fields: bool = False) -> None:
         """Serialize as ``s,t,w`` rows (plus field magnitudes on request).
 
-        Every number is ``repr`` of its Python float, one row per node, s
-        major; the field magnitudes are each node's BLAS dot, the bits of
-        ``np.linalg.norm`` per node.  The s-rows, each costing its nodes,
-        are cut into contiguous blocks against ``_BLOCK_COST_NODES``
-        (``_forks.edges``).  The calling process writes the first block,
-        and a forked child each other block (``_forks.write_blocks``).
-        Each block is written one row at a time, each row joined into one
-        string, so the bytes are those of a per-node ``f"{float(x)!r}"``
-        writer whatever the split, and memory stays one row wide in every
-        process.
+        Every number is written as the bytes of ``repr`` of its Python
+        float, one row per node, s major; the field magnitudes are each
+        node's BLAS dot, the bits of ``np.linalg.norm`` per node.  The
+        s-rows, each costing its nodes, are cut into contiguous blocks
+        against ``_BLOCK_COST_NODES`` (``_forks.edges``).  The calling
+        process writes the first block, and a forked child each other block
+        (``_forks.write_blocks``).  A block is formatted in chunks of at most
+        ``_CHUNK_NODES`` nodes by ``_shortest.reprs``, so the bytes are those
+        of a per-node ``f"{float(x)!r}"`` writer whatever the split, and
+        memory stays one chunk wide in every process.
         """
-        cols = [self.w]
-        if include_fields and self.f is not None:
-            # the same bits as np.linalg.norm of each node's vector (a BLAS
-            # dot); norm(axis=-1) and einsum sum in another order
-            cols += (np.sqrt(np.matmul(X[..., None, :], X[..., :, None])[..., 0, 0])
-                     for X in (self.f, self.ftilde))
-        header = "s,t,w" if len(cols) == 1 else "s,t,w,f_norm,ftilde_norm"
-        s_txt = list(map(repr, self.s_grid.tolist()))
-        t_txt = list(map(repr, self.t_grid.tolist()))
+        # only this writer formats by array: a run that writes no kernel.csv
+        # does not load it
+        from . import _shortest
+
+        fields = [] if not include_fields or self.f is None else [
+            X.reshape(self.w.size, X.shape[-1]) for X in (self.f, self.ftilde)]
+        header = b"s,t,w,f_norm,ftilde_norm\n" if fields else b"s,t,w\n"
+        nt = len(self.t_grid)
+        s_txt, t_txt = (_shortest.reprs(g).view(np.uint64) for g in (self.s_grid, self.t_grid))
+        w = self.w.reshape(-1)
 
         def write_rows(fh, lo: int, hi: int) -> None:
-            for s, *rows in zip(s_txt[lo:hi], *(c[lo:hi] for c in cols)):
-                fh.write("\n".join(map(",".join, zip(
-                    repeat(s), t_txt, *(map(repr, row.tolist()) for row in rows)))) + "\n")
+            for a in range(lo * nt, hi * nt, _CHUNK_NODES):
+                b = min(a + _CHUNK_NODES, hi * nt)
+                cols = [w[a:b]]
+                # the same bits as np.linalg.norm of each node's vector (a
+                # BLAS dot); norm(axis=-1) and einsum sum in another order
+                cols += (np.sqrt(np.matmul(X[a:b, None, :], X[a:b, :, None])[:, 0, 0])
+                         for X in fields)
+                nodes = np.arange(a, b)
+                numbers = _shortest.reprs(np.stack(cols, axis=1)).view(np.uint64)
+                fh.write(_csv_rows([s_txt.take(nodes // nt, axis=0),
+                                    t_txt.take(nodes, axis=0, mode="wrap"),
+                                    *(numbers[:, j] for j in range(len(cols)))]))
 
-        _forks.write_blocks(path, header + "\n", write_rows, [len(t_txt)] * len(s_txt),
+        _forks.write_blocks(path, header, write_rows, [nt] * len(self.s_grid),
                             _BLOCK_COST_NODES)
 
 
+def _csv_rows(columns) -> bytes:
+    """CSV rows of ``_shortest.reprs`` numbers, one ``(rows, 3)`` array of
+    8-byte words a column.
+
+    A column takes the words up to its longest number's last byte and one
+    byte more, the last byte of its last word, which holds the comma or the
+    newline after it; the zero bytes between are removed at the end.
+    """
+    used = []
+    for words in columns:
+        last = 2
+        # word 0 of a number is never 0: it holds the first character
+        while (top := words[:, last].max()) == 0:
+            last -= 1
+        used.append(last + 1 + (top >> 56 > 0))
+    rows = np.zeros((len(columns[0]), sum(used)), dtype=np.uint64)
+    end = 0
+    for words, n in zip(columns, used):
+        for j in range(min(n, 3)):
+            rows[:, end + j] = words[:, j]
+        end += n
+        rows[:, end - 1] |= np.uint64(ord(",") << 56)
+    rows[:, -1] ^= np.uint64((ord(",") ^ ord("\n")) << 56)
+    return rows.tobytes().translate(None, b"\0")
+
+
+# The most nodes KernelSurface.to_csv formats at once: each of the
+# formatter's arrays then holds 4608 numbers (36 KiB).  On kernel-jumps-d2
+# the write raised the CLI's VmHWM by 2.8 MB at 4096 nodes a chunk, 1.2 MB
+# at 2048 (as much as the row-joining writer before it) and 0.7 MB at 1536,
+# with no difference in time that the noise of a 2-core host showed.
+_CHUNK_NODES = 1536
 # What a block of KernelSurface.to_csv past the first costs the calling
-# process (a fork, a reap and an append), in nodes formatted in that time.
-# On a 2-core x86 host, with fields, one block against two took 4.6 against
-# 4.8 ms at 1600 nodes, 5.3 against 5.1 ms at 2304, 9.2 against 7.4 ms at
-# 4096 and 11.4 against 8.6 ms at 5184 (medians of 41, 40 MiB process):
-# 1.8 us a node and 1.7-2.0 ms a block.  The parent pays the blocks one
-# after another, so more blocks stop paying at about sqrt(nodes / this):
-# 8 blocks on 258^2 nodes, whatever the CPUs.  Counts past 2 blocks follow
-# from this model and were not measured.  Rows joined without a per-node
-# format call left the break-even where it was: one against two blocks took
-# 6.1 against 5.9 ms at 1681 nodes and 9.3 against 8.9 ms at 2401 (medians
-# of 41, on a host about half as fast).
-_BLOCK_COST_NODES = 1024
+# process, in nodes formatted in that time: its fork, reap and append, and
+# the two processes' contention for one core's execution units (2 vCPUs).
+# One block against two, kernel-jumps-d2 seed 2 solved at N^2 points with
+# fields, medians of 31 alternating in-process calls, two runs: 2.8-3.3
+# against 6.6-8.9 ms at 34^2 (1156 nodes), 6.8-7.3 against 10.0-11.0 ms at
+# 66^2, 11.3-11.5 against 15.8-16.1 ms at 98^2, 17.1-20.9 against 20.4-21.0
+# ms at 130^2 (16900), 50.3-51.8 against 37.0-39.2 ms at 194^2 and
+# 81.6-83.0 against 54.5-56.8 ms at 258^2: 1.0-1.4 us a node, and two
+# blocks break even near 16 000 nodes, where ``_forks.edges`` cuts a second
+# block at this cost.  Counts past 2 blocks follow from the model and were
+# not measured.
+_BLOCK_COST_NODES = 8192
 
 
 def _validate_grid(grid: np.ndarray, breakpoints: np.ndarray, what: str) -> np.ndarray:
@@ -280,8 +323,10 @@ def _validate_grid(grid: np.ndarray, breakpoints: np.ndarray, what: str) -> np.n
     if end > breakpoints[-1] + 1e-12:
         raise GridMismatch(f"{what} grid extends past the velocity horizon")
     tol = 1e-12 * end
+    # a breakpoint is on the grid to within rounding of its own size, as
+    # make_grid puts every one there
     for b in breakpoints:
-        if 0.0 < b < end - tol and np.abs(grid - b).min() > tol:
+        if 0.0 < b < end - tol and np.abs(grid - b).min() > 1e-12 * b:
             raise GridMismatch(f"{what} grid misses velocity breakpoint {b}")
     return grid
 

@@ -356,17 +356,23 @@ def inner_product(x: TruncatedTensor, y: TruncatedTensor) -> float:
 
 def level_norms(x: TruncatedTensor) -> LevelNorms:
     """Euclidean norm of each level, ``np.linalg.norm``'s bits.  Where that
-    squares past the float range, to ``inf`` or to 0 on a nonzero level,
-    the level is scaled by its largest entry first, so a norm is ``inf``
-    or 0 only where its value is."""
+    squares past the float range, to ``inf``, or below ``_SMALL_NORM``,
+    where squares go subnormal and lose digits, on a nonzero level, the
+    level is scaled by its largest entry first, so a norm is ``inf`` or 0
+    only where its value is, and within rounding of it everywhere."""
     _check_single("level_norms", x)
     with np.errstate(over="ignore"):
         return LevelNorms(np.array([_level_norm(lev) for lev in x.levels]))
 
 
+# A norm below this has squares under 1e-292: a subnormal square's rounding
+# (up to 2.5e-324) is then no longer negligible against their sum.
+_SMALL_NORM = 1e-146
+
+
 def _level_norm(lev: np.ndarray) -> float:
     norm = np.linalg.norm(lev)
-    if norm == math.inf or (norm == 0.0 and lev.any()):
+    if norm == math.inf or (norm < _SMALL_NORM and lev.any()):
         top = np.abs(lev).max()
         if top < math.inf:
             norm = top * np.linalg.norm(lev / top)

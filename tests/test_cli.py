@@ -65,10 +65,10 @@ class TestKernelCommand:
         assert all(float(r.split(",")[2]) == 1.0 for r in rows)
 
     def test_split_csv_writes_the_bytes_of_one_block(self, tmp_path, monkeypatch):
-        # 65 x 65 nodes: two blocks pay for their cost, three do not
+        # 161 x 161 nodes: two blocks pay for their cost, three do not
         from levy_sigkernel import kernel_solver
-        cfg = base_config(points=65)
-        assert 2 < 65 * 65 / kernel_solver._BLOCK_COST_NODES < 6
+        cfg = base_config(points=161)
+        assert 2 < 161 * 161 / kernel_solver._BLOCK_COST_NODES < 6
         real_fork, forks = os.fork, []
 
         def fork():
@@ -769,6 +769,8 @@ EXPORTS = {
 }
 # the modules that only some commands use
 COMMAND_MODULES = ("development", "mc_oracle", "mmd")
+# the formatter that only the kernel command's kernel.csv writer uses
+KERNEL_CSV_MODULE = "_shortest"
 # prints the names of the loaded submodules on one line
 LOADED = ("print('loaded:', *sorted(m.split('.', 1)[1] for m in sys.modules "
           "if m.startswith('levy_sigkernel.')))")
@@ -832,10 +834,13 @@ class TestEntryPoints:
 
     def test_cli_import_loads_no_command_module(self):
         loaded = run_fresh(f"import sys, levy_sigkernel.cli; {LOADED}").split()
-        assert "cli" in loaded and not set(COMMAND_MODULES) & set(loaded)
+        assert "cli" in loaded
+        assert not {*COMMAND_MODULES, KERNEL_CSV_MODULE} & set(loaded)
 
     @pytest.mark.parametrize("experiment, unused", [
-        ("kernel", COMMAND_MODULES), ("mmd", ("development", "mc_oracle"))])
+        ("kernel", COMMAND_MODULES),
+        ("mmd", ("development", "mc_oracle", KERNEL_CSV_MODULE)),
+        ("validate", ("mmd", KERNEL_CSV_MODULE))])
     def test_run_loads_only_its_modules(self, tmp_path, experiment, unused):
         # the kernel triplet's covariance comes from factors, as a Wiener
         # measure's can
@@ -843,7 +848,8 @@ class TestEntryPoints:
             cfg_data = base_config(points=9)
             cfg_data["triplets"][0]["intervals"][0] = {"factors": [[0.8], [0.6]]}
         else:
-            cfg_data = WORKLOADS.CONFIGS["mmd-area-m8"](2, small=True)
+            workload = {"mmd": "mmd-area-m8", "validate": "validate-jumps-d2"}[experiment]
+            cfg_data = WORKLOADS.CONFIGS[workload](2, small=True)
         cfg = write_config(tmp_path / "cfg.json", cfg_data)
         out = run_fresh("import sys; from levy_sigkernel.cli import main; "
                         f"print(main(['--config', {cfg!r}, '--output', "
@@ -851,6 +857,7 @@ class TestEntryPoints:
         code, loaded = out.strip().splitlines()[-2:]
         loaded = loaded.split()
         assert code == "0" and ("mmd" in loaded) == (experiment == "mmd")
+        assert (KERNEL_CSV_MODULE in loaded) == (experiment == "kernel")
         assert not set(unused) & set(loaded)
 
     def test_exports_are_the_defining_modules_objects(self):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levy_sigkernel import _forks, cli
+from levy_sigkernel import _forks, _shortest, cli
 from levy_sigkernel import tensor_algebra as ta
 from levy_sigkernel.characteristics import (LevyTriplet, PiecewiseVelocity,
                                             characteristic_velocity)
@@ -1027,6 +1027,21 @@ class TestTransferMaps:
         g = make_grid(horizon, 11, [cut])
         assert solve_truncated_system(v, v, 2, 2, g, g).w.shape == (12, 12)
 
+    @pytest.mark.parametrize("cut, grid", [(1e-13, [0.0, 1e-13, 0.5, 1.0]),
+                                           (0.5 + 1e-13, [0.0, 0.5, 1.0]),
+                                           (1.0 - 1e-13, [0.0, 0.5, 1.0])])
+    def test_breakpoint_stays_on_the_grid(self, rng, cut, grid):
+        # a breakpoint is a node to within 1e-12 of its own size, or the end:
+        # 1e-13 beside node 0 is a node of its own
+        assert make_grid(1.0, 3, [cut]).tolist() == grid
+        v = random_velocity(rng, 1, 2, np.array([0.0, cut, 1.0]), scale=0.5)
+        g = make_grid(1.0, 3, [cut])
+        assert solve_truncated_system(v, v, 2, 2, g, g).w.shape == (len(grid),) * 2
+        if len(grid) == 4:
+            # without it the first cell would straddle the breakpoint
+            with pytest.raises(GridMismatch, match="breakpoint"):
+                solve_truncated_system(v, v, 2, 2, unigrid(3), unigrid(3))
+
     def test_make_grid_takes_numpy_integers(self):
         assert np.array_equal(make_grid(0.3, np.int64(65), [0.1]), make_grid(0.3, 65, [0.1]))
         assert np.array_equal(make_grid(np.float64(2.0), np.int32(9)), make_grid(2.0, 9))
@@ -1663,6 +1678,16 @@ class TestSplitWriter:
         self.write_and_compare(surf, tmp_path, include_fields)
         assert len(forks) == min(blocks, n_rows) - 1
 
+    @pytest.mark.parametrize("chunk", [1, 7, 45])
+    def test_chunks_give_the_same_bytes(self, rng, tmp_path, monkeypatch, chunk):
+        # chunks of one node, ending inside an s-row, or a whole block; the
+        # longest reprs (24 bytes) take a fourth word in their column
+        surf = split_surface(rng, "special", 9)
+        surf.w[4, 3], surf.w[7, 1] = -2.2250738585072014e-308, 1.7976931348623157e308
+        monkeypatch.setattr(kernel_solver, "_CHUNK_NODES", chunk)
+        self.force_blocks(monkeypatch, 2)
+        self.write_and_compare(surf, tmp_path)
+
     def test_blocks_follow_the_cpus_and_the_block_cost(self, rng, tmp_path, monkeypatch,
                                                        forks):
         surf = split_surface(rng, "truncated", 8)   # 8 rows of 5 nodes
@@ -1789,22 +1814,24 @@ class TestSplitWriter:
     @pytest.mark.parametrize("blocks", [1, 3])
     def test_error_leaves_an_existing_file_as_it_was(self, rng, tmp_path, monkeypatch,
                                                      forks, blocks):
-        # the parent raises in its second row, its first one written
+        # the parent raises in its second row, its first one written: a
+        # chunk is one row, and the s and t text come first
         (tmp_path / "got.csv").write_text("an earlier run")
-        rows, real_repeat = [], kernel_solver.repeat
+        calls, real_reprs = [], _shortest.reprs
 
-        def fail_on_second_row(*args):
-            rows.append(None)
-            if len(rows) == 2:
+        def fail_on_second_row(x):
+            calls.append(None)
+            if len(calls) == 4:
                 raise KeyboardInterrupt
-            return real_repeat(*args)
+            return real_reprs(x)
         surf = split_surface(rng, "truncated", 7)
-        monkeypatch.setattr(kernel_solver, "repeat", fail_on_second_row)
+        monkeypatch.setattr(kernel_solver, "_CHUNK_NODES", len(surf.t_grid))
+        monkeypatch.setattr(_shortest, "reprs", fail_on_second_row)
         self.force_blocks(monkeypatch, blocks)
         with pytest.raises(KeyboardInterrupt):
             surf.to_csv(tmp_path / "got.csv")
         monkeypatch.undo()
-        assert len(rows) == 2 and len(forks) == blocks - 1
+        assert len(calls) == 4 and len(forks) == blocks - 1
         assert [p.name for p in tmp_path.iterdir()] == ["got.csv"]
         assert (tmp_path / "got.csv").read_text() == "an earlier run"
         with pytest.raises(ChildProcessError):

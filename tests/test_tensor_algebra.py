@@ -146,10 +146,12 @@ class TestNorms:
         norms = ta.level_norms(x)
         assert norms[1] == 0.0 and norms[2] > 0.0
 
-    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e300, 1e-300])
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e300, 1e-300,
+                                       1e-155, 1e-158, 1e-160, 1e-161])
     def test_norms_past_the_squares_float_range(self, scale):
-        # the squares overflow (1e400) or underflow (1e-400) where the norm
-        # does not; warnings are errors, so an overflow warning fails too
+        # the squares overflow (1e400), underflow (1e-400) or go subnormal
+        # (1e-310 to 1e-322, with fewer digits) where the norm does not;
+        # warnings are errors, so an overflow warning fails too
         x = scale * TT.from_word((1,), 2, 2) + scale * TT.from_word((2,), 2, 2)
         expected = scale * math.sqrt(2.0)
         assert ta.level_norms(x)[1] == pytest.approx(expected, rel=1e-15, abs=0.0)
